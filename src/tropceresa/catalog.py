@@ -136,8 +136,15 @@ _GRAPHS = {
 # tables (0-based indices: a_i = i-1, b_i = g+i-1)
 
 
+def _require_genus(table: str, g: int, need: int) -> None:
+    if g != need:
+        raise SchemaError(
+            f"builtin table {table!r} needs a genus-{need} curve, got genus {g}"
+        )
+
+
 def _k4_table(g):
-    assert g == 3
+    _require_genus("k4", g, 3)
     a1, a2 = 0, 1
     b1, b2, b3 = 3, 4, 5
     return {
@@ -149,7 +156,7 @@ def _k4_table(g):
 
 
 def _tl3_table(g):
-    assert g == 4
+    _require_genus("tl3", g, 4)
     a1, a2 = 0, 1
     b1, b2, b3, b4 = 4, 5, 6, 7
     plus = {(a1, b1, b3): 1, (a1, b1, b4): 1, (a2, b2, b3): 1, (a2, b2, b4): 1}
@@ -169,7 +176,7 @@ def _theta_w1_table(g):
     # primitive vector y2 = 2b1+b2 has integral preimage a1, and 3*y3 with
     # y3 = b1+b2 is the image of a1+a2.  The weight pair (a3, b3) spans the
     # inert slot the total leans on.
-    assert g == 4
+    _require_genus("theta-w1", g, 4)
     a1, a3 = 0, 2
     b1, b2, b3 = 4, 5, 6
     return {

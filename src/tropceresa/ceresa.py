@@ -11,6 +11,7 @@ settle the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import inf
 
@@ -29,7 +30,7 @@ from .exterior import (
     embedded_H_generators,
     wedge_basis,
 )
-from .exterior import _image_generators, _unit_coords
+from .exterior import _delta_minus_I_images, _unit_coords
 from .graph_core import (
     TropicalCurve,
     curve_to_json,
@@ -64,17 +65,35 @@ class PipelineContext:
     def maximal_rank(self) -> bool:
         return self.basis.h == self.basis.g
 
-    def h_generators(self):
-        return [
-            WedgeVector.from_coords(2 * self.g, 3, v).to_coords(self.wedge3)
+    @cached_property
+    def _h_coords(self) -> tuple:
+        return tuple(
+            tuple(WedgeVector.from_coords(2 * self.g, 3, v).to_coords(self.wedge3))
             for v in embedded_H_generators(self.g)
-        ]
+        )
+
+    @cached_property
+    def _images(self) -> tuple:
+        """(monomial, coords) for every wedge3 monomial with a nonzero
+        (delta-I) image; the filtration check runs once, here."""
+        images = _delta_minus_I_images(self.delta, self.filt, 3, self.wedge3)
+        out = []
+        for t, img in zip(self.wedge3, images):
+            coords = img.to_coords(self.wedge3)
+            if any(coords):
+                out.append((t, tuple(coords)))
+        return tuple(out)
+
+    def h_generators(self):
+        return [list(c) for c in self._h_coords]
 
     def image_generators(self, level=None):
-        monos = (
-            None if level is None else self.filt.monomials(3, level, exact=True)
-        )
-        return _image_generators(self.delta, self.filt, 3, self.wedge3, monos)
+        """(delta-I) images of the monomials at Y-degree `level` (all if None)."""
+        return [
+            list(c)
+            for t, c in self._images
+            if level is None or self.filt.y_degree(t) == level
+        ]
 
     def f_units(self, q: int):
         return _unit_coords(self.filt.monomials(3, q), self.wedge3)

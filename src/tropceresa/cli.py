@@ -99,8 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        default=int(os.environ.get(WORKERS_ENV, "1")),
-        help=f"process count (default ${WORKERS_ENV} or 1)",
+        help=f"process count, 1..cpu count (default ${WORKERS_ENV} or 1)",
     )
     p.set_defaults(func=cmd_sample)
 
@@ -118,7 +117,7 @@ def load_graph(args) -> graph_core.TropicalCurve:
     else:
         curve = graph_core.load_curve(source)
     if getattr(args, "lengths", None):
-        values = [Fraction(x) for x in args.lengths.split(",")]
+        values = [_parse_length(x) for x in args.lengths.split(",")]
         ids = [e.id for e in curve.sorted_edges()]
         if len(values) != len(ids):
             raise SchemaError(
@@ -126,6 +125,13 @@ def load_graph(args) -> graph_core.TropicalCurve:
             )
         curve = curve.with_lengths(dict(zip(ids, values)))
     return curve
+
+
+def _parse_length(token: str) -> Fraction:
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"--lengths: bad value {token!r}") from None
 
 
 def load_table(args, curve) -> johnson.JohnsonTable:
@@ -286,7 +292,32 @@ def _sample_one(job):
     }
 
 
+def _sample_workers(args) -> int:
+    """Check the sample options before any work; return the worker count."""
+    if args.count < 1:
+        raise SchemaError(f"--count must be at least 1, got {args.count}")
+    if not 1 <= args.length_min <= args.length_max:
+        raise SchemaError(
+            "need 1 <= --length-min <= --length-max, got "
+            f"{args.length_min} and {args.length_max}"
+        )
+    workers = args.workers
+    if workers is None:
+        raw = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise SchemaError(
+                f"${WORKERS_ENV} must be an integer, got {raw!r}"
+            ) from None
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise SchemaError(f"workers must lie in 1..{cpus}, got {workers}")
+    return workers
+
+
 def cmd_sample(args) -> int:
+    workers = _sample_workers(args)
     curve = load_graph(args)
     n_edges = len(curve.edges)
     rng = random.Random(args.seed)
@@ -301,10 +332,10 @@ def cmd_sample(args) -> int:
         )
         for _ in range(args.count)
     ]
-    if args.workers > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sample_one, jobs))
     else:
         results = [_sample_one(job) for job in jobs]

@@ -3,7 +3,9 @@
 Everything here works over Z (arbitrary-precision ints) or Q (fractions):
 Smith normal form with transformation matrices, echelon-form lattices with
 membership and canonical bases, kernels, saturations, lattice intersections,
-and structure of finitely generated abelian quotients.  No floating point.
+and structure of finitely generated abelian quotients.  Coset orders come
+from back-substitution along the pivots of the echelon basis, so no separate
+rational solve is needed.  No floating point.
 """
 
 from __future__ import annotations
@@ -462,41 +464,6 @@ def snf_diagonal_orders(mat) -> tuple[int, list[int]]:
     return len(orders), orders
 
 
-def solve_frac_gauss(a: Matrix, b: Vector):
-    """Rational solution of a @ x = b by fraction Gaussian elimination."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    work = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(m):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = work[i][n]
-    for i in range(r, m):
-        if work[i][n]:
-            return None
-    # verify (free columns were set to zero)
-    for i in range(m):
-        if sum(Fraction(a[i][j]) * x[j] for j in range(n)) != b[i]:
-            return None
-    return x
-
-
 def lattice_eq(vecs_a, vecs_b, n: int) -> bool:
     return Lattice(n, vecs_a).canonical() == Lattice(n, vecs_b).canonical()
 
@@ -556,19 +523,25 @@ def quotient_invariants(num_vecs, den_vecs, n: int) -> tuple[int, list[int]]:
 def class_order(vec: Vector, den_vecs, n: int):
     """Least k >= 1 with k*vec in span_Z(den_vecs); math.inf if none exists.
 
-    Equals the lcm of the denominators of vec's rational coordinates over
-    any basis of the lattice.
+    Back-substitution along the pivots of the echelon basis: at each pivot
+    the rational coordinate is forced, since earlier rows have been
+    subtracted and later rows vanish there.  The order is the lcm of the
+    coordinate denominators; a nonzero residual means vec is outside the
+    rational span.
     """
     if not any(vec):
         return 1
-    basis = Lattice(n, den_vecs).basis()
-    if not basis:
-        return inf
-    mat = [[v[r] for v in basis] for r in range(n)]
-    x = solve_frac_gauss(mat, vec)
-    if x is None:
-        return inf
-    return lcm(*(Fraction(c).denominator for c in x))
+    lat = Lattice(n, den_vecs)
+    rest = list(vec)
+    order = 1
+    for row, p in zip(lat.rows, lat.pivots):
+        if rest[p]:
+            c = Fraction(rest[p], row[p])
+            order = lcm(order, c.denominator)
+            for t in range(p, n):
+                if row[t]:
+                    rest[t] -= c * row[t]
+    return inf if any(rest) else order
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from tropceresa.graph_core import TropicalCurve, genus, tropical_curve
+from tropceresa.intlinalg import Matrix, Vector
 
 
 def det_fraction(mat) -> Fraction:
@@ -28,6 +29,41 @@ def det_fraction(mat) -> Fraction:
                 f = mm[r][col] * inv
                 mm[r] = [x - f * y for x, y in zip(mm[r], mm[col])]
     return d
+
+
+def solve_frac_gauss(a: Matrix, b: Vector):
+    """Rational solution of a @ x = b by fraction Gaussian elimination."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    work = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = 1 / work[r][col]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(m):
+            if i != r and work[i][col]:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    x = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        x[col] = work[i][n]
+    for i in range(r, m):
+        if work[i][n]:
+            return None
+    # verify (free columns were set to zero)
+    for i in range(m):
+        if sum(Fraction(a[i][j]) * x[j] for j in range(n)) != b[i]:
+            return None
+    return x
 
 
 def naive_snf_diag(mat) -> list[int]:

@@ -17,7 +17,12 @@ from tropceresa.ceresa import (
     zharkov_test,
 )
 from tropceresa.errors import PreconditionError, SchemaError
-from tropceresa.exterior import WedgeVector, embed_H_in_L
+from tropceresa.exterior import (
+    WedgeVector,
+    _image_generators,
+    embed_H_in_L,
+    embedded_H_generators,
+)
 from tropceresa.graph_core import spanning_trees, tropical_curve
 from tropceresa.johnson import JohnsonTable, coboundary_shift, transform_table
 from tropceresa.symplectic import basis_change_matrix, homology_basis
@@ -517,3 +522,25 @@ def test_report_invariant_nontrivial_implies_witness():
             assert (
                 rep.order_bbar and rep.order_bbar > 1
             ) or nonintegral_qualifying_coordinates(build_context(curve), rep.u)
+
+
+@pytest.mark.parametrize("name", ["k4", "tl3", "theta-w1"])
+def test_context_generators_match_fresh_computation(name):
+    """Cached relation generators equal a fresh build, and handing out a
+    list never exposes the cache."""
+    curve = builtin_curve(name)
+    ctx = build_context(curve)
+    for level in (None, 1):
+        monos = None if level is None else ctx.filt.monomials(3, level, exact=True)
+        fresh = _image_generators(ctx.delta, ctx.filt, 3, ctx.wedge3, monos)
+        assert ctx.image_generators(level) == fresh
+        got = ctx.image_generators(level)
+        got[0][0] += 7
+        got.append([1] * len(ctx.wedge3))
+        assert ctx.image_generators(level) == fresh
+    h_fresh = embedded_H_generators(ctx.g)
+    assert ctx.h_generators() == h_fresh
+    got = ctx.h_generators()
+    got[0][0] += 7
+    got.clear()
+    assert ctx.h_generators() == h_fresh

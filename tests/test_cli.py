@@ -1,6 +1,12 @@
+import concurrent.futures
 import json
+import os
+import random
 
-from tropceresa.cli import main
+import pytest
+
+from tropceresa.catalog import BUILTIN_GRAPHS, BUILTIN_TABLES
+from tropceresa.cli import WORKERS_ENV, main
 from tropceresa.graph_core import curve_to_json
 
 from helpers import k4_curve
@@ -150,3 +156,142 @@ def test_text_format(capsys):
     )
     assert code == 0
     assert "verdict: nontrivial" in out
+
+
+def test_table_genus_mismatch_is_schema_error(capsys):
+    code, _, err = run(
+        capsys, "ceresa", "--graph", "builtin:theta0", "--table", "builtin:k4"
+    )
+    assert code == 2
+    assert "error:" in err and "'k4'" in err and "genus-3" in err
+
+
+@pytest.mark.parametrize("bad", ["a", "1/0", "", "inf"])
+def test_malformed_lengths_are_schema_errors(capsys, bad):
+    lengths = ",".join([bad] + ["1"] * 5)
+    code, _, err = run(capsys, "genus", "--graph", "builtin:k4", "--lengths", lengths)
+    assert code == 2
+    assert "error:" in err and repr(bad) in err
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail the test if anything tries to start a process pool."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+
+
+SAMPLE = ("sample", "--graph", "builtin:k4", "--table", "builtin:k4", "--count", "2")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--count", "-3"),
+        ("--count", "0"),
+        ("--length-min", "5", "--length-max", "1"),
+        ("--length-min", "0"),
+        ("--workers", "0"),
+        ("--workers", "-2"),
+    ],
+)
+def test_sample_options_rejected_before_work(capsys, no_pool, extra):
+    code, out, err = run(capsys, *SAMPLE, *extra)
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_sample_workers_bounded_by_cpu_count(capsys, no_pool, monkeypatch):
+    cpus = os.cpu_count() or 1
+    code, out, err = run(capsys, *SAMPLE, "--workers", str(cpus + 1))
+    assert code == 2 and out == "" and "error:" in err
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    code, _, err = run(capsys, *SAMPLE, "--workers", "2")
+    assert code == 2 and "1..1" in err
+    code, out, _ = run(capsys, *SAMPLE, "--workers", "1")
+    assert code == 0 and json.loads(out)["count"] == 2
+
+
+def test_workers_env_validated_lazily(capsys, no_pool, monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV, "many")
+    code, out, _ = run(capsys, "genus", "--graph", "builtin:k4")
+    assert code == 0 and json.loads(out)["genus"] == 3
+    code, out, err = run(capsys, *SAMPLE)
+    assert code == 2 and out == "" and WORKERS_ENV in err
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    code, _, _ = run(capsys, *SAMPLE)
+    assert code == 0
+
+
+FUZZ_BASES = [
+    ["genus", "--graph", "builtin:k4"],
+    ["stabilize", "--graph", "builtin:theta0", "--format", "text"],
+    ["symanzik", "--graph", "builtin:k4", "--lengths", "1,2,3,4,5,6"],
+    ["hyperelliptic", "--graph", "builtin:theta0"],
+    ["basis", "--graph", "builtin:theta-w1"],
+    ["groups", "--graph", "builtin:k4"],
+    ["ceresa", "--graph", "builtin:k4", "--table", "builtin:k4"],
+    ["order", "--graph", "builtin:theta-w1", "--table", "builtin:theta-w1"],
+    ["zharkov", "--graph", "builtin:k4", "--table", "builtin:k4"],
+    ["sample", "--graph", "builtin:k4", "--table", "builtin:k4", "--count", "2"],
+]
+FUZZ_JUNK = ["", "-3", "0", "1", "2", "7", "x", "1/0", "2.5", "-1/2", "nan", "--"]
+FUZZ_SOURCES = (
+    [f"builtin:{name}" for name in BUILTIN_GRAPHS + BUILTIN_TABLES]
+    + ["builtin:", "builtin:nope", "no/such/file.json"]
+)
+FUZZ_FLAGS = ["--count", "--length-min", "--length-max", "--seed", "--format"]
+
+
+def _mutate(rng: random.Random, argv: list) -> list:
+    argv = list(argv)
+    for _ in range(rng.randint(1, 2)):
+        op = rng.randrange(7)
+        if op == 0 and len(argv) > 1:  # drop a token
+            del argv[rng.randrange(len(argv))]
+        elif op == 1:  # duplicate a flag with its value
+            flags = [i for i, x in enumerate(argv[:-1]) if x.startswith("--")]
+            if flags:
+                i = rng.choice(flags)
+                argv += argv[i : i + 2]
+        elif op == 2 and len(argv) > 1:  # junk value
+            argv[rng.randrange(1, len(argv))] = rng.choice(FUZZ_JUNK)
+        elif op == 3:  # graph and table, matched or drawn independently
+            graph = rng.choice(FUZZ_SOURCES)
+            argv += ["--graph", graph]
+            if rng.random() < 0.7:
+                argv += ["--table", rng.choice([graph] + FUZZ_SOURCES)]
+        elif op == 4:  # lengths: empty, wrong count or junk tokens
+            n = rng.randint(0, 10)
+            pool = ["1", "2", "3", "1/2"] * 3 + FUZZ_JUNK
+            argv += ["--lengths", ",".join(rng.choice(pool) for _ in range(n))]
+        elif op == 5:  # a sample option with a junk or negative number
+            argv += [rng.choice(FUZZ_FLAGS), rng.choice(FUZZ_JUNK)]
+        else:  # another subcommand in front
+            argv[0] = rng.choice(FUZZ_BASES)[0]
+    if argv and argv[0] == "sample":
+        argv += ["--workers", "1"]
+    return argv
+
+
+def test_cli_exit_contract_fuzz(capsys, no_pool):
+    """Mutated command lines end in 0, 2 or 3, never in a traceback."""
+    rng = random.Random(20)
+    codes = {}
+    for _ in range(200):
+        argv = _mutate(rng, rng.choice(FUZZ_BASES))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code or 0
+        except Exception as exc:  # noqa: BLE001 - the contract forbids any
+            pytest.fail(f"{argv!r} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), argv
+        if code:
+            assert "error:" in err, argv
+        codes[code] = codes.get(code, 0) + 1
+    assert codes.get(0) and codes.get(2), codes

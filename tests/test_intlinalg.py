@@ -1,12 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropceresa import intlinalg as la
 
-from helpers import naive_snf_diag
+from helpers import naive_snf_diag, solve_frac_gauss
 
 small_matrix = st.integers(1, 5).flatmap(
     lambda m: st.integers(1, 5).flatmap(
@@ -189,6 +190,49 @@ def test_solve_frac_gauss():
         a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         x0 = [rng.randint(-3, 3) for _ in range(n)]
         b = la.mat_vec(a, x0)
-        x = la.solve_frac_gauss(a, b)
+        x = solve_frac_gauss(a, b)
         assert x is not None
         assert la.mat_vec(a, x) == b
+
+
+def test_class_order_matches_gauss_oracle():
+    """Back-substitution on the echelon basis against Gauss-Jordan on the
+    same basis: rank-deficient lattices, non-members and zero vectors."""
+    rng = random.Random(8)
+    seen = {"torsion": 0, "inf": 0, "deficient": 0, "zero": 0}
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        k = rng.randint(0, n + 1)
+        gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+        if gens and rng.random() < 0.3:  # force a dependent generator
+            gens.append([2 * x - y for x, y in zip(gens[0], gens[-1])])
+        roll = rng.random()
+        if roll < 0.1:
+            v = [0] * n
+        elif roll < 0.6 and gens:  # integer vector in the rational span
+            v = [0] * n
+            for gen in gens:
+                c = Fraction(rng.randint(-3, 3), rng.randint(1, 6))
+                v = [x + c * y for x, y in zip(v, gen)]
+            den = math.lcm(*(Fraction(x).denominator for x in v))
+            v = [int(x * den) for x in v]
+        else:
+            v = [rng.randint(-5, 5) for _ in range(n)]
+        basis = la.Lattice(n, gens).basis()
+        got = la.class_order(v, gens, n)
+        if not any(v):
+            expected = 1
+            seen["zero"] += 1
+        elif not basis:
+            expected = math.inf
+        else:
+            x = solve_frac_gauss([[b[r] for b in basis] for r in range(n)], v)
+            expected = math.inf if x is None else math.lcm(*(c.denominator for c in x))
+        if len(basis) < n:
+            seen["deficient"] += 1
+        if expected == math.inf:
+            seen["inf"] += 1
+        elif expected > 1:
+            seen["torsion"] += 1
+        assert got == expected, (gens, v)
+    assert all(count >= 20 for count in seen.values()), seen
