@@ -183,8 +183,8 @@ def cmd_symanzik(args) -> int:
 def cmd_hyperelliptic(args) -> int:
     curve = load_graph(args)
     stable = stabilize(curve)
-    result = graph_core.is_hyperelliptic(stable)
     count = len(graph_core.hyperelliptic_involutions(stable))
+    result = count > 0
     return emit(
         args,
         {"hyperelliptic": result, "involutions": count},

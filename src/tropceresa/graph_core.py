@@ -264,7 +264,7 @@ def separating_pairs(curve: TropicalCurve, sigma: "Involution"):
     pairs = []
     for e in curve.sorted_edges():
         f = sigma.edge_map[e.id]
-        if f <= e.id or f == e.id:
+        if f <= e.id:
             continue
         if not _connected_with_edges(curve, all_ids - {e.id, f}):
             pairs.append(frozenset((e.id, f)))
@@ -326,28 +326,30 @@ class Involution:
 
 def validate_involution(curve: TropicalCurve, inv: Involution) -> None:
     vm, em = inv.vertex_map, inv.edge_map
-    if set(vm) != {v.id for v in curve.vertices} or set(vm.values()) != set(vm):
+    vertices = {v.id: v for v in curve.vertices}
+    edges = {e.id: e for e in curve.edges}
+    if set(vm) != set(vertices) or set(vm.values()) != set(vm):
         raise SchemaError("vertex map is not a permutation")
-    if set(em) != {e.id for e in curve.edges} or set(em.values()) != set(em):
+    if set(em) != set(edges) or set(em.values()) != set(em):
         raise SchemaError("edge map is not a permutation")
     for v, img in vm.items():
         if vm[img] != v:
             raise SchemaError("vertex map is not an involution")
-        if curve.vertex(v).weight != curve.vertex(img).weight:
+        if vertices[v].weight != vertices[img].weight:
             raise SchemaError("vertex map does not preserve weights")
-        if curve.vertex(v).weight > 0 and img != v:
+        if vertices[v].weight > 0 and img != v:
             raise SchemaError("positive-weight vertex moved")
     for e, img in em.items():
         if em[img] != e:
             raise SchemaError("edge map is not an involution")
-        a, b = curve.edge(e).ends
-        if {vm[a], vm[b]} != set(curve.edge(img).ends):
+        a, b = edges[e].ends
+        if {vm[a], vm[b]} != set(edges[img].ends):
             raise SchemaError("edge map incompatible with incidence")
-        if curve.edge(e).length != curve.edge(img).length:
+        if edges[e].length != edges[img].length:
             raise SchemaError("edge map does not preserve lengths")
     for e in inv.flipped_loops:
-        edge = curve.edge(e)
-        if edge.ends[0] != edge.ends[1] or em[e] != e:
+        edge = edges.get(e)
+        if edge is None or edge.ends[0] != edge.ends[1] or em[e] != e:
             raise SchemaError("flipped_loops must be fixed loop edges")
 
 
@@ -357,6 +359,24 @@ def involutions(curve: TropicalCurve) -> list[Involution]:
     Loops fixed with fixed base vertex are emitted twice: pointwise fixed
     and reflected.
     """
+    results: list[Involution] = []
+    for vmap in _vertex_involutions(curve):
+        blocks = _edge_blocks(curve, vmap)
+        if blocks is None:
+            continue
+        unscored = [[(0, m) for m in block] for block in blocks]
+        for _, emap in _block_products(unscored, 0):
+            loops = _fixed_loops(curve, emap)
+            for mask in range(1 << len(loops)):
+                results.append(
+                    Involution(dict(vmap), dict(emap), _flips(loops, mask))
+                )
+    return results
+
+
+def _vertex_involutions(curve: TropicalCurve):
+    """Vertex involutions that fix positive weights and pair only vertices
+    with equal incidence profiles, each as a fresh dict."""
     if len(curve.edges) > MAX_SEARCH_EDGES:
         raise PreconditionError(
             f"involution search capped at {MAX_SEARCH_EDGES} edges"
@@ -373,27 +393,14 @@ def involutions(curve: TropicalCurve) -> list[Involution]:
         return (curve.vertex(vid).weight, curve.valence(vid), tuple(inc))
 
     profiles = {v: profile(v) for v in vids}
-    results: list[Involution] = []
 
-    def extend_vertices(i, vmap):
+    def extend(i, vmap):
         if i == len(vids):
-            for emap in _edge_involutions(curve, vmap):
-                loops_free = [
-                    e.id
-                    for e in curve.sorted_edges()
-                    if e.ends[0] == e.ends[1]
-                    and emap[e.id] == e.id
-                    and vmap[e.ends[0]] == e.ends[0]
-                ]
-                for mask in range(1 << len(loops_free)):
-                    flips = frozenset(
-                        e for b, e in enumerate(loops_free) if mask >> b & 1
-                    )
-                    results.append(Involution(dict(vmap), dict(emap), flips))
+            yield dict(vmap)
             return
         v = vids[i]
         if v in vmap:
-            extend_vertices(i + 1, vmap)
+            yield from extend(i + 1, vmap)
             return
         candidates = [v] + [
             u
@@ -405,37 +412,54 @@ def involutions(curve: TropicalCurve) -> list[Involution]:
         for u in candidates:
             vmap[v] = u
             vmap[u] = v
-            extend_vertices(i + 1, vmap)
+            yield from extend(i + 1, vmap)
             del vmap[v]
             if u != v:
                 del vmap[u]
 
-    extend_vertices(0, {})
-    return results
+    yield from extend(0, {})
 
 
-def _edge_involutions(curve: TropicalCurve, vmap):
-    """Involutive edge permutations compatible with a vertex involution."""
+def _edge_blocks(curve: TropicalCurve, vmap):
+    """Partial edge maps compatible with a vertex involution: one list per
+    parallel class that vmap fixes or pair of classes that it swaps.
+
+    None when some class has no image class of the same size; an empty list
+    when a class pair has no length-preserving bijection.
+    """
     classes: dict[frozenset, list[Edge]] = {}
     for e in curve.sorted_edges():
         classes.setdefault(frozenset(e.ends), []).append(e)
     keys = sorted(classes, key=lambda k: tuple(sorted(k)))
     done = set()
-    blocks = []  # list of per-class-pair lists of partial edge maps
+    blocks = []
     for key in keys:
         if key in done:
             continue
         image_key = frozenset(vmap[v] for v in key)
         if image_key not in classes or len(classes[image_key]) != len(classes[key]):
-            return
+            return None
         done.add(key)
         if image_key == key:
             blocks.append(_self_paired_maps(classes[key]))
         else:
             done.add(image_key)
             blocks.append(_cross_paired_maps(classes[key], classes[image_key]))
-    for combo in _product_maps(blocks):
-        yield combo
+    return blocks
+
+
+def _fixed_loops(curve: TropicalCurve, emap) -> list[str]:
+    """Loops that emap fixes, by id; their base vertices are fixed too, so
+    each may be reflected or not."""
+    return [
+        e.id
+        for e in curve.sorted_edges()
+        if e.ends[0] == e.ends[1] and emap[e.id] == e.id
+    ]
+
+
+def _flips(loops, mask) -> frozenset:
+    return frozenset(e for b, e in enumerate(loops) if mask >> b & 1)
 
 
 def _self_paired_maps(edges):
@@ -506,17 +530,27 @@ def _cross_paired_maps(edges_a, edges_b):
     return list(per_group(sorted(groups_a), 0))
 
 
-def _product_maps(blocks):
-    if any(not b for b in blocks):
+def _block_products(scored, bound):
+    """(count, edge map) for each choice of one partial map per block, in
+    product order (first block outermost), keeping the choices whose
+    scores sum to count <= bound.  Each block lists (score, partial map)
+    pairs; branches are cut on the least score the later blocks can add."""
+    if not all(scored):
         return
-    def rec(i):
-        if i == len(blocks):
-            yield {}
+    floor = [0] * (len(scored) + 1)  # least score of the blocks from i on
+    for i in reversed(range(len(scored))):
+        floor[i] = floor[i + 1] + min(s for s, _ in scored[i])
+
+    def rec(i, count, emap):
+        if i == len(scored):
+            yield count, dict(emap)
             return
-        for head in blocks[i]:
-            for tail in rec(i + 1):
-                yield {**head, **tail}
-    yield from rec(0)
+        for s, partial in scored[i]:
+            if count + s + floor[i + 1] <= bound:
+                emap.update(partial)  # replaces block i's previous choice
+                yield from rec(i + 1, count + s, emap)
+
+    yield from rec(0, 0, {})
 
 
 def quotient_curve(curve: TropicalCurve, inv: Involution) -> TropicalCurve:
@@ -529,9 +563,7 @@ def quotient_curve(curve: TropicalCurve, inv: Involution) -> TropicalCurve:
     validate_involution(curve, inv)
     vm, em = inv.vertex_map, inv.edge_map
     orbit = {v: min(v, vm[v]) for v in vm}
-    verts: dict[str, int] = {}
-    for v in curve.vertices:
-        verts.setdefault(orbit[v.id], curve.vertex(orbit[v.id]).weight)
+    verts = {orbit[v.id]: v.weight for v in curve.vertices}
     edges = []
     seen = set()
     for e in curve.sorted_edges():
@@ -539,45 +571,87 @@ def quotient_curve(curve: TropicalCurve, inv: Involution) -> TropicalCurve:
             continue
         img = em[e.id]
         u, w = e.ends
-        if img != e.id:
-            seen.update((e.id, img))
-            edges.append((e.id, (orbit[u], orbit[w]), e.length))
-        elif u == w:
-            seen.add(e.id)
-            if e.id in inv.flipped_loops:
-                tip = f"{e.id}__tip"
-                verts[tip] = 0
-                edges.append((e.id, (orbit[u], tip), e.length / 2))
-            else:
-                edges.append((e.id, (orbit[u], orbit[u]), e.length))
-        elif vm[u] == u:
-            seen.add(e.id)
-            edges.append((e.id, (orbit[u], orbit[w]), e.length))
-        else:
-            seen.add(e.id)
+        seen.update((e.id, img))
+        folded = img == e.id and (
+            e.id in inv.flipped_loops if u == w else vm[u] != u
+        )
+        if folded:
             tip = f"{e.id}__tip"
+            while tip in verts:  # the curve may already use the name
+                tip += "'"
             verts[tip] = 0
             edges.append((e.id, (orbit[u], tip), e.length / 2))
+        else:
+            edges.append((e.id, (orbit[u], orbit[w]), e.length))
     return TropicalCurve(
         tuple(Vertex(i, w) for i, w in sorted(verts.items())),
         tuple(Edge(i, ends, l) for i, ends, l in edges),
     )
 
 
-def hyperelliptic_involutions(curve: TropicalCurve) -> list[Involution]:
-    """Involutions fixing positive weights whose metric quotient is a tree."""
+def _tree_quotient_candidates(curve: TropicalCurve):
+    """The involutions of `involutions` whose quotient has genus 0, in the
+    same order, found without building a quotient.
+
+    The quotient is connected, so it is a tree exactly when its genus is 0.
+    A fixed edge with swapped ends and a reflected loop each fold onto a
+    pendant edge plus its tip, which adds nothing to the genus.  Every
+    other edge orbit is solid: a swapped pair, a fixed non-loop edge with
+    fixed ends, or a fixed loop left unreflected.  Hence genus = solid -
+    vertex orbits + 1.  Each partial map of each edge block is scored by
+    its solid count, free loops aside; the blocks are walked with a
+    branch-and-bound on suffix minima, and exactly (vertex orbits - 1 -
+    that count) of the free loops stay unreflected.
+    """
+    ends = {e.id: e.ends for e in curve.edges}
+
+    def solid(vmap, partial):
+        n = 0
+        for e, img in partial.items():
+            if img != e:
+                n += e < img  # each swapped pair once
+            else:
+                u, w = ends[e]
+                n += u != w and vmap[u] == u
+        return n
+
+    for vmap in _vertex_involutions(curve):
+        blocks = _edge_blocks(curve, vmap)
+        if blocks is None:
+            continue
+        target = sum(v <= img for v, img in vmap.items()) - 1
+        scored = [[(solid(vmap, m), m) for m in block] for block in blocks]
+        for count, emap in _block_products(scored, target):
+            loops = _fixed_loops(curve, emap)
+            keep = target - count  # free loops left unreflected
+            for mask in range(1 << len(loops)):
+                if len(loops) - mask.bit_count() == keep:
+                    yield Involution(dict(vmap), dict(emap), _flips(loops, mask))
+
+
+def _hyperelliptic_search(curve: TropicalCurve):
+    """Tree-quotient involutions of a stable curve, each certified by
+    building its quotient with `quotient_curve`, lazily."""
     if not is_stable(curve):
         raise PreconditionError("hyperellipticity test expects a stable curve")
-    out = []
-    for inv in involutions(curve):
-        quo = quotient_curve(curve, inv)
-        if graph_genus(quo) == 0:
-            out.append(inv)
-    return out
+    for inv in _tree_quotient_candidates(curve):
+        if graph_genus(quotient_curve(curve, inv)) != 0:
+            raise RuntimeError(f"orbit count and quotient disagree on {inv}")
+        yield inv
+
+
+def hyperelliptic_involutions(curve: TropicalCurve) -> list[Involution]:
+    """Involutions fixing positive weights whose metric quotient is a tree.
+
+    A pruned search counts orbits instead of building every quotient; each
+    involution it returns is still checked by `quotient_curve`.
+    """
+    return list(_hyperelliptic_search(curve))
 
 
 def is_hyperelliptic(curve: TropicalCurve) -> bool:
-    return bool(hyperelliptic_involutions(curve))
+    """Whether a tree-quotient involution exists; stops at the first one."""
+    return next(_hyperelliptic_search(curve), None) is not None
 
 
 # ---------------------------------------------------------------------------

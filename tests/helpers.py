@@ -6,7 +6,14 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from tropceresa.graph_core import TropicalCurve, genus, tropical_curve
+from tropceresa.graph_core import (
+    TropicalCurve,
+    genus,
+    graph_genus,
+    involutions,
+    quotient_curve,
+    tropical_curve,
+)
 from tropceresa.intlinalg import Matrix, Vector
 
 
@@ -255,3 +262,8 @@ def brute_spanning_trees(curve: TropicalCurve):
         if acyclic and len({find(v.id) for v in curve.vertices}) == 1:
             found.append(tuple(sorted(e.id for e in combo)))
     return sorted(found) if need else [()]
+
+
+def brute_hyperelliptic_involutions(curve: TropicalCurve):
+    """Exhaustive oracle: every involution whose built quotient is a tree."""
+    return [i for i in involutions(curve) if graph_genus(quotient_curve(curve, i)) == 0]

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
+from tropceresa import graph_core
 from tropceresa.catalog import BUILTIN_GRAPHS, BUILTIN_TABLES
 from tropceresa.cli import WORKERS_ENV, main
 from tropceresa.graph_core import curve_to_json
 
-from helpers import k4_curve
+from helpers import banana_curve, k4_curve
 
 
 def run(capsys, *argv):
@@ -49,6 +50,37 @@ def test_hyperelliptic(capsys):
     code, out, _ = run(capsys, "hyperelliptic", "--graph", "builtin:k4")
     assert json.loads(out)["hyperelliptic"] is False
 
+
+
+def test_hyperelliptic_searches_once_per_call(monkeypatch, capsys):
+    calls = []
+    vertex_involutions = graph_core._vertex_involutions
+
+    def counting(curve):
+        calls.append(curve)
+        return vertex_involutions(curve)
+
+    monkeypatch.setattr(graph_core, "_vertex_involutions", counting)
+    for fmt in ("json", "text"):
+        calls.clear()
+        code, _, _ = run(capsys, "hyperelliptic", "--graph", "builtin:theta0", "--format", fmt)
+        assert code == 0 and len(calls) == 1
+
+
+def test_hyperelliptic_banana10(tmp_path, capsys):
+    path = tmp_path / "banana10.json"
+    path.write_text(json.dumps(curve_to_json(banana_curve(10))))
+    code, out, _ = run(capsys, "hyperelliptic", "--graph", str(path))
+    assert code == 0
+    assert json.loads(out) == {"hyperelliptic": True, "involutions": 1}
+
+
+def test_hyperelliptic_edge_cap(tmp_path, capsys):
+    path = tmp_path / "banana13.json"
+    path.write_text(json.dumps(curve_to_json(banana_curve(13))))
+    code, out, err = run(capsys, "hyperelliptic", "--graph", str(path))
+    assert code == 3 and out == ""
+    assert "involution search capped at 12 edges" in err
 
 def test_genus_and_basis(capsys):
     code, out, _ = run(capsys, "genus", "--graph", "builtin:theta-w1")

@@ -25,7 +25,16 @@ from tropceresa.graph_core import (
     validate_involution,
 )
 
-from helpers import banana_curve, brute_spanning_trees, k4_curve, loop_chain_curve, random_curve
+from tropceresa import graph_core
+
+from helpers import (
+    banana_curve,
+    brute_hyperelliptic_involutions,
+    brute_spanning_trees,
+    k4_curve,
+    loop_chain_curve,
+    random_curve,
+)
 
 
 def barbell():
@@ -371,6 +380,128 @@ def test_hyperelliptic_matches_brute_quotient_check():
             graph_genus(quotient_curve(c, i)) == 0 for i in involutions(c)
         )
         assert is_hyperelliptic(c) == expected
+
+
+def involution_key(inv):
+    return (
+        tuple(sorted(inv.vertex_map.items())),
+        tuple(sorted(inv.edge_map.items())),
+        inv.flipped_loops,
+    )
+
+
+K4_PAIRS = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
+
+
+def k4_doubled(d, lengths):
+    """K4 with its first d edges doubled by a parallel copy."""
+    pairs = K4_PAIRS + K4_PAIRS[:d]
+    return tropical_curve(
+        [(v, 0) for v in "abcd"],
+        [(f"e{i}", p, lengths[i]) for i, p in enumerate(pairs)],
+    )
+
+
+def test_hyperelliptic_involutions_match_exhaustive_oracle():
+    rng = random.Random(12)
+    curves = []
+    while len(curves) < 220:
+        c = stabilize(random_curve(rng, max_edges=9))
+        if rng.random() < 0.6:  # few distinct lengths keep symmetries alive
+            c = c.with_lengths({e.id: rng.choice((1, 1, 2)) for e in c.edges})
+        if len(c.edges) <= 9:
+            curves.append(c)
+    covered = {
+        "loops": sum(any(e.ends[0] == e.ends[1] for e in c.edges) for c in curves),
+        "parallel": sum(
+            len({frozenset(e.ends) for e in c.edges}) < len(c.edges) for c in curves
+        ),
+        "weights": sum(c.total_weight() > 0 for c in curves),
+    }
+    assert min(covered.values()) >= 40, covered
+    for mixed in (False, True):
+        def lengths(n):
+            return [1 + i % 3 if mixed else 1 for i in range(n)]
+
+        curves += [banana_curve(n, lengths(n)) for n in range(3, 9)]
+        curves += [loop_chain_curve(n, lengths(2 * n - 1)) for n in range(2, 6)]
+        curves += [k4_doubled(d, lengths(6 + d)) for d in range(4)]
+    answers = []
+    for c in curves:
+        got = sorted(map(involution_key, hyperelliptic_involutions(c)))
+        want = sorted(map(involution_key, brute_hyperelliptic_involutions(c)))
+        assert got == want, curve_to_json(c)
+        assert is_hyperelliptic(c) == bool(want)
+        answers.append(bool(want))
+    assert 40 <= sum(answers) <= len(answers) - 40
+
+
+def theta_with_loops():
+    """Two parallel edges and a loop at each end.  The identity vertex map
+    already has a tree quotient (the parallel edges swapped, both loops
+    reflected); swapping u and v never does."""
+    return tropical_curve(
+        [("u", 0), ("v", 0)],
+        [
+            ("e1", ("u", "v"), 1),
+            ("e2", ("u", "v"), 1),
+            ("lu", ("u", "u"), 1),
+            ("lv", ("v", "v"), 1),
+        ],
+    )
+
+
+def test_is_hyperelliptic_stops_at_first_certified_involution(monkeypatch):
+    pulled, certified = [], []
+    vertex_involutions = graph_core._vertex_involutions
+    quotient = graph_core.quotient_curve
+
+    def counting_vertex_involutions(curve):
+        for vmap in vertex_involutions(curve):
+            pulled.append(vmap)
+            yield vmap
+
+    def counting_quotient(curve, inv):
+        certified.append(inv)
+        return quotient(curve, inv)
+
+    monkeypatch.setattr(graph_core, "_vertex_involutions", counting_vertex_involutions)
+    monkeypatch.setattr(graph_core, "quotient_curve", counting_quotient)
+    curve = theta_with_loops()
+    assert is_hyperelliptic(curve)
+    assert len(pulled) == 1 and len(certified) == 1
+    pulled.clear()
+    certified.clear()
+    (inv,) = hyperelliptic_involutions(curve)
+    assert len(pulled) == 2 and certified == [inv]
+    assert inv.flipped_loops == {"lu", "lv"}
+
+
+def test_hyperelliptic_search_checks_its_certificate(monkeypatch):
+    circle = tropical_curve([("p", 0)], [("l", ("p", "p"), 1)])
+    monkeypatch.setattr(graph_core, "quotient_curve", lambda curve, inv: circle)
+    with pytest.raises(RuntimeError, match="disagree"):
+        hyperelliptic_involutions(theta0())
+
+
+def test_quotient_tip_names_avoid_vertex_ids():
+    # the swap folds e0 onto a pendant edge whose default tip name is
+    # already the id of a vertex of the curve
+    named = tropical_curve(
+        [("u", 0), ("e0__tip", 0)],
+        [(f"e{i}", ("u", "e0__tip"), 1) for i in range(3)],
+    )
+    (swap,) = hyperelliptic_involutions(named)
+    quo = quotient_curve(named, swap)
+    assert graph_genus(quo) == 0 and len(quo.vertices) == 4
+
+
+def test_validate_involution_rejects_unknown_flipped_loop():
+    th = theta0()
+    ident = next(i for i in involutions(th) if i.is_identity())
+    bad = graph_core.Involution(ident.vertex_map, ident.edge_map, frozenset({"zz"}))
+    with pytest.raises(SchemaError, match="flipped_loops"):
+        validate_involution(th, bad)
 
 
 # -- json ---------------------------------------------------------------------
