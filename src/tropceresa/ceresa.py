@@ -115,9 +115,8 @@ def build_context(curve: TropicalCurve, tree=None) -> PipelineContext:
     basis = homology_basis(scaled, tree=tree)
     q = polarization_Q(scaled, basis)
     delta = delta_from_Q(q)
-    g, h = basis.g, basis.h
-    y_units = [[int(t == g + i) for t in range(2 * g)] for i in range(h)]
-    filt = Filtration.from_Y(y_units, 2 * g)
+    g = basis.g
+    filt = Filtration.from_Y(_y_units(g, basis.h), 2 * g)
     return PipelineContext(
         curve=scaled,
         scale=scale,
@@ -127,6 +126,32 @@ def build_context(curve: TropicalCurve, tree=None) -> PipelineContext:
         filt=filt,
         wedge3=wedge_basis(2 * g, 3),
     )
+
+
+def _y_units(g: int, h: int) -> list:
+    """Unit vectors b_1..b_h spanning Y, the saturated image of delta - I."""
+    return [[int(t == g + i) for t in range(2 * g)] for i in range(h)]
+
+
+def q_invariant_factors(ctx: PipelineContext) -> list:
+    """Invariant factors of the cycle block Q[:h, :h] of the Gram form."""
+    h = ctx.basis.h
+    return la.invariant_factor_diagonal([row[:h] for row in ctx.q_matrix[:h]])
+
+
+def group_table(ctx: PipelineContext) -> dict:
+    """The finite obstruction groups A, B, Abar, Bbar of the curve."""
+    y_units = _y_units(ctx.g, ctx.basis.h)
+    return {
+        "A": A_group(ctx.delta, y_units, 2),
+        "B": B_group(ctx.delta, y_units, 2),
+        "Abar": Abar_group(ctx.delta, y_units),
+        "Bbar": Bbar_group(ctx.delta, y_units),
+    }
+
+
+def groups_to_json(groups: dict) -> dict:
+    return {k: v.to_json() | {"order": _enc_size(v)} for k, v in groups.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +312,7 @@ class CeresaReport:
                     x.to_json() for x in self.zharkov["relation_generators"]
                 ],
             },
-            "groups": None
-            if self.groups is None
-            else {k: v.to_json() | {"order": _enc_size(v)} for k, v in self.groups.items()},
+            "groups": None if self.groups is None else groups_to_json(self.groups),
             "notes": list(self.notes),
         }
         return out
@@ -437,9 +460,7 @@ def analyze(
             "is relative to the supplied values"
         )
     hyper = is_hyperelliptic(stabilize(ctx.curve))
-    qf = la.invariant_factor_diagonal(
-        [row[: ctx.basis.h] for row in ctx.q_matrix[: ctx.basis.h]]
-    )
+    qf = q_invariant_factors(ctx)
     decision = nontriviality_verdict(
         ctx, v, hyper, certified=table.provenance == "builtin"
     )
@@ -457,18 +478,7 @@ def analyze(
     zh = None
     if with_zharkov and ctx.maximal_rank and is_pure_gr2(ctx, v):
         zh = zharkov_test(ctx, v)
-    groups = None
-    if with_groups:
-        g = ctx.g
-        y_units = [
-            [int(t == g + i) for t in range(2 * g)] for i in range(ctx.basis.h)
-        ]
-        groups = {
-            "A": A_group(ctx.delta, y_units, 2),
-            "B": B_group(ctx.delta, y_units, 2),
-            "Abar": Abar_group(ctx.delta, y_units),
-            "Bbar": Bbar_group(ctx.delta, y_units),
-        }
+    groups = group_table(ctx) if with_groups else None
     return CeresaReport(
         curve=ctx.curve,
         scale=ctx.scale,

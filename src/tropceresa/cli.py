@@ -14,10 +14,17 @@ import random
 import sys
 from fractions import Fraction
 
-from . import catalog, graph_core, intlinalg, johnson
-from .ceresa import analyze, build_context, v_class, zharkov_test
+from . import catalog, graph_core, johnson
+from .ceresa import (
+    analyze,
+    build_context,
+    group_table,
+    groups_to_json,
+    q_invariant_factors,
+    v_class,
+    zharkov_test,
+)
 from .errors import PreconditionError, SchemaError
-from .exterior import A_group, Abar_group, B_group, Bbar_group
 from .graph_core import genus, graph_genus, stabilize, symanzik
 from .symplectic import basis_report, homology_basis
 
@@ -203,25 +210,11 @@ def cmd_basis(args) -> int:
 def cmd_groups(args) -> int:
     curve = load_graph(args)
     ctx = build_context(curve)
-    g, h = ctx.basis.g, ctx.basis.h
-    y_units = [[int(t == g + i) for t in range(2 * g)] for i in range(h)]
-    groups = {
-        "A": A_group(ctx.delta, y_units, 2),
-        "B": B_group(ctx.delta, y_units, 2),
-        "Abar": Abar_group(ctx.delta, y_units),
-        "Bbar": Bbar_group(ctx.delta, y_units),
-    }
+    groups = group_table(ctx)
     payload = {
-        "invariant_factors": list(
-            intlinalg.invariant_factor_diagonal(
-                [row[:h] for row in ctx.q_matrix[:h]]
-            )
-        ),
+        "invariant_factors": q_invariant_factors(ctx),
         "rank_status": "maximal" if ctx.maximal_rank else "deficient",
-        "groups": {
-            k: v.to_json() | {"order": "infinite" if v.order == float("inf") else int(v.order)}
-            for k, v in groups.items()
-        },
+        "groups": groups_to_json(groups),
     }
     text = "\n".join(
         [f"rank: {payload['rank_status']}"]

@@ -290,7 +290,8 @@ class Filtration:
         if not ys:
             return cls(n, frozenset())
         mat = [[v[r] for v in ys] for r in range(n)]
-        if not la.lattice_eq(ys, la.saturation_basis(mat), n):
+        sat = la.saturation_basis(mat)
+        if not la.lattice_eq(ys, sat, n):
             raise PreconditionError("Y is not saturated")
         positions = []
         for v in ys:
@@ -303,7 +304,6 @@ class Filtration:
         if positions is not None and len(set(positions)) == len(positions):
             return cls(n, frozenset(positions))
         d = len(ys)
-        sat = la.saturation_basis(mat)
         comp = _complement_columns(sat, n)
         p = la.from_columns(comp + ys)
         return cls(n, frozenset(range(n - d, n)), P=p, Pinv=la.int_inverse(p))
@@ -331,12 +331,17 @@ class Filtration:
 
 
 def _complement_columns(sat_basis, n: int) -> list:
-    """Unit vectors completing a saturated basis to a basis of Z^n."""
+    """Columns completing a saturated basis to a basis of Z^n.
+
+    The tag block U of the Hermite form of [M | I], M with the saturated
+    columns, satisfies U M = [I; 0]; so M is the first d columns of U^-1 and
+    the remaining columns of U^-1 complete it.
+    """
     d = len(sat_basis)
     mat = [[v[r] for v in sat_basis] for r in range(n)]
-    snf = la.smith_normal_form(mat)
-    # columns d..n-1 of Uinv complete the saturation's basis
-    return [[snf.Uinv[r][j] for r in range(n)] for j in range(d, n)]
+    tagged = [row + unit for row, unit in zip(mat, la.identity(n))]
+    u = [row[d:] for row in la.hnf_rows(tagged)]
+    return la.columns(la.int_inverse(u))[d:]
 
 
 def filtration_basis(y_vectors, n: int, q: int, k: int) -> list[list]:
@@ -383,7 +388,7 @@ def graded_map(delta, y_vectors, q: int, k: int):
 
 
 # ---------------------------------------------------------------------------
-# cokernels, orders, membership
+# cokernels
 
 
 def coker_structure(mat) -> AbelianGroupDescriptor:
@@ -394,17 +399,6 @@ def coker_structure(mat) -> AbelianGroupDescriptor:
     rank, orders = la.snf_diagonal_orders(mat)
     torsion = la.invariant_factors_from_orders(orders)
     return AbelianGroupDescriptor(rows - rank, tuple(torsion))
-
-
-def class_order(v, relation_vectors, n: int | None = None):
-    """Least k >= 1 with k*v in the relation lattice; math.inf if none."""
-    vec = v.to_coords() if isinstance(v, WedgeVector) else list(v)
-    return la.class_order(vec, relation_vectors, len(vec))
-
-
-def membership(v, lattice_vectors) -> bool:
-    vec = v.to_coords() if isinstance(v, WedgeVector) else list(v)
-    return vec in la.Lattice(len(vec), lattice_vectors)
 
 
 # ---------------------------------------------------------------------------

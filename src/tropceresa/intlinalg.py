@@ -1,17 +1,18 @@
 """Exact integer and rational linear algebra.
 
 Everything here works over Z (arbitrary-precision ints) or Q (fractions):
-Smith normal form with transformation matrices, echelon-form lattices with
-membership and canonical bases, kernels, saturations, lattice intersections,
-and structure of finitely generated abelian quotients.  Coset orders come
-from back-substitution along the pivots of the echelon basis, so no separate
-rational solve is needed.  No floating point.
+echelon-form (Hermite) lattices with membership and canonical bases; kernels,
+integer solutions, saturations and unimodular inverses read off the Hermite
+form of tagged matrices; lattice intersections; and the structure of finitely
+generated abelian quotients through one Smith diagonal, computed by
+alternating Hermite reduction.  Coset orders come from back-substitution
+along the pivots of the echelon basis, so no separate rational solve is
+needed.  No floating point.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm, prod
 
@@ -81,140 +82,8 @@ def from_columns(cols: list[Vector]) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
-
-
-@dataclass
-class SmithForm:
-    """U @ A @ V == D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
-
-    diag: list         # full min(m, n) diagonal, zeros last
-    rank: int
-    U: Matrix
-    Uinv: Matrix
-    V: Matrix
-    Vinv: Matrix
-
-
-def smith_normal_form(a: Matrix) -> SmithForm:
-    m = len(a)
-    n = len(a[0]) if m else 0
-    d = [row[:] for row in a]
-    u, uinv = identity(m), identity(m)
-    v, vinv = identity(n), identity(n)
-
-    def row_axpy(i, j, q):  # row_i -= q * row_j
-        di, dj = d[i], d[j]
-        for t in range(n):
-            if dj[t]:
-                di[t] -= q * dj[t]
-        ui, uj = u[i], u[j]
-        for t in range(m):
-            if uj[t]:
-                ui[t] -= q * uj[t]
-        for r in range(m):
-            if uinv[r][i]:
-                uinv[r][j] += q * uinv[r][i]
-
-    def col_axpy(j, i, q):  # col_j -= q * col_i
-        for r in range(m):
-            if d[r][i]:
-                d[r][j] -= q * d[r][i]
-        for r in range(n):
-            if v[r][i]:
-                v[r][j] -= q * v[r][i]
-        vi, vj = vinv[i], vinv[j]
-        for t in range(n):
-            if vj[t]:
-                vi[t] += q * vj[t]
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in range(m):
-            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
-
-    def col_swap(i, j):
-        for r in range(m):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(n):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def row_negate(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in range(m):
-            uinv[r][i] = -uinv[r][i]
-
-    mn = min(m, n)
-    t = 0
-    while t < mn:
-        # locate a pivot of minimal absolute value in the trailing block
-        piv = None
-        best = None
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                x = row[j]
-                if x:
-                    ax = -x if x < 0 else x
-                    if best is None or ax < best:
-                        best, piv = ax, (i, j)
-                        if ax == 1:
-                            break
-            if best == 1:
-                break
-        if piv is None:
-            break
-        if piv[0] != t:
-            row_swap(t, piv[0])
-        if piv[1] != t:
-            col_swap(t, piv[1])
-
-        while True:
-            # clear column t; a nonzero remainder becomes the smaller pivot
-            dirty = False
-            for i in range(t + 1, m):
-                x = d[i][t]
-                if x:
-                    q = x // d[t][t]
-                    if q:
-                        row_axpy(i, t, q)
-                    if d[i][t]:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                x = d[t][j]
-                if x:
-                    q = x // d[t][t]
-                    if q:
-                        col_axpy(j, t, q)
-                    if d[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide every remaining entry
-            fix = None
-            dt = d[t][t]
-            for i in range(t + 1, m):
-                row = d[i]
-                for j in range(t + 1, n):
-                    if row[j] % dt:
-                        fix = i
-                        break
-                if fix is not None:
-                    break
-            if fix is None:
-                break
-            row_axpy(t, fix, -1)
-        if d[t][t] < 0:
-            row_negate(t)
-        t += 1
-
-    diag = [d[i][i] for i in range(mn)]
-    return SmithForm(diag=diag, rank=t, U=u, Uinv=uinv, V=v, Vinv=vinv)
+# invariant factors; kernels, solutions, saturations and inverses from
+# tagged Hermite forms
 
 
 def invariant_factor_diagonal(a: Matrix) -> list:
@@ -234,44 +103,49 @@ def matrix_rank(a: Matrix) -> int:
 
 def kernel_basis(a: Matrix) -> list[Vector]:
     """Basis of the integer kernel {x : a @ x = 0}; spans a saturated lattice."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if n == 0:
+    if not a or not a[0]:
         return []
-    snf = smith_normal_form(a)
-    return [[snf.V[r][j] for r in range(n)] for j in range(snf.rank, n)]
+    return vector_relations(columns(a), len(a))
 
 
 def solve_int(a: Matrix, b: Vector):
-    """Integer solution x of a @ x = b, or None."""
-    snf = smith_normal_form(a)
-    w = mat_vec(snf.U, b)
-    n = len(a[0]) if a else 0
-    y = [0] * n
-    for i, wi in enumerate(w):
-        di = snf.diag[i] if i < len(snf.diag) else 0
-        if di:
-            if wi % di:
-                return None
-            y[i] = wi // di
-        elif wi:
-            return None
-    return mat_vec(snf.V, y)
+    """Integer solution x of a @ x = b, or None.
+
+    Echelon on the tagged rows column_j ++ e_j; b ++ 0 reduces to 0 ++ -x
+    exactly when a @ x = b has an integer solution.
+    """
+    m = len(a)
+    cols = columns(a)
+    k = len(cols)
+    lat = Lattice(m + k, [c + e for c, e in zip(cols, identity(k))])
+    rest = lat.reduce(list(b) + [0] * k)
+    if any(rest[:m]):
+        return None
+    return [-x for x in rest[m:]]
 
 
 def saturation_basis(a: Matrix) -> list[Vector]:
-    """Basis of the saturation of the column span of a."""
-    snf = smith_normal_form(a)
+    """Basis of the saturation of the column span of a.
+
+    The saturation is the kernel of the left kernel of a.
+    """
     m = len(a)
-    return [[snf.Uinv[r][j] for r in range(m)] for j in range(snf.rank)]
+    left = vector_relations(a, len(a[0]) if m else 0)
+    return kernel_basis(left) if left else identity(m)
 
 
 def int_inverse(a: Matrix) -> Matrix:
-    """Inverse of a unimodular integer matrix, over Z."""
-    snf = smith_normal_form(a)
-    if any(x != 1 for x in snf.diag):
-        raise ValueError("matrix is not unimodular: SNF diagonal %r" % (snf.diag,))
-    return mat_mul(snf.V, snf.U)
+    """Inverse of a unimodular integer matrix, over Z.
+
+    The Hermite form of [a | I] is [I | a^-1] exactly when a is unimodular.
+    """
+    n = len(a)
+    k = len(a[0]) if n else 0
+    rows = hnf_rows([list(row) + e for row, e in zip(a, identity(n))])
+    if [row[:k] for row in rows] != identity(n):
+        diag = invariant_factor_diagonal(a)
+        raise ValueError("matrix is not unimodular: SNF diagonal %r" % (diag,))
+    return [row[k:] for row in rows]
 
 
 def frac_inverse(a: Matrix) -> Matrix:

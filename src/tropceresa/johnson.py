@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
+from math import prod
 
 from . import intlinalg as la
 from .errors import PreconditionError, SchemaError
@@ -33,7 +33,8 @@ def symplectic_basis_of(w_vectors, g: int):
     if not vecs:
         return []
     gram = [[intersection(u, v, g) for v in vecs] for u in vecs]
-    det = _det_int(gram)
+    # skew-symmetric Gram: det = Pf^2 >= 0, the product of the invariant factors
+    det = prod(la.invariant_factor_diagonal(gram))
     if abs(det) != 1:
         raise PreconditionError(
             f"restricted form is not unimodular: Gram determinant {det}"
@@ -66,26 +67,6 @@ def symplectic_basis_of(w_vectors, g: int):
     for a, b in basis:
         out.extend([a, b])
     return out
-
-
-def _det_int(mat) -> int:
-    n = len(mat)
-    mm = [[Fraction(x) for x in row] for row in mat]
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mm[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            mm[col], mm[piv] = mm[piv], mm[col]
-            d = -d
-        d *= mm[col][col]
-        inv = 1 / mm[col][col]
-        for r in range(col + 1, n):
-            if mm[r][col]:
-                f = mm[r][col] * inv
-                mm[r] = [x - f * y for x, y in zip(mm[r], mm[col])]
-    return int(d)
 
 
 def _smallest_pairing(gram):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,7 +15,7 @@ from tropceresa.graph_core import (
     quotient_curve,
     tropical_curve,
 )
-from tropceresa.intlinalg import Matrix, Vector
+from tropceresa.intlinalg import Matrix, Vector, identity
 
 
 def det_fraction(mat) -> Fraction:
@@ -125,6 +126,144 @@ def naive_snf_diag(mat) -> list[int]:
             a[t] = [-x for x in a[t]]
         t += 1
     return [a[i][i] for i in range(min(m, n))]
+
+
+# The pivoting Smith form with all four transforms, kept as an independent
+# oracle for the kernels, solutions, saturations and inverses that the
+# package reads off tagged Hermite forms.
+
+
+@dataclass
+class SmithForm:
+    """U @ A @ V == D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
+
+    diag: list         # full min(m, n) diagonal, zeros last
+    rank: int
+    U: Matrix
+    Uinv: Matrix
+    V: Matrix
+    Vinv: Matrix
+
+
+def smith_normal_form(a: Matrix) -> SmithForm:
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d = [row[:] for row in a]
+    u, uinv = identity(m), identity(m)
+    v, vinv = identity(n), identity(n)
+
+    def row_axpy(i, j, q):  # row_i -= q * row_j
+        di, dj = d[i], d[j]
+        for t in range(n):
+            if dj[t]:
+                di[t] -= q * dj[t]
+        ui, uj = u[i], u[j]
+        for t in range(m):
+            if uj[t]:
+                ui[t] -= q * uj[t]
+        for r in range(m):
+            if uinv[r][i]:
+                uinv[r][j] += q * uinv[r][i]
+
+    def col_axpy(j, i, q):  # col_j -= q * col_i
+        for r in range(m):
+            if d[r][i]:
+                d[r][j] -= q * d[r][i]
+        for r in range(n):
+            if v[r][i]:
+                v[r][j] -= q * v[r][i]
+        vi, vj = vinv[i], vinv[j]
+        for t in range(n):
+            if vj[t]:
+                vi[t] += q * vj[t]
+
+    def row_swap(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+        for r in range(m):
+            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
+
+    def col_swap(i, j):
+        for r in range(m):
+            d[r][i], d[r][j] = d[r][j], d[r][i]
+        for r in range(n):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    def row_negate(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+        for r in range(m):
+            uinv[r][i] = -uinv[r][i]
+
+    mn = min(m, n)
+    t = 0
+    while t < mn:
+        # locate a pivot of minimal absolute value in the trailing block
+        piv = None
+        best = None
+        for i in range(t, m):
+            row = d[i]
+            for j in range(t, n):
+                x = row[j]
+                if x:
+                    ax = -x if x < 0 else x
+                    if best is None or ax < best:
+                        best, piv = ax, (i, j)
+                        if ax == 1:
+                            break
+            if best == 1:
+                break
+        if piv is None:
+            break
+        if piv[0] != t:
+            row_swap(t, piv[0])
+        if piv[1] != t:
+            col_swap(t, piv[1])
+
+        while True:
+            # clear column t; a nonzero remainder becomes the smaller pivot
+            dirty = False
+            for i in range(t + 1, m):
+                x = d[i][t]
+                if x:
+                    q = x // d[t][t]
+                    if q:
+                        row_axpy(i, t, q)
+                    if d[i][t]:
+                        row_swap(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                x = d[t][j]
+                if x:
+                    q = x // d[t][t]
+                    if q:
+                        col_axpy(j, t, q)
+                    if d[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # pivot must divide every remaining entry
+            fix = None
+            dt = d[t][t]
+            for i in range(t + 1, m):
+                row = d[i]
+                for j in range(t + 1, n):
+                    if row[j] % dt:
+                        fix = i
+                        break
+                if fix is not None:
+                    break
+            if fix is None:
+                break
+            row_axpy(t, fix, -1)
+        if d[t][t] < 0:
+            row_negate(t)
+        t += 1
+
+    diag = [d[i][i] for i in range(mn)]
+    return SmithForm(diag=diag, rank=t, U=u, Uinv=uinv, V=v, Vinv=vinv)
 
 
 def k4_curve(c=(1, 1, 1, 1, 1, 1)) -> TropicalCurve:

@@ -1,0 +1,57 @@
+"""Byte-identity of the fixture reports, seeded samples and group tables.
+
+The expected outputs in tests/data/ were recorded from the command line:
+
+    python scripts/fixture_reports.py [--json]
+    tropceresa sample --graph builtin:G --table builtin:G --count 20 --seed 4
+    tropceresa groups --graph builtin:G [--format text]
+
+A refactor that changes any of these bytes changes a published result.
+"""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+import pytest
+
+from tropceresa import cli
+
+DATA = Path(__file__).parent / "data"
+SCRIPT = Path(__file__).parents[1] / "scripts" / "fixture_reports.py"
+FIXTURES = ("k4", "tl3", "theta-w1", "3balloon")
+
+
+def _fixture_reports(argv):
+    spec = importlib.util.spec_from_file_location("fixture_reports", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main(argv)
+
+
+CASES = [
+    ("fixture_reports.txt", _fixture_reports, []),
+    ("fixture_reports.json", _fixture_reports, ["--json"]),
+] + [
+    (
+        f"sample_{g}_seed4.json",
+        cli.main,
+        ["sample", "--graph", f"builtin:{g}", "--table", f"builtin:{g}",
+         "--count", "20", "--seed", "4"],
+    )
+    for g in ("tl3", "theta-w1")
+] + [
+    (f"groups_{g}.{ext}", cli.main, ["groups", "--graph", f"builtin:{g}", "--format", fmt])
+    for g in FIXTURES
+    for ext, fmt in (("json", "json"), ("txt", "text"))
+]
+
+
+@pytest.mark.parametrize("name,run,argv", CASES, ids=[c[0] for c in CASES])
+def test_output_matches_recording(name, run, argv, monkeypatch):
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    assert out.getvalue() == (DATA / name).read_text()

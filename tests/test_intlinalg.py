@@ -7,7 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from tropceresa import intlinalg as la
 
-from helpers import naive_snf_diag, solve_frac_gauss
+from tropceresa.exterior import _complement_columns
+
+from helpers import (
+    det_fraction,
+    naive_snf_diag,
+    random_unimodular,
+    smith_normal_form,
+    solve_frac_gauss,
+)
 
 small_matrix = st.integers(1, 5).flatmap(
     lambda m: st.integers(1, 5).flatmap(
@@ -23,7 +31,7 @@ small_matrix = st.integers(1, 5).flatmap(
 @given(small_matrix)
 @settings(max_examples=150, deadline=None)
 def test_snf_transforms(a):
-    s = la.smith_normal_form(a)
+    s = smith_normal_form(a)
     m, n = len(a), len(a[0])
     d = la.mat_mul(la.mat_mul(s.U, a), s.V)
     for i in range(m):
@@ -236,3 +244,111 @@ def test_class_order_matches_gauss_oracle():
             seen["torsion"] += 1
         assert got == expected, (gens, v)
     assert all(count >= 20 for count in seen.values()), seen
+
+
+def _random_int_matrix(rng, kind):
+    """m x n matrix up to 7 x 7: zero, rank-deficient (a product through a
+    thinner middle) or random (full rank almost surely).
+
+    Entries stay small because the pivoting oracle's entries explode on
+    larger ones (see test_tagged_hermite_on_smith_blowup_input).
+    """
+    m, n = rng.randint(1, 7), rng.randint(1, 7)
+    if kind == "zero":
+        return [[0] * n for _ in range(m)]
+    if kind == "deficient":
+        r = rng.randint(1, max(1, min(m, n) - 1))
+        left = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(m)]
+        right = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(r)]
+        return la.mat_mul(left, right)
+    return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+
+
+def test_tagged_hermite_kernels_match_smith_oracle():
+    """kernel_basis, saturation_basis, solve_int, int_inverse and
+    _complement_columns against the pivoting Smith form's transforms."""
+    rng = random.Random(11)
+    seen = {"zero": 0, "deficient": 0, "full": 0, "solvable": 0,
+            "unsolvable": 0, "unimodular": 0, "singular": 0, "complement": 0}
+    for trial in range(600):
+        a = _random_int_matrix(rng, ("zero", "deficient", "full")[trial % 3])
+        m, n = len(a), len(a[0])
+        snf = smith_normal_form(a)
+        rank = snf.rank
+        seen["zero" if rank == 0 else "full" if rank == min(m, n) else "deficient"] += 1
+
+        kernel = la.kernel_basis(a)
+        oracle_kernel = [[snf.V[r][j] for r in range(n)] for j in range(rank, n)]
+        assert len(kernel) == n - rank
+        assert la.lattice_eq(kernel, oracle_kernel, n), a
+
+        sat = la.saturation_basis(a)
+        oracle_sat = [[snf.Uinv[r][j] for r in range(m)] for j in range(rank)]
+        assert len(sat) == rank
+        assert la.lattice_eq(sat, oracle_sat, m), a
+
+        if rng.random() < 0.5:
+            b = la.mat_vec(a, [rng.randint(-4, 4) for _ in range(n)])
+        else:
+            b = [rng.randint(-6, 6) for _ in range(m)]
+        w = la.mat_vec(snf.U, b)
+        oracle_solvable = all(
+            (wi % snf.diag[i] == 0) if i < rank else wi == 0
+            for i, wi in enumerate(w)
+        )
+        x = la.solve_int(a, b)
+        assert (x is not None) == oracle_solvable, (a, b)
+        if x is not None:
+            seen["solvable"] += 1
+            assert la.mat_vec(a, x) == b
+        else:
+            seen["unsolvable"] += 1
+
+        unimodular = random_unimodular(m, rng, shears=rng.randint(0, 12))
+        for square in ([a] if m == n else []) + [unimodular]:
+            oracle = smith_normal_form(square)
+            if all(d == 1 for d in oracle.diag):
+                seen["unimodular"] += 1
+                inverse = la.int_inverse(square)
+                assert inverse == la.mat_mul(oracle.V, oracle.U)
+                assert la.mat_mul(square, inverse) == la.identity(m)
+            else:
+                seen["singular"] += 1
+                with pytest.raises(ValueError, match="not unimodular"):
+                    la.int_inverse(square)
+
+        if sat:
+            seen["complement"] += 1
+            comp = _complement_columns(sat, m)
+            assert len(comp) == m - rank
+            assert abs(det_fraction(la.from_columns(comp + sat))) == 1
+    assert all(count >= 40 for count in seen.values()), seen
+
+
+def test_tagged_hermite_on_smith_blowup_input():
+    """A 7 x 7 matrix of rank 6 on which the pivoting Smith form's entries grow
+    past 500 bits; it did not finish in ten minutes (CPython 3.11, one core
+    of a 2-core VM).  The Hermite-based routines answer in under a
+    millisecond, checked here without any Smith oracle."""
+    a = [
+        [0, 3, -2, -6, 2, 0, 5],
+        [-6, -5, 5, -1, -2, 7, 1],
+        [-1, -1, 0, 2, -4, 3, -5],
+        [3, 2, -11, -5, -1, -1, -2],
+        [-10, -4, 8, -4, 0, -6, 4],
+        [0, -1, 2, 0, 2, 3, 10],
+        [-3, -1, -5, -5, -1, -8, -4],
+    ]
+    rank = la.matrix_rank(a)
+    kernel = la.kernel_basis(a)
+    assert len(kernel) == 7 - rank
+    assert all(not any(la.mat_vec(a, k)) for k in kernel)
+    sat = la.saturation_basis(a)
+    assert len(sat) == rank
+    assert all(col in la.Lattice(7, sat) for col in la.columns(a))
+    comp = _complement_columns(sat, 7)
+    assert abs(det_fraction(la.from_columns(comp + sat))) == 1
+    x0 = [1, -2, 0, 3, 1, 0, -1]
+    b = la.mat_vec(a, x0)
+    x = la.solve_int(a, b)
+    assert x is not None and la.mat_vec(a, x) == b

@@ -56,6 +56,9 @@ def test_non_unimodular_rejected():
     with pytest.raises(PreconditionError) as err:
         symplectic_basis_of([[2, 0, 0, 0, 0, 0], unit(3)], 3)
     assert "4" in str(err.value)
+    with pytest.raises(PreconditionError) as err:
+        symplectic_basis_of([[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]], 3)
+    assert str(err.value) == "restricted form is not unimodular: Gram determinant 0"
 
 
 # -- bounding pair values -------------------------------------------------------
