@@ -19,15 +19,12 @@ from . import intlinalg as la
 from .errors import PreconditionError, SchemaError
 from .exterior import (
     AbelianGroupDescriptor,
-    A_group,
-    Abar_group,
-    B_group,
-    Bbar_group,
     Filtration,
     WedgeVector,
     apply_matrix,
     delta_inverse_gr2,
     embedded_H_generators,
+    section_group,
     wedge_basis,
 )
 from .exterior import _delta_minus_I_images, _unit_coords
@@ -140,13 +137,15 @@ def q_invariant_factors(ctx: PipelineContext) -> list:
 
 
 def group_table(ctx: PipelineContext) -> dict:
-    """The finite obstruction groups A, B, Abar, Bbar of the curve."""
-    y_units = _y_units(ctx.g, ctx.basis.h)
+    """The finite obstruction groups A, B, Abar, Bbar of the curve, as the
+    sections of F_2 that `exterior.A_group`, `B_group`, `Abar_group` and
+    `Bbar_group` compute, fed from the context's cached generators."""
+    f2 = ctx.f_units(2)
     return {
-        "A": A_group(ctx.delta, y_units, 2),
-        "B": B_group(ctx.delta, y_units, 2),
-        "Abar": Abar_group(ctx.delta, y_units),
-        "Bbar": Bbar_group(ctx.delta, y_units),
+        "A": section_group(ctx.image_generators(), f2),
+        "B": section_group(ctx.image_generators(level=1) + ctx.f_units(3), f2),
+        "Abar": section_group(ctx.abar_relations(), f2),
+        "Bbar": section_group(ctx.bbar_relations(), f2),
     }
 
 

@@ -287,6 +287,8 @@ def _sample_one(job):
 
 def _sample_workers(args) -> int:
     """Check the sample options before any work; return the worker count."""
+    if args.lengths is not None:
+        raise SchemaError("sample draws its own lengths; --lengths is not accepted")
     if args.count < 1:
         raise SchemaError(f"--count must be at least 1, got {args.count}")
     if not 1 <= args.length_min <= args.length_max:

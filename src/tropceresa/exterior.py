@@ -50,11 +50,6 @@ class AbelianGroupDescriptor:
         return self.free_rank == 0
 
     @classmethod
-    def from_quotient(cls, num_vecs, den_vecs, dim: int):
-        free, tor = la.quotient_invariants(num_vecs, den_vecs, dim)
-        return cls(free, tuple(tor))
-
-    @classmethod
     def from_cyclic_orders(cls, orders):
         return cls(0, tuple(la.invariant_factors_from_orders(orders)))
 
@@ -433,29 +428,41 @@ def _image_generators(delta_ad, filt, k: int, basis, monos=None):
     return gens
 
 
+def section_group(relations, units) -> AbelianGroupDescriptor:
+    """F / (span_Z(relations) & F) for the coordinate sublattice F spanned
+    by the unit vectors `units`."""
+    if not units:
+        return AbelianGroupDescriptor(0, ())
+    section = [u.index(1) for u in units]
+    free, tor = la.section_quotient(relations, section, len(units[0]))
+    return AbelianGroupDescriptor(free, tuple(tor))
+
+
 def A_group(delta, y_vectors, q: int) -> AbelianGroupDescriptor:
     """F_q / ((delta-I) wedge^{2q-1} H  intersect  F_q), with k = 2q - 1.
 
-    Finite when the graded maps are rationally surjective down to level q;
-    an infinite answer is reported through a positive free rank.
+    F_q is a coordinate sublattice in the adapted basis, so the intersection
+    is the coordinate section of the image lattice.  Finite when the graded
+    maps are rationally surjective down to level q; an infinite answer is
+    reported through a positive free rank.
     """
     k = 2 * q - 1
     filt, delta_ad, basis = _group_context(delta, y_vectors, k)
-    num = _unit_coords(filt.monomials(k, q), basis)
     image = _image_generators(delta_ad, filt, k, basis)
-    den = la.lattice_intersection(image, num, len(basis))
-    return AbelianGroupDescriptor.from_quotient(num, den, len(basis))
+    return section_group(image, _unit_coords(filt.monomials(k, q), basis))
 
 
 def B_group(delta, y_vectors, q: int) -> AbelianGroupDescriptor:
-    """F_q / ((delta-I) F_{q-1} + F_{q+1}), with k = 2q - 1."""
+    """F_q / ((delta-I) F_{q-1} + F_{q+1}), with k = 2q - 1.
+
+    The relations lie in F_q, so their section is their own span.
+    """
     k = 2 * q - 1
     filt, delta_ad, basis = _group_context(delta, y_vectors, k)
-    num = _unit_coords(filt.monomials(k, q), basis)
-    den = _image_generators(
+    relations = _image_generators(
         delta_ad, filt, k, basis, filt.monomials(k, q - 1, exact=True)
     ) + _unit_coords(filt.monomials(k, q + 1), basis)
-    return AbelianGroupDescriptor.from_quotient(num, den, len(basis))
+    return section_group(relations, _unit_coords(filt.monomials(k, q), basis))
 
 
 def _require_symplectic_even(n: int) -> int:
@@ -464,33 +471,42 @@ def _require_symplectic_even(n: int) -> int:
     return n // 2
 
 
-def Abar_group(delta, y_vectors) -> AbelianGroupDescriptor:
-    """(F_2 L + H) / ((delta-I)L + H) & (F_2 L + H), modulo the embedded H."""
-    filt, delta_ad, basis = _group_context(delta, y_vectors, 3)
+def _h_generators(filt: Filtration, basis) -> list:
+    """The embedded copy of H, in the adapted coordinates."""
     g = _require_symplectic_even(filt.n)
-    h_gens = [filt.to_adapted(
+    return [filt.to_adapted(
         WedgeVector.from_coords(filt.n, 3, v)
     ).to_coords(basis) for v in embedded_H_generators(g)]
-    num = _unit_coords(filt.monomials(3, 2), basis) + h_gens
-    big = _image_generators(delta_ad, filt, 3, basis) + h_gens
-    den = la.lattice_intersection(big, num, len(basis))
-    return AbelianGroupDescriptor.from_quotient(num, den, len(basis))
+
+
+def Abar_group(delta, y_vectors) -> AbelianGroupDescriptor:
+    """(F_2 L + H) / (((delta-I)L + H) & (F_2 L + H)), computed as
+    F_2 L / (F_2 L & ((delta-I)L + H)).
+
+    H lies in F_2 L + H, so by the modular law the denominator is
+    H + ((delta-I)L & (F_2 L + H)), which contains H.  F_2 L then maps onto
+    the quotient, and by the second isomorphism theorem its kernel is
+    F_2 L & ((delta-I)L + H): a coordinate section, as for A.
+    """
+    filt, delta_ad, basis = _group_context(delta, y_vectors, 3)
+    relations = _image_generators(delta_ad, filt, 3, basis) + _h_generators(filt, basis)
+    return section_group(relations, _unit_coords(filt.monomials(3, 2), basis))
 
 
 def Bbar_group(delta, y_vectors) -> AbelianGroupDescriptor:
-    """(F_2 L + H) / ((delta-I) F_1 L + F_3 L + H)."""
+    """(F_2 L + H) / ((delta-I) F_1 L + F_3 L + H), computed as
+    F_2 L / (F_2 L & ((delta-I) F_1 L + F_3 L + H)).
+
+    The denominator contains H and lies in F_2 L + H, so F_2 L maps onto
+    the quotient with that section as kernel (second isomorphism theorem).
+    """
     filt, delta_ad, basis = _group_context(delta, y_vectors, 3)
-    g = _require_symplectic_even(filt.n)
-    h_gens = [filt.to_adapted(
-        WedgeVector.from_coords(filt.n, 3, v)
-    ).to_coords(basis) for v in embedded_H_generators(g)]
-    num = _unit_coords(filt.monomials(3, 2), basis) + h_gens
-    den = (
+    relations = (
         _image_generators(delta_ad, filt, 3, basis, filt.monomials(3, 1, exact=True))
         + _unit_coords(filt.monomials(3, 3), basis)
-        + h_gens
+        + _h_generators(filt, basis)
     )
-    return AbelianGroupDescriptor.from_quotient(num, den, len(basis))
+    return section_group(relations, _unit_coords(filt.monomials(3, 2), basis))
 
 
 # ---------------------------------------------------------------------------

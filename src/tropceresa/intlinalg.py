@@ -3,8 +3,9 @@
 Everything here works over Z (arbitrary-precision ints) or Q (fractions):
 echelon-form (Hermite) lattices with membership and canonical bases; kernels,
 integer solutions, saturations and unimodular inverses read off the Hermite
-form of tagged matrices; lattice intersections; and the structure of finitely
-generated abelian quotients through one Smith diagonal, computed by
+form of tagged matrices; quotients of coordinate sublattices by their
+sections with a span; and the structure of finitely generated abelian
+quotients through one Smith diagonal, computed by
 alternating Hermite reduction.  Coset orders come from back-substitution
 along the pivots of the echelon basis, so no separate rational solve is
 needed.  No floating point.
@@ -351,47 +352,24 @@ def vector_relations(vectors, n: int) -> list[Vector]:
     return [row[n:] for row in lat.basis() if not any(row[:n])]
 
 
-def lattice_intersection(vecs_a, vecs_b, n: int) -> list[Vector]:
-    """Generators of span_Z(vecs_a) & span_Z(vecs_b)."""
-    va = [list(v) for v in vecs_a]
-    vb = [list(v) for v in vecs_b]
-    if not va or not vb:
-        return []
-    gens = []
-    for rel in vector_relations(va + [[-x for x in v] for v in vb], n):
-        vec = [0] * n
-        for coeff, v in zip(rel[: len(va)], va):
-            if coeff:
-                for r in range(n):
-                    vec[r] += coeff * v[r]
-        if any(vec):
-            gens.append(vec)
-    return gens
+def section_quotient(vectors, section, n: int) -> tuple[int, list[int]]:
+    """Structure of Z^section / (span_Z(vectors) & Z^section).
 
-
-def quotient_invariants(num_vecs, den_vecs, n: int) -> tuple[int, list[int]]:
-    """Structure of span(num_vecs) / span(den_vecs), which must be contained.
-
-    Returns (free_rank, invariant factors >= 2 in a divisibility chain).
+    Z^section is the coordinate sublattice on the positions in `section`.
+    With its coordinates ordered last, the echelon rows pivoting inside that
+    block have zeros outside it and span the intersection: a combination
+    that uses rows pivoting outside the block is nonzero at the first of
+    their pivots.  Returns (free_rank, invariant factors >= 2 in a
+    divisibility chain).
     """
-    lat = Lattice(n, num_vecs)
-    basis = lat.basis()
-    if not basis:
-        for v in den_vecs:
-            if any(v):
-                raise ValueError("denominator lattice not contained in numerator")
-        return 0, []
-    coords = []
-    for v in den_vecs:
-        c = lat.coords_of(v)
-        if c is None:
-            raise ValueError("denominator lattice not contained in numerator")
-        coords.append(c)
-    if not coords:
-        return len(basis), []
-    rank, orders = snf_diagonal_orders(coords)
-    torsion = invariant_factors_from_orders(orders)
-    return len(basis) - rank, torsion
+    inside = sorted(set(section))
+    outside = sorted(set(range(n)) - set(inside))
+    order = outside + inside
+    d = len(outside)
+    lat = Lattice(n, ([v[j] for j in order] for v in vectors))
+    rows = [row[d:] for row, p in zip(lat.rows, lat.pivots) if p >= d]
+    rank, orders = snf_diagonal_orders(rows)
+    return len(inside) - rank, invariant_factors_from_orders(orders)
 
 
 def class_order(vec: Vector, den_vecs, n: int):

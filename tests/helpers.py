@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from tropceresa import intlinalg as la
 from tropceresa.graph_core import (
     TropicalCurve,
     genus,
@@ -126,6 +127,54 @@ def naive_snf_diag(mat) -> list[int]:
             a[t] = [-x for x in a[t]]
         t += 1
     return [a[i][i] for i in range(min(m, n))]
+
+
+# Lattice intersections by tagged Hermite forms and quotients of nested
+# spans, kept as an independent oracle for the obstruction groups, which
+# the package computes as coordinate sections.
+
+
+def lattice_intersection(vecs_a, vecs_b, n: int) -> list[Vector]:
+    """Generators of span_Z(vecs_a) & span_Z(vecs_b)."""
+    va = [list(v) for v in vecs_a]
+    vb = [list(v) for v in vecs_b]
+    if not va or not vb:
+        return []
+    gens = []
+    for rel in la.vector_relations(va + [[-x for x in v] for v in vb], n):
+        vec = [0] * n
+        for coeff, v in zip(rel[: len(va)], va):
+            if coeff:
+                for r in range(n):
+                    vec[r] += coeff * v[r]
+        if any(vec):
+            gens.append(vec)
+    return gens
+
+
+def quotient_invariants(num_vecs, den_vecs, n: int) -> tuple[int, list[int]]:
+    """Structure of span(num_vecs) / span(den_vecs), which must be contained.
+
+    Returns (free_rank, invariant factors >= 2 in a divisibility chain).
+    """
+    lat = la.Lattice(n, num_vecs)
+    basis = lat.basis()
+    if not basis:
+        for v in den_vecs:
+            if any(v):
+                raise ValueError("denominator lattice not contained in numerator")
+        return 0, []
+    coords = []
+    for v in den_vecs:
+        c = lat.coords_of(v)
+        if c is None:
+            raise ValueError("denominator lattice not contained in numerator")
+        coords.append(c)
+    if not coords:
+        return len(basis), []
+    rank, orders = la.snf_diagonal_orders(coords)
+    torsion = la.invariant_factors_from_orders(orders)
+    return len(basis) - rank, torsion
 
 
 # The pivoting Smith form with all four transforms, kept as an independent

@@ -54,6 +54,7 @@ from helpers import (
     banana_curve,
     det_fraction,
     k4_curve,
+    lattice_intersection,
     loop_chain_curve,
     random_curve,
     random_posdef,
@@ -243,7 +244,7 @@ def test_criterion_07_filtration_property_suite():
                     out.append(coords)
             return out
 
-        lhs = la.lattice_intersection(
+        lhs = lattice_intersection(
             images(filt.monomials(3, 0)),
             [WedgeVector.monomial(2 * g, t).to_coords(basis) for t in filt.monomials(3, 2)],
             len(basis),

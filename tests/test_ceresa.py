@@ -4,12 +4,15 @@ from math import gcd
 
 import pytest
 
-from tropceresa.catalog import builtin_curve, builtin_table
+from tropceresa import exterior
+from tropceresa.catalog import BUILTIN_GRAPHS, builtin_curve, builtin_table
 from tropceresa.ceresa import (
+    _y_units,
     ambient_order,
     analyze,
     build_context,
     ceresa_order,
+    group_table,
     in_Abar_test,
     nonintegral_qualifying_coordinates,
     u_class,
@@ -18,6 +21,10 @@ from tropceresa.ceresa import (
 )
 from tropceresa.errors import PreconditionError, SchemaError
 from tropceresa.exterior import (
+    A_group,
+    Abar_group,
+    B_group,
+    Bbar_group,
     WedgeVector,
     _image_generators,
     embed_H_in_L,
@@ -544,3 +551,30 @@ def test_context_generators_match_fresh_computation(name):
     got[0][0] += 7
     got.clear()
     assert ctx.h_generators() == h_fresh
+
+
+@pytest.mark.parametrize("name", BUILTIN_GRAPHS)
+def test_group_table_matches_exterior_groups(name):
+    ctx = build_context(builtin_curve(name))
+    y = _y_units(ctx.g, ctx.basis.h)
+    assert group_table(ctx) == {
+        "A": A_group(ctx.delta, y, 2),
+        "B": B_group(ctx.delta, y, 2),
+        "Abar": Abar_group(ctx.delta, y),
+        "Bbar": Bbar_group(ctx.delta, y),
+    }
+
+
+def test_group_table_reuses_cached_images(monkeypatch):
+    ctx = build_context(builtin_curve("tl3"))
+    assert ctx._images
+    calls = []
+    apply_matrix = exterior.apply_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return apply_matrix(*args)
+
+    monkeypatch.setattr(exterior, "apply_matrix", counted)
+    group_table(ctx)
+    assert len(calls) == 0

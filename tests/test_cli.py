@@ -236,6 +236,12 @@ def test_sample_options_rejected_before_work(capsys, no_pool, extra):
     assert code == 2 and out == "" and "error:" in err
 
 
+def test_sample_rejects_lengths(capsys, no_pool):
+    code, out, err = run(capsys, *SAMPLE, "--lengths", "1,2,3,4,5,6")
+    assert code == 2 and out == ""
+    assert "error: sample draws its own lengths" in err
+
+
 def test_sample_workers_bounded_by_cpu_count(capsys, no_pool, monkeypatch):
     cpus = os.cpu_count() or 1
     code, out, err = run(capsys, *SAMPLE, "--workers", str(cpus + 1))

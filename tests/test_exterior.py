@@ -30,7 +30,12 @@ from tropceresa.exterior import (
 )
 from tropceresa.symplectic import delta_from_Q, image_saturation
 
-from helpers import random_posdef, random_unimodular
+from helpers import (
+    lattice_intersection,
+    quotient_invariants,
+    random_posdef,
+    random_unimodular,
+)
 
 
 def y_units(g, h=None):
@@ -247,7 +252,7 @@ def test_intersection_identity():
                 if any(coords):
                     out.append(coords)
             return out
-        lhs = la.lattice_intersection(
+        lhs = lattice_intersection(
             images(filt.monomials(k, q - 2)),
             [WedgeVector.monomial(2 * g, t).to_coords(basis) for t in filt.monomials(k, q)],
             len(basis),
@@ -342,6 +347,75 @@ def test_group_sizes_against_formulas():
                 qf[i] ** comb(g - 1 - i, 2) for i in range(g)
             )
             assert a.order == ab.order * detq
+
+
+def _intersection_groups(delta, y):
+    """A_1, A_2, B_2, Abar and Bbar by their defining formulas: tagged
+    lattice intersections and quotients of nested spans (test oracles)."""
+    n = len(delta)
+    filt = Filtration.from_Y(y, n)
+    delta_ad = filt.adapt_matrix(delta)
+
+    def units(basis, monos):
+        return [WedgeVector.monomial(n, t).to_coords(basis) for t in monos]
+
+    def images(basis, monos):
+        out = []
+        for t in monos:
+            m = WedgeVector.monomial(n, t)
+            coords = (apply_matrix(delta_ad, m) - m).to_coords(basis)
+            if any(coords):
+                out.append(coords)
+        return out
+
+    out = {}
+    for q in (1, 2):
+        k = 2 * q - 1
+        basis = wedge_basis(n, k)
+        num = units(basis, filt.monomials(k, q))
+        den = lattice_intersection(images(basis, wedge_basis(n, k)), num, len(basis))
+        out[f"A{q}"] = quotient_invariants(num, den, len(basis))
+    basis = wedge_basis(n, 3)
+    dim = len(basis)
+    f2, f3 = units(basis, filt.monomials(3, 2)), units(basis, filt.monomials(3, 3))
+    image1 = images(basis, filt.monomials(3, 1, exact=True))
+    out["B2"] = quotient_invariants(f2, image1 + f3, dim)
+    h = [filt.to_adapted(WedgeVector.from_coords(n, 3, v)).to_coords(basis)
+         for v in embedded_H_generators(n // 2)]
+    big = images(basis, basis) + h
+    out["Abar"] = quotient_invariants(f2 + h, lattice_intersection(big, f2 + h, dim), dim)
+    out["Bbar"] = quotient_invariants(f2 + h, image1 + f3 + h, dim)
+    return out
+
+
+def test_section_groups_match_intersection_oracle():
+    """The coordinate-section route equals the intersection formulas, in
+    unit coordinates and with Y sheared by a unimodular change of basis."""
+    rng = random.Random(12)
+    kinds = {"unit": 0, "sheared": 0}
+    for g in (2, 3, 4):
+        for trial in range(10 if g < 4 else 4):
+            delta = delta_from_Q(random_posdef(g, rng))
+            y = y_units(g)
+            if trial % 3:
+                s = random_unimodular(2 * g, rng)
+                delta = la.mat_mul(la.mat_mul(la.int_inverse(s), delta), s)
+                y = image_saturation(delta)
+            sheared = Filtration.from_Y(y, 2 * g).P is not None
+            kinds["sheared" if sheared else "unit"] += 1
+            want = {
+                k: AbelianGroupDescriptor(free, tuple(tor))
+                for k, (free, tor) in _intersection_groups(delta, y).items()
+            }
+            got = {
+                "A1": A_group(delta, y, 1),
+                "A2": A_group(delta, y, 2),
+                "B2": B_group(delta, y, 2),
+                "Abar": Abar_group(delta, y),
+                "Bbar": Bbar_group(delta, y),
+            }
+            assert got == want, (g, trial)
+    assert kinds["unit"] >= 10 and kinds["sheared"] >= 10, kinds
 
 
 def test_k4_group_fixture():

@@ -5,6 +5,12 @@ The expected outputs in tests/data/ were recorded from the command line:
     python scripts/fixture_reports.py [--json]
     tropceresa sample --graph builtin:G --table builtin:G --count 20 --seed 4
     tropceresa groups --graph builtin:G [--format text]
+    tropceresa ceresa --graph g5_k24.json --table g5_table.json [--format text]
+    tropceresa groups --graph g5_k24.json [--format text]
+
+g5_k24.json is the genus-5 curve K_{2,4} plus a parallel edge at each hub,
+with lengths e8 = 2, e9 = 3 and all other edges 1; g5_table.json is a fixed
+user table of two-Y-factor entries.
 
 A refactor that changes any of these bytes changes a published result.
 """
@@ -44,6 +50,14 @@ CASES = [
 ] + [
     (f"groups_{g}.{ext}", cli.main, ["groups", "--graph", f"builtin:{g}", "--format", fmt])
     for g in FIXTURES
+    for ext, fmt in (("json", "json"), ("txt", "text"))
+] + [
+    (f"{cmd}_g5.{ext}", cli.main,
+     [cmd, "--graph", str(DATA / "g5_k24.json"), "--format", fmt] + table)
+    for cmd, table in (
+        ("ceresa", ["--table", str(DATA / "g5_table.json")]),
+        ("groups", []),
+    )
     for ext, fmt in (("json", "json"), ("txt", "text"))
 ]
 

@@ -11,7 +11,9 @@ from tropceresa.exterior import _complement_columns
 
 from helpers import (
     det_fraction,
+    lattice_intersection,
     naive_snf_diag,
+    quotient_invariants,
     random_unimodular,
     smith_normal_form,
     solve_frac_gauss,
@@ -122,12 +124,12 @@ def test_class_order_examples():
 
 
 def test_quotient_invariants():
-    fr, tor = la.quotient_invariants([[1, 0], [0, 1]], [[2, 0], [0, 4]], 2)
+    fr, tor = quotient_invariants([[1, 0], [0, 1]], [[2, 0], [0, 4]], 2)
     assert (fr, tor) == (0, [2, 4])
-    fr, tor = la.quotient_invariants([[1, 0, 0], [0, 1, 0]], [[2, 0, 0]], 3)
+    fr, tor = quotient_invariants([[1, 0, 0], [0, 1, 0]], [[2, 0, 0]], 3)
     assert (fr, tor) == (1, [2])
     with pytest.raises(ValueError):
-        la.quotient_invariants([[2, 0]], [[1, 0]], 2)
+        quotient_invariants([[2, 0]], [[1, 0]], 2)
 
 
 def test_quotient_order_is_determinant():
@@ -139,20 +141,37 @@ def test_quotient_order_is_determinant():
             rank, orders = la.snf_diagonal_orders(sub)
             if rank == n:
                 break
-        fr, tor = la.quotient_invariants(la.identity(n), sub, n)
+        fr, tor = quotient_invariants(la.identity(n), sub, n)
         assert fr == 0
         assert la.group_order(fr, tor) == math.prod(orders)
 
 
+def test_section_quotient_matches_intersection_oracle():
+    rng = random.Random(13)
+    free = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        section = rng.sample(range(n), rng.randint(0, n))
+        vecs = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n + 2))]
+        units = [[int(t == j) for t in range(n)] for j in section]
+        den = lattice_intersection(vecs, units, n)
+        want = quotient_invariants(units, den, n)
+        assert la.section_quotient(vecs, section, n) == want
+        free += want[0] > 0
+    assert free >= 50
+    assert la.section_quotient([[1, 2, 0], [0, 4, 6]], [1, 2], 3) == (1, [2])
+    assert la.section_quotient([[2, 1], [0, 3]], [1], 2) == (0, [3])
+
+
 def test_lattice_intersection():
-    inter = la.lattice_intersection([[2, 0], [0, 2]], [[3, 0], [0, 3]], 2)
+    inter = lattice_intersection([[2, 0], [0, 2]], [[3, 0], [0, 3]], 2)
     assert la.lattice_eq(inter, [[6, 0], [0, 6]], 2)
     rng = random.Random(4)
     for _ in range(100):
         n = 3
         va = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)]
         vb = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)]
-        inter = la.lattice_intersection(va, vb, n)
+        inter = lattice_intersection(va, vb, n)
         la_, lb = la.Lattice(n, va), la.Lattice(n, vb)
         for v in inter:
             assert v in la_ and v in lb
