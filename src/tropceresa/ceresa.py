@@ -64,22 +64,18 @@ class PipelineContext:
 
     @cached_property
     def _h_coords(self) -> tuple:
-        return tuple(
-            tuple(WedgeVector.from_coords(2 * self.g, 3, v).to_coords(self.wedge3))
-            for v in embedded_H_generators(self.g)
-        )
+        return tuple(tuple(v) for v in embedded_H_generators(self.g))
 
     @cached_property
     def _images(self) -> tuple:
         """(monomial, coords) for every wedge3 monomial with a nonzero
         (delta-I) image; the filtration check runs once, here."""
         images = _delta_minus_I_images(self.delta, self.filt, 3, self.wedge3)
-        out = []
-        for t, img in zip(self.wedge3, images):
-            coords = img.to_coords(self.wedge3)
-            if any(coords):
-                out.append((t, tuple(coords)))
-        return tuple(out)
+        return tuple(
+            (t, tuple(img.get(s, 0) for s in self.wedge3))
+            for t, img in zip(self.wedge3, images)
+            if img
+        )
 
     def h_generators(self):
         return [list(c) for c in self._h_coords]
@@ -201,13 +197,22 @@ def nonintegral_qualifying_coordinates(ctx: PipelineContext, u: WedgeVector):
 
 
 def ceresa_order(ctx: PipelineContext, v: WedgeVector):
-    """Order of v in the graded quotient (F2 L + H)/((delta-I)F1 L + F3 L + H)."""
-    dom = la.Lattice(len(ctx.wedge3), ctx.f_units(2) + ctx.h_generators())
-    if v.to_coords(ctx.wedge3) not in dom:
-        raise PreconditionError(
-            "class does not lie in F2 + H; its graded order is undefined"
-        )
-    return la.class_order(v.to_coords(ctx.wedge3), ctx.bbar_relations(), len(ctx.wedge3))
+    """Order of v in the graded quotient (F2 L + H)/((delta-I)F1 L + F3 L + H).
+
+    An integral v whose monomials all have Y-degree >= 2 lies in F2, so
+    only other classes are tested against the F2 + H lattice.
+    """
+    coords = v.to_coords(ctx.wedge3)
+    if any(
+        ctx.filt.y_degree(t) < 2 or Fraction(c).denominator != 1
+        for t, c in v.coeffs.items()
+    ):
+        dom = la.Lattice(len(ctx.wedge3), ctx.f_units(2) + ctx.h_generators())
+        if coords not in dom:
+            raise PreconditionError(
+                "class does not lie in F2 + H; its graded order is undefined"
+            )
+    return la.class_order(coords, ctx.bbar_relations(), len(ctx.wedge3))
 
 
 def ambient_order(ctx: PipelineContext, v: WedgeVector):

@@ -1,6 +1,9 @@
 """Exterior powers of H with the Y-filtration and its finite quotients.
 
 Wedge vectors are sparse maps from sorted index tuples to exact coefficients.
+Products of vectors are built one factor at a time: each new index is
+inserted into the sorted tuple by bisection, with the sign of the larger
+indices it passes, so no term is ever re-sorted.
 For a unipotent delta with (delta-I)^2 = 0 and Y the saturation of its image,
 the descending filtration F_q = (wedge^q Y) ^ (wedge^{k-q} H) is stable under
 delta - I, and the associated finite groups (cokernels of graded maps, and
@@ -12,10 +15,11 @@ to relation lattices; no coset representatives are ever chosen.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import inf, prod
+from math import inf, lcm, prod
 
 from . import intlinalg as la
 from .errors import FiltrationError, PreconditionError
@@ -46,9 +50,6 @@ class AbelianGroupDescriptor:
     def order(self):
         return inf if self.free_rank else prod(self.torsion, start=1)
 
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
     @classmethod
     def from_cyclic_orders(cls, orders):
         return cls(0, tuple(la.invariant_factors_from_orders(orders)))
@@ -63,6 +64,43 @@ class AbelianGroupDescriptor:
 
 # ---------------------------------------------------------------------------
 # wedge vectors
+
+
+def _sparse(vec, n: int | None = None) -> list:
+    """(index, coefficient) pairs of the nonzero entries of a vector; with n
+    given, every such index must be below n."""
+    out = [(i, x) for i, x in enumerate(vec) if x]
+    if n is not None and out and out[-1][0] >= n:
+        raise ValueError(f"bad index {out[-1][0]} for rank {n}")
+    return out
+
+
+def _wedge_step(terms: dict, vec) -> dict:
+    """Right-wedge of sorted-tuple terms with a sparse vector [(i, x), ...].
+
+    Index i lands at its bisection point in t; moving it there from the end
+    passes the len(t) - pos larger indices, which gives the sign.  Repeated
+    indices vanish, and so do cancelled coefficients.
+    """
+    out: dict = {}
+    get = out.get
+    for t, c in terms.items():
+        size = len(t)
+        for i, x in vec:
+            pos = bisect_left(t, i)
+            if pos < size and t[pos] == i:
+                continue
+            key = t[:pos] + (i,) + t[pos:]
+            out[key] = get(key, 0) + (c * x if (size - pos) % 2 == 0 else -c * x)
+    return {t: c for t, c in out.items() if c}
+
+
+def _wedge_terms(sparse_vectors) -> dict:
+    """Terms of the wedge of sparse vectors, in the given order."""
+    terms = {(): 1}
+    for vec in sparse_vectors:
+        terms = _wedge_step(terms, vec)
+    return terms
 
 
 def sort_with_sign(idx):
@@ -113,6 +151,13 @@ class WedgeVector:
             clean[tup] = clean.get(tup, 0) + sign * c
         self.coeffs = {t: c for t, c in clean.items() if c != 0}
 
+    @classmethod
+    def _from_sorted(cls, n: int, k: int, coeffs: dict) -> "WedgeVector":
+        """Wrap coefficients already keyed by sorted k-tuples, none zero."""
+        w = cls.__new__(cls)
+        w.n, w.k, w.coeffs = n, k, coeffs
+        return w
+
     # -- algebra ------------------------------------------------------------
 
     @classmethod
@@ -149,13 +194,9 @@ class WedgeVector:
 
     def wedge_vector(self, vec) -> "WedgeVector":
         """Right-wedge with a rank-n vector, raising the degree by one."""
-        out: dict = {}
-        for t, c in self.coeffs.items():
-            for i, x in enumerate(vec):
-                if x and i not in t:
-                    tup, sign = sort_with_sign(t + (i,))
-                    out[tup] = out.get(tup, 0) + sign * c * x
-        return WedgeVector(self.n, self.k + 1, out)
+        return WedgeVector._from_sorted(
+            self.n, self.k + 1, _wedge_step(self.coeffs, _sparse(vec, self.n))
+        )
 
     def wedge(self, other: "WedgeVector") -> "WedgeVector":
         out: dict = {}
@@ -165,16 +206,6 @@ class WedgeVector:
                 if tup is not None:
                     out[tup] = out.get(tup, 0) + sign * c * d
         return WedgeVector(self.n, self.k + other.k, out)
-
-    def is_integral(self) -> bool:
-        return all(Fraction(c).denominator == 1 for c in self.coeffs.values())
-
-    def to_int(self) -> "WedgeVector":
-        if not self.is_integral():
-            raise ValueError("non-integral wedge vector")
-        return WedgeVector(
-            self.n, self.k, {t: int(c) for t, c in self.coeffs.items()}
-        )
 
     # -- coordinates ----------------------------------------------------------
 
@@ -205,19 +236,26 @@ class WedgeVector:
 
 def vector_wedge(vectors, n: int) -> WedgeVector:
     """Wedge of rank-n vectors, in the given order."""
-    out = WedgeVector(n, 0, {(): 1})
-    for v in vectors:
-        out = out.wedge_vector(v)
-    return out
+    vectors = list(vectors)
+    return WedgeVector._from_sorted(
+        n, len(vectors), _wedge_terms(_sparse(v, n) for v in vectors)
+    )
+
+
+def _sparse_columns(mat) -> list:
+    """Sparse columns of mat; the image of a monomial t under mat is the
+    wedge of the columns it picks."""
+    return [_sparse(col) for col in la.columns(mat)]
 
 
 def apply_matrix(mat, w: WedgeVector) -> WedgeVector:
     """Image of w under the action induced on wedge^k by mat."""
-    cols = la.columns(mat)
-    out = WedgeVector.zero(w.n, w.k)
+    cols = _sparse_columns(mat)
+    out: dict = {}
     for t, c in w.coeffs.items():
-        out = out + vector_wedge([cols[i] for i in t], w.n).scale(c)
-    return out
+        for s, d in _wedge_terms(cols[i] for i in t).items():
+            out[s] = out.get(s, 0) + c * d
+    return WedgeVector._from_sorted(w.n, w.k, {s: c for s, c in out.items() if c})
 
 
 def induced_action(mat, k: int):
@@ -226,10 +264,9 @@ def induced_action(mat, k: int):
     basis = wedge_basis(n, k)
     index = {t: i for i, t in enumerate(basis)}
     out = la.zero_matrix(len(basis), len(basis))
-    cols = la.columns(mat)
+    cols = _sparse_columns(mat)
     for j, t in enumerate(basis):
-        img = vector_wedge([cols[i] for i in t], n)
-        for s, c in img.coeffs.items():
+        for s, c in _wedge_terms(cols[i] for i in t).items():
             out[index[s]][j] = c
     return out
 
@@ -350,14 +387,21 @@ def filtration_basis(y_vectors, n: int, q: int, k: int) -> list[list]:
     return out
 
 
-def _delta_minus_I_images(delta_ad, filt: Filtration, k: int, monos):
-    """(delta - I)-images of adapted monomials, with filtration check."""
-    n = filt.n
+def _delta_minus_I_images(delta_ad, filt: Filtration, k: int, monos) -> list[dict]:
+    """(delta - I)-images of adapted monomials as sparse {tuple: coeff}
+    dicts, with filtration check: every term sits above the monomial's
+    level."""
+    cols = _sparse_columns(delta_ad)
     images = []
     for t in monos:
-        img = apply_matrix(delta_ad, WedgeVector.monomial(n, t)) - WedgeVector.monomial(n, t)
+        img = _wedge_terms(cols[i] for i in t)
+        c = img.get(t, 0) - 1
+        if c:
+            img[t] = c
+        else:
+            img.pop(t, None)
         qmin = filt.y_degree(t)
-        for s in img.coeffs:
+        for s in img:
             if filt.y_degree(s) <= qmin:
                 raise FiltrationError(
                     f"(delta-I) image of {t} has component at level {filt.y_degree(s)}"
@@ -376,7 +420,7 @@ def graded_map(delta, y_vectors, q: int, k: int):
     dst_index = {t: i for i, t in enumerate(dst)}
     out = la.zero_matrix(len(dst), len(src))
     for j, img in enumerate(_delta_minus_I_images(delta_ad, filt, k, src)):
-        for s, c in img.coeffs.items():
+        for s, c in img.items():
             if filt.y_degree(s) == q:
                 out[dst_index[s]][j] = c
     return out
@@ -420,12 +464,11 @@ def _unit_coords(monos, basis):
 
 def _image_generators(delta_ad, filt, k: int, basis, monos=None):
     monos = wedge_basis(filt.n, k) if monos is None else monos
-    gens = []
-    for img in _delta_minus_I_images(delta_ad, filt, k, monos):
-        coords = img.to_coords(basis)
-        if any(coords):
-            gens.append(coords)
-    return gens
+    return [
+        [img.get(t, 0) for t in basis]
+        for img in _delta_minus_I_images(delta_ad, filt, k, monos)
+        if img
+    ]
 
 
 def section_group(relations, units) -> AbelianGroupDescriptor:
@@ -520,6 +563,9 @@ def delta_inverse_gr2(q_matrix, v: WedgeVector) -> WedgeVector:
     requires Q nonsingular.  For a monomial b_p ^ b_r ^ a_m the preimage is
     (1/2) (Q^-1 b_p ^ b_r ^ a_m + b_p ^ Q^-1 b_r ^ a_m
            - Q^-1 b_p ^ Q^-1 b_r ^ Q a_m).
+    The sum runs over the integers: Q^-1 = adj / den and v = v' / vden with
+    adj and v' integral, the three terms are scaled by 2 vden den^2, and each
+    output coordinate becomes one Fraction at the end.
     """
     g = len(q_matrix)
     n = 2 * g
@@ -531,20 +577,13 @@ def delta_inverse_gr2(q_matrix, v: WedgeVector) -> WedgeVector:
         raise PreconditionError(
             "Q is singular; use the membership test for deficient rank"
         ) from exc
-
-    def x_vec(col):  # Q^-1 applied to b_col, an X-side vector
-        return [qinv[s][col] for s in range(g)] + [Fraction(0)] * g
-
-    def qa_vec(col):  # Q applied to a_col, a Y-side vector
-        return [Fraction(0)] * g + [Fraction(q_matrix[s][col]) for s in range(g)]
-
-    def b_unit(col):
-        return [Fraction(int(t == g + col)) for t in range(n)]
-
-    def a_unit(col):
-        return [Fraction(int(t == col)) for t in range(n)]
-
-    out = WedgeVector.zero(n, 3)
+    den = lcm(*(x.denominator for row in qinv for x in row))
+    adj = [[int(x * den) for x in row] for row in qinv]
+    vden = lcm(*(Fraction(c).denominator for c in v.coeffs.values()))
+    qinv_b = _sparse_columns(adj)  # den * Q^-1 b_j on the a side
+    # Q a_j on the b side
+    qa = [[(g + u, q) for u, q in col] for col in _sparse_columns(q_matrix)]
+    acc: dict = {}
     for idx, c in v.coeffs.items():
         ys = [i - g for i in idx if i >= g]
         xs = [i for i in idx if i < g]
@@ -554,13 +593,20 @@ def delta_inverse_gr2(q_matrix, v: WedgeVector) -> WedgeVector:
             )
         m = xs[0]
         p, r = ys
-        # a_m ^ b_p ^ b_r == b_p ^ b_r ^ a_m (cyclic), so signs match
-        term = (
-            vector_wedge([x_vec(p), b_unit(r), a_unit(m)], n)
-            + vector_wedge([b_unit(p), x_vec(r), a_unit(m)], n)
-            - vector_wedge([x_vec(p), x_vec(r), qa_vec(m)], n)
-        )
-        out = out + term.scale(Fraction(c, 2))
+        # a_m ^ b_p ^ b_r == b_p ^ b_r ^ a_m (cyclic)
+        cn = int(c * vden)
+        bp, br, am = [(g + p, 1)], [(g + r, 1)], [(m, 1)]
+        for factors, weight in (
+            ((qinv_b[p], br, am), cn * den),
+            ((bp, qinv_b[r], am), cn * den),
+            ((qinv_b[p], qinv_b[r], qa[m]), -cn),
+        ):
+            for key, d in _wedge_terms(factors).items():
+                acc[key] = acc.get(key, 0) + weight * d
+    scale = 2 * vden * den * den
+    out = WedgeVector._from_sorted(
+        n, 3, {t: Fraction(x, scale) for t, x in acc.items() if x}
+    )
     for idx in out.coeffs:
         if sum(1 for i in idx if i >= g) != 1:
             raise FiltrationError("preimage left gr_1")

@@ -5,10 +5,11 @@ echelon-form (Hermite) lattices with membership and canonical bases; kernels,
 integer solutions, saturations and unimodular inverses read off the Hermite
 form of tagged matrices; quotients of coordinate sublattices by their
 sections with a span; and the structure of finitely generated abelian
-quotients through one Smith diagonal, computed by
-alternating Hermite reduction.  Coset orders come from back-substitution
-along the pivots of the echelon basis, so no separate rational solve is
-needed.  No floating point.
+quotients through one Smith diagonal, computed by alternating Hermite
+reduction and turned into invariant factors by a gcd/lcm sweep, with no
+integer factorization.  Coset orders come from back-substitution along the
+pivots of the echelon basis, so no separate rational solve is needed.  No
+floating point.
 """
 
 from __future__ import annotations
@@ -179,6 +180,10 @@ class Lattice:
     genuine lattice basis, not just a rational one.  Rows are re-reduced
     after every insertion; without that, chains of gcd combinations blow up
     doubly exponentially on lattices of this package's working size.
+
+    Invariant: each row is zero before its pivot, and the pivots increase.
+    Every update of a row by another therefore starts at the other row's
+    pivot column.
     """
 
     def __init__(self, n: int, vectors=()):
@@ -219,17 +224,23 @@ class Lattice:
             self._reduce_rows()
 
     def _reduce_rows(self) -> None:
-        """Hermite discipline: positive pivots, entries above reduced."""
+        """Hermite discipline: positive pivots, entries above reduced.
+
+        Row s is zero before its pivot p, so a row above it only changes
+        from column p on.
+        """
         rows = self.rows
         for s, p in enumerate(self.pivots):
-            if rows[s][p] < 0:
-                rows[s] = [-x for x in rows[s]]
-            piv = rows[s][p]
+            rs = rows[s]
+            if rs[p] < 0:
+                rs[p:] = [-x for x in rs[p:]]
+            piv = rs[p]
+            tail = rs[p:]
             for r in range(s):
-                q = rows[r][p] // piv
+                row = rows[r]
+                q = row[p] // piv
                 if q:
-                    rs = rows[s]
-                    rows[r] = [x - q * y for x, y in zip(rows[r], rs)]
+                    row[p:] = [x - q * y for x, y in zip(row[p:], tail)]
 
     def reduce(self, vec: Vector) -> Vector:
         """Residual of vec after greedy reduction; zero iff vec is in the lattice."""
@@ -288,10 +299,6 @@ def _xgcd(a: int, b: int):
     return x, y, g
 
 
-def lattice_basis(vectors, n: int) -> list[Vector]:
-    return Lattice(n, vectors).basis()
-
-
 def hnf_rows(mat, n: int | None = None) -> list[Vector]:
     """Canonical row Hermite form of the row span; zero rows dropped.
 
@@ -321,9 +328,10 @@ def snf_diagonal_orders(mat) -> tuple[int, list[int]]:
     """Rank and the multiset of nonzero SNF diagonal entries of mat.
 
     Alternates row and column Hermite reduction until the matrix is a
-    (partial) monomial matrix; the invariant factors are then the canonical
-    refactorization of the diagonal multiset.  Keeps entries polynomially
-    bounded, unlike direct pivoting.
+    (partial) monomial matrix.  Its nonzero entries need not divide one
+    another; `invariant_factors_from_orders` turns them into the invariant
+    factors by gcd/lcm exchanges.  Keeps entries polynomially bounded,
+    unlike direct pivoting.
     """
     work = [list(r) for r in mat if any(r)]
     rounds = 0
@@ -400,40 +408,24 @@ def class_order(vec: Vector, den_vecs, n: int):
 # invariant factors from a list of cyclic orders
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def invariant_factors_from_orders(orders) -> list[int]:
     """Rewrite a product of cyclic groups Z/n_1 x ... as invariant factors.
 
-    Output is the ascending divisibility chain with unit factors dropped.
+    Z/a x Z/b = Z/gcd(a, b) x Z/lcm(a, b), so one sweep replacing each pair
+    (c_i, c_j), i < j, by (gcd, lcm) leaves c_i dividing every later entry;
+    no order is factored.  Output is the ascending divisibility chain with
+    unit factors dropped.
     """
-    by_prime: dict[int, list[int]] = {}
-    for n in orders:
-        if n < 1:
-            raise ValueError("cyclic orders must be positive")
-        for p, e in _factorize(n).items():
-            by_prime.setdefault(p, []).append(e)
-    depth = max((len(v) for v in by_prime.values()), default=0)
-    factors = []
-    for slot in range(depth):
-        f = 1
-        for p, exps in by_prime.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if slot < len(exps_sorted):
-                f *= p ** exps_sorted[slot]
-        factors.append(f)
-    return sorted(f for f in factors if f > 1)
+    orders = list(orders)
+    if any(c < 1 for c in orders):
+        raise ValueError("cyclic orders must be positive")
+    chain = [c for c in orders if c > 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            a, b = chain[i], chain[j]
+            d = gcd(a, b)
+            chain[i], chain[j] = d, a // d * b
+    return [c for c in chain if c > 1]
 
 
 def group_order(free_rank: int, torsion) -> int | float:

@@ -36,9 +36,6 @@ class HomologyBasis:
     def cycle_dicts(self) -> list[dict]:
         return [dict(c) for c in self.cycles]
 
-    def weight_pairs(self) -> int:
-        return self.g - self.h
-
 
 def homology_basis(curve: TropicalCurve, tree=None) -> HomologyBasis:
     """Deterministic symplectic basis; the tree defaults to the greedy

@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from tropceresa import intlinalg as la
+from tropceresa.errors import FiltrationError, PreconditionError
+from tropceresa.exterior import Filtration, WedgeVector, sort_with_sign
 from tropceresa.graph_core import (
     TropicalCurve,
     genus,
@@ -455,3 +457,148 @@ def brute_spanning_trees(curve: TropicalCurve):
 def brute_hyperelliptic_involutions(curve: TropicalCurve):
     """Exhaustive oracle: every involution whose built quotient is a tree."""
     return [i for i in involutions(curve) if graph_genus(quotient_curve(curve, i)) == 0]
+
+
+# The wedge kernels as they were before the sparse bisect product: every
+# term goes through `sort_with_sign` and a fresh `WedgeVector`.  Kept as
+# independent oracles for `vector_wedge`, `apply_matrix`, the (delta-I)
+# images and the graded inverse.
+
+
+def wedge_vector(w: WedgeVector, vec) -> WedgeVector:
+    """Right-wedge with a rank-n vector, raising the degree by one."""
+    out: dict = {}
+    for t, c in w.coeffs.items():
+        for i, x in enumerate(vec):
+            if x and i not in t:
+                tup, sign = sort_with_sign(t + (i,))
+                out[tup] = out.get(tup, 0) + sign * c * x
+    return WedgeVector(w.n, w.k + 1, out)
+
+
+def vector_wedge(vectors, n: int) -> WedgeVector:
+    """Wedge of rank-n vectors, in the given order."""
+    out = WedgeVector(n, 0, {(): 1})
+    for v in vectors:
+        out = wedge_vector(out, v)
+    return out
+
+
+def apply_matrix(mat, w: WedgeVector) -> WedgeVector:
+    """Image of w under the action induced on wedge^k by mat."""
+    cols = la.columns(mat)
+    out = WedgeVector.zero(w.n, w.k)
+    for t, c in w.coeffs.items():
+        out = out + vector_wedge([cols[i] for i in t], w.n).scale(c)
+    return out
+
+
+def _delta_minus_I_images(delta_ad, filt: Filtration, k: int, monos):
+    """(delta - I)-images of adapted monomials, with filtration check."""
+    n = filt.n
+    images = []
+    for t in monos:
+        img = apply_matrix(delta_ad, WedgeVector.monomial(n, t)) - WedgeVector.monomial(n, t)
+        qmin = filt.y_degree(t)
+        for s in img.coeffs:
+            if filt.y_degree(s) <= qmin:
+                raise FiltrationError(
+                    f"(delta-I) image of {t} has component at level {filt.y_degree(s)}"
+                )
+        images.append(img)
+    return images
+
+
+def delta_inverse_gr2(q_matrix, v: WedgeVector) -> WedgeVector:
+    """Rational preimage under gr_1 -> gr_2 of a two-Y-factor wedge vector.
+
+    Works in the standard basis (a_1..a_g, b_1..b_g) with Y the full b-span;
+    requires Q nonsingular.  For a monomial b_p ^ b_r ^ a_m the preimage is
+    (1/2) (Q^-1 b_p ^ b_r ^ a_m + b_p ^ Q^-1 b_r ^ a_m
+           - Q^-1 b_p ^ Q^-1 b_r ^ Q a_m).
+    """
+    g = len(q_matrix)
+    n = 2 * g
+    if v.n != n or v.k != 3:
+        raise PreconditionError("expected a degree-3 wedge vector on rank 2g")
+    try:
+        qinv = la.frac_inverse(q_matrix)
+    except ValueError as exc:
+        raise PreconditionError(
+            "Q is singular; use the membership test for deficient rank"
+        ) from exc
+
+    def x_vec(col):  # Q^-1 applied to b_col, an X-side vector
+        return [qinv[s][col] for s in range(g)] + [Fraction(0)] * g
+
+    def qa_vec(col):  # Q applied to a_col, a Y-side vector
+        return [Fraction(0)] * g + [Fraction(q_matrix[s][col]) for s in range(g)]
+
+    def b_unit(col):
+        return [Fraction(int(t == g + col)) for t in range(n)]
+
+    def a_unit(col):
+        return [Fraction(int(t == col)) for t in range(n)]
+
+    out = WedgeVector.zero(n, 3)
+    for idx, c in v.coeffs.items():
+        ys = [i - g for i in idx if i >= g]
+        xs = [i for i in idx if i < g]
+        if len(ys) != 2 or len(xs) != 1:
+            raise PreconditionError(
+                f"coordinate {idx} does not have exactly two Y factors"
+            )
+        m = xs[0]
+        p, r = ys
+        # a_m ^ b_p ^ b_r == b_p ^ b_r ^ a_m (cyclic), so signs match
+        term = (
+            vector_wedge([x_vec(p), b_unit(r), a_unit(m)], n)
+            + vector_wedge([b_unit(p), x_vec(r), a_unit(m)], n)
+            - vector_wedge([x_vec(p), x_vec(r), qa_vec(m)], n)
+        )
+        out = out + term.scale(Fraction(c, 2))
+    for idx in out.coeffs:
+        if sum(1 for i in idx if i >= g) != 1:
+            raise FiltrationError("preimage left gr_1")
+    return out
+
+
+# Invariant factors by prime factorization, kept as an independent oracle
+# for the package's gcd/lcm sweep.  Trial division makes it unusable on
+# orders with large prime factors.
+
+
+def _factorize(n: int) -> dict[int, int]:
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def invariant_factors_from_orders(orders) -> list[int]:
+    """Rewrite a product of cyclic groups Z/n_1 x ... as invariant factors.
+
+    Output is the ascending divisibility chain with unit factors dropped.
+    """
+    by_prime: dict[int, list[int]] = {}
+    for n in orders:
+        if n < 1:
+            raise ValueError("cyclic orders must be positive")
+        for p, e in _factorize(n).items():
+            by_prime.setdefault(p, []).append(e)
+    depth = max((len(v) for v in by_prime.values()), default=0)
+    factors = []
+    for slot in range(depth):
+        f = 1
+        for p, exps in by_prime.items():
+            exps_sorted = sorted(exps, reverse=True)
+            if slot < len(exps_sorted):
+                f *= p ** exps_sorted[slot]
+        factors.append(f)
+    return sorted(f for f in factors if f > 1)

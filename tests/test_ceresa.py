@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from tropceresa import exterior
+from tropceresa import intlinalg as la
 from tropceresa.catalog import BUILTIN_GRAPHS, builtin_curve, builtin_table
 from tropceresa.ceresa import (
     _y_units,
@@ -578,3 +579,56 @@ def test_group_table_reuses_cached_images(monkeypatch):
     monkeypatch.setattr(exterior, "apply_matrix", counted)
     group_table(ctx)
     assert len(calls) == 0
+
+
+def _count_lattices(monkeypatch):
+    built = []
+
+    class Counted(la.Lattice):
+        def __init__(self, n, vectors=()):
+            built.append(n)
+            super().__init__(n, vectors)
+
+    monkeypatch.setattr(la, "Lattice", Counted)
+    return built
+
+
+def test_ceresa_order_accepts_class_in_H_through_lattice(monkeypatch):
+    """omega ^ a_1 has monomials of Y-degree 1, so it is checked against the
+    F2 + H lattice; it lies in H, so its order is 1."""
+    ctx = build_context(builtin_curve("tl3"))
+    g = ctx.g
+    v = embed_H_in_L([int(t == 0) for t in range(2 * g)], g)
+    assert any(ctx.filt.y_degree(t) < 2 for t in v.coeffs)
+    built = _count_lattices(monkeypatch)
+    assert ceresa_order(ctx, v) == 1
+    assert len(built) == 2  # the F2 + H domain, then class_order's lattice
+
+
+def test_ceresa_order_skips_lattice_inside_F2(monkeypatch):
+    ctx = build_context(builtin_curve("tl3"))
+    v = v_class(ctx, builtin_table("tl3"))
+    assert v.coeffs and all(ctx.filt.y_degree(t) >= 2 for t in v.coeffs)
+    built = _count_lattices(monkeypatch)
+    order = ceresa_order(ctx, v)
+    assert len(built) == 1  # only class_order's lattice
+    assert order == la.class_order(
+        v.to_coords(ctx.wedge3), ctx.bbar_relations(), len(ctx.wedge3)
+    )
+
+
+def test_ceresa_order_rejects_class_outside_F2_plus_H():
+    ctx = build_context(builtin_curve("tl3"))
+    v = WedgeVector(2 * ctx.g, 3, {(0, 1, 2): 1})  # a_1 ^ a_2 ^ a_3
+    with pytest.raises(PreconditionError, match="class does not lie in F2 \\+ H"):
+        ceresa_order(ctx, v)
+
+
+def test_ceresa_order_rejects_fractional_class_inside_F2():
+    """Half a gr_2 monomial has Y-degree 2 but is not integral, so it still
+    goes through the F2 + H lattice and is rejected there."""
+    ctx = build_context(builtin_curve("tl3"))
+    mono = ctx.filt.monomials(3, 2, exact=True)[0]
+    v = WedgeVector(2 * ctx.g, 3, {mono: Fraction(1, 2)})
+    with pytest.raises(PreconditionError, match="class does not lie in F2 \\+ H"):
+        ceresa_order(ctx, v)

@@ -2,6 +2,9 @@ import concurrent.futures
 import json
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +181,21 @@ def test_user_table_file(tmp_path, capsys):
     assert data["table"]["provenance"] == "user"
 
 
+def test_user_table_with_fractional_class_exits_3(tmp_path, capsys):
+    # half of a two-Y-factor monomial lies outside F2 + H: no graded order
+    table = {
+        "basis_ref": {"g": 3, "h": 3, "nontree_edges": ["u1", "u2", "u3"]},
+        "entries": {"u2": {"(1,4,5)": "1/2"}},
+    }
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, _, err = run(
+        capsys, "ceresa", "--graph", "builtin:k4", "--table", str(path)
+    )
+    assert code == 3
+    assert "class does not lie in F2 + H" in err
+
+
 def test_text_format(capsys):
     code, out, _ = run(
         capsys,
@@ -333,3 +351,27 @@ def test_cli_exit_contract_fuzz(capsys, no_pool):
             assert "error:" in err, argv
         codes[code] = codes.get(code, 0) + 1
     assert codes.get(0) and codes.get(2), codes
+
+
+LARGE_LENGTHS = "4615174,3782609,3793146,5853735,6262196,4336809"
+
+
+@pytest.mark.parametrize("command", [
+    ["groups", "--graph", "builtin:k4"],
+    ["ceresa", "--graph", "builtin:k4", "--table", "builtin:k4"],
+])
+def test_large_lengths_finish(command):
+    """An invariant factor of Q here has the prime factor
+    320249599633641551; reading the group structure must not factor it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropceresa.cli", *command, "--lengths", LARGE_LENGTHS],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    groups = json.loads(proc.stdout)["groups"]
+    assert groups["A"]["torsion"] == [
+        1697322878058300220300, 1697322878058300220300, 3394645756116600440600
+    ]

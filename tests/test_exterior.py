@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropceresa import intlinalg as la
-from tropceresa.errors import PreconditionError
+from tropceresa import exterior
+from tropceresa.errors import FiltrationError, PreconditionError
 from tropceresa.exterior import (
     AbelianGroupDescriptor,
     A_group,
@@ -30,6 +31,7 @@ from tropceresa.exterior import (
 )
 from tropceresa.symplectic import delta_from_Q, image_saturation
 
+import helpers
 from helpers import (
     lattice_intersection,
     quotient_invariants,
@@ -565,3 +567,157 @@ def test_delta_inverse_integral_round_trip():
 def test_delta_inverse_rejects_singular():
     with pytest.raises(PreconditionError):
         delta_inverse_gr2([[1, 0], [0, 0]], WedgeVector(4, 3, {(0, 2, 3): 1}))
+
+
+# -- sparse kernels against the sorting oracles ----------------------------------
+
+
+def _random_coeff(rng):
+    return rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+
+
+def test_sparse_wedge_kernels_match_sorting_oracle():
+    """vector_wedge, apply_matrix and induced_action equal the per-term
+    sorting versions at k = 1..5, with integer and Fraction entries."""
+    rng = random.Random(31)
+    kinds = {"zero wedge": 0, "nonzero wedge": 0, "fractional": 0}
+    for k in range(1, 6):
+        for trial in range(40):
+            n = rng.randint(k, 7)
+            frac = trial % 2 == 1
+            entry = (lambda: _random_coeff(rng)) if frac else (lambda: rng.randint(-3, 3))
+            mat = [[entry() if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)]
+            vectors = [row[:] for row in mat[:k]]
+            if trial % 5 == 0:
+                vectors[-1] = vectors[0][:]  # a repeated factor wedges to zero
+            w = WedgeVector(n, k, {
+                tuple(rng.sample(range(n), k)): _random_coeff(rng) for _ in range(3)
+            })
+            wedge = vector_wedge(vectors, n)
+            assert wedge == helpers.vector_wedge(vectors, n)
+            assert apply_matrix(mat, w) == helpers.apply_matrix(mat, w)
+            basis = wedge_basis(n, k)
+            want = la.transpose([
+                helpers.apply_matrix(mat, WedgeVector.monomial(n, t)).to_coords(basis)
+                for t in basis
+            ])
+            assert induced_action(mat, k) == want
+            kinds["zero wedge" if wedge.is_zero() else "nonzero wedge"] += 1
+            kinds["fractional"] += frac
+    assert min(kinds.values()) >= 40, kinds
+
+
+def _random_delta(g, h, rng, shear):
+    """delta from a symmetric Q whose last g - h slots are weights, with Y
+    the b-span of the cycle slots, optionally sheared by a unimodular S."""
+    q = [[0] * g for _ in range(g)]
+    block = random_posdef(h, rng)
+    for i in range(h):
+        q[i][:h] = block[i]
+    delta = delta_from_Q(q)
+    if not shear:
+        return delta, y_units(g, h)
+    s = random_unimodular(2 * g, rng)
+    delta = la.mat_mul(la.mat_mul(la.int_inverse(s), delta), s)
+    return delta, image_saturation(delta)
+
+
+def test_delta_minus_I_images_match_sorting_oracle():
+    """The sparse (delta-I) images, the graded maps and the embedded H in
+    adapted coordinates equal the per-term sorting versions, for g = 2..5
+    with weight slots and with Y sheared so that Filtration.P is set."""
+    rng = random.Random(32)
+    counts = {"weights": 0, "sheared": 0, "unit": 0}
+    per_genus = {g: 0 for g in range(2, 6)}
+    for g in range(2, 6):
+        for trial in range(6):
+            h = g if trial % 3 == 0 else rng.randint(1, g)
+            delta, y = _random_delta(g, h, rng, shear=trial % 2 == 1)
+            n = 2 * g
+            filt = Filtration.from_Y(y, n)
+            delta_ad = filt.adapt_matrix(delta)
+            counts["weights"] += h < g
+            counts["sheared" if filt.P is not None else "unit"] += 1
+            for k in (1, 3, 5):
+                if k > n:
+                    continue
+                basis = wedge_basis(n, k)
+                got = exterior._delta_minus_I_images(delta_ad, filt, k, basis)
+                want = helpers._delta_minus_I_images(delta_ad, filt, k, basis)
+                assert got == [w.coeffs for w in want], (g, h, k)
+                assert exterior._image_generators(delta_ad, filt, k, basis) == [
+                    w.to_coords(basis) for w in want if not w.is_zero()
+                ]
+                for q in range(1, k + 1):
+                    src = filt.monomials(k, q - 1, exact=True)
+                    dst = filt.monomials(k, q, exact=True)
+                    want_map = la.zero_matrix(len(dst), len(src))
+                    images = helpers._delta_minus_I_images(delta_ad, filt, k, src)
+                    for j, w in enumerate(images):
+                        for i, s in enumerate(dst):
+                            want_map[i][j] = w.coeffs.get(s, 0)
+                    assert graded_map(delta, y, q, k) == want_map, (g, h, k, q)
+            basis = wedge_basis(n, 3)
+            want_h = [
+                (v if filt.Pinv is None else helpers.apply_matrix(
+                    filt.Pinv, WedgeVector.from_coords(n, 3, v)
+                ).to_coords(basis))
+                for v in embedded_H_generators(g)
+            ]
+            assert exterior._h_generators(filt, basis) == want_h
+            per_genus[g] += 1
+    assert all(c == 6 for c in per_genus.values()), per_genus
+    assert counts["weights"] >= 6 and counts["sheared"] >= 8 and counts["unit"] >= 8, counts
+
+
+def test_delta_inverse_gr2_matches_fraction_oracle():
+    """The integer-adjugate preimage equals the Fraction computation, for
+    nonsingular symmetric Q at g = 2..5 and classes with Fraction
+    coefficients; both raise the same errors."""
+    rng = random.Random(33)
+    cases = {g: 0 for g in range(2, 6)}
+    fractional = 0
+    for g in range(2, 6):
+        while cases[g] < 25:
+            q = [[0] * g for _ in range(g)]
+            for i in range(g):
+                for j in range(i + 1):
+                    q[i][j] = q[j][i] = rng.randint(-4, 4)
+            if la.matrix_rank(q) < g:
+                continue
+            n = 2 * g
+            v = WedgeVector.zero(n, 3)
+            for _ in range(rng.randint(1, 4)):
+                m, p, r = rng.randrange(g), rng.randrange(g), rng.randrange(g)
+                if p != r:
+                    coeff = rng.choice([rng.randint(-6, 6), Fraction("1/2"), _random_coeff(rng)])
+                    v = v + WedgeVector.monomial(n, (m, g + p, g + r), coeff)
+            fractional += any(Fraction(c).denominator > 1 for c in v.coeffs.values())
+            assert delta_inverse_gr2(q, v) == helpers.delta_inverse_gr2(q, v), (q, v)
+            cases[g] += 1
+    assert fractional >= 30, fractional
+    bad = WedgeVector(6, 3, {(0, 1, 3): 1})
+    q3 = [[2, 1, 0], [1, 2, 0], [0, 0, 1]]
+    for fn in (delta_inverse_gr2, helpers.delta_inverse_gr2):
+        with pytest.raises(PreconditionError, match=r"coordinate \(0, 1, 3\) does not"):
+            fn(q3, bad)
+        with pytest.raises(PreconditionError, match="Q is singular"):
+            fn([[1, 1], [1, 1]], WedgeVector(4, 3, {(0, 2, 3): Fraction(1, 2)}))
+
+
+def test_filtration_check_rejects_unstable_delta():
+    """delta = [[I, I], [0, I]] sends b_j to b_j + a_j, so with Y the b-span
+    the image of a_1 ^ b_1 ^ b_2 drops to level 1."""
+    g = 2
+    delta = [
+        [1, 0, 1, 0],
+        [0, 1, 0, 1],
+        [0, 0, 1, 0],
+        [0, 0, 0, 1],
+    ]
+    y = y_units(g)
+    message = r"\(delta-I\) image of \(0, 2, 3\) has component at level 1"
+    with pytest.raises(FiltrationError, match=message):
+        graded_map(delta, y, 3, 3)
+    with pytest.raises(FiltrationError, match=message):
+        A_group(delta, y, 2)

@@ -11,6 +11,7 @@ from tropceresa.exterior import _complement_columns
 
 from helpers import (
     det_fraction,
+    invariant_factors_from_orders,
     lattice_intersection,
     naive_snf_diag,
     quotient_invariants,
@@ -188,6 +189,30 @@ def test_refactorization():
     assert la.invariant_factors_from_orders([1, 1]) == []
     assert la.invariant_factors_from_orders([6, 4]) == [2, 12]
     assert la.invariant_factors_from_orders([4, 4, 2, 32]) == [2, 4, 4, 32]
+
+
+def test_invariant_factors_match_factoring_oracle():
+    """The gcd/lcm sweep equals the prime-by-prime chain on seeded lists of
+    orders built from a few shared primes, so chains of equal, nested and
+    coprime factors all occur."""
+    rng = random.Random(41)
+    primes = [2, 3, 5, 7, 11, 13]
+    kinds = {"empty": 0, "units": 0, "chain": 0, "long": 0}
+    for trial in range(600):
+        size = trial % 12
+        orders = [
+            math.prod(p ** rng.randint(0, 3) for p in rng.sample(primes, rng.randint(0, 4)))
+            for _ in range(size)
+        ]
+        want = invariant_factors_from_orders(orders)
+        assert la.invariant_factors_from_orders(orders) == want, orders
+        kinds["empty"] += not want
+        kinds["units"] += 1 in orders
+        kinds["chain"] += len(want) >= 2
+        kinds["long"] += len(want) >= 4
+    assert min(kinds.values()) >= 40, kinds
+    with pytest.raises(ValueError, match="cyclic orders must be positive"):
+        la.invariant_factors_from_orders([3, 0])
 
 
 def test_unimodular_inverse():
