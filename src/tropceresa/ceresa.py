@@ -11,23 +11,12 @@ settle the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from math import inf
 
 from . import intlinalg as la
 from .errors import PreconditionError, SchemaError
-from .exterior import (
-    AbelianGroupDescriptor,
-    Filtration,
-    WedgeVector,
-    apply_matrix,
-    delta_inverse_gr2,
-    embedded_H_generators,
-    section_group,
-    wedge_basis,
-)
-from .exterior import _delta_minus_I_images, _unit_coords
+from .exterior import GradedImages, WedgeVector, delta_inverse_gr2
 from .graph_core import (
     TropicalCurve,
     curve_to_json,
@@ -43,16 +32,14 @@ VERDICTS = ("trivial", "nontrivial", "hyperelliptic-trivial", "indeterminate")
 
 
 @dataclass
-class PipelineContext:
-    """Shared exact data for all class computations on one curve."""
+class PipelineContext(GradedImages):
+    """The k = 3 graded-image engine of one curve, plus the curve data that
+    every class computation on it shares."""
 
     curve: TropicalCurve          # integer lengths
     scale: int
     basis: HomologyBasis
     q_matrix: list
-    delta: list
-    filt: Filtration
-    wedge3: list
 
     @property
     def g(self) -> int:
@@ -62,62 +49,19 @@ class PipelineContext:
     def maximal_rank(self) -> bool:
         return self.basis.h == self.basis.g
 
-    @cached_property
-    def _h_coords(self) -> tuple:
-        return tuple(tuple(v) for v in embedded_H_generators(self.g))
-
-    @cached_property
-    def _images(self) -> tuple:
-        """(monomial, coords) for every wedge3 monomial with a nonzero
-        (delta-I) image; the filtration check runs once, here."""
-        images = _delta_minus_I_images(self.delta, self.filt, 3, self.wedge3)
-        return tuple(
-            (t, tuple(img.get(s, 0) for s in self.wedge3))
-            for t, img in zip(self.wedge3, images)
-            if img
-        )
-
-    def h_generators(self):
-        return [list(c) for c in self._h_coords]
-
-    def image_generators(self, level=None):
-        """(delta-I) images of the monomials at Y-degree `level` (all if None)."""
-        return [
-            list(c)
-            for t, c in self._images
-            if level is None or self.filt.y_degree(t) == level
-        ]
-
-    def f_units(self, q: int):
-        return _unit_coords(self.filt.monomials(3, q), self.wedge3)
-
-    def bbar_relations(self):
-        return (
-            self.image_generators(level=1) + self.f_units(3) + self.h_generators()
-        )
-
-    def abar_relations(self):
-        return self.image_generators() + self.h_generators()
-
-    def abar_membership_lattice(self):
-        return self.f_units(2) + self.image_generators() + self.h_generators()
-
 
 def build_context(curve: TropicalCurve, tree=None) -> PipelineContext:
     scaled, scale = scaled_to_integer(curve)
     basis = homology_basis(scaled, tree=tree)
     q = polarization_Q(scaled, basis)
-    delta = delta_from_Q(q)
-    g = basis.g
-    filt = Filtration.from_Y(_y_units(g, basis.h), 2 * g)
-    return PipelineContext(
+    return PipelineContext.build(
+        delta_from_Q(q),
+        _y_units(basis.g, basis.h),
+        3,
         curve=scaled,
         scale=scale,
         basis=basis,
         q_matrix=q,
-        delta=delta,
-        filt=filt,
-        wedge3=wedge_basis(2 * g, 3),
     )
 
 
@@ -133,20 +77,38 @@ def q_invariant_factors(ctx: PipelineContext) -> list:
 
 
 def group_table(ctx: PipelineContext) -> dict:
-    """The finite obstruction groups A, B, Abar, Bbar of the curve, as the
-    sections of F_2 that `exterior.A_group`, `B_group`, `Abar_group` and
-    `Bbar_group` compute, fed from the context's cached generators."""
-    f2 = ctx.f_units(2)
+    """The finite obstruction groups A, B, Abar, Bbar of the curve: sections
+    of F_2 computed by the context's graded-image engine, the same formulas
+    behind `exterior.A_group`, `B_group`, `Abar_group` and `Bbar_group`."""
     return {
-        "A": section_group(ctx.image_generators(), f2),
-        "B": section_group(ctx.image_generators(level=1) + ctx.f_units(3), f2),
-        "Abar": section_group(ctx.abar_relations(), f2),
-        "Bbar": section_group(ctx.bbar_relations(), f2),
+        "A": ctx.A_group(2),
+        "B": ctx.B_group(2),
+        "Abar": ctx.Abar_group(),
+        "Bbar": ctx.Bbar_group(),
     }
 
 
+def enc_order(x):
+    """JSON form of an order or group size: None, an int, or "infinite"."""
+    if x is None:
+        return None
+    return "infinite" if x == inf else int(x)
+
+
 def groups_to_json(groups: dict) -> dict:
-    return {k: v.to_json() | {"order": _enc_size(v)} for k, v in groups.items()}
+    return {k: v.to_json() | {"order": enc_order(v.order)} for k, v in groups.items()}
+
+
+def group_lines(groups: dict) -> list:
+    return [f"{k}: {grp} (order {grp.order})" for k, grp in groups.items()]
+
+
+def zharkov_to_json(result: dict) -> dict:
+    return {
+        "obstructed": result["obstructed"],
+        "w": result["w"].to_json(),
+        "relation_generators": [x.to_json() for x in result["relation_generators"]],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -202,23 +164,23 @@ def ceresa_order(ctx: PipelineContext, v: WedgeVector):
     An integral v whose monomials all have Y-degree >= 2 lies in F2, so
     only other classes are tested against the F2 + H lattice.
     """
-    coords = v.to_coords(ctx.wedge3)
+    coords = v.to_coords(ctx.wedge)
     if any(
         ctx.filt.y_degree(t) < 2 or Fraction(c).denominator != 1
         for t, c in v.coeffs.items()
     ):
-        dom = la.Lattice(len(ctx.wedge3), ctx.f_units(2) + ctx.h_generators())
+        dom = la.Lattice(len(ctx.wedge), ctx.f_units(2) + ctx.h_generators())
         if coords not in dom:
             raise PreconditionError(
                 "class does not lie in F2 + H; its graded order is undefined"
             )
-    return la.class_order(coords, ctx.bbar_relations(), len(ctx.wedge3))
+    return la.class_order(coords, ctx.bbar_relations(), len(ctx.wedge))
 
 
 def ambient_order(ctx: PipelineContext, v: WedgeVector):
     """Order of v in wedge^3 H / ((delta-I) wedge^3 H + H)."""
     return la.class_order(
-        v.to_coords(ctx.wedge3), ctx.abar_relations(), len(ctx.wedge3)
+        v.to_coords(ctx.wedge), ctx.abar_relations(), len(ctx.wedge)
     )
 
 
@@ -226,7 +188,7 @@ def in_Abar_test(ctx: PipelineContext, j_total: WedgeVector) -> dict:
     """Membership of the total class in F2 L + (delta-I)L + H, with the
     least positive multiple that lands inside."""
     lat = ctx.abar_membership_lattice()
-    least = la.class_order(j_total.to_coords(ctx.wedge3), lat, len(ctx.wedge3))
+    least = la.class_order(j_total.to_coords(ctx.wedge), lat, len(ctx.wedge))
     return {"in_Abar": least == 1, "least_multiple": least}
 
 
@@ -237,25 +199,20 @@ def zharkov_test(ctx: PipelineContext, v: WedgeVector) -> dict:
         raise PreconditionError("obstruction test needs maximal rank")
     if not is_pure_gr2(ctx, v):
         raise PreconditionError("obstruction test expects a two-Y-factor class")
-    g = ctx.g
-    n = 2 * g
-    img = apply_matrix(ctx.delta, v) - v
-    w = WedgeVector(
-        n, 3, {t: c for t, c in img.coeffs.items() if ctx.filt.y_degree(t) == 3}
-    )
+    n = 2 * ctx.g
+    # (delta-I) raises the Y-degree (checked when the images are cached), so
+    # it takes gr_2 into F_3, and gr_1 there in two steps.  By linearity,
+    # (delta-I)^2 t is the sum of c (delta-I) s over the terms c s of
+    # (delta-I) t, all read from the cached monomial images.
+    w = WedgeVector._from_sorted(n, 3, ctx.image(v.coeffs))
     gens = []
     for t in ctx.filt.monomials(3, 1, exact=True):
-        m = WedgeVector.monomial(n, t)
-        step = apply_matrix(ctx.delta, m) - m
-        step2 = apply_matrix(ctx.delta, step) - step
-        gen = WedgeVector(
-            n, 3, {s: c for s, c in step2.coeffs.items() if ctx.filt.y_degree(s) == 3}
-        )
-        if not gen.is_zero():
-            gens.append(gen)
-    gen_coords = [x.to_coords(ctx.wedge3) for x in gens]
-    lattice = la.Lattice(len(ctx.wedge3), gen_coords)
-    obstructed = w.to_coords(ctx.wedge3) not in lattice
+        gen = ctx.image(ctx.monomial_images[t])
+        if gen:
+            gens.append(WedgeVector._from_sorted(n, 3, gen))
+    gen_coords = [x.to_coords(ctx.wedge) for x in gens]
+    lattice = la.Lattice(len(ctx.wedge), gen_coords)
+    obstructed = w.to_coords(ctx.wedge) not in lattice
     return {"obstructed": obstructed, "w": w, "relation_generators": gens}
 
 
@@ -286,11 +243,6 @@ class CeresaReport:
     notes: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        def enc_order(x):
-            if x is None:
-                return None
-            return "infinite" if x == inf else int(x)
-
         out = {
             "curve": curve_to_json(self.curve),
             "length_scale": self.scale,
@@ -307,15 +259,7 @@ class CeresaReport:
             "order_ambient": enc_order(self.order_ambient),
             "in_Abar": self.in_abar,
             "least_multiple_in_Abar": enc_order(self.least_multiple),
-            "zharkov": None
-            if self.zharkov is None
-            else {
-                "obstructed": self.zharkov["obstructed"],
-                "w": self.zharkov["w"].to_json(),
-                "relation_generators": [
-                    x.to_json() for x in self.zharkov["relation_generators"]
-                ],
-            },
+            "zharkov": None if self.zharkov is None else zharkov_to_json(self.zharkov),
             "groups": None if self.groups is None else groups_to_json(self.groups),
             "notes": list(self.notes),
         }
@@ -346,17 +290,11 @@ class CeresaReport:
         if self.zharkov is not None:
             lines.append(f"zharkov obstruction: {self.zharkov['obstructed']}")
         if self.groups is not None:
-            for k in ("A", "B", "Abar", "Bbar"):
-                grp = self.groups[k]
-                lines.append(f"{k}: {grp} (order {grp.order})")
+            lines.extend(group_lines(self.groups))
         lines.append(f"verdict: {self.verdict} (decided by {self.decided_by})")
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)
-
-
-def _enc_size(descr: AbelianGroupDescriptor):
-    return "infinite" if descr.order == inf else int(descr.order)
 
 
 def render_wedge(w: WedgeVector, g: int) -> str:

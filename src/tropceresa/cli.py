@@ -18,11 +18,14 @@ from . import catalog, graph_core, johnson
 from .ceresa import (
     analyze,
     build_context,
+    enc_order,
+    group_lines,
     group_table,
     groups_to_json,
     q_invariant_factors,
     v_class,
     zharkov_test,
+    zharkov_to_json,
 )
 from .errors import PreconditionError, SchemaError
 from .graph_core import genus, graph_genus, stabilize, symanzik
@@ -216,10 +219,7 @@ def cmd_groups(args) -> int:
         "rank_status": "maximal" if ctx.maximal_rank else "deficient",
         "groups": groups_to_json(groups),
     }
-    text = "\n".join(
-        [f"rank: {payload['rank_status']}"]
-        + [f"{k}: {v} (order {v.order})" for k, v in groups.items()]
-    )
+    text = "\n".join([f"rank: {payload['rank_status']}"] + group_lines(groups))
     return emit(args, payload, text)
 
 
@@ -235,12 +235,15 @@ def cmd_order(args) -> int:
     table = load_table(args, curve)
     report = analyze(curve, table, with_groups=False, with_zharkov=False)
     if report.order_bbar is not None:
-        payload = {"order_in_Bbar": report.order_bbar, "verdict": report.verdict}
+        payload = {
+            "order_in_Bbar": enc_order(report.order_bbar),
+            "verdict": report.verdict,
+        }
         text = f"order in Bbar: {report.order_bbar} ({report.verdict})"
     else:
         payload = {
             "in_Abar": report.in_abar,
-            "least_multiple_in_Abar": report.least_multiple,
+            "least_multiple_in_Abar": enc_order(report.least_multiple),
             "verdict": report.verdict,
         }
         text = (
@@ -258,13 +261,7 @@ def cmd_zharkov(args) -> int:
     ctx = build_context(curve)
     v = v_class(ctx, table)
     result = zharkov_test(ctx, v)
-    payload = {
-        "obstructed": result["obstructed"],
-        "w": result["w"].to_json(),
-        "relation_generators": [x.to_json() for x in result["relation_generators"]],
-    }
-    text = f"obstructed: {result['obstructed']}"
-    return emit(args, payload, text)
+    return emit(args, zharkov_to_json(result), f"obstructed: {result['obstructed']}")
 
 
 def _sample_one(job):
@@ -281,7 +278,7 @@ def _sample_one(job):
     return {
         "lengths": list(lengths),
         "verdict": rep.verdict,
-        "order": "infinite" if order == float("inf") else int(order),
+        "order": enc_order(order),
     }
 
 

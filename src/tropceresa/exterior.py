@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import inf, lcm, prod
 
@@ -387,45 +388,6 @@ def filtration_basis(y_vectors, n: int, q: int, k: int) -> list[list]:
     return out
 
 
-def _delta_minus_I_images(delta_ad, filt: Filtration, k: int, monos) -> list[dict]:
-    """(delta - I)-images of adapted monomials as sparse {tuple: coeff}
-    dicts, with filtration check: every term sits above the monomial's
-    level."""
-    cols = _sparse_columns(delta_ad)
-    images = []
-    for t in monos:
-        img = _wedge_terms(cols[i] for i in t)
-        c = img.get(t, 0) - 1
-        if c:
-            img[t] = c
-        else:
-            img.pop(t, None)
-        qmin = filt.y_degree(t)
-        for s in img:
-            if filt.y_degree(s) <= qmin:
-                raise FiltrationError(
-                    f"(delta-I) image of {t} has component at level {filt.y_degree(s)}"
-                )
-        images.append(img)
-    return images
-
-
-def graded_map(delta, y_vectors, q: int, k: int):
-    """Matrix of gr_{q-1} -> gr_q induced by delta - I, on monomial bases."""
-    n = len(delta)
-    filt = Filtration.from_Y(y_vectors, n)
-    delta_ad = filt.adapt_matrix(delta)
-    src = filt.monomials(k, q - 1, exact=True)
-    dst = filt.monomials(k, q, exact=True)
-    dst_index = {t: i for i, t in enumerate(dst)}
-    out = la.zero_matrix(len(dst), len(src))
-    for j, img in enumerate(_delta_minus_I_images(delta_ad, filt, k, src)):
-        for s, c in img.items():
-            if filt.y_degree(s) == q:
-                out[dst_index[s]][j] = c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cokernels
 
@@ -444,33 +406,6 @@ def coker_structure(mat) -> AbelianGroupDescriptor:
 # the finite groups attached to a unipotent delta
 
 
-def _group_context(delta, y_vectors, k: int):
-    n = len(delta)
-    filt = Filtration.from_Y(y_vectors, n)
-    delta_ad = filt.adapt_matrix(delta)
-    basis = wedge_basis(n, k)
-    return filt, delta_ad, basis
-
-
-def _unit_coords(monos, basis):
-    index = {t: i for i, t in enumerate(basis)}
-    out = []
-    for t in monos:
-        vec = [0] * len(basis)
-        vec[index[t]] = 1
-        out.append(vec)
-    return out
-
-
-def _image_generators(delta_ad, filt, k: int, basis, monos=None):
-    monos = wedge_basis(filt.n, k) if monos is None else monos
-    return [
-        [img.get(t, 0) for t in basis]
-        for img in _delta_minus_I_images(delta_ad, filt, k, monos)
-        if img
-    ]
-
-
 def section_group(relations, units) -> AbelianGroupDescriptor:
     """F / (span_Z(relations) & F) for the coordinate sublattice F spanned
     by the unit vectors `units`."""
@@ -481,6 +416,152 @@ def section_group(relations, units) -> AbelianGroupDescriptor:
     return AbelianGroupDescriptor(free, tuple(tor))
 
 
+@dataclass
+class GradedImages:
+    """delta - I on wedge^k H, graded by the Y-filtration, in adapted
+    coordinates: the one source of (delta-I) images, of the embedded H and
+    of the relation sets behind A, B, Abar and Bbar.
+
+    `delta` is adapted once through `Filtration.P` when Y is sheared (it is
+    the given delta when Y is spanned by unit vectors), and `wedge` is the
+    sorted-tuple basis of wedge^k.  Images and H are computed on first use
+    and cached; the list accessors hand out fresh lists.
+    """
+
+    filt: Filtration
+    delta: list
+    k: int
+    wedge: list
+
+    @classmethod
+    def build(cls, delta, y_vectors, k: int, **fields):
+        """Engine for (delta, Y, k); `fields` fill a subclass's own fields."""
+        n = len(delta)
+        filt = Filtration.from_Y(y_vectors, n)
+        return cls(filt, filt.adapt_matrix(delta), k, wedge_basis(n, k), **fields)
+
+    @cached_property
+    def monomial_images(self) -> dict:
+        """Monomial -> sparse (delta-I) image {tuple: coeff}, for every
+        wedge^k monomial.  The filtration check runs once, here: every term
+        of an image sits above its monomial's level."""
+        cols = _sparse_columns(self.delta)
+        y_degree = self.filt.y_degree
+        out = {}
+        for t in self.wedge:
+            img = _wedge_terms(cols[i] for i in t)
+            c = img.get(t, 0) - 1
+            if c:
+                img[t] = c
+            else:
+                img.pop(t, None)
+            qmin = y_degree(t)
+            for s in img:
+                if y_degree(s) <= qmin:
+                    raise FiltrationError(
+                        f"(delta-I) image of {t} has component at level {y_degree(s)}"
+                    )
+            out[t] = img
+        return out
+
+    @cached_property
+    def _image_coords(self) -> tuple:
+        """(monomial, coords) for every monomial with a nonzero image."""
+        return tuple(
+            (t, tuple(img.get(s, 0) for s in self.wedge))
+            for t, img in self.monomial_images.items()
+            if img
+        )
+
+    @cached_property
+    def _h_coords(self) -> tuple:
+        """omega ^ e_j for the standard basis of H, adapted (k = 3)."""
+        n = self.filt.n
+        if n % 2:
+            raise PreconditionError("H must have even rank")
+        adapt = self.filt.to_adapted
+        return tuple(
+            tuple(adapt(embed_H_in_L(unit, n // 2)).to_coords(self.wedge))
+            for unit in la.identity(n)
+        )
+
+    def image(self, coeffs: dict) -> dict:
+        """(delta-I) of a sparse vector {monomial: coeff}, by linearity from
+        the cached monomial images."""
+        out: dict = {}
+        get = out.get
+        for t, c in coeffs.items():
+            for s, d in self.monomial_images[t].items():
+                out[s] = get(s, 0) + c * d
+        return {s: c for s, c in out.items() if c}
+
+    def image_generators(self, level=None) -> list:
+        """(delta-I) images of the monomials at Y-degree `level` (all if None)."""
+        return [
+            list(c)
+            for t, c in self._image_coords
+            if level is None or self.filt.y_degree(t) == level
+        ]
+
+    def h_generators(self) -> list:
+        return [list(c) for c in self._h_coords]
+
+    def f_units(self, q: int) -> list:
+        """Unit coordinates of the monomials spanning F_q."""
+        size = len(self.wedge)
+        out = []
+        for i, t in enumerate(self.wedge):
+            if self.filt.y_degree(t) >= q:
+                out.append([0] * size)
+                out[-1][i] = 1
+        return out
+
+    # -- relation sets and the four groups --------------------------------
+
+    def b_relations(self, q: int) -> list:
+        """(delta-I) F_{q-1} + F_{q+1}."""
+        return self.image_generators(level=q - 1) + self.f_units(q + 1)
+
+    def abar_relations(self) -> list:
+        """(delta-I) L + H."""
+        return self.image_generators() + self.h_generators()
+
+    def bbar_relations(self) -> list:
+        """(delta-I) F_1 L + F_3 L + H."""
+        return self.b_relations(2) + self.h_generators()
+
+    def abar_membership_lattice(self) -> list:
+        """F_2 L + (delta-I) L + H."""
+        return self.f_units(2) + self.abar_relations()
+
+    def A_group(self, q: int) -> AbelianGroupDescriptor:
+        return section_group(self.image_generators(), self.f_units(q))
+
+    def B_group(self, q: int) -> AbelianGroupDescriptor:
+        return section_group(self.b_relations(q), self.f_units(q))
+
+    def Abar_group(self) -> AbelianGroupDescriptor:
+        return section_group(self.abar_relations(), self.f_units(2))
+
+    def Bbar_group(self) -> AbelianGroupDescriptor:
+        return section_group(self.bbar_relations(), self.f_units(2))
+
+
+def graded_map(delta, y_vectors, q: int, k: int):
+    """Matrix of gr_{q-1} -> gr_q induced by delta - I, on monomial bases."""
+    eng = GradedImages.build(delta, y_vectors, k)
+    filt = eng.filt
+    src = filt.monomials(k, q - 1, exact=True)
+    dst = filt.monomials(k, q, exact=True)
+    dst_index = {t: i for i, t in enumerate(dst)}
+    out = la.zero_matrix(len(dst), len(src))
+    for j, t in enumerate(src):
+        for s, c in eng.monomial_images[t].items():
+            if filt.y_degree(s) == q:
+                out[dst_index[s]][j] = c
+    return out
+
+
 def A_group(delta, y_vectors, q: int) -> AbelianGroupDescriptor:
     """F_q / ((delta-I) wedge^{2q-1} H  intersect  F_q), with k = 2q - 1.
 
@@ -489,10 +570,7 @@ def A_group(delta, y_vectors, q: int) -> AbelianGroupDescriptor:
     maps are rationally surjective down to level q; an infinite answer is
     reported through a positive free rank.
     """
-    k = 2 * q - 1
-    filt, delta_ad, basis = _group_context(delta, y_vectors, k)
-    image = _image_generators(delta_ad, filt, k, basis)
-    return section_group(image, _unit_coords(filt.monomials(k, q), basis))
+    return GradedImages.build(delta, y_vectors, 2 * q - 1).A_group(q)
 
 
 def B_group(delta, y_vectors, q: int) -> AbelianGroupDescriptor:
@@ -500,26 +578,7 @@ def B_group(delta, y_vectors, q: int) -> AbelianGroupDescriptor:
 
     The relations lie in F_q, so their section is their own span.
     """
-    k = 2 * q - 1
-    filt, delta_ad, basis = _group_context(delta, y_vectors, k)
-    relations = _image_generators(
-        delta_ad, filt, k, basis, filt.monomials(k, q - 1, exact=True)
-    ) + _unit_coords(filt.monomials(k, q + 1), basis)
-    return section_group(relations, _unit_coords(filt.monomials(k, q), basis))
-
-
-def _require_symplectic_even(n: int) -> int:
-    if n % 2:
-        raise PreconditionError("H must have even rank")
-    return n // 2
-
-
-def _h_generators(filt: Filtration, basis) -> list:
-    """The embedded copy of H, in the adapted coordinates."""
-    g = _require_symplectic_even(filt.n)
-    return [filt.to_adapted(
-        WedgeVector.from_coords(filt.n, 3, v)
-    ).to_coords(basis) for v in embedded_H_generators(g)]
+    return GradedImages.build(delta, y_vectors, 2 * q - 1).B_group(q)
 
 
 def Abar_group(delta, y_vectors) -> AbelianGroupDescriptor:
@@ -531,9 +590,7 @@ def Abar_group(delta, y_vectors) -> AbelianGroupDescriptor:
     the quotient, and by the second isomorphism theorem its kernel is
     F_2 L & ((delta-I)L + H): a coordinate section, as for A.
     """
-    filt, delta_ad, basis = _group_context(delta, y_vectors, 3)
-    relations = _image_generators(delta_ad, filt, 3, basis) + _h_generators(filt, basis)
-    return section_group(relations, _unit_coords(filt.monomials(3, 2), basis))
+    return GradedImages.build(delta, y_vectors, 3).Abar_group()
 
 
 def Bbar_group(delta, y_vectors) -> AbelianGroupDescriptor:
@@ -543,13 +600,7 @@ def Bbar_group(delta, y_vectors) -> AbelianGroupDescriptor:
     The denominator contains H and lies in F_2 L + H, so F_2 L maps onto
     the quotient with that section as kernel (second isomorphism theorem).
     """
-    filt, delta_ad, basis = _group_context(delta, y_vectors, 3)
-    relations = (
-        _image_generators(delta_ad, filt, 3, basis, filt.monomials(3, 1, exact=True))
-        + _unit_coords(filt.monomials(3, 3), basis)
-        + _h_generators(filt, basis)
-    )
-    return section_group(relations, _unit_coords(filt.monomials(3, 2), basis))
+    return GradedImages.build(delta, y_vectors, 3).Bbar_group()
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,10 @@ class Lattice:
 
     def add(self, vec: Vector) -> None:
         vec = list(vec)
+        if len(vec) != self.n:
+            raise ValueError(
+                f"vector of length {len(vec)} added to a lattice in Z^{self.n}"
+            )
         touched = False
         while True:
             lead = next((j for j, x in enumerate(vec) if x), None)

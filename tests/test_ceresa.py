@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from tropceresa import exterior
+from tropceresa import ceresa, exterior
 from tropceresa import intlinalg as la
 from tropceresa.catalog import BUILTIN_GRAPHS, builtin_curve, builtin_table
 from tropceresa.ceresa import (
@@ -27,7 +27,6 @@ from tropceresa.exterior import (
     B_group,
     Bbar_group,
     WedgeVector,
-    _image_generators,
     embed_H_in_L,
     embedded_H_generators,
 )
@@ -35,6 +34,7 @@ from tropceresa.graph_core import spanning_trees, tropical_curve
 from tropceresa.johnson import JohnsonTable, coboundary_shift, transform_table
 from tropceresa.symplectic import basis_change_matrix, homology_basis
 
+import helpers
 from helpers import banana_curve, k4_curve, loop_chain_curve, tl3_curve
 
 
@@ -539,12 +539,16 @@ def test_context_generators_match_fresh_computation(name):
     curve = builtin_curve(name)
     ctx = build_context(curve)
     for level in (None, 1):
-        monos = None if level is None else ctx.filt.monomials(3, level, exact=True)
-        fresh = _image_generators(ctx.delta, ctx.filt, 3, ctx.wedge3, monos)
+        monos = ctx.wedge if level is None else ctx.filt.monomials(3, level, exact=True)
+        fresh = [
+            w.to_coords(ctx.wedge)
+            for w in helpers._delta_minus_I_images(ctx.delta, ctx.filt, 3, monos)
+            if not w.is_zero()
+        ]
         assert ctx.image_generators(level) == fresh
         got = ctx.image_generators(level)
         got[0][0] += 7
-        got.append([1] * len(ctx.wedge3))
+        got.append([1] * len(ctx.wedge))
         assert ctx.image_generators(level) == fresh
     h_fresh = embedded_H_generators(ctx.g)
     assert ctx.h_generators() == h_fresh
@@ -568,7 +572,7 @@ def test_group_table_matches_exterior_groups(name):
 
 def test_group_table_reuses_cached_images(monkeypatch):
     ctx = build_context(builtin_curve("tl3"))
-    assert ctx._images
+    assert ctx.monomial_images
     calls = []
     apply_matrix = exterior.apply_matrix
 
@@ -577,7 +581,10 @@ def test_group_table_reuses_cached_images(monkeypatch):
         return apply_matrix(*args)
 
     monkeypatch.setattr(exterior, "apply_matrix", counted)
+    monkeypatch.setattr(ceresa, "apply_matrix", counted, raising=False)
     group_table(ctx)
+    assert len(calls) == 0
+    zharkov_test(ctx, v_class(ctx, builtin_table("tl3")))
     assert len(calls) == 0
 
 
@@ -613,7 +620,7 @@ def test_ceresa_order_skips_lattice_inside_F2(monkeypatch):
     order = ceresa_order(ctx, v)
     assert len(built) == 1  # only class_order's lattice
     assert order == la.class_order(
-        v.to_coords(ctx.wedge3), ctx.bbar_relations(), len(ctx.wedge3)
+        v.to_coords(ctx.wedge), ctx.bbar_relations(), len(ctx.wedge)
     )
 
 

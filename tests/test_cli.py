@@ -112,6 +112,27 @@ def test_theta_membership(capsys):
     assert data["in_Abar"] is False and data["least_multiple_in_Abar"] == 3
 
 
+def test_order_encodes_infinite_multiple_as_in_report(tmp_path, capsys):
+    """A class outside the rational span of F2 + (delta-I)L + H has no
+    multiple in Abar: `order` writes "infinite", as `ceresa` does, and its
+    text form is unchanged."""
+    table = {
+        "basis_ref": {"g": 4, "h": 2, "nontree_edges": ["u2", "u3"]},
+        "entries": {"u2": {"(1,2,3)": "1"}},
+    }
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(table))
+    argv = ("order", "--graph", "builtin:theta-w1", "--table", str(path))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["least_multiple_in_Abar"] == "infinite"
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert out == "not in Abar; least multiple inf (nontrivial)\n"
+    code, out, _ = run(capsys, "ceresa", *argv[1:])
+    assert json.loads(out)["least_multiple_in_Abar"] == "infinite"
+
+
 def test_exit_code_schema_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -15,6 +15,7 @@ from tropceresa.exterior import (
     B_group,
     Bbar_group,
     Filtration,
+    GradedImages,
     WedgeVector,
     apply_matrix,
     coker_structure,
@@ -642,10 +643,11 @@ def test_delta_minus_I_images_match_sorting_oracle():
                 if k > n:
                     continue
                 basis = wedge_basis(n, k)
-                got = exterior._delta_minus_I_images(delta_ad, filt, k, basis)
+                eng = GradedImages.build(delta, y, k)
+                got = list(eng.monomial_images.values())
                 want = helpers._delta_minus_I_images(delta_ad, filt, k, basis)
                 assert got == [w.coeffs for w in want], (g, h, k)
-                assert exterior._image_generators(delta_ad, filt, k, basis) == [
+                assert eng.image_generators() == [
                     w.to_coords(basis) for w in want if not w.is_zero()
                 ]
                 for q in range(1, k + 1):
@@ -664,7 +666,7 @@ def test_delta_minus_I_images_match_sorting_oracle():
                 ).to_coords(basis))
                 for v in embedded_H_generators(g)
             ]
-            assert exterior._h_generators(filt, basis) == want_h
+            assert GradedImages.build(delta, y, 3).h_generators() == want_h
             per_genus[g] += 1
     assert all(c == 6 for c in per_genus.values()), per_genus
     assert counts["weights"] >= 6 and counts["sheared"] >= 8 and counts["unit"] >= 8, counts

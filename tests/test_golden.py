@@ -5,6 +5,8 @@ The expected outputs in tests/data/ were recorded from the command line:
     python scripts/fixture_reports.py [--json]
     tropceresa sample --graph builtin:G --table builtin:G --count 20 --seed 4
     tropceresa groups --graph builtin:G [--format text]
+    tropceresa zharkov --graph builtin:G --table builtin:G
+    tropceresa order --graph builtin:G --table builtin:G [--format text]
     tropceresa ceresa --graph g5_k24.json --table g5_table.json [--format text]
     tropceresa groups --graph g5_k24.json [--format text]
 
@@ -49,6 +51,15 @@ CASES = [
     for g in ("tl3", "theta-w1")
 ] + [
     (f"groups_{g}.{ext}", cli.main, ["groups", "--graph", f"builtin:{g}", "--format", fmt])
+    for g in FIXTURES
+    for ext, fmt in (("json", "json"), ("txt", "text"))
+] + [
+    (f"zharkov_{g}.json", cli.main,
+     ["zharkov", "--graph", f"builtin:{g}", "--table", f"builtin:{g}"])
+    for g in ("k4", "tl3")
+] + [
+    (f"order_{g}.{ext}", cli.main,
+     ["order", "--graph", f"builtin:{g}", "--table", f"builtin:{g}", "--format", fmt])
     for g in FIXTURES
     for ext, fmt in (("json", "json"), ("txt", "text"))
 ] + [

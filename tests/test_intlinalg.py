@@ -86,6 +86,14 @@ def test_lattice_membership_against_solver():
             assert (v in lat) == (la.solve_int(cols, v) is not None)
 
 
+def test_lattice_rejects_vectors_of_the_wrong_length():
+    """An overlong vector leading at or past n could never be reduced, and a
+    short one was stored as given; both are refused."""
+    for vec, size in (([0, 0, 0, 2], 4), ([1, 2], 2)):
+        with pytest.raises(ValueError, match=rf"length {size} .* Z\^3"):
+            la.Lattice(3).add(vec)
+
+
 def test_lattice_canonical_is_basis_independent():
     rng = random.Random(1)
     for _ in range(200):
