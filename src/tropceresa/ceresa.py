@@ -161,34 +161,30 @@ def nonintegral_qualifying_coordinates(ctx: PipelineContext, u: WedgeVector):
 def ceresa_order(ctx: PipelineContext, v: WedgeVector):
     """Order of v in the graded quotient (F2 L + H)/((delta-I)F1 L + F3 L + H).
 
-    An integral v whose monomials all have Y-degree >= 2 lies in F2, so
-    only other classes are tested against the F2 + H lattice.
-    """
-    coords = v.to_coords(ctx.wedge)
-    if any(
-        ctx.filt.y_degree(t) < 2 or Fraction(c).denominator != 1
-        for t, c in v.coeffs.items()
+    F3 is the coordinate suffix from start(3), so v lies in F2 + H exactly
+    when it is integral there and its truncation lies in the Bbar lattice
+    modulo F2."""
+    coords = ctx.graded_coords(v.coeffs)
+    head = coords[: ctx.start(3)]
+    if any(c.denominator != 1 for c in coords[len(head) :]) or (
+        ctx.bbar_lattice.coset_order(head, ctx.start(2)) != 1
     ):
-        dom = la.Lattice(len(ctx.wedge), ctx.f_units(2) + ctx.h_generators())
-        if coords not in dom:
-            raise PreconditionError(
-                "class does not lie in F2 + H; its graded order is undefined"
-            )
-    return la.class_order(coords, ctx.bbar_relations(), len(ctx.wedge))
+        raise PreconditionError(
+            "class does not lie in F2 + H; its graded order is undefined"
+        )
+    return ctx.bbar_lattice.coset_order(head)
 
 
 def ambient_order(ctx: PipelineContext, v: WedgeVector):
     """Order of v in wedge^3 H / ((delta-I) wedge^3 H + H)."""
-    return la.class_order(
-        v.to_coords(ctx.wedge), ctx.abar_relations(), len(ctx.wedge)
-    )
+    return ctx.abar_lattice.coset_order(ctx.graded_coords(v.coeffs))
 
 
 def in_Abar_test(ctx: PipelineContext, j_total: WedgeVector) -> dict:
     """Membership of the total class in F2 L + (delta-I)L + H, with the
     least positive multiple that lands inside."""
-    lat = ctx.abar_membership_lattice()
-    least = la.class_order(j_total.to_coords(ctx.wedge), lat, len(ctx.wedge))
+    coords = ctx.graded_coords(j_total.coeffs)
+    least = ctx.abar_lattice.coset_order(coords, ctx.start(2))
     return {"in_Abar": least == 1, "least_multiple": least}
 
 
@@ -337,40 +333,32 @@ def nontriviality_verdict(
         "in_abar": None,
         "least_multiple": None,
     }
+    decisive = None  # a route that certifies nontriviality before the ambient order
     if ctx.maximal_rank and is_pure_gr2(ctx, v):
         u = out["u"] = u_class(ctx, v)
-        bad = nonintegral_qualifying_coordinates(ctx, u)
         out["order_bbar"] = ceresa_order(ctx, v)
         out["order_ambient"] = ambient_order(ctx, v)
         out["in_abar"], out["least_multiple"] = True, 1
-        if hyperelliptic:
-            verdict, decided = "hyperelliptic-trivial", "hyperelliptic quotient"
-        elif bad:
-            verdict, decided = "nontrivial", "u-nonintegral"
+        if nonintegral_qualifying_coordinates(ctx, u):
+            decisive = "u-nonintegral"
         elif out["order_bbar"] > 1:
-            verdict, decided = "nontrivial", "order-in-Bbar"
-        elif out["order_ambient"] > 1:
-            verdict, decided = "nontrivial", "order-ambient"
-        elif certified:
-            verdict, decided = "trivial", "order-ambient"
-        else:
-            verdict, decided = "indeterminate", "order-ambient"
+            decisive = "order-in-Bbar"
     else:
         probe = in_Abar_test(ctx, v)
         out["in_abar"] = probe["in_Abar"]
         out["least_multiple"] = probe["least_multiple"]
         if out["in_abar"]:
             out["order_ambient"] = ambient_order(ctx, v)
-        if hyperelliptic:
-            verdict, decided = "hyperelliptic-trivial", "hyperelliptic quotient"
-        elif not out["in_abar"]:
-            verdict, decided = "nontrivial", "not-in-Abar"
-        elif out["order_ambient"] > 1:
-            verdict, decided = "nontrivial", "order-ambient"
-        elif certified:
-            verdict, decided = "trivial", "order-ambient"
         else:
-            verdict, decided = "indeterminate", "order-ambient"
+            decisive = "not-in-Abar"
+    if hyperelliptic:
+        verdict, decided = "hyperelliptic-trivial", "hyperelliptic quotient"
+    elif decisive:
+        verdict, decided = "nontrivial", decisive
+    elif out["order_ambient"] > 1:
+        verdict, decided = "nontrivial", "order-ambient"
+    else:
+        verdict, decided = ("trivial" if certified else "indeterminate"), "order-ambient"
     assert verdict in VERDICTS
     out["verdict"] = verdict
     out["decided_by"] = decided

@@ -41,6 +41,7 @@ class AbelianGroupDescriptor:
     torsion: tuple[int, ...]  # ascending divisibility chain, entries >= 2
 
     def __post_init__(self):
+        object.__setattr__(self, "torsion", tuple(self.torsion))
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError("torsion is not a divisibility chain")
@@ -53,7 +54,7 @@ class AbelianGroupDescriptor:
 
     @classmethod
     def from_cyclic_orders(cls, orders):
-        return cls(0, tuple(la.invariant_factors_from_orders(orders)))
+        return cls(0, la.invariant_factors_from_orders(orders))
 
     def to_json(self) -> dict:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
@@ -398,34 +399,28 @@ def coker_structure(mat) -> AbelianGroupDescriptor:
     if rows == 0:
         return AbelianGroupDescriptor(0, ())
     rank, orders = la.snf_diagonal_orders(mat)
-    torsion = la.invariant_factors_from_orders(orders)
-    return AbelianGroupDescriptor(rows - rank, tuple(torsion))
+    return AbelianGroupDescriptor(rows - rank, la.invariant_factors_from_orders(orders))
 
 
 # ---------------------------------------------------------------------------
 # the finite groups attached to a unipotent delta
 
 
-def section_group(relations, units) -> AbelianGroupDescriptor:
-    """F / (span_Z(relations) & F) for the coordinate sublattice F spanned
-    by the unit vectors `units`."""
-    if not units:
-        return AbelianGroupDescriptor(0, ())
-    section = [u.index(1) for u in units]
-    free, tor = la.section_quotient(relations, section, len(units[0]))
-    return AbelianGroupDescriptor(free, tuple(tor))
-
-
 @dataclass
 class GradedImages:
     """delta - I on wedge^k H, graded by the Y-filtration, in adapted
     coordinates: the one source of (delta-I) images, of the embedded H and
-    of the relation sets behind A, B, Abar and Bbar.
+    of the relation lattices behind A, B, Abar and Bbar.
 
     `delta` is adapted once through `Filtration.P` when Y is sheared (it is
     the given delta when Y is spanned by unit vectors), and `wedge` is the
     sorted-tuple basis of wedge^k.  Images and H are computed on first use
-    and cached; the list accessors hand out fresh lists.
+    and cached; the list accessors hand out fresh lists in `wedge` order.
+
+    Lattices order coordinates by Y-degree, then by wedge index, so every
+    F_q is the suffix from `start(q)`.  One echelon basis per relation set
+    gives its groups (`Lattice.section`) and class orders
+    (`Lattice.coset_order`); the Abar and Bbar lattices are cached.
     """
 
     filt: Filtration
@@ -465,25 +460,38 @@ class GradedImages:
         return out
 
     @cached_property
-    def _image_coords(self) -> tuple:
-        """(monomial, coords) for every monomial with a nonzero image."""
-        return tuple(
-            (t, tuple(img.get(s, 0) for s in self.wedge))
-            for t, img in self.monomial_images.items()
-            if img
-        )
-
-    @cached_property
-    def _h_coords(self) -> tuple:
+    def _h_terms(self) -> tuple:
         """omega ^ e_j for the standard basis of H, adapted (k = 3)."""
         n = self.filt.n
         if n % 2:
             raise PreconditionError("H must have even rank")
         adapt = self.filt.to_adapted
         return tuple(
-            tuple(adapt(embed_H_in_L(unit, n // 2)).to_coords(self.wedge))
-            for unit in la.identity(n)
+            adapt(embed_H_in_L(unit, n // 2)).coeffs for unit in la.identity(n)
         )
+
+    @cached_property
+    def _graded_wedge(self) -> list:
+        """The monomials in filtration order (a stable sort of `wedge`)."""
+        return sorted(self.wedge, key=self.filt.y_degree)
+
+    def start(self, q: int) -> int:
+        """First filtration-order coordinate of F_q."""
+        return sum(self.filt.y_degree(t) < q for t in self.wedge)
+
+    def graded_coords(self, coeffs: dict, stop: int | None = None) -> list:
+        """Filtration-order coordinates of {monomial: coeff}, up to `stop`."""
+        return [coeffs.get(t, 0) for t in self._graded_wedge[:stop]]
+
+    def _lattice(self, sparse_vectors, stop: int | None = None) -> la.Lattice:
+        stop = len(self.wedge) if stop is None else stop
+        return la.Lattice(stop, (self.graded_coords(c, stop) for c in sparse_vectors))
+
+    def _images(self, level=None) -> list:
+        """Sparse nonzero images of the monomials at Y-degree `level` (all if None)."""
+        deg = self.filt.y_degree
+        items = self.monomial_images.items()
+        return [img for t, img in items if img and level in (None, deg(t))]
 
     def image(self, coeffs: dict) -> dict:
         """(delta-I) of a sparse vector {monomial: coeff}, by linearity from
@@ -497,30 +505,17 @@ class GradedImages:
 
     def image_generators(self, level=None) -> list:
         """(delta-I) images of the monomials at Y-degree `level` (all if None)."""
-        return [
-            list(c)
-            for t, c in self._image_coords
-            if level is None or self.filt.y_degree(t) == level
-        ]
+        return [[img.get(s, 0) for s in self.wedge] for img in self._images(level)]
 
     def h_generators(self) -> list:
-        return [list(c) for c in self._h_coords]
+        return [[h.get(s, 0) for s in self.wedge] for h in self._h_terms]
 
     def f_units(self, q: int) -> list:
         """Unit coordinates of the monomials spanning F_q."""
-        size = len(self.wedge)
-        out = []
-        for i, t in enumerate(self.wedge):
-            if self.filt.y_degree(t) >= q:
-                out.append([0] * size)
-                out[-1][i] = 1
-        return out
+        deg = self.filt.y_degree
+        return [[int(s == t) for s in self.wedge] for t in self.wedge if deg(t) >= q]
 
-    # -- relation sets and the four groups --------------------------------
-
-    def b_relations(self, q: int) -> list:
-        """(delta-I) F_{q-1} + F_{q+1}."""
-        return self.image_generators(level=q - 1) + self.f_units(q + 1)
+    # -- relation sets, their lattices and the four groups ----------------
 
     def abar_relations(self) -> list:
         """(delta-I) L + H."""
@@ -528,23 +523,31 @@ class GradedImages:
 
     def bbar_relations(self) -> list:
         """(delta-I) F_1 L + F_3 L + H."""
-        return self.b_relations(2) + self.h_generators()
+        return self.image_generators(1) + self.f_units(3) + self.h_generators()
 
-    def abar_membership_lattice(self) -> list:
-        """F_2 L + (delta-I) L + H."""
-        return self.f_units(2) + self.abar_relations()
+    @cached_property
+    def abar_lattice(self) -> la.Lattice:
+        """(delta-I) L + H, in filtration order."""
+        return self._lattice(self._images() + list(self._h_terms))
+
+    @cached_property
+    def bbar_lattice(self) -> la.Lattice:
+        """(delta-I) F_1 L + H, in filtration order, truncated below F_3."""
+        return self._lattice(self._images(1) + list(self._h_terms), self.start(3))
 
     def A_group(self, q: int) -> AbelianGroupDescriptor:
-        return section_group(self.image_generators(), self.f_units(q))
+        lat = self._lattice(self._images())
+        return AbelianGroupDescriptor(*lat.section(self.start(q)))
 
     def B_group(self, q: int) -> AbelianGroupDescriptor:
-        return section_group(self.b_relations(q), self.f_units(q))
+        lat = self._lattice(self._images(q - 1), self.start(q + 1))
+        return AbelianGroupDescriptor(*lat.section(self.start(q)))
 
     def Abar_group(self) -> AbelianGroupDescriptor:
-        return section_group(self.abar_relations(), self.f_units(2))
+        return AbelianGroupDescriptor(*self.abar_lattice.section(self.start(2)))
 
     def Bbar_group(self) -> AbelianGroupDescriptor:
-        return section_group(self.bbar_relations(), self.f_units(2))
+        return AbelianGroupDescriptor(*self.bbar_lattice.section(self.start(2)))
 
 
 def graded_map(delta, y_vectors, q: int, k: int):

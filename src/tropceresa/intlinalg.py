@@ -7,9 +7,10 @@ form of tagged matrices; quotients of coordinate sublattices by their
 sections with a span; and the structure of finitely generated abelian
 quotients through one Smith diagonal, computed by alternating Hermite
 reduction and turned into invariant factors by a gcd/lcm sweep, with no
-integer factorization.  Coset orders come from back-substitution along the
-pivots of the echelon basis, so no separate rational solve is needed.  No
-floating point.
+integer factorization.  One echelon basis serves each relation set: its
+rows pivoting in a coordinate suffix span the section there, and coset
+orders come from back-substitution along the others, so no intersection or
+separate rational solve is needed.  No floating point.
 """
 
 from __future__ import annotations
@@ -288,6 +289,44 @@ class Lattice:
         """Hermite-reduced basis, unique for the lattice (maintained by add)."""
         return tuple(tuple(row) for row in self.rows)
 
+    def coset_order(self, vec: Vector, d: int | None = None):
+        """Least k >= 1 with k*vec in the lattice + Z^{d..n-1} (d = n by
+        default); math.inf if none exists.
+
+        Back-substitution along the rows pivoting before d: at each pivot the
+        rational coordinate is forced, since earlier rows have been
+        subtracted and later rows vanish there.  A nonzero residual before d
+        means vec is outside the rational span; otherwise the order is the
+        lcm of the coordinate denominators and of the residual's from d on.
+        """
+        d = self.n if d is None else d
+        rest = list(vec)
+        order = 1
+        for row, p in zip(self.rows, self.pivots):
+            if p >= d:
+                break
+            if rest[p]:
+                c = Fraction(rest[p], row[p])
+                order = lcm(order, c.denominator)
+                for t in range(p, self.n):
+                    if row[t]:
+                        rest[t] -= c * row[t]
+        if any(rest[:d]):
+            return inf
+        return lcm(order, *(x.denominator for x in rest[d:]))
+
+    def section(self, d: int) -> tuple[int, list[int]]:
+        """Structure of Z^{d..n-1} / (lattice & Z^{d..n-1}).
+
+        The rows pivoting from d on are zero before it and span the
+        intersection: a combination that uses a row pivoting earlier is
+        nonzero at the first such pivot.  Returns (free_rank, invariant
+        factors >= 2 in a divisibility chain).
+        """
+        tail = [row[d:] for row, p in zip(self.rows, self.pivots) if p >= d]
+        rank, orders = snf_diagonal_orders(tail)
+        return self.n - d - rank, invariant_factors_from_orders(orders)
+
 
 def _xgcd(a: int, b: int):
     x, nx = 1, 0
@@ -365,47 +404,17 @@ def vector_relations(vectors, n: int) -> list[Vector]:
 
 
 def section_quotient(vectors, section, n: int) -> tuple[int, list[int]]:
-    """Structure of Z^section / (span_Z(vectors) & Z^section).
-
-    Z^section is the coordinate sublattice on the positions in `section`.
-    With its coordinates ordered last, the echelon rows pivoting inside that
-    block have zeros outside it and span the intersection: a combination
-    that uses rows pivoting outside the block is nonzero at the first of
-    their pivots.  Returns (free_rank, invariant factors >= 2 in a
-    divisibility chain).
-    """
+    """Structure of Z^section / (span_Z(vectors) & Z^section), read by
+    `Lattice.section` with the coordinates of Z^section ordered last."""
     inside = sorted(set(section))
-    outside = sorted(set(range(n)) - set(inside))
-    order = outside + inside
-    d = len(outside)
+    order = sorted(set(range(n)) - set(inside)) + inside
     lat = Lattice(n, ([v[j] for j in order] for v in vectors))
-    rows = [row[d:] for row, p in zip(lat.rows, lat.pivots) if p >= d]
-    rank, orders = snf_diagonal_orders(rows)
-    return len(inside) - rank, invariant_factors_from_orders(orders)
+    return lat.section(n - len(inside))
 
 
 def class_order(vec: Vector, den_vecs, n: int):
-    """Least k >= 1 with k*vec in span_Z(den_vecs); math.inf if none exists.
-
-    Back-substitution along the pivots of the echelon basis: at each pivot
-    the rational coordinate is forced, since earlier rows have been
-    subtracted and later rows vanish there.  The order is the lcm of the
-    coordinate denominators; a nonzero residual means vec is outside the
-    rational span.
-    """
-    if not any(vec):
-        return 1
-    lat = Lattice(n, den_vecs)
-    rest = list(vec)
-    order = 1
-    for row, p in zip(lat.rows, lat.pivots):
-        if rest[p]:
-            c = Fraction(rest[p], row[p])
-            order = lcm(order, c.denominator)
-            for t in range(p, n):
-                if row[t]:
-                    rest[t] -= c * row[t]
-    return inf if any(rest) else order
+    """Least k >= 1 with k*vec in span_Z(den_vecs); math.inf if none exists."""
+    return Lattice(n, den_vecs).coset_order(vec)
 
 
 # ---------------------------------------------------------------------------

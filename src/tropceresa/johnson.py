@@ -251,7 +251,7 @@ def table_from_json(data, basis: HomologyBasis, name="") -> JohnsonTable:
             str(eid): WedgeVector.from_json(2 * basis.g, 3, wdata)
             for eid, wdata in data["entries"].items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         if isinstance(exc, SchemaError):
             raise
         raise SchemaError(f"malformed table JSON: {exc}") from exc

@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import inf, lcm
 
 from tropceresa import intlinalg as la
 from tropceresa.errors import FiltrationError, PreconditionError
@@ -18,7 +19,7 @@ from tropceresa.graph_core import (
     quotient_curve,
     tropical_curve,
 )
-from tropceresa.intlinalg import Matrix, Vector, identity
+from tropceresa.intlinalg import Lattice, Matrix, Vector, identity
 
 
 def det_fraction(mat) -> Fraction:
@@ -177,6 +178,63 @@ def quotient_invariants(num_vecs, den_vecs, n: int) -> tuple[int, list[int]]:
     rank, orders = la.snf_diagonal_orders(coords)
     torsion = la.invariant_factors_from_orders(orders)
     return len(basis) - rank, torsion
+
+
+# The coset order as it was before the echelon readings became `Lattice`
+# methods: a fresh lattice per call, back-substitution along every pivot.
+# Kept as the oracle for `Lattice.coset_order`, and with it the verdict
+# routes as they were, each over its own freshly echelonised relation set
+# in `wedge` (lexicographic) order.
+
+
+def class_order(vec: Vector, den_vecs, n: int):
+    """Least k >= 1 with k*vec in span_Z(den_vecs); math.inf if none exists.
+
+    Back-substitution along the pivots of the echelon basis: at each pivot
+    the rational coordinate is forced, since earlier rows have been
+    subtracted and later rows vanish there.  The order is the lcm of the
+    coordinate denominators; a nonzero residual means vec is outside the
+    rational span.
+    """
+    if not any(vec):
+        return 1
+    lat = Lattice(n, den_vecs)
+    rest = list(vec)
+    order = 1
+    for row, p in zip(lat.rows, lat.pivots):
+        if rest[p]:
+            c = Fraction(rest[p], row[p])
+            order = lcm(order, c.denominator)
+            for t in range(p, n):
+                if row[t]:
+                    rest[t] -= c * row[t]
+    return inf if any(rest) else order
+
+
+def ceresa_order(ctx, v: WedgeVector):
+    """Order of v modulo `bbar_relations()`, after a membership test in the
+    F2 + H domain lattice for classes not plainly integral inside F2."""
+    coords = v.to_coords(ctx.wedge)
+    if any(
+        ctx.filt.y_degree(t) < 2 or Fraction(c).denominator != 1
+        for t, c in v.coeffs.items()
+    ):
+        dom = Lattice(len(ctx.wedge), ctx.f_units(2) + ctx.h_generators())
+        if coords not in dom:
+            raise PreconditionError(
+                "class does not lie in F2 + H; its graded order is undefined"
+            )
+    return class_order(coords, ctx.bbar_relations(), len(ctx.wedge))
+
+
+def ambient_order(ctx, v: WedgeVector):
+    return class_order(v.to_coords(ctx.wedge), ctx.abar_relations(), len(ctx.wedge))
+
+
+def abar_least_multiple(ctx, v: WedgeVector):
+    """Least k with k*v in F2 L + (delta-I)L + H."""
+    rels = ctx.f_units(2) + ctx.abar_relations()
+    return class_order(v.to_coords(ctx.wedge), rels, len(ctx.wedge))
 
 
 # The pivoting Smith form with all four transforms, kept as an independent

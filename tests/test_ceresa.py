@@ -1,6 +1,7 @@
 import random
+import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 import pytest
 
@@ -588,6 +589,61 @@ def test_group_table_reuses_cached_images(monkeypatch):
     assert len(calls) == 0
 
 
+def _random_sixths_class(ctx, rng, kind):
+    """A class with coefficients in (1/6)Z, built from the generators that
+    decide the routes: F2 units, H, (delta-I) images and plain monomials."""
+    f2, h = ctx.f_units(2), ctx.h_generators()
+    if kind == "F2+H":  # integral, inside the graded domain
+        parts = [(f2 + h, 1)]
+    elif kind == "relations":  # inside the rational span of (delta-I)L + H
+        parts = [(ctx.image_generators() + h, 6)]
+    elif kind == "F2 sixths":  # denominators only on F2 coordinates
+        parts = [(f2 + h, 1), (f2, 6)]
+    else:
+        parts = [(ctx.f_units(0), 6)]
+    coords = [0] * len(ctx.wedge)
+    for gens, den in parts:
+        for gen in rng.sample(gens, min(len(gens), rng.randint(1, 4))):
+            c = Fraction(rng.randint(-6, 6), den)
+            coords = [x + c * y for x, y in zip(coords, gen)]
+    return WedgeVector.from_coords(2 * ctx.g, 3, coords, ctx.wedge)
+
+
+def test_verdict_routes_match_fresh_lattice_oracles():
+    """ceresa_order, ambient_order and in_Abar_test, read off the context's
+    cached lattices in filtration order, against the same questions put to
+    freshly echelonised relation sets in wedge order."""
+    rng = random.Random(31)
+    seen = dict.fromkeys(
+        ("rejected", "bbar 1", "bbar >1", "ambient inf", "ambient >1",
+         "in Abar", "Abar >1", "Abar inf", "theta-w1 F2 sixths"), 0
+    )
+    for name in BUILTIN_GRAPHS:
+        ctx = build_context(builtin_curve(name))
+        for trial in range(32):
+            kind = ("F2+H", "relations", "F2 sixths", "random")[trial % 4]
+            v = _random_sixths_class(ctx, rng, kind)
+            try:
+                want = helpers.ceresa_order(ctx, v)
+            except PreconditionError as exc:
+                with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+                    ceresa_order(ctx, v)
+                seen["rejected"] += 1
+            else:
+                assert ceresa_order(ctx, v) == want
+                seen["bbar 1" if want == 1 else "bbar >1"] += 1
+            want = helpers.ambient_order(ctx, v)
+            assert ambient_order(ctx, v) == want
+            seen["ambient inf" if want == inf else "ambient >1"] += want > 1
+            want = helpers.abar_least_multiple(ctx, v)
+            assert in_Abar_test(ctx, v) == {"in_Abar": want == 1, "least_multiple": want}
+            seen["in Abar" if want == 1 else "Abar inf" if want == inf else "Abar >1"] += 1
+            seen["theta-w1 F2 sixths"] += (
+                name == "theta-w1" and kind == "F2 sixths" and want != inf
+            )
+    assert min(seen.values()) >= 5, seen
+
+
 def _count_lattices(monkeypatch):
     built = []
 
@@ -602,14 +658,32 @@ def _count_lattices(monkeypatch):
 
 def test_ceresa_order_accepts_class_in_H_through_lattice(monkeypatch):
     """omega ^ a_1 has monomials of Y-degree 1, so it is checked against the
-    F2 + H lattice; it lies in H, so its order is 1."""
+    Bbar lattice modulo F2; it lies in H, so its order is 1."""
     ctx = build_context(builtin_curve("tl3"))
     g = ctx.g
     v = embed_H_in_L([int(t == 0) for t in range(2 * g)], g)
     assert any(ctx.filt.y_degree(t) < 2 for t in v.coeffs)
     built = _count_lattices(monkeypatch)
     assert ceresa_order(ctx, v) == 1
-    assert len(built) == 2  # the F2 + H domain, then class_order's lattice
+    assert len(built) == 1  # the context's Bbar lattice, built on first use
+
+
+def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
+    """After group_table, the verdict routes echelonise nothing, and the
+    Abar and Bbar groups only rerun the Smith reduction of their sections
+    (on at most n - start(2) coordinates), never a relation set."""
+    ctx = build_context(builtin_curve("tl3"))
+    v = v_class(ctx, builtin_table("tl3"))
+    built = _count_lattices(monkeypatch)
+    groups = group_table(ctx)
+    assert built.count(len(ctx.wedge)) == 2  # the A and Abar relation sets
+    built.clear()
+    ceresa_order(ctx, v)
+    ambient_order(ctx, v)
+    in_Abar_test(ctx, v)
+    assert built == []
+    assert (ctx.Abar_group(), ctx.Bbar_group()) == (groups["Abar"], groups["Bbar"])
+    assert built and max(built) <= len(ctx.wedge) - ctx.start(2)
 
 
 def test_ceresa_order_skips_lattice_inside_F2(monkeypatch):
@@ -632,8 +706,8 @@ def test_ceresa_order_rejects_class_outside_F2_plus_H():
 
 
 def test_ceresa_order_rejects_fractional_class_inside_F2():
-    """Half a gr_2 monomial has Y-degree 2 but is not integral, so it still
-    goes through the F2 + H lattice and is rejected there."""
+    """Half a gr_2 monomial has Y-degree 2 but is not integral, so it is
+    rejected by the membership test modulo F2."""
     ctx = build_context(builtin_curve("tl3"))
     mono = ctx.filt.monomials(3, 2, exact=True)[0]
     v = WedgeVector(2 * ctx.g, 3, {mono: Fraction(1, 2)})

@@ -245,6 +245,29 @@ def test_malformed_lengths_are_schema_errors(capsys, bad):
     assert "error:" in err and repr(bad) in err
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        pytest.param(lambda e: [], id="entries-list"),
+        pytest.param(lambda e: {**e, "e0": "x"}, id="entry-not-object"),
+        pytest.param(lambda e: {**e, "e0": {"(1,7,9)": "1/0"}}, id="zero-denominator"),
+    ],
+)
+def test_malformed_table_entries_are_schema_errors(tmp_path, capsys, entries):
+    table = json.loads((DATA / "g5_table.json").read_text())
+    table["entries"] = entries(table["entries"])
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, _, err = run(
+        capsys, "ceresa", "--graph", str(DATA / "g5_k24.json"), "--table", str(path)
+    )
+    assert code == 2
+    assert err.startswith("error: malformed table JSON: ")
+
+
 @pytest.fixture
 def no_pool(monkeypatch):
     """Fail the test if anything tries to start a process pool."""

@@ -10,6 +10,7 @@ from tropceresa import intlinalg as la
 from tropceresa.exterior import _complement_columns
 
 from helpers import (
+    class_order,
     det_fraction,
     invariant_factors_from_orders,
     lattice_intersection,
@@ -170,6 +171,45 @@ def test_section_quotient_matches_intersection_oracle():
     assert free >= 50
     assert la.section_quotient([[1, 2, 0], [0, 4, 6]], [1, 2], 3) == (1, [2])
     assert la.section_quotient([[2, 1], [0, 3]], [1], 2) == (0, [3])
+
+
+def test_coset_order_and_section_match_oracles():
+    """Both readings of one echelon basis, for every suffix start d:
+    `coset_order(v, d)` against the fresh-lattice class order over the
+    generators plus e_d..e_{n-1}, and `section(d)` against the quotient of
+    Z^{d..n-1} by its intersection with the generators' span."""
+    rng = random.Random(21)
+    seen = {"deficient": 0, "suffix_fraction": 0, "inf": 0, "torsion": 0, "free": 0}
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+        if gens and rng.random() < 0.4:  # force a dependent generator
+            gens.append([2 * x - y for x, y in zip(gens[0], gens[-1])])
+        lat = la.Lattice(n, gens)
+        seen["deficient"] += lat.rank < n
+        for d in range(n + 1):
+            if gens and rng.random() < 0.5:  # in the rational span
+                v = [0] * n
+                for gen in gens:
+                    c = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 6)))
+                    v = [x + c * y for x, y in zip(v, gen)]
+            else:
+                v = [rng.randint(-5, 5) for _ in range(n)]
+            if rng.random() < 0.5:  # denominators in the suffix
+                v[d:] = [Fraction(rng.randint(-6, 6), 6) for _ in range(d, n)]
+            units = [[int(t == j) for t in range(n)] for j in range(d, n)]
+            want = class_order(v, gens + units, n)
+            assert lat.coset_order(v, d) == want
+            seen["inf"] += want == math.inf
+            seen["suffix_fraction"] += want != math.inf and any(
+                Fraction(x).denominator > 1 for x in v[d:]
+            )
+            section = quotient_invariants(units, lattice_intersection(gens, units, n), n)
+            assert lat.section(d) == section
+            seen["free"] += section[0] > 0
+            seen["torsion"] += bool(section[1])
+        assert lat.coset_order(v) == class_order(v, gens, n)
+    assert min(seen.values()) >= 60 and seen["suffix_fraction"] >= 200, seen
 
 
 def test_lattice_intersection():
