@@ -12,10 +12,8 @@ because the combinatorial tree choice does not depend on lengths.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import SchemaError
-from .graph_core import TropicalCurve, tropical_curve
+from .graph_core import TropicalCurve, tropical_curve, with_sorted_lengths
 from .johnson import JohnsonTable, validate_table
 from .exterior import WedgeVector
 from .symplectic import homology_basis
@@ -32,16 +30,7 @@ def builtin_curve(name: str, lengths=None) -> TropicalCurve:
         raise SchemaError(
             f"unknown builtin graph {name!r}; have {', '.join(BUILTIN_GRAPHS)}"
         ) from None
-    if lengths is not None:
-        ids = [e.id for e in curve.sorted_edges()]
-        if len(lengths) != len(ids):
-            raise SchemaError(
-                f"{name} has {len(ids)} edges, got {len(lengths)} lengths"
-            )
-        curve = curve.with_lengths(
-            {i: Fraction(l) for i, l in zip(ids, lengths)}
-        )
-    return curve
+    return curve if lengths is None else with_sorted_lengths(curve, lengths)
 
 
 def builtin_table(name: str, curve: TropicalCurve | None = None) -> JohnsonTable:

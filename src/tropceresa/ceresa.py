@@ -49,6 +49,10 @@ class PipelineContext(GradedImages):
     def maximal_rank(self) -> bool:
         return self.basis.h == self.basis.g
 
+    @property
+    def rank_status(self) -> str:
+        return "maximal" if self.maximal_rank else "deficient"
+
 
 def build_context(curve: TropicalCurve, tree=None) -> PipelineContext:
     scaled, scale = scaled_to_integer(curve)
@@ -368,19 +372,11 @@ def nontriviality_verdict(
 def analyze(
     curve: TropicalCurve,
     table: JohnsonTable,
-    lengths=None,
     with_groups: bool = True,
     with_zharkov: bool = True,
     tree=None,
 ) -> CeresaReport:
     """Full pipeline: assemble v, decide the verdict, report everything."""
-    if lengths is not None:
-        ids = [e.id for e in curve.sorted_edges()]
-        if len(lengths) != len(ids):
-            raise SchemaError(
-                f"curve has {len(ids)} edges, got {len(lengths)} lengths"
-            )
-        curve = curve.with_lengths({i: Fraction(l) for i, l in zip(ids, lengths)})
     ctx = build_context(curve, tree=tree)
     v = v_class(ctx, table)
     notes = []
@@ -390,17 +386,10 @@ def analyze(
             "is relative to the supplied values"
         )
     hyper = is_hyperelliptic(stabilize(ctx.curve))
-    qf = q_invariant_factors(ctx)
     decision = nontriviality_verdict(
         ctx, v, hyper, certified=table.provenance == "builtin"
     )
-    verdict, decided = decision["verdict"], decision["decided_by"]
-    u = decision["u"]
-    order_bbar = decision["order_bbar"]
-    order_ambient = decision["order_ambient"]
-    in_abar = decision["in_abar"]
-    least = decision["least_multiple"]
-    if verdict == "indeterminate":
+    if decision["verdict"] == "indeterminate":
         notes.append(
             "order 1 relative to a user table does not certify an actual "
             "involution; reporting indeterminate"
@@ -408,32 +397,23 @@ def analyze(
     zh = None
     if with_zharkov and ctx.maximal_rank and is_pure_gr2(ctx, v):
         zh = zharkov_test(ctx, v)
-    groups = group_table(ctx) if with_groups else None
     return CeresaReport(
         curve=ctx.curve,
         scale=ctx.scale,
         basis=ctx.basis,
         table_name=table.name,
         table_provenance=table.provenance,
-        rank_status="maximal" if ctx.maximal_rank else "deficient",
+        rank_status=ctx.rank_status,
         hyperelliptic=hyper,
         v=v,
-        u=u,
-        verdict=verdict,
-        decided_by=decided,
-        order_bbar=order_bbar,
-        order_ambient=order_ambient,
-        in_abar=in_abar,
-        least_multiple=least,
         zharkov=zh,
-        groups=groups,
-        invariant_factors=qf,
+        groups=group_table(ctx) if with_groups else None,
+        invariant_factors=q_invariant_factors(ctx),
         notes=notes,
+        **decision,
     )
 
 
-def verdict_only(curve, table, lengths=None) -> str:
+def verdict_only(curve, table) -> str:
     """Cheap path for sampling loops: no group tables, no obstruction data."""
-    return analyze(
-        curve, table, lengths=lengths, with_groups=False, with_zharkov=False
-    ).verdict
+    return analyze(curve, table, with_groups=False, with_zharkov=False).verdict

@@ -13,6 +13,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 from . import catalog, graph_core, johnson
 from .ceresa import (
@@ -126,14 +127,9 @@ def load_graph(args) -> graph_core.TropicalCurve:
         curve = catalog.builtin_curve(source.removeprefix("builtin:"))
     else:
         curve = graph_core.load_curve(source)
-    if getattr(args, "lengths", None):
+    if args.lengths:
         values = [_parse_length(x) for x in args.lengths.split(",")]
-        ids = [e.id for e in curve.sorted_edges()]
-        if len(values) != len(ids):
-            raise SchemaError(
-                f"graph has {len(ids)} edges, got {len(values)} lengths"
-            )
-        curve = curve.with_lengths(dict(zip(ids, values)))
+        curve = graph_core.with_sorted_lengths(curve, values)
     return curve
 
 
@@ -148,8 +144,7 @@ def load_table(args, curve) -> johnson.JohnsonTable:
     source = args.table
     if source.startswith("builtin:"):
         return catalog.builtin_table(source.removeprefix("builtin:"), curve)
-    basis = homology_basis(graph_core.scaled_to_integer(curve)[0])
-    return johnson.load_table(source, basis)
+    return johnson.load_table(source, homology_basis(curve))
 
 
 def emit(args, payload: dict, text: str) -> int:
@@ -216,7 +211,7 @@ def cmd_groups(args) -> int:
     groups = group_table(ctx)
     payload = {
         "invariant_factors": q_invariant_factors(ctx),
-        "rank_status": "maximal" if ctx.maximal_rank else "deficient",
+        "rank_status": ctx.rank_status,
         "groups": groups_to_json(groups),
     }
     text = "\n".join([f"rank: {payload['rank_status']}"] + group_lines(groups))
@@ -264,16 +259,9 @@ def cmd_zharkov(args) -> int:
     return emit(args, zharkov_to_json(result), f"obstructed: {result['obstructed']}")
 
 
-def _sample_one(job):
-    graph_source, table_source, lengths = job
-    args = argparse.Namespace(graph=graph_source, lengths=None)
-    curve = load_graph(args)
-    curve = curve.with_lengths(
-        dict(zip([e.id for e in curve.sorted_edges()], map(Fraction, lengths)))
-    )
-    targs = argparse.Namespace(table=table_source)
-    table = load_table(targs, curve)
-    rep = analyze(curve, table, with_groups=False, with_zharkov=False)
+def _sample_one(curve, table, lengths):
+    sample = graph_core.with_sorted_lengths(curve, lengths)
+    rep = analyze(sample, table, with_groups=False, with_zharkov=False)
     order = rep.order_bbar if rep.order_bbar is not None else rep.least_multiple
     return {
         "lengths": list(lengths),
@@ -311,26 +299,19 @@ def _sample_workers(args) -> int:
 def cmd_sample(args) -> int:
     workers = _sample_workers(args)
     curve = load_graph(args)
-    n_edges = len(curve.edges)
+    table = load_table(args, curve)
     rng = random.Random(args.seed)
-    jobs = [
-        (
-            args.graph,
-            args.table,
-            tuple(
-                rng.randint(args.length_min, args.length_max)
-                for _ in range(n_edges)
-            ),
-        )
+    draws = [
+        tuple(rng.randint(args.length_min, args.length_max) for _ in curve.edges)
         for _ in range(args.count)
     ]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sample_one, jobs))
+            results = list(pool.map(_sample_one, repeat(curve), repeat(table), draws))
     else:
-        results = [_sample_one(job) for job in jobs]
+        results = [_sample_one(curve, table, lengths) for lengths in draws]
     counts: dict = {}
     for r in results:
         counts[r["verdict"]] = counts.get(r["verdict"], 0) + 1

@@ -102,6 +102,14 @@ def tropical_curve(vertices, edges) -> TropicalCurve:
     return TropicalCurve(vs, es)
 
 
+def with_sorted_lengths(curve: TropicalCurve, lengths) -> TropicalCurve:
+    """The curve with new edge lengths, listed in id-sorted edge order."""
+    ids = [e.id for e in curve.sorted_edges()]
+    if len(lengths) != len(ids):
+        raise SchemaError(f"graph has {len(ids)} edges, got {len(lengths)} lengths")
+    return curve.with_lengths(dict(zip(ids, lengths)))
+
+
 def _is_connected(vertex_ids, end_pairs) -> bool:
     if not vertex_ids:
         return False
@@ -671,21 +679,22 @@ def curve_to_json(curve: TropicalCurve) -> dict:
 
 
 def curve_from_json(data) -> TropicalCurve:
+    verts, edges = [], []
     try:
-        verts = tuple(
-            Vertex(str(v["id"]), int(v["weight"])) for v in data["vertices"]
-        )
-        edges = tuple(
-            Edge(
-                str(e["id"]),
-                (str(e["ends"][0]), str(e["ends"][1])),
-                Fraction(str(e["length"])),
-            )
-            for e in data["edges"]
-        )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        for v in data["vertices"]:
+            w = v["weight"]
+            if isinstance(w, bool) or not isinstance(w, int):
+                raise ValueError(f"vertex weight {w!r} is not an integer")
+            verts.append(Vertex(str(v["id"]), w))
+        for e in data["edges"]:
+            ends = e["ends"]
+            if not (isinstance(ends, list) and len(ends) == 2):
+                raise ValueError(f"edge ends {ends!r} are not a two-element list")
+            length = Fraction(str(e["length"]))
+            edges.append(Edge(str(e["id"]), (str(ends[0]), str(ends[1])), length))
+    except (KeyError, TypeError, IndexError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"malformed graph JSON: {exc}") from exc
-    return TropicalCurve(verts, edges)
+    return TropicalCurve(tuple(verts), tuple(edges))
 
 
 def load_curve(path: str) -> TropicalCurve:

@@ -324,7 +324,8 @@ class Lattice:
         factors >= 2 in a divisibility chain).
         """
         tail = [row[d:] for row, p in zip(self.rows, self.pivots) if p >= d]
-        rank, orders = snf_diagonal_orders(tail)
+        # the tail is in Hermite form already; start with the column pass
+        rank, orders = snf_diagonal_orders(transpose(tail))
         return self.n - d - rank, invariant_factors_from_orders(orders)
 
 

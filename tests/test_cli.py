@@ -8,10 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from tropceresa import graph_core
-from tropceresa.catalog import BUILTIN_GRAPHS, BUILTIN_TABLES
+from tropceresa import graph_core, johnson
+from tropceresa.catalog import (
+    BUILTIN_GRAPHS,
+    BUILTIN_TABLES,
+    builtin_curve,
+    builtin_table,
+)
 from tropceresa.cli import WORKERS_ENV, main
 from tropceresa.graph_core import curve_to_json
+from tropceresa.johnson import table_to_json
 
 from helpers import banana_curve, k4_curve
 
@@ -268,6 +274,31 @@ def test_malformed_table_entries_are_schema_errors(tmp_path, capsys, entries):
     assert err.startswith("error: malformed table JSON: ")
 
 
+def _set_first(key, field, value):
+    def mutate(data):
+        data[key][0][field] = value
+        return data
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(_set_first("edges", "length", "1/0"), id="zero-denominator"),
+        pytest.param(_set_first("edges", "ends", ["a", "d", "b"]), id="three-ends"),
+        pytest.param(_set_first("edges", "ends", "ad"), id="ends-string"),
+        pytest.param(_set_first("vertices", "weight", 1.5), id="weight-float"),
+        pytest.param(_set_first("vertices", "weight", True), id="weight-bool"),
+    ],
+)
+def test_malformed_graph_json_is_schema_error(tmp_path, capsys, mutate):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(mutate(curve_to_json(k4_curve()))))
+    code, out, err = run(capsys, "genus", "--graph", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed graph JSON: ")
+
+
 @pytest.fixture
 def no_pool(monkeypatch):
     """Fail the test if anything tries to start a process pool."""
@@ -324,6 +355,42 @@ def test_workers_env_validated_lazily(capsys, no_pool, monkeypatch):
     monkeypatch.setenv(WORKERS_ENV, "1")
     code, _, _ = run(capsys, *SAMPLE)
     assert code == 0
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+@pytest.mark.parametrize("name", ["tl3", "theta-w1"])
+def test_sample_pool_matches_serial(capsys, name):
+    argv = (
+        "sample", "--graph", f"builtin:{name}", "--table", f"builtin:{name}",
+        "--count", "20", "--seed", "4",
+    )
+    code1, serial, _ = run(capsys, *argv, "--workers", "1")
+    code2, pooled, _ = run(capsys, *argv, "--workers", "2")
+    assert code1 == code2 == 0
+    assert pooled == serial
+
+
+def test_sample_reads_graph_and_table_once(tmp_path, capsys, no_pool, monkeypatch):
+    graph = tmp_path / "k4.json"
+    graph.write_text(json.dumps(curve_to_json(builtin_curve("k4"))))
+    table = tmp_path / "k4_table.json"
+    table.write_text(json.dumps(table_to_json(builtin_table("k4"))))
+    calls = {"graph": 0, "table": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    load_curve, load_table = graph_core.load_curve, johnson.load_table
+    monkeypatch.setattr(graph_core, "load_curve", counting("graph", load_curve))
+    monkeypatch.setattr(johnson, "load_table", counting("table", load_table))
+    code, out, _ = run(
+        capsys, "sample", "--graph", str(graph), "--table", str(table), "--count", "5"
+    )
+    assert code == 0 and len(json.loads(out)["samples"]) == 5
+    assert calls == {"graph": 1, "table": 1}
 
 
 FUZZ_BASES = [
