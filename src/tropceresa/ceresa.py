@@ -374,10 +374,9 @@ def analyze(
     table: JohnsonTable,
     with_groups: bool = True,
     with_zharkov: bool = True,
-    tree=None,
 ) -> CeresaReport:
     """Full pipeline: assemble v, decide the verdict, report everything."""
-    ctx = build_context(curve, tree=tree)
+    ctx = build_context(curve)
     v = v_class(ctx, table)
     notes = []
     if table.provenance != "builtin":

@@ -55,7 +55,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, table=False):
+    # name, help, handler, and whether it takes --table
+    commands = (
+        ("genus", "genus and cycle rank", cmd_genus, False),
+        ("stabilize", "contract to the stable model", cmd_stabilize, False),
+        ("symanzik", "spanning-tree polynomial of the lengths", cmd_symanzik, False),
+        ("hyperelliptic", "test for a tree quotient involution", cmd_hyperelliptic,
+         False),
+        ("basis", "symplectic basis report", cmd_basis, False),
+        ("groups", "finite obstruction groups", cmd_groups, False),
+        ("ceresa", "full class pipeline and verdict", cmd_ceresa, True),
+        ("order", "order of the class in the graded quotient", cmd_order, True),
+        ("zharkov", "degree-3 minor obstruction test", cmd_zharkov, True),
+        ("sample", "verdicts over random integer lengths", cmd_sample, True),
+    )
+    parsers = {}
+    for name, help_, func, table in commands:
+        p = parsers[name] = sub.add_parser(name, help=help_)
         p.add_argument("--graph", required=True, help="path or builtin:NAME")
         p.add_argument(
             "--lengths",
@@ -64,45 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         if table:
             p.add_argument("--table", required=True, help="path or builtin:NAME")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("genus", help="genus and cycle rank")
-    common(p)
-    p.set_defaults(func=cmd_genus)
-
-    p = sub.add_parser("stabilize", help="contract to the stable model")
-    common(p)
-    p.set_defaults(func=cmd_stabilize)
-
-    p = sub.add_parser("symanzik", help="spanning-tree polynomial of the lengths")
-    common(p)
-    p.set_defaults(func=cmd_symanzik)
-
-    p = sub.add_parser("hyperelliptic", help="test for a tree quotient involution")
-    common(p)
-    p.set_defaults(func=cmd_hyperelliptic)
-
-    p = sub.add_parser("basis", help="symplectic basis report")
-    common(p)
-    p.set_defaults(func=cmd_basis)
-
-    p = sub.add_parser("groups", help="finite obstruction groups")
-    common(p)
-    p.set_defaults(func=cmd_groups)
-
-    p = sub.add_parser("ceresa", help="full class pipeline and verdict")
-    common(p, table=True)
-    p.set_defaults(func=cmd_ceresa)
-
-    p = sub.add_parser("order", help="order of the class in the graded quotient")
-    common(p, table=True)
-    p.set_defaults(func=cmd_order)
-
-    p = sub.add_parser("zharkov", help="degree-3 minor obstruction test")
-    common(p, table=True)
-    p.set_defaults(func=cmd_zharkov)
-
-    p = sub.add_parser("sample", help="verdicts over random integer lengths")
-    common(p, table=True)
+    p = parsers["sample"]
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--length-min", type=int, default=1)
     p.add_argument("--length-max", type=int, default=20)
@@ -112,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help=f"process count, 1..cpu count (default ${WORKERS_ENV} or 1)",
     )
-    p.set_defaults(func=cmd_sample)
 
     return parser
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import inf, lcm, prod
+from math import lcm
 
 from . import intlinalg as la
 from .errors import FiltrationError, PreconditionError
@@ -50,7 +50,7 @@ class AbelianGroupDescriptor:
 
     @property
     def order(self):
-        return inf if self.free_rank else prod(self.torsion, start=1)
+        return la.group_order(self.free_rank, self.torsion)
 
     @classmethod
     def from_cyclic_orders(cls, orders):
@@ -105,22 +105,6 @@ def _wedge_terms(sparse_vectors) -> dict:
     return terms
 
 
-def sort_with_sign(idx):
-    """Sorted tuple and permutation sign; (None, 0) on a repeated index."""
-    idx = list(idx)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return None, 0
-    return tuple(idx), sign
-
-
 def wedge_basis(n: int, k: int):
     """Sorted k-index tuples in lexicographic order."""
     if k > n:
@@ -141,16 +125,16 @@ class WedgeVector:
     coeffs: dict
 
     def __post_init__(self):
+        """Key each coefficient by the wedge of the unit vectors it names; a
+        repeated index gives no term."""
         clean = {}
         for idx, c in self.coeffs.items():
             if c == 0:
                 continue
-            tup, sign = sort_with_sign(tuple(idx))
-            if tup is None:
-                continue
-            if len(tup) != self.k or any(not 0 <= i < self.n for i in tup):
-                raise ValueError(f"bad index tuple {idx}")
-            clean[tup] = clean.get(tup, 0) + sign * c
+            for tup, sign in _wedge_terms([(i, 1)] for i in idx).items():
+                if len(tup) != self.k or any(not 0 <= i < self.n for i in tup):
+                    raise ValueError(f"bad index tuple {idx}")
+                clean[tup] = clean.get(tup, 0) + sign * c
         self.coeffs = {t: c for t, c in clean.items() if c != 0}
 
     @classmethod
@@ -176,19 +160,16 @@ class WedgeVector:
         out = dict(self.coeffs)
         for t, c in other.coeffs.items():
             out[t] = out.get(t, 0) + c
-        return WedgeVector(self.n, self.k, out)
+        return WedgeVector._from_sorted(
+            self.n, self.k, {t: c for t, c in out.items() if c}
+        )
 
     def __sub__(self, other: "WedgeVector") -> "WedgeVector":
         return self + other.scale(-1)
 
     def scale(self, s) -> "WedgeVector":
-        return WedgeVector(self.n, self.k, {t: s * c for t, c in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WedgeVector)
-            and (self.n, self.k) == (other.n, other.k)
-            and self.coeffs == other.coeffs
+        return WedgeVector._from_sorted(
+            self.n, self.k, {t: s * c for t, c in self.coeffs.items()} if s else {}
         )
 
     def is_zero(self) -> bool:
@@ -202,11 +183,12 @@ class WedgeVector:
 
     def wedge(self, other: "WedgeVector") -> "WedgeVector":
         out: dict = {}
-        for t, c in self.coeffs.items():
-            for s, d in other.coeffs.items():
-                tup, sign = sort_with_sign(t + s)
-                if tup is not None:
-                    out[tup] = out.get(tup, 0) + sign * c * d
+        for s, d in other.coeffs.items():
+            terms = self.coeffs
+            for i in s:
+                terms = _wedge_step(terms, [(i, 1)])
+            for t, c in terms.items():
+                out[t] = out.get(t, 0) + c * d
         return WedgeVector(self.n, self.k + other.k, out)
 
     # -- coordinates ----------------------------------------------------------

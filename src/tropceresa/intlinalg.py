@@ -2,15 +2,17 @@
 
 Everything here works over Z (arbitrary-precision ints) or Q (fractions):
 echelon-form (Hermite) lattices with membership and canonical bases; kernels,
-integer solutions, saturations and unimodular inverses read off the Hermite
-form of tagged matrices; quotients of coordinate sublattices by their
-sections with a span; and the structure of finitely generated abelian
+integer solutions, saturations and unimodular and rational inverses read off
+the Hermite form of tagged matrices; quotients of coordinate sublattices by
+their sections with a span; and the structure of finitely generated abelian
 quotients through one Smith diagonal, computed by alternating Hermite
 reduction and turned into invariant factors by a gcd/lcm sweep, with no
 integer factorization.  One echelon basis serves each relation set: its
 rows pivoting in a coordinate suffix span the section there, and coset
-orders come from back-substitution along the others, so no intersection or
-separate rational solve is needed.  No floating point.
+orders come from back-substitution along the others, so no intersection is
+needed.  One back-substitution (`Lattice.back_substitute`) gives membership,
+coordinates, coset orders, integer solutions and rational inverses; there is
+no Gauss-Jordan elimination.  No floating point.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def invariant_factor_diagonal(a: Matrix) -> list:
 def matrix_rank(a: Matrix) -> int:
     if not a or not a[0]:
         return 0
-    return snf_diagonal_orders(a)[0]
+    return Lattice(len(a[0]), a).rank
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
@@ -114,17 +116,18 @@ def kernel_basis(a: Matrix) -> list[Vector]:
 def solve_int(a: Matrix, b: Vector):
     """Integer solution x of a @ x = b, or None.
 
-    Echelon on the tagged rows column_j ++ e_j; b ++ 0 reduces to 0 ++ -x
-    exactly when a @ x = b has an integer solution.
+    Echelon on the tagged rows column_j ++ e_j: back-substituting b ++ 0
+    along the rows pivoting before m leaves 0 ++ -x with integral
+    coefficients exactly when a @ x = b has an integer solution.
     """
     m = len(a)
     cols = columns(a)
     k = len(cols)
     lat = Lattice(m + k, [c + e for c, e in zip(cols, identity(k))])
-    rest = lat.reduce(list(b) + [0] * k)
-    if any(rest[:m]):
+    _, rest, den = lat.back_substitute(list(b) + [0] * k, m)
+    if den != 1 or any(rest[:m]):
         return None
-    return [-x for x in rest[m:]]
+    return [int(-x) for x in rest[m:]]
 
 
 def saturation_basis(a: Matrix) -> list[Vector]:
@@ -152,22 +155,20 @@ def int_inverse(a: Matrix) -> Matrix:
 
 
 def frac_inverse(a: Matrix) -> Matrix:
-    """Inverse of a nonsingular matrix over Q (Gauss-Jordan)."""
+    """Inverse of a nonsingular integer matrix, over Q.
+
+    Echelon on the tagged rows a_i ++ e_i: row k of a^-1 is the negated tail
+    of e_k ++ 0 back-substituted along the rows pivoting before n.
+    """
     n = len(a)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
+    lat = Lattice(2 * n, [list(row) + e for row, e in zip(a, identity(n))])
+    out = []
+    for e in identity(n):
+        _, rest, _ = lat.back_substitute(e + [0] * n, n)
+        if any(rest[:n]):
             raise ValueError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+        out.append([Fraction(-x) for x in rest[n:]])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,8 @@ class Lattice:
 
     Invariant: each row is zero before its pivot, and the pivots increase.
     Every update of a row by another therefore starts at the other row's
-    pivot column.
+    pivot column, and every reading of a vector against the rows is one
+    back-substitution along the pivots.
     """
 
     def __init__(self, n: int, vectors=()):
@@ -247,19 +249,36 @@ class Lattice:
                 if q:
                     row[p:] = [x - q * y for x, y in zip(row[p:], tail)]
 
-    def reduce(self, vec: Vector) -> Vector:
-        """Residual of vec after greedy reduction; zero iff vec is in the lattice."""
-        vec = list(vec)
+    def back_substitute(self, vec: Vector, d: int | None = None):
+        """Rational coefficients of vec along the rows pivoting before d
+        (d = n by default), the residual, and the lcm of the coefficients'
+        denominators.
+
+        At each pivot the coefficient is forced, since earlier rows have been
+        subtracted and later rows vanish there.  vec lies in the rational
+        span of these rows plus Q^{d..n-1} exactly when the residual is zero
+        before d.
+        """
+        d = self.n if d is None else d
+        rest = list(vec)
+        coeffs = []
+        den = 1
         for row, p in zip(self.rows, self.pivots):
-            x = vec[p]
-            if x and x % row[p] == 0:
-                q = x // row[p]
+            if p >= d:
+                break
+            c = rest[p]
+            if c:
+                c = Fraction(c, row[p])
+                den = lcm(den, c.denominator)
                 for t in range(p, self.n):
-                    vec[t] -= q * row[t]
-        return vec
+                    if row[t]:
+                        rest[t] -= c * row[t]
+            coeffs.append(c)
+        return coeffs, rest, den
 
     def __contains__(self, vec: Vector) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        _, rest, den = self.back_substitute(vec)
+        return den == 1 and not any(rest)
 
     @property
     def rank(self) -> int:
@@ -267,20 +286,8 @@ class Lattice:
 
     def coords_of(self, vec: Vector):
         """Express vec over the echelon basis rows; None if not in the lattice."""
-        vec = list(vec)
-        coeffs = [0] * len(self.rows)
-        for i, (row, p) in enumerate(zip(self.rows, self.pivots)):
-            x = vec[p]
-            if x:
-                if x % row[p]:
-                    return None
-                q = x // row[p]
-                coeffs[i] = q
-                for t in range(p, self.n):
-                    vec[t] -= q * row[t]
-        if any(vec):
-            return None
-        return coeffs
+        coeffs, rest, den = self.back_substitute(vec)
+        return None if den != 1 or any(rest) else [int(c) for c in coeffs]
 
     def basis(self) -> list[Vector]:
         return [row[:] for row in self.rows]
@@ -293,27 +300,15 @@ class Lattice:
         """Least k >= 1 with k*vec in the lattice + Z^{d..n-1} (d = n by
         default); math.inf if none exists.
 
-        Back-substitution along the rows pivoting before d: at each pivot the
-        rational coordinate is forced, since earlier rows have been
-        subtracted and later rows vanish there.  A nonzero residual before d
-        means vec is outside the rational span; otherwise the order is the
-        lcm of the coordinate denominators and of the residual's from d on.
+        A nonzero residual before d means vec is outside the rational span;
+        otherwise the order is the lcm of the coefficient denominators and of
+        the residual's from d on.
         """
         d = self.n if d is None else d
-        rest = list(vec)
-        order = 1
-        for row, p in zip(self.rows, self.pivots):
-            if p >= d:
-                break
-            if rest[p]:
-                c = Fraction(rest[p], row[p])
-                order = lcm(order, c.denominator)
-                for t in range(p, self.n):
-                    if row[t]:
-                        rest[t] -= c * row[t]
+        _, rest, den = self.back_substitute(vec, d)
         if any(rest[:d]):
             return inf
-        return lcm(order, *(x.denominator for x in rest[d:]))
+        return lcm(den, *(x.denominator for x in rest[d:]))
 
     def section(self, d: int) -> tuple[int, list[int]]:
         """Structure of Z^{d..n-1} / (lattice & Z^{d..n-1}).

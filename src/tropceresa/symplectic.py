@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import intlinalg as la
 from .errors import PreconditionError
-from .graph_core import TropicalCurve, genus, graph_genus, spanning_trees
+from .graph_core import TropicalCurve, _connected_with_edges, genus, graph_genus
 
 TWIST_SIGN = -1
 CONVENTION = "i(a_k,b_k)=+1; twists composed with sign -1 (monodromy block +Q)"
@@ -39,7 +39,8 @@ class HomologyBasis:
 
 def homology_basis(curve: TropicalCurve, tree=None) -> HomologyBasis:
     """Deterministic symplectic basis; the tree defaults to the greedy
-    lexicographic-by-id choice and any explicit spanning tree may be passed.
+    lexicographic-by-id choice and any explicit spanning tree may be passed
+    (|V| - 1 edge ids that connect the graph).
     """
     if genus(curve) < 2:
         raise PreconditionError("homology basis requires genus >= 2")
@@ -50,7 +51,11 @@ def homology_basis(curve: TropicalCurve, tree=None) -> HomologyBasis:
         tree_ids = _greedy_tree(curve)
     else:
         tree_ids = set(tree)
-        if tuple(sorted(tree_ids)) not in spanning_trees(curve):
+        if not (
+            tree_ids <= {e.id for e in edges}
+            and len(tree_ids) == len(curve.vertices) - 1
+            and _connected_with_edges(curve, tree_ids)
+        ):
             raise PreconditionError("supplied edge set is not a spanning tree")
     nontree = [e for e in edges if e.id not in tree_ids]
     cycles = []

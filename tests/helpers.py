@@ -10,7 +10,7 @@ from math import inf, lcm
 
 from tropceresa import intlinalg as la
 from tropceresa.errors import FiltrationError, PreconditionError
-from tropceresa.exterior import Filtration, WedgeVector, sort_with_sign
+from tropceresa.exterior import Filtration, WedgeVector
 from tropceresa.graph_core import (
     TropicalCurve,
     genus,
@@ -76,6 +76,78 @@ def solve_frac_gauss(a: Matrix, b: Vector):
         if sum(Fraction(a[i][j]) * x[j] for j in range(n)) != b[i]:
             return None
     return x
+
+
+# The eliminations the package had before every echelon reading became a
+# back-substitution along `Lattice.back_substitute`: Gauss-Jordan inversion
+# over Q, and greedy reduction along the pivots (subtract a row only where
+# its pivot divides).  Kept as independent oracles for `frac_inverse`,
+# `Lattice.coords_of`, membership and `solve_int`.
+
+
+def frac_inverse(a: Matrix) -> Matrix:
+    """Inverse of a nonsingular matrix over Q (Gauss-Jordan)."""
+    n = len(a)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        work[col], work[piv] = work[piv], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [x * inv for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+def lattice_reduce(lat: Lattice, vec: Vector) -> Vector:
+    """Residual of vec after greedy reduction; zero iff vec is in the lattice."""
+    vec = list(vec)
+    for row, p in zip(lat.rows, lat.pivots):
+        x = vec[p]
+        if x and x % row[p] == 0:
+            q = x // row[p]
+            for t in range(p, lat.n):
+                vec[t] -= q * row[t]
+    return vec
+
+
+def lattice_coords_of(lat: Lattice, vec: Vector):
+    """Express vec over the echelon basis rows; None if not in the lattice."""
+    vec = list(vec)
+    coeffs = [0] * len(lat.rows)
+    for i, (row, p) in enumerate(zip(lat.rows, lat.pivots)):
+        x = vec[p]
+        if x:
+            if x % row[p]:
+                return None
+            q = x // row[p]
+            coeffs[i] = q
+            for t in range(p, lat.n):
+                vec[t] -= q * row[t]
+    if any(vec):
+        return None
+    return coeffs
+
+
+def solve_int(a: Matrix, b: Vector):
+    """Integer solution x of a @ x = b, or None.
+
+    Echelon on the tagged rows column_j ++ e_j; b ++ 0 reduces to 0 ++ -x
+    exactly when a @ x = b has an integer solution.
+    """
+    m = len(a)
+    cols = la.columns(a)
+    k = len(cols)
+    lat = Lattice(m + k, [c + e for c, e in zip(cols, identity(k))])
+    rest = lattice_reduce(lat, list(b) + [0] * k)
+    if any(rest[:m]):
+        return None
+    return [-x for x in rest[m:]]
 
 
 def naive_snf_diag(mat) -> list[int]:
@@ -169,7 +241,7 @@ def quotient_invariants(num_vecs, den_vecs, n: int) -> tuple[int, list[int]]:
         return 0, []
     coords = []
     for v in den_vecs:
-        c = lat.coords_of(v)
+        c = lattice_coords_of(lat, v)
         if c is None:
             raise ValueError("denominator lattice not contained in numerator")
         coords.append(c)
@@ -220,7 +292,7 @@ def ceresa_order(ctx, v: WedgeVector):
         for t, c in v.coeffs.items()
     ):
         dom = Lattice(len(ctx.wedge), ctx.f_units(2) + ctx.h_generators())
-        if coords not in dom:
+        if any(lattice_reduce(dom, coords)):
             raise PreconditionError(
                 "class does not lie in F2 + H; its graded order is undefined"
             )
@@ -520,7 +592,23 @@ def brute_hyperelliptic_involutions(curve: TropicalCurve):
 # The wedge kernels as they were before the sparse bisect product: every
 # term goes through `sort_with_sign` and a fresh `WedgeVector`.  Kept as
 # independent oracles for `vector_wedge`, `apply_matrix`, the (delta-I)
-# images and the graded inverse.
+# images, the graded inverse and the `WedgeVector` key canonicalisation.
+
+
+def sort_with_sign(idx):
+    """Sorted tuple and permutation sign; (None, 0) on a repeated index."""
+    idx = list(idx)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(idx, idx[1:]):
+        if a == b:
+            return None, 0
+    return tuple(idx), sign
 
 
 def wedge_vector(w: WedgeVector, vec) -> WedgeVector:
@@ -580,7 +668,7 @@ def delta_inverse_gr2(q_matrix, v: WedgeVector) -> WedgeVector:
     if v.n != n or v.k != 3:
         raise PreconditionError("expected a degree-3 wedge vector on rank 2g")
     try:
-        qinv = la.frac_inverse(q_matrix)
+        qinv = frac_inverse(q_matrix)
     except ValueError as exc:
         raise PreconditionError(
             "Q is singular; use the membership test for deficient rank"

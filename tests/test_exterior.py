@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb, inf, prod
 
@@ -26,7 +27,6 @@ from tropceresa.exterior import (
     graded_map,
     induced_action,
     omega,
-    sort_with_sign,
     vector_wedge,
     wedge_basis,
 )
@@ -38,6 +38,7 @@ from helpers import (
     quotient_invariants,
     random_posdef,
     random_unimodular,
+    sort_with_sign,
 )
 
 
@@ -79,6 +80,69 @@ def test_sort_sign_is_permutation_parity(perm):
         1 for i in range(5) for j in range(i + 1, 5) if perm[i] > perm[j]
     )
     assert sign == (-1) ** inversions
+
+
+def _oracle_wedge_vector(n, k, coeffs):
+    """The constructor's canonical keys by `sort_with_sign`."""
+    clean = {}
+    for idx, c in coeffs.items():
+        if c == 0:
+            continue
+        tup, sign = sort_with_sign(tuple(idx))
+        if tup is None:
+            continue
+        if len(tup) != k or any(not 0 <= i < n for i in tup):
+            raise ValueError(f"bad index tuple {idx}")
+        clean[tup] = clean.get(tup, 0) + sign * c
+    return {t: c for t, c in clean.items() if c != 0}
+
+
+def test_wedge_keys_and_products_match_sort_with_sign():
+    """Permuted, repeated and out-of-range keys, and `wedge`, against the
+    bubble-sort sign rule."""
+    rng = random.Random(31)
+    seen = {"permuted": 0, "repeated": 0, "bad": 0, "cancelled": 0, "wedge": 0}
+    for _ in range(600):
+        n, k = rng.randint(1, 6), rng.randint(0, 4)
+        coeffs = {}
+        for _ in range(rng.randint(0, 6)):
+            idx = tuple(rng.randrange(n) for _ in range(k))
+            if rng.random() < 0.1:
+                idx = idx[:-1] + (rng.choice([-1, n]),) if idx else (n,)
+            coeffs[idx] = rng.choice(
+                [rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2)]
+            )
+            if k >= 2 and len(set(idx)) == k and rng.random() < 0.3:
+                # the transposed key with the same coefficient cancels it
+                coeffs[(idx[1], idx[0]) + idx[2:]] = coeffs[idx]
+        try:
+            expected = _oracle_wedge_vector(n, k, coeffs)
+        except ValueError as exc:
+            seen["bad"] += 1
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                WedgeVector(n, k, coeffs)
+            continue
+        assert WedgeVector(n, k, coeffs).coeffs == expected
+        if any(len(set(t)) < len(t) for t in coeffs):
+            seen["repeated"] += 1
+        if any(list(t) != sorted(t) for t in coeffs):
+            seen["permuted"] += 1
+        if len(expected) < len({tuple(sorted(t)) for t, c in coeffs.items()
+                                if c and len(set(t)) == len(t)}):
+            seen["cancelled"] += 1
+
+        other = {tuple(rng.sample(range(n), min(n, 2))): rng.randint(-3, 3)
+                 for _ in range(rng.randint(0, 3))}
+        w, o = WedgeVector(n, k, coeffs), WedgeVector(n, min(n, 2), other)
+        product = {}
+        for t, c in w.coeffs.items():
+            for s, d in o.coeffs.items():
+                tup, sign = sort_with_sign(t + s)
+                if tup is not None:
+                    product[tup] = product.get(tup, 0) + sign * c * d
+        assert w.wedge(o).coeffs == {t: c for t, c in product.items() if c}
+        seen["wedge"] += bool(product)
+    assert all(count >= 20 for count in seen.values()), seen
 
 
 def test_wedge_basis_examples():

@@ -9,6 +9,7 @@ from tropceresa import intlinalg as la
 
 from tropceresa.exterior import _complement_columns
 
+import helpers
 from helpers import (
     class_order,
     det_fraction,
@@ -444,3 +445,53 @@ def test_tagged_hermite_on_smith_blowup_input():
     b = la.mat_vec(a, x0)
     x = la.solve_int(a, b)
     assert x is not None and la.mat_vec(a, x) == b
+
+
+def test_back_substitution_reads_match_elimination_oracles():
+    """frac_inverse, solve_int, coords_of and membership, each one read of
+    `Lattice.back_substitute`, against Gauss-Jordan and greedy reduction."""
+    rng = random.Random(23)
+    seen = {"invertible": 0, "singular": 0, "dependent": 0, "not_full": 0,
+            "member": 0, "nonmember": 0, "solvable": 0, "unsolvable": 0}
+    for trial in range(400):
+        n = rng.randint(1, 5)
+        square = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0:  # force a dependent row
+            square[-1] = [sum(x) for x in zip(*square[:-1])] if n > 1 else [0]
+        try:
+            oracle = helpers.frac_inverse(square)
+        except ValueError:
+            seen["singular"] += 1
+            with pytest.raises(ValueError, match="singular matrix"):
+                la.frac_inverse(square)
+        else:
+            seen["invertible"] += 1
+            assert la.frac_inverse(square) == oracle
+
+        dim, k = rng.randint(1, 5), rng.randint(0, 5)
+        gens = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(k)]
+        if k > 1 and trial % 2:  # 2 g_0 - g_1 makes the gens dependent
+            gens[-1] = [2 * x - y for x, y in zip(gens[0], gens[1])]
+        lat = la.Lattice(dim, gens)
+        seen["dependent"] += lat.rank < k
+        seen["not_full"] += lat.rank < dim
+        for _ in range(5):
+            if rng.random() < 0.5 and gens:
+                cs = [rng.randint(-3, 3) for _ in gens]
+                vec = [sum(c * g[t] for c, g in zip(cs, gens)) for t in range(dim)]
+            else:
+                vec = [rng.randint(-6, 6) for _ in range(dim)]
+            member = not any(helpers.lattice_reduce(lat, vec))
+            seen["member" if member else "nonmember"] += 1
+            assert (vec in lat) == member
+            assert lat.coords_of(vec) == helpers.lattice_coords_of(lat, vec)
+
+            cols = [[g[t] for g in gens] for t in range(dim)] if gens else []
+            if cols:
+                x = la.solve_int(cols, vec)
+                oracle_x = helpers.solve_int(cols, vec)
+                assert (x is None) == (oracle_x is None) == (not member)
+                seen["unsolvable" if x is None else "solvable"] += 1
+                if x is not None:
+                    assert la.mat_vec(cols, x) == vec
+    assert all(count >= 50 for count in seen.values()), seen

@@ -11,6 +11,7 @@ from tropceresa.graph_core import (
     symanzik,
     tropical_curve,
 )
+from tropceresa import graph_core, symplectic
 from tropceresa.symplectic import (
     basis_change_matrix,
     basis_report,
@@ -23,7 +24,14 @@ from tropceresa.symplectic import (
     twist_action,
 )
 
-from helpers import det_fraction, k4_curve, random_curve, tl3_curve
+from helpers import (
+    brute_spanning_trees,
+    det_fraction,
+    k4_curve,
+    loop_chain_curve,
+    random_curve,
+    tl3_curve,
+)
 
 
 def theta_w1():
@@ -58,6 +66,53 @@ def test_theta_w1_basis():
     assert (b.g, b.h) == (4, 2)
     q = polarization_Q(theta_w1(), b)
     assert q == [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+
+
+def test_supplied_tree_is_checked_without_enumerating_trees(monkeypatch):
+    """Validating one tree costs a size and connectivity check, not the
+    C(E, V-1) subsets of an enumeration."""
+    k = k4_curve()
+    trees = spanning_trees(k)
+
+    def boom(curve):
+        raise AssertionError("spanning trees enumerated")
+
+    monkeypatch.setattr(graph_core, "spanning_trees", boom)
+    monkeypatch.setattr(symplectic, "spanning_trees", boom, raising=False)
+    for tree in trees:
+        assert homology_basis(k, tree=reversed(tree)).tree_edges == tree
+    for bad in (
+        ("t4", "t5"),                # too few edges
+        ("t4", "t5", "t6", "u1"),    # too many edges
+        ("u1", "u2", "u3"),          # a cycle, leaving d out
+        ("t4", "t5", "zz"),          # an id that is no edge
+    ):
+        with pytest.raises(PreconditionError, match="not a spanning tree"):
+            homology_basis(k, tree=bad)
+    chain = loop_chain_curve(2)  # loops l0, l1 and the path edge p1
+    assert homology_basis(chain, tree=["p1"]).tree_edges == ("p1",)
+    with pytest.raises(PreconditionError, match="not a spanning tree"):
+        homology_basis(chain, tree=["l0"])
+
+
+def test_supplied_tree_check_matches_brute_force():
+    rng = random.Random(17)
+    accepted = rejected = 0
+    for _ in range(60):
+        curve = random_curve(rng, max_edges=7)
+        ids = sorted(e.id for e in curve.edges)
+        trees = set(brute_spanning_trees(curve))
+        for _ in range(6):
+            size = min(len(ids), len(curve.vertices) - 1)
+            pick = tuple(sorted(rng.sample(ids, size)))
+            if pick in trees:
+                accepted += 1
+                assert homology_basis(curve, tree=pick).tree_edges == pick
+            else:
+                rejected += 1
+                with pytest.raises(PreconditionError, match="not a spanning tree"):
+                    homology_basis(curve, tree=pick)
+    assert accepted >= 50 and rejected >= 50, (accepted, rejected)
 
 
 def test_k4_reference_polarization():
