@@ -411,8 +411,3 @@ def analyze(
         notes=notes,
         **decision,
     )
-
-
-def verdict_only(curve, table) -> str:
-    """Cheap path for sampling loops: no group tables, no obstruction data."""
-    return analyze(curve, table, with_groups=False, with_zharkov=False).verdict

@@ -106,7 +106,7 @@ def load_graph(args) -> graph_core.TropicalCurve:
         curve = catalog.builtin_curve(source.removeprefix("builtin:"))
     else:
         curve = graph_core.load_curve(source)
-    if args.lengths:
+    if args.lengths is not None:
         values = [_parse_length(x) for x in args.lengths.split(",")]
         curve = graph_core.with_sorted_lengths(curve, values)
     return curve

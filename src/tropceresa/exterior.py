@@ -8,6 +8,8 @@ For a unipotent delta with (delta-I)^2 = 0 and Y the saturation of its image,
 the descending filtration F_q = (wedge^q Y) ^ (wedge^{k-q} H) is stable under
 delta - I, and the associated finite groups (cokernels of graded maps, and
 their versions modulo the embedded copy of H) carry the obstruction theory.
+Y is always spanned by signed unit vectors (b_1..b_h in the pipeline), so
+F_q is spanned by the monomials with at least q indices in Y.
 
 Quotients modulo H are always realized by adjoining the embedded-H generators
 to relation lattices; no coset representatives are ever chosen.
@@ -125,15 +127,16 @@ class WedgeVector:
     coeffs: dict
 
     def __post_init__(self):
-        """Key each coefficient by the wedge of the unit vectors it names; a
-        repeated index gives no term."""
+        """Key each coefficient by the wedge of the unit vectors it names.
+        Every key must name k indices in range(n); a repeated index then
+        gives no term."""
         clean = {}
         for idx, c in self.coeffs.items():
+            if len(idx) != self.k or any(not 0 <= i < self.n for i in idx):
+                raise ValueError(f"bad index tuple {idx}")
             if c == 0:
                 continue
             for tup, sign in _wedge_terms([(i, 1)] for i in idx).items():
-                if len(tup) != self.k or any(not 0 <= i < self.n for i in tup):
-                    raise ValueError(f"bad index tuple {idx}")
                 clean[tup] = clean.get(tup, 0) + sign * c
         self.coeffs = {t: c for t, c in clean.items() if c != 0}
 
@@ -197,11 +200,6 @@ class WedgeVector:
         basis = wedge_basis(self.n, self.k) if basis is None else basis
         return [self.coeffs.get(t, 0) for t in basis]
 
-    @classmethod
-    def from_coords(cls, n: int, k: int, coords, basis=None) -> "WedgeVector":
-        basis = wedge_basis(n, k) if basis is None else basis
-        return cls(n, k, {t: c for t, c in zip(basis, coords) if c})
-
     def to_json(self) -> dict:
         return {
             "(" + ",".join(str(i + 1) for i in t) + ")": str(Fraction(c))
@@ -242,19 +240,6 @@ def apply_matrix(mat, w: WedgeVector) -> WedgeVector:
     return WedgeVector._from_sorted(w.n, w.k, {s: c for s, c in out.items() if c})
 
 
-def induced_action(mat, k: int):
-    """Matrix of the induced action on wedge^k, over the sorted-tuple basis."""
-    n = len(mat)
-    basis = wedge_basis(n, k)
-    index = {t: i for i, t in enumerate(basis)}
-    out = la.zero_matrix(len(basis), len(basis))
-    cols = _sparse_columns(mat)
-    for j, t in enumerate(basis):
-        for s, c in _wedge_terms(cols[i] for i in t).items():
-            out[index[s]][j] = c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the symplectic form and the embedding of H
 
@@ -271,58 +256,36 @@ def embed_H_in_L(hvec, g: int) -> WedgeVector:
     return omega(g).wedge_vector(hvec)
 
 
-def embedded_H_generators(g: int) -> list[list]:
-    """Coordinates of omega ^ e_j for the standard basis of H."""
-    n = 2 * g
-    basis = wedge_basis(n, 3)
-    gens = []
-    for j in range(n):
-        unit = [int(t == j) for t in range(n)]
-        gens.append(embed_H_in_L(unit, g).to_coords(basis))
-    return gens
-
-
 # ---------------------------------------------------------------------------
 # the Y-filtration
 
 
 @dataclass
 class Filtration:
-    """Ambient rank n with a saturated Y recorded as adapted coordinates.
+    """Ambient rank n with Y spanned by the unit vectors at `y_positions`.
 
-    When Y is spanned by signed unit vectors the ambient coordinates are kept;
-    otherwise a unimodular change of basis P = [X-part | Y-part] is applied
-    and results are converted back.
+    Y is a coordinate sublattice, hence saturated, and F_q of wedge^k is
+    spanned by the monomials with at least q indices in `y_positions`.
     """
 
     n: int
     y_positions: frozenset
-    P: list | None = None
-    Pinv: list | None = None
 
     @classmethod
     def from_Y(cls, y_vectors, n: int) -> "Filtration":
-        ys = [list(v) for v in y_vectors]
-        if not ys:
-            return cls(n, frozenset())
-        mat = [[v[r] for v in ys] for r in range(n)]
-        sat = la.saturation_basis(mat)
-        if not la.lattice_eq(ys, sat, n):
-            raise PreconditionError("Y is not saturated")
-        positions = []
-        for v in ys:
+        """Y from distinct signed unit vectors of length n; anything else is
+        refused, since it would not span a coordinate sublattice."""
+        positions = set()
+        for v in y_vectors:
             support = [i for i, x in enumerate(v) if x]
-            if len(support) == 1 and abs(v[support[0]]) == 1:
-                positions.append(support[0])
-            else:
-                positions = None
-                break
-        if positions is not None and len(set(positions)) == len(positions):
-            return cls(n, frozenset(positions))
-        d = len(ys)
-        comp = _complement_columns(sat, n)
-        p = la.from_columns(comp + ys)
-        return cls(n, frozenset(range(n - d, n)), P=p, Pinv=la.int_inverse(p))
+            if len(v) != n or len(support) != 1 or abs(v[support[0]]) != 1:
+                raise PreconditionError(
+                    f"Y vector {list(v)} is not a signed unit vector of length {n}"
+                )
+            if support[0] in positions:
+                raise PreconditionError(f"Y repeats position {support[0]}")
+            positions.add(support[0])
+        return cls(n, frozenset(positions))
 
     def y_degree(self, idx) -> int:
         return sum(1 for i in idx if i in self.y_positions)
@@ -334,55 +297,6 @@ class Filtration:
             if (self.y_degree(t) == q if exact else self.y_degree(t) >= q)
         ]
 
-    def to_adapted(self, w: WedgeVector) -> WedgeVector:
-        return w if self.Pinv is None else apply_matrix(self.Pinv, w)
-
-    def from_adapted(self, w: WedgeVector) -> WedgeVector:
-        return w if self.P is None else apply_matrix(self.P, w)
-
-    def adapt_matrix(self, mat):
-        if self.P is None:
-            return mat
-        return la.mat_mul(la.mat_mul(self.Pinv, mat), self.P)
-
-
-def _complement_columns(sat_basis, n: int) -> list:
-    """Columns completing a saturated basis to a basis of Z^n.
-
-    The tag block U of the Hermite form of [M | I], M with the saturated
-    columns, satisfies U M = [I; 0]; so M is the first d columns of U^-1 and
-    the remaining columns of U^-1 complete it.
-    """
-    d = len(sat_basis)
-    mat = [[v[r] for v in sat_basis] for r in range(n)]
-    tagged = [row + unit for row, unit in zip(mat, la.identity(n))]
-    u = [row[d:] for row in la.hnf_rows(tagged)]
-    return la.columns(la.int_inverse(u))[d:]
-
-
-def filtration_basis(y_vectors, n: int, q: int, k: int) -> list[list]:
-    """Ambient coordinates of a basis of F_q wedge^k = (^q Y) ^ (^{k-q} H)."""
-    filt = Filtration.from_Y(y_vectors, n)
-    basis = wedge_basis(n, k)
-    out = []
-    for t in filt.monomials(k, q):
-        w = filt.from_adapted(WedgeVector.monomial(n, t))
-        out.append(w.to_coords(basis))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# cokernels
-
-
-def coker_structure(mat) -> AbelianGroupDescriptor:
-    """Cokernel of an integer matrix acting on Z^rows."""
-    rows = len(mat)
-    if rows == 0:
-        return AbelianGroupDescriptor(0, ())
-    rank, orders = la.snf_diagonal_orders(mat)
-    return AbelianGroupDescriptor(rows - rank, la.invariant_factors_from_orders(orders))
-
 
 # ---------------------------------------------------------------------------
 # the finite groups attached to a unipotent delta
@@ -390,14 +304,12 @@ def coker_structure(mat) -> AbelianGroupDescriptor:
 
 @dataclass
 class GradedImages:
-    """delta - I on wedge^k H, graded by the Y-filtration, in adapted
-    coordinates: the one source of (delta-I) images, of the embedded H and
-    of the relation lattices behind A, B, Abar and Bbar.
+    """delta - I on wedge^k H, graded by the coordinate Y-filtration: the
+    one source of (delta-I) images, of the embedded H and of the relation
+    lattices behind A, B, Abar and Bbar.
 
-    `delta` is adapted once through `Filtration.P` when Y is sheared (it is
-    the given delta when Y is spanned by unit vectors), and `wedge` is the
-    sorted-tuple basis of wedge^k.  Images and H are computed on first use
-    and cached; the list accessors hand out fresh lists in `wedge` order.
+    `delta` is used as given, and `wedge` is the sorted-tuple basis of
+    wedge^k.  Images and H are computed on first use and cached.
 
     Lattices order coordinates by Y-degree, then by wedge index, so every
     F_q is the suffix from `start(q)`.  One echelon basis per relation set
@@ -414,8 +326,7 @@ class GradedImages:
     def build(cls, delta, y_vectors, k: int, **fields):
         """Engine for (delta, Y, k); `fields` fill a subclass's own fields."""
         n = len(delta)
-        filt = Filtration.from_Y(y_vectors, n)
-        return cls(filt, filt.adapt_matrix(delta), k, wedge_basis(n, k), **fields)
+        return cls(Filtration.from_Y(y_vectors, n), delta, k, wedge_basis(n, k), **fields)
 
     @cached_property
     def monomial_images(self) -> dict:
@@ -443,14 +354,11 @@ class GradedImages:
 
     @cached_property
     def _h_terms(self) -> tuple:
-        """omega ^ e_j for the standard basis of H, adapted (k = 3)."""
+        """omega ^ e_j for the standard basis of H (k = 3)."""
         n = self.filt.n
         if n % 2:
             raise PreconditionError("H must have even rank")
-        adapt = self.filt.to_adapted
-        return tuple(
-            adapt(embed_H_in_L(unit, n // 2)).coeffs for unit in la.identity(n)
-        )
+        return tuple(embed_H_in_L(unit, n // 2).coeffs for unit in la.identity(n))
 
     @cached_property
     def _graded_wedge(self) -> list:
@@ -485,27 +393,7 @@ class GradedImages:
                 out[s] = get(s, 0) + c * d
         return {s: c for s, c in out.items() if c}
 
-    def image_generators(self, level=None) -> list:
-        """(delta-I) images of the monomials at Y-degree `level` (all if None)."""
-        return [[img.get(s, 0) for s in self.wedge] for img in self._images(level)]
-
-    def h_generators(self) -> list:
-        return [[h.get(s, 0) for s in self.wedge] for h in self._h_terms]
-
-    def f_units(self, q: int) -> list:
-        """Unit coordinates of the monomials spanning F_q."""
-        deg = self.filt.y_degree
-        return [[int(s == t) for s in self.wedge] for t in self.wedge if deg(t) >= q]
-
-    # -- relation sets, their lattices and the four groups ----------------
-
-    def abar_relations(self) -> list:
-        """(delta-I) L + H."""
-        return self.image_generators() + self.h_generators()
-
-    def bbar_relations(self) -> list:
-        """(delta-I) F_1 L + F_3 L + H."""
-        return self.image_generators(1) + self.f_units(3) + self.h_generators()
+    # -- relation lattices and the four groups -------------------------------
 
     @cached_property
     def abar_lattice(self) -> la.Lattice:
@@ -550,8 +438,8 @@ def graded_map(delta, y_vectors, q: int, k: int):
 def A_group(delta, y_vectors, q: int) -> AbelianGroupDescriptor:
     """F_q / ((delta-I) wedge^{2q-1} H  intersect  F_q), with k = 2q - 1.
 
-    F_q is a coordinate sublattice in the adapted basis, so the intersection
-    is the coordinate section of the image lattice.  Finite when the graded
+    F_q is a coordinate sublattice, so the intersection is the coordinate
+    section of the image lattice.  Finite when the graded
     maps are rationally surjective down to level q; an infinite answer is
     reported through a positive free rank.
     """

@@ -266,19 +266,6 @@ def separating_edges(curve: TropicalCurve) -> set[str]:
     return out
 
 
-def separating_pairs(curve: TropicalCurve, sigma: "Involution"):
-    """Unordered pairs {e, f} with sigma(e) = f != e whose removal disconnects."""
-    all_ids = {e.id for e in curve.edges}
-    pairs = []
-    for e in curve.sorted_edges():
-        f = sigma.edge_map[e.id]
-        if f <= e.id:
-            continue
-        if not _connected_with_edges(curve, all_ids - {e.id, f}):
-            pairs.append(frozenset((e.id, f)))
-    return pairs
-
-
 def two_edge_connectivization(curve: TropicalCurve) -> TropicalCurve:
     """Contract every bridge; genus is preserved."""
     bridges = separating_edges(curve)
@@ -324,13 +311,6 @@ class Involution:
     edge_map: dict = field(compare=True)
     flipped_loops: frozenset = field(default_factory=frozenset)
 
-    def is_identity(self) -> bool:
-        return (
-            all(k == v for k, v in self.vertex_map.items())
-            and all(k == v for k, v in self.edge_map.items())
-            and not self.flipped_loops
-        )
-
 
 def validate_involution(curve: TropicalCurve, inv: Involution) -> None:
     vm, em = inv.vertex_map, inv.edge_map
@@ -359,27 +339,6 @@ def validate_involution(curve: TropicalCurve, inv: Involution) -> None:
         edge = edges.get(e)
         if edge is None or edge.ends[0] != edge.ends[1] or em[e] != e:
             raise SchemaError("flipped_loops must be fixed loop edges")
-
-
-def involutions(curve: TropicalCurve) -> list[Involution]:
-    """Every involutive automorphism (identity included), exhaustively.
-
-    Loops fixed with fixed base vertex are emitted twice: pointwise fixed
-    and reflected.
-    """
-    results: list[Involution] = []
-    for vmap in _vertex_involutions(curve):
-        blocks = _edge_blocks(curve, vmap)
-        if blocks is None:
-            continue
-        unscored = [[(0, m) for m in block] for block in blocks]
-        for _, emap in _block_products(unscored, 0):
-            loops = _fixed_loops(curve, emap)
-            for mask in range(1 << len(loops)):
-                results.append(
-                    Involution(dict(vmap), dict(emap), _flips(loops, mask))
-                )
-    return results
 
 
 def _vertex_involutions(curve: TropicalCurve):
@@ -598,8 +557,9 @@ def quotient_curve(curve: TropicalCurve, inv: Involution) -> TropicalCurve:
 
 
 def _tree_quotient_candidates(curve: TropicalCurve):
-    """The involutions of `involutions` whose quotient has genus 0, in the
-    same order, found without building a quotient.
+    """The involutions (vertex involutions, then one partial edge map per
+    block, then loop flips, in that product order) whose quotient has
+    genus 0, found without building a quotient.
 
     The quotient is connected, so it is a tree exactly when its genus is 0.
     A fixed edge with swapped ends and a reflected loop each fold onto a

@@ -2,17 +2,17 @@
 
 Everything here works over Z (arbitrary-precision ints) or Q (fractions):
 echelon-form (Hermite) lattices with membership and canonical bases; kernels,
-integer solutions, saturations and unimodular and rational inverses read off
-the Hermite form of tagged matrices; quotients of coordinate sublattices by
-their sections with a span; and the structure of finitely generated abelian
+integer solutions and unimodular and rational inverses read off the Hermite
+form of tagged matrices; quotients of coordinate sublattices by their
+sections with a span; and the structure of finitely generated abelian
 quotients through one Smith diagonal, computed by alternating Hermite
 reduction and turned into invariant factors by a gcd/lcm sweep, with no
 integer factorization.  One echelon basis serves each relation set: its
 rows pivoting in a coordinate suffix span the section there, and coset
 orders come from back-substitution along the others, so no intersection is
 needed.  One back-substitution (`Lattice.back_substitute`) gives membership,
-coordinates, coset orders, integer solutions and rational inverses; there is
-no Gauss-Jordan elimination.  No floating point.
+coset orders, integer solutions and rational inverses; there is no
+Gauss-Jordan elimination.  No floating point.
 """
 
 from __future__ import annotations
@@ -37,38 +37,10 @@ def zero_matrix(m: int, n: int) -> Matrix:
     return [[0] * n for _ in range(m)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows_b = len(b)
-    cols_b = len(b[0]) if rows_b else 0
-    out = []
-    for row in a:
-        acc = [0] * cols_b
-        for t, x in enumerate(row):
-            if x:
-                brow = b[t]
-                for j in range(cols_b):
-                    if brow[j]:
-                        acc[j] += x * brow[j]
-        out.append(acc)
-    return out
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum(row[j] * v[j] for j in range(len(v)) if v[j]) for row in a]
-
-
 def transpose(a: Matrix) -> Matrix:
     if not a:
         return []
     return [list(col) for col in zip(*a)]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(all(x == 0 for x in row) for row in a)
 
 
 def is_symmetric(a: Matrix) -> bool:
@@ -82,13 +54,9 @@ def columns(a: Matrix) -> list[Vector]:
     return [list(col) for col in zip(*a)] if a else []
 
 
-def from_columns(cols: list[Vector]) -> Matrix:
-    return [list(row) for row in zip(*cols)] if cols else []
-
-
 # ---------------------------------------------------------------------------
-# invariant factors; kernels, solutions, saturations and inverses from
-# tagged Hermite forms
+# invariant factors; kernels, solutions and inverses from tagged Hermite
+# forms
 
 
 def invariant_factor_diagonal(a: Matrix) -> list:
@@ -128,16 +96,6 @@ def solve_int(a: Matrix, b: Vector):
     if den != 1 or any(rest[:m]):
         return None
     return [int(-x) for x in rest[m:]]
-
-
-def saturation_basis(a: Matrix) -> list[Vector]:
-    """Basis of the saturation of the column span of a.
-
-    The saturation is the kernel of the left kernel of a.
-    """
-    m = len(a)
-    left = vector_relations(a, len(a[0]) if m else 0)
-    return kernel_basis(left) if left else identity(m)
 
 
 def int_inverse(a: Matrix) -> Matrix:
@@ -284,11 +242,6 @@ class Lattice:
     def rank(self) -> int:
         return len(self.rows)
 
-    def coords_of(self, vec: Vector):
-        """Express vec over the echelon basis rows; None if not in the lattice."""
-        coeffs, rest, den = self.back_substitute(vec)
-        return None if den != 1 or any(rest) else [int(c) for c in coeffs]
-
     def basis(self) -> list[Vector]:
         return [row[:] for row in self.rows]
 
@@ -397,20 +350,6 @@ def vector_relations(vectors, n: int) -> list[Vector]:
     for i, v in enumerate(vectors):
         lat.add(list(v) + [int(t == i) for t in range(k)])
     return [row[n:] for row in lat.basis() if not any(row[:n])]
-
-
-def section_quotient(vectors, section, n: int) -> tuple[int, list[int]]:
-    """Structure of Z^section / (span_Z(vectors) & Z^section), read by
-    `Lattice.section` with the coordinates of Z^section ordered last."""
-    inside = sorted(set(section))
-    order = sorted(set(range(n)) - set(inside)) + inside
-    lat = Lattice(n, ([v[j] for j in order] for v in vectors))
-    return lat.section(n - len(inside))
-
-
-def class_order(vec: Vector, den_vecs, n: int):
-    """Least k >= 1 with k*vec in span_Z(den_vecs); math.inf if none exists."""
-    return Lattice(n, den_vecs).coset_order(vec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Johnson-homomorphism data: bounding-pair values and twist tables.
+"""Johnson-homomorphism data: twist tables.
 
 A twist table stores, per edge of a curve, the degree-3 wedge class of the
 commutator of that edge's twist with a fixed hyperelliptic quasi-involution.
@@ -9,144 +9,13 @@ downstream obstruction classes depend on it precisely through coboundaries.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from math import prod
+from dataclasses import dataclass, replace
 
 from . import intlinalg as la
 from .errors import PreconditionError, SchemaError
 from .exterior import WedgeVector, apply_matrix
 from .graph_core import TropicalCurve, separating_edges
-from .symplectic import HomologyBasis, intersection, twist_action
-
-
-# ---------------------------------------------------------------------------
-# symplectic sublattices and the bounding-pair formula
-
-
-def symplectic_basis_of(w_vectors, g: int):
-    """Symplectic basis (a_1, b_1, ..., a_m, b_m) of the span of w_vectors.
-
-    Integer symplectic Gram-Schmidt; requires the restricted pairing to be
-    unimodular, otherwise the offending Gram determinant is reported.
-    """
-    vecs = [list(v) for v in w_vectors]
-    if not vecs:
-        return []
-    gram = [[intersection(u, v, g) for v in vecs] for u in vecs]
-    # skew-symmetric Gram: det = Pf^2 >= 0, the product of the invariant factors
-    det = prod(la.invariant_factor_diagonal(gram))
-    if abs(det) != 1:
-        raise PreconditionError(
-            f"restricted form is not unimodular: Gram determinant {det}"
-        )
-    basis = []
-    while vecs:
-        gram = [[intersection(u, v, g) for v in vecs] for u in vecs]
-        i, j = _smallest_pairing(gram)
-        d = gram[i][j]
-        # unimodular skew forms always reduce to a +-1 pairing
-        while abs(d) != 1:
-            vecs = _improve_pairing(vecs, gram, i, j)
-            gram = [[intersection(u, v, g) for v in vecs] for u in vecs]
-            i, j = _smallest_pairing(gram)
-            d = gram[i][j]
-        a = vecs[i]
-        b = vecs[j] if d == 1 else [-x for x in vecs[j]]
-        rest = []
-        for t, v in enumerate(vecs):
-            if t in (i, j):
-                continue
-            ca = intersection(a, v, g)
-            cb = intersection(b, v, g)
-            rest.append(
-                [x + cb * ai - ca * bi for x, ai, bi in zip(v, a, b)]
-            )
-        basis.append((a, b))
-        vecs = rest
-    out = []
-    for a, b in basis:
-        out.extend([a, b])
-    return out
-
-
-def _smallest_pairing(gram):
-    best = None
-    pick = None
-    for i in range(len(gram)):
-        for j in range(len(gram)):
-            x = gram[i][j]
-            if x and (best is None or abs(x) < best):
-                best, pick = abs(x), (i, j)
-    if pick is None:
-        raise PreconditionError("restricted form is degenerate")
-    return pick
-
-
-def _improve_pairing(vecs, gram, i, j):
-    d = gram[i][j]
-    for t in range(len(vecs)):
-        if t != j and gram[i][t] % d:
-            q = gram[i][t] // d
-            vecs[t] = [x - q * y for x, y in zip(vecs[t], vecs[j])]
-            return vecs
-        if t != i and gram[t][j] % d:
-            q = gram[t][j] // d
-            vecs[t] = [x - q * y for x, y in zip(vecs[t], vecs[i])]
-            return vecs
-    raise PreconditionError("pairing reduction stalled; form not unimodular")
-
-
-@dataclass(frozen=True)
-class BoundingPairDatum:
-    """Subsurface homology image W (a unimodular symplectic sublattice)
-    and the class of the bounding curve."""
-
-    w_basis: tuple
-    curve_class: tuple
-
-
-def johnson_bpm(datum: BoundingPairDatum, g: int) -> WedgeVector:
-    """Value on a bounding-pair map: omega_W wedged with the curve class."""
-    sympl = symplectic_basis_of(datum.w_basis, g)
-    n = 2 * g
-    omega_w = WedgeVector.zero(n, 2)
-    for t in range(0, len(sympl), 2):
-        omega_w = omega_w + WedgeVector(
-            n, 1, {(i,): x for i, x in enumerate(sympl[t]) if x}
-        ).wedge(WedgeVector(n, 1, {(i,): x for i, x in enumerate(sympl[t + 1]) if x}))
-    return omega_w.wedge_vector(list(datum.curve_class))
-
-
-# ---------------------------------------------------------------------------
-# crossed-homomorphism evaluation
-
-
-def cocycle_eval(values, word) -> WedgeVector:
-    """Fold a crossed homomorphism along a word.
-
-    values: list of (matrix on H, wedge value); word: (index, +-1) letters.
-    Uses m(xy) = m(x) + x.m(y) and m(x^-1) = -x^-1.m(x).
-    """
-    if not values:
-        raise PreconditionError("no letter values supplied")
-    n = values[0][1].n
-    k = values[0][1].k
-    acc = la.identity(n)
-    total = WedgeVector.zero(n, k)
-    for idx, sign in word:
-        mat, val = values[idx]
-        if len(mat) != n:
-            raise PreconditionError("matrix dimension mismatch")
-        if sign == 1:
-            total = total + apply_matrix(acc, val)
-            acc = la.mat_mul(acc, mat)
-        elif sign == -1:
-            inv = la.int_inverse(mat)
-            total = total - apply_matrix(la.mat_mul(acc, inv), val)
-            acc = la.mat_mul(acc, inv)
-        else:
-            raise SchemaError("letter signs must be +-1")
-    return total
+from .symplectic import HomologyBasis, twist_action
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +133,14 @@ def table_from_json(data, basis: HomologyBasis, name="") -> JohnsonTable:
 
 
 def load_table(path: str, basis: HomologyBasis) -> JohnsonTable:
+    """A table read from a file.  Its provenance is "user" whatever the file
+    declares: only the built-in catalog certifies a table."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
-    return table_from_json(data, basis)
+    return replace(table_from_json(data, basis), provenance="user")
 
 
 def transform_table(table: JohnsonTable, new_basis: HomologyBasis, s_matrix):

@@ -184,36 +184,6 @@ def twist_action(loop_class, power, g: int, sign: int = TWIST_SIGN) -> la.Matrix
     return mat
 
 
-def multitwist_action(twists, g: int, sign: int = TWIST_SIGN) -> la.Matrix:
-    """Composite of commuting twists; requires pairwise isotropic classes."""
-    classes = [list(l) for l, _ in twists]
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            if intersection(classes[i], classes[j], g):
-                raise PreconditionError(
-                    "multitwist support must be pairwise isotropic"
-                )
-    mat = la.identity(2 * g)
-    for l, c in twists:
-        mat = la.mat_mul(twist_action(l, c, g, sign), mat)
-    return mat
-
-
-def check_unipotent(delta: la.Matrix) -> None:
-    n = len(delta)
-    m = [[delta[i][j] - (i == j) for j in range(n)] for i in range(n)]
-    if not la.is_zero_matrix(la.mat_mul(m, m)):
-        raise PreconditionError("(delta - I)^2 != 0")
-
-
-def image_saturation(delta: la.Matrix) -> list[list[int]]:
-    """Basis of the saturation of image(delta - I); requires (delta-I)^2 = 0."""
-    check_unipotent(delta)
-    n = len(delta)
-    m = [[delta[i][j] - (i == j) for j in range(n)] for i in range(n)]
-    return la.saturation_basis(m)
-
-
 def invariant_factors(mat: la.Matrix) -> list[int]:
     """Smith normal form diagonal: divisibility chain, zeros last."""
     return la.invariant_factor_diagonal(mat)
@@ -252,7 +222,7 @@ def basis_change_matrix(
         else:
             col[g + i] = 1
         cols.append(col)
-    return la.from_columns(cols)
+    return la.transpose(cols)
 
 
 def basis_report(curve: TropicalCurve, basis: HomologyBasis) -> dict:

@@ -6,20 +6,42 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import inf, lcm
+from math import inf, lcm, prod
 
 from tropceresa import intlinalg as la
 from tropceresa.errors import FiltrationError, PreconditionError
-from tropceresa.exterior import Filtration, WedgeVector
+from tropceresa.exterior import Filtration, WedgeVector, embed_H_in_L, wedge_basis
 from tropceresa.graph_core import (
+    Involution,
     TropicalCurve,
+    _block_products,
+    _edge_blocks,
+    _fixed_loops,
+    _flips,
+    _vertex_involutions,
     genus,
     graph_genus,
-    involutions,
     quotient_curve,
     tropical_curve,
 )
 from tropceresa.intlinalg import Lattice, Matrix, Vector, identity
+from tropceresa.symplectic import TWIST_SIGN, intersection, twist_action
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    cols_b = len(b[0]) if b else 0
+    return [
+        [sum(x * b[t][j] for t, x in enumerate(row) if x) for j in range(cols_b)]
+        for row in a
+    ]
+
+
+def mat_vec(a: Matrix, v: Vector) -> Vector:
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def is_zero_matrix(a: Matrix) -> bool:
+    return not any(any(row) for row in a)
 
 
 def det_fraction(mat) -> Fraction:
@@ -283,30 +305,199 @@ def class_order(vec: Vector, den_vecs, n: int):
     return inf if any(rest) else order
 
 
+# The relation sets of a graded-image engine (`exterior.GradedImages`) as
+# coordinate lists in its `wedge` order, read from its cached monomial images
+# and embedded H.
+
+
+def image_generators(eng, level=None) -> list:
+    """(delta-I) images of the monomials at Y-degree `level` (all if None)."""
+    deg = eng.filt.y_degree
+    return [
+        [img.get(s, 0) for s in eng.wedge]
+        for t, img in eng.monomial_images.items()
+        if img and level in (None, deg(t))
+    ]
+
+
+def h_generators(eng) -> list:
+    return [[h.get(s, 0) for s in eng.wedge] for h in eng._h_terms]
+
+
+def f_units(eng, q: int) -> list:
+    """Unit coordinates of the monomials spanning F_q."""
+    deg = eng.filt.y_degree
+    return [[int(s == t) for s in eng.wedge] for t in eng.wedge if deg(t) >= q]
+
+
+def abar_relations(eng) -> list:
+    """(delta-I) L + H."""
+    return image_generators(eng) + h_generators(eng)
+
+
+def bbar_relations(eng) -> list:
+    """(delta-I) F_1 L + F_3 L + H."""
+    return image_generators(eng, 1) + f_units(eng, 3) + h_generators(eng)
+
+
 def ceresa_order(ctx, v: WedgeVector):
-    """Order of v modulo `bbar_relations()`, after a membership test in the
+    """Order of v modulo `bbar_relations`, after a membership test in the
     F2 + H domain lattice for classes not plainly integral inside F2."""
     coords = v.to_coords(ctx.wedge)
     if any(
         ctx.filt.y_degree(t) < 2 or Fraction(c).denominator != 1
         for t, c in v.coeffs.items()
     ):
-        dom = Lattice(len(ctx.wedge), ctx.f_units(2) + ctx.h_generators())
+        dom = Lattice(len(ctx.wedge), f_units(ctx, 2) + h_generators(ctx))
         if any(lattice_reduce(dom, coords)):
             raise PreconditionError(
                 "class does not lie in F2 + H; its graded order is undefined"
             )
-    return class_order(coords, ctx.bbar_relations(), len(ctx.wedge))
+    return class_order(coords, bbar_relations(ctx), len(ctx.wedge))
 
 
 def ambient_order(ctx, v: WedgeVector):
-    return class_order(v.to_coords(ctx.wedge), ctx.abar_relations(), len(ctx.wedge))
+    return class_order(v.to_coords(ctx.wedge), abar_relations(ctx), len(ctx.wedge))
 
 
 def abar_least_multiple(ctx, v: WedgeVector):
     """Least k with k*v in F2 L + (delta-I)L + H."""
-    rels = ctx.f_units(2) + ctx.abar_relations()
+    rels = f_units(ctx, 2) + abar_relations(ctx)
     return class_order(v.to_coords(ctx.wedge), rels, len(ctx.wedge))
+
+
+def embedded_H_generators(g: int) -> list[list]:
+    """Coordinates of omega ^ e_j for the standard basis of H."""
+    basis = wedge_basis(2 * g, 3)
+    return [embed_H_in_L(unit, g).to_coords(basis) for unit in identity(2 * g)]
+
+
+# The saturated image of delta - I, which the pipeline takes to be the unit
+# vectors b_1..b_h, and the multitwist along the edges, which the pipeline
+# writes down as [[I, 0], [Q, I]] from the Gram form.
+
+
+def saturation_basis(a: Matrix) -> list[Vector]:
+    """Basis of the saturation of the column span of a: the kernel of its
+    left kernel."""
+    m = len(a)
+    left = la.vector_relations(a, len(a[0]) if m else 0)
+    return la.kernel_basis(left) if left else identity(m)
+
+
+def image_saturation(delta: Matrix) -> list[list[int]]:
+    """Basis of the saturation of image(delta - I); requires (delta-I)^2 = 0."""
+    n = len(delta)
+    m = [[delta[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    if not is_zero_matrix(mat_mul(m, m)):
+        raise PreconditionError("(delta - I)^2 != 0")
+    return saturation_basis(m)
+
+
+def multitwist_action(twists, g: int, sign: int = TWIST_SIGN) -> Matrix:
+    """Composite of commuting twists; requires pairwise isotropic classes."""
+    classes = [list(l) for l, _ in twists]
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
+            if intersection(classes[i], classes[j], g):
+                raise PreconditionError("multitwist support must be pairwise isotropic")
+    mat = identity(2 * g)
+    for l, c in twists:
+        mat = mat_mul(twist_action(l, c, g, sign), mat)
+    return mat
+
+
+# The bounding-pair value of the Johnson homomorphism, kept as the oracle
+# for the nonzero entries of the built-in k4 table.
+
+
+def symplectic_basis_of(w_vectors, g: int):
+    """Symplectic basis (a_1, b_1, ..., a_m, b_m) of the span of w_vectors.
+
+    Integer symplectic Gram-Schmidt; requires the restricted pairing to be
+    unimodular, otherwise the offending Gram determinant is reported.
+    """
+    vecs = [list(v) for v in w_vectors]
+    if not vecs:
+        return []
+    gram = [[intersection(u, v, g) for v in vecs] for u in vecs]
+    # skew-symmetric Gram: det = Pf^2 >= 0, the product of the invariant factors
+    det = prod(la.invariant_factor_diagonal(gram))
+    if abs(det) != 1:
+        raise PreconditionError(
+            f"restricted form is not unimodular: Gram determinant {det}"
+        )
+    basis = []
+    while vecs:
+        gram = [[intersection(u, v, g) for v in vecs] for u in vecs]
+        i, j = _smallest_pairing(gram)
+        d = gram[i][j]
+        # unimodular skew forms always reduce to a +-1 pairing
+        while abs(d) != 1:
+            vecs = _improve_pairing(vecs, gram, i, j)
+            gram = [[intersection(u, v, g) for v in vecs] for u in vecs]
+            i, j = _smallest_pairing(gram)
+            d = gram[i][j]
+        a = vecs[i]
+        b = vecs[j] if d == 1 else [-x for x in vecs[j]]
+        rest = []
+        for t, v in enumerate(vecs):
+            if t in (i, j):
+                continue
+            ca = intersection(a, v, g)
+            cb = intersection(b, v, g)
+            rest.append([x + cb * ai - ca * bi for x, ai, bi in zip(v, a, b)])
+        basis.extend([a, b])
+        vecs = rest
+    return basis
+
+
+def _smallest_pairing(gram):
+    best = None
+    pick = None
+    for i in range(len(gram)):
+        for j in range(len(gram)):
+            x = gram[i][j]
+            if x and (best is None or abs(x) < best):
+                best, pick = abs(x), (i, j)
+    if pick is None:
+        raise PreconditionError("restricted form is degenerate")
+    return pick
+
+
+def _improve_pairing(vecs, gram, i, j):
+    d = gram[i][j]
+    for t in range(len(vecs)):
+        if t != j and gram[i][t] % d:
+            q = gram[i][t] // d
+            vecs[t] = [x - q * y for x, y in zip(vecs[t], vecs[j])]
+            return vecs
+        if t != i and gram[t][j] % d:
+            q = gram[t][j] // d
+            vecs[t] = [x - q * y for x, y in zip(vecs[t], vecs[i])]
+            return vecs
+    raise PreconditionError("pairing reduction stalled; form not unimodular")
+
+
+@dataclass(frozen=True)
+class BoundingPairDatum:
+    """Subsurface homology image W (a unimodular symplectic sublattice)
+    and the class of the bounding curve."""
+
+    w_basis: tuple
+    curve_class: tuple
+
+
+def johnson_bpm(datum: BoundingPairDatum, g: int) -> WedgeVector:
+    """Value on a bounding-pair map: omega_W wedged with the curve class."""
+    sympl = symplectic_basis_of(datum.w_basis, g)
+    n = 2 * g
+    omega_w = WedgeVector.zero(n, 2)
+    for t in range(0, len(sympl), 2):
+        omega_w = omega_w + WedgeVector(
+            n, 1, {(i,): x for i, x in enumerate(sympl[t]) if x}
+        ).wedge(WedgeVector(n, 1, {(i,): x for i, x in enumerate(sympl[t + 1]) if x}))
+    return omega_w.wedge_vector(list(datum.curve_class))
 
 
 # The pivoting Smith form with all four transforms, kept as an independent
@@ -584,6 +775,34 @@ def brute_spanning_trees(curve: TropicalCurve):
     return sorted(found) if need else [()]
 
 
+def involutions(curve: TropicalCurve) -> list[Involution]:
+    """Every involutive automorphism (identity included), exhaustively, from
+    the search's own vertex maps and edge blocks with no pruning.
+
+    Loops fixed with fixed base vertex are emitted twice: pointwise fixed
+    and reflected.
+    """
+    results = []
+    for vmap in _vertex_involutions(curve):
+        blocks = _edge_blocks(curve, vmap)
+        if blocks is None:
+            continue
+        unscored = [[(0, m) for m in block] for block in blocks]
+        for _, emap in _block_products(unscored, 0):
+            loops = _fixed_loops(curve, emap)
+            for mask in range(1 << len(loops)):
+                results.append(Involution(dict(vmap), dict(emap), _flips(loops, mask)))
+    return results
+
+
+def is_identity(inv: Involution) -> bool:
+    return (
+        all(k == v for k, v in inv.vertex_map.items())
+        and all(k == v for k, v in inv.edge_map.items())
+        and not inv.flipped_loops
+    )
+
+
 def brute_hyperelliptic_involutions(curve: TropicalCurve):
     """Exhaustive oracle: every involution whose built quotient is a tree."""
     return [i for i in involutions(curve) if graph_genus(quotient_curve(curve, i)) == 0]
@@ -619,7 +838,8 @@ def wedge_vector(w: WedgeVector, vec) -> WedgeVector:
             if x and i not in t:
                 tup, sign = sort_with_sign(t + (i,))
                 out[tup] = out.get(tup, 0) + sign * c * x
-    return WedgeVector(w.n, w.k + 1, out)
+    # the keys are sorted already, so the constructor's canonicalisation is skipped
+    return WedgeVector._from_sorted(w.n, w.k + 1, {t: c for t, c in out.items() if c})
 
 
 def vector_wedge(vectors, n: int) -> WedgeVector:
@@ -639,12 +859,22 @@ def apply_matrix(mat, w: WedgeVector) -> WedgeVector:
     return out
 
 
-def _delta_minus_I_images(delta_ad, filt: Filtration, k: int, monos):
-    """(delta - I)-images of adapted monomials, with filtration check."""
+def _delta_minus_I_images(delta, filt: Filtration, monos, shear=None):
+    """(delta - I)-images of monomials, with filtration check.
+
+    With shear = (S, S^-1), delta acts in the coordinates S^-1 x: each
+    monomial is carried there by wedge^k S^-1, and its image is carried
+    back by wedge^k S before the check.
+    """
     n = filt.n
     images = []
     for t in monos:
-        img = apply_matrix(delta_ad, WedgeVector.monomial(n, t)) - WedgeVector.monomial(n, t)
+        mono = WedgeVector.monomial(n, t)
+        if shear is None:
+            img = apply_matrix(delta, mono) - mono
+        else:
+            carried = apply_matrix(shear[1], mono)
+            img = apply_matrix(shear[0], apply_matrix(delta, carried) - carried)
         qmin = filt.y_degree(t)
         for s in img.coeffs:
             if filt.y_degree(s) <= qmin:

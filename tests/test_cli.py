@@ -208,6 +208,41 @@ def test_user_table_file(tmp_path, capsys):
     assert data["table"]["provenance"] == "user"
 
 
+def test_table_file_cannot_claim_builtin_provenance(tmp_path, capsys):
+    """A table read from a file is a user table whatever it declares: the
+    k4 table emptied of entries stays indeterminate, with both notes."""
+    table = table_to_json(builtin_table("k4"))
+    table["entries"] = {}
+    assert table["provenance"] == "builtin"
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, out, _ = run(
+        capsys, "ceresa", "--graph", "builtin:k4", "--table", str(path)
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["table"]["provenance"] == "user"
+    assert (data["verdict"], data["decided_by"]) == ("indeterminate", "order-ambient")
+    assert len(data["notes"]) == 2
+
+
+@pytest.mark.parametrize("key,value", [("(9,9,1)", "1"), ("(1,1)", "2")])
+def test_table_key_with_repeated_index_is_schema_error(tmp_path, capsys, key, value):
+    """A key is checked for length and range before a repeated index can
+    turn it into zero."""
+    table = {
+        "basis_ref": {"g": 3, "h": 3, "nontree_edges": ["u1", "u2", "u3"]},
+        "entries": {"t6": {key: value}},
+    }
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run(
+        capsys, "order", "--graph", "builtin:k4", "--table", str(path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed table JSON: bad index tuple")
+
+
 def test_user_table_with_fractional_class_exits_3(tmp_path, capsys):
     # half of a two-Y-factor monomial lies outside F2 + H: no graded order
     table = {
@@ -249,6 +284,16 @@ def test_malformed_lengths_are_schema_errors(capsys, bad):
     code, _, err = run(capsys, "genus", "--graph", "builtin:k4", "--lengths", lengths)
     assert code == 2
     assert "error:" in err and repr(bad) in err
+
+
+@pytest.mark.parametrize("command", ["genus", "ceresa"])
+def test_empty_lengths_is_schema_error(capsys, command):
+    table = ["--table", "builtin:k4"] if command == "ceresa" else []
+    code, out, err = run(
+        capsys, command, "--graph", "builtin:k4", "--lengths", "", *table
+    )
+    assert code == 2 and out == ""
+    assert err == "error: --lengths: bad value ''\n"
 
 
 DATA = Path(__file__).parent / "data"

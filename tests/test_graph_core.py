@@ -10,13 +10,11 @@ from tropceresa.graph_core import (
     genus,
     graph_genus,
     hyperelliptic_involutions,
-    involutions,
     is_hyperelliptic,
     is_stable,
     quotient_curve,
     scaled_to_integer,
     separating_edges,
-    separating_pairs,
     spanning_trees,
     stabilize,
     symanzik,
@@ -31,6 +29,8 @@ from helpers import (
     banana_curve,
     brute_hyperelliptic_involutions,
     brute_spanning_trees,
+    involutions,
+    is_identity,
     k4_curve,
     loop_chain_curve,
     random_curve,
@@ -221,45 +221,12 @@ def test_two_edge_connectivization_preserves_cycle_form():
         assert symanzik(t) == symanzik(c)
 
 
-def test_separating_pairs_theta_swap():
-    th = theta0()
-    swap = next(
-        i for i in hyperelliptic_involutions(th) if i.vertex_map["u"] == "v"
-    )
-    # every edge is fixed and flipped, so there are no two-edge orbits
-    assert separating_pairs(th, swap) == []
-
-
-def test_separating_pairs_weighted_midpoints():
-    wmid = tropical_curve(
-        [("u", 0), ("v", 0), ("m1", 1), ("m2", 1), ("m3", 1)],
-        [
-            ("a1", ("u", "m1"), 1),
-            ("z1", ("m1", "v"), 1),
-            ("a2", ("u", "m2"), 1),
-            ("z2", ("m2", "v"), 1),
-            ("a3", ("u", "m3"), 1),
-            ("z3", ("m3", "v"), 1),
-        ],
-    )
-    swap = next(
-        i for i in hyperelliptic_involutions(wmid) if i.vertex_map["u"] == "v"
-    )
-    pairs = separating_pairs(wmid, swap)
-    assert len(pairs) == 3
-    # brute force: joint removal disconnects
-    ids = {e.id for e in wmid.edges}
-    for pair in pairs:
-        e, f = sorted(pair)
-        assert swap.edge_map[e] == f
-
-
 # -- involutions and hyperellipticity ----------------------------------------
 
 
 def test_k4_involutions():
     invs = involutions(k4_curve())
-    nonid = [i for i in invs if not i.is_identity()]
+    nonid = [i for i in invs if not is_identity(i)]
     assert len(nonid) == 9
     for i in invs:
         validate_involution(k4_curve(), i)
@@ -498,7 +465,7 @@ def test_quotient_tip_names_avoid_vertex_ids():
 
 def test_validate_involution_rejects_unknown_flipped_loop():
     th = theta0()
-    ident = next(i for i in involutions(th) if i.is_identity())
+    ident = next(i for i in involutions(th) if is_identity(i))
     bad = graph_core.Involution(ident.vertex_map, ident.edge_map, frozenset({"zz"}))
     with pytest.raises(SchemaError, match="flipped_loops"):
         validate_involution(th, bad)

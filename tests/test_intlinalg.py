@@ -7,17 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from tropceresa import intlinalg as la
 
-from tropceresa.exterior import _complement_columns
-
 import helpers
 from helpers import (
     class_order,
-    det_fraction,
     invariant_factors_from_orders,
     lattice_intersection,
+    mat_mul,
+    mat_vec,
     naive_snf_diag,
     quotient_invariants,
     random_unimodular,
+    saturation_basis,
     smith_normal_form,
     solve_frac_gauss,
 )
@@ -38,12 +38,12 @@ small_matrix = st.integers(1, 5).flatmap(
 def test_snf_transforms(a):
     s = smith_normal_form(a)
     m, n = len(a), len(a[0])
-    d = la.mat_mul(la.mat_mul(s.U, a), s.V)
+    d = mat_mul(mat_mul(s.U, a), s.V)
     for i in range(m):
         for j in range(n):
             assert d[i][j] == (s.diag[i] if i == j else 0)
-    assert la.mat_eq(la.mat_mul(s.U, s.Uinv), la.identity(m))
-    assert la.mat_eq(la.mat_mul(s.V, s.Vinv), la.identity(n))
+    assert mat_mul(s.U, s.Uinv) == la.identity(m)
+    assert mat_mul(s.V, s.Vinv) == la.identity(n)
     for a_, b_ in zip(s.diag, s.diag[1:]):
         if b_:
             assert a_ and b_ % a_ == 0
@@ -69,12 +69,12 @@ def test_invariant_factor_examples():
 @settings(max_examples=100, deadline=None)
 def test_kernel_and_solve(a):
     for k in la.kernel_basis(a):
-        assert all(x == 0 for x in la.mat_vec(a, k))
+        assert all(x == 0 for x in mat_vec(a, k))
     rng = random.Random(7)
     x0 = [rng.randint(-4, 4) for _ in a[0]]
-    b = la.mat_vec(a, x0)
+    b = mat_vec(a, x0)
     x = la.solve_int(a, b)
-    assert x is not None and la.mat_vec(a, x) == b
+    assert x is not None and mat_vec(a, x) == b
 
 
 def test_lattice_membership_against_solver():
@@ -117,8 +117,8 @@ def test_class_order_brute_force():
         n = 3
         gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
         v = [rng.randint(-3, 3) for _ in range(n)]
-        got = la.class_order(v, gens, n)
         lat = la.Lattice(n, gens)
+        got = lat.coset_order(v)
         brute = math.inf
         for k in range(1, 300):
             if [k * x for x in v] in lat:
@@ -128,10 +128,11 @@ def test_class_order_brute_force():
 
 
 def test_class_order_examples():
-    assert la.class_order([1, 0], [[4, 0], [0, 3]], 2) == 4
-    assert la.class_order([1, 1], [[4, 0], [0, 3]], 2) == 12
-    assert la.class_order([1, 0], [[0, 3]], 2) == math.inf
-    assert la.class_order([0, 0], [], 2) == 1
+    lat = la.Lattice(2, [[4, 0], [0, 3]])
+    assert lat.coset_order([1, 0]) == 4
+    assert lat.coset_order([1, 1]) == 12
+    assert la.Lattice(2, [[0, 3]]).coset_order([1, 0]) == math.inf
+    assert la.Lattice(2).coset_order([0, 0]) == 1
 
 
 def test_quotient_invariants():
@@ -157,6 +158,15 @@ def test_quotient_order_is_determinant():
         assert la.group_order(fr, tor) == math.prod(orders)
 
 
+def section_quotient(vectors, section, n):
+    """Structure of Z^section / (span_Z(vectors) & Z^section), read by
+    `Lattice.section` with the coordinates of Z^section ordered last."""
+    inside = sorted(set(section))
+    order = sorted(set(range(n)) - set(inside)) + inside
+    lat = la.Lattice(n, ([v[j] for j in order] for v in vectors))
+    return lat.section(n - len(inside))
+
+
 def test_section_quotient_matches_intersection_oracle():
     rng = random.Random(13)
     free = 0
@@ -167,11 +177,11 @@ def test_section_quotient_matches_intersection_oracle():
         units = [[int(t == j) for t in range(n)] for j in section]
         den = lattice_intersection(vecs, units, n)
         want = quotient_invariants(units, den, n)
-        assert la.section_quotient(vecs, section, n) == want
+        assert section_quotient(vecs, section, n) == want
         free += want[0] > 0
     assert free >= 50
-    assert la.section_quotient([[1, 2, 0], [0, 4, 6]], [1, 2], 3) == (1, [2])
-    assert la.section_quotient([[2, 1], [0, 3]], [1], 2) == (0, [3])
+    assert section_quotient([[1, 2, 0], [0, 4, 6]], [1, 2], 3) == (1, [2])
+    assert section_quotient([[2, 1], [0, 3]], [1], 2) == (0, [3])
 
 
 def test_coset_order_and_section_match_oracles():
@@ -275,12 +285,12 @@ def test_unimodular_inverse():
                 q = rng.randint(-2, 2)
                 for t in range(n):
                     m[i][t] += q * m[j][t]
-        assert la.mat_eq(la.mat_mul(m, la.int_inverse(m)), la.identity(n))
-        assert la.mat_eq(la.mat_mul(m, la.frac_inverse(m)), la.identity(n))
+        assert mat_mul(m, la.int_inverse(m)) == la.identity(n)
+        assert mat_mul(m, la.frac_inverse(m)) == la.identity(n)
 
 
 def test_saturation_basis():
-    sat = la.saturation_basis([[2, 0], [0, 3], [0, 0]])
+    sat = saturation_basis([[2, 0], [0, 3], [0, 0]])
     assert la.lattice_eq(sat, [[1, 0, 0], [0, 1, 0]], 3)
 
 
@@ -290,10 +300,10 @@ def test_solve_frac_gauss():
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         x0 = [rng.randint(-3, 3) for _ in range(n)]
-        b = la.mat_vec(a, x0)
+        b = mat_vec(a, x0)
         x = solve_frac_gauss(a, b)
         assert x is not None
-        assert la.mat_vec(a, x) == b
+        assert mat_vec(a, x) == b
 
 
 def test_class_order_matches_gauss_oracle():
@@ -320,7 +330,7 @@ def test_class_order_matches_gauss_oracle():
         else:
             v = [rng.randint(-5, 5) for _ in range(n)]
         basis = la.Lattice(n, gens).basis()
-        got = la.class_order(v, gens, n)
+        got = la.Lattice(n, gens).coset_order(v)
         if not any(v):
             expected = 1
             seen["zero"] += 1
@@ -353,16 +363,16 @@ def _random_int_matrix(rng, kind):
         r = rng.randint(1, max(1, min(m, n) - 1))
         left = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(m)]
         right = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(r)]
-        return la.mat_mul(left, right)
+        return mat_mul(left, right)
     return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
 
 
 def test_tagged_hermite_kernels_match_smith_oracle():
-    """kernel_basis, saturation_basis, solve_int, int_inverse and
-    _complement_columns against the pivoting Smith form's transforms."""
+    """kernel_basis, the saturation (kernel of the left kernel), solve_int
+    and int_inverse against the pivoting Smith form's transforms."""
     rng = random.Random(11)
     seen = {"zero": 0, "deficient": 0, "full": 0, "solvable": 0,
-            "unsolvable": 0, "unimodular": 0, "singular": 0, "complement": 0}
+            "unsolvable": 0, "unimodular": 0, "singular": 0}
     for trial in range(600):
         a = _random_int_matrix(rng, ("zero", "deficient", "full")[trial % 3])
         m, n = len(a), len(a[0])
@@ -375,16 +385,16 @@ def test_tagged_hermite_kernels_match_smith_oracle():
         assert len(kernel) == n - rank
         assert la.lattice_eq(kernel, oracle_kernel, n), a
 
-        sat = la.saturation_basis(a)
+        sat = saturation_basis(a)
         oracle_sat = [[snf.Uinv[r][j] for r in range(m)] for j in range(rank)]
         assert len(sat) == rank
         assert la.lattice_eq(sat, oracle_sat, m), a
 
         if rng.random() < 0.5:
-            b = la.mat_vec(a, [rng.randint(-4, 4) for _ in range(n)])
+            b = mat_vec(a, [rng.randint(-4, 4) for _ in range(n)])
         else:
             b = [rng.randint(-6, 6) for _ in range(m)]
-        w = la.mat_vec(snf.U, b)
+        w = mat_vec(snf.U, b)
         oracle_solvable = all(
             (wi % snf.diag[i] == 0) if i < rank else wi == 0
             for i, wi in enumerate(w)
@@ -393,7 +403,7 @@ def test_tagged_hermite_kernels_match_smith_oracle():
         assert (x is not None) == oracle_solvable, (a, b)
         if x is not None:
             seen["solvable"] += 1
-            assert la.mat_vec(a, x) == b
+            assert mat_vec(a, x) == b
         else:
             seen["unsolvable"] += 1
 
@@ -403,18 +413,12 @@ def test_tagged_hermite_kernels_match_smith_oracle():
             if all(d == 1 for d in oracle.diag):
                 seen["unimodular"] += 1
                 inverse = la.int_inverse(square)
-                assert inverse == la.mat_mul(oracle.V, oracle.U)
-                assert la.mat_mul(square, inverse) == la.identity(m)
+                assert inverse == mat_mul(oracle.V, oracle.U)
+                assert mat_mul(square, inverse) == la.identity(m)
             else:
                 seen["singular"] += 1
                 with pytest.raises(ValueError, match="not unimodular"):
                     la.int_inverse(square)
-
-        if sat:
-            seen["complement"] += 1
-            comp = _complement_columns(sat, m)
-            assert len(comp) == m - rank
-            assert abs(det_fraction(la.from_columns(comp + sat))) == 1
     assert all(count >= 40 for count in seen.values()), seen
 
 
@@ -435,21 +439,20 @@ def test_tagged_hermite_on_smith_blowup_input():
     rank = la.matrix_rank(a)
     kernel = la.kernel_basis(a)
     assert len(kernel) == 7 - rank
-    assert all(not any(la.mat_vec(a, k)) for k in kernel)
-    sat = la.saturation_basis(a)
+    assert all(not any(mat_vec(a, k)) for k in kernel)
+    sat = saturation_basis(a)
     assert len(sat) == rank
     assert all(col in la.Lattice(7, sat) for col in la.columns(a))
-    comp = _complement_columns(sat, 7)
-    assert abs(det_fraction(la.from_columns(comp + sat))) == 1
     x0 = [1, -2, 0, 3, 1, 0, -1]
-    b = la.mat_vec(a, x0)
+    b = mat_vec(a, x0)
     x = la.solve_int(a, b)
-    assert x is not None and la.mat_vec(a, x) == b
+    assert x is not None and mat_vec(a, x) == b
 
 
 def test_back_substitution_reads_match_elimination_oracles():
-    """frac_inverse, solve_int, coords_of and membership, each one read of
-    `Lattice.back_substitute`, against Gauss-Jordan and greedy reduction."""
+    """frac_inverse, solve_int, the coefficients of members and membership,
+    each one read of `Lattice.back_substitute`, against Gauss-Jordan and
+    greedy reduction."""
     rng = random.Random(23)
     seen = {"invertible": 0, "singular": 0, "dependent": 0, "not_full": 0,
             "member": 0, "nonmember": 0, "solvable": 0, "unsolvable": 0}
@@ -484,7 +487,9 @@ def test_back_substitution_reads_match_elimination_oracles():
             member = not any(helpers.lattice_reduce(lat, vec))
             seen["member" if member else "nonmember"] += 1
             assert (vec in lat) == member
-            assert lat.coords_of(vec) == helpers.lattice_coords_of(lat, vec)
+            coeffs, rest, den = lat.back_substitute(vec)
+            got = coeffs if den == 1 and not any(rest) else None
+            assert got == helpers.lattice_coords_of(lat, vec)
 
             cols = [[g[t] for g in gens] for t in range(dim)] if gens else []
             if cols:
@@ -493,5 +498,5 @@ def test_back_substitution_reads_match_elimination_oracles():
                 assert (x is None) == (oracle_x is None) == (not member)
                 seen["unsolvable" if x is None else "solvable"] += 1
                 if x is not None:
-                    assert la.mat_vec(cols, x) == vec
+                    assert mat_vec(cols, x) == vec
     assert all(count >= 50 for count in seen.values()), seen

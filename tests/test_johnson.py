@@ -5,22 +5,24 @@ import pytest
 from tropceresa import intlinalg as la
 from tropceresa.catalog import builtin_curve, builtin_table
 from tropceresa.errors import PreconditionError, SchemaError
-from tropceresa.exterior import WedgeVector, apply_matrix, embed_H_in_L
+from tropceresa.exterior import WedgeVector, embed_H_in_L
 from tropceresa.johnson import (
-    BoundingPairDatum,
     JohnsonTable,
-    cocycle_eval,
     coboundary_shift,
     edge_twist_matrix,
-    johnson_bpm,
-    symplectic_basis_of,
     table_from_json,
     table_to_json,
     validate_table,
 )
 from tropceresa.symplectic import delta_from_Q, homology_basis, intersection
 
-from helpers import random_posdef, random_unimodular
+from helpers import (
+    BoundingPairDatum,
+    johnson_bpm,
+    mat_mul,
+    random_unimodular,
+    symplectic_basis_of,
+)
 
 
 def unit(i, g=3):
@@ -103,65 +105,6 @@ def test_k4_arrangement_value():
     assert table.entry("u2") == val  # a1^b1^b2
 
 
-# -- crossed homomorphism evaluation ---------------------------------------------
-
-
-def _letter_values(rng, g=3, count=3):
-    vals = []
-    for _ in range(count):
-        q = random_posdef(g, rng)
-        wv = WedgeVector(
-            2 * g,
-            3,
-            {
-                (0, 1, 2): rng.randint(-3, 3),
-                (0, 3, 4): rng.randint(-3, 3),
-                (1, 4, 5): rng.randint(-3, 3),
-            },
-        )
-        vals.append((delta_from_Q(q), wv))
-    return vals
-
-
-def test_cocycle_single_letter_and_cancellation():
-    rng = random.Random(1)
-    vals = _letter_values(rng)
-    assert cocycle_eval(vals, [(0, 1)]) == vals[0][1]
-    assert cocycle_eval(vals, [(0, 1), (0, -1)]).is_zero()
-    assert cocycle_eval(vals, [(1, -1), (1, 1)]).is_zero()
-
-
-def test_cocycle_crossed_law_on_words():
-    rng = random.Random(2)
-    vals = _letter_values(rng)
-    for _ in range(25):
-        word = [(rng.randrange(3), rng.choice([1, -1])) for _ in range(3)]
-        whole = cocycle_eval(vals, word)
-        # both groupings: m(x(yz)) and m((xy)z)
-        head = cocycle_eval(vals, word[:1])
-        mat = vals[word[0][0]][0]
-        if word[0][1] == -1:
-            mat = la.int_inverse(mat)
-        assert whole == head + apply_matrix(mat, cocycle_eval(vals, word[1:]))
-        front = cocycle_eval(vals, word[:2])
-        m2 = vals[word[1][0]][0]
-        if word[1][1] == -1:
-            m2 = la.int_inverse(m2)
-        acc = la.mat_mul(mat, m2)
-        assert whole == front + apply_matrix(acc, cocycle_eval(vals, word[2:]))
-
-
-def test_torelli_letters_are_additive():
-    # identity matrices: the fold reduces to a plain sum, which is the rule
-    # used to split a chain of bounding pairs through an auxiliary curve
-    rng = random.Random(3)
-    g = 3
-    a = WedgeVector(2 * g, 3, {(0, 3, 4): 1})
-    b = WedgeVector(2 * g, 3, {(1, 3, 5): 2})
-    vals = [(la.identity(2 * g), a), (la.identity(2 * g), b)]
-    assert cocycle_eval(vals, [(0, 1), (1, 1)]) == a + b
-
-
 # -- tables ------------------------------------------------------------------------
 
 
@@ -222,7 +165,7 @@ def test_edge_twist_matrices_compose_to_delta():
     g = basis.g
     total = la.identity(2 * g)
     for e in curve.sorted_edges():
-        total = la.mat_mul(
+        total = mat_mul(
             edge_twist_matrix(basis, e.id, e.length.numerator), total
         )
     assert total == delta_from_Q(polarization_Q(curve, basis))

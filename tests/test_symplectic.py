@@ -17,18 +17,21 @@ from tropceresa.symplectic import (
     basis_report,
     delta_from_Q,
     homology_basis,
-    image_saturation,
     invariant_factors,
-    multitwist_action,
     polarization_Q,
     twist_action,
 )
+from tropceresa.ceresa import _y_units
 
 from helpers import (
     brute_spanning_trees,
     det_fraction,
+    image_saturation,
+    is_zero_matrix,
     k4_curve,
     loop_chain_curve,
+    mat_mul,
+    multitwist_action,
     random_curve,
     tl3_curve,
 )
@@ -179,9 +182,9 @@ def test_delta_is_symplectic_and_square_unipotent():
         d = delta_from_Q(polarization_Q(sc, b))
         g = b.g
         j = symplectic_form(g)
-        assert la.mat_mul(la.mat_mul(la.transpose(d), j), d) == j
+        assert mat_mul(mat_mul(la.transpose(d), j), d) == j
         m = [[d[i][t] - (i == t) for t in range(2 * g)] for i in range(2 * g)]
-        assert la.is_zero_matrix(la.mat_mul(m, m))
+        assert is_zero_matrix(mat_mul(m, m))
 
 
 def test_twist_examples():
@@ -267,6 +270,8 @@ def test_image_saturation_examples():
 
 
 def test_image_saturation_is_cycle_span():
+    """The pipeline's Y, the unit vectors b_1..b_h, is the saturated image
+    of delta - I."""
     rng = random.Random(4)
     for _ in range(30):
         c = random_curve(rng)
@@ -274,7 +279,7 @@ def test_image_saturation_is_cycle_span():
         b = homology_basis(sc)
         d = delta_from_Q(polarization_Q(sc, b))
         g = b.g
-        units = [[int(t == g + i) for t in range(2 * g)] for i in range(b.h)]
+        units = _y_units(g, b.h)
         if b.h:
             assert la.lattice_eq(image_saturation(d), units, 2 * g)
         else:
@@ -306,9 +311,9 @@ def test_basis_change_is_symplectic_and_conjugates_delta():
         alt = homology_basis(k, tree=tree)
         s = basis_change_matrix(base, alt)
         j = symplectic_form(3)
-        assert la.mat_mul(la.mat_mul(la.transpose(s), j), s) == j
+        assert mat_mul(mat_mul(la.transpose(s), j), s) == j
         d_alt = delta_from_Q(polarization_Q(k, alt))
-        assert la.mat_mul(la.mat_mul(la.int_inverse(s), d_base), s) == d_alt
+        assert mat_mul(mat_mul(la.int_inverse(s), d_base), s) == d_alt
 
 
 def test_basis_report_shape():
