@@ -16,7 +16,7 @@ from math import inf
 
 from . import intlinalg as la
 from .errors import PreconditionError, SchemaError
-from .exterior import GradedImages, WedgeVector, delta_inverse_gr2
+from .exterior import GradedImages, WedgeVector, check_wedge_caps, delta_inverse_gr2
 from .graph_core import (
     TropicalCurve,
     curve_to_json,
@@ -55,6 +55,7 @@ class PipelineContext(GradedImages):
 
 
 def build_context(curve: TropicalCurve, tree=None) -> PipelineContext:
+    check_wedge_caps(2 * genus(curve), 3)  # before the quadratic Q and delta
     scaled, scale = scaled_to_integer(curve)
     basis = homology_basis(scaled, tree=tree)
     q = polarization_Q(scaled, basis)

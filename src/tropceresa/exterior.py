@@ -107,14 +107,19 @@ def _wedge_terms(sparse_vectors) -> dict:
     return terms
 
 
-def wedge_basis(n: int, k: int):
-    """Sorted k-index tuples in lexicographic order."""
-    if k > n:
-        raise PreconditionError(f"wedge degree {k} exceeds rank {n}")
+def check_wedge_caps(n: int, k: int) -> None:
+    """Refuse wedge^k of rank n past the degree and rank caps."""
     if k > MAX_WEDGE_DEGREE or n > MAX_RANK:
         raise PreconditionError(
             f"wedge machinery capped at degree {MAX_WEDGE_DEGREE}, rank {MAX_RANK}"
         )
+
+
+def wedge_basis(n: int, k: int):
+    """Sorted k-index tuples in lexicographic order."""
+    if k > n:
+        raise PreconditionError(f"wedge degree {k} exceeds rank {n}")
+    check_wedge_caps(n, k)
     return list(combinations(range(n), k))
 
 

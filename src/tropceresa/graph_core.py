@@ -387,139 +387,6 @@ def _vertex_involutions(curve: TropicalCurve):
     yield from extend(0, {})
 
 
-def _edge_blocks(curve: TropicalCurve, vmap):
-    """Partial edge maps compatible with a vertex involution: one list per
-    parallel class that vmap fixes or pair of classes that it swaps.
-
-    None when some class has no image class of the same size; an empty list
-    when a class pair has no length-preserving bijection.
-    """
-    classes: dict[frozenset, list[Edge]] = {}
-    for e in curve.sorted_edges():
-        classes.setdefault(frozenset(e.ends), []).append(e)
-    keys = sorted(classes, key=lambda k: tuple(sorted(k)))
-    done = set()
-    blocks = []
-    for key in keys:
-        if key in done:
-            continue
-        image_key = frozenset(vmap[v] for v in key)
-        if image_key not in classes or len(classes[image_key]) != len(classes[key]):
-            return None
-        done.add(key)
-        if image_key == key:
-            blocks.append(_self_paired_maps(classes[key]))
-        else:
-            done.add(image_key)
-            blocks.append(_cross_paired_maps(classes[key], classes[image_key]))
-    return blocks
-
-
-def _fixed_loops(curve: TropicalCurve, emap) -> list[str]:
-    """Loops that emap fixes, by id; their base vertices are fixed too, so
-    each may be reflected or not."""
-    return [
-        e.id
-        for e in curve.sorted_edges()
-        if e.ends[0] == e.ends[1] and emap[e.id] == e.id
-    ]
-
-
-def _flips(loops, mask) -> frozenset:
-    return frozenset(e for b, e in enumerate(loops) if mask >> b & 1)
-
-
-def _self_paired_maps(edges):
-    """Involutive length-preserving permutations of one parallel class."""
-    by_len: dict[Fraction, list[str]] = {}
-    for e in edges:
-        by_len.setdefault(e.length, []).append(e.id)
-    groups = [sorted(v) for _, v in sorted(by_len.items())]
-
-    def involutions_of(items):
-        if not items:
-            yield {}
-            return
-        first, rest = items[0], items[1:]
-        for sub in involutions_of(rest):
-            yield {first: first, **sub}
-        for j, other in enumerate(rest):
-            remaining = rest[:j] + rest[j + 1 :]
-            for sub in involutions_of(remaining):
-                yield {first: other, other: first, **sub}
-
-    def per_group(i):
-        if i == len(groups):
-            yield {}
-            return
-        for head in involutions_of(groups[i]):
-            for tail in per_group(i + 1):
-                yield {**head, **tail}
-
-    return list(per_group(0))
-
-
-def _cross_paired_maps(edges_a, edges_b):
-    """Length-preserving bijections a->b, extended to involutions."""
-    by_len_b: dict[Fraction, list[str]] = {}
-    for e in edges_b:
-        by_len_b.setdefault(e.length, []).append(e.id)
-    for v in by_len_b.values():
-        v.sort()
-    groups_a: dict[Fraction, list[str]] = {}
-    for e in edges_a:
-        groups_a.setdefault(e.length, []).append(e.id)
-    for v in groups_a.values():
-        v.sort()
-    if {k: len(v) for k, v in groups_a.items()} != {
-        k: len(v) for k, v in by_len_b.items()
-    }:
-        return []
-
-    def bijections(items_a, items_b):
-        if not items_a:
-            yield {}
-            return
-        first, rest = items_a[0], items_a[1:]
-        for j, img in enumerate(items_b):
-            for sub in bijections(rest, items_b[:j] + items_b[j + 1 :]):
-                yield {first: img, img: first, **sub}
-
-    def per_group(keys, i):
-        if i == len(keys):
-            yield {}
-            return
-        k = keys[i]
-        for head in bijections(groups_a[k], by_len_b[k]):
-            for tail in per_group(keys, i + 1):
-                yield {**head, **tail}
-
-    return list(per_group(sorted(groups_a), 0))
-
-
-def _block_products(scored, bound):
-    """(count, edge map) for each choice of one partial map per block, in
-    product order (first block outermost), keeping the choices whose
-    scores sum to count <= bound.  Each block lists (score, partial map)
-    pairs; branches are cut on the least score the later blocks can add."""
-    if not all(scored):
-        return
-    floor = [0] * (len(scored) + 1)  # least score of the blocks from i on
-    for i in reversed(range(len(scored))):
-        floor[i] = floor[i + 1] + min(s for s, _ in scored[i])
-
-    def rec(i, count, emap):
-        if i == len(scored):
-            yield count, dict(emap)
-            return
-        for s, partial in scored[i]:
-            if count + s + floor[i + 1] <= bound:
-                emap.update(partial)  # replaces block i's previous choice
-                yield from rec(i + 1, count + s, emap)
-
-    yield from rec(0, 0, {})
-
-
 def quotient_curve(curve: TropicalCurve, inv: Involution) -> TropicalCurve:
     """Metric quotient by an involution.
 
@@ -557,44 +424,54 @@ def quotient_curve(curve: TropicalCurve, inv: Involution) -> TropicalCurve:
 
 
 def _tree_quotient_candidates(curve: TropicalCurve):
-    """The involutions (vertex involutions, then one partial edge map per
-    block, then loop flips, in that product order) whose quotient has
-    genus 0, found without building a quotient.
+    """The involutions whose quotient has genus 0, found without building a
+    quotient: for each vertex involution, a walk over the edges in id order.
 
     The quotient is connected, so it is a tree exactly when its genus is 0.
     A fixed edge with swapped ends and a reflected loop each fold onto a
     pendant edge plus its tip, which adds nothing to the genus.  Every
     other edge orbit is solid: a swapped pair, a fixed non-loop edge with
     fixed ends, or a fixed loop left unreflected.  Hence genus = solid -
-    vertex orbits + 1.  Each partial map of each edge block is scored by
-    its solid count, free loops aside; the blocks are walked with a
-    branch-and-bound on suffix minima, and exactly (vertex orbits - 1 -
-    that count) of the free loops stay unreflected.
+    vertex orbits + 1.  The walk fixes each unassigned edge (when the
+    vertex map keeps its ends, a loop both unreflected and reflected) or
+    swaps it with a later unassigned edge of equal length on the image
+    ends, and cuts a branch once solid exceeds vertex orbits - 1.
     """
-    ends = {e.id: e.ends for e in curve.edges}
-
-    def solid(vmap, partial):
-        n = 0
-        for e, img in partial.items():
-            if img != e:
-                n += e < img  # each swapped pair once
-            else:
-                u, w = ends[e]
-                n += u != w and vmap[u] == u
-        return n
-
+    edges = curve.sorted_edges()
     for vmap in _vertex_involutions(curve):
-        blocks = _edge_blocks(curve, vmap)
-        if blocks is None:
-            continue
         target = sum(v <= img for v, img in vmap.items()) - 1
-        scored = [[(solid(vmap, m), m) for m in block] for block in blocks]
-        for count, emap in _block_products(scored, target):
-            loops = _fixed_loops(curve, emap)
-            keep = target - count  # free loops left unreflected
-            for mask in range(1 << len(loops)):
-                if len(loops) - mask.bit_count() == keep:
-                    yield Involution(dict(vmap), dict(emap), _flips(loops, mask))
+        emap: dict = {}
+        flips: list = []
+
+        def walk(i, solid):
+            if solid > target:
+                return
+            while i < len(edges) and edges[i].id in emap:
+                i += 1
+            if i == len(edges):
+                if solid == target:
+                    yield Involution(dict(vmap), dict(emap), frozenset(flips))
+                return
+            e = edges[i]
+            u, w = e.ends
+            image = {vmap[u], vmap[w]}
+            if image == {u, w}:
+                emap[e.id] = e.id
+                if u == w:
+                    yield from walk(i + 1, solid + 1)
+                    flips.append(e.id)
+                    yield from walk(i + 1, solid)
+                    flips.pop()
+                else:
+                    yield from walk(i + 1, solid + (vmap[u] == u))
+                del emap[e.id]
+            for f in edges[i + 1 :]:
+                if f.id not in emap and f.length == e.length and set(f.ends) == image:
+                    emap[e.id], emap[f.id] = f.id, e.id
+                    yield from walk(i + 1, solid + 1)
+                    del emap[e.id], emap[f.id]
+
+        yield from walk(0, 0)
 
 
 def _hyperelliptic_search(curve: TropicalCurve):

@@ -37,12 +37,6 @@ def zero_matrix(m: int, n: int) -> Matrix:
     return [[0] * n for _ in range(m)]
 
 
-def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def is_symmetric(a: Matrix) -> bool:
     n = len(a)
     return all(len(row) == n for row in a) and all(
@@ -51,6 +45,7 @@ def is_symmetric(a: Matrix) -> bool:
 
 
 def columns(a: Matrix) -> list[Vector]:
+    """The columns of a as lists, which is also its transpose."""
     return [list(col) for col in zip(*a)] if a else []
 
 
@@ -273,7 +268,7 @@ class Lattice:
         """
         tail = [row[d:] for row, p in zip(self.rows, self.pivots) if p >= d]
         # the tail is in Hermite form already; start with the column pass
-        rank, orders = snf_diagonal_orders(transpose(tail))
+        rank, orders = snf_diagonal_orders(columns(tail))
         return self.n - d - rank, invariant_factors_from_orders(orders)
 
 
@@ -331,7 +326,7 @@ def snf_diagonal_orders(mat) -> tuple[int, list[int]]:
         work = hnf_rows(work, len(work[0]))
         if _is_monomial_matrix(work):
             break
-        work = transpose(work)
+        work = columns(work)
         rounds += 1
         if rounds > 10_000:
             raise RuntimeError("alternating Hermite reduction failed to settle")

@@ -222,7 +222,7 @@ def basis_change_matrix(
         else:
             col[g + i] = 1
         cols.append(col)
-    return la.transpose(cols)
+    return la.columns(cols)
 
 
 def basis_report(curve: TropicalCurve, basis: HomologyBasis) -> dict:

@@ -14,11 +14,6 @@ from tropceresa.exterior import Filtration, WedgeVector, embed_H_in_L, wedge_bas
 from tropceresa.graph_core import (
     Involution,
     TropicalCurve,
-    _block_products,
-    _edge_blocks,
-    _fixed_loops,
-    _flips,
-    _vertex_involutions,
     genus,
     graph_genus,
     quotient_curve,
@@ -775,23 +770,47 @@ def brute_spanning_trees(curve: TropicalCurve):
     return sorted(found) if need else [()]
 
 
-def involutions(curve: TropicalCurve) -> list[Involution]:
-    """Every involutive automorphism (identity included), exhaustively, from
-    the search's own vertex maps and edge blocks with no pruning.
+def _pairings(items, fixable, pairable):
+    """Involutions of a list as dicts: each item is fixed, where fixable(x),
+    or swapped with a later item y, where pairable(x, y)."""
+    if not items:
+        yield {}
+        return
+    x, rest = items[0], items[1:]
+    if fixable(x):
+        for sub in _pairings(rest, fixable, pairable):
+            yield {x: x, **sub}
+    for j, y in enumerate(rest):
+        if pairable(x, y):
+            for sub in _pairings(rest[:j] + rest[j + 1 :], fixable, pairable):
+                yield {x: y, y: x, **sub}
 
-    Loops fixed with fixed base vertex are emitted twice: pointwise fixed
-    and reflected.
+
+def involutions(curve: TropicalCurve) -> list[Involution]:
+    """Every involutive automorphism (identity included), exhaustively and
+    with no pruning: every vertex involution fixing positive weights, every
+    length- and incidence-preserving edge involution over it, and every
+    subset of its fixed loops reflected.  Shares no code with the package's
+    hyperelliptic search.
     """
+    weight = {v.id: v.weight for v in curve.vertices}
+    edges = curve.sorted_edges()
     results = []
-    for vmap in _vertex_involutions(curve):
-        blocks = _edge_blocks(curve, vmap)
-        if blocks is None:
-            continue
-        unscored = [[(0, m) for m in block] for block in blocks]
-        for _, emap in _block_products(unscored, 0):
-            loops = _fixed_loops(curve, emap)
-            for mask in range(1 << len(loops)):
-                results.append(Involution(dict(vmap), dict(emap), _flips(loops, mask)))
+    for vmap in _pairings(
+        sorted(weight), lambda v: True, lambda v, u: weight[v] == weight[u] == 0
+    ):
+        image = {e: {vmap[x] for x in e.ends} for e in edges}
+        for pairing in _pairings(
+            edges,
+            lambda e: image[e] == set(e.ends),
+            lambda e, f: e.length == f.length and set(f.ends) == image[e],
+        ):
+            emap = {e.id: f.id for e, f in pairing.items()}
+            # a fixed loop has a fixed base vertex, so it may be reflected
+            loops = [e.id for e, f in pairing.items() if e == f and e.ends[0] == e.ends[1]]
+            for r in range(len(loops) + 1):
+                for flips in combinations(loops, r):
+                    results.append(Involution(vmap, emap, frozenset(flips)))
     return results
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tropceresa import graph_core, johnson
+from tropceresa import ceresa, graph_core, johnson
 from tropceresa.catalog import (
     BUILTIN_GRAPHS,
     BUILTIN_TABLES,
@@ -16,7 +16,7 @@ from tropceresa.catalog import (
     builtin_table,
 )
 from tropceresa.cli import WORKERS_ENV, main
-from tropceresa.graph_core import curve_to_json
+from tropceresa.graph_core import curve_to_json, tropical_curve
 from tropceresa.johnson import table_to_json
 
 from helpers import banana_curve, k4_curve
@@ -90,6 +90,24 @@ def test_hyperelliptic_edge_cap(tmp_path, capsys):
     code, out, err = run(capsys, "hyperelliptic", "--graph", str(path))
     assert code == 3 and out == ""
     assert "involution search capped at 12 edges" in err
+
+
+def test_groups_rank_cap_fires_before_homology(tmp_path, capsys, monkeypatch):
+    """Genus 4002 would need a 4002 x 4002 Gram form; the cap refuses it
+    before any homology is built."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("homology basis built past the rank cap")
+
+    monkeypatch.setattr(ceresa, "homology_basis", unreachable)
+    heavy = tropical_curve(
+        [("u", 4000), ("v", 0)], [(f"e{i}", ("u", "v"), 1) for i in range(3)]
+    )
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(curve_to_json(heavy)))
+    code, out, err = run(capsys, "groups", "--graph", str(path))
+    assert code == 3 and out == ""
+    assert "wedge machinery capped at degree 7, rank 16" in err
+
 
 def test_genus_and_basis(capsys):
     code, out, _ = run(capsys, "genus", "--graph", "builtin:theta-w1")

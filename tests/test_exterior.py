@@ -66,7 +66,7 @@ def induced(mat, k):
     """Matrix of `apply_matrix` on wedge^k, over the sorted-tuple basis."""
     n = len(mat)
     basis = wedge_basis(n, k)
-    return la.transpose(
+    return la.columns(
         [apply_matrix(mat, WedgeVector.monomial(n, t)).to_coords(basis) for t in basis]
     )
 
@@ -699,7 +699,7 @@ def test_sparse_wedge_kernels_match_sorting_oracle():
             assert wedge == helpers.vector_wedge(vectors, n)
             assert apply_matrix(mat, w) == helpers.apply_matrix(mat, w)
             basis = wedge_basis(n, k)
-            want = la.transpose([
+            want = la.columns([
                 helpers.apply_matrix(mat, WedgeVector.monomial(n, t)).to_coords(basis)
                 for t in basis
             ])

@@ -262,6 +262,15 @@ def test_balloon_barbell_banana_chain_hyperelliptic():
         assert is_hyperelliptic(loop_chain_curve(n))
 
 
+def test_banana_family_has_only_the_vertex_swap():
+    # n = 11 and 12 lie past the reach of the exhaustive oracle
+    for n in range(3, 13):
+        (inv,) = hyperelliptic_involutions(banana_curve(n))
+        assert inv.vertex_map == {"u": "v", "v": "u"}
+        assert all(e == img for e, img in inv.edge_map.items())
+        assert not inv.flipped_loops
+
+
 def test_unstable_input_rejected():
     sub = tropical_curve(
         [("u", 0), ("v", 0), ("m", 0)],

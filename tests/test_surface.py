@@ -1,4 +1,5 @@
-"""Every public name in src/tropceresa has a caller outside its own body.
+"""Every public name in src/tropceresa has a caller outside its own body,
+and the test oracles borrow no private name of the package.
 
 A function, class or method that nothing in the package, scripts/,
 perfbench/ or the acceptance suite refers to is kept alive only by unit
@@ -64,3 +65,17 @@ def test_every_public_name_has_a_caller():
     assert not unexplained, "public names with no caller: " + ", ".join(unexplained)
     stale = sorted(ALLOWED - set(orphans))
     assert not stale, "allowed names that have a caller or are gone: " + ", ".join(stale)
+
+
+def test_oracles_import_no_private_package_name():
+    """tests/helpers.py holds the independent oracles, so it may not import a
+    private helper of the code that they check."""
+    tree = ast.parse((ROOT / "tests" / "helpers.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("tropceresa")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, "oracles import private names: " + ", ".join(private)

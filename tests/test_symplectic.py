@@ -182,7 +182,7 @@ def test_delta_is_symplectic_and_square_unipotent():
         d = delta_from_Q(polarization_Q(sc, b))
         g = b.g
         j = symplectic_form(g)
-        assert mat_mul(mat_mul(la.transpose(d), j), d) == j
+        assert mat_mul(mat_mul(la.columns(d), j), d) == j
         m = [[d[i][t] - (i == t) for t in range(2 * g)] for i in range(2 * g)]
         assert is_zero_matrix(mat_mul(m, m))
 
@@ -311,7 +311,7 @@ def test_basis_change_is_symplectic_and_conjugates_delta():
         alt = homology_basis(k, tree=tree)
         s = basis_change_matrix(base, alt)
         j = symplectic_form(3)
-        assert mat_mul(mat_mul(la.transpose(s), j), s) == j
+        assert mat_mul(mat_mul(la.columns(s), j), s) == j
         d_alt = delta_from_Q(polarization_Q(k, alt))
         assert mat_mul(mat_mul(la.int_inverse(s), d_base), s) == d_alt
 
