@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Mutation gate for the decision routes.
+
+Each mutation below changes one line of the package.  For every mutation the
+script copies the project (without .git) to a temporary directory, applies
+the mutation there, and runs the tier-1 suite against that copy with -x.  A
+mutant is killed when the suite fails.  The working tree is never modified.
+
+Usage: python3 scripts/mutate.py
+
+Exits 1 if any mutant survives and 2 if a mutation no longer matches exactly
+one place in its file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path("src") / "tropceresa"
+
+# (name, file under src/tropceresa, original text, mutated text)
+MUTATIONS = [
+    ("wedge-sign", "exterior.py",
+     "(c * x if (size - pos) % 2 == 0 else -c * x)",
+     "(c * x if (size - pos) % 2 == 1 else -c * x)"),
+    ("back-substitute-lcm", "intlinalg.py",
+     "den = lcm(den, c.denominator)",
+     "den = max(den, c.denominator)"),
+    ("pivot-sign", "intlinalg.py",
+     "if rs[p] < 0:",
+     "if rs[p] < -1:"),
+    ("monomial-image-minus-one", "exterior.py",
+     "c = img.get(t, 0) - 1",
+     "c = img.get(t, 0)"),
+    ("gr2-inverse-half", "exterior.py",
+     "scale = 2 * vden * den * den",
+     "scale = vden * den * den"),
+    ("qualifying-y-degree", "ceresa.py",
+     "if k < g or j >= g:",
+     "if k < g or i >= g:"),
+    ("certified-downgrade", "ceresa.py",
+     '("trivial" if certified else "indeterminate")',
+     '"trivial"'),
+    ("verdict-precedence", "ceresa.py",
+     "if hyperelliptic:",
+     "if hyperelliptic and not decisive:"),
+    ("invariant-factor-gcd-lcm", "intlinalg.py",
+     "chain[i], chain[j] = d, a // d * b",
+     "chain[i], chain[j] = a // d * b, d"),
+    ("orbit-count-genus", "graph_core.py",
+     "target = sum(v <= img for v, img in vmap.items()) - 1",
+     "target = sum(v < img for v, img in vmap.items()) - 1"),
+    ("bbar-truncation", "exterior.py",
+     "return self._plus_h(self._echelon(1, self.start(3)))",
+     "return self._plus_h(self._echelon(1, self.start(4)))"),
+    ("bbar-own-echelon", "exterior.py",
+     "return self._plus_h(self._echelon(1, self.start(3)))",
+     "return self._plus_h(la.Lattice(self.start(3), (self.graded_coords(c, self.start(3)) for c in self._images(1))))"),
+    ("hermite-restart", "intlinalg.py",
+     "self._reduce_rows(first)",
+     "self._reduce_rows(first + 1)"),
+    ("h-extension-last-row", "exterior.py",
+     "for c in self._h_terms:",
+     "for c in self._h_terms[:-1]:"),
+]
+
+TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
+
+
+def mutated_copy(dest: Path, file: str, old: str, new: str) -> None:
+    shutil.copytree(ROOT, dest, ignore=SKIP)
+    path = dest / PACKAGE / file
+    text = path.read_text()
+    count = text.count(old)
+    if count != 1:
+        raise LookupError(f"{file}: {old!r} matches {count} places, not 1")
+    path.write_text(text.replace(old, new))
+
+
+def run_suite(tree: Path) -> tuple[bool, str]:
+    """(passed, last line of the pytest summary) for the suite in `tree`."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    probe = subprocess.run(
+        [sys.executable, "-c", "import tropceresa; print(tropceresa.__file__)"],
+        cwd=tree, env=env, capture_output=True, text=True, check=True,
+    )
+    if not Path(probe.stdout.strip()).is_relative_to(tree):
+        raise RuntimeError(f"tropceresa imports from {probe.stdout.strip()}, not the copy")
+    proc = subprocess.run(
+        [sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True
+    )
+    lines = [line for line in proc.stdout.splitlines() if line.strip()]
+    failed = [line for line in lines if line.startswith(("FAILED", "ERROR"))]
+    return proc.returncode == 0, (failed or lines or ["no output"])[-1]
+
+
+def main() -> int:
+    survivors = []
+    for name, file, old, new in MUTATIONS:
+        t0 = time.perf_counter()
+        with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+            tree = Path(tmp) / "tree"
+            try:
+                mutated_copy(tree, file, old, new)
+            except LookupError as exc:
+                print(f"{name}: {exc}", file=sys.stderr)
+                return 2
+            passed, summary = run_suite(tree)
+        status = "SURVIVED" if passed else "killed"
+        print(f"{name:26} {status:8} {time.perf_counter() - t0:6.1f} s  {summary}",
+              flush=True)
+        if passed:
+            survivors.append(name)
+    if survivors:
+        print(f"{len(survivors)} mutant(s) survived: {', '.join(survivors)}")
+        return 1
+    print(f"all {len(MUTATIONS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

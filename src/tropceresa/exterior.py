@@ -18,7 +18,7 @@ to relation lattices; no coset representatives are ever chosen.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -319,13 +319,16 @@ class GradedImages:
     Lattices order coordinates by Y-degree, then by wedge index, so every
     F_q is the suffix from `start(q)`.  One echelon basis per relation set
     gives its groups (`Lattice.section`) and class orders
-    (`Lattice.coset_order`); the Abar and Bbar lattices are cached.
+    (`Lattice.coset_order`).  The image echelons behind A and B are cached,
+    and the Abar and Bbar lattices extend copies of them by H, so the four
+    groups take two echelonisations.
     """
 
     filt: Filtration
     delta: list
     k: int
     wedge: list
+    _echelons: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, delta, y_vectors, k: int, **fields):
@@ -378,9 +381,21 @@ class GradedImages:
         """Filtration-order coordinates of {monomial: coeff}, up to `stop`."""
         return [coeffs.get(t, 0) for t in self._graded_wedge[:stop]]
 
-    def _lattice(self, sparse_vectors, stop: int | None = None) -> la.Lattice:
-        stop = len(self.wedge) if stop is None else stop
-        return la.Lattice(stop, (self.graded_coords(c, stop) for c in sparse_vectors))
+    def _echelon(self, level: int | None, stop: int) -> la.Lattice:
+        """Echelon of the images at Y-degree `level` (all if None), in
+        filtration order truncated at `stop`; built once per key."""
+        lat = self._echelons.get((level, stop))
+        if lat is None:
+            rows = (self.graded_coords(c, stop) for c in self._images(level))
+            lat = self._echelons[level, stop] = la.Lattice(stop, rows)
+        return lat
+
+    def _plus_h(self, lat: la.Lattice) -> la.Lattice:
+        """A copy of `lat` extended by the embedded H."""
+        out = lat.copy()
+        for c in self._h_terms:
+            out.add(self.graded_coords(c, out.n))
+        return out
 
     def _images(self, level=None) -> list:
         """Sparse nonzero images of the monomials at Y-degree `level` (all if None)."""
@@ -402,20 +417,21 @@ class GradedImages:
 
     @cached_property
     def abar_lattice(self) -> la.Lattice:
-        """(delta-I) L + H, in filtration order."""
-        return self._lattice(self._images() + list(self._h_terms))
+        """(delta-I) L + H, in filtration order: the A echelon plus H."""
+        return self._plus_h(self._echelon(None, len(self.wedge)))
 
     @cached_property
     def bbar_lattice(self) -> la.Lattice:
-        """(delta-I) F_1 L + H, in filtration order, truncated below F_3."""
-        return self._lattice(self._images(1) + list(self._h_terms), self.start(3))
+        """(delta-I) F_1 L + H, in filtration order, truncated below F_3:
+        the B(2) echelon plus H."""
+        return self._plus_h(self._echelon(1, self.start(3)))
 
     def A_group(self, q: int) -> AbelianGroupDescriptor:
-        lat = self._lattice(self._images())
+        lat = self._echelon(None, len(self.wedge))
         return AbelianGroupDescriptor(*lat.section(self.start(q)))
 
     def B_group(self, q: int) -> AbelianGroupDescriptor:
-        lat = self._lattice(self._images(q - 1), self.start(q + 1))
+        lat = self._echelon(q - 1, self.start(q + 1))
         return AbelianGroupDescriptor(*lat.section(self.start(q)))
 
     def Abar_group(self) -> AbelianGroupDescriptor:

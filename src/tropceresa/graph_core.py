@@ -425,7 +425,8 @@ def quotient_curve(curve: TropicalCurve, inv: Involution) -> TropicalCurve:
 
 def _tree_quotient_candidates(curve: TropicalCurve):
     """The involutions whose quotient has genus 0, found without building a
-    quotient: for each vertex involution, a walk over the edges in id order.
+    quotient: for each vertex involution, a walk over the non-loop edges in
+    id order, then the loops in id order.
 
     The quotient is connected, so it is a tree exactly when its genus is 0.
     A fixed edge with swapped ends and a reflected loop each fold onto a
@@ -435,9 +436,12 @@ def _tree_quotient_candidates(curve: TropicalCurve):
     vertex orbits + 1.  The walk fixes each unassigned edge (when the
     vertex map keeps its ends, a loop both unreflected and reflected) or
     swaps it with a later unassigned edge of equal length on the image
-    ends, and cuts a branch once solid exceeds vertex orbits - 1.
+    ends, and cuts a branch once solid exceeds vertex orbits - 1.  Walking
+    the loops last lets the path edges reach that bound first, so every
+    unreflected loop is then cut at once instead of branching over all
+    reflections.
     """
-    edges = curve.sorted_edges()
+    edges = sorted(curve.sorted_edges(), key=lambda e: e.ends[0] == e.ends[1])
     for vmap in _vertex_involutions(curve):
         target = sum(v <= img for v, img in vmap.items()) - 1
         emap: dict = {}

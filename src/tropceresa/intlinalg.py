@@ -133,8 +133,9 @@ class Lattice:
 
     Membership needs divisibility at every pivot, so the echelon rows are a
     genuine lattice basis, not just a rational one.  Rows are re-reduced
-    after every insertion; without that, chains of gcd combinations blow up
-    doubly exponentially on lattices of this package's working size.
+    after every insertion, from the first row it inserted or rewrote on;
+    without that, chains of gcd combinations blow up doubly exponentially
+    on lattices of this package's working size.
 
     Invariant: each row is zero before its pivot, and the pivots increase.
     Every update of a row by another therefore starts at the other row's
@@ -155,7 +156,7 @@ class Lattice:
             raise ValueError(
                 f"vector of length {len(vec)} added to a lattice in Z^{self.n}"
             )
-        touched = False
+        first = len(self.pivots)  # the first row inserted or rewritten, if any
         while True:
             lead = next((j for j, x in enumerate(vec) if x), None)
             if lead is None:
@@ -164,7 +165,7 @@ class Lattice:
             if pos == len(self.pivots) or self.pivots[pos] != lead:
                 self.rows.insert(pos, vec)
                 self.pivots.insert(pos, lead)
-                touched = True
+                first = min(first, pos)
                 break
             row = self.rows[pos]
             a, b = row[lead], vec[lead]
@@ -179,18 +180,20 @@ class Lattice:
                     rt, vt = row[t], vec[t]
                     row[t] = x * rt + y * vt
                     vec[t] = -bg * rt + ag * vt
-                touched = True
-        if touched:
-            self._reduce_rows()
+                first = min(first, pos)
+        self._reduce_rows(first)
 
-    def _reduce_rows(self) -> None:
-        """Hermite discipline: positive pivots, entries above reduced.
+    def _reduce_rows(self, first: int) -> None:
+        """Hermite discipline from row `first` on: positive pivots, entries
+        above reduced.
 
-        Row s is zero before its pivot p, so a row above it only changes
-        from column p on.
+        The rows before `first` are unchanged since the last pass, so they
+        are reduced against each other already.  Row s is zero before its
+        pivot p, so a row above it only changes from column p on.
         """
-        rows = self.rows
-        for s, p in enumerate(self.pivots):
+        rows, pivots = self.rows, self.pivots
+        for s in range(first, len(pivots)):
+            p = pivots[s]
             rs = rows[s]
             if rs[p] < 0:
                 rs[p:] = [-x for x in rs[p:]]
@@ -201,6 +204,13 @@ class Lattice:
                 q = row[p] // piv
                 if q:
                     row[p:] = [x - q * y for x, y in zip(row[p:], tail)]
+
+    def copy(self) -> "Lattice":
+        """An independent lattice with the same rows and pivots; nothing is
+        re-echelonised."""
+        out = object.__new__(type(self))
+        out.n, out.rows, out.pivots = self.n, self.basis(), self.pivots[:]
+        return out
 
     def back_substitute(self, vec: Vector, d: int | None = None):
         """Rational coefficients of vec along the rows pivoting before d

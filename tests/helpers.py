@@ -667,6 +667,18 @@ def tl3_curve(c=(1,) * 9) -> TropicalCurve:
     )
 
 
+K4_PAIRS = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
+
+
+def k4_doubled(d: int, lengths) -> TropicalCurve:
+    """K4 with its first d edges doubled by a parallel copy."""
+    pairs = K4_PAIRS + K4_PAIRS[:d]
+    return tropical_curve(
+        [(v, 0) for v in "abcd"],
+        [(f"e{i}", p, lengths[i]) for i, p in enumerate(pairs)],
+    )
+
+
 def banana_curve(n_edges: int, lengths=None) -> TropicalCurve:
     lengths = [1] * n_edges if lengths is None else lengths
     return tropical_curve(

@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from math import gcd, inf
+from math import comb, gcd, inf, prod
 
 import pytest
 
@@ -35,7 +35,7 @@ from tropceresa.johnson import JohnsonTable, coboundary_shift, transform_table
 from tropceresa.symplectic import basis_change_matrix, homology_basis
 
 import helpers
-from helpers import banana_curve, k4_curve, loop_chain_curve, tl3_curve
+from helpers import banana_curve, k4_curve, k4_doubled, loop_chain_curve, tl3_curve
 
 
 def k4_v_expected(c, n=6):
@@ -319,6 +319,20 @@ def test_paired_table_on_hyperelliptic_curve_is_trivial():
         assert rep.verdict == "hyperelliptic-trivial"
 
 
+@pytest.mark.parametrize("name,route", [
+    ("tl3", "u-nonintegral"), ("theta-w1", "not-in-Abar"),
+])
+def test_hyperelliptic_quotient_takes_precedence_over_a_decisive_route(name, route):
+    """A class some route certifies nontrivial is still reported
+    hyperelliptic-trivial when the curve has a tree quotient."""
+    ctx = build_context(builtin_curve(name))
+    v = v_class(ctx, builtin_table(name))
+    assert ceresa.nontriviality_verdict(ctx, v, False)["decided_by"] == route
+    out = ceresa.nontriviality_verdict(ctx, v, True)
+    assert (out["verdict"], out["decided_by"]) == (
+        "hyperelliptic-trivial", "hyperelliptic quotient"
+    )
+
 def test_user_table_flagged():
     curve = k4_curve()
     basis = homology_basis(curve)
@@ -530,6 +544,22 @@ def test_report_invariant_nontrivial_implies_witness():
             ) or nonintegral_qualifying_coordinates(build_context(curve), rep.u)
 
 
+def test_qualifying_coordinates_have_exactly_one_y_index():
+    """Only a_i ^ a_j ^ b_k with k distinct from i and j qualifies.  The
+    pipeline's u lies in gr_1, so only a vector given directly shows that
+    coordinates with no or two Y indices are passed over."""
+    ctx = build_context(builtin_curve("k4"))  # g = 3: a = 0..2, b = 3..5
+    half = Fraction(1, 2)
+    u = WedgeVector(6, 3, {
+        (0, 1, 2): half,  # a1 a2 a3: no Y index
+        (0, 4, 5): half,  # a1 b2 b3: two Y indices
+        (0, 1, 3): half,  # a1 a2 b1: b1 pairs with a1
+        (0, 1, 4): half,  # a1 a2 b2: b2 pairs with a2
+        (0, 1, 5): half,  # a1 a2 b3: qualifies
+        (0, 2, 4): 3,     # a1 a3 b2: qualifies, but integral
+    })
+    assert nonintegral_qualifying_coordinates(ctx, u) == [((0, 1, 5), half)]
+
 @pytest.mark.parametrize("name", ["k4", "tl3", "theta-w1"])
 def test_context_generators_match_fresh_computation(name):
     """The context's cached (delta-I) images and embedded H equal a fresh
@@ -558,6 +588,30 @@ def test_group_table_matches_exterior_groups(name):
         "Bbar": Bbar_group(ctx.delta, y),
     }
 
+
+
+@pytest.mark.parametrize("doubled", [2, 3])
+def test_group_table_closed_forms_at_genus_5_and_6(doubled):
+    """Criterion 5's closed-form orders, read through one context whose
+    Abar and Bbar lattices extend its A and B echelons (criterion 5 itself
+    calls the module-level groups, one engine each).  The curve is K4 with
+    `doubled` edges doubled, at seeded lengths."""
+    rng = random.Random(50 + doubled)
+    curve = k4_doubled(doubled, [rng.randint(1, 9) for _ in range(6 + doubled)])
+    ctx = build_context(curve)
+    g = ctx.g
+    assert (g, ctx.maximal_rank) == (3 + doubled, True)
+    qf = la.invariant_factor_diagonal(ctx.q_matrix)
+    detq = prod(qf)
+    tail = prod(qf[i] ** comb(g - 1 - i, 2) for i in range(g))
+    base = 2 ** comb(g, 3)
+    orders = {k: grp.order for k, grp in group_table(ctx).items()}
+    assert orders == {
+        "A": base * detq ** comb(g, 2) * tail,
+        "B": base * detq ** comb(g, 2),
+        "Abar": base * detq ** (comb(g, 2) - 1) * tail,
+        "Bbar": base * detq ** (comb(g, 2) - 1),
+    }
 
 def test_group_table_reuses_cached_images(monkeypatch):
     ctx = build_context(builtin_curve("tl3"))
@@ -657,14 +711,18 @@ def test_ceresa_order_accepts_class_in_H_through_lattice(monkeypatch):
 
 
 def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
-    """After group_table, the verdict routes echelonise nothing, and the
-    Abar and Bbar groups only rerun the Smith reduction of their sections
-    (on at most n - start(2) coordinates), never a relation set."""
+    """group_table echelonises the full-length A relation set and the B(2)
+    relation set once each (Abar and Bbar extend copies of them by H); after
+    it the verdict routes echelonise
+    nothing, and the Abar and Bbar groups only rerun the Smith reduction of
+    their sections (on at most n - start(2) coordinates), never a relation
+    set."""
     ctx = build_context(builtin_curve("tl3"))
     v = v_class(ctx, builtin_table("tl3"))
     built = _count_lattices(monkeypatch)
     groups = group_table(ctx)
-    assert built.count(len(ctx.wedge)) == 2  # the A and Abar relation sets
+    assert built.count(len(ctx.wedge)) == 1  # the A relation set
+    assert built.count(ctx.start(3)) == 1  # the B(2) relation set
     built.clear()
     ceresa_order(ctx, v)
     ambient_order(ctx, v)

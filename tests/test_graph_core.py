@@ -32,6 +32,7 @@ from helpers import (
     involutions,
     is_identity,
     k4_curve,
+    k4_doubled,
     loop_chain_curve,
     random_curve,
 )
@@ -363,18 +364,6 @@ def involution_key(inv):
         tuple(sorted(inv.vertex_map.items())),
         tuple(sorted(inv.edge_map.items())),
         inv.flipped_loops,
-    )
-
-
-K4_PAIRS = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
-
-
-def k4_doubled(d, lengths):
-    """K4 with its first d edges doubled by a parallel copy."""
-    pairs = K4_PAIRS + K4_PAIRS[:d]
-    return tropical_curve(
-        [(v, 0) for v in "abcd"],
-        [(f"e{i}", p, lengths[i]) for i, p in enumerate(pairs)],
     )
 
 

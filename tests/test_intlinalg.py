@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropceresa import ceresa
 from tropceresa import intlinalg as la
+from tropceresa.catalog import builtin_curve
 
 import helpers
 from helpers import (
@@ -110,6 +112,70 @@ def test_lattice_canonical_is_basis_independent():
         rng.shuffle(gens2)
         assert la.lattice_eq(gens, gens2, n)
 
+
+
+def _assert_hermite_reduced(lat):
+    for s, (row, p) in enumerate(zip(lat.rows, lat.pivots)):
+        assert not any(row[:p]) and row[p] > 0
+        assert all(0 <= above[p] < row[p] for above in lat.rows[:s])
+    assert lat.pivots == sorted(set(lat.pivots))
+
+
+def test_every_add_leaves_a_hermite_reduced_basis():
+    """Re-reduction restarts at the first row an add inserted or rewrote;
+    the rows before it must already be reduced, and every row from it on
+    must be reduced against all rows above, so after each add the pivots
+    are positive and each entry above a pivot lies in [0, pivot)."""
+    rng = random.Random(13)
+    rewrites = 0
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        lat = la.Lattice(n)
+        for _ in range(3 * n):
+            vec = [rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(n)]
+            before = lat.canonical()
+            lat.add(vec)
+            rewrites += lat.rank == len(before) and lat.canonical() != before
+            _assert_hermite_reduced(lat)
+    assert rewrites >= 50
+
+
+def test_lattice_copy_shares_no_row():
+    """An add on the copy rewrites its first row by an xgcd step and
+    inserts a row; the source keeps its rows and pivots."""
+    lat = la.Lattice(3, [[2, 1, 0], [0, 3, 1]])
+    rows, pivots = lat.canonical(), lat.pivots[:]
+    dup = lat.copy()
+    assert (dup.canonical(), dup.pivots) == (rows, pivots)
+    dup.add([3, 0, 5])
+    assert dup.canonical() != rows and dup.rank == 3
+    assert (lat.canonical(), lat.pivots) == (rows, pivots)
+    _assert_hermite_reduced(dup)
+
+
+@pytest.mark.parametrize("name", ["tl3", "theta-w1", "3balloon"])
+def test_h_extended_echelons_match_fresh_shuffled_builds(name):
+    """The Abar and Bbar lattices extend copies of the A and B(2) echelons
+    by H; their canonical bases equal fresh builds of the same generators,
+    in filtration order and shuffled."""
+    ctx = ceresa.build_context(builtin_curve(name))
+    ceresa.group_table(ctx)  # the A and B(2) echelons are built first
+    deg = ctx.filt.y_degree
+    order = sorted(range(len(ctx.wedge)), key=lambda i: deg(ctx.wedge[i]))
+    rng = random.Random(name)
+    cases = [
+        (ctx.abar_lattice, helpers.abar_relations(ctx), len(ctx.wedge)),
+        (
+            ctx.bbar_lattice,
+            helpers.image_generators(ctx, 1) + helpers.h_generators(ctx),
+            sum(deg(t) < 3 for t in ctx.wedge),
+        ),
+    ]
+    for lat, gens, stop in cases:
+        rows = [[g[i] for i in order[:stop]] for g in gens]
+        rng.shuffle(rows)
+        assert lat.n == stop
+        assert lat.canonical() == la.Lattice(stop, rows).canonical()
 
 def test_class_order_brute_force():
     rng = random.Random(2)
