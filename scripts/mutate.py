@@ -63,12 +63,27 @@ MUTATIONS = [
     ("bbar-own-echelon", "exterior.py",
      "return self._plus_h(self._echelon(1, self.start(3)))",
      "return self._plus_h(la.Lattice(self.start(3), (self.graded_coords(c, self.start(3)) for c in self._images(1))))"),
-    ("hermite-restart", "intlinalg.py",
-     "self._reduce_rows(first)",
-     "self._reduce_rows(first + 1)"),
+    ("hermite-dirty-rows", "intlinalg.py",
+     "dirty.add(r)",
+     "dirty.discard(r)"),
+    ("hermite-clean-pivot-rows", "intlinalg.py",
+     "above = [r for r in dirty if r < s]",
+     "above = []"),
     ("h-extension-last-row", "exterior.py",
      "for c in self._h_terms:",
      "for c in self._h_terms[:-1]:"),
+    ("omega-not-transported", "ceresa.py",
+     "omega=apply_matrix(frame, omega(g)),",
+     "omega=omega(g),"),
+    ("class-not-in-frame", "ceresa.py",
+     "return self.graded_coords(apply_matrix(self.frame, v).coeffs)",
+     "return self.graded_coords(v.coeffs)"),
+    ("frame-inverse", "symplectic.py",
+     "frame[i][:h] = v_inv[i]",
+     "frame[i][:h] = v[i]"),
+    ("smith-transform-index", "intlinalg.py",
+     "v = [[tags[1][j][i] for j in cols] for i in range(n)]",
+     "v = [[tags[1][i][j] for j in cols] for i in range(n)]"),
 ]
 
 TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

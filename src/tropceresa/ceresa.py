@@ -5,7 +5,8 @@ the graded map when the cycle rank is maximal, and decides triviality with
 this precedence: a hyperelliptic quotient trumps everything; then a
 non-integral coordinate of u of the form a_i^a_j^b_k with k distinct from
 i and j certifies nontriviality; the exact orders in the finite quotients
-settle the rest.
+settle the rest.  Those orders and the groups are read in the Smith frame
+of Q, where delta is [[I, 0], [D, I]] with D diagonal (`PipelineContext`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from math import inf
 
 from . import intlinalg as la
 from .errors import PreconditionError, SchemaError
-from .exterior import GradedImages, WedgeVector, check_wedge_caps, delta_inverse_gr2
+from .exterior import (
+    GradedImages,
+    WedgeVector,
+    apply_matrix,
+    check_wedge_caps,
+    delta_inverse_gr2,
+    omega,
+)
 from .graph_core import (
     TropicalCurve,
     curve_to_json,
@@ -26,24 +34,40 @@ from .graph_core import (
     stabilize,
 )
 from .johnson import JohnsonTable, basis_matches, validate_table
-from .symplectic import HomologyBasis, delta_from_Q, homology_basis, polarization_Q
+from .symplectic import (
+    HomologyBasis,
+    delta_from_Q,
+    homology_basis,
+    polarization_Q,
+    smith_frame,
+)
 
 VERDICTS = ("trivial", "nontrivial", "hyperelliptic-trivial", "indeterminate")
 
 
 @dataclass
 class PipelineContext(GradedImages):
-    """The k = 3 graded-image engine of one curve, plus the curve data that
-    every class computation on it shares."""
+    """The k = 3 graded-image engine of one curve in the Smith frame of Q,
+    plus the curve data that every class computation on it shares.
+
+    The engine runs on delta_from_Q(D) for the diagonal D = U Q_h V, with H
+    embedded by omega' = wedge^2(P) omega, where P = diag(V^-1, U) is the
+    graded frame change (`symplectic.smith_frame`).  Groups and orders are
+    invariant under P, and the relation sets of a diagonal D are sparse, so
+    the relation lattices live in this frame; classes enter it through
+    `frame_coords`.  u and the Zharkov test stay in the original frame.
+    """
 
     curve: TropicalCurve          # integer lengths
     scale: int
     basis: HomologyBasis
-    q_matrix: list
+    q_matrix: list                # original frame
+    q_diagonal: list              # D, zeros on the weight slots
+    frame: list                   # P
 
     @property
     def g(self) -> int:
-        return self.basis.g
+        return len(self.q_matrix)
 
     @property
     def maximal_rank(self) -> bool:
@@ -53,21 +77,36 @@ class PipelineContext(GradedImages):
     def rank_status(self) -> str:
         return "maximal" if self.maximal_rank else "deficient"
 
+    @classmethod
+    def from_q(cls, q: list, h: int, **fields) -> "PipelineContext":
+        """The Smith-frame engine of the Gram matrix q with cycle rank h;
+        `fields` carry the curve data."""
+        g = len(q)
+        d, frame = smith_frame(q, h)
+        return cls.build(
+            delta_from_Q([[x if i == j else 0 for j in range(g)] for i, x in enumerate(d)]),
+            _y_units(g, h),
+            3,
+            omega=apply_matrix(frame, omega(g)),
+            q_matrix=q,
+            q_diagonal=d,
+            frame=frame,
+            **fields,
+        )
+
+    def frame_coords(self, v: WedgeVector) -> list:
+        """Filtration-order coordinates of wedge^3(P) v, the class v moved
+        into the Smith frame.  P is graded, so v keeps its Y-degrees and
+        its integrality on each graded piece."""
+        return self.graded_coords(apply_matrix(self.frame, v).coeffs)
+
 
 def build_context(curve: TropicalCurve, tree=None) -> PipelineContext:
     check_wedge_caps(2 * genus(curve), 3)  # before the quadratic Q and delta
     scaled, scale = scaled_to_integer(curve)
     basis = homology_basis(scaled, tree=tree)
     q = polarization_Q(scaled, basis)
-    return PipelineContext.build(
-        delta_from_Q(q),
-        _y_units(basis.g, basis.h),
-        3,
-        curve=scaled,
-        scale=scale,
-        basis=basis,
-        q_matrix=q,
-    )
+    return PipelineContext.from_q(q, basis.h, curve=scaled, scale=scale, basis=basis)
 
 
 def _y_units(g: int, h: int) -> list:
@@ -76,15 +115,16 @@ def _y_units(g: int, h: int) -> list:
 
 
 def q_invariant_factors(ctx: PipelineContext) -> list:
-    """Invariant factors of the cycle block Q[:h, :h] of the Gram form."""
-    h = ctx.basis.h
-    return la.invariant_factor_diagonal([row[:h] for row in ctx.q_matrix[:h]])
+    """Invariant factors of the cycle block Q[:h, :h] of the Gram form, read
+    off its diagonal form D."""
+    return la.diagonal_invariant_factors(ctx.q_diagonal[: ctx.basis.h])
 
 
 def group_table(ctx: PipelineContext) -> dict:
     """The finite obstruction groups A, B, Abar, Bbar of the curve: sections
-    of F_2 computed by the context's graded-image engine, the same formulas
-    behind `exterior.A_group`, `B_group`, `Abar_group` and `Bbar_group`."""
+    of F_2 computed by the context's Smith-frame engine, the same formulas
+    behind `exterior.A_group`, `B_group`, `Abar_group` and `Bbar_group`,
+    which give isomorphic groups on the original delta."""
     return {
         "A": ctx.A_group(2),
         "B": ctx.B_group(2),
@@ -168,8 +208,8 @@ def ceresa_order(ctx: PipelineContext, v: WedgeVector):
 
     F3 is the coordinate suffix from start(3), so v lies in F2 + H exactly
     when it is integral there and its truncation lies in the Bbar lattice
-    modulo F2."""
-    coords = ctx.graded_coords(v.coeffs)
+    modulo F2.  All of this holds in the Smith frame as in the original."""
+    coords = ctx.frame_coords(v)
     head = coords[: ctx.start(3)]
     if any(c.denominator != 1 for c in coords[len(head) :]) or (
         ctx.bbar_lattice.coset_order(head, ctx.start(2)) != 1
@@ -182,13 +222,13 @@ def ceresa_order(ctx: PipelineContext, v: WedgeVector):
 
 def ambient_order(ctx: PipelineContext, v: WedgeVector):
     """Order of v in wedge^3 H / ((delta-I) wedge^3 H + H)."""
-    return ctx.abar_lattice.coset_order(ctx.graded_coords(v.coeffs))
+    return ctx.abar_lattice.coset_order(ctx.frame_coords(v))
 
 
 def in_Abar_test(ctx: PipelineContext, j_total: WedgeVector) -> dict:
     """Membership of the total class in F2 L + (delta-I)L + H, with the
     least positive multiple that lands inside."""
-    coords = ctx.graded_coords(j_total.coeffs)
+    coords = ctx.frame_coords(j_total)
     least = ctx.abar_lattice.coset_order(coords, ctx.start(2))
     return {"in_Abar": least == 1, "least_multiple": least}
 
@@ -201,14 +241,18 @@ def zharkov_test(ctx: PipelineContext, v: WedgeVector) -> dict:
     if not is_pure_gr2(ctx, v):
         raise PreconditionError("obstruction test expects a two-Y-factor class")
     n = 2 * ctx.g
+    # The test reports w and the generators in the original frame, so it
+    # reads the images of the original delta; it builds no relation lattice
+    # of the groups.
+    eng = GradedImages(ctx.filt, delta_from_Q(ctx.q_matrix), 3, ctx.wedge)
     # (delta-I) raises the Y-degree (checked when the images are cached), so
     # it takes gr_2 into F_3, and gr_1 there in two steps.  By linearity,
     # (delta-I)^2 t is the sum of c (delta-I) s over the terms c s of
     # (delta-I) t, all read from the cached monomial images.
-    w = WedgeVector._from_sorted(n, 3, ctx.image(v.coeffs))
+    w = WedgeVector._from_sorted(n, 3, eng.image(v.coeffs))
     gens = []
     for t in ctx.filt.monomials(3, 1, exact=True):
-        gen = ctx.image(ctx.monomial_images[t])
+        gen = eng.image(eng.monomial_images[t])
         if gen:
             gens.append(WedgeVector._from_sorted(n, 3, gen))
     gen_coords = [x.to_coords(ctx.wedge) for x in gens]

@@ -12,7 +12,10 @@ Y is always spanned by signed unit vectors (b_1..b_h in the pipeline), so
 F_q is spanned by the monomials with at least q indices in Y.
 
 Quotients modulo H are always realized by adjoining the embedded-H generators
-to relation lattices; no coset representatives are ever chosen.
+to relation lattices; no coset representatives are ever chosen.  The
+module-level groups take any unipotent delta; the pipeline runs the same
+engine on the diagonal form of its delta, with omega carried across
+(`ceresa.PipelineContext`).
 """
 
 from __future__ import annotations
@@ -314,7 +317,9 @@ class GradedImages:
     lattices behind A, B, Abar and Bbar.
 
     `delta` is used as given, and `wedge` is the sorted-tuple basis of
-    wedge^k.  Images and H are computed on first use and cached.
+    wedge^k.  H embeds as `omega` ^ H, with `omega` the standard sum of
+    a_i ^ b_i unless given: a change of basis of H carries the form along
+    with delta.  Images and H are computed on first use and cached.
 
     Lattices order coordinates by Y-degree, then by wedge index, so every
     F_q is the suffix from `start(q)`.  One echelon basis per relation set
@@ -328,6 +333,7 @@ class GradedImages:
     delta: list
     k: int
     wedge: list
+    omega: WedgeVector | None = field(default=None, kw_only=True)
     _echelons: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -366,7 +372,8 @@ class GradedImages:
         n = self.filt.n
         if n % 2:
             raise PreconditionError("H must have even rank")
-        return tuple(embed_H_in_L(unit, n // 2).coeffs for unit in la.identity(n))
+        form = omega(n // 2) if self.omega is None else self.omega
+        return tuple(form.wedge_vector(unit).coeffs for unit in la.identity(n))
 
     @cached_property
     def _graded_wedge(self) -> list:

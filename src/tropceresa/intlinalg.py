@@ -59,8 +59,15 @@ def invariant_factor_diagonal(a: Matrix) -> list:
     m = len(a)
     n = len(a[0]) if m else 0
     rank, orders = snf_diagonal_orders(a)
+    return diagonal_invariant_factors(orders + [0] * (min(m, n) - rank))
+
+
+def diagonal_invariant_factors(diag) -> list:
+    """Full SNF diagonal of the diagonal matrix with entries `diag`: unit
+    factors first, then the invariant factors, zeros last."""
+    orders = [abs(x) for x in diag if x]
     chain = invariant_factors_from_orders(orders)
-    return [1] * (rank - len(chain)) + chain + [0] * (min(m, n) - rank)
+    return [1] * (len(orders) - len(chain)) + chain + [0] * (len(diag) - len(orders))
 
 
 def matrix_rank(a: Matrix) -> int:
@@ -133,7 +140,7 @@ class Lattice:
 
     Membership needs divisibility at every pivot, so the echelon rows are a
     genuine lattice basis, not just a rational one.  Rows are re-reduced
-    after every insertion, from the first row it inserted or rewrote on;
+    after every insertion, wherever it inserted, rewrote or changed a row;
     without that, chains of gcd combinations blow up doubly exponentially
     on lattices of this package's working size.
 
@@ -156,7 +163,9 @@ class Lattice:
             raise ValueError(
                 f"vector of length {len(vec)} added to a lattice in Z^{self.n}"
             )
-        first = len(self.pivots)  # the first row inserted or rewritten, if any
+        # the rows rewritten, then the row inserted; each step raises the
+        # lead of vec, so their positions increase
+        touched = []
         while True:
             lead = next((j for j, x in enumerate(vec) if x), None)
             if lead is None:
@@ -165,7 +174,7 @@ class Lattice:
             if pos == len(self.pivots) or self.pivots[pos] != lead:
                 self.rows.insert(pos, vec)
                 self.pivots.insert(pos, lead)
-                first = min(first, pos)
+                touched.append(pos)
                 break
             row = self.rows[pos]
             a, b = row[lead], vec[lead]
@@ -180,30 +189,39 @@ class Lattice:
                     rt, vt = row[t], vec[t]
                     row[t] = x * rt + y * vt
                     vec[t] = -bg * rt + ag * vt
-                first = min(first, pos)
-        self._reduce_rows(first)
+                touched.append(pos)
+        self._reduce_rows(touched)
 
-    def _reduce_rows(self, first: int) -> None:
-        """Hermite discipline from row `first` on: positive pivots, entries
+    def _reduce_rows(self, touched) -> None:
+        """Hermite discipline after an insertion: positive pivots, entries
         above reduced.
 
-        The rows before `first` are unchanged since the last pass, so they
-        are reduced against each other already.  Row s is zero before its
-        pivot p, so a row above it only changes from column p on.
+        Two rows that are both untouched (neither inserted nor rewritten by
+        `add`, nor changed by this pass so far) were reduced against each
+        other by the last pass, so each pivot row s is reduced into the
+        dirty rows above it only, or into all of them if s itself is dirty.
+        Row s is zero before its pivot p, so a row above it only changes
+        from column p on, and later pivots never undo the reduction at p.
         """
         rows, pivots = self.rows, self.pivots
-        for s in range(first, len(pivots)):
+        dirty = set(touched)
+        for s in range(touched[0] if touched else len(pivots), len(pivots)):
             p = pivots[s]
             rs = rows[s]
-            if rs[p] < 0:
-                rs[p:] = [-x for x in rs[p:]]
+            if s in dirty:
+                if rs[p] < 0:
+                    rs[p:] = [-x for x in rs[p:]]
+                above = range(s)
+            else:
+                above = [r for r in dirty if r < s]
             piv = rs[p]
             tail = rs[p:]
-            for r in range(s):
+            for r in above:
                 row = rows[r]
                 q = row[p] // piv
                 if q:
                     row[p:] = [x - q * y for x, y in zip(row[p:], tail)]
+                    dirty.add(r)
 
     def copy(self) -> "Lattice":
         """An independent lattice with the same rows and pivots; nothing is
@@ -310,38 +328,77 @@ def hnf_rows(mat, n: int | None = None) -> list[Vector]:
 
 
 def _is_monomial_matrix(mat) -> bool:
-    if not mat:
-        return True
+    """At most one nonzero entry in each row and in each column."""
     col_used = set()
     for row in mat:
         support = [j for j, x in enumerate(row) if x]
-        if len(support) != 1 or support[0] in col_used:
+        if len(support) > 1 or support and support[0] in col_used:
             return False
-        col_used.add(support[0])
+        col_used.update(support)
     return True
 
 
-def snf_diagonal_orders(mat) -> tuple[int, list[int]]:
-    """Rank and the multiset of nonzero SNF diagonal entries of mat.
+def _alternating_hermite(work, tags=None):
+    """Alternate row Hermite reduction and transposition until `work` is a
+    (partial) monomial matrix W, and return W in the orientation of the
+    input.  Keeps entries polynomially bounded, unlike direct pivoting.
 
-    Alternates row and column Hermite reduction until the matrix is a
-    (partial) monomial matrix.  Its nonzero entries need not divide one
-    another; `invariant_factors_from_orders` turns them into the invariant
-    factors by gcd/lcm exchanges.  Keeps entries polynomially bounded,
-    unlike direct pivoting.
+    Untagged, zero rows are dropped.  With tags = [L, R^T] for the input
+    A = L·M·R, every row step runs on the rows tagged by the side it
+    multiplies (L on even rounds, where work is L·M·R; R^T on odd ones,
+    where it is its transpose), so no row vanishes and at the end W = L·M·R
+    for the updated tags.
     """
-    work = [list(r) for r in mat if any(r)]
     rounds = 0
     while work:
-        work = hnf_rows(work, len(work[0]))
+        n = len(work[0])
+        if tags is None:
+            work = hnf_rows(work, n)
+        else:
+            side = rounds % 2
+            rows = hnf_rows([r + t for r, t in zip(work, tags[side])])
+            work, tags[side] = [r[:n] for r in rows], [r[n:] for r in rows]
         if _is_monomial_matrix(work):
             break
         work = columns(work)
         rounds += 1
         if rounds > 10_000:
             raise RuntimeError("alternating Hermite reduction failed to settle")
+    return columns(work) if rounds % 2 else work
+
+
+def snf_diagonal_orders(mat) -> tuple[int, list[int]]:
+    """Rank and the multiset of nonzero SNF diagonal entries of mat.
+
+    The entries of the monomial matrix left by the alternating Hermite
+    reduction need not divide one another; `invariant_factors_from_orders`
+    turns them into the invariant factors by gcd/lcm exchanges.
+    """
+    work = _alternating_hermite([list(r) for r in mat if any(r)])
     orders = sorted(abs(x) for row in work for x in row if x)
     return len(orders), orders
+
+
+def smith_diagonal(a: Matrix) -> tuple[list, Matrix, Matrix]:
+    """A diagonal D = U·a·V with U and V unimodular: (diagonal of D, U, V).
+
+    The alternating Hermite reduction of `snf_diagonal_orders`, on rows
+    tagged with the transforms, leaves a monomial matrix; permuting its
+    nonzero entries onto the diagonal gives D.  D has min(m, n) entries,
+    the nonzero ones positive and first; they need not divide one another.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    tags = [identity(m), identity(n)]
+    work = _alternating_hermite([list(r) for r in a], tags)
+    cells = [(i, j) for i, row in enumerate(work) for j, x in enumerate(row) if x]
+    rows, cols = [i for i, _ in cells], [j for _, j in cells]
+    rows += [i for i in range(m) if i not in rows]
+    cols += [j for j in range(n) if j not in cols]
+    u = [tags[0][i] for i in rows]
+    v = [[tags[1][j][i] for j in cols] for i in range(n)]
+    diag = [work[i][j] for i, j in cells] + [0] * (min(m, n) - len(cells))
+    return diag, u, v
 
 
 def lattice_eq(vecs_a, vecs_b, n: int) -> bool:

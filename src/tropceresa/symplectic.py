@@ -166,6 +166,25 @@ def delta_from_Q(q: la.Matrix) -> la.Matrix:
     return d
 
 
+def smith_frame(q: la.Matrix, h: int) -> tuple[list, la.Matrix]:
+    """The diagonal D = U Q_h V of the cycle block, padded with zeros on the
+    weight slots, and the frame change P = diag(V^-1, U) that takes the
+    monodromy of Q to that of D: P delta_from_Q(Q) P^-1 = delta_from_Q(D).
+
+    U and V (`intlinalg.smith_diagonal`) act on the first h slots, with the
+    identity on the weight slots, so P keeps the a-span and Y = span(b_1..b_h)
+    and is graded for the Y-filtration.  P is not symplectic.
+    """
+    g = len(q)
+    d, u, v = la.smith_diagonal([row[:h] for row in q[:h]])
+    v_inv = la.int_inverse(v)
+    frame = la.identity(2 * g)
+    for i in range(h):
+        frame[i][:h] = v_inv[i]
+        frame[g + i][g : g + h] = u[i]
+    return d + [0] * (g - h), frame
+
+
 def intersection(u, v, g: int):
     """Algebraic intersection pairing with i(a_k, b_k) = +1."""
     return sum(u[k] * v[g + k] - u[g + k] * v[k] for k in range(g))

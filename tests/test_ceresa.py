@@ -7,8 +7,9 @@ import pytest
 
 from tropceresa import ceresa, exterior
 from tropceresa import intlinalg as la
-from tropceresa.catalog import BUILTIN_GRAPHS, builtin_curve, builtin_table
+from tropceresa.catalog import BUILTIN_GRAPHS, BUILTIN_TABLES, builtin_curve, builtin_table
 from tropceresa.ceresa import (
+    PipelineContext,
     _y_units,
     ambient_order,
     analyze,
@@ -27,12 +28,14 @@ from tropceresa.exterior import (
     Abar_group,
     B_group,
     Bbar_group,
+    GradedImages,
     WedgeVector,
     embed_H_in_L,
+    omega,
 )
-from tropceresa.graph_core import spanning_trees, tropical_curve
+from tropceresa.graph_core import spanning_trees, tropical_curve, with_sorted_lengths
 from tropceresa.johnson import JohnsonTable, coboundary_shift, transform_table
-from tropceresa.symplectic import basis_change_matrix, homology_basis
+from tropceresa.symplectic import basis_change_matrix, delta_from_Q, homology_basis
 
 import helpers
 from helpers import banana_curve, k4_curve, k4_doubled, loop_chain_curve, tl3_curve
@@ -562,7 +565,8 @@ def test_qualifying_coordinates_have_exactly_one_y_index():
 
 @pytest.mark.parametrize("name", ["k4", "tl3", "theta-w1"])
 def test_context_generators_match_fresh_computation(name):
-    """The context's cached (delta-I) images and embedded H equal a fresh
+    """The context's cached (delta-I) images of the Smith frame and its
+    embedded H, omega' ^ H with omega' = wedge^2(P) omega, equal a fresh
     computation by the sorting oracles."""
     curve = builtin_curve(name)
     ctx = build_context(curve)
@@ -574,28 +578,144 @@ def test_context_generators_match_fresh_computation(name):
             if not w.is_zero()
         ]
         assert helpers.image_generators(ctx, level) == fresh
-    assert helpers.h_generators(ctx) == helpers.embedded_H_generators(ctx.g)
+    omega_p = helpers.apply_matrix(ctx.frame, omega(ctx.g))
+    assert helpers.h_generators(ctx) == [
+        helpers.wedge_vector(omega_p, unit).to_coords(ctx.wedge)
+        for unit in la.identity(2 * ctx.g)
+    ]
 
 
 @pytest.mark.parametrize("name", BUILTIN_GRAPHS)
 def test_group_table_matches_exterior_groups(name):
+    """The Smith-frame groups equal the module-level groups of the original
+    delta."""
     ctx = build_context(builtin_curve(name))
     y = _y_units(ctx.g, ctx.basis.h)
+    delta = delta_from_Q(ctx.q_matrix)
     assert group_table(ctx) == {
-        "A": A_group(ctx.delta, y, 2),
-        "B": B_group(ctx.delta, y, 2),
-        "Abar": Abar_group(ctx.delta, y),
-        "Bbar": Bbar_group(ctx.delta, y),
+        "A": A_group(delta, y, 2),
+        "B": B_group(delta, y, 2),
+        "Abar": Abar_group(delta, y),
+        "Bbar": Bbar_group(delta, y),
     }
 
 
+# -- the Smith frame against the original-frame engine ----------------------------
 
-@pytest.mark.parametrize("doubled", [2, 3])
-def test_group_table_closed_forms_at_genus_5_and_6(doubled):
-    """Criterion 5's closed-form orders, read through one context whose
-    Abar and Bbar lattices extend its A and B echelons (criterion 5 itself
-    calls the module-level groups, one engine each).  The curve is K4 with
-    `doubled` edges doubled, at seeded lengths."""
+
+def _q_context(q):
+    """The Smith-frame context of a Gram matrix alone, at maximal rank."""
+    return PipelineContext.from_q(q, len(q), curve=None, scale=1, basis=None)
+
+
+def _original_engine(ctx):
+    """The original-frame engine of the context's Q: the oracle."""
+    h = len(ctx.filt.y_positions)
+    return GradedImages.build(delta_from_Q(ctx.q_matrix), _y_units(ctx.g, h), 3)
+
+
+def _engine_groups(eng):
+    return {
+        "A": eng.A_group(2),
+        "B": eng.B_group(2),
+        "Abar": eng.Abar_group(),
+        "Bbar": eng.Bbar_group(),
+    }
+
+
+def _original_orders(eng, v):
+    """Order in Bbar (None off F2 + H), ambient order and least multiple in
+    Abar, read off the original-frame lattices."""
+    coords = eng.graded_coords(v.coeffs)
+    head = coords[: eng.start(3)]
+    inside = all(Fraction(c).denominator == 1 for c in coords[len(head) :]) and (
+        eng.bbar_lattice.coset_order(head, eng.start(2)) == 1
+    )
+    return (
+        eng.bbar_lattice.coset_order(head) if inside else None,
+        eng.abar_lattice.coset_order(coords),
+        eng.abar_lattice.coset_order(coords, eng.start(2)),
+    )
+
+
+def _pipeline_orders(ctx, v):
+    try:
+        bbar = ceresa_order(ctx, v)
+    except PreconditionError:
+        bbar = None
+    return bbar, ambient_order(ctx, v), in_Abar_test(ctx, v)["least_multiple"]
+
+
+def _order_kind(x):
+    return "none" if x is None else "1" if x == 1 else "inf" if x == inf else ">1"
+
+
+def _assert_matches_original_frame(ctx, rng, classes, seen):
+    """Groups and orders of random classes (plus `classes`) agree; `seen`
+    collects (route, kind of order) pairs for coverage."""
+    eng = _original_engine(ctx)
+    assert group_table(ctx) == _engine_groups(eng)
+    kinds = ("F2+H", "relations", "F2 sixths", "random")
+    classes = list(classes) + [_random_sixths_class(eng, rng, kinds[t % 4]) for t in range(8)]
+    for v in classes:
+        got = _pipeline_orders(ctx, v)
+        assert got == _original_orders(eng, v)
+        seen.update(zip(("bbar", "ambient", "abar"), map(_order_kind, got)))
+
+
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_smith_frame_matches_original_frame_on_random_q(g):
+    """Groups and the three verdict orders of the Smith-frame context equal
+    those of the original-frame engine, on seeded positive definite Q."""
+    seen = set()
+    for seed in range(3):
+        rng = random.Random(100 * g + seed)
+        ctx = _q_context(helpers.random_posdef(g, rng))
+        _assert_matches_original_frame(ctx, rng, [], seen)
+    assert {("bbar", "none"), ("bbar", ">1"), ("ambient", "inf"), ("abar", ">1")} <= seen
+
+
+def test_smith_frame_matches_original_frame_on_fixtures():
+    """The same at random lengths on every fixture, with the fixture's own
+    class; theta-w1 and 3balloon run at deficient rank."""
+    rng = random.Random(14)
+    seen, ranks = set(), set()
+    for name in BUILTIN_GRAPHS:
+        for _ in range(2):
+            base = builtin_curve(name)
+            lengths = [rng.randint(1, 20) for _ in base.edges]
+            curve = with_sorted_lengths(base, lengths)
+            ctx = build_context(curve)
+            ranks.add((name, ctx.rank_status))
+            classes = []
+            if name in BUILTIN_TABLES:
+                classes.append(v_class(ctx, builtin_table(name, curve)))
+            _assert_matches_original_frame(ctx, rng, classes, seen)
+    assert {("theta-w1", "deficient"), ("3balloon", "deficient"), ("tl3", "maximal")} <= ranks
+    assert {("bbar", ">1"), ("abar", ">1"), ("ambient", ">1")} <= seen
+
+
+def test_untransported_omega_changes_the_h_quotients():
+    """On this Q the diagonal frame needs omega' = wedge^2(P) omega: with the
+    standard omega its Abar and Bbar differ from the original ones, while A
+    and B, which do not see H, agree."""
+    ctx = _q_context(helpers.random_posdef(5, random.Random(7)))
+    eng = _original_engine(ctx)
+    plain = GradedImages.build(ctx.delta, _y_units(5, 5), 3)
+    want = _engine_groups(eng)
+    assert _engine_groups(ctx) == want
+    got = _engine_groups(plain)
+    assert (got["A"], got["B"]) == (want["A"], want["B"])
+    assert got["Abar"] != want["Abar"] and got["Bbar"] != want["Bbar"]
+
+
+
+@pytest.mark.parametrize("doubled", [2, 3, 4, 5])
+def test_group_table_closed_forms_at_genus_5_to_8(doubled):
+    """Criterion 5's closed-form orders, read through one Smith-frame
+    context whose Abar and Bbar lattices extend its A and B echelons
+    (criterion 5 itself calls the module-level groups, one engine each).
+    The curve is K4 with `doubled` edges doubled, at seeded lengths."""
     rng = random.Random(50 + doubled)
     curve = k4_doubled(doubled, [rng.randint(1, 9) for _ in range(6 + doubled)])
     ctx = build_context(curve)
@@ -648,13 +768,14 @@ def _random_sixths_class(ctx, rng, kind):
         for gen in rng.sample(gens, min(len(gens), rng.randint(1, 4))):
             c = Fraction(rng.randint(-6, 6), den)
             coords = [x + c * y for x, y in zip(coords, gen)]
-    return WedgeVector(2 * ctx.g, 3, dict(zip(ctx.wedge, coords)))
+    return WedgeVector(ctx.filt.n, 3, dict(zip(ctx.wedge, coords)))
 
 
 def test_verdict_routes_match_fresh_lattice_oracles():
     """ceresa_order, ambient_order and in_Abar_test, read off the context's
-    cached lattices in filtration order, against the same questions put to
-    freshly echelonised relation sets in wedge order."""
+    cached Smith-frame lattices in filtration order, against the same
+    questions put to freshly echelonised original-frame relation sets in
+    wedge order."""
     rng = random.Random(31)
     seen = dict.fromkeys(
         ("rejected", "bbar 1", "bbar >1", "ambient inf", "ambient >1",
@@ -662,11 +783,12 @@ def test_verdict_routes_match_fresh_lattice_oracles():
     )
     for name in BUILTIN_GRAPHS:
         ctx = build_context(builtin_curve(name))
+        eng = _original_engine(ctx)
         for trial in range(32):
             kind = ("F2+H", "relations", "F2 sixths", "random")[trial % 4]
-            v = _random_sixths_class(ctx, rng, kind)
+            v = _random_sixths_class(eng, rng, kind)
             try:
-                want = helpers.ceresa_order(ctx, v)
+                want = helpers.ceresa_order(eng, v)
             except PreconditionError as exc:
                 with pytest.raises(PreconditionError, match=re.escape(str(exc))):
                     ceresa_order(ctx, v)
@@ -674,10 +796,10 @@ def test_verdict_routes_match_fresh_lattice_oracles():
             else:
                 assert ceresa_order(ctx, v) == want
                 seen["bbar 1" if want == 1 else "bbar >1"] += 1
-            want = helpers.ambient_order(ctx, v)
+            want = helpers.ambient_order(eng, v)
             assert ambient_order(ctx, v) == want
             seen["ambient inf" if want == inf else "ambient >1"] += want > 1
-            want = helpers.abar_least_multiple(ctx, v)
+            want = helpers.abar_least_multiple(eng, v)
             assert in_Abar_test(ctx, v) == {"in_Abar": want == 1, "least_multiple": want}
             seen["in Abar" if want == 1 else "Abar inf" if want == inf else "Abar >1"] += 1
             seen["theta-w1 F2 sixths"] += (
@@ -708,12 +830,13 @@ def test_ceresa_order_accepts_class_in_H_through_lattice(monkeypatch):
     built = _count_lattices(monkeypatch)
     assert ceresa_order(ctx, v) == 1
     assert len(built) == 1  # the context's Bbar lattice, built on first use
+    assert list(ctx._echelons) == [(1, ctx.start(3))] and "bbar_lattice" in vars(ctx)
 
 
 def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
     """group_table echelonises the full-length A relation set and the B(2)
-    relation set once each (Abar and Bbar extend copies of them by H); after
-    it the verdict routes echelonise
+    relation set of the Smith-frame context once each (Abar and Bbar extend
+    copies of them by H); after it the verdict routes echelonise
     nothing, and the Abar and Bbar groups only rerun the Smith reduction of
     their sections (on at most n - start(2) coordinates), never a relation
     set."""
@@ -723,6 +846,7 @@ def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
     groups = group_table(ctx)
     assert built.count(len(ctx.wedge)) == 1  # the A relation set
     assert built.count(ctx.start(3)) == 1  # the B(2) relation set
+    assert set(ctx._echelons) == {(None, len(ctx.wedge)), (1, ctx.start(3))}
     built.clear()
     ceresa_order(ctx, v)
     ambient_order(ctx, v)
@@ -739,8 +863,9 @@ def test_ceresa_order_skips_lattice_inside_F2(monkeypatch):
     built = _count_lattices(monkeypatch)
     order = ceresa_order(ctx, v)
     assert len(built) == 1  # only the context's Bbar lattice
+    assert list(ctx._echelons) == [(1, ctx.start(3))]
     assert order == helpers.class_order(
-        v.to_coords(ctx.wedge), helpers.bbar_relations(ctx), len(ctx.wedge)
+        v.to_coords(ctx.wedge), helpers.bbar_relations(_original_engine(ctx)), len(ctx.wedge)
     )
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tropceresa import ceresa
 from tropceresa import intlinalg as la
 from tropceresa.catalog import builtin_curve
+from tropceresa.symplectic import delta_from_Q
 
 import helpers
 from helpers import (
@@ -58,6 +59,41 @@ def test_alternating_hnf_matches_naive_snf(a):
     naive = [abs(d) for d in naive_snf_diag(a) if d]
     assert rank == len(naive)
     assert la.invariant_factors_from_orders(orders) == la.invariant_factors_from_orders(naive)
+
+
+def test_smith_diagonal_gives_unimodular_transforms():
+    """U a V is diagonal with U and V unimodular, on symmetric, non-symmetric,
+    singular, non-square and 1x1 input, and its entries give the invariant
+    factors of the textbook oracle."""
+    rng = random.Random(14)
+    cases = [[[5]], [[-3]], [[0]], [[0, 0], [0, 0]], [[2, 4], [4, 8]], [[1, 2], [3, 4]]]
+    cases += [helpers.random_posdef(g, rng) for g in range(1, 7)]
+    for _ in range(60):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.4:  # singular: a row copied from another
+            a[-1] = a[0][:]
+        cases.append(a)
+    kinds = set()
+    for a in cases:
+        m, n = len(a), len(a[0])
+        d, u, v = la.smith_diagonal(a)
+        assert len(d) == min(m, n)
+        assert mat_mul(mat_mul(u, a), v) == [
+            [d[i] if i == j else 0 for j in range(n)] for i in range(m)
+        ]
+        assert abs(helpers.det_fraction(u)) == 1 and abs(helpers.det_fraction(v)) == 1
+        naive = naive_snf_diag(a)
+        assert la.diagonal_invariant_factors(d) == [abs(x) for x in naive]
+        shape = (
+            "1x1" if m * n == 1
+            else "symmetric" if a == la.columns(a)
+            else "square" if m == n
+            else "non-square"
+        )
+        kinds.add(shape + " singular" * (0 in d))
+    assert {"1x1", "1x1 singular", "symmetric", "symmetric singular", "square",
+            "square singular", "non-square", "non-square singular"} <= kinds
 
 
 def test_invariant_factor_examples():
@@ -122,22 +158,24 @@ def _assert_hermite_reduced(lat):
 
 
 def test_every_add_leaves_a_hermite_reduced_basis():
-    """Re-reduction restarts at the first row an add inserted or rewrote;
-    the rows before it must already be reduced, and every row from it on
-    must be reduced against all rows above, so after each add the pivots
-    are positive and each entry above a pivot lies in [0, pivot)."""
+    """Re-reduction reduces each pivot row into the rows above it that an
+    add inserted, rewrote or changed on the way, or into all rows above if
+    the pivot row is one of those; after each add the pivots are positive
+    and each entry above a pivot lies in [0, pivot).  Sparse vectors leave
+    most rows untouched, as the relation sets of a diagonal Q do."""
     rng = random.Random(13)
     rewrites = 0
-    for _ in range(60):
-        n = rng.randint(2, 6)
+    for trial in range(90):
+        n = rng.randint(2, 6) if trial < 60 else rng.randint(8, 14)
+        density = 0.7 if trial < 60 else 0.25
         lat = la.Lattice(n)
         for _ in range(3 * n):
-            vec = [rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(n)]
+            vec = [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
             before = lat.canonical()
             lat.add(vec)
             rewrites += lat.rank == len(before) and lat.canonical() != before
             _assert_hermite_reduced(lat)
-    assert rewrites >= 50
+    assert rewrites >= 80
 
 
 def test_lattice_copy_shares_no_row():
@@ -155,10 +193,12 @@ def test_lattice_copy_shares_no_row():
 
 @pytest.mark.parametrize("name", ["tl3", "theta-w1", "3balloon"])
 def test_h_extended_echelons_match_fresh_shuffled_builds(name):
-    """The Abar and Bbar lattices extend copies of the A and B(2) echelons
-    by H; their canonical bases equal fresh builds of the same generators,
-    in filtration order and shuffled."""
+    """The Abar and Bbar lattices of the Smith-frame context extend copies
+    of the A and B(2) echelons by omega' ^ H; their canonical bases equal
+    fresh builds of the same generators, in filtration order and shuffled."""
     ctx = ceresa.build_context(builtin_curve(name))
+    g, d = ctx.g, ctx.q_diagonal
+    assert ctx.delta == delta_from_Q([[x * (i == j) for j in range(g)] for i, x in enumerate(d)])
     ceresa.group_table(ctx)  # the A and B(2) echelons are built first
     deg = ctx.filt.y_degree
     order = sorted(range(len(ctx.wedge)), key=lambda i: deg(ctx.wedge[i]))

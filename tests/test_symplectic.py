@@ -12,6 +12,7 @@ from tropceresa.graph_core import (
     tropical_curve,
 )
 from tropceresa import graph_core, symplectic
+from tropceresa.catalog import builtin_curve
 from tropceresa.symplectic import (
     basis_change_matrix,
     basis_report,
@@ -19,6 +20,7 @@ from tropceresa.symplectic import (
     homology_basis,
     invariant_factors,
     polarization_Q,
+    smith_frame,
     twist_action,
 )
 from tropceresa.ceresa import _y_units
@@ -33,6 +35,7 @@ from helpers import (
     mat_mul,
     multitwist_action,
     random_curve,
+    random_posdef,
     tl3_curve,
 )
 
@@ -297,6 +300,29 @@ def test_invariant_factor_examples():
     k = k4_curve()
     assert invariant_factors(polarization_Q(k, homology_basis(k))) == [1, 4, 4]
     assert invariant_factors([[0, 0], [0, 0]]) == [0, 0]
+
+
+def test_smith_frame_conjugates_delta_and_keeps_the_grading():
+    """P delta_from_Q(Q) P^-1 = delta_from_Q(D) for the diagonal D, and
+    P = diag(V^-1, U) maps the a-span and the b-span to themselves and fixes
+    the weight slots, so Y = span(b_1..b_h) and every Y-degree are kept."""
+    rng = random.Random(15)
+    cases = [(random_posdef(g, rng), g) for g in range(1, 6)]
+    for name in ("k4", "tl3", "theta-w1", "3balloon"):
+        curve = builtin_curve(name)
+        basis = homology_basis(curve)
+        cases.append((polarization_Q(curve, basis), basis.h))
+    assert {len(q) - h for q, h in cases} == {0, 2, 3}
+    for q, h in cases:
+        g = len(q)
+        d, p = smith_frame(q, h)
+        assert len(d) == g and all(x > 0 for x in d[:h]) and not any(d[h:])
+        dq = [[x if i == j else 0 for j in range(g)] for i, x in enumerate(d)]
+        assert mat_mul(mat_mul(p, delta_from_Q(q)), la.int_inverse(p)) == delta_from_Q(dq)
+        for i in range(2 * g):
+            for j in range(2 * g):
+                if (i < g) != (j < g) or h <= i % g or h <= j % g:
+                    assert p[i][j] == int(i == j)
 
 
 # -- basis change -----------------------------------------------------------------
