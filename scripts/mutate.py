@@ -84,6 +84,12 @@ MUTATIONS = [
     ("smith-transform-index", "intlinalg.py",
      "v = [[tags[1][j][i] for j in cols] for i in range(n)]",
      "v = [[tags[1][i][j] for j in cols] for i in range(n)]"),
+    ("zharkov-relations-doubled", "ceresa.py",
+     "gen = vector_wedge([qa[i], qa[j], units[k]], n).scale(2)",
+     "gen = vector_wedge([qa[i], qa[j], units[k]], n)"),
+    ("zharkov-w-a-factor-mapped", "ceresa.py",
+     "vector_wedge([qa[m], units[p], units[r]], n)",
+     "vector_wedge([units[m], units[p], units[r]], n)"),
 ]
 
 TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

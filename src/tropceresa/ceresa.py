@@ -24,6 +24,7 @@ from .exterior import (
     check_wedge_caps,
     delta_inverse_gr2,
     omega,
+    vector_wedge,
 )
 from .graph_core import (
     TropicalCurve,
@@ -55,7 +56,8 @@ class PipelineContext(GradedImages):
     graded frame change (`symplectic.smith_frame`).  Groups and orders are
     invariant under P, and the relation sets of a diagonal D are sparse, so
     the relation lattices live in this frame; classes enter it through
-    `frame_coords`.  u and the Zharkov test stay in the original frame.
+    `frame_coords`.  u and the Zharkov test read the original Q through
+    closed forms, so the original delta is never built.
     """
 
     curve: TropicalCurve          # integer lengths
@@ -235,29 +237,32 @@ def in_Abar_test(ctx: PipelineContext, j_total: WedgeVector) -> dict:
 
 def zharkov_test(ctx: PipelineContext, v: WedgeVector) -> dict:
     """Push v one graded level further and test it against twice the
-    2x2-minor relations; an obstruction here certifies nontriviality."""
+    2x2-minor relations; an obstruction here certifies nontriviality.
+
+    delta - I kills every b_k and sends a_j to Q a_j, so w = (delta-I) v
+    takes each a_m ^ b_p ^ b_r of v to Q a_m ^ b_p ^ b_r, and the relations
+    are (delta-I)^2 (a_i ^ a_j ^ b_k) = 2 Q a_i ^ Q a_j ^ b_k, all on the
+    original Q.  They lie in F_3 = wedge^3 Y, so membership is read on its
+    C(g, 3) coordinates.
+    """
     if not ctx.maximal_rank:
         raise PreconditionError("obstruction test needs maximal rank")
     if not is_pure_gr2(ctx, v):
         raise PreconditionError("obstruction test expects a two-Y-factor class")
     n = 2 * ctx.g
-    # The test reports w and the generators in the original frame, so it
-    # reads the images of the original delta; it builds no relation lattice
-    # of the groups.
-    eng = GradedImages(ctx.filt, delta_from_Q(ctx.q_matrix), 3, ctx.wedge)
-    # (delta-I) raises the Y-degree (checked when the images are cached), so
-    # it takes gr_2 into F_3, and gr_1 there in two steps.  By linearity,
-    # (delta-I)^2 t is the sum of c (delta-I) s over the terms c s of
-    # (delta-I) t, all read from the cached monomial images.
-    w = WedgeVector._from_sorted(n, 3, eng.image(v.coeffs))
+    units = la.identity(n)
+    qa = [[0] * ctx.g + col for col in la.columns(ctx.q_matrix)]  # Q a_j on the b side
+    w = WedgeVector.zero(n, 3)
+    for (m, p, r), c in v.coeffs.items():
+        w = w + vector_wedge([qa[m], units[p], units[r]], n).scale(c)
     gens = []
-    for t in ctx.filt.monomials(3, 1, exact=True):
-        gen = eng.image(eng.monomial_images[t])
-        if gen:
-            gens.append(WedgeVector._from_sorted(n, 3, gen))
-    gen_coords = [x.to_coords(ctx.wedge) for x in gens]
-    lattice = la.Lattice(len(ctx.wedge), gen_coords)
-    obstructed = w.to_coords(ctx.wedge) not in lattice
+    for i, j, k in ctx.filt.monomials(3, 1, exact=True):
+        gen = vector_wedge([qa[i], qa[j], units[k]], n).scale(2)
+        if not gen.is_zero():
+            gens.append(gen)
+    top = ctx.filt.monomials(3, 3)
+    lattice = la.Lattice(len(top), (x.to_coords(top) for x in gens))
+    obstructed = w.to_coords(top) not in lattice
     return {"obstructed": obstructed, "w": w, "relation_generators": gens}
 
 

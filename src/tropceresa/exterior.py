@@ -192,16 +192,6 @@ class WedgeVector:
             self.n, self.k + 1, _wedge_step(self.coeffs, _sparse(vec, self.n))
         )
 
-    def wedge(self, other: "WedgeVector") -> "WedgeVector":
-        out: dict = {}
-        for s, d in other.coeffs.items():
-            terms = self.coeffs
-            for i in s:
-                terms = _wedge_step(terms, [(i, 1)])
-            for t, c in terms.items():
-                out[t] = out.get(t, 0) + c * d
-        return WedgeVector(self.n, self.k + other.k, out)
-
     # -- coordinates ----------------------------------------------------------
 
     def to_coords(self, basis=None):
@@ -409,16 +399,6 @@ class GradedImages:
         deg = self.filt.y_degree
         items = self.monomial_images.items()
         return [img for t, img in items if img and level in (None, deg(t))]
-
-    def image(self, coeffs: dict) -> dict:
-        """(delta-I) of a sparse vector {monomial: coeff}, by linearity from
-        the cached monomial images."""
-        out: dict = {}
-        get = out.get
-        for t, c in coeffs.items():
-            for s, d in self.monomial_images[t].items():
-                out[s] = get(s, 0) + c * d
-        return {s: c for s, c in out.items() if c}
 
     # -- relation lattices and the four groups -------------------------------
 

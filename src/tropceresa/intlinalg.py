@@ -163,11 +163,12 @@ class Lattice:
             raise ValueError(
                 f"vector of length {len(vec)} added to a lattice in Z^{self.n}"
             )
-        # the rows rewritten, then the row inserted; each step raises the
-        # lead of vec, so their positions increase
+        # the rows rewritten, then the row inserted; each step zeroes vec at
+        # its lead, so the next lead lies beyond it and positions increase
         touched = []
+        lead = 0
         while True:
-            lead = next((j for j, x in enumerate(vec) if x), None)
+            lead = next((j for j in range(lead, self.n) if vec[j]), None)
             if lead is None:
                 break
             pos = bisect_left(self.pivots, lead)

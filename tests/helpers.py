@@ -487,12 +487,10 @@ def johnson_bpm(datum: BoundingPairDatum, g: int) -> WedgeVector:
     """Value on a bounding-pair map: omega_W wedged with the curve class."""
     sympl = symplectic_basis_of(datum.w_basis, g)
     n = 2 * g
-    omega_w = WedgeVector.zero(n, 2)
+    out = WedgeVector.zero(n, 3)
     for t in range(0, len(sympl), 2):
-        omega_w = omega_w + WedgeVector(
-            n, 1, {(i,): x for i, x in enumerate(sympl[t]) if x}
-        ).wedge(WedgeVector(n, 1, {(i,): x for i, x in enumerate(sympl[t + 1]) if x}))
-    return omega_w.wedge_vector(list(datum.curve_class))
+        out = out + vector_wedge([sympl[t], sympl[t + 1], datum.curve_class], n)
+    return out
 
 
 # The pivoting Smith form with all four transforms, kept as an independent
@@ -631,6 +629,42 @@ def smith_normal_form(a: Matrix) -> SmithForm:
 
     diag = [d[i][i] for i in range(mn)]
     return SmithForm(diag=diag, rank=t, U=u, Uinv=uinv, V=v, Vinv=vinv)
+
+
+def in_span(vec: Vector, gens, n: int) -> bool:
+    """Whether vec is an integer combination of the rank-n vectors gens.
+
+    A row echelon by division with remainder alone: in each column the row
+    with the smallest nonzero entry reduces the others until one is left.
+    vec is reduced along each pivot as it appears, so every coefficient is
+    forced.  No extended gcd, no Hermite reduction and no `Lattice`.
+    """
+    if any(Fraction(x).denominator != 1 for x in vec):
+        return False
+    vec = [int(x) for x in vec]
+    rows = [list(gen) for gen in gens if any(gen)]
+    for col in range(n):
+        live = [row for row in rows if row[col]]
+        while len(live) > 1:
+            piv = min(live, key=lambda row: abs(row[col]))
+            for row in live:
+                if row is not piv:
+                    q = row[col] // piv[col]
+                    for t in range(col, n):
+                        row[t] -= q * piv[t]
+            live = [row for row in live if row[col]]
+        if not live:
+            if vec[col]:
+                return False
+            continue
+        piv = live[0]
+        rows = [row for row in rows if row is not piv]
+        if vec[col] % piv[col]:
+            return False
+        q = vec[col] // piv[col]
+        for t in range(col, n):
+            vec[t] -= q * piv[t]
+    return True
 
 
 def k4_curve(c=(1, 1, 1, 1, 1, 1)) -> TropicalCurve:

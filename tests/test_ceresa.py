@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 from math import comb, gcd, inf, prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -431,6 +432,73 @@ def test_zharkov_rejects_deficient_rank():
         zharkov_test(ctx, v_class(ctx, builtin_table("theta-w1", curve)))
 
 
+def test_zharkov_closed_forms_match_generic_images():
+    """w and the relations equal (delta - I) applied once and twice by the
+    generic induced action of delta_from_Q(Q), in the order of the gr_1
+    monomials, and `obstructed` agrees with the echelon membership oracle
+    `helpers.in_span` on all C(2g, 3) coordinates; random Q at g = 2..5."""
+    rng = random.Random(15)
+    outcomes = set()
+    for g in (2, 3, 4, 5):
+        n = 2 * g
+        for _ in range(8):
+            q = helpers.random_posdef(g, rng)
+            ctx = _q_context(q)
+            delta = delta_from_Q(q)
+
+            def step(x):
+                return helpers.apply_matrix(delta, x) - x
+
+            gr1 = [WedgeVector.monomial(n, t) for t in ctx.filt.monomials(3, 1, exact=True)]
+            squares = [step(step(x)) for x in gr1]
+            gr2 = ctx.filt.monomials(3, 2, exact=True)
+            for kind in ("random", "relation"):
+                if kind == "random":  # integral, halves and thirds
+                    v = WedgeVector(n, 3, {
+                        t: rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2),
+                                       Fraction(rng.randint(-3, 3), 3)])
+                        for t in rng.sample(gr2, rng.randint(1, len(gr2)))
+                    })
+                else:  # gr_2 part of an integral image, so w is a relation
+                    x = WedgeVector.zero(n, 3)
+                    for mono in rng.sample(gr1, rng.randint(1, len(gr1))):
+                        x = x + mono.scale(rng.randint(-3, 3))
+                    image = step(x).coeffs
+                    v = WedgeVector(n, 3, {t: c for t, c in image.items() if t in gr2})
+                res = zharkov_test(ctx, v)
+                assert res["w"] == step(v)
+                assert res["relation_generators"] == [x for x in squares if not x.is_zero()]
+                gens = [x.to_coords(ctx.wedge) for x in res["relation_generators"]]
+                member = helpers.in_span(res["w"].to_coords(ctx.wedge), gens, len(ctx.wedge))
+                assert res["obstructed"] is not member
+                outcomes.add((g > 2, kind, res["obstructed"]))
+    assert {(True, "random", True), (True, "random", False), (True, "relation", False)} <= outcomes
+
+
+def test_analyze_builds_one_graded_image_engine(monkeypatch):
+    """A full report at maximal rank, Zharkov test included, runs on the one
+    Smith-frame engine of its context."""
+    built = []
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(cls)
+            init(self, *args, **kwargs)
+
+        return counted_init
+
+    for cls in (GradedImages, PipelineContext):  # each has its own __init__
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    for name in ("k4", "tl3"):
+        built.clear()
+        curve = builtin_curve(name)
+        report = analyze(curve, builtin_table(name, curve))
+        assert report.zharkov is not None and report.groups is not None
+        assert built == [PipelineContext]
+
+
 # -- invariances ---------------------------------------------------------------------
 
 
@@ -605,7 +673,8 @@ def test_group_table_matches_exterior_groups(name):
 
 def _q_context(q):
     """The Smith-frame context of a Gram matrix alone, at maximal rank."""
-    return PipelineContext.from_q(q, len(q), curve=None, scale=1, basis=None)
+    basis = SimpleNamespace(g=len(q), h=len(q))
+    return PipelineContext.from_q(q, len(q), curve=None, scale=1, basis=basis)
 
 
 def _original_engine(ctx):

@@ -3,9 +3,12 @@ and the test oracles borrow no private name of the package.
 
 A function, class or method that nothing in the package, scripts/,
 perfbench/ or the acceptance suite refers to is kept alive only by unit
-tests: move it into tests/helpers.py as an oracle, or delete it.  A use is
-any identifier, attribute or imported alias spelled like the name, so a
-shared method name counts for every class that defines it.
+tests: move it into tests/helpers.py as an oracle, or delete it.  A use of
+a function, a class or a property is any identifier, attribute or imported
+alias spelled like the name.  A method is used only where something calls
+it as x.name(...), so a field or a variable that shares its name keeps no
+method alive; a shared method name still counts for every class that
+defines it.
 """
 
 import ast
@@ -29,14 +32,20 @@ ALLOWED = {
 }
 
 
+def _is_property(node) -> bool:
+    names = (getattr(d, "id", None) for d in node.decorator_list)
+    return any(name in ("property", "cached_property") for name in names)
+
+
 def _public_definitions(tree):
+    """(qualified name, node, is a method) for each public definition."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node
+            yield node.name, node, False
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    yield f"{node.name}.{sub.name}", sub
+                    yield f"{node.name}.{sub.name}", sub, not _is_property(sub)
 
 
 def _uses(tree):
@@ -49,17 +58,27 @@ def _uses(tree):
             yield node.name.rpartition(".")[2], node
 
 
+def _method_calls(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            yield node.func.attr, node.func
+
+
 def test_every_public_name_has_a_caller():
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in CALLERS}
     uses: dict = {}
+    calls: dict = {}
     for tree in trees.values():
         for name, node in _uses(tree):
             uses.setdefault(name, []).append(node)
+        for name, node in _method_calls(tree):
+            calls.setdefault(name, []).append(node)
     orphans = []
     for path in PACKAGE:
-        for qualname, node in _public_definitions(trees[path]):
+        for qualname, node, is_method in _public_definitions(trees[path]):
             inside = {id(n) for n in ast.walk(node)}
-            if all(id(use) in inside for use in uses.get(node.name, ())):
+            found = (calls if is_method else uses).get(node.name, ())
+            if all(id(use) in inside for use in found):
                 orphans.append(f"{path.stem}.{qualname}")
     unexplained = sorted(set(orphans) - ALLOWED)
     assert not unexplained, "public names with no caller: " + ", ".join(unexplained)
