@@ -90,6 +90,15 @@ MUTATIONS = [
     ("zharkov-w-a-factor-mapped", "ceresa.py",
      "vector_wedge([qa[m], units[p], units[r]], n)",
      "vector_wedge([units[m], units[p], units[r]], n)"),
+    ("section-split-non-unit", "intlinalg.py",
+     "if p >= d and row[p] == 1}",
+     "if p >= d and row[p] <= 2}"),
+    ("section-keep-unit-columns", "intlinalg.py",
+     "keep = [j for j in range(d, self.n) if j not in units]",
+     "keep = list(range(d, self.n))"),
+    ("section-free-rank-n-d", "intlinalg.py",
+     "return len(keep) - rank, invariant_factors_from_orders(orders)",
+     "return self.n - d - rank, invariant_factors_from_orders(orders)"),
 ]
 
 TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

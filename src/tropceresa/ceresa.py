@@ -211,7 +211,11 @@ def ceresa_order(ctx: PipelineContext, v: WedgeVector):
     F3 is the coordinate suffix from start(3), so v lies in F2 + H exactly
     when it is integral there and its truncation lies in the Bbar lattice
     modulo F2.  All of this holds in the Smith frame as in the original."""
-    coords = ctx.frame_coords(v)
+    return _bbar_order(ctx, ctx.frame_coords(v))
+
+
+def _bbar_order(ctx: PipelineContext, coords: list):
+    """`ceresa_order` of the class with Smith-frame coordinates `coords`."""
     head = coords[: ctx.start(3)]
     if any(c.denominator != 1 for c in coords[len(head) :]) or (
         ctx.bbar_lattice.coset_order(head, ctx.start(2)) != 1
@@ -388,23 +392,22 @@ def nontriviality_verdict(
         "least_multiple": None,
     }
     decisive = None  # a route that certifies nontriviality before the ambient order
+    coords = ctx.frame_coords(v)  # read by every order below
     if ctx.maximal_rank and is_pure_gr2(ctx, v):
         u = out["u"] = u_class(ctx, v)
-        out["order_bbar"] = ceresa_order(ctx, v)
-        out["order_ambient"] = ambient_order(ctx, v)
+        out["order_bbar"] = _bbar_order(ctx, coords)
         out["in_abar"], out["least_multiple"] = True, 1
         if nonintegral_qualifying_coordinates(ctx, u):
             decisive = "u-nonintegral"
         elif out["order_bbar"] > 1:
             decisive = "order-in-Bbar"
     else:
-        probe = in_Abar_test(ctx, v)
-        out["in_abar"] = probe["in_Abar"]
-        out["least_multiple"] = probe["least_multiple"]
-        if out["in_abar"]:
-            out["order_ambient"] = ambient_order(ctx, v)
-        else:
+        least = ctx.abar_lattice.coset_order(coords, ctx.start(2))
+        out["in_abar"], out["least_multiple"] = least == 1, least
+        if least != 1:
             decisive = "not-in-Abar"
+    if out["in_abar"]:
+        out["order_ambient"] = ctx.abar_lattice.coset_order(coords)
     if hyperelliptic:
         verdict, decided = "hyperelliptic-trivial", "hyperelliptic quotient"
     elif decisive:

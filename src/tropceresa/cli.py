@@ -8,6 +8,7 @@ failures.  All diagnostics go to stderr; reports go to stdout as JSON
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -48,7 +49,10 @@ def main(argv=None) -> int:
         return 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared by every later
+    `main` call in the process (not at import, which stays cheap)."""
     parser = argparse.ArgumentParser(
         prog="tropceresa",
         description="exact tropical Ceresa classes of vertex-weighted metric graphs",

@@ -294,11 +294,24 @@ class Lattice:
         intersection: a combination that uses a row pivoting earlier is
         nonzero at the first such pivot.  Returns (free_rank, invariant
         factors >= 2 in a divisibility chain).
+
+        A unit pivot is the only nonzero entry of its column in the Hermite
+        basis (entries above it are reduced into [0, 1), rows below are zero
+        there), so its row and column split off a trivial factor: the
+        quotient is that of the remaining columns by the other rows, which
+        alone reach the Smith form, and the free rank counts those columns.
         """
-        tail = [row[d:] for row, p in zip(self.rows, self.pivots) if p >= d]
-        # the tail is in Hermite form already; start with the column pass
-        rank, orders = snf_diagonal_orders(columns(tail))
-        return self.n - d - rank, invariant_factors_from_orders(orders)
+        units = {p for row, p in zip(self.rows, self.pivots) if p >= d and row[p] == 1}
+        keep = [j for j in range(d, self.n) if j not in units]
+        core = [
+            [row[j] for j in keep]
+            for row, p in zip(self.rows, self.pivots)
+            if p >= d and p not in units
+        ]
+        # the core, the tail without its unit pivots, is still in Hermite
+        # form; start with the column pass
+        rank, orders = snf_diagonal_orders(columns(core))
+        return len(keep) - rank, invariant_factors_from_orders(orders)
 
 
 def _xgcd(a: int, b: int):

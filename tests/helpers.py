@@ -269,6 +269,14 @@ def quotient_invariants(num_vecs, den_vecs, n: int) -> tuple[int, list[int]]:
     return len(basis) - rank, torsion
 
 
+def full_tail_section(lat: Lattice, d: int) -> tuple[int, list[int]]:
+    """`Lattice.section(d)` as it was before unit pivots were split off: the
+    Smith reduction of every row pivoting from d on, unit pivots included."""
+    tail = [row[d:] for row, p in zip(lat.rows, lat.pivots) if p >= d]
+    rank, orders = la.snf_diagonal_orders(la.columns(tail))
+    return lat.n - d - rank, la.invariant_factors_from_orders(orders)
+
+
 # The coset order as it was before the echelon readings became `Lattice`
 # methods: a fresh lattice per call, back-substitution along every pivot.
 # Kept as the oracle for `Lattice.coset_order`, and with it the verdict

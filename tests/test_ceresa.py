@@ -19,6 +19,7 @@ from tropceresa.ceresa import (
     group_table,
     in_Abar_test,
     nonintegral_qualifying_coordinates,
+    nontriviality_verdict,
     u_class,
     v_class,
     zharkov_test,
@@ -923,6 +924,27 @@ def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
     assert built == []
     assert (ctx.Abar_group(), ctx.Bbar_group()) == (groups["Abar"], groups["Bbar"])
     assert built and max(built) <= len(ctx.wedge) - ctx.start(2)
+
+
+@pytest.mark.parametrize("name, multiple", [("tl3", 1), ("theta-w1", 3)])
+def test_verdict_moves_the_class_into_the_frame_once(monkeypatch, name, multiple):
+    """Every order the verdict reads (Bbar and ambient on the maximal-rank
+    route, Abar membership and ambient off it) shares one frame_coords.
+    Three times the theta-w1 class lies in Abar, so both of its orders are
+    read."""
+    ctx = build_context(builtin_curve(name))
+    v = v_class(ctx, builtin_table(name)).scale(multiple)
+    calls = []
+    frame_coords = PipelineContext.frame_coords
+
+    def counting(self, w):
+        calls.append(w)
+        return frame_coords(self, w)
+
+    monkeypatch.setattr(PipelineContext, "frame_coords", counting)
+    out = nontriviality_verdict(ctx, v, hyperelliptic=False)
+    assert calls == [v] and out["in_abar"] and out["order_ambient"] is not None
+    assert (out["order_bbar"] is not None) == ctx.maximal_rank
 
 
 def test_ceresa_order_skips_lattice_inside_F2(monkeypatch):

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tropceresa import ceresa, graph_core, johnson
+from tropceresa import ceresa, cli, graph_core, johnson
 from tropceresa.catalog import (
     BUILTIN_GRAPHS,
     BUILTIN_TABLES,
@@ -74,6 +75,30 @@ def test_hyperelliptic_searches_once_per_call(monkeypatch, capsys):
         calls.clear()
         code, _, _ = run(capsys, "hyperelliptic", "--graph", "builtin:theta0", "--format", fmt)
         assert code == 0 and len(calls) == 1
+
+
+def test_main_calls_share_one_parser(monkeypatch, capsys):
+    """The argparse tree is built once per process; a call that exits 2 on
+    a parse error leaves it as a fresh one would be."""
+    valid = ["order", "--graph", "builtin:k4", "--table", "builtin:k4", "--format", "text"]
+    cli.build_parser.cache_clear()
+    alone = run(capsys, *valid)
+    assert alone[0] == 0
+
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    cli.build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["order", "--graph", "builtin:k4", "--lengths", "1"])  # no --table
+    assert exc.value.code == 2 and "--table" in capsys.readouterr().err
+    assert run(capsys, *valid) == alone
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_hyperelliptic_banana10(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tropceresa import ceresa
 from tropceresa import intlinalg as la
 from tropceresa.catalog import builtin_curve
+from tropceresa.graph_core import load_curve
 from tropceresa.symplectic import delta_from_Q
 
 import helpers
@@ -327,6 +329,80 @@ def test_coset_order_and_section_match_oracles():
             seen["torsion"] += bool(section[1])
         assert lat.coset_order(v) == class_order(v, gens, n)
     assert min(seen.values()) >= 60 and seen["suffix_fraction"] >= 200, seen
+
+
+def _seeded_lattice(rng):
+    """(n, generators, d): dense small generators (mostly unit pivots) or
+    scaled unit vectors with sparse tails, scales all 1, all non-units or
+    mixed; sometimes a dependent generator, and d = 0 or n a third of the
+    time."""
+    n = rng.randint(1, 8)
+    scales = rng.choice((None, (1,), (2, 3, 4, 6), (1, 2, 3)))
+    gens = []
+    for _ in range(rng.randint(0, n + 1)):
+        if scales is None:
+            gens.append([rng.randint(-3, 3) for _ in range(n)])
+            continue
+        j = rng.randrange(n)
+        v = [0] * n
+        v[j] = rng.choice(scales) * rng.choice((1, -1))
+        for t in range(j + 1, n):
+            if rng.random() < 0.3:
+                v[t] = rng.choice(scales) * rng.randint(-2, 2)
+        gens.append(v)
+    if gens and rng.random() < 0.3:
+        a, b = rng.choice(gens), rng.choice(gens)
+        gens.append([2 * x - 3 * y for x, y in zip(a, b)])
+    r = rng.random()
+    return n, gens, 0 if r < 0.15 else n if r < 0.3 else rng.randint(0, n)
+
+
+def test_section_split_matches_full_tail_oracle():
+    """`section` with its unit pivots split off equals the Smith reduction
+    of the whole tail (`helpers.full_tail_section`) on seeded lattices."""
+    rng = random.Random(16)
+    seen = dict.fromkeys(
+        ("mixed", "non-unit", "all-unit", "empty", "d=0", "d=n", "deficient"), 0
+    )
+    for _ in range(1200):
+        n, gens, d = _seeded_lattice(rng)
+        lat = la.Lattice(n, gens)
+        assert lat.section(d) == helpers.full_tail_section(lat, d), (n, gens, d)
+        pivots = {row[p] for row, p in zip(lat.rows, lat.pivots) if p >= d}
+        seen["mixed"] += 1 in pivots and len(pivots) > 1
+        seen["non-unit"] += bool(pivots) and 1 not in pivots
+        seen["all-unit"] += pivots == {1}
+        seen["empty"] += not pivots
+        seen["d=0"] += d == 0
+        seen["d=n"] += d == n
+        seen["deficient"] += lat.rank < min(len(gens), n)
+    assert min(seen.values()) >= 40, seen
+
+
+SECTION_CURVES = {
+    "g5": lambda: load_curve(Path(__file__).parent / "data" / "g5_k24.json"),
+    "k4-doubled-2": lambda: helpers.k4_doubled(2, [1, 2, 3, 1, 2, 3, 4, 5]),
+    "k4-doubled-3": lambda: helpers.k4_doubled(3, [2, 1, 3, 1, 1, 2, 3, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", SECTION_CURVES)
+def test_group_sections_match_full_tail_oracle(monkeypatch, name):
+    """The four sections behind A, B, Abar and Bbar of real curves, each
+    against the full-tail oracle."""
+    curve = SECTION_CURVES[name]()
+    sections = []
+    section = la.Lattice.section
+
+    def recording(lat, d):
+        sections.append((lat, d))
+        return section(lat, d)
+
+    monkeypatch.setattr(la.Lattice, "section", recording)
+    ceresa.group_table(ceresa.build_context(curve))
+    assert len(sections) == 4
+    for lat, d in sections:
+        assert section(lat, d) == helpers.full_tail_section(lat, d)
 
 
 def test_lattice_intersection():
