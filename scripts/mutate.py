@@ -90,6 +90,15 @@ MUTATIONS = [
     ("zharkov-w-a-factor-mapped", "ceresa.py",
      "vector_wedge([qa[m], units[p], units[r]], n)",
      "vector_wedge([units[m], units[p], units[r]], n)"),
+    ("zharkov-divisor-no-two", "ceresa.py",
+     "c % (2 * gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r]))",
+     "c % gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r])"),
+    ("zharkov-gcd-one-pair", "ceresa.py",
+     "gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r])",
+     "gcd(d[p] * d[q])"),
+    ("zharkov-w-not-framed", "ceresa.py",
+     "for (p, q, r), c in apply_matrix(ctx.frame, w).coeffs.items()",
+     "for (p, q, r), c in w.coeffs.items()"),
     ("section-split-non-unit", "intlinalg.py",
      "if p >= d and row[p] == 1}",
      "if p >= d and row[p] <= 2}"),

@@ -5,15 +5,15 @@ the graded map when the cycle rank is maximal, and decides triviality with
 this precedence: a hyperelliptic quotient trumps everything; then a
 non-integral coordinate of u of the form a_i^a_j^b_k with k distinct from
 i and j certifies nontriviality; the exact orders in the finite quotients
-settle the rest.  Those orders and the groups are read in the Smith frame
-of Q, where delta is [[I, 0], [D, I]] with D diagonal (`PipelineContext`).
+settle the rest.  The orders, groups and Zharkov verdict are read in the
+Smith frame of Q: delta is [[I, 0], [D, I]] with D diagonal (`PipelineContext`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 from . import intlinalg as la
 from .errors import PreconditionError, SchemaError
@@ -56,8 +56,8 @@ class PipelineContext(GradedImages):
     graded frame change (`symplectic.smith_frame`).  Groups and orders are
     invariant under P, and the relation sets of a diagonal D are sparse, so
     the relation lattices live in this frame; classes enter it through
-    `frame_coords`.  u and the Zharkov test read the original Q through
-    closed forms, so the original delta is never built.
+    `frame_coords`.  u and w read the original Q through closed forms, so
+    the original delta is never built; the Zharkov verdict reads w against D.
     """
 
     curve: TropicalCurve          # integer lengths
@@ -246,8 +246,8 @@ def zharkov_test(ctx: PipelineContext, v: WedgeVector) -> dict:
     delta - I kills every b_k and sends a_j to Q a_j, so w = (delta-I) v
     takes each a_m ^ b_p ^ b_r of v to Q a_m ^ b_p ^ b_r, and the relations
     are (delta-I)^2 (a_i ^ a_j ^ b_k) = 2 Q a_i ^ Q a_j ^ b_k, all on the
-    original Q.  They lie in F_3 = wedge^3 Y, so membership is read on its
-    C(g, 3) coordinates.
+    original Q.  As U Q Z^g = D Z^g, wedge^3 U maps their span onto that of
+    the 2 d_p d_q b_p ^ b_q ^ b_r: one divisibility per coordinate of w.
     """
     if not ctx.maximal_rank:
         raise PreconditionError("obstruction test needs maximal rank")
@@ -264,9 +264,11 @@ def zharkov_test(ctx: PipelineContext, v: WedgeVector) -> dict:
         gen = vector_wedge([qa[i], qa[j], units[k]], n).scale(2)
         if not gen.is_zero():
             gens.append(gen)
-    top = ctx.filt.monomials(3, 3)
-    lattice = la.Lattice(len(top), (x.to_coords(top) for x in gens))
-    obstructed = w.to_coords(top) not in lattice
+    d = {ctx.g + i: x for i, x in enumerate(ctx.q_diagonal)}  # by b position
+    obstructed = any(
+        c % (2 * gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r]))
+        for (p, q, r), c in apply_matrix(ctx.frame, w).coeffs.items()
+    )
     return {"obstructed": obstructed, "w": w, "relation_generators": gens}
 
 

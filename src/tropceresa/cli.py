@@ -30,6 +30,7 @@ from .ceresa import (
     zharkov_to_json,
 )
 from .errors import PreconditionError, SchemaError
+from .exterior import check_wedge_caps
 from .graph_core import genus, graph_genus, stabilize, symanzik
 from .symplectic import basis_report, homology_basis
 
@@ -124,6 +125,7 @@ def _parse_length(token: str) -> Fraction:
 
 
 def load_table(args, curve) -> johnson.JohnsonTable:
+    check_wedge_caps(2 * genus(curve), 3)  # before the basis pads loops to length g
     source = args.table
     if source.startswith("builtin:"):
         return catalog.builtin_table(source.removeprefix("builtin:"), curve)

@@ -1,7 +1,7 @@
 """Exact integer and rational linear algebra.
 
 Everything here works over Z (arbitrary-precision ints) or Q (fractions):
-echelon-form (Hermite) lattices with membership and canonical bases; kernels,
+echelon-form (Hermite) lattices with coset orders and canonical bases; kernels,
 integer solutions and unimodular and rational inverses read off the Hermite
 form of tagged matrices; quotients of coordinate sublattices by their
 sections with a span; and the structure of finitely generated abelian
@@ -10,9 +10,9 @@ reduction and turned into invariant factors by a gcd/lcm sweep, with no
 integer factorization.  One echelon basis serves each relation set: its
 rows pivoting in a coordinate suffix span the section there, and coset
 orders come from back-substitution along the others, so no intersection is
-needed.  One back-substitution (`Lattice.back_substitute`) gives membership,
-coset orders, integer solutions and rational inverses; there is no
-Gauss-Jordan elimination.  No floating point.
+needed.  One back-substitution (`Lattice.back_substitute`) gives coset
+orders, integer solutions and rational inverses; membership is a coset
+order of 1.  There is no Gauss-Jordan elimination.  No floating point.
 """
 
 from __future__ import annotations
@@ -257,10 +257,6 @@ class Lattice:
                         rest[t] -= c * row[t]
             coeffs.append(c)
         return coeffs, rest, den
-
-    def __contains__(self, vec: Vector) -> bool:
-        _, rest, den = self.back_substitute(vec)
-        return den == 1 and not any(rest)
 
     @property
     def rank(self) -> int:

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd, inf, prod
 from types import SimpleNamespace
 
@@ -437,15 +438,17 @@ def test_zharkov_closed_forms_match_generic_images():
     """w and the relations equal (delta - I) applied once and twice by the
     generic induced action of delta_from_Q(Q), in the order of the gr_1
     monomials, and `obstructed` agrees with the echelon membership oracle
-    `helpers.in_span` on all C(2g, 3) coordinates; random Q at g = 2..5."""
+    `helpers.in_span` on the C(g, 3) coordinates of wedge^3 Y, where both
+    live; random Q at g = 2..6.  Both outcomes occur with some d_p > 1."""
     rng = random.Random(15)
     outcomes = set()
-    for g in (2, 3, 4, 5):
+    for g in (2, 3, 4, 5, 6):
         n = 2 * g
         for _ in range(8):
             q = helpers.random_posdef(g, rng)
             ctx = _q_context(q)
             delta = delta_from_Q(q)
+            top = ctx.filt.monomials(3, 3)
 
             def step(x):
                 return helpers.apply_matrix(delta, x) - x
@@ -469,11 +472,56 @@ def test_zharkov_closed_forms_match_generic_images():
                 res = zharkov_test(ctx, v)
                 assert res["w"] == step(v)
                 assert res["relation_generators"] == [x for x in squares if not x.is_zero()]
-                gens = [x.to_coords(ctx.wedge) for x in res["relation_generators"]]
-                member = helpers.in_span(res["w"].to_coords(ctx.wedge), gens, len(ctx.wedge))
+                assert set(res["w"].coeffs) <= set(top)
+                gens = [x.to_coords(top) for x in res["relation_generators"]]
+                member = helpers.in_span(res["w"].to_coords(top), gens, len(top))
                 assert res["obstructed"] is not member
-                outcomes.add((g > 2, kind, res["obstructed"]))
-    assert {(True, "random", True), (True, "random", False), (True, "relation", False)} <= outcomes
+                outcomes.add((g > 2, kind, res["obstructed"], max(ctx.q_diagonal) > 1))
+    assert {(True, "random", True), (True, "random", False), (True, "relation", False)} <= {
+        o[:3] for o in outcomes
+    }
+    assert {(True, "random", True, True), (True, "random", False, True)} <= outcomes
+
+
+def test_zharkov_relations_have_the_closed_form_smith_diagonal():
+    """The original-frame relation matrix has rank C(g, 3) and the invariant
+    factors of the coordinate lattice 2 gcd(d_p d_q, d_p d_r, d_q d_r),
+    p < q < r, with d the invariant factors of Q from the textbook Smith
+    form; random Q at g = 3..7."""
+    rng = random.Random(17)
+    for g in (3, 4, 5, 6, 7):
+        for _ in range(12):
+            q = helpers.random_posdef(g, rng)
+            ctx = _q_context(q)
+            top = ctx.filt.monomials(3, 3)
+            v = WedgeVector.monomial(2 * g, ctx.filt.monomials(3, 2, exact=True)[0])
+            gens = [x.to_coords(top) for x in zharkov_test(ctx, v)["relation_generators"]]
+            rank, orders = la.snf_diagonal_orders(gens)
+            assert rank == comb(g, 3)
+            for d in (helpers.smith_normal_form(q).diag, ctx.q_diagonal):
+                closed = [2 * gcd(x * y, x * z, y * z) for x, y, z in combinations(d, 3)]
+                assert helpers.invariant_factors_from_orders(orders) == (
+                    helpers.invariant_factors_from_orders(closed)
+                )
+
+
+def test_zharkov_test_builds_no_lattice(monkeypatch):
+    cases = []
+    for name in ("k4", "tl3"):
+        curve = builtin_curve(name)
+        ctx = build_context(curve)
+        cases.append((ctx, v_class(ctx, builtin_table(name, curve))))
+    built = []
+    init = la.Lattice.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(la.Lattice, "__init__", counted_init)
+    for ctx, v in cases:
+        assert zharkov_test(ctx, v)["obstructed"] is True
+    assert built == []
 
 
 def test_analyze_builds_one_graded_image_engine(monkeypatch):
@@ -817,8 +865,9 @@ def test_group_table_reuses_cached_images(monkeypatch):
     monkeypatch.setattr(ceresa, "apply_matrix", counted, raising=False)
     group_table(ctx)
     assert len(calls) == 0
-    zharkov_test(ctx, v_class(ctx, builtin_table("tl3")))
-    assert len(calls) == 0
+    # the Zharkov verdict moves w into the Smith frame once and applies no delta
+    res = zharkov_test(ctx, v_class(ctx, builtin_table("tl3")))
+    assert calls == [(ctx.frame, res["w"])]
 
 
 def _random_sixths_class(ctx, rng, kind):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tropceresa import ceresa, cli, graph_core, johnson
+from tropceresa import catalog, ceresa, cli, graph_core, johnson
 from tropceresa.catalog import (
     BUILTIN_GRAPHS,
     BUILTIN_TABLES,
@@ -132,6 +132,28 @@ def test_groups_rank_cap_fires_before_homology(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "groups", "--graph", str(path))
     assert code == 3 and out == ""
     assert "wedge machinery capped at degree 7, rank 16" in err
+
+
+@pytest.mark.parametrize("command", ["ceresa", "order", "zharkov", "sample"])
+def test_table_commands_rank_cap_fires_before_homology(tmp_path, capsys, monkeypatch, command):
+    """A theta graph with vertex weight 10^4 has genus 10002; every table
+    command refuses it, for a built-in and a user table, before any basis
+    is built (the basis pads each loop class to length g)."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("homology basis built past the rank cap")
+
+    for module in (cli, catalog, ceresa):
+        monkeypatch.setattr(module, "homology_basis", unreachable)
+    heavy = tropical_curve(
+        [("u", 10**4), ("v", 0)], [(f"e{i}", ("u", "v"), 1) for i in range(3)]
+    )
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(curve_to_json(heavy)))
+    user = Path(__file__).parent / "data" / "g5_table.json"
+    for table in ("builtin:k4", str(user)):
+        code, out, err = run(capsys, command, "--graph", str(path), "--table", table)
+        assert code == 3 and out == ""
+        assert "wedge machinery capped at degree 7, rank 16" in err
 
 
 def test_genus_and_basis(capsys):
