@@ -76,8 +76,8 @@ MUTATIONS = [
      "omega=apply_matrix(frame, omega(g)),",
      "omega=omega(g),"),
     ("class-not-in-frame", "ceresa.py",
-     "return self.graded_coords(apply_matrix(self.frame, v).coeffs)",
-     "return self.graded_coords(v.coeffs)"),
+     "return apply_matrix(self.frame, v).coeffs",
+     "return v.coeffs"),
     ("frame-inverse", "symplectic.py",
      "frame[i][:h] = v_inv[i]",
      "frame[i][:h] = v[i]"),
@@ -96,9 +96,21 @@ MUTATIONS = [
     ("zharkov-gcd-one-pair", "ceresa.py",
      "gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r])",
      "gcd(d[p] * d[q])"),
-    ("zharkov-w-not-framed", "ceresa.py",
-     "for (p, q, r), c in apply_matrix(ctx.frame, w).coeffs.items()",
-     "for (p, q, r), c in w.coeffs.items()"),
+    ("zharkov-v-not-framed", "ceresa.py",
+     "c * d[g + m] for (m, p, r), c in ctx.frame_class(v).items()",
+     "c * d[g + m] for (m, p, r), c in v.coeffs.items()"),
+    ("zharkov-frame-no-d", "ceresa.py",
+     "c * d[g + m] for (m, p, r)",
+     "c for (m, p, r)"),
+    ("apply-matrix-unsummed", "exterior.py",
+     "acc[i] = acc.get(i, 0) + c * x",
+     "acc[i] = c * x"),
+    ("abar-order-ignores-q", "exterior.py",
+     "stop = None if q is None else self.start(q)",
+     "stop = None"),
+    ("bbar-order-no-f3-check", "exterior.py",
+     "if any(c.denominator != 1 for c in f3) or (",
+     "if ("),
     ("section-split-non-unit", "intlinalg.py",
      "if p >= d and row[p] == 1}",
      "if p >= d and row[p] <= 2}"),

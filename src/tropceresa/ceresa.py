@@ -55,9 +55,10 @@ class PipelineContext(GradedImages):
     embedded by omega' = wedge^2(P) omega, where P = diag(V^-1, U) is the
     graded frame change (`symplectic.smith_frame`).  Groups and orders are
     invariant under P, and the relation sets of a diagonal D are sparse, so
-    the relation lattices live in this frame; classes enter it through
-    `frame_coords`.  u and w read the original Q through closed forms, so
-    the original delta is never built; the Zharkov verdict reads w against D.
+    the relation lattices live in this frame; classes enter it only through
+    `frame_class`, and the engine's `bbar_order` and `abar_order` read them.
+    u and w read the original Q through closed forms, so the original delta
+    is never built; the Zharkov verdict reads the frame class against D.
     """
 
     curve: TropicalCurve          # integer lengths
@@ -96,15 +97,15 @@ class PipelineContext(GradedImages):
             **fields,
         )
 
-    def frame_coords(self, v: WedgeVector) -> list:
-        """Filtration-order coordinates of wedge^3(P) v, the class v moved
-        into the Smith frame.  P is graded, so v keeps its Y-degrees and
-        its integrality on each graded piece."""
-        return self.graded_coords(apply_matrix(self.frame, v).coeffs)
+    def frame_class(self, v: WedgeVector) -> dict:
+        """Terms of wedge^3(P) v, the class v moved into the Smith frame.
+        P is graded, so v keeps its Y-degrees and its integrality on each
+        graded piece."""
+        return apply_matrix(self.frame, v).coeffs
 
 
 def build_context(curve: TropicalCurve, tree=None) -> PipelineContext:
-    check_wedge_caps(2 * genus(curve), 3)  # before the quadratic Q and delta
+    check_wedge_caps(2 * genus(curve))  # before the quadratic Q and delta
     scaled, scale = scaled_to_integer(curve)
     basis = homology_basis(scaled, tree=tree)
     q = polarization_Q(scaled, basis)
@@ -206,36 +207,20 @@ def nonintegral_qualifying_coordinates(ctx: PipelineContext, u: WedgeVector):
 
 
 def ceresa_order(ctx: PipelineContext, v: WedgeVector):
-    """Order of v in the graded quotient (F2 L + H)/((delta-I)F1 L + F3 L + H).
-
-    F3 is the coordinate suffix from start(3), so v lies in F2 + H exactly
-    when it is integral there and its truncation lies in the Bbar lattice
-    modulo F2.  All of this holds in the Smith frame as in the original."""
-    return _bbar_order(ctx, ctx.frame_coords(v))
-
-
-def _bbar_order(ctx: PipelineContext, coords: list):
-    """`ceresa_order` of the class with Smith-frame coordinates `coords`."""
-    head = coords[: ctx.start(3)]
-    if any(c.denominator != 1 for c in coords[len(head) :]) or (
-        ctx.bbar_lattice.coset_order(head, ctx.start(2)) != 1
-    ):
-        raise PreconditionError(
-            "class does not lie in F2 + H; its graded order is undefined"
-        )
-    return ctx.bbar_lattice.coset_order(head)
+    """Order of v in the graded quotient (F2 L + H)/((delta-I)F1 L + F3 L + H);
+    it is the same in the Smith frame as in the original."""
+    return ctx.bbar_order(ctx.frame_class(v))
 
 
 def ambient_order(ctx: PipelineContext, v: WedgeVector):
     """Order of v in wedge^3 H / ((delta-I) wedge^3 H + H)."""
-    return ctx.abar_lattice.coset_order(ctx.frame_coords(v))
+    return ctx.abar_order(ctx.frame_class(v))
 
 
 def in_Abar_test(ctx: PipelineContext, j_total: WedgeVector) -> dict:
     """Membership of the total class in F2 L + (delta-I)L + H, with the
     least positive multiple that lands inside."""
-    coords = ctx.frame_coords(j_total)
-    least = ctx.abar_lattice.coset_order(coords, ctx.start(2))
+    least = ctx.abar_order(ctx.frame_class(j_total), 2)
     return {"in_Abar": least == 1, "least_multiple": least}
 
 
@@ -247,15 +232,16 @@ def zharkov_test(ctx: PipelineContext, v: WedgeVector) -> dict:
     takes each a_m ^ b_p ^ b_r of v to Q a_m ^ b_p ^ b_r, and the relations
     are (delta-I)^2 (a_i ^ a_j ^ b_k) = 2 Q a_i ^ Q a_j ^ b_k, all on the
     original Q.  As U Q Z^g = D Z^g, wedge^3 U maps their span onto that of
-    the 2 d_p d_q b_p ^ b_q ^ b_r: one divisibility per coordinate of w.
+    the 2 d_p d_q b_p ^ b_q ^ b_r: one divisibility per coordinate of
+    wedge^3(P) w = (delta'-I) wedge^3(P) v, where delta'-I sends a_m to d_m b_m.
     """
     if not ctx.maximal_rank:
         raise PreconditionError("obstruction test needs maximal rank")
     if not is_pure_gr2(ctx, v):
         raise PreconditionError("obstruction test expects a two-Y-factor class")
-    n = 2 * ctx.g
+    g, n = ctx.g, 2 * ctx.g
     units = la.identity(n)
-    qa = [[0] * ctx.g + col for col in la.columns(ctx.q_matrix)]  # Q a_j on the b side
+    qa = [[0] * g + col for col in la.columns(ctx.q_matrix)]  # Q a_j on the b side
     w = WedgeVector.zero(n, 3)
     for (m, p, r), c in v.coeffs.items():
         w = w + vector_wedge([qa[m], units[p], units[r]], n).scale(c)
@@ -264,10 +250,11 @@ def zharkov_test(ctx: PipelineContext, v: WedgeVector) -> dict:
         gen = vector_wedge([qa[i], qa[j], units[k]], n).scale(2)
         if not gen.is_zero():
             gens.append(gen)
-    d = {ctx.g + i: x for i, x in enumerate(ctx.q_diagonal)}  # by b position
+    d = {g + i: x for i, x in enumerate(ctx.q_diagonal)}  # by b position
+    top = {(g + m, p, r): c * d[g + m] for (m, p, r), c in ctx.frame_class(v).items()}
     obstructed = any(
         c % (2 * gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r]))
-        for (p, q, r), c in apply_matrix(ctx.frame, w).coeffs.items()
+        for (p, q, r), c in WedgeVector(n, 3, top).coeffs.items()
     )
     return {"obstructed": obstructed, "w": w, "relation_generators": gens}
 
@@ -386,30 +373,24 @@ def nontriviality_verdict(
     user-supplied tables, downgrading a clean order-1 result to
     indeterminate (the table is not known to come from an involution).
     """
-    out = {
-        "u": None,
-        "order_bbar": None,
-        "order_ambient": None,
-        "in_abar": None,
-        "least_multiple": None,
-    }
+    out = dict.fromkeys(("u", "order_bbar", "order_ambient", "in_abar", "least_multiple"))
     decisive = None  # a route that certifies nontriviality before the ambient order
-    coords = ctx.frame_coords(v)  # read by every order below
+    coeffs = ctx.frame_class(v)  # read by every order below
     if ctx.maximal_rank and is_pure_gr2(ctx, v):
         u = out["u"] = u_class(ctx, v)
-        out["order_bbar"] = _bbar_order(ctx, coords)
+        out["order_bbar"] = ctx.bbar_order(coeffs)
         out["in_abar"], out["least_multiple"] = True, 1
         if nonintegral_qualifying_coordinates(ctx, u):
             decisive = "u-nonintegral"
         elif out["order_bbar"] > 1:
             decisive = "order-in-Bbar"
     else:
-        least = ctx.abar_lattice.coset_order(coords, ctx.start(2))
+        least = ctx.abar_order(coeffs, 2)
         out["in_abar"], out["least_multiple"] = least == 1, least
         if least != 1:
             decisive = "not-in-Abar"
     if out["in_abar"]:
-        out["order_ambient"] = ctx.abar_lattice.coset_order(coords)
+        out["order_ambient"] = ctx.abar_order(coeffs)
     if hyperelliptic:
         verdict, decided = "hyperelliptic-trivial", "hyperelliptic quotient"
     elif decisive:

@@ -41,7 +41,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)  # looked up per call: the parser is cached
     except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         if table:
             p.add_argument("--table", required=True, help="path or builtin:NAME")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func.__name__)
 
     p = parsers["sample"]
     p.add_argument("--count", type=int, default=100)
@@ -125,7 +125,7 @@ def _parse_length(token: str) -> Fraction:
 
 
 def load_table(args, curve) -> johnson.JohnsonTable:
-    check_wedge_caps(2 * genus(curve), 3)  # before the basis pads loops to length g
+    check_wedge_caps(2 * genus(curve))  # before the basis pads loops to length g
     source = args.table
     if source.startswith("builtin:"):
         return catalog.builtin_table(source.removeprefix("builtin:"), curve)
@@ -184,6 +184,7 @@ def cmd_hyperelliptic(args) -> int:
 
 def cmd_basis(args) -> int:
     curve = load_graph(args)
+    check_wedge_caps(2 * genus(curve))  # before the basis pads loops to length g
     scaled, scale = graph_core.scaled_to_integer(curve)
     rep = basis_report(scaled, homology_basis(scaled))
     rep["length_scale"] = scale

@@ -30,7 +30,6 @@ from math import lcm
 from . import intlinalg as la
 from .errors import FiltrationError, PreconditionError
 
-MAX_WEDGE_DEGREE = 7
 MAX_RANK = 16
 
 
@@ -110,19 +109,17 @@ def _wedge_terms(sparse_vectors) -> dict:
     return terms
 
 
-def check_wedge_caps(n: int, k: int) -> None:
-    """Refuse wedge^k of rank n past the degree and rank caps."""
-    if k > MAX_WEDGE_DEGREE or n > MAX_RANK:
-        raise PreconditionError(
-            f"wedge machinery capped at degree {MAX_WEDGE_DEGREE}, rank {MAX_RANK}"
-        )
+def check_wedge_caps(n: int) -> None:
+    """Refuse wedge powers of rank n past the rank cap, which bounds every basis."""
+    if n > MAX_RANK:
+        raise PreconditionError(f"wedge machinery capped at rank {MAX_RANK}")
 
 
 def wedge_basis(n: int, k: int):
     """Sorted k-index tuples in lexicographic order."""
     if k > n:
         raise PreconditionError(f"wedge degree {k} exceeds rank {n}")
-    check_wedge_caps(n, k)
+    check_wedge_caps(n)
     return list(combinations(range(n), k))
 
 
@@ -229,12 +226,18 @@ def _sparse_columns(mat) -> list:
 
 
 def apply_matrix(mat, w: WedgeVector) -> WedgeVector:
-    """Image of w under the action induced on wedge^k by mat."""
+    """Image of w under the action induced on wedge^k by mat.  Terms that
+    share their first k-1 indices are wedged onto one sum of last columns."""
     cols = _sparse_columns(mat)
-    out: dict = {}
+    lasts: dict = {}
     for t, c in w.coeffs.items():
-        for s, d in _wedge_terms(cols[i] for i in t).items():
-            out[s] = out.get(s, 0) + c * d
+        acc = lasts.setdefault(t[:-1], {})
+        for i, x in cols[t[-1]]:
+            acc[i] = acc.get(i, 0) + c * x
+    out: dict = {}
+    for s, acc in lasts.items():
+        for key, d in _wedge_terms([*(cols[i] for i in s), acc.items()]).items():
+            out[key] = out.get(key, 0) + d
     return WedgeVector._from_sorted(w.n, w.k, {s: c for s, c in out.items() if c})
 
 
@@ -312,11 +315,11 @@ class GradedImages:
     with delta.  Images and H are computed on first use and cached.
 
     Lattices order coordinates by Y-degree, then by wedge index, so every
-    F_q is the suffix from `start(q)`.  One echelon basis per relation set
-    gives its groups (`Lattice.section`) and class orders
-    (`Lattice.coset_order`).  The image echelons behind A and B are cached,
-    and the Abar and Bbar lattices extend copies of them by H, so the four
-    groups take two echelonisations.
+    F_q is the suffix from `start(q)`, a layout no other module reads.  One
+    echelon per relation set gives its groups (`Lattice.section`) and the
+    orders of sparse classes (`bbar_order`, `abar_order`).  The A and B
+    image echelons are cached, and Abar and Bbar extend copies of them by H,
+    so the four groups take two echelonisations.
     """
 
     filt: Filtration
@@ -426,6 +429,26 @@ class GradedImages:
 
     def Bbar_group(self) -> AbelianGroupDescriptor:
         return AbelianGroupDescriptor(*self.bbar_lattice.section(self.start(2)))
+
+    def bbar_order(self, coeffs: dict):
+        """Order of the class {monomial: coeff} in (F_2 + H) / ((delta-I) F_1
+        + F_3 + H).  The class lies in F_2 + H exactly when it is integral on
+        F_3 and its truncation below F_3 lies in the Bbar lattice modulo F_2."""
+        head = self.graded_coords(coeffs, self.start(3))
+        f3 = (c for t, c in coeffs.items() if self.filt.y_degree(t) >= 3)
+        if any(c.denominator != 1 for c in f3) or (
+            self.bbar_lattice.coset_order(head, self.start(2)) != 1
+        ):
+            raise PreconditionError(
+                "class does not lie in F2 + H; its graded order is undefined"
+            )
+        return self.bbar_lattice.coset_order(head)
+
+    def abar_order(self, coeffs: dict, q: int | None = None):
+        """Order of the class {monomial: coeff} modulo (delta-I) L + H, and
+        modulo F_q too when q is given."""
+        stop = None if q is None else self.start(q)
+        return self.abar_lattice.coset_order(self.graded_coords(coeffs), stop)
 
 
 def graded_map(delta, y_vectors, q: int, k: int):

@@ -439,7 +439,9 @@ def test_zharkov_closed_forms_match_generic_images():
     generic induced action of delta_from_Q(Q), in the order of the gr_1
     monomials, and `obstructed` agrees with the echelon membership oracle
     `helpers.in_span` on the C(g, 3) coordinates of wedge^3 Y, where both
-    live; random Q at g = 2..6.  Both outcomes occur with some d_p > 1."""
+    live; random Q at g = 2..6.  Both outcomes occur with some d_p > 1.
+    The frame closed form the verdict reads, sum c' d_m b_m ^ b_p ^ b_r over
+    the terms c' a_m ^ b_p ^ b_r of wedge^3(P) v, equals wedge^3(P) w."""
     rng = random.Random(15)
     outcomes = set()
     for g in (2, 3, 4, 5, 6):
@@ -476,6 +478,12 @@ def test_zharkov_closed_forms_match_generic_images():
                 gens = [x.to_coords(top) for x in res["relation_generators"]]
                 member = helpers.in_span(res["w"].to_coords(top), gens, len(top))
                 assert res["obstructed"] is not member
+                framed = ctx.frame_class(v)
+                assert framed == helpers.apply_matrix(ctx.frame, v).coeffs
+                closed = WedgeVector(n, 3, {
+                    (g + m, p, r): c * ctx.q_diagonal[m] for (m, p, r), c in framed.items()
+                })
+                assert closed == helpers.apply_matrix(ctx.frame, res["w"])
                 outcomes.add((g > 2, kind, res["obstructed"], max(ctx.q_diagonal) > 1))
     assert {(True, "random", True), (True, "random", False), (True, "relation", False)} <= {
         o[:3] for o in outcomes
@@ -865,9 +873,11 @@ def test_group_table_reuses_cached_images(monkeypatch):
     monkeypatch.setattr(ceresa, "apply_matrix", counted, raising=False)
     group_table(ctx)
     assert len(calls) == 0
-    # the Zharkov verdict moves w into the Smith frame once and applies no delta
-    res = zharkov_test(ctx, v_class(ctx, builtin_table("tl3")))
-    assert calls == [(ctx.frame, res["w"])]
+    # the Zharkov verdict moves v, never w, into the Smith frame once and
+    # applies no delta
+    v = v_class(ctx, builtin_table("tl3"))
+    zharkov_test(ctx, v)
+    assert calls == [(ctx.frame, v)]
 
 
 def _random_sixths_class(ctx, rng, kind):
@@ -892,7 +902,8 @@ def _random_sixths_class(ctx, rng, kind):
 
 def test_verdict_routes_match_fresh_lattice_oracles():
     """ceresa_order, ambient_order and in_Abar_test, read off the context's
-    cached Smith-frame lattices in filtration order, against the same
+    cached Smith-frame lattices in filtration order, and the engine's own
+    bbar_order and abar_order on the original-frame engine, against the same
     questions put to freshly echelonised original-frame relation sets in
     wedge order."""
     rng = random.Random(31)
@@ -909,17 +920,19 @@ def test_verdict_routes_match_fresh_lattice_oracles():
             try:
                 want = helpers.ceresa_order(eng, v)
             except PreconditionError as exc:
-                with pytest.raises(PreconditionError, match=re.escape(str(exc))):
-                    ceresa_order(ctx, v)
+                for read in (lambda: ceresa_order(ctx, v), lambda: eng.bbar_order(v.coeffs)):
+                    with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+                        read()
                 seen["rejected"] += 1
             else:
-                assert ceresa_order(ctx, v) == want
+                assert ceresa_order(ctx, v) == eng.bbar_order(v.coeffs) == want
                 seen["bbar 1" if want == 1 else "bbar >1"] += 1
             want = helpers.ambient_order(eng, v)
-            assert ambient_order(ctx, v) == want
+            assert ambient_order(ctx, v) == eng.abar_order(v.coeffs) == want
             seen["ambient inf" if want == inf else "ambient >1"] += want > 1
             want = helpers.abar_least_multiple(eng, v)
             assert in_Abar_test(ctx, v) == {"in_Abar": want == 1, "least_multiple": want}
+            assert eng.abar_order(v.coeffs, 2) == want
             seen["in Abar" if want == 1 else "Abar inf" if want == inf else "Abar >1"] += 1
             seen["theta-w1 F2 sixths"] += (
                 name == "theta-w1" and kind == "F2 sixths" and want != inf
@@ -978,19 +991,19 @@ def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
 @pytest.mark.parametrize("name, multiple", [("tl3", 1), ("theta-w1", 3)])
 def test_verdict_moves_the_class_into_the_frame_once(monkeypatch, name, multiple):
     """Every order the verdict reads (Bbar and ambient on the maximal-rank
-    route, Abar membership and ambient off it) shares one frame_coords.
+    route, Abar membership and ambient off it) shares one frame_class.
     Three times the theta-w1 class lies in Abar, so both of its orders are
     read."""
     ctx = build_context(builtin_curve(name))
     v = v_class(ctx, builtin_table(name)).scale(multiple)
     calls = []
-    frame_coords = PipelineContext.frame_coords
+    frame_class = PipelineContext.frame_class
 
     def counting(self, w):
         calls.append(w)
-        return frame_coords(self, w)
+        return frame_class(self, w)
 
-    monkeypatch.setattr(PipelineContext, "frame_coords", counting)
+    monkeypatch.setattr(PipelineContext, "frame_class", counting)
     out = nontriviality_verdict(ctx, v, hyperelliptic=False)
     assert calls == [v] and out["in_abar"] and out["order_ambient"] is not None
     assert (out["order_bbar"] is not None) == ctx.maximal_rank

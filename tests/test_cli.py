@@ -101,6 +101,21 @@ def test_main_calls_share_one_parser(monkeypatch, capsys):
     assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
+def test_main_runs_the_handler_bound_on_the_module(monkeypatch, capsys):
+    """The shared parser names its handlers, so a `cmd_*` rebound on the
+    module after the parser was built is the one `main` runs."""
+    assert run(capsys, "genus", "--graph", "builtin:k4")[0] == 0
+    seen = []
+
+    def patched(args):
+        seen.append(args.graph)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_genus", patched)
+    assert run(capsys, "genus", "--graph", "builtin:tl3") == (0, "", "")
+    assert seen == ["builtin:tl3"]
+
+
 def test_hyperelliptic_banana10(tmp_path, capsys):
     path = tmp_path / "banana10.json"
     path.write_text(json.dumps(curve_to_json(banana_curve(10))))
@@ -118,20 +133,23 @@ def test_hyperelliptic_edge_cap(tmp_path, capsys):
 
 
 def test_groups_rank_cap_fires_before_homology(tmp_path, capsys, monkeypatch):
-    """Genus 4002 would need a 4002 x 4002 Gram form; the cap refuses it
-    before any homology is built."""
+    """Genus 4002 would need a 4002 x 4002 Gram form, and `basis` would pad
+    every loop class to length 4002; the cap refuses both before any
+    homology is built."""
     def unreachable(*args, **kwargs):
         raise AssertionError("homology basis built past the rank cap")
 
-    monkeypatch.setattr(ceresa, "homology_basis", unreachable)
+    for module in (cli, ceresa):
+        monkeypatch.setattr(module, "homology_basis", unreachable)
     heavy = tropical_curve(
         [("u", 4000), ("v", 0)], [(f"e{i}", ("u", "v"), 1) for i in range(3)]
     )
     path = tmp_path / "heavy.json"
     path.write_text(json.dumps(curve_to_json(heavy)))
-    code, out, err = run(capsys, "groups", "--graph", str(path))
-    assert code == 3 and out == ""
-    assert "wedge machinery capped at degree 7, rank 16" in err
+    for command in ("groups", "basis"):
+        code, out, err = run(capsys, command, "--graph", str(path))
+        assert code == 3 and out == ""
+        assert "wedge machinery capped at rank 16" in err
 
 
 @pytest.mark.parametrize("command", ["ceresa", "order", "zharkov", "sample"])
@@ -153,7 +171,7 @@ def test_table_commands_rank_cap_fires_before_homology(tmp_path, capsys, monkeyp
     for table in ("builtin:k4", str(user)):
         code, out, err = run(capsys, command, "--graph", str(path), "--table", table)
         assert code == 3 and out == ""
-        assert "wedge machinery capped at degree 7, rank 16" in err
+        assert "wedge machinery capped at rank 16" in err
 
 
 def test_genus_and_basis(capsys):
