@@ -33,6 +33,9 @@ MUTATIONS = [
     ("back-substitute-lcm", "intlinalg.py",
      "den = lcm(den, c.denominator)",
      "den = max(den, c.denominator)"),
+    ("back-substitute-no-rescale", "intlinalg.py",
+     "rest[t] *= m",
+     "rest[t] *= 1"),
     ("pivot-sign", "intlinalg.py",
      "if rs[p] < 0:",
      "if rs[p] < -1:"),
@@ -63,6 +66,12 @@ MUTATIONS = [
     ("bbar-own-echelon", "exterior.py",
      "return self._plus_h(self._echelon(1, self.start(3)))",
      "return self._plus_h(la.Lattice(self.start(3), (self.graded_coords(c, self.start(3)) for c in self._images(1))))"),
+    ("sparse-zero-kept", "intlinalg.py",
+     "del row[t]",
+     "row[t] = y"),
+    ("sparse-xgcd-row-support", "intlinalg.py",
+     "for t in row.keys() | vec.keys():",
+     "for t in list(row):"),
     ("hermite-dirty-rows", "intlinalg.py",
      "dirty.add(r)",
      "dirty.discard(r)"),
@@ -76,8 +85,11 @@ MUTATIONS = [
      "omega=apply_matrix(frame, omega(g)),",
      "omega=omega(g),"),
     ("class-not-in-frame", "ceresa.py",
-     "return apply_matrix(self.frame, v).coeffs",
-     "return v.coeffs"),
+     "terms = apply_matrix(self.frame, v).coeffs",
+     "terms = v.coeffs"),
+    ("frame-class-stale", "ceresa.py",
+     "if coeffs != v.coeffs:",
+     "if coeffs is None:"),
     ("frame-inverse", "symplectic.py",
      "frame[i][:h] = v_inv[i]",
      "frame[i][:h] = v[i]"),

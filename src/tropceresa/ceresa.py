@@ -67,6 +67,7 @@ class PipelineContext(GradedImages):
     q_matrix: list                # original frame
     q_diagonal: list              # D, zeros on the weight slots
     frame: list                   # P
+    _last_frame: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @property
     def g(self) -> int:
@@ -100,8 +101,14 @@ class PipelineContext(GradedImages):
     def frame_class(self, v: WedgeVector) -> dict:
         """Terms of wedge^3(P) v, the class v moved into the Smith frame.
         P is graded, so v keeps its Y-degrees and its integrality on each
-        graded piece."""
-        return apply_matrix(self.frame, v).coeffs
+        graded piece.  The last class moved is remembered with its terms,
+        so the verdict and the Zharkov test of one class share one map;
+        callers only read the terms."""
+        coeffs, terms = self._last_frame
+        if coeffs != v.coeffs:
+            terms = apply_matrix(self.frame, v).coeffs
+            self._last_frame = (dict(v.coeffs), terms)
+        return terms
 
 
 def build_context(curve: TropicalCurve, tree=None) -> PipelineContext:

@@ -316,10 +316,14 @@ class GradedImages:
 
     Lattices order coordinates by Y-degree, then by wedge index, so every
     F_q is the suffix from `start(q)`, a layout no other module reads.  One
-    echelon per relation set gives its groups (`Lattice.section`) and the
-    orders of sparse classes (`bbar_order`, `abar_order`).  The A and B
-    image echelons are cached, and Abar and Bbar extend copies of them by H,
-    so the four groups take two echelonisations.
+    cached map from monomial to position gives the sparse coordinates
+    {position: coeff} (`graded_coords`) in which images, H terms and
+    classes enter the lattices, so none of them is ever densified; the
+    starts are cached with it.  One echelon per relation set gives its
+    groups (`Lattice.section`) and the orders of sparse classes
+    (`bbar_order`, `abar_order`).  The A and B image echelons are cached,
+    and Abar and Bbar extend copies of them by H, so the four groups take
+    two echelonisations.
     """
 
     filt: Filtration
@@ -369,17 +373,28 @@ class GradedImages:
         return tuple(form.wedge_vector(unit).coeffs for unit in la.identity(n))
 
     @cached_property
-    def _graded_wedge(self) -> list:
-        """The monomials in filtration order (a stable sort of `wedge`)."""
-        return sorted(self.wedge, key=self.filt.y_degree)
+    def _positions(self) -> dict:
+        """Monomial -> its filtration-order coordinate, in that order (a
+        stable sort of `wedge` by Y-degree)."""
+        return {t: i for i, t in enumerate(sorted(self.wedge, key=self.filt.y_degree))}
+
+    @cached_property
+    def _starts(self) -> list:
+        """start(q) for q = 0..k+1."""
+        degrees = [self.filt.y_degree(t) for t in self._positions]
+        return [bisect_left(degrees, q) for q in range(self.k + 2)]
 
     def start(self, q: int) -> int:
         """First filtration-order coordinate of F_q."""
-        return sum(self.filt.y_degree(t) < q for t in self.wedge)
+        return self._starts[min(q, self.k + 1)]
 
-    def graded_coords(self, coeffs: dict, stop: int | None = None) -> list:
-        """Filtration-order coordinates of {monomial: coeff}, up to `stop`."""
-        return [coeffs.get(t, 0) for t in self._graded_wedge[:stop]]
+    def graded_coords(self, coeffs: dict, stop: int | None = None) -> dict:
+        """Sparse filtration-order coordinates {position: coeff} of
+        {monomial: coeff}, those before `stop` only when it is given."""
+        pos = self._positions
+        if stop is None:
+            return {pos[t]: c for t, c in coeffs.items()}
+        return {i: c for t, c in coeffs.items() if (i := pos[t]) < stop}
 
     def _echelon(self, level: int | None, stop: int) -> la.Lattice:
         """Echelon of the images at Y-degree `level` (all if None), in

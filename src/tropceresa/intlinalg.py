@@ -13,6 +13,14 @@ orders come from back-substitution along the others, so no intersection is
 needed.  One back-substitution (`Lattice.back_substitute`) gives coset
 orders, integer solutions and rational inverses; membership is a coset
 order of 1.  There is no Gauss-Jordan elimination.  No floating point.
+
+`Lattice`, the one lattice kernel, stores each echelon row sparsely as
+{column: nonzero int}.  The relation lattices of the pipeline have a few
+nonzeros a row among C(2g, 3) columns, so every insertion, Hermite
+re-reduction and back-substitution runs over the supports of the rows it
+combines.  Vectors enter as dense sequences or as such maps, and residuals
+come back as maps; `basis()` and `canonical()` are the dense views that
+the Smith reduction and the tagged solvers read.
 """
 
 from __future__ import annotations
@@ -95,9 +103,9 @@ def solve_int(a: Matrix, b: Vector):
     k = len(cols)
     lat = Lattice(m + k, [c + e for c, e in zip(cols, identity(k))])
     _, rest, den = lat.back_substitute(list(b) + [0] * k, m)
-    if den != 1 or any(rest[:m]):
+    if den != 1 or any(j < m for j in rest):
         return None
-    return [int(-x) for x in rest[m:]]
+    return [int(-rest.get(m + j, 0)) for j in range(k)]
 
 
 def int_inverse(a: Matrix) -> Matrix:
@@ -123,11 +131,11 @@ def frac_inverse(a: Matrix) -> Matrix:
     n = len(a)
     lat = Lattice(2 * n, [list(row) + e for row, e in zip(a, identity(n))])
     out = []
-    for e in identity(n):
-        _, rest, _ = lat.back_substitute(e + [0] * n, n)
-        if any(rest[:n]):
+    for i in range(n):
+        _, rest, _ = lat.back_substitute({i: 1}, n)
+        if any(j < n for j in rest):
             raise ValueError("singular matrix")
-        out.append([Fraction(-x) for x in rest[n:]])
+        out.append([Fraction(-rest.get(n + j, 0)) for j in range(n)])
     return out
 
 
@@ -138,58 +146,82 @@ def frac_inverse(a: Matrix) -> Matrix:
 class Lattice:
     """Z-span of vectors in Z^n, kept in Hermite-reduced echelon form.
 
+    Each row is stored sparsely, as a dict {column: nonzero int}.  Vectors
+    may be given as dense sequences of length n or as such dicts (zero
+    values are dropped); `basis()` and `canonical()` are dense views.
+
     Membership needs divisibility at every pivot, so the echelon rows are a
     genuine lattice basis, not just a rational one.  Rows are re-reduced
     after every insertion, wherever it inserted, rewrote or changed a row;
     without that, chains of gcd combinations blow up doubly exponentially
     on lattices of this package's working size.
 
-    Invariant: each row is zero before its pivot, and the pivots increase.
-    Every update of a row by another therefore starts at the other row's
-    pivot column, and every reading of a vector against the rows is one
+    Invariant: each row is zero before its pivot, the pivots increase, and
+    no row stores a zero.  Every update of a row by another therefore runs
+    over the two rows' supports, which start at the other row's pivot
+    column, and every reading of a vector against the rows is one
     back-substitution along the pivots.
     """
 
     def __init__(self, n: int, vectors=()):
         self.n = n
-        self.rows: list[Vector] = []
+        self.rows: list[dict] = []
         self.pivots: list[int] = []
         for v in vectors:
             self.add(v)
 
-    def add(self, vec: Vector) -> None:
+    def _entries(self, vec) -> dict:
+        """A fresh {column: nonzero value} map of vec, checked against Z^n."""
+        if isinstance(vec, dict):
+            out = {j: x for j, x in vec.items() if x}
+            if out and (min(out) < 0 or max(out) >= self.n):
+                raise ValueError(
+                    f"vector on columns {min(out)}..{max(out)} given to a lattice in Z^{self.n}"
+                )
+            return out
         vec = list(vec)
         if len(vec) != self.n:
-            raise ValueError(
-                f"vector of length {len(vec)} added to a lattice in Z^{self.n}"
-            )
+            raise ValueError(f"vector of length {len(vec)} given to a lattice in Z^{self.n}")
+        return {j: x for j, x in enumerate(vec) if x}
+
+    def add(self, vec) -> None:
+        vec = self._entries(vec)
+        rows, pivots = self.rows, self.pivots
         # the rows rewritten, then the row inserted; each step zeroes vec at
         # its lead, so the next lead lies beyond it and positions increase
         touched = []
-        lead = 0
-        while True:
-            lead = next((j for j in range(lead, self.n) if vec[j]), None)
-            if lead is None:
-                break
-            pos = bisect_left(self.pivots, lead)
-            if pos == len(self.pivots) or self.pivots[pos] != lead:
-                self.rows.insert(pos, vec)
-                self.pivots.insert(pos, lead)
+        while vec:
+            lead = min(vec)
+            pos = bisect_left(pivots, lead)
+            if pos == len(pivots) or pivots[pos] != lead:
+                rows.insert(pos, vec)
+                pivots.insert(pos, lead)
                 touched.append(pos)
                 break
-            row = self.rows[pos]
+            row = rows[pos]
             a, b = row[lead], vec[lead]
             if b % a == 0:
                 q = b // a
-                for t in range(lead, self.n):
-                    vec[t] -= q * row[t]
+                for t, x in row.items():
+                    y = vec.get(t, 0) - q * x
+                    if y:
+                        vec[t] = y
+                    else:
+                        del vec[t]
             else:
                 x, y, g = _xgcd(a, b)
                 ag, bg = a // g, b // g
-                for t in range(lead, self.n):
-                    rt, vt = row[t], vec[t]
-                    row[t] = x * rt + y * vt
-                    vec[t] = -bg * rt + ag * vt
+                for t in row.keys() | vec.keys():
+                    rt, vt = row.get(t, 0), vec.get(t, 0)
+                    new_rt, new_vt = x * rt + y * vt, -bg * rt + ag * vt
+                    if new_rt:
+                        row[t] = new_rt
+                    else:
+                        row.pop(t, None)
+                    if new_vt:
+                        vec[t] = new_vt
+                    else:
+                        vec.pop(t, None)
                 touched.append(pos)
         self._reduce_rows(touched)
 
@@ -200,9 +232,10 @@ class Lattice:
         Two rows that are both untouched (neither inserted nor rewritten by
         `add`, nor changed by this pass so far) were reduced against each
         other by the last pass, so each pivot row s is reduced into the
-        dirty rows above it only, or into all of them if s itself is dirty.
-        Row s is zero before its pivot p, so a row above it only changes
-        from column p on, and later pivots never undo the reduction at p.
+        dirty rows above it only, or into all of them if s itself is dirty;
+        a row with no entry at the pivot needs nothing.  Row s is zero
+        before its pivot p, so a row above it only changes from column p on,
+        and later pivots never undo the reduction at p.
         """
         rows, pivots = self.rows, self.pivots
         dirty = set(touched)
@@ -211,77 +244,109 @@ class Lattice:
             rs = rows[s]
             if s in dirty:
                 if rs[p] < 0:
-                    rs[p:] = [-x for x in rs[p:]]
+                    for t in rs:
+                        rs[t] = -rs[t]
                 above = range(s)
             else:
                 above = [r for r in dirty if r < s]
             piv = rs[p]
-            tail = rs[p:]
             for r in above:
                 row = rows[r]
+                if p not in row:
+                    continue
                 q = row[p] // piv
                 if q:
-                    row[p:] = [x - q * y for x, y in zip(row[p:], tail)]
+                    for t, x in rs.items():
+                        y = row.get(t, 0) - q * x
+                        if y:
+                            row[t] = y
+                        else:
+                            del row[t]
                     dirty.add(r)
 
     def copy(self) -> "Lattice":
         """An independent lattice with the same rows and pivots; nothing is
         re-echelonised."""
         out = object.__new__(type(self))
-        out.n, out.rows, out.pivots = self.n, self.basis(), self.pivots[:]
+        out.n, out.rows, out.pivots = self.n, [dict(r) for r in self.rows], self.pivots[:]
         return out
 
-    def back_substitute(self, vec: Vector, d: int | None = None):
+    def back_substitute(self, vec, d: int | None = None):
         """Rational coefficients of vec along the rows pivoting before d
-        (d = n by default), the residual, and the lcm of the coefficients'
-        denominators.
+        (d = n by default), the residual as {column: nonzero value}, and the
+        lcm of the coefficients' denominators.
 
         At each pivot the coefficient is forced, since earlier rows have been
         subtracted and later rows vanish there.  vec lies in the rational
-        span of these rows plus Q^{d..n-1} exactly when the residual is zero
-        before d.
+        span of these rows plus Q^{d..n-1} exactly when the residual has no
+        column before d.  The residual is carried as integers over one
+        common denominator, which grows only where a pivot does not divide.
         """
         d = self.n if d is None else d
-        rest = list(vec)
+        rest = self._entries(vec)
+        scale = lcm(*(x.denominator for x in rest.values()))
+        rest = {t: int(x * scale) for t, x in rest.items()}
         coeffs = []
         den = 1
         for row, p in zip(self.rows, self.pivots):
             if p >= d:
                 break
-            c = rest[p]
-            if c:
-                c = Fraction(c, row[p])
+            r = rest.get(p, 0)
+            c = 0
+            if r:
+                a = row[p]
+                c = Fraction(r, scale * a)
                 den = lcm(den, c.denominator)
-                for t in range(p, self.n):
-                    if row[t]:
-                        rest[t] -= c * row[t]
+                # rest - c * row == (rest * m - q * row) / (scale * m)
+                g = gcd(r, a)
+                m, q = a // g, r // g
+                if m != 1:
+                    scale *= m
+                    for t in rest:
+                        rest[t] *= m
+                for t, x in row.items():
+                    y = rest.get(t, 0) - q * x
+                    if y:
+                        rest[t] = y
+                    else:
+                        del rest[t]
             coeffs.append(c)
+        if scale != 1:
+            rest = {t: Fraction(x, scale) for t, x in rest.items()}
         return coeffs, rest, den
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
+    def _dense(self, row: dict) -> Vector:
+        out = [0] * self.n
+        for j, x in row.items():
+            out[j] = x
+        return out
+
     def basis(self) -> list[Vector]:
-        return [row[:] for row in self.rows]
+        """The rows as dense lists."""
+        return [self._dense(row) for row in self.rows]
 
     def canonical(self) -> tuple:
-        """Hermite-reduced basis, unique for the lattice (maintained by add)."""
-        return tuple(tuple(row) for row in self.rows)
+        """Hermite-reduced basis as dense tuples, unique for the lattice
+        (maintained by add)."""
+        return tuple(tuple(row) for row in self.basis())
 
-    def coset_order(self, vec: Vector, d: int | None = None):
+    def coset_order(self, vec, d: int | None = None):
         """Least k >= 1 with k*vec in the lattice + Z^{d..n-1} (d = n by
         default); math.inf if none exists.
 
-        A nonzero residual before d means vec is outside the rational span;
+        A residual before d means vec is outside the rational span;
         otherwise the order is the lcm of the coefficient denominators and of
         the residual's from d on.
         """
         d = self.n if d is None else d
         _, rest, den = self.back_substitute(vec, d)
-        if any(rest[:d]):
+        if any(t < d for t in rest):
             return inf
-        return lcm(den, *(x.denominator for x in rest[d:]))
+        return lcm(den, *(x.denominator for x in rest.values()))
 
     def section(self, d: int) -> tuple[int, list[int]]:
         """Structure of Z^{d..n-1} / (lattice & Z^{d..n-1}).
@@ -300,7 +365,7 @@ class Lattice:
         units = {p for row, p in zip(self.rows, self.pivots) if p >= d and row[p] == 1}
         keep = [j for j in range(d, self.n) if j not in units]
         core = [
-            [row[j] for j in keep]
+            [row.get(j, 0) for j in keep]
             for row, p in zip(self.rows, self.pivots)
             if p >= d and p not in units
         ]
@@ -334,7 +399,7 @@ def hnf_rows(mat, n: int | None = None) -> list[Vector]:
     if not mat:
         return []
     n = len(mat[0]) if n is None else n
-    return [list(r) for r in Lattice(n, mat).canonical()]
+    return Lattice(n, mat).basis()
 
 
 def _is_monomial_matrix(mat) -> bool:

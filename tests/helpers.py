@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -95,6 +96,201 @@ def solve_frac_gauss(a: Matrix, b: Vector):
     return x
 
 
+# The lattice kernel as it was before its rows became sparse maps: dense rows
+# of length n, each update over every column from the pivot on.  Kept only as
+# the oracle for `intlinalg.Lattice`, which must give the same rows, pivots,
+# readings and sections.
+
+
+class DenseLattice:
+    """Z-span of vectors in Z^n, kept in Hermite-reduced echelon form.
+
+    Membership needs divisibility at every pivot, so the echelon rows are a
+    genuine lattice basis, not just a rational one.  Rows are re-reduced
+    after every insertion, wherever it inserted, rewrote or changed a row;
+    without that, chains of gcd combinations blow up doubly exponentially
+    on lattices of this package's working size.
+
+    Invariant: each row is zero before its pivot, and the pivots increase.
+    Every update of a row by another therefore starts at the other row's
+    pivot column, and every reading of a vector against the rows is one
+    back-substitution along the pivots.
+    """
+
+    def __init__(self, n: int, vectors=()):
+        self.n = n
+        self.rows: list[Vector] = []
+        self.pivots: list[int] = []
+        for v in vectors:
+            self.add(v)
+
+    def add(self, vec: Vector) -> None:
+        vec = list(vec)
+        if len(vec) != self.n:
+            raise ValueError(
+                f"vector of length {len(vec)} added to a lattice in Z^{self.n}"
+            )
+        # the rows rewritten, then the row inserted; each step zeroes vec at
+        # its lead, so the next lead lies beyond it and positions increase
+        touched = []
+        lead = 0
+        while True:
+            lead = next((j for j in range(lead, self.n) if vec[j]), None)
+            if lead is None:
+                break
+            pos = bisect_left(self.pivots, lead)
+            if pos == len(self.pivots) or self.pivots[pos] != lead:
+                self.rows.insert(pos, vec)
+                self.pivots.insert(pos, lead)
+                touched.append(pos)
+                break
+            row = self.rows[pos]
+            a, b = row[lead], vec[lead]
+            if b % a == 0:
+                q = b // a
+                for t in range(lead, self.n):
+                    vec[t] -= q * row[t]
+            else:
+                x, y, g = _xgcd(a, b)
+                ag, bg = a // g, b // g
+                for t in range(lead, self.n):
+                    rt, vt = row[t], vec[t]
+                    row[t] = x * rt + y * vt
+                    vec[t] = -bg * rt + ag * vt
+                touched.append(pos)
+        self._reduce_rows(touched)
+
+    def _reduce_rows(self, touched) -> None:
+        """Hermite discipline after an insertion: positive pivots, entries
+        above reduced.
+
+        Two rows that are both untouched (neither inserted nor rewritten by
+        `add`, nor changed by this pass so far) were reduced against each
+        other by the last pass, so each pivot row s is reduced into the
+        dirty rows above it only, or into all of them if s itself is dirty.
+        Row s is zero before its pivot p, so a row above it only changes
+        from column p on, and later pivots never undo the reduction at p.
+        """
+        rows, pivots = self.rows, self.pivots
+        dirty = set(touched)
+        for s in range(touched[0] if touched else len(pivots), len(pivots)):
+            p = pivots[s]
+            rs = rows[s]
+            if s in dirty:
+                if rs[p] < 0:
+                    rs[p:] = [-x for x in rs[p:]]
+                above = range(s)
+            else:
+                above = [r for r in dirty if r < s]
+            piv = rs[p]
+            tail = rs[p:]
+            for r in above:
+                row = rows[r]
+                q = row[p] // piv
+                if q:
+                    row[p:] = [x - q * y for x, y in zip(row[p:], tail)]
+                    dirty.add(r)
+
+    def copy(self) -> "DenseLattice":
+        """An independent lattice with the same rows and pivots; nothing is
+        re-echelonised."""
+        out = object.__new__(type(self))
+        out.n, out.rows, out.pivots = self.n, self.basis(), self.pivots[:]
+        return out
+
+    def back_substitute(self, vec: Vector, d: int | None = None):
+        """Rational coefficients of vec along the rows pivoting before d
+        (d = n by default), the residual, and the lcm of the coefficients'
+        denominators.
+
+        At each pivot the coefficient is forced, since earlier rows have been
+        subtracted and later rows vanish there.  vec lies in the rational
+        span of these rows plus Q^{d..n-1} exactly when the residual is zero
+        before d.
+        """
+        d = self.n if d is None else d
+        rest = list(vec)
+        coeffs = []
+        den = 1
+        for row, p in zip(self.rows, self.pivots):
+            if p >= d:
+                break
+            c = rest[p]
+            if c:
+                c = Fraction(c, row[p])
+                den = lcm(den, c.denominator)
+                for t in range(p, self.n):
+                    if row[t]:
+                        rest[t] -= c * row[t]
+            coeffs.append(c)
+        return coeffs, rest, den
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def basis(self) -> list[Vector]:
+        return [row[:] for row in self.rows]
+
+    def canonical(self) -> tuple:
+        """Hermite-reduced basis, unique for the lattice (maintained by add)."""
+        return tuple(tuple(row) for row in self.rows)
+
+    def coset_order(self, vec: Vector, d: int | None = None):
+        """Least k >= 1 with k*vec in the lattice + Z^{d..n-1} (d = n by
+        default); math.inf if none exists.
+
+        A nonzero residual before d means vec is outside the rational span;
+        otherwise the order is the lcm of the coefficient denominators and of
+        the residual's from d on.
+        """
+        d = self.n if d is None else d
+        _, rest, den = self.back_substitute(vec, d)
+        if any(rest[:d]):
+            return inf
+        return lcm(den, *(x.denominator for x in rest[d:]))
+
+    def section(self, d: int) -> tuple[int, list[int]]:
+        """Structure of Z^{d..n-1} / (lattice & Z^{d..n-1}).
+
+        The rows pivoting from d on are zero before it and span the
+        intersection: a combination that uses a row pivoting earlier is
+        nonzero at the first such pivot.  Returns (free_rank, invariant
+        factors >= 2 in a divisibility chain).
+
+        A unit pivot is the only nonzero entry of its column in the Hermite
+        basis (entries above it are reduced into [0, 1), rows below are zero
+        there), so its row and column split off a trivial factor: the
+        quotient is that of the remaining columns by the other rows, which
+        alone reach the Smith form, and the free rank counts those columns.
+        """
+        units = {p for row, p in zip(self.rows, self.pivots) if p >= d and row[p] == 1}
+        keep = [j for j in range(d, self.n) if j not in units]
+        core = [
+            [row[j] for j in keep]
+            for row, p in zip(self.rows, self.pivots)
+            if p >= d and p not in units
+        ]
+        # the core, the tail without its unit pivots, is still in Hermite
+        # form; start with the column pass
+        rank, orders = la.snf_diagonal_orders(la.columns(core))
+        return len(keep) - rank, la.invariant_factors_from_orders(orders)
+
+
+def _xgcd(a: int, b: int):
+    x, nx = 1, 0
+    y, ny = 0, 1
+    g, ng = a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, g
+
+
 # The eliminations the package had before every echelon reading became a
 # back-substitution along `Lattice.back_substitute`: Gauss-Jordan inversion
 # over Q, and greedy reduction along the pivots (subtract a row only where
@@ -124,7 +320,7 @@ def frac_inverse(a: Matrix) -> Matrix:
 def lattice_reduce(lat: Lattice, vec: Vector) -> Vector:
     """Residual of vec after greedy reduction; zero iff vec is in the lattice."""
     vec = list(vec)
-    for row, p in zip(lat.rows, lat.pivots):
+    for row, p in zip(lat.basis(), lat.pivots):
         x = vec[p]
         if x and x % row[p] == 0:
             q = x // row[p]
@@ -136,8 +332,8 @@ def lattice_reduce(lat: Lattice, vec: Vector) -> Vector:
 def lattice_coords_of(lat: Lattice, vec: Vector):
     """Express vec over the echelon basis rows; None if not in the lattice."""
     vec = list(vec)
-    coeffs = [0] * len(lat.rows)
-    for i, (row, p) in enumerate(zip(lat.rows, lat.pivots)):
+    coeffs = [0] * lat.rank
+    for i, (row, p) in enumerate(zip(lat.basis(), lat.pivots)):
         x = vec[p]
         if x:
             if x % row[p]:
@@ -272,7 +468,7 @@ def quotient_invariants(num_vecs, den_vecs, n: int) -> tuple[int, list[int]]:
 def full_tail_section(lat: Lattice, d: int) -> tuple[int, list[int]]:
     """`Lattice.section(d)` as it was before unit pivots were split off: the
     Smith reduction of every row pivoting from d on, unit pivots included."""
-    tail = [row[d:] for row, p in zip(lat.rows, lat.pivots) if p >= d]
+    tail = [row[d:] for row, p in zip(lat.basis(), lat.pivots) if p >= d]
     rank, orders = la.snf_diagonal_orders(la.columns(tail))
     return lat.n - d - rank, la.invariant_factors_from_orders(orders)
 
@@ -298,7 +494,7 @@ def class_order(vec: Vector, den_vecs, n: int):
     lat = Lattice(n, den_vecs)
     rest = list(vec)
     order = 1
-    for row, p in zip(lat.rows, lat.pivots):
+    for row, p in zip(lat.basis(), lat.pivots):
         if rest[p]:
             c = Fraction(rest[p], row[p])
             order = lcm(order, c.denominator)

@@ -1,8 +1,10 @@
+import json
 import random
 import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, inf, prod
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -33,11 +35,17 @@ from tropceresa.exterior import (
     Bbar_group,
     GradedImages,
     WedgeVector,
+    apply_matrix,
     embed_H_in_L,
     omega,
 )
-from tropceresa.graph_core import spanning_trees, tropical_curve, with_sorted_lengths
-from tropceresa.johnson import JohnsonTable, coboundary_shift, transform_table
+from tropceresa.graph_core import (
+    load_curve,
+    spanning_trees,
+    tropical_curve,
+    with_sorted_lengths,
+)
+from tropceresa.johnson import JohnsonTable, coboundary_shift, table_from_json, transform_table
 from tropceresa.symplectic import basis_change_matrix, delta_from_Q, homology_basis
 
 import helpers
@@ -753,8 +761,9 @@ def _original_orders(eng, v):
     """Order in Bbar (None off F2 + H), ambient order and least multiple in
     Abar, read off the original-frame lattices."""
     coords = eng.graded_coords(v.coeffs)
-    head = coords[: eng.start(3)]
-    inside = all(Fraction(c).denominator == 1 for c in coords[len(head) :]) and (
+    head = eng.graded_coords(v.coeffs, eng.start(3))
+    f3 = (c for i, c in coords.items() if i not in head)
+    inside = all(Fraction(c).denominator == 1 for c in f3) and (
         eng.bbar_lattice.coset_order(head, eng.start(2)) == 1
     )
     return (
@@ -1007,6 +1016,33 @@ def test_verdict_moves_the_class_into_the_frame_once(monkeypatch, name, multiple
     out = nontriviality_verdict(ctx, v, hyperelliptic=False)
     assert calls == [v] and out["in_abar"] and out["order_ambient"] is not None
     assert (out["order_bbar"] is not None) == ctx.maximal_rank
+
+
+def _g5_golden():
+    data = Path(__file__).parent / "data"
+    curve = load_curve(str(data / "g5_k24.json"))
+    table = json.loads((data / "g5_table.json").read_text())
+    return curve, table_from_json(table, homology_basis(curve))
+
+
+@pytest.mark.parametrize("name", ["tl3", "g5"])
+def test_analyze_moves_the_class_into_the_frame_once(monkeypatch, name):
+    """A full maximal-rank report, verdict and Zharkov test included, maps
+    v into the Smith frame by one wedge^3(P), which both of them read."""
+    curve, table = (
+        _g5_golden() if name == "g5" else (builtin_curve(name), builtin_table(name))
+    )
+    v = v_class(build_context(curve), table)
+    framed = []
+
+    def counting(mat, w):
+        framed.append(w.coeffs == v.coeffs)
+        return apply_matrix(mat, w)
+
+    monkeypatch.setattr(ceresa, "apply_matrix", counting)
+    report = analyze(curve, table)
+    assert report.rank_status == "maximal" and report.zharkov is not None
+    assert framed.count(True) == 1
 
 
 def test_ceresa_order_skips_lattice_inside_F2(monkeypatch):

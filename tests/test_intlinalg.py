@@ -153,10 +153,12 @@ def test_lattice_canonical_is_basis_independent():
 
 
 def _assert_hermite_reduced(lat):
-    for s, (row, p) in enumerate(zip(lat.rows, lat.pivots)):
+    basis = lat.basis()
+    for s, (row, p) in enumerate(zip(basis, lat.pivots)):
         assert not any(row[:p]) and row[p] > 0
-        assert all(0 <= above[p] < row[p] for above in lat.rows[:s])
+        assert all(0 <= above[p] < row[p] for above in basis[:s])
     assert lat.pivots == sorted(set(lat.pivots))
+    assert all(all(row.values()) for row in lat.rows)  # no stored zero
 
 
 def test_every_add_leaves_a_hermite_reduced_basis():
@@ -178,6 +180,85 @@ def test_every_add_leaves_a_hermite_reduced_basis():
             rewrites += lat.rank == len(before) and lat.canonical() != before
             _assert_hermite_reduced(lat)
     assert rewrites >= 80
+
+
+def _sparse(vec) -> dict:
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def test_sparse_lattice_matches_dense_oracle(monkeypatch):
+    """`Lattice` keeps each row as {column: nonzero value} and runs the dense
+    kernel's algorithm on it.  On seeded generator sets, given as lists and
+    as dicts (explicit zeros included), its rows, pivots, canonical basis,
+    copies, back-substitutions, coset orders and sections equal those of
+    the dense oracle `helpers.DenseLattice`."""
+    seen = dict.fromkeys(
+        ("xgcd", "negative pivot", "deficient", "zero vector", "d=0", "d=n"), 0
+    )
+    steps = {"xgcd": 0, "negative pivot": 0}
+    xgcd = helpers._xgcd
+
+    def counting_xgcd(a, b):
+        steps["xgcd"] += 1
+        return xgcd(a, b)
+
+    class Oracle(helpers.DenseLattice):
+        def _reduce_rows(self, touched):
+            rows, pivots = self.rows, self.pivots
+            steps["negative pivot"] += any(rows[s][pivots[s]] < 0 for s in touched)
+            super()._reduce_rows(touched)
+
+    monkeypatch.setattr(helpers, "_xgcd", counting_xgcd)
+    rng = random.Random(19)
+    for trial in range(1200):
+        n = rng.randint(1, 9)
+        density = rng.choice((0.2, 0.5, 0.9))
+        gens = [
+            [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(rng.randint(0, 2 * n))
+        ]
+        if len(gens) > 1 and trial % 3 == 0:
+            gens[-1] = [2 * x - 3 * y for x, y in zip(gens[0], gens[1])]
+        if trial % 4 == 0:
+            gens.insert(rng.randint(0, len(gens)), [0] * n)
+        steps.update(dict.fromkeys(steps, 0))
+        dense = Oracle(n, gens)
+        for key, count in steps.items():
+            seen[key] += count > 0
+        given = [dict(enumerate(g)) for g in gens] if trial % 2 else gens
+        lat = la.Lattice(n, given)
+        assert lat.pivots == dense.pivots
+        assert lat.rows == [_sparse(row) for row in dense.rows]
+        assert lat.basis() == dense.basis() and lat.canonical() == dense.canonical()
+        seen["deficient"] += lat.rank < len(gens)
+        seen["zero vector"] += [0] * n in gens
+
+        d = rng.choice((0, n, rng.randint(0, n)))
+        seen["d=0"] += d == 0
+        seen["d=n"] += d == n
+        assert lat.section(d) == dense.section(d)
+        vecs = [[0] * n, [rng.randint(-6, 6) for _ in range(n)]]
+        vecs.append([Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n)])
+        if gens:
+            cs = [rng.randint(-3, 3) for _ in gens]
+            vecs.append([sum(c * g[t] for c, g in zip(cs, gens)) for t in range(n)])
+        for vec in vecs:
+            for stop in (d, None):
+                want = dense.back_substitute(vec, stop)
+                for form in (vec, _sparse(vec)):
+                    coeffs, rest, den = lat.back_substitute(form, stop)
+                    assert (coeffs, rest, den) == (want[0], _sparse(want[1]), want[2])
+                    assert lat.coset_order(form, stop) == dense.coset_order(vec, stop)
+
+        extra = [rng.randint(-9, 9) for _ in range(n)]
+        dup, dense_dup = lat.copy(), dense.copy()
+        dup.add(_sparse(extra))
+        dense_dup.add(extra)
+        assert dup.rows == [_sparse(row) for row in dense_dup.rows]
+        assert lat.rows == [_sparse(row) for row in dense.rows]
+    assert min(seen.values()) >= 40, seen
+    with pytest.raises(ValueError, match=r"columns 0\.\.3 .* Z\^3"):
+        la.Lattice(3).add({0: 1, 3: 2})
 
 
 def test_lattice_copy_shares_no_row():
@@ -670,7 +751,7 @@ def test_back_substitution_reads_match_elimination_oracles():
             seen["member" if member else "nonmember"] += 1
             assert (lat.coset_order(vec) == 1) == member
             coeffs, rest, den = lat.back_substitute(vec)
-            got = coeffs if den == 1 and not any(rest) else None
+            got = coeffs if den == 1 and not rest else None
             assert got == helpers.lattice_coords_of(lat, vec)
 
             cols = [[g[t] for g in gens] for t in range(dim)] if gens else []
