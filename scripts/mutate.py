@@ -132,6 +132,15 @@ MUTATIONS = [
     ("section-free-rank-n-d", "intlinalg.py",
      "return len(keep) - rank, invariant_factors_from_orders(orders)",
      "return self.n - d - rank, invariant_factors_from_orders(orders)"),
+    ("table-bridge-inverted", "johnson.py",
+     "if not any(loop) and",
+     "if any(loop) and"),
+    ("table-unknown-edge-dropped", "johnson.py",
+     "if eid not in loops:",
+     "if False:"),
+    ("basis-matches-no-tree", "johnson.py",
+     "and a.tree_edges == b.tree_edges",
+     "and True"),
 ]
 
 TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

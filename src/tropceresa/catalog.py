@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import SchemaError
 from .graph_core import TropicalCurve, tropical_curve, with_sorted_lengths
-from .johnson import JohnsonTable, validate_table
+from .johnson import JohnsonTable
 from .exterior import WedgeVector
 from .symplectic import homology_basis
 
@@ -46,11 +46,9 @@ def builtin_table(name: str, curve: TropicalCurve | None = None) -> JohnsonTable
         eid: WedgeVector(2 * g, 3, dict(coeffs))
         for eid, coeffs in _TABLES[name](g).items()
     }
-    table = JohnsonTable(
+    return JohnsonTable(
         basis=basis, entries=entries, provenance="builtin", name=name
     )
-    validate_table(curve, table)
-    return table
 
 
 # ---------------------------------------------------------------------------

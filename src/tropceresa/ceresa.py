@@ -34,7 +34,7 @@ from .graph_core import (
     scaled_to_integer,
     stabilize,
 )
-from .johnson import JohnsonTable, basis_matches, validate_table
+from .johnson import JohnsonTable, basis_matches
 from .symplectic import (
     HomologyBasis,
     delta_from_Q,
@@ -171,10 +171,14 @@ def zharkov_to_json(result: dict) -> dict:
 
 
 def v_class(ctx: PipelineContext, table: JohnsonTable) -> WedgeVector:
-    """Length-weighted sum of the table entries."""
+    """Length-weighted sum of the table entries.
+
+    The table was checked when it was built; its basis must match the
+    curve's (the same tree and chord ids and the same cycles), so its entries
+    name this curve's edges and vanish on its bridges.
+    """
     if not basis_matches(ctx.basis, table.basis):
         raise SchemaError("table basis does not match the curve's basis")
-    validate_table(ctx.curve, table)
     g = ctx.g
     total = WedgeVector.zero(2 * g, 3)
     for e in ctx.curve.sorted_edges():

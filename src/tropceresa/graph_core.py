@@ -62,9 +62,6 @@ class TropicalCurve:
     def vertex(self, vid: str) -> Vertex:
         return next(v for v in self.vertices if v.id == vid)
 
-    def edge(self, eid: str) -> Edge:
-        return next(e for e in self.edges if e.id == eid)
-
     def sorted_vertices(self) -> list[Vertex]:
         return sorted(self.vertices, key=lambda v: v.id)
 
@@ -248,51 +245,6 @@ def symanzik(curve: TropicalCurve) -> Fraction:
                 term *= l
         total += term
     return total
-
-
-# ---------------------------------------------------------------------------
-# cuts and 2-edge-connectivization
-
-
-def separating_edges(curve: TropicalCurve) -> set[str]:
-    """Bridges: edges whose removal disconnects the graph."""
-    out = set()
-    all_ids = {e.id for e in curve.edges}
-    for e in curve.edges:
-        if e.ends[0] == e.ends[1]:
-            continue
-        if not _connected_with_edges(curve, all_ids - {e.id}):
-            out.add(e.id)
-    return out
-
-
-def two_edge_connectivization(curve: TropicalCurve) -> TropicalCurve:
-    """Contract every bridge; genus is preserved."""
-    bridges = separating_edges(curve)
-    parent = {v.id: v.id for v in curve.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid in bridges:
-        u, v = curve.edge(eid).ends
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    weights: dict[str, int] = {}
-    for v in curve.vertices:
-        r = find(v.id)
-        weights[r] = weights.get(r, 0) + v.weight
-    edges = tuple(
-        Edge(e.id, (find(e.ends[0]), find(e.ends[1])), e.length)
-        for e in curve.sorted_edges()
-        if e.id not in bridges
-    )
-    verts = tuple(Vertex(i, w) for i, w in sorted(weights.items()))
-    return TropicalCurve(verts, edges)
 
 
 # ---------------------------------------------------------------------------

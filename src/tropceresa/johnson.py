@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from . import intlinalg as la
 from .errors import PreconditionError, SchemaError
 from .exterior import WedgeVector, apply_matrix
-from .graph_core import TropicalCurve, separating_edges
 from .symplectic import HomologyBasis, twist_action
 
 
@@ -24,12 +23,32 @@ from .symplectic import HomologyBasis, twist_action
 
 @dataclass
 class JohnsonTable:
-    """Per-edge degree-3 wedge values relative to a declared basis."""
+    """Per-edge degree-3 wedge values relative to a declared basis.
+
+    A table is checked once, when it is built: every entry names an edge of
+    the basis and is a degree-3 wedge class of H, and every bridge carries a
+    zero entry.  A bridge is an edge on no cycle, so its loop class is zero,
+    and a twist along a separating curve acts trivially on H.
+    """
 
     basis: HomologyBasis
     entries: dict  # edge id -> WedgeVector
     provenance: str = "user"
     name: str = ""
+
+    def __post_init__(self):
+        n = 2 * self.basis.g
+        loops = self.basis.edge_loop_class
+        for eid, w in self.entries.items():
+            if eid not in loops:
+                raise SchemaError(f"table entry for unknown edge {eid}")
+            if (w.n, w.k) != (n, 3):
+                raise SchemaError(f"entry for {eid} has wrong degree or rank")
+        for eid, loop in loops.items():
+            if not any(loop) and not self.entry(eid).is_zero():
+                raise SchemaError(
+                    f"separating edge {eid} must have a zero table entry"
+                )
 
     def entry(self, edge_id: str) -> WedgeVector:
         return self.entries.get(
@@ -37,26 +56,11 @@ class JohnsonTable:
         )
 
 
-def validate_table(curve: TropicalCurve, table: JohnsonTable) -> None:
-    basis = table.basis
-    n = 2 * basis.g
-    ids = {e.id for e in curve.edges}
-    for eid, w in table.entries.items():
-        if eid not in ids:
-            raise SchemaError(f"table entry for unknown edge {eid}")
-        if (w.n, w.k) != (n, 3):
-            raise SchemaError(f"entry for {eid} has wrong degree or rank")
-    for eid in separating_edges(curve):
-        if not table.entry(eid).is_zero():
-            raise SchemaError(
-                f"separating edge {eid} must have a zero table entry"
-            )
-
-
 def basis_matches(a: HomologyBasis, b: HomologyBasis) -> bool:
     return (
         a.g == b.g
         and a.h == b.h
+        and a.tree_edges == b.tree_edges
         and a.nontree_edges == b.nontree_edges
         and a.cycles == b.cycles
     )
@@ -91,22 +95,6 @@ def coboundary_shift(table: JohnsonTable, t: WedgeVector) -> JohnsonTable:
 
 # ---------------------------------------------------------------------------
 # JSON
-
-
-def table_to_json(table: JohnsonTable) -> dict:
-    return {
-        "basis_ref": {
-            "g": table.basis.g,
-            "h": table.basis.h,
-            "nontree_edges": list(table.basis.nontree_edges),
-            "convention": table.basis.convention,
-        },
-        "provenance": table.provenance,
-        "name": table.name,
-        "entries": {
-            eid: w.to_json() for eid, w in sorted(table.entries.items())
-        },
-    }
 
 
 def table_from_json(data, basis: HomologyBasis, name="") -> JohnsonTable:

@@ -1020,6 +1020,42 @@ def brute_spanning_trees(curve: TropicalCurve):
     return sorted(found) if need else [()]
 
 
+def separating_edges(curve: TropicalCurve) -> set[str]:
+    """Bridges by brute force: the edges whose removal disconnects the graph."""
+    out = set()
+    for cut in curve.edges:
+        adj = {v.id: set() for v in curve.vertices}
+        for e in curve.edges:
+            if e is not cut:
+                adj[e.ends[0]].add(e.ends[1])
+                adj[e.ends[1]].add(e.ends[0])
+        seen, stack = {cut.ends[0]}, [cut.ends[0]]
+        while stack:
+            for w in adj[stack.pop()] - seen:
+                seen.add(w)
+                stack.append(w)
+        if len(seen) < len(adj):
+            out.add(cut.id)
+    return out
+
+
+def table_to_json(table) -> dict:
+    """The table file that johnson.table_from_json reads back."""
+    return {
+        "basis_ref": {
+            "g": table.basis.g,
+            "h": table.basis.h,
+            "nontree_edges": list(table.basis.nontree_edges),
+            "convention": table.basis.convention,
+        },
+        "provenance": table.provenance,
+        "name": table.name,
+        "entries": {
+            eid: w.to_json() for eid, w in sorted(table.entries.items())
+        },
+    }
+
+
 def _pairings(items, fixable, pairable):
     """Involutions of a list as dicts: each item is fixed, where fixable(x),
     or swapped with a later item y, where pairable(x, y)."""

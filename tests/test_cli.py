@@ -18,9 +18,8 @@ from tropceresa.catalog import (
 )
 from tropceresa.cli import WORKERS_ENV, main
 from tropceresa.graph_core import curve_to_json, tropical_curve
-from tropceresa.johnson import table_to_json
 
-from helpers import banana_curve, k4_curve
+from helpers import banana_curve, k4_curve, table_to_json
 
 
 def run(capsys, *argv):
@@ -307,6 +306,32 @@ def test_table_file_cannot_claim_builtin_provenance(tmp_path, capsys):
     assert data["table"]["provenance"] == "user"
     assert (data["verdict"], data["decided_by"]) == ("indeterminate", "order-ambient")
     assert len(data["notes"]) == 2
+
+
+BAD_TABLES = [
+    ("3balloon", {"b2": {"(1,2,3)": "1"}}, "separating edge b2 must have a zero table entry"),
+    ("k4", {"zz": {"(1,4,5)": "1"}}, "table entry for unknown edge zz"),
+]
+
+
+@pytest.mark.parametrize("graph, entries, message", BAD_TABLES)
+@pytest.mark.parametrize(
+    "command",
+    [["ceresa"], ["order"], ["zharkov"], ["sample", "--workers", "1"], ["sample", "--workers", "2"]],
+)
+def test_invalid_user_table_exits_2(
+    tmp_path, capsys, no_pool, monkeypatch, graph, entries, message, command
+):
+    """A user table with a nonzero bridge entry or an entry for an unknown
+    edge is refused when it is read, with the same message from every
+    command that takes a table."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    table = table_to_json(builtin_table(graph))
+    table["entries"] = entries
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run(capsys, *command, "--graph", f"builtin:{graph}", "--table", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("key,value", [("(9,9,1)", "1"), ("(1,1)", "2")])

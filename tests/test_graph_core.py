@@ -14,16 +14,15 @@ from tropceresa.graph_core import (
     is_stable,
     quotient_curve,
     scaled_to_integer,
-    separating_edges,
     spanning_trees,
     stabilize,
     symanzik,
     tropical_curve,
-    two_edge_connectivization,
     validate_involution,
 )
 
 from tropceresa import graph_core
+from tropceresa.symplectic import homology_basis
 
 from helpers import (
     banana_curve,
@@ -35,6 +34,7 @@ from helpers import (
     k4_doubled,
     loop_chain_curve,
     random_curve,
+    separating_edges,
 )
 
 
@@ -201,25 +201,28 @@ def test_separating_edges():
     assert separating_edges(balloon3()) == {"b1", "b2", "b3"}
 
 
-def test_two_edge_connectivization():
-    t = two_edge_connectivization(barbell())
-    assert len(t.vertices) == 1 and len(t.edges) == 2
-    assert genus(t) == genus(barbell())
-    assert two_edge_connectivization(k4_curve()) == k4_curve()
-    tree = tropical_curve(
-        [("a", 2), ("b", 1)], [("e", ("a", "b"), 1)]
-    )
-    tt = two_edge_connectivization(tree)
-    assert len(tt.vertices) == 1 and not tt.edges and genus(tt) == 3
-
-
-def test_two_edge_connectivization_preserves_cycle_form():
-    rng = random.Random(2)
-    for _ in range(40):
-        c = random_curve(rng)
-        t = two_edge_connectivization(c)
-        assert genus(t) == genus(c)
-        assert symanzik(t) == symanzik(c)
+def test_bridges_are_the_zero_loop_classes():
+    """An edge lies on no cycle exactly when its loop class in the homology
+    basis is zero: the twist table reads its bridges off the basis."""
+    rng = random.Random(20)
+    weighted_trees = [
+        tropical_curve([("a", 2), ("b", 1)], [("e", ("a", "b"), 1)]),
+        tropical_curve(
+            [("a", 1), ("b", 0), ("c", 1)],
+            [("e", ("a", "b"), 1), ("f", ("b", "c"), 2)],
+        ),
+    ]
+    named = [
+        barbell(), balloon3(), k4_curve(), theta0(), loop_chain_curve(3),
+        banana_curve(4), k4_doubled(3, [1] * 9), *weighted_trees,
+    ]
+    counts = {True: 0, False: 0}
+    for curve in [random_curve(rng) for _ in range(300)] + named:
+        loops = homology_basis(curve).edge_loop_class
+        zero = {eid for eid, loop in loops.items() if not any(loop)}
+        assert zero == separating_edges(curve)
+        counts[bool(zero)] += 1
+    assert min(counts.values()) >= 50, counts
 
 
 # -- involutions and hyperellipticity ----------------------------------------
@@ -292,6 +295,7 @@ def brute_involutions(curve):
 
     vids = [v.id for v in curve.sorted_vertices()]
     eids = [e.id for e in curve.sorted_edges()]
+    edge = {e.id: e for e in curve.edges}
     out = []
     for vperm in permutations(vids):
         vmap = dict(zip(vids, vperm))
@@ -308,20 +312,20 @@ def brute_involutions(curve):
             ok = True
             for e in eids:
                 img = emap[e]
-                u, w = curve.edge(e).ends
-                if {vmap[u], vmap[w]} != set(curve.edge(img).ends):
+                u, w = edge[e].ends
+                if {vmap[u], vmap[w]} != set(edge[img].ends):
                     ok = False
                     break
-                if curve.edge(e).length != curve.edge(img).length:
+                if edge[e].length != edge[img].length:
                     ok = False
                     break
             if ok:
                 loops_free = [
                     e
                     for e in eids
-                    if curve.edge(e).ends[0] == curve.edge(e).ends[1]
+                    if edge[e].ends[0] == edge[e].ends[1]
                     and emap[e] == e
-                    and vmap[curve.edge(e).ends[0]] == curve.edge(e).ends[0]
+                    and vmap[edge[e].ends[0]] == edge[e].ends[0]
                 ]
                 for mask in range(1 << len(loops_free)):
                     flips = frozenset(
@@ -487,7 +491,7 @@ def test_json_rational_lengths():
         "edges": [{"id": "l", "ends": ["p", "p"], "length": "3/2"}],
     }
     c = curve_from_json(data)
-    assert c.edge("l").length == Fraction(3, 2)
+    assert {e.id: e for e in c.edges}["l"].length == Fraction(3, 2)
     assert curve_to_json(c)["edges"][0]["length"] == "3/2"
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from tropceresa import intlinalg as la
 from tropceresa.catalog import builtin_curve, builtin_table
+from tropceresa.ceresa import build_context, v_class
 from tropceresa.errors import PreconditionError, SchemaError
 from tropceresa.exterior import WedgeVector, embed_H_in_L
 from tropceresa.johnson import (
@@ -11,9 +12,8 @@ from tropceresa.johnson import (
     coboundary_shift,
     edge_twist_matrix,
     table_from_json,
-    table_to_json,
-    validate_table,
 )
+from tropceresa.graph_core import tropical_curve
 from tropceresa.symplectic import delta_from_Q, homology_basis, intersection
 
 from helpers import (
@@ -22,6 +22,7 @@ from helpers import (
     mat_mul,
     random_unimodular,
     symplectic_basis_of,
+    table_to_json,
 )
 
 
@@ -109,22 +110,45 @@ def test_k4_arrangement_value():
 
 
 def test_builtin_tables_validate():
+    """Every built-in table passes the constructor's checks, and they run on
+    its basis: an entry for an edge the basis lacks is refused."""
     for name in ("k4", "tl3", "theta-w1", "3balloon"):
-        curve = builtin_curve(name)
-        table = builtin_table(name, curve)
-        validate_table(curve, table)
+        table = builtin_table(name, builtin_curve(name))
         assert table.provenance == "builtin"
+        extra = {"zz": WedgeVector(2 * table.basis.g, 3, {(0, 1, 2): 1})}
+        with pytest.raises(SchemaError, match="^table entry for unknown edge zz$"):
+            JohnsonTable(basis=table.basis, entries=table.entries | extra)
 
 
 def test_separating_entries_must_vanish():
+    basis = homology_basis(builtin_curve("3balloon"))
+    message = "^separating edge b1 must have a zero table entry$"
+    with pytest.raises(SchemaError, match=message):
+        JohnsonTable(
+            basis=basis,
+            entries={"b1": WedgeVector(2 * basis.g, 3, {(0, 1, 2): 1})},
+        )
+
+
+def test_entries_must_have_degree_3_in_rank_2g():
+    basis = homology_basis(builtin_curve("k4"))
+    message = "^entry for u2 has wrong degree or rank$"
+    for bad in (WedgeVector(6, 2, {(0, 3): 1}), WedgeVector(8, 3, {(0, 4, 5): 1})):
+        with pytest.raises(SchemaError, match=message):
+            JohnsonTable(basis=basis, entries={"u2": bad})
+
+
+def test_v_class_rejects_a_basis_with_a_renamed_bridge():
+    """Two bases that differ only in a bridge's id have the same chords and
+    cycles but name different edges, so they do not match."""
     curve = builtin_curve("3balloon")
-    basis = homology_basis(curve)
-    bad = JohnsonTable(
-        basis=basis,
-        entries={"b1": WedgeVector(2 * basis.g, 3, {(0, 1, 2): 1})},
+    renamed = tropical_curve(
+        [(v.id, v.weight) for v in curve.vertices],
+        [("b4" if e.id == "b1" else e.id, e.ends, e.length) for e in curve.edges],
     )
-    with pytest.raises(SchemaError):
-        validate_table(curve, bad)
+    table = JohnsonTable(basis=homology_basis(renamed), entries={})
+    with pytest.raises(SchemaError, match="table basis does not match"):
+        v_class(build_context(curve), table)
 
 
 def test_table_json_round_trip():

@@ -9,11 +9,11 @@ from math import inf
 
 from tropceresa.ceresa import analyze, build_context, v_class
 from tropceresa.exterior import WedgeVector
-from tropceresa.graph_core import scaled_to_integer, separating_edges
+from tropceresa.graph_core import scaled_to_integer
 from tropceresa.johnson import JohnsonTable
 from tropceresa.symplectic import homology_basis
 
-from helpers import random_curve
+from helpers import random_curve, separating_edges
 
 
 def random_table(curve, rng):

@@ -24,12 +24,7 @@ CALLERS = (
 )
 
 # Public names kept without a caller, each with its reason.
-ALLOWED = {
-    # the structural hyperelliptic search (ROADMAP D) contracts bridges first
-    "graph_core.two_edge_connectivization",
-    # the writer that table_from_json reads back; tests build table files with it
-    "johnson.table_to_json",
-}
+ALLOWED: set = set()
 
 
 def _is_property(node) -> bool:
