@@ -45,9 +45,12 @@ MUTATIONS = [
     ("gr2-inverse-half", "exterior.py",
      "scale = 2 * vden * den * den",
      "scale = vden * den * den"),
-    ("qualifying-y-degree", "ceresa.py",
-     "if k < g or j >= g:",
-     "if k < g or i >= g:"),
+    ("verdict-ambient-from-abar", "ceresa.py",
+     'out["order_bbar"] = out["order_ambient"] = ctx.bbar_order(coeffs)',
+     'out["order_bbar"], out["order_ambient"] = ctx.bbar_order(coeffs), ctx.abar_order(coeffs)'),
+    ("verdict-branch-not-pure-gr2", "ceresa.py",
+     "if ctx.maximal_rank and is_pure_gr2(ctx, v):",
+     "if ctx.maximal_rank:"),
     ("certified-downgrade", "ceresa.py",
      '("trivial" if certified else "indeterminate")',
      '"trivial"'),

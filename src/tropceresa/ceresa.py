@@ -203,13 +203,12 @@ def u_class(ctx: PipelineContext, v: WedgeVector) -> WedgeVector:
 
 def nonintegral_qualifying_coordinates(ctx: PipelineContext, u: WedgeVector):
     """Coordinates a_i^a_j^b_k, all indices distinct, with non-integral
-    coefficient; these certify nontriviality outright."""
+    coefficient; these certify nontriviality outright.  u must come from
+    `u_class`, whose coordinates each have exactly one Y index, the last."""
     g = ctx.g
     out = []
     for t, c in sorted(u.coeffs.items()):
         i, j, k = t
-        if k < g or j >= g:
-            continue
         if (k - g) in (i, j):
             continue
         if Fraction(c).denominator != 1:
@@ -383,13 +382,14 @@ def nontriviality_verdict(
     graded subgroup and the ambient order decide.  `certified` is False for
     user-supplied tables, downgrading a clean order-1 result to
     indeterminate (the table is not known to come from an involution).
+    At maximal rank the ambient order is the Bbar order (README, "Verdict").
     """
     out = dict.fromkeys(("u", "order_bbar", "order_ambient", "in_abar", "least_multiple"))
     decisive = None  # a route that certifies nontriviality before the ambient order
     coeffs = ctx.frame_class(v)  # read by every order below
     if ctx.maximal_rank and is_pure_gr2(ctx, v):
         u = out["u"] = u_class(ctx, v)
-        out["order_bbar"] = ctx.bbar_order(coeffs)
+        out["order_bbar"] = out["order_ambient"] = ctx.bbar_order(coeffs)
         out["in_abar"], out["least_multiple"] = True, 1
         if nonintegral_qualifying_coordinates(ctx, u):
             decisive = "u-nonintegral"
@@ -400,8 +400,8 @@ def nontriviality_verdict(
         out["in_abar"], out["least_multiple"] = least == 1, least
         if least != 1:
             decisive = "not-in-Abar"
-    if out["in_abar"]:
-        out["order_ambient"] = ctx.abar_order(coeffs)
+        else:
+            out["order_ambient"] = ctx.abar_order(coeffs)
     if hyperelliptic:
         verdict, decided = "hyperelliptic-trivial", "hyperelliptic quotient"
     elif decisive:
@@ -441,7 +441,7 @@ def analyze(
             "involution; reporting indeterminate"
         )
     zh = None
-    if with_zharkov and ctx.maximal_rank and is_pure_gr2(ctx, v):
+    if with_zharkov and decision["u"] is not None:
         zh = zharkov_test(ctx, v)
     return CeresaReport(
         curve=ctx.curve,

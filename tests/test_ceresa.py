@@ -40,6 +40,7 @@ from tropceresa.exterior import (
     omega,
 )
 from tropceresa.graph_core import (
+    genus,
     load_curve,
     spanning_trees,
     tropical_curve,
@@ -680,15 +681,12 @@ def test_report_invariant_nontrivial_implies_witness():
             ) or nonintegral_qualifying_coordinates(build_context(curve), rep.u)
 
 
-def test_qualifying_coordinates_have_exactly_one_y_index():
-    """Only a_i ^ a_j ^ b_k with k distinct from i and j qualifies.  The
-    pipeline's u lies in gr_1, so only a vector given directly shows that
-    coordinates with no or two Y indices are passed over."""
+def test_qualifying_coordinates_have_a_y_index_unpaired_with_their_a_indices():
+    """Among the gr_1 coordinates a_i ^ a_j ^ b_k of u, only those with k
+    distinct from i and j qualify."""
     ctx = build_context(builtin_curve("k4"))  # g = 3: a = 0..2, b = 3..5
     half = Fraction(1, 2)
     u = WedgeVector(6, 3, {
-        (0, 1, 2): half,  # a1 a2 a3: no Y index
-        (0, 4, 5): half,  # a1 b2 b3: two Y indices
         (0, 1, 3): half,  # a1 a2 b1: b1 pairs with a1
         (0, 1, 4): half,  # a1 a2 b2: b2 pairs with a2
         (0, 1, 5): half,  # a1 a2 b3: qualifies
@@ -999,10 +997,10 @@ def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
 
 @pytest.mark.parametrize("name, multiple", [("tl3", 1), ("theta-w1", 3)])
 def test_verdict_moves_the_class_into_the_frame_once(monkeypatch, name, multiple):
-    """Every order the verdict reads (Bbar and ambient on the maximal-rank
-    route, Abar membership and ambient off it) shares one frame_class.
-    Three times the theta-w1 class lies in Abar, so both of its orders are
-    read."""
+    """Every order the verdict reads (Bbar on the maximal-rank route, where
+    it is also the ambient order; Abar membership and ambient off it)
+    shares one frame_class.  Three times the theta-w1 class lies in Abar,
+    so both of its orders are read."""
     ctx = build_context(builtin_curve(name))
     v = v_class(ctx, builtin_table(name)).scale(multiple)
     calls = []
@@ -1043,6 +1041,81 @@ def test_analyze_moves_the_class_into_the_frame_once(monkeypatch, name):
     report = analyze(curve, table)
     assert report.rank_status == "maximal" and report.zharkov is not None
     assert framed.count(True) == 1
+
+
+def _pure_gr2_classes(ctx, rng, count):
+    """Integral classes of Y-degree exactly 2 on a maximal-rank context, in
+    the original frame: gr_2 parts of (delta-I) images of gr_1 monomials,
+    omega ^ b_j pieces and, for two classes in three, a multiple of random
+    gr_2 monomials.  Without the last, a class lies in (delta-I)F_1 + F_3 + H."""
+    g, n = ctx.g, 2 * ctx.g
+    eng = _original_engine(ctx)
+    deg = ctx.filt.y_degree
+    gr2 = ctx.filt.monomials(3, 2, exact=True)
+    rels = [
+        WedgeVector(n, 3, {s: c for s, c in eng.monomial_images[t].items() if deg(s) == 2})
+        for t in ctx.filt.monomials(3, 1, exact=True)
+    ]
+    omega_b = [embed_H_in_L([int(t == g + j) for t in range(n)], g) for j in range(g)]
+    out = []
+    for t in range(count):
+        v = WedgeVector.zero(n, 3)
+        for r in rng.sample(rels, min(len(rels), 3)):
+            v = v + r.scale(rng.randint(-3, 3))
+        for h in rng.sample(omega_b, rng.randint(0, 2)):
+            v = v + h.scale(rng.randint(-3, 3))
+        if t % 3:
+            monos = rng.sample(gr2, min(len(gr2), rng.randint(1, 3)))
+            v = v + WedgeVector(n, 3, {x: rng.randint(-3, 3) for x in monos}).scale(
+                rng.randint(1, 4)
+            )
+        assert all(deg(x) == 2 for x in v.coeffs)
+        out.append(v)
+    return out
+
+
+def test_ambient_order_is_bbar_order_at_maximal_rank():
+    """At maximal rank the order of an integral pure-gr_2 class modulo
+    (delta-I)L + H equals its order in Bbar (README, "Verdict"), on 1200
+    seeded classes over random curves of genus 2 to 6.  Half a gr_2
+    monomial is not in F2 + H, and the verdict still rejects it."""
+    rng = random.Random(7)
+    seen = {"1": 0, ">1": 0}
+    for g in range(2, 7):
+        for _ in range(8):
+            curve = helpers.random_curve(rng, max_edges=10, min_genus=g, weights=False)
+            while genus(curve) != g:
+                curve = helpers.random_curve(rng, max_edges=10, min_genus=g, weights=False)
+            ctx = build_context(curve)
+            assert ctx.maximal_rank
+            for v in _pure_gr2_classes(ctx, rng, 30):
+                fc = ctx.frame_class(v)
+                order = ctx.bbar_order(fc)
+                assert ctx.abar_order(fc) == order
+                seen["1" if order == 1 else ">1"] += 1
+    assert min(seen.values()) >= 200, seen
+    half = WedgeVector(2 * g, 3, {ctx.filt.monomials(3, 2, exact=True)[0]: Fraction(1, 2)})
+    with pytest.raises(PreconditionError, match="class does not lie in F2 \\+ H"):
+        nontriviality_verdict(ctx, half, hyperelliptic=False)
+
+
+@pytest.mark.parametrize("name", ["k4", "tl3", "g5", "theta-w1"])
+def test_maximal_rank_verdict_reads_no_abar_lattice(name):
+    """At maximal rank the verdict reads the B(2) echelon alone, and its
+    ambient order is the Bbar order, equal to the Abar order on a fresh
+    context.  At deficient rank (theta-w1) membership reads the A echelon."""
+    curve, table = (
+        _g5_golden() if name == "g5" else (builtin_curve(name), builtin_table(name))
+    )
+    ctx = build_context(curve)
+    v = v_class(ctx, table)
+    out = nontriviality_verdict(ctx, v, hyperelliptic=False)
+    if ctx.maximal_rank:
+        assert set(ctx._echelons) == {(1, ctx.start(3))}
+        assert "abar_lattice" not in vars(ctx)
+        assert out["order_ambient"] == out["order_bbar"] == ambient_order(build_context(curve), v)
+    else:
+        assert (None, len(ctx.wedge)) in ctx._echelons and "abar_lattice" in vars(ctx)
 
 
 def test_ceresa_order_skips_lattice_inside_F2(monkeypatch):

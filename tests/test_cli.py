@@ -366,6 +366,31 @@ def test_user_table_with_fractional_class_exits_3(tmp_path, capsys):
     assert "class does not lie in F2 + H" in err
 
 
+@pytest.mark.parametrize("entry, verdict, decided_by, ambient", [
+    ({"(4,5,6)": "1"}, "indeterminate", "order-ambient", 1),  # b1 b2 b3: F3
+    ({"(1,2,6)": "1"}, "nontrivial", "not-in-Abar", None),  # a1 a2 b3: gr1
+    ({"(1,4,5)": "1", "(4,5,6)": "1"}, "nontrivial", "order-ambient", 32),
+])
+def test_maximal_rank_user_table_off_gr2_is_decided_in_Abar(
+    tmp_path, capsys, entry, verdict, decided_by, ambient
+):
+    """A class with an F3 or gr1 term has no u, even at maximal rank:
+    membership in Abar and the ambient order decide it."""
+    table = {
+        "basis_ref": {"g": 3, "h": 3, "nontree_edges": ["u1", "u2", "u3"]},
+        "entries": {"u2": entry},
+    }
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, out, _ = run(capsys, "ceresa", "--graph", "builtin:k4", "--table", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["rank_status"] == "maximal"
+    assert data["u"] is None and data["order_in_Bbar"] is None and data["zharkov"] is None
+    assert (data["verdict"], data["decided_by"]) == (verdict, decided_by)
+    assert data["order_ambient"] == ambient
+
+
 def test_text_format(capsys):
     code, out, _ = run(
         capsys,
