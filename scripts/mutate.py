@@ -30,6 +30,9 @@ MUTATIONS = [
     ("wedge-sign", "exterior.py",
      "(c * x if (size - pos) % 2 == 0 else -c * x)",
      "(c * x if (size - pos) % 2 == 1 else -c * x)"),
+    ("wedge-key-parity", "exterior.py",
+     "(-c if inversions % 2 else c)",
+     "(c if inversions % 2 else -c)"),
     ("back-substitute-lcm", "intlinalg.py",
      "den = lcm(den, c.denominator)",
      "den = max(den, c.denominator)"),
@@ -46,8 +49,20 @@ MUTATIONS = [
      "scale = 2 * vden * den * den",
      "scale = vden * den * den"),
     ("verdict-ambient-from-abar", "ceresa.py",
-     'out["order_bbar"] = out["order_ambient"] = ctx.bbar_order(coeffs)',
-     'out["order_bbar"], out["order_ambient"] = ctx.bbar_order(coeffs), ctx.abar_order(coeffs)'),
+     'out["order_bbar"] = out["order_ambient"] = order',
+     'out["order_bbar"], out["order_ambient"] = order, ambient_order(ctx, v)'),
+    ("bbar-difference-dropped", "ceresa.py",
+     "for y in row[1:]]",
+     "for y in row[2:]]"),
+    ("bbar-qc-as-c", "ceresa.py",
+     "for y in x + qc))",
+     "for y in x + c))"),
+    ("bbar-qualifying-skipped", "ceresa.py",
+     "x = [c for t, c in w.items() if t[2] - g not in t[:2]]",
+     "x = []"),
+    ("bbar-h-integrality-dropped", "ceresa.py",
+     "integral = chain(h_a, parts[2].values(), parts[3].values())",
+     "integral = chain(parts[2].values(), parts[3].values())"),
     ("verdict-branch-not-pure-gr2", "ceresa.py",
      "if ctx.maximal_rank and is_pure_gr2(ctx, v):",
      "if ctx.maximal_rank:"),
@@ -88,11 +103,8 @@ MUTATIONS = [
      "omega=apply_matrix(frame, omega(g)),",
      "omega=omega(g),"),
     ("class-not-in-frame", "ceresa.py",
-     "terms = apply_matrix(self.frame, v).coeffs",
-     "terms = v.coeffs"),
-    ("frame-class-stale", "ceresa.py",
-     "if coeffs != v.coeffs:",
-     "if coeffs is None:"),
+     "return apply_matrix(self.frame, v).coeffs",
+     "return v.coeffs"),
     ("frame-inverse", "symplectic.py",
      "frame[i][:h] = v_inv[i]",
      "frame[i][:h] = v[i]"),
@@ -123,9 +135,9 @@ MUTATIONS = [
     ("abar-order-ignores-q", "exterior.py",
      "stop = None if q is None else self.start(q)",
      "stop = None"),
-    ("bbar-order-no-f3-check", "exterior.py",
-     "if any(c.denominator != 1 for c in f3) or (",
-     "if ("),
+    ("bbar-order-no-f3-check", "ceresa.py",
+     "integral = chain(h_a, parts[2].values(), parts[3].values())",
+     "integral = chain(h_a, parts[2].values())"),
     ("section-split-non-unit", "intlinalg.py",
      "if p >= d and row[p] == 1}",
      "if p >= d and row[p] <= 2}"),

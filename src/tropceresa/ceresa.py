@@ -5,15 +5,19 @@ the graded map when the cycle rank is maximal, and decides triviality with
 this precedence: a hyperelliptic quotient trumps everything; then a
 non-integral coordinate of u of the form a_i^a_j^b_k with k distinct from
 i and j certifies nontriviality; the exact orders in the finite quotients
-settle the rest.  The orders, groups and Zharkov verdict are read in the
-Smith frame of Q: delta is [[I, 0], [D, I]] with D diagonal (`PipelineContext`).
+settle the rest.  At maximal rank the order in Bbar, which is also the
+ambient order there, is a closed form of u and Q (`ceresa_order`), with no
+lattice.  The other orders, the groups and the Zharkov verdict are read in
+the Smith frame of Q: delta is [[I, 0], [D, I]] with D diagonal
+(`PipelineContext`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, inf
+from itertools import chain
+from math import gcd, inf, lcm
 
 from . import intlinalg as la
 from .errors import PreconditionError, SchemaError
@@ -56,9 +60,10 @@ class PipelineContext(GradedImages):
     graded frame change (`symplectic.smith_frame`).  Groups and orders are
     invariant under P, and the relation sets of a diagonal D are sparse, so
     the relation lattices live in this frame; classes enter it only through
-    `frame_class`, and the engine's `bbar_order` and `abar_order` read them.
-    u and w read the original Q through closed forms, so the original delta
-    is never built; the Zharkov verdict reads the frame class against D.
+    `frame_class`, and the engine's `abar_order` reads them.  u, w and the
+    maximal-rank Bbar order read the original Q through closed forms, so the
+    original delta is never built; the Zharkov verdict reads the frame class
+    against D.
     """
 
     curve: TropicalCurve          # integer lengths
@@ -67,7 +72,6 @@ class PipelineContext(GradedImages):
     q_matrix: list                # original frame
     q_diagonal: list              # D, zeros on the weight slots
     frame: list                   # P
-    _last_frame: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @property
     def g(self) -> int:
@@ -101,14 +105,8 @@ class PipelineContext(GradedImages):
     def frame_class(self, v: WedgeVector) -> dict:
         """Terms of wedge^3(P) v, the class v moved into the Smith frame.
         P is graded, so v keeps its Y-degrees and its integrality on each
-        graded piece.  The last class moved is remembered with its terms,
-        so the verdict and the Zharkov test of one class share one map;
-        callers only read the terms."""
-        coeffs, terms = self._last_frame
-        if coeffs != v.coeffs:
-            terms = apply_matrix(self.frame, v).coeffs
-            self._last_frame = (dict(v.coeffs), terms)
-        return terms
+        graded piece."""
+        return apply_matrix(self.frame, v).coeffs
 
 
 def build_context(curve: TropicalCurve, tree=None) -> PipelineContext:
@@ -216,10 +214,50 @@ def nonintegral_qualifying_coordinates(ctx: PipelineContext, u: WedgeVector):
     return out
 
 
+def _u_and_order(ctx: PipelineContext, v: WedgeVector):
+    """(u, order): u = gr^-1 of the gr_2 part r_2 of v, and the order of v
+    in Bbar, read off u and Q at maximal rank (README, "Verdict").
+
+    Each coordinate of a gr_1 class w is a_i^a_j^b_k.  Those with k apart
+    from i and j qualify; the others are the coefficients s_il of
+    a_i^b_i^a_l, i != l, and omega ^ c_a has s_il = c_l.  So w = x + omega ^ c_a
+    with c_l = s_il for the first i != l, and x holds the qualifying
+    coefficients and the differences s_il - c_l.  v lies in F_2 + H when it
+    has no gr_0 part, its gr_1 part r_1 is omega ^ h_a with h_a integral
+    (x = 0, c = h_a) and r_2, r_3 are integral; then omega ^ h_a lies in H
+    and r_3 in F_3, and the order is that of r_2: the lcm of the
+    denominators of x and of Q c for u = x + omega ^ c_a.
+    """
+    g = ctx.g
+    parts = [{}, {}, {}, {}]  # v by Y-degree
+    for t, c in v.coeffs.items():
+        parts[ctx.filt.y_degree(t)][t] = c
+    u = u_class(ctx, WedgeVector(2 * g, 3, parts[2]))
+
+    def split(w: dict):
+        s = [
+            [(-1 if i < l else 1) * w.get((min(i, l), max(i, l), g + i), 0)
+             for i in range(g) if i != l]
+            for l in range(g)
+        ]
+        x = [c for t, c in w.items() if t[2] - g not in t[:2]]
+        return x + [y - row[0] for row in s for y in row[1:]], [row[0] for row in s]
+
+    rest, h_a = split(parts[1])
+    integral = chain(h_a, parts[2].values(), parts[3].values())
+    if parts[0] or any(rest) or any(Fraction(c).denominator != 1 for c in integral):
+        raise PreconditionError(
+            "class does not lie in F2 + H; its graded order is undefined"
+        )
+    x, c = split(u.coeffs)
+    qc = [sum(q * y for q, y in zip(row, c)) for row in ctx.q_matrix]
+    return u, lcm(*(Fraction(y).denominator for y in x + qc))
+
+
 def ceresa_order(ctx: PipelineContext, v: WedgeVector):
-    """Order of v in the graded quotient (F2 L + H)/((delta-I)F1 L + F3 L + H);
-    it is the same in the Smith frame as in the original."""
-    return ctx.bbar_order(ctx.frame_class(v))
+    """Order of v in the graded quotient (F2 L + H)/((delta-I)F1 L + F3 L + H),
+    for any class at maximal rank; deficient rank raises PreconditionError."""
+    return _u_and_order(ctx, v)[1]
 
 
 def ambient_order(ctx: PipelineContext, v: WedgeVector):
@@ -382,20 +420,22 @@ def nontriviality_verdict(
     graded subgroup and the ambient order decide.  `certified` is False for
     user-supplied tables, downgrading a clean order-1 result to
     indeterminate (the table is not known to come from an involution).
-    At maximal rank the ambient order is the Bbar order (README, "Verdict").
+    At maximal rank the ambient order is the Bbar order, read off u and Q
+    with no lattice (README, "Verdict"); only the deficient-rank branch maps
+    v into the Smith frame.
     """
     out = dict.fromkeys(("u", "order_bbar", "order_ambient", "in_abar", "least_multiple"))
     decisive = None  # a route that certifies nontriviality before the ambient order
-    coeffs = ctx.frame_class(v)  # read by every order below
     if ctx.maximal_rank and is_pure_gr2(ctx, v):
-        u = out["u"] = u_class(ctx, v)
-        out["order_bbar"] = out["order_ambient"] = ctx.bbar_order(coeffs)
+        out["u"], order = _u_and_order(ctx, v)
+        out["order_bbar"] = out["order_ambient"] = order
         out["in_abar"], out["least_multiple"] = True, 1
-        if nonintegral_qualifying_coordinates(ctx, u):
+        if nonintegral_qualifying_coordinates(ctx, out["u"]):
             decisive = "u-nonintegral"
-        elif out["order_bbar"] > 1:
+        elif order > 1:
             decisive = "order-in-Bbar"
     else:
+        coeffs = ctx.frame_class(v)  # read by both orders below
         least = ctx.abar_order(coeffs, 2)
         out["in_abar"], out["least_multiple"] = least == 1, least
         if least != 1:

@@ -132,17 +132,19 @@ class WedgeVector:
     coeffs: dict
 
     def __post_init__(self):
-        """Key each coefficient by the wedge of the unit vectors it names.
-        Every key must name k indices in range(n); a repeated index then
-        gives no term."""
+        """Key each coefficient by its sorted index tuple, with the sign of
+        the sorting permutation: (-1)^(number of inversions).  Every key
+        must name k indices in range(n); a repeated index then gives no
+        term."""
         clean = {}
         for idx, c in self.coeffs.items():
             if len(idx) != self.k or any(not 0 <= i < self.n for i in idx):
                 raise ValueError(f"bad index tuple {idx}")
-            if c == 0:
+            if c == 0 or len(set(idx)) < self.k:
                 continue
-            for tup, sign in _wedge_terms([(i, 1)] for i in idx).items():
-                clean[tup] = clean.get(tup, 0) + sign * c
+            key = tuple(sorted(idx))
+            inversions = sum(a > b for a, b in combinations(idx, 2))
+            clean[key] = clean.get(key, 0) + (-c if inversions % 2 else c)
         self.coeffs = {t: c for t, c in clean.items() if c != 0}
 
     @classmethod
@@ -320,8 +322,9 @@ class GradedImages:
     {position: coeff} (`graded_coords`) in which images, H terms and
     classes enter the lattices, so none of them is ever densified; the
     starts are cached with it.  One echelon per relation set gives its
-    groups (`Lattice.section`) and the orders of sparse classes
-    (`bbar_order`, `abar_order`).  The A and B image echelons are cached,
+    groups (`Lattice.section`), and the Abar lattice also gives the orders
+    of sparse classes (`abar_order`); the Bbar order is a closed form at
+    maximal rank (`ceresa.ceresa_order`).  The A and B image echelons are cached,
     and Abar and Bbar extend copies of them by H, so the four groups take
     two echelonisations.
     """
@@ -444,20 +447,6 @@ class GradedImages:
 
     def Bbar_group(self) -> AbelianGroupDescriptor:
         return AbelianGroupDescriptor(*self.bbar_lattice.section(self.start(2)))
-
-    def bbar_order(self, coeffs: dict):
-        """Order of the class {monomial: coeff} in (F_2 + H) / ((delta-I) F_1
-        + F_3 + H).  The class lies in F_2 + H exactly when it is integral on
-        F_3 and its truncation below F_3 lies in the Bbar lattice modulo F_2."""
-        head = self.graded_coords(coeffs, self.start(3))
-        f3 = (c for t, c in coeffs.items() if self.filt.y_degree(t) >= 3)
-        if any(c.denominator != 1 for c in f3) or (
-            self.bbar_lattice.coset_order(head, self.start(2)) != 1
-        ):
-            raise PreconditionError(
-                "class does not lie in F2 + H; its graded order is undefined"
-            )
-        return self.bbar_lattice.coset_order(head)
 
     def abar_order(self, coeffs: dict, q: int | None = None):
         """Order of the class {monomial: coeff} modulo (delta-I) L + H, and

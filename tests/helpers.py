@@ -482,6 +482,7 @@ def full_tail_section(lat: Lattice, d: int) -> tuple[int, list[int]]:
 
 def class_order(vec: Vector, den_vecs, n: int):
     """Least k >= 1 with k*vec in span_Z(den_vecs); math.inf if none exists.
+    den_vecs may also be a Lattice already spanned by them.
 
     Back-substitution along the pivots of the echelon basis: at each pivot
     the rational coordinate is forced, since earlier rows have been
@@ -491,7 +492,7 @@ def class_order(vec: Vector, den_vecs, n: int):
     """
     if not any(vec):
         return 1
-    lat = Lattice(n, den_vecs)
+    lat = den_vecs if isinstance(den_vecs, Lattice) else Lattice(n, den_vecs)
     rest = list(vec)
     order = 1
     for row, p in zip(lat.basis(), lat.pivots):
@@ -539,6 +540,16 @@ def bbar_relations(eng) -> list:
     return image_generators(eng, 1) + f_units(eng, 3) + h_generators(eng)
 
 
+def _engine_lattice(eng, name: str, vectors):
+    """Lattice(len(eng.wedge), vectors()), echelonised on the first call for
+    this engine and name and kept on the engine: the many classes an oracle
+    test reads on one engine share it."""
+    cache = vars(eng).setdefault("_oracle_lattices", {})
+    if name not in cache:
+        cache[name] = Lattice(len(eng.wedge), vectors())
+    return cache[name]
+
+
 def ceresa_order(ctx, v: WedgeVector):
     """Order of v modulo `bbar_relations`, after a membership test in the
     F2 + H domain lattice for classes not plainly integral inside F2."""
@@ -547,12 +558,13 @@ def ceresa_order(ctx, v: WedgeVector):
         ctx.filt.y_degree(t) < 2 or Fraction(c).denominator != 1
         for t, c in v.coeffs.items()
     ):
-        dom = Lattice(len(ctx.wedge), f_units(ctx, 2) + h_generators(ctx))
+        dom = _engine_lattice(ctx, "F2 + H", lambda: f_units(ctx, 2) + h_generators(ctx))
         if any(lattice_reduce(dom, coords)):
             raise PreconditionError(
                 "class does not lie in F2 + H; its graded order is undefined"
             )
-    return class_order(coords, bbar_relations(ctx), len(ctx.wedge))
+    rels = _engine_lattice(ctx, "Bbar relations", lambda: bbar_relations(ctx))
+    return class_order(coords, rels, len(ctx.wedge))
 
 
 def ambient_order(ctx, v: WedgeVector):

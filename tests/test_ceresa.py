@@ -755,13 +755,14 @@ def _engine_groups(eng):
     }
 
 
-def _original_orders(eng, v):
-    """Order in Bbar (None off F2 + H), ambient order and least multiple in
-    Abar, read off the original-frame lattices."""
+def _original_orders(eng, v, maximal_rank):
+    """Order in Bbar (None off F2 + H, and at deficient rank, where
+    `ceresa_order` is undefined), ambient order and least multiple in Abar,
+    read off the original-frame lattices."""
     coords = eng.graded_coords(v.coeffs)
     head = eng.graded_coords(v.coeffs, eng.start(3))
     f3 = (c for i, c in coords.items() if i not in head)
-    inside = all(Fraction(c).denominator == 1 for c in f3) and (
+    inside = maximal_rank and all(Fraction(c).denominator == 1 for c in f3) and (
         eng.bbar_lattice.coset_order(head, eng.start(2)) == 1
     )
     return (
@@ -792,7 +793,7 @@ def _assert_matches_original_frame(ctx, rng, classes, seen):
     classes = list(classes) + [_random_sixths_class(eng, rng, kinds[t % 4]) for t in range(8)]
     for v in classes:
         got = _pipeline_orders(ctx, v)
-        assert got == _original_orders(eng, v)
+        assert got == _original_orders(eng, v, ctx.maximal_rank)
         seen.update(zip(("bbar", "ambient", "abar"), map(_order_kind, got)))
 
 
@@ -908,14 +909,15 @@ def _random_sixths_class(ctx, rng, kind):
 
 
 def test_verdict_routes_match_fresh_lattice_oracles():
-    """ceresa_order, ambient_order and in_Abar_test, read off the context's
-    cached Smith-frame lattices in filtration order, and the engine's own
-    bbar_order and abar_order on the original-frame engine, against the same
-    questions put to freshly echelonised original-frame relation sets in
-    wedge order."""
+    """ceresa_order, a closed form of u and Q at maximal rank, and
+    ambient_order and in_Abar_test, read off the context's cached
+    Smith-frame lattices in filtration order, and the engine's own
+    abar_order on the original-frame engine, against the same questions put
+    to freshly echelonised original-frame relation sets in wedge order.  At
+    deficient rank ceresa_order raises, as u_class does."""
     rng = random.Random(31)
     seen = dict.fromkeys(
-        ("rejected", "bbar 1", "bbar >1", "ambient inf", "ambient >1",
+        ("rejected", "bbar 1", "bbar >1", "bbar deficient", "ambient inf", "ambient >1",
          "in Abar", "Abar >1", "Abar inf", "theta-w1 F2 sixths"), 0
     )
     for name in BUILTIN_GRAPHS:
@@ -924,16 +926,20 @@ def test_verdict_routes_match_fresh_lattice_oracles():
         for trial in range(32):
             kind = ("F2+H", "relations", "F2 sixths", "random")[trial % 4]
             v = _random_sixths_class(eng, rng, kind)
-            try:
-                want = helpers.ceresa_order(eng, v)
-            except PreconditionError as exc:
-                for read in (lambda: ceresa_order(ctx, v), lambda: eng.bbar_order(v.coeffs)):
-                    with pytest.raises(PreconditionError, match=re.escape(str(exc))):
-                        read()
-                seen["rejected"] += 1
+            if not ctx.maximal_rank:
+                with pytest.raises(PreconditionError, match="Q is singular"):
+                    ceresa_order(ctx, v)
+                seen["bbar deficient"] += 1
             else:
-                assert ceresa_order(ctx, v) == eng.bbar_order(v.coeffs) == want
-                seen["bbar 1" if want == 1 else "bbar >1"] += 1
+                try:
+                    want = helpers.ceresa_order(eng, v)
+                except PreconditionError as exc:
+                    with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+                        ceresa_order(ctx, v)
+                    seen["rejected"] += 1
+                else:
+                    assert ceresa_order(ctx, v) == want
+                    seen["bbar 1" if want == 1 else "bbar >1"] += 1
             want = helpers.ambient_order(eng, v)
             assert ambient_order(ctx, v) == eng.abar_order(v.coeffs) == want
             seen["ambient inf" if want == inf else "ambient >1"] += want > 1
@@ -960,16 +966,18 @@ def _count_lattices(monkeypatch):
 
 
 def test_ceresa_order_accepts_class_in_H_through_lattice(monkeypatch):
-    """omega ^ a_1 has monomials of Y-degree 1, so it is checked against the
-    Bbar lattice modulo F2; it lies in H, so its order is 1."""
+    """omega ^ a_1 has monomials of Y-degree 1, and they are omega ^ h_a with
+    h_a = a_1 integral, so it lies in H and its order is 1.  The check reads
+    its coordinates; no relation lattice is built, only the tagged [Q | I]
+    rows that invert Q for u."""
     ctx = build_context(builtin_curve("tl3"))
     g = ctx.g
     v = embed_H_in_L([int(t == 0) for t in range(2 * g)], g)
     assert any(ctx.filt.y_degree(t) < 2 for t in v.coeffs)
     built = _count_lattices(monkeypatch)
     assert ceresa_order(ctx, v) == 1
-    assert len(built) == 1  # the context's Bbar lattice, built on first use
-    assert list(ctx._echelons) == [(1, ctx.start(3))] and "bbar_lattice" in vars(ctx)
+    assert built == [2 * g]
+    assert ctx._echelons == {} and "bbar_lattice" not in vars(ctx)
 
 
 def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
@@ -988,6 +996,8 @@ def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
     assert set(ctx._echelons) == {(None, len(ctx.wedge)), (1, ctx.start(3))}
     built.clear()
     ceresa_order(ctx, v)
+    assert built == [2 * ctx.g]  # the [Q | I] rows that invert Q for u
+    built.clear()
     ambient_order(ctx, v)
     in_Abar_test(ctx, v)
     assert built == []
@@ -997,10 +1007,10 @@ def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
 
 @pytest.mark.parametrize("name, multiple", [("tl3", 1), ("theta-w1", 3)])
 def test_verdict_moves_the_class_into_the_frame_once(monkeypatch, name, multiple):
-    """Every order the verdict reads (Bbar on the maximal-rank route, where
-    it is also the ambient order; Abar membership and ambient off it)
-    shares one frame_class.  Three times the theta-w1 class lies in Abar,
-    so both of its orders are read."""
+    """On the maximal-rank route the verdict reads the Bbar order, which is
+    also the ambient order, off u and Q and maps nothing into the frame.
+    Off it, Abar membership and the ambient order share one frame_class:
+    three times the theta-w1 class lies in Abar, so both are read."""
     ctx = build_context(builtin_curve(name))
     v = v_class(ctx, builtin_table(name)).scale(multiple)
     calls = []
@@ -1012,7 +1022,8 @@ def test_verdict_moves_the_class_into_the_frame_once(monkeypatch, name, multiple
 
     monkeypatch.setattr(PipelineContext, "frame_class", counting)
     out = nontriviality_verdict(ctx, v, hyperelliptic=False)
-    assert calls == [v] and out["in_abar"] and out["order_ambient"] is not None
+    assert calls == ([] if ctx.maximal_rank else [v])
+    assert out["in_abar"] and out["order_ambient"] is not None
     assert (out["order_bbar"] is not None) == ctx.maximal_rank
 
 
@@ -1026,7 +1037,8 @@ def _g5_golden():
 @pytest.mark.parametrize("name", ["tl3", "g5"])
 def test_analyze_moves_the_class_into_the_frame_once(monkeypatch, name):
     """A full maximal-rank report, verdict and Zharkov test included, maps
-    v into the Smith frame by one wedge^3(P), which both of them read."""
+    v into the Smith frame by one wedge^3(P), which the Zharkov test reads;
+    the verdict reads u and Q."""
     curve, table = (
         _g5_golden() if name == "g5" else (builtin_curve(name), builtin_table(name))
     )
@@ -1074,24 +1086,31 @@ def _pure_gr2_classes(ctx, rng, count):
     return out
 
 
+def _random_maximal_rank_contexts(rng, g, count):
+    """Contexts of seeded random curves of genus g, all at maximal rank."""
+    for _ in range(count):
+        curve = helpers.random_curve(rng, max_edges=10, min_genus=g, weights=False)
+        while genus(curve) != g:
+            curve = helpers.random_curve(rng, max_edges=10, min_genus=g, weights=False)
+        ctx = build_context(curve)
+        assert ctx.maximal_rank
+        yield ctx
+
+
 def test_ambient_order_is_bbar_order_at_maximal_rank():
     """At maximal rank the order of an integral pure-gr_2 class modulo
-    (delta-I)L + H equals its order in Bbar (README, "Verdict"), on 1200
-    seeded classes over random curves of genus 2 to 6.  Half a gr_2
+    (delta-I)L + H equals its order in Bbar (README, "Verdict"), read by the
+    lattice oracle `helpers.ceresa_order` on the original-frame engine, on
+    1200 seeded classes over random curves of genus 2 to 6.  Half a gr_2
     monomial is not in F2 + H, and the verdict still rejects it."""
     rng = random.Random(7)
     seen = {"1": 0, ">1": 0}
     for g in range(2, 7):
-        for _ in range(8):
-            curve = helpers.random_curve(rng, max_edges=10, min_genus=g, weights=False)
-            while genus(curve) != g:
-                curve = helpers.random_curve(rng, max_edges=10, min_genus=g, weights=False)
-            ctx = build_context(curve)
-            assert ctx.maximal_rank
+        for ctx in _random_maximal_rank_contexts(rng, g, 8):
+            eng = _original_engine(ctx)
             for v in _pure_gr2_classes(ctx, rng, 30):
-                fc = ctx.frame_class(v)
-                order = ctx.bbar_order(fc)
-                assert ctx.abar_order(fc) == order
+                order = helpers.ceresa_order(eng, v)
+                assert ambient_order(ctx, v) == order
                 seen["1" if order == 1 else ">1"] += 1
     assert min(seen.values()) >= 200, seen
     half = WedgeVector(2 * g, 3, {ctx.filt.monomials(3, 2, exact=True)[0]: Fraction(1, 2)})
@@ -1099,23 +1118,112 @@ def test_ambient_order_is_bbar_order_at_maximal_rank():
         nontriviality_verdict(ctx, half, hyperelliptic=False)
 
 
+def _f2_plus_h_classes(ctx, rng, count):
+    """Integral classes in F2 + H on a maximal-rank context, in the original
+    frame: those of `_pure_gr2_classes`, plus omega ^ a_j pieces (gr_1, in
+    H) and, for two classes in three, integral F_3 parts."""
+    g, n = ctx.g, 2 * ctx.g
+    omega_a = [embed_H_in_L([int(t == j) for t in range(n)], g) for j in range(g)]
+    f3 = ctx.filt.monomials(3, 3)
+    out = []
+    for t, v in enumerate(_pure_gr2_classes(ctx, rng, count)):
+        for h in rng.sample(omega_a, rng.randint(0, 2)):
+            v = v + h.scale(rng.randint(-3, 3))
+        if t % 3 and f3:
+            monos = rng.sample(f3, min(len(f3), 2))
+            v = v + WedgeVector(n, 3, {x: rng.randint(-3, 3) for x in monos})
+        out.append(v)
+    return out
+
+
+def _classes_outside_f2_plus_h(ctx, rng):
+    """A class in F2 + H plus one piece that takes it out: half a gr_2
+    monomial, half of omega ^ a_l (a fractional h_a) and, from genus 3, a
+    gr_1 monomial, omega ^ a_l less one term (gr_1 parts that are not
+    omega ^ h_a), a gr_0 monomial and half an F_3 monomial."""
+    g, n = ctx.g, 2 * ctx.g
+    base = _f2_plus_h_classes(ctx, rng, 1)[0]
+    l = rng.randrange(g)
+    omega_a = embed_H_in_L([int(t == l) for t in range(n)], g)
+    dropped = rng.choice(sorted(omega_a.coeffs))
+    pieces = [
+        (rng.choice(ctx.filt.monomials(3, 2, exact=True)), Fraction(1, 2)),
+        omega_a.scale(Fraction(1, 2)),
+    ]
+    if g >= 3:
+        pieces += [
+            (rng.choice(ctx.filt.monomials(3, 1, exact=True)), 1),
+            WedgeVector(n, 3, {t: c for t, c in omega_a.coeffs.items() if t != dropped}),
+            (rng.choice(ctx.filt.monomials(3, 0, exact=True)), 1),
+            (rng.choice(ctx.filt.monomials(3, 3)), Fraction(1, 2)),
+        ]
+    for piece in pieces:
+        if isinstance(piece, tuple):
+            piece = WedgeVector.monomial(n, *piece)
+        yield base + piece
+
+
+def test_bbar_closed_form_matches_lattice_oracle():
+    """ceresa_order, the closed form of u and Q, equals the lattice oracle
+    `helpers.ceresa_order` on the original-frame engine, on 1050 seeded
+    classes at genus 2 to 6 carrying omega ^ b and omega ^ a pieces of H,
+    integral F_3 parts, gr_2 parts of relations and random gr_2 monomials,
+    over random curves and over random Q scaled by 2 or 3.  Every class
+    outside F2 + H is rejected with the oracle's message."""
+    rng = random.Random(22)
+    seen = {"1": 0, ">1": 0, "rejected": 0}
+    for g in range(2, 7):
+        contexts = list(_random_maximal_rank_contexts(rng, g, 4))
+        for m in (2, 3):
+            q = helpers.random_posdef(g, rng)
+            contexts.append(_q_context([[m * x for x in row] for row in q]))
+        for ctx in contexts:
+            eng = _original_engine(ctx)
+            for v in _f2_plus_h_classes(ctx, rng, 35):
+                order = ceresa_order(ctx, v)
+                assert order == helpers.ceresa_order(eng, v)
+                seen["1" if order == 1 else ">1"] += 1
+            for v in _classes_outside_f2_plus_h(ctx, rng):
+                with pytest.raises(PreconditionError) as oracle:
+                    helpers.ceresa_order(eng, v)
+                with pytest.raises(PreconditionError, match=re.escape(str(oracle.value))):
+                    ceresa_order(ctx, v)
+                seen["rejected"] += 1
+    assert seen["1"] + seen[">1"] == 1050 and min(seen["1"], seen[">1"]) >= 200, seen
+    assert seen["rejected"] == 6 * (2 + 6 * 4), seen
+
+
 @pytest.mark.parametrize("name", ["k4", "tl3", "g5", "theta-w1"])
-def test_maximal_rank_verdict_reads_no_abar_lattice(name):
-    """At maximal rank the verdict reads the B(2) echelon alone, and its
-    ambient order is the Bbar order, equal to the Abar order on a fresh
-    context.  At deficient rank (theta-w1) membership reads the A echelon."""
+def test_maximal_rank_verdict_reads_no_abar_lattice(monkeypatch, name):
+    """At maximal rank the verdict builds no relation lattice and maps
+    nothing into the Smith frame: no echelon, no Abar or Bbar lattice, and
+    apply_matrix never sees v.  Its ambient order is the Bbar order, equal
+    to the Abar order on a fresh context.  At deficient rank (theta-w1)
+    membership reads the A echelon, and ceresa_order raises."""
     curve, table = (
         _g5_golden() if name == "g5" else (builtin_curve(name), builtin_table(name))
     )
     ctx = build_context(curve)
     v = v_class(ctx, table)
+    seen = []
+
+    def counting(mat, w):
+        seen.append(w)
+        return apply_matrix(mat, w)
+
+    for module in (ceresa, exterior):
+        monkeypatch.setattr(module, "apply_matrix", counting)
     out = nontriviality_verdict(ctx, v, hyperelliptic=False)
+    monkeypatch.undo()
     if ctx.maximal_rank:
-        assert set(ctx._echelons) == {(1, ctx.start(3))}
-        assert "abar_lattice" not in vars(ctx)
+        assert ctx._echelons == {} and seen == []
+        assert not {"abar_lattice", "bbar_lattice"} & set(vars(ctx))
         assert out["order_ambient"] == out["order_bbar"] == ambient_order(build_context(curve), v)
     else:
+        assert seen == [v]
         assert (None, len(ctx.wedge)) in ctx._echelons and "abar_lattice" in vars(ctx)
+        with pytest.raises(PreconditionError, match="Q is singular"):
+            ceresa_order(ctx, v)
 
 
 def test_ceresa_order_skips_lattice_inside_F2(monkeypatch):
@@ -1124,8 +1232,8 @@ def test_ceresa_order_skips_lattice_inside_F2(monkeypatch):
     assert v.coeffs and all(ctx.filt.y_degree(t) >= 2 for t in v.coeffs)
     built = _count_lattices(monkeypatch)
     order = ceresa_order(ctx, v)
-    assert len(built) == 1  # only the context's Bbar lattice
-    assert list(ctx._echelons) == [(1, ctx.start(3))]
+    assert built == [2 * ctx.g]  # only the [Q | I] rows that invert Q for u
+    assert ctx._echelons == {}
     assert order == helpers.class_order(
         v.to_coords(ctx.wedge), helpers.bbar_relations(_original_engine(ctx)), len(ctx.wedge)
     )
@@ -1140,7 +1248,7 @@ def test_ceresa_order_rejects_class_outside_F2_plus_H():
 
 def test_ceresa_order_rejects_fractional_class_inside_F2():
     """Half a gr_2 monomial has Y-degree 2 but is not integral, so it is
-    rejected by the membership test modulo F2."""
+    not in F2 + H, whose gr_2 part is integral."""
     ctx = build_context(builtin_curve("tl3"))
     mono = ctx.filt.monomials(3, 2, exact=True)[0]
     v = WedgeVector(2 * ctx.g, 3, {mono: Fraction(1, 2)})

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import comb, inf, prod
 
 import pytest
@@ -21,6 +22,7 @@ from tropceresa.exterior import (
     delta_inverse_gr2,
     embed_H_in_L,
     graded_map,
+    _wedge_terms,
     omega,
     vector_wedge,
     wedge_basis,
@@ -110,6 +112,27 @@ def _oracle_wedge_vector(n, k, coeffs):
             continue
         clean[tup] = clean.get(tup, 0) + sign * c
     return {t: c for t, c in clean.items() if c != 0}
+
+
+def test_wedge_keys_match_wedge_of_unit_vectors():
+    """The constructor keys a term by its sorted indices with the sign
+    (-1)^(number of inversions); that is the wedge of the unit vectors it
+    names (`_wedge_terms`), on every ordering of every 3-subset of range(6)
+    and on every key with a repeated index, which gives no term."""
+    keys = [p for s in combinations(range(6), 3) for p in permutations(s)]
+    repeated = [(a, b, c) for a in range(6) for b in range(6) for c in range(6)
+                if len({a, b, c}) < 3]
+    assert (len(keys), len(repeated)) == (120, 96)
+    for idx in keys + repeated:
+        want = _wedge_terms([(i, 1)] for i in idx)
+        for c in (1, Fraction(-2, 3)):
+            assert WedgeVector(6, 3, {idx: c}).coeffs == {t: s * c for t, s in want.items()}
+    coeffs = {idx: idx[0] + 1 for idx in keys + repeated}  # all at once
+    total = {}
+    for idx in keys:
+        for t, s in _wedge_terms([(i, 1)] for i in idx).items():
+            total[t] = total.get(t, 0) + s * coeffs[idx]
+    assert WedgeVector(6, 3, coeffs).coeffs == {t: c for t, c in total.items() if c}
 
 
 def test_wedge_keys_and_products_match_sort_with_sign():
