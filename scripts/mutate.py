@@ -100,8 +100,14 @@ MUTATIONS = [
      "for c in self._h_terms:",
      "for c in self._h_terms[:-1]:"),
     ("omega-not-transported", "ceresa.py",
-     "omega=apply_matrix(frame, omega(g)),",
-     "omega=omega(g),"),
+     "form = apply_matrix(self.frame, omega(g))",
+     "form = omega(g)"),
+    ("invariant-factors-from-frame", "ceresa.py",
+     "return invariant_factors([row[:h] for row in ctx.q_matrix[:h]])",
+     "return la.diagonal_invariant_factors(ctx.q_diagonal[:h])"),
+    ("context-y-all-b", "ceresa.py",
+     "_y_units(self.g, self.basis.h)",
+     "_y_units(self.g, self.g)"),
     ("class-not-in-frame", "ceresa.py",
      "return apply_matrix(self.frame, v).coeffs",
      "return v.coeffs"),

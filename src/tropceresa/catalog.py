@@ -13,7 +13,7 @@ because the combinatorial tree choice does not depend on lengths.
 from __future__ import annotations
 
 from .errors import SchemaError
-from .graph_core import TropicalCurve, tropical_curve, with_sorted_lengths
+from .graph_core import TropicalCurve, genus, tropical_curve, with_sorted_lengths
 from .johnson import JohnsonTable
 from .exterior import WedgeVector
 from .symplectic import homology_basis
@@ -34,21 +34,42 @@ def builtin_curve(name: str, lengths=None) -> TropicalCurve:
 
 
 def builtin_table(name: str, curve: TropicalCurve | None = None) -> JohnsonTable:
-    """A built-in twist table, bound to the basis of the given curve."""
+    """A built-in twist table, bound to the basis of the given curve.
+
+    The curve must be the table's own graph at any lengths: the same vertex
+    ids and weights, and the same edge ids with the same ordered ends.  A
+    built-in table is certified for that graph only, so any other curve,
+    even one that names the same edges, is a schema error.
+    """
     if name not in _TABLES:
         raise SchemaError(
             f"unknown builtin table {name!r}; have {', '.join(BUILTIN_TABLES)}"
         )
-    curve = builtin_curve(name) if curve is None else curve
+    own = builtin_curve(name)
+    curve = own if curve is None else curve
+    g, need = genus(curve), genus(own)
+    if g != need:
+        raise SchemaError(
+            f"builtin table {name!r} needs a genus-{need} curve, got genus {g}"
+        )
+    if _shape(curve) != _shape(own):
+        raise SchemaError(
+            f"builtin table {name!r} binds only to builtin:{name} (same vertices, "
+            "weights, edge ids and ordered ends; lengths are free)"
+        )
     basis = homology_basis(curve)
-    g = basis.g
     entries = {
         eid: WedgeVector(2 * g, 3, dict(coeffs))
-        for eid, coeffs in _TABLES[name](g).items()
+        for eid, coeffs in _TABLES[name]().items()
     }
     return JohnsonTable(
         basis=basis, entries=entries, provenance="builtin", name=name
     )
+
+
+def _shape(curve: TropicalCurve) -> tuple:
+    """The curve without its lengths: its vertices, and its edge ids with ordered ends."""
+    return curve.sorted_vertices(), [(e.id, e.ends) for e in curve.sorted_edges()]
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +144,7 @@ _GRAPHS = {
 # tables (0-based indices: a_i = i-1, b_i = g+i-1)
 
 
-def _require_genus(table: str, g: int, need: int) -> None:
-    if g != need:
-        raise SchemaError(
-            f"builtin table {table!r} needs a genus-{need} curve, got genus {g}"
-        )
-
-
-def _k4_table(g):
-    _require_genus("k4", g, 3)
+def _k4_table():
     a1, a2 = 0, 1
     b1, b2, b3 = 3, 4, 5
     return {
@@ -142,8 +155,7 @@ def _k4_table(g):
     }
 
 
-def _tl3_table(g):
-    _require_genus("tl3", g, 4)
+def _tl3_table():
     a1, a2 = 0, 1
     b1, b2, b3, b4 = 4, 5, 6, 7
     plus = {(a1, b1, b3): 1, (a1, b1, b4): 1, (a2, b2, b3): 1, (a2, b2, b4): 1}
@@ -157,13 +169,12 @@ def _tl3_table(g):
     }
 
 
-def _theta_w1_table(g):
+def _theta_w1_table():
     # Unit-length fixture, split across the three edges.  In this basis the
     # image of delta - I is spanned by 2b1+b2 = (delta-I)a1 and b1+2b2, the
     # primitive vector y2 = 2b1+b2 has integral preimage a1, and 3*y3 with
     # y3 = b1+b2 is the image of a1+a2.  The weight pair (a3, b3) spans the
     # inert slot the total leans on.
-    _require_genus("theta-w1", g, 4)
     a1, a3 = 0, 2
     b1, b2, b3 = 4, 5, 6
     return {
@@ -176,7 +187,7 @@ def _theta_w1_table(g):
     }
 
 
-def _3balloon_table(g):
+def _3balloon_table():
     # all three twists are separating, so every value vanishes
     return {}
 

@@ -7,21 +7,25 @@ non-integral coordinate of u of the form a_i^a_j^b_k with k distinct from
 i and j certifies nontriviality; the exact orders in the finite quotients
 settle the rest.  At maximal rank the order in Bbar, which is also the
 ambient order there, is a closed form of u and Q (`ceresa_order`), with no
-lattice.  The other orders, the groups and the Zharkov verdict are read in
-the Smith frame of Q: delta is [[I, 0], [D, I]] with D diagonal
-(`PipelineContext`).
+lattice and no Smith frame.  The other orders, the groups and the Zharkov
+verdict are read in the Smith frame of Q, where delta is [[I, 0], [D, I]]
+with D diagonal.  `PipelineContext` holds the curve data and builds that
+frame, and the graded-image engine on it, only when one of these reads
+them; the invariant factors of Q are read off Q itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, inf, lcm
 
 from . import intlinalg as la
 from .errors import PreconditionError, SchemaError
 from .exterior import (
+    Filtration,
     GradedImages,
     WedgeVector,
     apply_matrix,
@@ -29,6 +33,7 @@ from .exterior import (
     delta_inverse_gr2,
     omega,
     vector_wedge,
+    wedge_basis,
 )
 from .graph_core import (
     TropicalCurve,
@@ -43,6 +48,7 @@ from .symplectic import (
     HomologyBasis,
     delta_from_Q,
     homology_basis,
+    invariant_factors,
     polarization_Q,
     smith_frame,
 )
@@ -51,27 +57,30 @@ VERDICTS = ("trivial", "nontrivial", "hyperelliptic-trivial", "indeterminate")
 
 
 @dataclass
-class PipelineContext(GradedImages):
-    """The k = 3 graded-image engine of one curve in the Smith frame of Q,
-    plus the curve data that every class computation on it shares.
+class PipelineContext:
+    """The curve data that every class computation on one curve shares:
+    the curve with integer lengths, its basis and its Gram matrix Q.
 
-    The engine runs on delta_from_Q(D) for the diagonal D = U Q_h V, with H
-    embedded by omega' = wedge^2(P) omega, where P = diag(V^-1, U) is the
-    graded frame change (`symplectic.smith_frame`).  Groups and orders are
-    invariant under P, and the relation sets of a diagonal D are sparse, so
-    the relation lattices live in this frame; classes enter it only through
-    `frame_class`, and the engine's `abar_order` reads them.  u, w and the
-    maximal-rank Bbar order read the original Q through closed forms, so the
-    original delta is never built; the Zharkov verdict reads the frame class
-    against D.
+    The Smith frame of Q and the k = 3 graded-image engine in that frame are
+    built on first read.  At maximal rank the verdict reads u and Q alone,
+    so a verdict-only `analyze` (`order`, `sample`) builds neither; the
+    Zharkov verdict reads the frame; the groups, the ambient order and the
+    deficient-rank verdict read the engine.
+
+    The frame is D = U Q_h V, padded with zeros on the weight slots, and
+    P = diag(V^-1, U) (`symplectic.smith_frame`).  The engine runs on
+    delta_from_Q(D), with H embedded by omega' = wedge^2(P) omega.  Groups
+    and orders are invariant under P, and the relation sets of a diagonal D
+    are sparse, so the relation lattices live in this frame; classes enter
+    it only through `frame_class`.  u, w and the maximal-rank Bbar order
+    read the original Q through closed forms, so the original delta is
+    never built.
     """
 
     curve: TropicalCurve          # integer lengths
     scale: int
     basis: HomologyBasis
     q_matrix: list                # original frame
-    q_diagonal: list              # D, zeros on the weight slots
-    frame: list                   # P
 
     @property
     def g(self) -> int:
@@ -85,22 +94,33 @@ class PipelineContext(GradedImages):
     def rank_status(self) -> str:
         return "maximal" if self.maximal_rank else "deficient"
 
-    @classmethod
-    def from_q(cls, q: list, h: int, **fields) -> "PipelineContext":
-        """The Smith-frame engine of the Gram matrix q with cycle rank h;
-        `fields` carry the curve data."""
-        g = len(q)
-        d, frame = smith_frame(q, h)
-        return cls.build(
-            delta_from_Q([[x if i == j else 0 for j in range(g)] for i, x in enumerate(d)]),
-            _y_units(g, h),
-            3,
-            omega=apply_matrix(frame, omega(g)),
-            q_matrix=q,
-            q_diagonal=d,
-            frame=frame,
-            **fields,
-        )
+    @cached_property
+    def filt(self) -> Filtration:
+        """The Y-filtration, Y = b_1..b_h; the engine shares it."""
+        return Filtration.from_Y(_y_units(self.g, self.basis.h), 2 * self.g)
+
+    @cached_property
+    def _smith(self) -> tuple:
+        """(D, P) of `symplectic.smith_frame`."""
+        return smith_frame(self.q_matrix, self.basis.h)
+
+    @property
+    def q_diagonal(self) -> list:
+        """D, zeros on the weight slots."""
+        return self._smith[0]
+
+    @property
+    def frame(self) -> list:
+        """P, graded for the Y-filtration."""
+        return self._smith[1]
+
+    @cached_property
+    def engine(self) -> GradedImages:
+        """The graded-image engine of delta_from_Q(D), with omega' = wedge^2(P) omega."""
+        g = self.g
+        d = [[x if i == j else 0 for j in range(g)] for i, x in enumerate(self.q_diagonal)]
+        form = apply_matrix(self.frame, omega(g))
+        return GradedImages(self.filt, delta_from_Q(d), 3, wedge_basis(2 * g, 3), omega=form)
 
     def frame_class(self, v: WedgeVector) -> dict:
         """Terms of wedge^3(P) v, the class v moved into the Smith frame.
@@ -113,8 +133,7 @@ def build_context(curve: TropicalCurve, tree=None) -> PipelineContext:
     check_wedge_caps(2 * genus(curve))  # before the quadratic Q and delta
     scaled, scale = scaled_to_integer(curve)
     basis = homology_basis(scaled, tree=tree)
-    q = polarization_Q(scaled, basis)
-    return PipelineContext.from_q(q, basis.h, curve=scaled, scale=scale, basis=basis)
+    return PipelineContext(scaled, scale, basis, polarization_Q(scaled, basis))
 
 
 def _y_units(g: int, h: int) -> list:
@@ -124,8 +143,9 @@ def _y_units(g: int, h: int) -> list:
 
 def q_invariant_factors(ctx: PipelineContext) -> list:
     """Invariant factors of the cycle block Q[:h, :h] of the Gram form, read
-    off its diagonal form D."""
-    return la.diagonal_invariant_factors(ctx.q_diagonal[: ctx.basis.h])
+    off Q itself, so that no Smith frame is built for them."""
+    h = ctx.basis.h
+    return invariant_factors([row[:h] for row in ctx.q_matrix[:h]])
 
 
 def group_table(ctx: PipelineContext) -> dict:
@@ -134,10 +154,10 @@ def group_table(ctx: PipelineContext) -> dict:
     behind `exterior.A_group`, `B_group`, `Abar_group` and `Bbar_group`,
     which give isomorphic groups on the original delta."""
     return {
-        "A": ctx.A_group(2),
-        "B": ctx.B_group(2),
-        "Abar": ctx.Abar_group(),
-        "Bbar": ctx.Bbar_group(),
+        "A": ctx.engine.A_group(2),
+        "B": ctx.engine.B_group(2),
+        "Abar": ctx.engine.Abar_group(),
+        "Bbar": ctx.engine.Bbar_group(),
     }
 
 
@@ -262,13 +282,13 @@ def ceresa_order(ctx: PipelineContext, v: WedgeVector):
 
 def ambient_order(ctx: PipelineContext, v: WedgeVector):
     """Order of v in wedge^3 H / ((delta-I) wedge^3 H + H)."""
-    return ctx.abar_order(ctx.frame_class(v))
+    return ctx.engine.abar_order(ctx.frame_class(v))
 
 
 def in_Abar_test(ctx: PipelineContext, j_total: WedgeVector) -> dict:
     """Membership of the total class in F2 L + (delta-I)L + H, with the
     least positive multiple that lands inside."""
-    least = ctx.abar_order(ctx.frame_class(j_total), 2)
+    least = ctx.engine.abar_order(ctx.frame_class(j_total), 2)
     return {"in_Abar": least == 1, "least_multiple": least}
 
 
@@ -436,12 +456,12 @@ def nontriviality_verdict(
             decisive = "order-in-Bbar"
     else:
         coeffs = ctx.frame_class(v)  # read by both orders below
-        least = ctx.abar_order(coeffs, 2)
+        least = ctx.engine.abar_order(coeffs, 2)
         out["in_abar"], out["least_multiple"] = least == 1, least
         if least != 1:
             decisive = "not-in-Abar"
         else:
-            out["order_ambient"] = ctx.abar_order(coeffs)
+            out["order_ambient"] = ctx.engine.abar_order(coeffs)
     if hyperelliptic:
         verdict, decided = "hyperelliptic-trivial", "hyperelliptic quotient"
     elif decisive:

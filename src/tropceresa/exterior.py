@@ -14,8 +14,8 @@ F_q is spanned by the monomials with at least q indices in Y.
 Quotients modulo H are always realized by adjoining the embedded-H generators
 to relation lattices; no coset representatives are ever chosen.  The
 module-level groups take any unipotent delta; the pipeline runs the same
-engine on the diagonal form of its delta, with omega carried across
-(`ceresa.PipelineContext`).
+engine on the diagonal form of its delta, with omega carried across, and
+builds it on first read (`ceresa.PipelineContext.engine`).
 """
 
 from __future__ import annotations
@@ -314,7 +314,9 @@ class GradedImages:
     `delta` is used as given, and `wedge` is the sorted-tuple basis of
     wedge^k.  H embeds as `omega` ^ H, with `omega` the standard sum of
     a_i ^ b_i unless given: a change of basis of H carries the form along
-    with delta.  Images and H are computed on first use and cached.
+    with delta, as the pipeline's Smith-frame engine does
+    (`ceresa.PipelineContext.engine`, which also shares the context's
+    filtration).  Images and H are computed on first use and cached.
 
     Lattices order coordinates by Y-degree, then by wedge index, so every
     F_q is the suffix from `start(q)`, a layout no other module reads.  One
@@ -333,14 +335,15 @@ class GradedImages:
     delta: list
     k: int
     wedge: list
-    omega: WedgeVector | None = field(default=None, kw_only=True)
+    omega: WedgeVector | None = None
     _echelons: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    def build(cls, delta, y_vectors, k: int, **fields):
-        """Engine for (delta, Y, k); `fields` fill a subclass's own fields."""
+    def build(cls, delta, y_vectors, k: int):
+        """Engine for (delta, Y, k), with Y given by signed unit vectors and
+        the standard omega."""
         n = len(delta)
-        return cls(Filtration.from_Y(y_vectors, n), delta, k, wedge_basis(n, k), **fields)
+        return cls(Filtration.from_Y(y_vectors, n), delta, k, wedge_basis(n, k))
 
     @cached_property
     def monomial_images(self) -> dict:

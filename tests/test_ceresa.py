@@ -504,8 +504,10 @@ def test_zharkov_relations_have_the_closed_form_smith_diagonal():
     """The original-frame relation matrix has rank C(g, 3) and the invariant
     factors of the coordinate lattice 2 gcd(d_p d_q, d_p d_r, d_q d_r),
     p < q < r, with d the invariant factors of Q from the textbook Smith
-    form; random Q at g = 3..7."""
+    form; random Q at g = 3..7.  The invariant factors a report prints, read
+    off Q_h, are those of the diagonal D."""
     rng = random.Random(17)
+    contexts = []
     for g in (3, 4, 5, 6, 7):
         for _ in range(12):
             q = helpers.random_posdef(g, rng)
@@ -520,6 +522,17 @@ def test_zharkov_relations_have_the_closed_form_smith_diagonal():
                 assert helpers.invariant_factors_from_orders(orders) == (
                     helpers.invariant_factors_from_orders(closed)
                 )
+            contexts.append(ctx)
+    # the reported invariant factors, read off Q_h, are those of D; also at
+    # deficient rank (zero weight slots), with shared factors and at h = 0
+    for g in (2, 4, 6):
+        for h, m in ((g, 6), (g - 1, 1), (g // 2, 4), (0, 1)):
+            q = [[m * x for x in row] + [0] * (g - h) for row in helpers.random_posdef(h, rng)]
+            basis = SimpleNamespace(g=g, h=h)
+            contexts.append(PipelineContext(None, 1, basis, q + [[0] * g] * (g - h)))
+    for ctx in contexts:
+        h = ctx.basis.h
+        assert ceresa.q_invariant_factors(ctx) == la.diagonal_invariant_factors(ctx.q_diagonal[:h])
 
 
 def test_zharkov_test_builds_no_lattice(monkeypatch):
@@ -527,6 +540,7 @@ def test_zharkov_test_builds_no_lattice(monkeypatch):
     for name in ("k4", "tl3"):
         curve = builtin_curve(name)
         ctx = build_context(curve)
+        ctx.frame  # the Smith frame inverts V on its own tagged rows
         cases.append((ctx, v_class(ctx, builtin_table(name, curve))))
     built = []
     init = la.Lattice.__init__
@@ -541,9 +555,56 @@ def test_zharkov_test_builds_no_lattice(monkeypatch):
     assert built == []
 
 
+def test_zharkov_test_builds_the_frame_and_no_engine(monkeypatch):
+    """The Zharkov verdict reads the Smith frame, built once on first read,
+    and never the graded-image engine."""
+    calls = []
+    smith_frame = ceresa.smith_frame
+
+    def counting(*args):
+        calls.append(args)
+        return smith_frame(*args)
+
+    monkeypatch.setattr(ceresa, "smith_frame", counting)
+    for name in ("k4", "tl3"):
+        calls.clear()
+        ctx = build_context(builtin_curve(name))
+        v = v_class(ctx, builtin_table(name))
+        assert calls == [] and not {"_smith", "engine"} & set(vars(ctx))
+        assert zharkov_test(ctx, v)["obstructed"] is True
+        assert len(calls) == 1 and "_smith" in vars(ctx) and "engine" not in vars(ctx)
+
+
+@pytest.mark.parametrize("name", ["k4", "tl3", "g5"])
+def test_verdict_only_analyze_builds_no_smith_frame(monkeypatch, name):
+    """A maximal-rank report without groups and the Zharkov test, as `order`
+    and `sample` ask for, reads u and Q alone: its context never builds the
+    Smith frame or the engine, and its invariant factors come off Q."""
+    curve, table = (
+        _g5_golden() if name == "g5" else (builtin_curve(name), builtin_table(name))
+    )
+    frames, contexts = [], []
+    smith_frame, build = ceresa.smith_frame, ceresa.build_context
+
+    def counting(*args):
+        frames.append(args)
+        return smith_frame(*args)
+
+    def recording(*args, **kwargs):
+        contexts.append(build(*args, **kwargs))
+        return contexts[-1]
+
+    monkeypatch.setattr(ceresa, "smith_frame", counting)
+    monkeypatch.setattr(ceresa, "build_context", recording)
+    report = analyze(curve, table, with_groups=False, with_zharkov=False)
+    assert report.rank_status == "maximal" and report.invariant_factors
+    assert frames == [] and len(contexts) == 1
+    assert not {"_smith", "engine"} & set(vars(contexts[0]))
+
+
 def test_analyze_builds_one_graded_image_engine(monkeypatch):
     """A full report at maximal rank, Zharkov test included, runs on the one
-    Smith-frame engine of its context."""
+    Smith-frame engine of its context, which the group table builds."""
     built = []
 
     def counting(cls):
@@ -562,7 +623,7 @@ def test_analyze_builds_one_graded_image_engine(monkeypatch):
         curve = builtin_curve(name)
         report = analyze(curve, builtin_table(name, curve))
         assert report.zharkov is not None and report.groups is not None
-        assert built == [PipelineContext]
+        assert built == [PipelineContext, GradedImages]
 
 
 # -- invariances ---------------------------------------------------------------------
@@ -701,17 +762,18 @@ def test_context_generators_match_fresh_computation(name):
     computation by the sorting oracles."""
     curve = builtin_curve(name)
     ctx = build_context(curve)
+    eng = ctx.engine
     for level in (None, 1):
-        monos = ctx.wedge if level is None else ctx.filt.monomials(3, level, exact=True)
+        monos = eng.wedge if level is None else ctx.filt.monomials(3, level, exact=True)
         fresh = [
-            w.to_coords(ctx.wedge)
-            for w in helpers._delta_minus_I_images(ctx.delta, ctx.filt, monos)
+            w.to_coords(eng.wedge)
+            for w in helpers._delta_minus_I_images(eng.delta, ctx.filt, monos)
             if not w.is_zero()
         ]
-        assert helpers.image_generators(ctx, level) == fresh
+        assert helpers.image_generators(eng, level) == fresh
     omega_p = helpers.apply_matrix(ctx.frame, omega(ctx.g))
-    assert helpers.h_generators(ctx) == [
-        helpers.wedge_vector(omega_p, unit).to_coords(ctx.wedge)
+    assert helpers.h_generators(eng) == [
+        helpers.wedge_vector(omega_p, unit).to_coords(eng.wedge)
         for unit in la.identity(2 * ctx.g)
     ]
 
@@ -735,9 +797,9 @@ def test_group_table_matches_exterior_groups(name):
 
 
 def _q_context(q):
-    """The Smith-frame context of a Gram matrix alone, at maximal rank."""
+    """The context of a Gram matrix alone, at maximal rank."""
     basis = SimpleNamespace(g=len(q), h=len(q))
-    return PipelineContext.from_q(q, len(q), curve=None, scale=1, basis=basis)
+    return PipelineContext(curve=None, scale=1, basis=basis, q_matrix=q)
 
 
 def _original_engine(ctx):
@@ -835,9 +897,9 @@ def test_untransported_omega_changes_the_h_quotients():
     and B, which do not see H, agree."""
     ctx = _q_context(helpers.random_posdef(5, random.Random(7)))
     eng = _original_engine(ctx)
-    plain = GradedImages.build(ctx.delta, _y_units(5, 5), 3)
+    plain = GradedImages.build(ctx.engine.delta, _y_units(5, 5), 3)
     want = _engine_groups(eng)
-    assert _engine_groups(ctx) == want
+    assert _engine_groups(ctx.engine) == want
     got = _engine_groups(plain)
     assert (got["A"], got["B"]) == (want["A"], want["B"])
     assert got["Abar"] != want["Abar"] and got["Bbar"] != want["Bbar"]
@@ -869,7 +931,7 @@ def test_group_table_closed_forms_at_genus_5_to_8(doubled):
 
 def test_group_table_reuses_cached_images(monkeypatch):
     ctx = build_context(builtin_curve("tl3"))
-    assert ctx.monomial_images
+    assert ctx.engine.monomial_images
     calls = []
     apply_matrix = exterior.apply_matrix
 
@@ -977,7 +1039,7 @@ def test_ceresa_order_accepts_class_in_H_through_lattice(monkeypatch):
     built = _count_lattices(monkeypatch)
     assert ceresa_order(ctx, v) == 1
     assert built == [2 * g]
-    assert ctx._echelons == {} and "bbar_lattice" not in vars(ctx)
+    assert not {"_smith", "engine"} & set(vars(ctx))
 
 
 def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
@@ -991,9 +1053,10 @@ def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
     v = v_class(ctx, builtin_table("tl3"))
     built = _count_lattices(monkeypatch)
     groups = group_table(ctx)
-    assert built.count(len(ctx.wedge)) == 1  # the A relation set
-    assert built.count(ctx.start(3)) == 1  # the B(2) relation set
-    assert set(ctx._echelons) == {(None, len(ctx.wedge)), (1, ctx.start(3))}
+    eng = ctx.engine
+    assert built.count(len(eng.wedge)) == 1  # the A relation set
+    assert built.count(eng.start(3)) == 1  # the B(2) relation set
+    assert set(eng._echelons) == {(None, len(eng.wedge)), (1, eng.start(3))}
     built.clear()
     ceresa_order(ctx, v)
     assert built == [2 * ctx.g]  # the [Q | I] rows that invert Q for u
@@ -1001,8 +1064,8 @@ def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
     ambient_order(ctx, v)
     in_Abar_test(ctx, v)
     assert built == []
-    assert (ctx.Abar_group(), ctx.Bbar_group()) == (groups["Abar"], groups["Bbar"])
-    assert built and max(built) <= len(ctx.wedge) - ctx.start(2)
+    assert (eng.Abar_group(), eng.Bbar_group()) == (groups["Abar"], groups["Bbar"])
+    assert built and max(built) <= len(eng.wedge) - eng.start(2)
 
 
 @pytest.mark.parametrize("name, multiple", [("tl3", 1), ("theta-w1", 3)])
@@ -1196,10 +1259,11 @@ def test_bbar_closed_form_matches_lattice_oracle():
 @pytest.mark.parametrize("name", ["k4", "tl3", "g5", "theta-w1"])
 def test_maximal_rank_verdict_reads_no_abar_lattice(monkeypatch, name):
     """At maximal rank the verdict builds no relation lattice and maps
-    nothing into the Smith frame: no echelon, no Abar or Bbar lattice, and
-    apply_matrix never sees v.  Its ambient order is the Bbar order, equal
-    to the Abar order on a fresh context.  At deficient rank (theta-w1)
-    membership reads the A echelon, and ceresa_order raises."""
+    nothing into the Smith frame: no frame, no engine, and apply_matrix
+    never sees v.  Its ambient order is the Bbar order, equal to the Abar
+    order on a fresh context.  At deficient rank (theta-w1) the verdict maps
+    v into the frame, builds the engine, which transports omega, and
+    membership reads the A echelon; ceresa_order raises."""
     curve, table = (
         _g5_golden() if name == "g5" else (builtin_curve(name), builtin_table(name))
     )
@@ -1216,12 +1280,12 @@ def test_maximal_rank_verdict_reads_no_abar_lattice(monkeypatch, name):
     out = nontriviality_verdict(ctx, v, hyperelliptic=False)
     monkeypatch.undo()
     if ctx.maximal_rank:
-        assert ctx._echelons == {} and seen == []
-        assert not {"abar_lattice", "bbar_lattice"} & set(vars(ctx))
+        assert seen == [] and not {"_smith", "engine"} & set(vars(ctx))
         assert out["order_ambient"] == out["order_bbar"] == ambient_order(build_context(curve), v)
     else:
-        assert seen == [v]
-        assert (None, len(ctx.wedge)) in ctx._echelons and "abar_lattice" in vars(ctx)
+        assert seen == [v, omega(ctx.g)]
+        eng = ctx.engine
+        assert (None, len(eng.wedge)) in eng._echelons and "abar_lattice" in vars(eng)
         with pytest.raises(PreconditionError, match="Q is singular"):
             ceresa_order(ctx, v)
 
@@ -1233,9 +1297,10 @@ def test_ceresa_order_skips_lattice_inside_F2(monkeypatch):
     built = _count_lattices(monkeypatch)
     order = ceresa_order(ctx, v)
     assert built == [2 * ctx.g]  # only the [Q | I] rows that invert Q for u
-    assert ctx._echelons == {}
+    assert not {"_smith", "engine"} & set(vars(ctx))
+    eng = _original_engine(ctx)
     assert order == helpers.class_order(
-        v.to_coords(ctx.wedge), helpers.bbar_relations(_original_engine(ctx)), len(ctx.wedge)
+        v.to_coords(eng.wedge), helpers.bbar_relations(eng), len(eng.wedge)
     )
 
 

@@ -411,6 +411,28 @@ def test_table_genus_mismatch_is_schema_error(capsys):
     assert "error:" in err and "'k4'" in err and "genus-3" in err
 
 
+def test_builtin_table_refuses_a_foreign_graph(tmp_path, capsys):
+    """A genus-3 graph that names K4's edges, with other ends, is not K4: the
+    built-in table does not bind to it, although its genus and edge ids fit."""
+    foreign = tropical_curve(
+        [("a", 0), ("b", 0), ("c", 0), ("d", 0)],
+        [("t4", ("a", "b"), 1), ("t5", ("b", "c"), 2), ("t6", ("c", "d"), 3),
+         ("u1", ("d", "a"), 4), ("u2", ("a", "c"), 5), ("u3", ("b", "d"), 6)],
+    )
+    path = tmp_path / "foreign.json"
+    path.write_text(json.dumps(curve_to_json(foreign)))
+    code, out, err = run(
+        capsys, "ceresa", "--graph", str(path), "--table", "builtin:k4", "--format", "text"
+    )
+    assert (code, out) == (2, "")
+    assert "error:" in err and "binds only to builtin:k4" in err
+    # the same graph at other lengths still binds
+    k4 = graph_core.with_sorted_lengths(builtin_curve("k4"), [1, 2, 3, 4, 5, 6])
+    path.write_text(json.dumps(curve_to_json(k4)))
+    code, out, _ = run(capsys, "ceresa", "--graph", str(path), "--table", "builtin:k4")
+    assert code == 0 and json.loads(out)["table"]["provenance"] == "builtin"
+
+
 @pytest.mark.parametrize("bad", ["a", "1/0", "", "inf"])
 def test_malformed_lengths_are_schema_errors(capsys, bad):
     lengths = ",".join([bad] + ["1"] * 5)
@@ -569,6 +591,26 @@ def test_sample_reads_graph_and_table_once(tmp_path, capsys, no_pool, monkeypatc
     )
     assert code == 0 and len(json.loads(out)["samples"]) == 5
     assert calls == {"graph": 1, "table": 1}
+
+
+@pytest.mark.parametrize("name, frames", [("tl3", 0), ("k4", 0), ("theta-w1", 1)])
+def test_sample_builds_a_smith_frame_only_at_deficient_rank(capsys, monkeypatch, name, frames):
+    """A maximal-rank draw reads u and Q alone and builds no Smith frame;
+    a deficient-rank draw (theta-w1) maps its class into the frame once."""
+    calls = []
+    smith_frame = ceresa.smith_frame
+
+    def counting(*args):
+        calls.append(args)
+        return smith_frame(*args)
+
+    monkeypatch.setattr(ceresa, "smith_frame", counting)
+    code, _, _ = run(
+        capsys, "sample", "--graph", f"builtin:{name}", "--table", f"builtin:{name}",
+        "--count", "6", "--seed", "3", "--workers", "1",
+    )
+    assert code == 0
+    assert len(calls) == 6 * frames
 
 
 FUZZ_BASES = [

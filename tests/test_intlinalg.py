@@ -280,18 +280,18 @@ def test_h_extended_echelons_match_fresh_shuffled_builds(name):
     of the A and B(2) echelons by omega' ^ H; their canonical bases equal
     fresh builds of the same generators, in filtration order and shuffled."""
     ctx = ceresa.build_context(builtin_curve(name))
-    g, d = ctx.g, ctx.q_diagonal
-    assert ctx.delta == delta_from_Q([[x * (i == j) for j in range(g)] for i, x in enumerate(d)])
+    g, d, eng = ctx.g, ctx.q_diagonal, ctx.engine
+    assert eng.delta == delta_from_Q([[x * (i == j) for j in range(g)] for i, x in enumerate(d)])
     ceresa.group_table(ctx)  # the A and B(2) echelons are built first
     deg = ctx.filt.y_degree
-    order = sorted(range(len(ctx.wedge)), key=lambda i: deg(ctx.wedge[i]))
+    order = sorted(range(len(eng.wedge)), key=lambda i: deg(eng.wedge[i]))
     rng = random.Random(name)
     cases = [
-        (ctx.abar_lattice, helpers.abar_relations(ctx), len(ctx.wedge)),
+        (eng.abar_lattice, helpers.abar_relations(eng), len(eng.wedge)),
         (
-            ctx.bbar_lattice,
-            helpers.image_generators(ctx, 1) + helpers.h_generators(ctx),
-            sum(deg(t) < 3 for t in ctx.wedge),
+            eng.bbar_lattice,
+            helpers.image_generators(eng, 1) + helpers.h_generators(eng),
+            sum(deg(t) < 3 for t in eng.wedge),
         ),
     ]
     for lat, gens, stop in cases:
