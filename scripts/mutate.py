@@ -118,11 +118,23 @@ MUTATIONS = [
      "v = [[tags[1][j][i] for j in cols] for i in range(n)]",
      "v = [[tags[1][i][j] for j in cols] for i in range(n)]"),
     ("zharkov-relations-doubled", "ceresa.py",
-     "gen = vector_wedge([qa[i], qa[j], units[k]], n).scale(2)",
-     "gen = vector_wedge([qa[i], qa[j], units[k]], n)"),
+     "form = vector_wedge([qa[i], qa[j]], n).scale(2)",
+     "form = vector_wedge([qa[i], qa[j]], n)"),
     ("zharkov-w-a-factor-mapped", "ceresa.py",
-     "vector_wedge([qa[m], units[p], units[r]], n)",
-     "vector_wedge([units[m], units[p], units[r]], n)"),
+     "for i, x in enumerate(qa[m]):",
+     "for i, x in enumerate(units[m]):"),
+    ("zharkov-pair-sum-last-only", "ceresa.py",
+     "col[i] += c * x",
+     "col[i] = c * x"),
+    ("image-prefix-key-short", "exterior.py",
+     "key = t[:-1]",
+     "key = t[:-2]"),
+    ("gr2-inverse-pair-sum-last-only", "exterior.py",
+     "pairs.setdefault(tuple(ys), {})[xs[0]] = int(c * vden)",
+     "pairs[tuple(ys)] = {xs[0]: int(c * vden)}"),
+    ("gr2-inverse-qx-last-only", "exterior.py",
+     "qx[i] = qx.get(i, 0) + cn * q",
+     "qx[i] = cn * q"),
     ("zharkov-divisor-no-two", "ceresa.py",
      "c % (2 * gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r]))",
      "c % gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r])"),

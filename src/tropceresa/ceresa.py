@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 from math import gcd, inf, lcm
 
 from . import intlinalg as la
@@ -141,9 +141,10 @@ def _y_units(g: int, h: int) -> list:
     return [[int(t == g + i) for t in range(2 * g)] for i in range(h)]
 
 
-def q_invariant_factors(ctx: PipelineContext) -> list:
+def q_invariant_factors(ctx) -> list:
     """Invariant factors of the cycle block Q[:h, :h] of the Gram form, read
-    off Q itself, so that no Smith frame is built for them."""
+    off Q itself, so that no Smith frame is built for them.  `ctx` is a
+    `PipelineContext` or a `CeresaReport`: both carry `basis` and `q_matrix`."""
     h = ctx.basis.h
     return invariant_factors([row[:h] for row in ctx.q_matrix[:h]])
 
@@ -299,9 +300,12 @@ def zharkov_test(ctx: PipelineContext, v: WedgeVector) -> dict:
     delta - I kills every b_k and sends a_j to Q a_j, so w = (delta-I) v
     takes each a_m ^ b_p ^ b_r of v to Q a_m ^ b_p ^ b_r, and the relations
     are (delta-I)^2 (a_i ^ a_j ^ b_k) = 2 Q a_i ^ Q a_j ^ b_k, all on the
-    original Q.  As U Q Z^g = D Z^g, wedge^3 U maps their span onto that of
-    the 2 d_p d_q b_p ^ b_q ^ b_r: one divisibility per coordinate of
-    wedge^3(P) w = (delta'-I) wedge^3(P) v, where delta'-I sends a_m to d_m b_m.
+    original Q.  w is built as one wedge per Y-pair (p, r), on
+    sum_m c_mpr Q a_m, and each relation extends one of the C(g, 2) forms
+    2 Q a_i ^ Q a_j by b_k.  As U Q Z^g = D Z^g, wedge^3 U maps the relations'
+    span onto that of the 2 d_p d_q b_p ^ b_q ^ b_r: one divisibility per
+    coordinate of wedge^3(P) w = (delta'-I) wedge^3(P) v, where delta'-I
+    sends a_m to d_m b_m.
     """
     if not ctx.maximal_rank:
         raise PreconditionError("obstruction test needs maximal rank")
@@ -310,14 +314,21 @@ def zharkov_test(ctx: PipelineContext, v: WedgeVector) -> dict:
     g, n = ctx.g, 2 * ctx.g
     units = la.identity(n)
     qa = [[0] * g + col for col in la.columns(ctx.q_matrix)]  # Q a_j on the b side
-    w = WedgeVector.zero(n, 3)
+    sums: dict = {}  # (p, r) -> sum_m c_mpr Q a_m
     for (m, p, r), c in v.coeffs.items():
-        w = w + vector_wedge([qa[m], units[p], units[r]], n).scale(c)
+        col = sums.setdefault((p, r), [0] * n)
+        for i, x in enumerate(qa[m]):
+            col[i] += c * x
+    w = WedgeVector.zero(n, 3)
+    for (p, r), col in sums.items():
+        w = w + vector_wedge([col, units[p], units[r]], n)
     gens = []
-    for i, j, k in ctx.filt.monomials(3, 1, exact=True):
-        gen = vector_wedge([qa[i], qa[j], units[k]], n).scale(2)
-        if not gen.is_zero():
-            gens.append(gen)
+    for i, j in combinations(range(g), 2):
+        form = vector_wedge([qa[i], qa[j]], n).scale(2)
+        for k in range(g, n):
+            gen = form.wedge_vector(units[k])
+            if not gen.is_zero():
+                gens.append(gen)
     d = {g + i: x for i, x in enumerate(ctx.q_diagonal)}  # by b position
     top = {(g + m, p, r): c * d[g + m] for (m, p, r), c in ctx.frame_class(v).items()}
     obstructed = any(
@@ -350,8 +361,14 @@ class CeresaReport:
     least_multiple: int | float | None
     zharkov: dict | None
     groups: dict | None
-    invariant_factors: list
+    q_matrix: list
     notes: list = field(default_factory=list)
+
+    @property
+    def invariant_factors(self) -> list:
+        """Invariant factors of Q's cycle block, reduced only when read: a
+        report prints them, while `order` and `sample` do not."""
+        return q_invariant_factors(self)
 
     def to_json(self) -> dict:
         out = {
@@ -514,7 +531,7 @@ def analyze(
         v=v,
         zharkov=zh,
         groups=group_table(ctx) if with_groups else None,
-        invariant_factors=q_invariant_factors(ctx),
+        q_matrix=ctx.q_matrix,
         notes=notes,
         **decision,
     )

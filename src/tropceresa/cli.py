@@ -132,11 +132,14 @@ def load_table(args, curve) -> johnson.JohnsonTable:
     return johnson.load_table(source, homology_basis(curve))
 
 
-def emit(args, payload: dict, text: str) -> int:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+def emit(args, payload, text=None) -> int:
+    """Print the JSON `payload`, or in text mode `text` (the same JSON when
+    None).  Either may be a function, called only if its format is printed."""
+    if args.format == "text" and text is not None:
+        print(text() if callable(text) else text)
     else:
-        print(text)
+        data = payload() if callable(payload) else payload
+        print(json.dumps(data, indent=2, sort_keys=True))
     return 0
 
 
@@ -157,11 +160,7 @@ def cmd_genus(args) -> int:
 def cmd_stabilize(args) -> int:
     curve = load_graph(args)
     stable = stabilize(curve)
-    return emit(
-        args,
-        graph_core.curve_to_json(stable),
-        json.dumps(graph_core.curve_to_json(stable), indent=2, sort_keys=True),
-    )
+    return emit(args, graph_core.curve_to_json(stable))
 
 
 def cmd_symanzik(args) -> int:
@@ -188,7 +187,7 @@ def cmd_basis(args) -> int:
     scaled, scale = graph_core.scaled_to_integer(curve)
     rep = basis_report(scaled, homology_basis(scaled))
     rep["length_scale"] = scale
-    return emit(args, rep, json.dumps(rep, indent=2, sort_keys=True))
+    return emit(args, rep)
 
 
 def cmd_groups(args) -> int:
@@ -208,7 +207,7 @@ def cmd_ceresa(args) -> int:
     curve = load_graph(args)
     table = load_table(args, curve)
     report = analyze(curve, table)
-    return emit(args, report.to_json(), report.to_text())
+    return emit(args, report.to_json, report.to_text)
 
 
 def cmd_order(args) -> int:

@@ -1,9 +1,13 @@
 """Exterior powers of H with the Y-filtration and its finite quotients.
 
 Wedge vectors are sparse maps from sorted index tuples to exact coefficients.
-Products of vectors are built one factor at a time: each new index is
-inserted into the sorted tuple by bisection, with the sign of the larger
-indices it passes, so no term is ever re-sorted.
+Products of vectors are built one factor at a time (`_wedge_step`, the one
+sign rule): each new index is inserted into the sorted tuple by bisection,
+with the sign of the larger indices it passes, so no term is ever re-sorted.
+A product that many terms share up to its last factor is built once and
+extended: the (delta-I) images share the wedge of their first k-1 columns,
+and the graded preimage u (here) and the Zharkov w and relations
+(`ceresa.zharkov_test`) sum their last factor over each pair of Y indices.
 For a unipotent delta with (delta-I)^2 = 0 and Y the saturation of its image,
 the descending filtration F_q = (wedge^q Y) ^ (wedge^{k-q} H) is stable under
 delta - I, and the associated finite groups (cokernels of graded maps, and
@@ -199,7 +203,7 @@ class WedgeVector:
 
     def to_json(self) -> dict:
         return {
-            "(" + ",".join(str(i + 1) for i in t) + ")": str(Fraction(c))
+            "(" + ",".join(str(i + 1) for i in t) + ")": str(c)
             for t, c in sorted(self.coeffs.items())
         }
 
@@ -346,25 +350,36 @@ class GradedImages:
         return cls(Filtration.from_Y(y_vectors, n), delta, k, wedge_basis(n, k))
 
     @cached_property
+    def _degrees(self) -> dict:
+        """Monomial -> its Y-degree, for every wedge^k monomial."""
+        return {t: self.filt.y_degree(t) for t in self.wedge}
+
+    @cached_property
     def monomial_images(self) -> dict:
         """Monomial -> sparse (delta-I) image {tuple: coeff}, for every
-        wedge^k monomial.  The filtration check runs once, here: every term
-        of an image sits above its monomial's level."""
+        wedge^k monomial.  The wedge of the first k-1 columns is built once
+        per prefix and extended by each last column.  The filtration check
+        runs once, here: every term of an image sits above its monomial's
+        level."""
         cols = _sparse_columns(self.delta)
-        y_degree = self.filt.y_degree
+        deg = self._degrees
+        heads: dict = {}  # t[:-1] -> wedge of its columns
         out = {}
         for t in self.wedge:
-            img = _wedge_terms(cols[i] for i in t)
+            key = t[:-1]
+            if key not in heads:
+                heads[key] = _wedge_terms(cols[i] for i in t[:-1])
+            img = _wedge_step(heads[key], cols[t[-1]])
             c = img.get(t, 0) - 1
             if c:
                 img[t] = c
             else:
                 img.pop(t, None)
-            qmin = y_degree(t)
+            qmin = deg[t]
             for s in img:
-                if y_degree(s) <= qmin:
+                if deg[s] <= qmin:
                     raise FiltrationError(
-                        f"(delta-I) image of {t} has component at level {y_degree(s)}"
+                        f"(delta-I) image of {t} has component at level {deg[s]}"
                     )
             out[t] = img
         return out
@@ -382,12 +397,12 @@ class GradedImages:
     def _positions(self) -> dict:
         """Monomial -> its filtration-order coordinate, in that order (a
         stable sort of `wedge` by Y-degree)."""
-        return {t: i for i, t in enumerate(sorted(self.wedge, key=self.filt.y_degree))}
+        return {t: i for i, t in enumerate(sorted(self.wedge, key=self._degrees.get))}
 
     @cached_property
     def _starts(self) -> list:
         """start(q) for q = 0..k+1."""
-        degrees = [self.filt.y_degree(t) for t in self._positions]
+        degrees = [self._degrees[t] for t in self._positions]
         return [bisect_left(degrees, q) for q in range(self.k + 2)]
 
     def start(self, q: int) -> int:
@@ -420,9 +435,9 @@ class GradedImages:
 
     def _images(self, level=None) -> list:
         """Sparse nonzero images of the monomials at Y-degree `level` (all if None)."""
-        deg = self.filt.y_degree
+        deg = self._degrees
         items = self.monomial_images.items()
-        return [img for t, img in items if img and level in (None, deg(t))]
+        return [img for t, img in items if img and level in (None, deg[t])]
 
     # -- relation lattices and the four groups -------------------------------
 
@@ -525,9 +540,11 @@ def delta_inverse_gr2(q_matrix, v: WedgeVector) -> WedgeVector:
     requires Q nonsingular.  For a monomial b_p ^ b_r ^ a_m the preimage is
     (1/2) (Q^-1 b_p ^ b_r ^ a_m + b_p ^ Q^-1 b_r ^ a_m
            - Q^-1 b_p ^ Q^-1 b_r ^ Q a_m).
-    The sum runs over the integers: Q^-1 = adj / den and v = v' / vden with
-    adj and v' integral, the three terms are scaled by 2 vden den^2, and each
-    output coordinate becomes one Fraction at the end.
+    Each term is linear in its last factor, so v's coefficients are summed
+    per Y-pair (p, r) into x = sum_m c_mpr a_m, and the three wedges run once
+    per pair, on x and Q x.  The sum runs over the integers: Q^-1 = adj / den
+    and v = v' / vden with adj and v' integral, the three terms are scaled by
+    2 vden den^2, and each output coordinate becomes one Fraction at the end.
     """
     g = len(q_matrix)
     n = 2 * g
@@ -545,7 +562,7 @@ def delta_inverse_gr2(q_matrix, v: WedgeVector) -> WedgeVector:
     qinv_b = _sparse_columns(adj)  # den * Q^-1 b_j on the a side
     # Q a_j on the b side
     qa = [[(g + u, q) for u, q in col] for col in _sparse_columns(q_matrix)]
-    acc: dict = {}
+    pairs: dict = {}  # (p, r) -> {m: vden c} for the a_m ^ b_p ^ b_r of v
     for idx, c in v.coeffs.items():
         ys = [i - g for i in idx if i >= g]
         xs = [i for i in idx if i < g]
@@ -553,15 +570,19 @@ def delta_inverse_gr2(q_matrix, v: WedgeVector) -> WedgeVector:
             raise PreconditionError(
                 f"coordinate {idx} does not have exactly two Y factors"
             )
-        m = xs[0]
-        p, r = ys
+        pairs.setdefault(tuple(ys), {})[xs[0]] = int(c * vden)
+    acc: dict = {}
+    for (p, r), x_a in pairs.items():
         # a_m ^ b_p ^ b_r == b_p ^ b_r ^ a_m (cyclic)
-        cn = int(c * vden)
-        bp, br, am = [(g + p, 1)], [(g + r, 1)], [(m, 1)]
+        qx: dict = {}
+        for m, cn in x_a.items():
+            for i, q in qa[m]:
+                qx[i] = qx.get(i, 0) + cn * q
+        bp, br = [(g + p, 1)], [(g + r, 1)]
         for factors, weight in (
-            ((qinv_b[p], br, am), cn * den),
-            ((bp, qinv_b[r], am), cn * den),
-            ((qinv_b[p], qinv_b[r], qa[m]), -cn),
+            ((qinv_b[p], br, x_a.items()), den),
+            ((bp, qinv_b[r], x_a.items()), den),
+            ((qinv_b[p], qinv_b[r], [(i, y) for i, y in qx.items() if y]), -1),
         ):
             for key, d in _wedge_terms(factors).items():
                 acc[key] = acc.get(key, 0) + weight * d

@@ -11,6 +11,7 @@ from math import inf, lcm, prod
 
 from tropceresa import intlinalg as la
 from tropceresa.errors import FiltrationError, PreconditionError
+from tropceresa import exterior
 from tropceresa.exterior import Filtration, WedgeVector, embed_H_in_L, wedge_basis
 from tropceresa.graph_core import (
     Involution,
@@ -1254,6 +1255,93 @@ def delta_inverse_gr2(q_matrix, v: WedgeVector) -> WedgeVector:
         if sum(1 for i in idx if i >= g) != 1:
             raise FiltrationError("preimage left gr_1")
     return out
+
+
+# The per-monomial forms of the products that the package builds on shared
+# prefixes: every wedge is expanded from its first factor, once per monomial,
+# with the package's own sign rule.
+
+
+def monomial_images_by_monomial(delta, wedge) -> dict:
+    """Monomial -> sparse (delta-I) image {tuple: coeff}, each image the
+    full wedge of its monomial's columns."""
+    cols = exterior._sparse_columns(delta)
+    out = {}
+    for t in wedge:
+        img = exterior._wedge_terms(cols[i] for i in t)
+        c = img.get(t, 0) - 1
+        if c:
+            img[t] = c
+        else:
+            img.pop(t, None)
+        out[t] = img
+    return out
+
+
+def delta_inverse_gr2_by_monomial(q_matrix, v: WedgeVector) -> WedgeVector:
+    """`exterior.delta_inverse_gr2` with its three integer wedges run once
+    per monomial b_p ^ b_r ^ a_m of v, not once per pair (p, r)."""
+    g = len(q_matrix)
+    n = 2 * g
+    if v.n != n or v.k != 3:
+        raise PreconditionError("expected a degree-3 wedge vector on rank 2g")
+    try:
+        qinv = la.frac_inverse(q_matrix)
+    except ValueError as exc:
+        raise PreconditionError(
+            "Q is singular; use the membership test for deficient rank"
+        ) from exc
+    den = lcm(*(x.denominator for row in qinv for x in row))
+    adj = [[int(x * den) for x in row] for row in qinv]
+    vden = lcm(*(Fraction(c).denominator for c in v.coeffs.values()))
+    qinv_b = exterior._sparse_columns(adj)  # den * Q^-1 b_j on the a side
+    # Q a_j on the b side
+    qa = [[(g + u, q) for u, q in col] for col in exterior._sparse_columns(q_matrix)]
+    acc: dict = {}
+    for idx, c in v.coeffs.items():
+        ys = [i - g for i in idx if i >= g]
+        xs = [i for i in idx if i < g]
+        if len(ys) != 2 or len(xs) != 1:
+            raise PreconditionError(
+                f"coordinate {idx} does not have exactly two Y factors"
+            )
+        m = xs[0]
+        p, r = ys
+        # a_m ^ b_p ^ b_r == b_p ^ b_r ^ a_m (cyclic)
+        cn = int(c * vden)
+        bp, br, am = [(g + p, 1)], [(g + r, 1)], [(m, 1)]
+        for factors, weight in (
+            ((qinv_b[p], br, am), cn * den),
+            ((bp, qinv_b[r], am), cn * den),
+            ((qinv_b[p], qinv_b[r], qa[m]), -cn),
+        ):
+            for key, d in exterior._wedge_terms(factors).items():
+                acc[key] = acc.get(key, 0) + weight * d
+    scale = 2 * vden * den * den
+    out = WedgeVector._from_sorted(
+        n, 3, {t: Fraction(x, scale) for t, x in acc.items() if x}
+    )
+    for idx in out.coeffs:
+        if sum(1 for i in idx if i >= g) != 1:
+            raise FiltrationError("preimage left gr_1")
+    return out
+
+
+def zharkov_w_and_generators(ctx, v: WedgeVector) -> tuple:
+    """(w, relation generators) of `ceresa.zharkov_test`, with one full
+    wedge per monomial of v and per gr_1 monomial a_i ^ a_j ^ b_k."""
+    g, n = ctx.g, 2 * ctx.g
+    units = la.identity(n)
+    qa = [[0] * g + col for col in la.columns(ctx.q_matrix)]  # Q a_j on the b side
+    w = WedgeVector.zero(n, 3)
+    for (m, p, r), c in v.coeffs.items():
+        w = w + exterior.vector_wedge([qa[m], units[p], units[r]], n).scale(c)
+    gens = []
+    for i, j, k in ctx.filt.monomials(3, 1, exact=True):
+        gen = exterior.vector_wedge([qa[i], qa[j], units[k]], n).scale(2)
+        if not gen.is_zero():
+            gens.append(gen)
+    return w, gens
 
 
 # Invariant factors by prime factorization, kept as an independent oracle

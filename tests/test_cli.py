@@ -613,6 +613,56 @@ def test_sample_builds_a_smith_frame_only_at_deficient_rank(capsys, monkeypatch,
     assert len(calls) == 6 * frames
 
 
+@pytest.mark.parametrize("argv, reductions", [
+    (["sample", "--graph", "builtin:tl3", "--table", "builtin:tl3", "--workers", "1"], 0),
+    (["sample", "--graph", "builtin:theta-w1", "--table", "builtin:theta-w1",
+      "--count", "4", "--workers", "1"], 0),
+    (["order", "--graph", "builtin:tl3", "--table", "builtin:tl3"], 0),
+    (["order", "--graph", "builtin:theta-w1", "--table", "builtin:theta-w1"], 0),
+    (["ceresa", "--graph", "builtin:tl3", "--table", "builtin:tl3"], 1),
+    (["ceresa", "--graph", "builtin:tl3", "--table", "builtin:tl3", "--format", "text"], 1),
+    (["groups", "--graph", "builtin:theta-w1"], 1),
+])
+def test_q_is_reduced_only_where_its_invariant_factors_are_printed(
+    capsys, monkeypatch, argv, reductions
+):
+    """`sample` and `order` print no invariant factors and run no Smith
+    reduction of Q_h; a report and the group table run one."""
+    calls = []
+    reduce = ceresa.invariant_factors
+
+    def counting(mat):
+        calls.append(mat)
+        return reduce(mat)
+
+    monkeypatch.setattr(ceresa, "invariant_factors", counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == reductions
+
+
+@pytest.mark.parametrize("fmt, unused", [("json", "to_text"), ("text", "to_json")])
+def test_ceresa_renders_only_the_format_it_prints(capsys, monkeypatch, fmt, unused):
+    def refuse(self):
+        raise AssertionError(f"CeresaReport.{unused} called")
+
+    monkeypatch.setattr(ceresa.CeresaReport, unused, refuse)
+    code, out, _ = run(
+        capsys, "ceresa", "--graph", "builtin:k4", "--table", "builtin:k4", "--format", fmt
+    )
+    assert code == 0 and "verdict" in out
+
+
+@pytest.mark.parametrize("command", ["stabilize", "basis"])
+def test_json_only_commands_print_the_same_json_in_text_mode(capsys, command):
+    outs = [
+        run(capsys, command, "--graph", "builtin:theta-w1", "--format", fmt)
+        for fmt in ("json", "text")
+    ]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert json.loads(outs[0][1])
+
+
 FUZZ_BASES = [
     ["genus", "--graph", "builtin:k4"],
     ["stabilize", "--graph", "builtin:theta0", "--format", "text"],

@@ -827,6 +827,87 @@ def test_delta_inverse_gr2_matches_fraction_oracle():
             fn([[1, 1], [1, 1]], WedgeVector(4, 3, {(0, 2, 3): Fraction(1, 2)}))
 
 
+def test_monomial_images_extend_shared_prefixes_like_full_wedges():
+    """The (delta-I) images, built on the cached wedge of each monomial's
+    first k-1 columns, equal the full per-monomial wedges, on random
+    unipotent deltas [[I, 0], [M, I]] with integer or Fraction M (zero on
+    the weight rows) at g = 2..5 and k = 1..5."""
+    rng = random.Random(34)
+    shared = 0
+    for trial in range(60):
+        g = rng.randint(2, 5)
+        h = rng.randint(1, g)
+        n = 2 * g
+        m = [[0] * g for _ in range(g)]
+        for i in range(h):
+            for j in range(g):
+                if rng.random() < 0.7:
+                    m[i][j] = _random_coeff(rng) if trial % 2 else rng.randint(-4, 4)
+        delta = [
+            [int(i == j) for j in range(g)] + [0] * g for i in range(g)
+        ] + [m[i] + [int(i == j) for j in range(g)] for i in range(g)]
+        k = rng.randint(1, min(5, n))
+        eng = GradedImages.build(delta, y_units(g, h), k)
+        want = helpers.monomial_images_by_monomial(delta, eng.wedge)
+        assert eng.monomial_images == want, (trial, g, h, k)
+        shared += k >= 3
+    assert shared >= 20, shared
+
+
+def test_delta_inverse_gr2_pair_sums_match_per_monomial_oracle():
+    """The preimage built with one set of wedges per Y-pair (p, r) equals
+    the per-monomial integer computation and the Fraction oracle, for
+    nonsingular Q at g = 2..6 and classes with several monomials on each
+    pair, integral and rational."""
+    rng = random.Random(35)
+    stats = {"classes": 0, "shared pairs": 0, "fractional": 0}
+    for g in range(2, 7):
+        n = 2 * g
+        while stats["classes"] < 42 * (g - 1):
+            q = [[0] * g for _ in range(g)]
+            for i in range(g):
+                for j in range(i + 1):
+                    q[i][j] = q[j][i] = rng.randint(-4, 4)
+            if la.matrix_rank(q) < g:
+                continue
+            coeffs = {}
+            pairs = list(combinations(range(g), 2))
+            for p, r in rng.sample(pairs, rng.randint(1, min(3, len(pairs)))):
+                ms = rng.sample(range(g), rng.randint(1, g))
+                stats["shared pairs"] += len(ms) > 1
+                for m in ms:
+                    coeffs[m, g + p, g + r] = rng.choice(
+                        [rng.randint(-6, 6) or 1, Fraction(rng.randint(1, 7), rng.randint(2, 5))]
+                    )
+            v = WedgeVector(n, 3, coeffs)
+            stats["fractional"] += any(Fraction(c).denominator > 1 for c in v.coeffs.values())
+            u = delta_inverse_gr2(q, v)
+            assert u == helpers.delta_inverse_gr2_by_monomial(q, v), (q, v)
+            if g <= 4:
+                assert u == helpers.delta_inverse_gr2(q, v), (q, v)
+            stats["classes"] += 1
+    assert stats["classes"] >= 200 and stats["shared pairs"] >= 200, stats
+    assert stats["fractional"] >= 100, stats
+
+
+def test_to_json_writes_each_coefficient_as_its_fraction_string():
+    """str(c) prints every int and Fraction coefficient as str(Fraction(c))
+    did: integers, negative integers, Fractions with denominator 1 and
+    proper Fractions."""
+    values = [1, -1, 7, -12, 10**30, Fraction(4, 1), Fraction(-6, 2), Fraction(0 + 5, 5),
+              Fraction(1, 2), Fraction(-7, 3), Fraction(22, 6)]
+    terms = list(combinations(range(6), 3))
+    w = WedgeVector(6, 3, dict(zip(terms, values)))
+    assert len(w.coeffs) == len(values)
+    assert w.to_json() == {
+        "(" + ",".join(str(i + 1) for i in t) + ")": str(Fraction(c))
+        for t, c in sorted(w.coeffs.items())
+    }
+    assert list(w.to_json().values()) == [
+        "1", "-1", "7", "-12", str(10**30), "4", "-3", "1", "1/2", "-7/3", "11/3"
+    ]
+
+
 def test_filtration_check_rejects_unstable_delta():
     """delta = [[I, I], [0, I]] sends b_j to b_j + a_j, so with Y the b-span
     the image of a_1 ^ b_1 ^ b_2 drops to level 1."""
