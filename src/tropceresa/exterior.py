@@ -368,7 +368,7 @@ class GradedImages:
         for t in self.wedge:
             key = t[:-1]
             if key not in heads:
-                heads[key] = _wedge_terms(cols[i] for i in t[:-1])
+                heads[key] = _wedge_terms(cols[i] for i in key)
             img = _wedge_step(heads[key], cols[t[-1]])
             c = img.get(t, 0) - 1
             if c:

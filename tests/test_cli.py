@@ -614,7 +614,8 @@ def test_sample_builds_a_smith_frame_only_at_deficient_rank(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("argv, reductions", [
-    (["sample", "--graph", "builtin:tl3", "--table", "builtin:tl3", "--workers", "1"], 0),
+    (["sample", "--graph", "builtin:tl3", "--table", "builtin:tl3",
+      "--count", "4", "--workers", "1"], 0),
     (["sample", "--graph", "builtin:theta-w1", "--table", "builtin:theta-w1",
       "--count", "4", "--workers", "1"], 0),
     (["order", "--graph", "builtin:tl3", "--table", "builtin:tl3"], 0),
