@@ -106,8 +106,8 @@ MUTATIONS = [
      "return invariant_factors([row[:h] for row in ctx.q_matrix[:h]])",
      "return la.diagonal_invariant_factors(ctx.q_diagonal[:h])"),
     ("context-y-all-b", "ceresa.py",
-     "_y_units(self.g, self.basis.h)",
-     "_y_units(self.g, self.g)"),
+     "range(self.g, self.g + self.basis.h)",
+     "range(self.g, 2 * self.g)"),
     ("class-not-in-frame", "ceresa.py",
      "return apply_matrix(self.frame, v).coeffs",
      "return v.coeffs"),
@@ -174,6 +174,12 @@ MUTATIONS = [
     ("basis-matches-no-tree", "johnson.py",
      "and a.tree_edges == b.tree_edges",
      "and True"),
+    ("basis-length-scale", "cli.py",
+     'rep["length_scale"] = ctx.scale',
+     'rep["length_scale"] = 1'),
+    ("shift-drops-provenance", "johnson.py",
+     "return replace(table, entries=entries)",
+     "return JohnsonTable(basis=table.basis, entries=entries)"),
 ]
 
 TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

@@ -33,7 +33,6 @@ from .exterior import (
     delta_inverse_gr2,
     omega,
     vector_wedge,
-    wedge_basis,
 )
 from .graph_core import (
     TropicalCurve,
@@ -59,7 +58,8 @@ VERDICTS = ("trivial", "nontrivial", "hyperelliptic-trivial", "indeterminate")
 @dataclass
 class PipelineContext:
     """The curve data that every class computation on one curve shares:
-    the curve with integer lengths, its basis and its Gram matrix Q.
+    the curve with integer lengths, its basis and its Gram matrix Q.  All
+    else is derived: the Y-filtration from g and h, and the frame and engine.
 
     The Smith frame of Q and the k = 3 graded-image engine in that frame are
     built on first read.  At maximal rank the verdict reads u and Q alone,
@@ -97,7 +97,7 @@ class PipelineContext:
     @cached_property
     def filt(self) -> Filtration:
         """The Y-filtration, Y = b_1..b_h; the engine shares it."""
-        return Filtration.from_Y(_y_units(self.g, self.basis.h), 2 * self.g)
+        return Filtration(2 * self.g, frozenset(range(self.g, self.g + self.basis.h)))
 
     @cached_property
     def _smith(self) -> tuple:
@@ -120,7 +120,7 @@ class PipelineContext:
         g = self.g
         d = [[x if i == j else 0 for j in range(g)] for i, x in enumerate(self.q_diagonal)]
         form = apply_matrix(self.frame, omega(g))
-        return GradedImages(self.filt, delta_from_Q(d), 3, wedge_basis(2 * g, 3), omega=form)
+        return GradedImages(self.filt, delta_from_Q(d), 3, omega=form)
 
     def frame_class(self, v: WedgeVector) -> dict:
         """Terms of wedge^3(P) v, the class v moved into the Smith frame.
@@ -134,11 +134,6 @@ def build_context(curve: TropicalCurve, tree=None) -> PipelineContext:
     scaled, scale = scaled_to_integer(curve)
     basis = homology_basis(scaled, tree=tree)
     return PipelineContext(scaled, scale, basis, polarization_Q(scaled, basis))
-
-
-def _y_units(g: int, h: int) -> list:
-    """Unit vectors b_1..b_h spanning Y, the saturated image of delta - I."""
-    return [[int(t == g + i) for t in range(2 * g)] for i in range(h)]
 
 
 def q_invariant_factors(ctx) -> list:
@@ -212,11 +207,7 @@ def is_pure_gr2(ctx: PipelineContext, v: WedgeVector) -> bool:
 
 
 def u_class(ctx: PipelineContext, v: WedgeVector) -> WedgeVector:
-    """Rational preimage of v under the graded map; maximal rank only."""
-    if not ctx.maximal_rank:
-        raise PreconditionError(
-            "Q is singular (weight slots present); use the membership test"
-        )
+    """Rational preimage of v under the graded map; Q must be nonsingular."""
     return delta_inverse_gr2(ctx.q_matrix, v)
 
 
@@ -347,8 +338,7 @@ class CeresaReport:
     curve: TropicalCurve
     scale: int
     basis: HomologyBasis
-    table_name: str
-    table_provenance: str
+    table: JohnsonTable
     rank_status: str
     hyperelliptic: bool
     v: WedgeVector
@@ -375,7 +365,7 @@ class CeresaReport:
             "curve": curve_to_json(self.curve),
             "length_scale": self.scale,
             "convention": self.basis.convention,
-            "table": {"name": self.table_name, "provenance": self.table_provenance},
+            "table": {"name": self.table.name, "provenance": self.table.provenance},
             "rank_status": self.rank_status,
             "hyperelliptic": self.hyperelliptic,
             "invariant_factors": list(self.invariant_factors),
@@ -524,8 +514,7 @@ def analyze(
         curve=ctx.curve,
         scale=ctx.scale,
         basis=ctx.basis,
-        table_name=table.name,
-        table_provenance=table.provenance,
+        table=table,
         rank_status=ctx.rank_status,
         hyperelliptic=hyper,
         v=v,

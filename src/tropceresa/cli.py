@@ -182,11 +182,9 @@ def cmd_hyperelliptic(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    curve = load_graph(args)
-    check_wedge_caps(2 * genus(curve))  # before the basis pads loops to length g
-    scaled, scale = graph_core.scaled_to_integer(curve)
-    rep = basis_report(scaled, homology_basis(scaled))
-    rep["length_scale"] = scale
+    ctx = build_context(load_graph(args))
+    rep = basis_report(ctx.curve, ctx.basis)
+    rep["length_scale"] = ctx.scale
     return emit(args, rep)
 
 

@@ -315,10 +315,10 @@ class GradedImages:
     one source of (delta-I) images, of the embedded H and of the relation
     lattices behind A, B, Abar and Bbar.
 
-    `delta` is used as given, and `wedge` is the sorted-tuple basis of
-    wedge^k.  H embeds as `omega` ^ H, with `omega` the standard sum of
-    a_i ^ b_i unless given: a change of basis of H carries the form along
-    with delta, as the pipeline's Smith-frame engine does
+    `delta` is used as given, and `wedge`, the sorted-tuple basis of
+    wedge^k, is derived from n = `filt.n` and k.  H embeds as `omega` ^ H,
+    with `omega` the standard sum of a_i ^ b_i unless given: a change of
+    basis of H carries the form along with delta, as the pipeline's Smith-frame engine does
     (`ceresa.PipelineContext.engine`, which also shares the context's
     filtration).  Images and H are computed on first use and cached.
 
@@ -338,7 +338,6 @@ class GradedImages:
     filt: Filtration
     delta: list
     k: int
-    wedge: list
     omega: WedgeVector | None = None
     _echelons: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -346,8 +345,12 @@ class GradedImages:
     def build(cls, delta, y_vectors, k: int):
         """Engine for (delta, Y, k), with Y given by signed unit vectors and
         the standard omega."""
-        n = len(delta)
-        return cls(Filtration.from_Y(y_vectors, n), delta, k, wedge_basis(n, k))
+        return cls(Filtration.from_Y(y_vectors, len(delta)), delta, k)
+
+    @cached_property
+    def wedge(self) -> list:
+        """The sorted-tuple basis of wedge^k, on the filtration's rank."""
+        return wedge_basis(self.filt.n, self.k)
 
     @cached_property
     def _degrees(self) -> dict:

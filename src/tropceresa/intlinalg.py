@@ -389,7 +389,7 @@ def _xgcd(a: int, b: int):
     return x, y, g
 
 
-def hnf_rows(mat, n: int | None = None) -> list[Vector]:
+def hnf_rows(mat) -> list[Vector]:
     """Canonical row Hermite form of the row span; zero rows dropped.
 
     Entries stay reduced, so this is the growth-safe workhorse for the
@@ -398,8 +398,7 @@ def hnf_rows(mat, n: int | None = None) -> list[Vector]:
     """
     if not mat:
         return []
-    n = len(mat[0]) if n is None else n
-    return Lattice(n, mat).basis()
+    return Lattice(len(mat[0]), mat).basis()
 
 
 def _is_monomial_matrix(mat) -> bool:
@@ -428,7 +427,7 @@ def _alternating_hermite(work, tags=None):
     while work:
         n = len(work[0])
         if tags is None:
-            work = hnf_rows(work, n)
+            work = hnf_rows(work)
         else:
             side = rounds % 2
             rows = hnf_rows([r + t for r, t in zip(work, tags[side])])

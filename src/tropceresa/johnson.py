@@ -85,12 +85,7 @@ def coboundary_shift(table: JohnsonTable, t: WedgeVector) -> JohnsonTable:
         shifted = table.entry(eid) + (apply_matrix(mat, t) - t)
         if not shifted.is_zero():
             entries[eid] = shifted
-    return JohnsonTable(
-        basis=table.basis,
-        entries=entries,
-        provenance=table.provenance,
-        name=table.name,
-    )
+    return replace(table, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +129,6 @@ def load_table(path: str, basis: HomologyBasis) -> JohnsonTable:
 def transform_table(table: JohnsonTable, new_basis: HomologyBasis, s_matrix):
     """Re-express entries in a new basis; s columns are new vectors in old."""
     s_inv = la.int_inverse(s_matrix)
-    entries = {
-        eid: apply_matrix(s_inv, w) for eid, w in table.entries.items()
-    }
-    return JohnsonTable(
-        basis=new_basis,
-        entries={e: w for e, w in entries.items() if not w.is_zero()},
-        provenance=table.provenance,
-        name=table.name,
-    )
+    images = ((eid, apply_matrix(s_inv, w)) for eid, w in table.entries.items())
+    entries = {eid: w for eid, w in images if not w.is_zero()}
+    return replace(table, basis=new_basis, entries=entries)

@@ -14,6 +14,7 @@ multitwist reproduces +Q in the lower-left block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import intlinalg as la
 from .errors import PreconditionError
@@ -31,7 +32,7 @@ class HomologyBasis:
     nontree_edges: tuple[str, ...]          # pair i <-> nontree_edges[i]
     cycles: tuple[tuple[tuple[str, int], ...], ...]  # signed edge vectors
     edge_loop_class: dict                   # edge id -> g-vector of b-coords
-    convention: str = CONVENTION
+    convention: ClassVar[str] = CONVENTION
 
     def cycle_dicts(self) -> list[dict]:
         return [dict(c) for c in self.cycles]

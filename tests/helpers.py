@@ -606,6 +606,12 @@ def image_saturation(delta: Matrix) -> list[list[int]]:
     return saturation_basis(m)
 
 
+def y_units(g: int, h: int) -> list[list[int]]:
+    """The unit vectors b_1..b_h of rank 2g, spanning Y, the saturated image
+    of delta - I at cycle rank h."""
+    return [[int(t == g + i) for t in range(2 * g)] for i in range(h)]
+
+
 def multitwist_action(twists, g: int, sign: int = TWIST_SIGN) -> Matrix:
     """Composite of commuting twists; requires pairwise isotropic classes."""
     classes = [list(l) for l, _ in twists]

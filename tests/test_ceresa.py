@@ -14,7 +14,6 @@ from tropceresa import intlinalg as la
 from tropceresa.catalog import BUILTIN_GRAPHS, BUILTIN_TABLES, builtin_curve, builtin_table
 from tropceresa.ceresa import (
     PipelineContext,
-    _y_units,
     ambient_order,
     analyze,
     build_context,
@@ -182,10 +181,29 @@ def test_k4_closed_form_random_tuples():
 
 
 def test_u_rejected_for_singular_Q():
-    curve = builtin_curve("theta-w1")
-    ctx = build_context(curve)
-    with pytest.raises(PreconditionError):
-        u_class(ctx, v_class(ctx, builtin_table("theta-w1", curve)))
+    """At deficient rank Q has zero weight rows, and u and the Bbar order
+    are refused by the one singular-Q check of `delta_inverse_gr2`."""
+    message = "Q is singular; use the membership test for deficient rank"
+    for name in ("theta-w1", "3balloon"):
+        curve = builtin_curve(name)
+        ctx = build_context(curve)
+        v = v_class(ctx, builtin_table(name, curve))
+        for read in (u_class, ceresa_order):
+            with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+                read(ctx, v)
+
+
+@pytest.mark.parametrize("name", BUILTIN_GRAPHS)
+def test_context_derives_filtration_and_wedge_basis(name):
+    """Y is b_1..b_h, read off g and h (h < g on theta-w1 and 3balloon), and
+    the engine shares that filtration and the wedge^3 basis of rank 2g."""
+    ctx = build_context(builtin_curve(name))
+    g, h = ctx.g, ctx.basis.h
+    assert (h < g) == (name in ("theta-w1", "3balloon"))
+    assert ctx.filt.y_positions == frozenset(range(g, g + h))
+    assert ctx.filt == exterior.Filtration.from_Y(helpers.y_units(g, h), 2 * g)
+    assert ctx.engine.filt is ctx.filt
+    assert ctx.engine.wedge == exterior.wedge_basis(2 * g, 3)
 
 
 # -- orders and membership ---------------------------------------------------------
@@ -818,7 +836,7 @@ def test_group_table_matches_exterior_groups(name):
     """The Smith-frame groups equal the module-level groups of the original
     delta."""
     ctx = build_context(builtin_curve(name))
-    y = _y_units(ctx.g, ctx.basis.h)
+    y = helpers.y_units(ctx.g, ctx.basis.h)
     delta = delta_from_Q(ctx.q_matrix)
     assert group_table(ctx) == {
         "A": A_group(delta, y, 2),
@@ -840,7 +858,7 @@ def _q_context(q):
 def _original_engine(ctx):
     """The original-frame engine of the context's Q: the oracle."""
     h = len(ctx.filt.y_positions)
-    return GradedImages.build(delta_from_Q(ctx.q_matrix), _y_units(ctx.g, h), 3)
+    return GradedImages.build(delta_from_Q(ctx.q_matrix), helpers.y_units(ctx.g, h), 3)
 
 
 def _engine_groups(eng):
@@ -932,7 +950,7 @@ def test_untransported_omega_changes_the_h_quotients():
     and B, which do not see H, agree."""
     ctx = _q_context(helpers.random_posdef(5, random.Random(7)))
     eng = _original_engine(ctx)
-    plain = GradedImages.build(ctx.engine.delta, _y_units(5, 5), 3)
+    plain = GradedImages.build(ctx.engine.delta, helpers.y_units(5, 5), 3)
     want = _engine_groups(eng)
     assert _engine_groups(ctx.engine) == want
     got = _engine_groups(plain)

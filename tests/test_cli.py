@@ -5,11 +5,12 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from tropceresa import catalog, ceresa, cli, graph_core, johnson
+from tropceresa import catalog, ceresa, cli, graph_core, johnson, symplectic
 from tropceresa.catalog import (
     BUILTIN_GRAPHS,
     BUILTIN_TABLES,
@@ -180,6 +181,37 @@ def test_genus_and_basis(capsys):
     code, out, _ = run(capsys, "basis", "--graph", "builtin:k4")
     data = json.loads(out)
     assert data["nontree_edges"] == ["u1", "u2", "u3"]
+
+
+@pytest.mark.parametrize("name, lengths, scale", [
+    ("k4", "1/2,3,5/3,7,2/5,1", 30),
+    ("tl3", "1,2/3,3,4,5/7,6,7,8,9/2", 42),
+    ("theta-w1", "1/2,2/3,3/4", 12),
+    ("theta0", "2,3,4", 1),
+])
+def test_basis_reports_the_scaled_curve(capsys, name, lengths, scale):
+    """`basis --lengths` prints the basis of the curve scaled to integer
+    lengths, and as `length_scale` the lcm of the length denominators."""
+    code, out, err = run(capsys, "basis", "--graph", f"builtin:{name}", "--lengths", lengths)
+    assert (code, err) == (0, "")
+    curve = graph_core.with_sorted_lengths(
+        builtin_curve(name), [Fraction(x) for x in lengths.split(",")]
+    )
+    scaled = graph_core.with_sorted_lengths(
+        curve, [e.length * scale for e in curve.sorted_edges()]
+    )
+    assert all(e.length.denominator == 1 for e in scaled.edges)
+    want = symplectic.basis_report(scaled, symplectic.homology_basis(scaled))
+    assert json.loads(out) == want | {"length_scale": scale}
+
+
+@pytest.mark.parametrize("command", ["basis", "groups"])
+def test_genus_one_is_refused(tmp_path, capsys, command):
+    path = tmp_path / "banana2.json"
+    path.write_text(json.dumps(curve_to_json(banana_curve(2))))
+    code, out, err = run(capsys, command, "--graph", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: homology basis requires genus >= 2\n"
 
 
 def test_order_and_groups(capsys):

@@ -12,9 +12,15 @@ from tropceresa.johnson import (
     coboundary_shift,
     edge_twist_matrix,
     table_from_json,
+    transform_table,
 )
 from tropceresa.graph_core import tropical_curve
-from tropceresa.symplectic import delta_from_Q, homology_basis, intersection
+from tropceresa.symplectic import (
+    basis_change_matrix,
+    delta_from_Q,
+    homology_basis,
+    intersection,
+)
 
 from helpers import (
     BoundingPairDatum,
@@ -179,6 +185,20 @@ def test_coboundary_shift_embedded_h_is_invisible_mod_h():
     for eid in {e.id for e in curve.edges}:
         diff = shifted.entry(eid) - table.entry(eid)
         assert lat.coset_order(diff.to_coords()) == 1
+
+
+def test_shift_and_transform_keep_name_and_provenance():
+    """A coboundary shift and a change of tree keep a built-in table's name
+    and provenance, so a report on the result stays certified."""
+    curve = builtin_curve("k4")
+    table = builtin_table("k4", curve)
+    base = homology_basis(curve)
+    other = homology_basis(curve, tree=("t4", "t5", "u1"))
+    s = basis_change_matrix(base, other)
+    t = embed_H_in_L(unit(0), 3) + WedgeVector(6, 3, {(0, 1, 3): 2})
+    for out in (coboundary_shift(table, t), transform_table(table, other, s)):
+        assert (out.name, out.provenance) == ("k4", "builtin")
+    assert transform_table(table, other, s).basis is other
 
 
 def test_edge_twist_matrices_compose_to_delta():

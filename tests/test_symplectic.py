@@ -23,8 +23,6 @@ from tropceresa.symplectic import (
     smith_frame,
     twist_action,
 )
-from tropceresa.ceresa import _y_units
-
 from helpers import (
     brute_spanning_trees,
     det_fraction,
@@ -37,6 +35,7 @@ from helpers import (
     random_curve,
     random_posdef,
     tl3_curve,
+    y_units,
 )
 
 
@@ -282,7 +281,7 @@ def test_image_saturation_is_cycle_span():
         b = homology_basis(sc)
         d = delta_from_Q(polarization_Q(sc, b))
         g = b.g
-        units = _y_units(g, b.h)
+        units = y_units(g, b.h)
         if b.h:
             assert la.lattice_eq(image_saturation(d), units, 2 * g)
         else:
