@@ -100,8 +100,23 @@ MUTATIONS = [
      "for c in self._h_terms:",
      "for c in self._h_terms[:-1]:"),
     ("omega-not-transported", "ceresa.py",
-     "form = apply_matrix(self.frame, omega(g))",
-     "form = omega(g)"),
+     "return apply_matrix(self.frame, omega(self.g))",
+     "return omega(self.g)"),
+    ("block-invariant-no-two", "ceresa.py",
+     "b_orders += [big, big, 2 * di * dj * dk // (big * big)]",
+     "b_orders += [big, big, di * dj * dk // (big * big)]"),
+    ("block-pair-skipped", "ceresa.py",
+     "orders = [d[j] for _, j in pairs]",
+     "orders = [d[j] for _, j in pairs[1:]]"),
+    ("block-quotient-g-minus-1", "ceresa.py",
+     "for l in range(g):\n        row: dict = {}",
+     "for l in range(g - 1):\n        row: dict = {}"),
+    ("block-a-without-gcd", "ceresa.py",
+     '"A": AbelianGroupDescriptor.from_cyclic_orders(b_orders + t_orders)',
+     '"A": AbelianGroupDescriptor.from_cyclic_orders(b_orders)'),
+    ("block-bab-sign", "ceresa.py",
+     "((j, g + i, g + k), -1)",
+     "((j, g + i, g + k), 1)"),
     ("invariant-factors-from-frame", "ceresa.py",
      "return invariant_factors([row[:h] for row in ctx.q_matrix[:h]])",
      "return la.diagonal_invariant_factors(ctx.q_diagonal[:h])"),

@@ -7,11 +7,13 @@ non-integral coordinate of u of the form a_i^a_j^b_k with k distinct from
 i and j certifies nontriviality; the exact orders in the finite quotients
 settle the rest.  At maximal rank the order in Bbar, which is also the
 ambient order there, is a closed form of u and Q (`ceresa_order`), with no
-lattice and no Smith frame.  The other orders, the groups and the Zharkov
-verdict are read in the Smith frame of Q, where delta is [[I, 0], [D, I]]
-with D diagonal.  `PipelineContext` holds the curve data and builds that
-frame, and the graded-image engine on it, only when one of these reads
-them; the invariant factors of Q are read off Q itself.
+lattice and no Smith frame.  The Zharkov verdict and the maximal-rank
+groups are read off the Smith frame of Q, where delta is [[I, 0], [D, I]]
+with D diagonal, through closed forms: the groups block by block, with no
+wedge^3 lattice.  The other orders and the deficient-rank groups are read
+by the graded-image engine in that frame.  `PipelineContext` holds the
+curve data and builds the frame, and the engine on it, only when one of
+these reads them; the invariant factors of Q are read off Q itself.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 from math import gcd, inf, lcm
 
 from . import intlinalg as la
 from .errors import PreconditionError, SchemaError
 from .exterior import (
+    AbelianGroupDescriptor,
     Filtration,
     GradedImages,
     WedgeVector,
@@ -64,8 +67,9 @@ class PipelineContext:
     The Smith frame of Q and the k = 3 graded-image engine in that frame are
     built on first read.  At maximal rank the verdict reads u and Q alone,
     so a verdict-only `analyze` (`order`, `sample`) builds neither; the
-    Zharkov verdict reads the frame; the groups, the ambient order and the
-    deficient-rank verdict read the engine.
+    Zharkov verdict and the maximal-rank groups read the frame, so a full
+    maximal-rank report builds no engine; the ambient order, the
+    deficient-rank verdict and the deficient-rank groups read the engine.
 
     The frame is D = U Q_h V, padded with zeros on the weight slots, and
     P = diag(V^-1, U) (`symplectic.smith_frame`).  The engine runs on
@@ -115,12 +119,16 @@ class PipelineContext:
         return self._smith[1]
 
     @cached_property
+    def omega_frame(self) -> WedgeVector:
+        """omega' = wedge^2(P) omega, the form that embeds H in the frame."""
+        return apply_matrix(self.frame, omega(self.g))
+
+    @cached_property
     def engine(self) -> GradedImages:
-        """The graded-image engine of delta_from_Q(D), with omega' = wedge^2(P) omega."""
+        """The graded-image engine of delta_from_Q(D), with omega' as its form."""
         g = self.g
         d = [[x if i == j else 0 for j in range(g)] for i, x in enumerate(self.q_diagonal)]
-        form = apply_matrix(self.frame, omega(g))
-        return GradedImages(self.filt, delta_from_Q(d), 3, omega=form)
+        return GradedImages(self.filt, delta_from_Q(d), 3, omega=self.omega_frame)
 
     def frame_class(self, v: WedgeVector) -> dict:
         """Terms of wedge^3(P) v, the class v moved into the Smith frame.
@@ -145,16 +153,97 @@ def q_invariant_factors(ctx) -> list:
 
 
 def group_table(ctx: PipelineContext) -> dict:
-    """The finite obstruction groups A, B, Abar, Bbar of the curve: sections
-    of F_2 computed by the context's Smith-frame engine, the same formulas
-    behind `exterior.A_group`, `B_group`, `Abar_group` and `Bbar_group`,
-    which give isomorphic groups on the original delta."""
+    """The finite obstruction groups A, B, Abar, Bbar of the curve, the groups
+    of `exterior.A_group`, `B_group`, `Abar_group` and `Bbar_group` on the
+    original delta.  At maximal rank they are read off the Smith diagonal D
+    block by block (`_block_groups`); at deficient rank they are sections of
+    F_2 in the context's Smith-frame engine."""
+    if ctx.maximal_rank:
+        return _block_groups(ctx)
+    eng = ctx.engine
     return {
-        "A": ctx.engine.A_group(2),
-        "B": ctx.engine.B_group(2),
-        "Abar": ctx.engine.Abar_group(),
-        "Bbar": ctx.engine.Bbar_group(),
+        "A": eng.A_group(2),
+        "B": eng.B_group(2),
+        "Abar": eng.Abar_group(),
+        "Bbar": eng.Bbar_group(),
     }
+
+
+def _block_groups(ctx: PipelineContext) -> dict:
+    """A, B, Abar and Bbar at maximal rank, from D and omega' (README, "Groups").
+
+    In the Smith frame delta - I sends a_i to d_i b_i, so wedge^3 H and the
+    relations split into blocks by the multiset of indices mod g.  A block
+    {i, i, j} adds Z/d_j to A and to B through a_i ^ b_i ^ b_j.  A block
+    {i < j < k} adds coker M_S to B, on the F_2 coordinates bba, bab, abb
+    (positional), and coker M_S + Z/G to A, the Z/G on bbb.  Bbar is B
+    modulo the classes of omega' ^ b_l, l < g, which are read in the cyclic
+    coordinates x V mod e of U M_S V = diag(e); omega' has only a ^ b terms,
+    so these classes miss every bbb and Abar is Bbar + the Z/G.
+    """
+    g, d = ctx.g, ctx.q_diagonal
+    pairs = list(permutations(range(g), 2))  # the blocks {i, i, j}
+    orders = [d[j] for _, j in pairs]  # the cyclic coordinates of B, by column
+    # F_2 monomial -> [(column, coefficient)]
+    slots = {tuple(sorted((i, g + i, g + j))): [(c, 1)] for c, (i, j) in enumerate(pairs)}
+    smith = {}  # (d_i, d_j, d_k) -> (e, U, V) of M_S
+    b_orders, t_orders = orders[:], []
+    for i, j, k in combinations(range(g), 3):
+        key = di, dj, dk = d[i], d[j], d[k]
+        if key not in smith:
+            smith[key] = la.smith_diagonal([[dj, dk, 0], [di, 0, dk], [0, di, dj]])
+        e, _, v = smith[key]
+        # bba = +(k, b_i, b_j), bab = -(j, b_i, b_k), abb = +(i, b_j, b_k)
+        for (t, sign), row in zip(
+            (((k, g + i, g + j), 1), ((j, g + i, g + k), -1), ((i, g + j, g + k), 1)), v
+        ):
+            slots[t] = [(len(orders) + c, sign * x) for c, x in enumerate(row) if x]
+        orders += e
+        # M_S has entries of gcd G, 2x2 minors of gcd G^2 and determinant 2 di dj dk
+        big = gcd(di, dj, dk)
+        b_orders += [big, big, 2 * di * dj * dk // (big * big)]
+        t_orders.append(big)
+    units = la.identity(2 * g)
+    classes = []
+    for l in range(g):
+        row: dict = {}
+        for t, c in ctx.omega_frame.wedge_vector(units[g + l]).coeffs.items():
+            for col, x in slots[t]:
+                row[col] = row.get(col, 0) + c * x
+        classes.append(row)
+    bbar = _cyclic_quotient(orders, classes)
+    return {
+        "A": AbelianGroupDescriptor.from_cyclic_orders(b_orders + t_orders),
+        "B": AbelianGroupDescriptor.from_cyclic_orders(b_orders),
+        "Abar": AbelianGroupDescriptor.from_cyclic_orders(bbar + t_orders),
+        "Bbar": AbelianGroupDescriptor.from_cyclic_orders(bbar),
+    }
+
+
+def _cyclic_quotient(orders, rows) -> list:
+    """Cyclic orders of the finite group (+ Z/e_c) / <rows>, for positive
+    orders e_c and sparse rows {column: value} over their columns c.
+
+    The columns of one order e are column-echelonised first: e I commutes
+    with GL_m(Z), so the quotient keeps its structure, and the columns that
+    come out zero split off as Z/e.  At most len(rows) columns of each
+    order are left for one lattice section.
+    """
+    by_order: dict = {}
+    for col, e in enumerate(orders):
+        if e != 1:
+            by_order.setdefault(e, []).append(col)
+    split, core = [], []  # orders split off; (order, column over the rows)
+    for e, cols in by_order.items():
+        echelon = la.Lattice(len(rows), (
+            {r: row[col] % e for r, row in enumerate(rows) if row.get(col, 0) % e}
+            for col in cols
+        ))
+        split += [e] * (len(cols) - echelon.rank)
+        core += [(e, col) for col in echelon.rows]
+    gens = [{c: e} for c, (e, _) in enumerate(core)]
+    gens += [{c: col[r] for c, (_, col) in enumerate(core) if r in col} for r in range(len(rows))]
+    return split + la.Lattice(len(core), gens).section(0)[1]
 
 
 def enc_order(x):

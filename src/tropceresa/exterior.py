@@ -19,7 +19,9 @@ Quotients modulo H are always realized by adjoining the embedded-H generators
 to relation lattices; no coset representatives are ever chosen.  The
 module-level groups take any unipotent delta; the pipeline runs the same
 engine on the diagonal form of its delta, with omega carried across, and
-builds it on first read (`ceresa.PipelineContext.engine`).
+builds it on first read (`ceresa.PipelineContext.engine`) for its orders
+and deficient-rank groups.  At maximal rank the pipeline reads the groups
+off that diagonal block by block (`ceresa.group_table`).
 """
 
 from __future__ import annotations
@@ -331,8 +333,9 @@ class GradedImages:
     groups (`Lattice.section`), and the Abar lattice also gives the orders
     of sparse classes (`abar_order`); the Bbar order is a closed form at
     maximal rank (`ceresa.ceresa_order`).  The A and B image echelons are cached,
-    and Abar and Bbar extend copies of them by H, so the four groups take
-    two echelonisations.
+    and Abar and Bbar extend copies of them by H, so one engine's four
+    groups take two echelonisations; the pipeline reads them at deficient
+    rank only (`ceresa.group_table`).
     """
 
     filt: Filtration

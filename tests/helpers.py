@@ -1003,6 +1003,53 @@ def random_posdef(g: int, rng: random.Random, spread=5):
             return q
 
 
+def graph_gram(n_vertices: int, edges) -> Matrix:
+    """Gram matrix of the fundamental cycles of a connected graph on the
+    vertices 0..n_vertices-1, with edges (u, v, length) oriented u -> v.
+
+    The tree is grown by depth-first search from vertex 0; each other edge
+    closes one cycle, its signed edge vector, and Q_ij sums length * c_i * c_j
+    over the edges.  Any cycle basis of a graph with positive lengths gives
+    a positive definite Q, at every genus.
+    """
+    adj = [[] for _ in range(n_vertices)]
+    for k, (u, v, _) in enumerate(edges):
+        adj[u].append((k, v, 1))
+        adj[v].append((k, u, -1))
+    path = {0: {}}  # vertex -> signed tree edges from vertex 0
+    stack, tree = [0], set()
+    while stack:
+        x = stack.pop()
+        for k, y, s in adj[x]:
+            if y not in path:
+                path[y] = {**path[x], k: s}
+                tree.add(k)
+                stack.append(y)
+    cycles = []
+    for k, (u, v, _) in enumerate(edges):
+        if k not in tree:
+            cyc = dict(path[u])
+            cyc[k] = cyc.get(k, 0) + 1
+            for e, s in path[v].items():
+                cyc[e] = cyc.get(e, 0) - s
+            cycles.append(cyc)
+    return [
+        [sum(edges[e][2] * s * c.get(e, 0) for e, s in a.items()) for c in cycles]
+        for a in cycles
+    ]
+
+
+def ladder_gram(n: int, lengths, twisted: bool = False) -> Matrix:
+    """Gram matrix of the prism C_n x K_2, or of the Moebius ladder when
+    `twisted`, with its 3n edge lengths: genus n + 1.  Rungs u_i v_i come
+    first, then the rails u_i u_i+1 and v_i v_i+1, then the two closing
+    edges, u_n-1 u_0 and v_n-1 v_0 or, twisted, u_n-1 v_0 and v_n-1 u_0."""
+    ends = [(i, n + i) for i in range(n)]
+    ends += [(i, i + 1) for i in range(n - 1)] + [(n + i, n + i + 1) for i in range(n - 1)]
+    ends += [(n - 1, n), (2 * n - 1, 0)] if twisted else [(n - 1, 0), (2 * n - 1, n)]
+    return graph_gram(2 * n, [(u, v, x) for (u, v), x in zip(ends, lengths, strict=True)])
+
+
 def random_unimodular(n: int, rng: random.Random, shears=8):
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(shears):

@@ -656,8 +656,10 @@ def test_verdict_only_analyze_builds_no_smith_frame(monkeypatch, name):
 
 
 def test_analyze_builds_one_graded_image_engine(monkeypatch):
-    """A full report at maximal rank, Zharkov test included, runs on the one
-    Smith-frame engine of its context, which the group table builds."""
+    """A full report at maximal rank, groups and Zharkov test included,
+    builds its context and no graded-image engine: the groups are read off
+    the Smith diagonal block by block.  A deficient-rank report (theta-w1)
+    builds exactly one engine, which serves its verdict and its groups."""
     built = []
 
     def counting(cls):
@@ -671,12 +673,13 @@ def test_analyze_builds_one_graded_image_engine(monkeypatch):
 
     for cls in (GradedImages, PipelineContext):  # each has its own __init__
         monkeypatch.setattr(cls, "__init__", counting(cls))
-    for name in ("k4", "tl3"):
+    for name, engines in (("k4", []), ("tl3", []), ("theta-w1", [GradedImages])):
         built.clear()
         curve = builtin_curve(name)
         report = analyze(curve, builtin_table(name, curve))
-        assert report.zharkov is not None and report.groups is not None
-        assert built == [PipelineContext, GradedImages]
+        assert report.groups is not None
+        assert (report.zharkov is not None) == (report.rank_status == "maximal")
+        assert built == [PipelineContext] + engines
 
 
 # -- invariances ---------------------------------------------------------------------
@@ -961,9 +964,9 @@ def test_untransported_omega_changes_the_h_quotients():
 
 @pytest.mark.parametrize("doubled", [2, 3, 4, 5])
 def test_group_table_closed_forms_at_genus_5_to_8(doubled):
-    """Criterion 5's closed-form orders, read through one Smith-frame
-    context whose Abar and Bbar lattices extend its A and B echelons
-    (criterion 5 itself calls the module-level groups, one engine each).
+    """Criterion 5's closed-form orders, read through the block route of
+    one maximal-rank context, from D and omega' (criterion 5 itself calls
+    the module-level groups, one engine each).
     The curve is K4 with `doubled` edges doubled, at seeded lengths."""
     rng = random.Random(50 + doubled)
     curve = k4_doubled(doubled, [rng.randint(1, 9) for _ in range(6 + doubled)])
@@ -981,6 +984,92 @@ def test_group_table_closed_forms_at_genus_5_to_8(doubled):
         "Abar": base * detq ** (comb(g, 2) - 1) * tail,
         "Bbar": base * detq ** (comb(g, 2) - 1),
     }
+
+
+# -- maximal-rank groups by blocks, against whole-wedge^3 lattices -----------------
+
+
+def _module_groups(q):
+    """The module-level groups of delta_Q at maximal rank, in the original
+    frame: the oracle of the block route."""
+    g = len(q)
+    y = helpers.y_units(g, g)
+    delta = delta_from_Q(q)
+    return {
+        "A": A_group(delta, y, 2),
+        "B": B_group(delta, y, 2),
+        "Abar": Abar_group(delta, y),
+        "Bbar": Bbar_group(delta, y),
+    }
+
+
+def _is_chain(d) -> bool:
+    return all(b % a == 0 for a, b in zip(d, d[1:]))
+
+
+def _assert_gcd_split(groups, d):
+    """A = B + T and Abar = Bbar + T, with T the sum of the Z/gcd(d_i, d_j, d_k)
+    over i < j < k (README, "Groups")."""
+    t = [gcd(d[i], d[j], d[k]) for i, j, k in combinations(range(len(d)), 3)]
+    for big, small in (("A", "B"), ("Abar", "Bbar")):
+        orders = list(groups[small].torsion) + t
+        assert groups[big].torsion == tuple(la.invariant_factors_from_orders(orders))
+
+
+@pytest.mark.parametrize("g, count", [(2, 66), (3, 60), (4, 52), (5, 20), (6, 2)])
+def test_block_groups_match_original_frame_on_seeded_q(g, count):
+    """At maximal rank group_table reads the groups off D and omega' block by
+    block, and builds no engine; they equal the module-level groups of
+    delta_Q in the original frame on seeded positive definite Q.  Every
+    third Q is scaled by 3, so that the d_i share a factor."""
+    rng = random.Random(2600 + g)
+    chains = set()
+    for t in range(count):
+        q = helpers.random_posdef(g, rng)
+        if t % 3 == 2:
+            q = [[3 * x for x in row] for row in q]
+        ctx = _q_context(q)
+        want = _module_groups(q)
+        assert group_table(ctx) == want, q
+        assert "engine" not in vars(ctx)
+        chains.add(_is_chain(ctx.q_diagonal))
+        _assert_gcd_split(want, ctx.q_diagonal)
+    if g in (3, 4):
+        assert chains == {True, False}  # D need not be a divisibility chain
+
+
+@pytest.mark.parametrize("d", [[2, 3], [6, 10, 15], [1, 2, 1, 18], [4, 6, 9, 2, 3]])
+def test_block_groups_on_diagonals_that_are_no_divisibility_chain(d):
+    """A diagonal Q is its own Smith diagonal, so here D = Q is no
+    divisibility chain, and the blocks' gcds and Smith transforms differ
+    from block to block."""
+    q = [[x if i == j else 0 for j in range(len(d))] for i, x in enumerate(d)]
+    ctx = _q_context(q)
+    assert ctx.q_diagonal == d
+    want = _module_groups(q)
+    assert group_table(ctx) == want
+    _assert_gcd_split(want, d)
+
+
+@pytest.mark.parametrize("g", [8, 9, 10, 11, 12])
+def test_block_groups_match_whole_wedge_engine_on_ladders(monkeypatch, g):
+    """On the Gram matrices of a prism and a Moebius ladder of genus g, at
+    seeded lengths 1..30, group_table equals the four groups of the
+    context's Smith-frame engine, the whole-wedge^3 route it replaces.  The
+    original frame costs 6 to 10 s a case from g = 8 on, so the engine is
+    the oracle here; the rank cap is lifted for this test only."""
+    monkeypatch.setattr(exterior, "MAX_RANK", 2 * g)
+    rng = random.Random(260 + g)
+    grams = [
+        helpers.ladder_gram(g - 1, [rng.randint(1, 30) for _ in range(3 * g - 3)], twisted)
+        for twisted in (False, True)
+    ]
+    for q in grams:
+        ctx = _q_context(q)
+        got = group_table(ctx)
+        assert "engine" not in vars(ctx)
+        assert got == _engine_groups(ctx.engine)
+
 
 def test_group_table_reuses_cached_images(monkeypatch):
     ctx = build_context(builtin_curve("tl3"))
@@ -1096,17 +1185,18 @@ def test_ceresa_order_accepts_class_in_H_through_lattice(monkeypatch):
 
 
 def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
-    """group_table echelonises the full-length A relation set and the B(2)
-    relation set of the Smith-frame context once each (Abar and Bbar extend
-    copies of them by H); after it the verdict routes echelonise
+    """The four groups of the Smith-frame engine echelonise its full-length
+    A relation set and its B(2) relation set once each (Abar and Bbar extend
+    copies of them by H); after them the verdict routes echelonise
     nothing, and the Abar and Bbar groups only rerun the Smith reduction of
     their sections (on at most n - start(2) coordinates), never a relation
-    set."""
+    set.  (At maximal rank `group_table` reads no engine; at deficient rank
+    it reads these four.)"""
     ctx = build_context(builtin_curve("tl3"))
     v = v_class(ctx, builtin_table("tl3"))
     built = _count_lattices(monkeypatch)
-    groups = group_table(ctx)
     eng = ctx.engine
+    groups = _engine_groups(eng)
     assert built.count(len(eng.wedge)) == 1  # the A relation set
     assert built.count(eng.start(3)) == 1  # the B(2) relation set
     assert set(eng._echelons) == {(None, len(eng.wedge)), (1, eng.start(3))}

@@ -282,7 +282,7 @@ def test_h_extended_echelons_match_fresh_shuffled_builds(name):
     ctx = ceresa.build_context(builtin_curve(name))
     g, d, eng = ctx.g, ctx.q_diagonal, ctx.engine
     assert eng.delta == delta_from_Q([[x * (i == j) for j in range(g)] for i, x in enumerate(d)])
-    ceresa.group_table(ctx)  # the A and B(2) echelons are built first
+    eng.A_group(2), eng.B_group(2)  # the A and B(2) echelons are built first
     deg = ctx.filt.y_degree
     order = sorted(range(len(eng.wedge)), key=lambda i: deg(eng.wedge[i]))
     rng = random.Random(name)
@@ -469,9 +469,12 @@ SECTION_CURVES = {
 
 @pytest.mark.parametrize("name", SECTION_CURVES)
 def test_group_sections_match_full_tail_oracle(monkeypatch, name):
-    """The four sections behind A, B, Abar and Bbar of real curves, each
-    against the full-tail oracle."""
-    curve = SECTION_CURVES[name]()
+    """The four sections behind the Smith-frame engine's A, B, Abar and Bbar
+    of real curves, and the one section behind the block route's Abar and
+    Bbar (`ceresa.group_table` at maximal rank), each against the full-tail
+    oracle."""
+    ctx = ceresa.build_context(SECTION_CURVES[name]())
+    eng = ctx.engine
     sections = []
     section = la.Lattice.section
 
@@ -480,8 +483,10 @@ def test_group_sections_match_full_tail_oracle(monkeypatch, name):
         return section(lat, d)
 
     monkeypatch.setattr(la.Lattice, "section", recording)
-    ceresa.group_table(ceresa.build_context(curve))
+    eng.A_group(2), eng.B_group(2), eng.Abar_group(), eng.Bbar_group()
     assert len(sections) == 4
+    ceresa.group_table(ctx)
+    assert len(sections) == 5
     for lat, d in sections:
         assert section(lat, d) == helpers.full_tail_section(lat, d)
 
