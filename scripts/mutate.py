@@ -72,9 +72,12 @@ MUTATIONS = [
     ("verdict-precedence", "ceresa.py",
      "if hyperelliptic:",
      "if hyperelliptic and not decisive:"),
-    ("invariant-factor-gcd-lcm", "intlinalg.py",
-     "chain[i], chain[j] = d, a // d * b",
-     "chain[i], chain[j] = a // d * b, d"),
+    ("invariant-factor-exponent-order", "intlinalg.py",
+     "exps.sort(reverse=True)",
+     "exps.sort()"),
+    ("coprime-base-cofactor-dropped", "intlinalg.py",
+     "todo += [d, b // d, x // d]",
+     "todo += [d, x // d]"),
     ("orbit-count-genus", "graph_core.py",
      "target = sum(v <= img for v, img in vmap.items()) - 1",
      "target = sum(v < img for v, img in vmap.items()) - 1"),
@@ -133,23 +136,40 @@ MUTATIONS = [
      "v = [[tags[1][j][i] for j in cols] for i in range(n)]",
      "v = [[tags[1][i][j] for j in cols] for i in range(n)]"),
     ("zharkov-relations-doubled", "ceresa.py",
-     "form = vector_wedge([qa[i], qa[j]], n).scale(2)",
-     "form = vector_wedge([qa[i], qa[j]], n)"),
+     "(g + s, g + t): 2 * minor",
+     "(g + s, g + t): minor"),
+    ("zharkov-relation-minor-plus", "ceresa.py",
+     "qm[s][i] * qm[t][j] - qm[t][i] * qm[s][j]",
+     "qm[s][i] * qm[t][j] + qm[t][i] * qm[s][j]"),
     ("zharkov-w-a-factor-mapped", "ceresa.py",
-     "for i, x in enumerate(qa[m]):",
-     "for i, x in enumerate(units[m]):"),
+     "for i, x in qa[m]:",
+     "for i, x in [(m, 1)]:"),
     ("zharkov-pair-sum-last-only", "ceresa.py",
-     "col[i] += c * x",
+     "col[i] = col.get(i, 0) + c * x",
      "col[i] = c * x"),
     ("image-prefix-key-short", "exterior.py",
      "key = t[:-1]",
      "key = t[:-2]"),
     ("gr2-inverse-pair-sum-last-only", "exterior.py",
-     "pairs.setdefault(tuple(ys), {})[xs[0]] = int(c * vden)",
-     "pairs[tuple(ys)] = {xs[0]: int(c * vden)}"),
+     "pairs.setdefault(tuple(ys), [0] * g)[xs[0]] = int(c * vden)",
+     "pairs[tuple(ys)] = [int(c * vden) if m == xs[0] else 0 for m in range(g)]"),
     ("gr2-inverse-qx-last-only", "exterior.py",
-     "qx[i] = qx.get(i, 0) + cn * q",
-     "qx[i] = cn * q"),
+     "sum(q * c for q, c in zip(row, x))",
+     "sum(q * c for q, c in zip(row[-1:], x[-1:]))"),
+    ("gr2-inverse-term1-sign", "exterior.py",
+     "acc[t] = get(t, 0) - den * m",
+     "acc[t] = get(t, 0) + den * m"),
+    ("gr2-inverse-pair-swapped", "exterior.py",
+     "t = (i, j, g + r)\n                acc[t] = get(t, 0) - den * m\n"
+     "            if m := bi * xj - bj * xi:\n                t = (i, j, g + p)",
+     "t = (i, j, g + p)\n                acc[t] = get(t, 0) - den * m\n"
+     "            if m := bi * xj - bj * xi:\n                t = (i, j, g + r)"),
+    ("gr2-inverse-minor-plus", "exterior.py",
+     "if m := ai * bj - aj * bi:",
+     "if m := ai * bj + aj * bi:"),
+    ("json-key-prefix", "exterior.py",
+     "{_json_key(t): str(c)",
+     "{_json_key(t[:-1]): str(c)"),
     ("zharkov-divisor-no-two", "ceresa.py",
      "c % (2 * gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r]))",
      "c % gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r])"),

@@ -31,11 +31,11 @@ from .exterior import (
     Filtration,
     GradedImages,
     WedgeVector,
+    _wedge_step,
     apply_matrix,
     check_wedge_caps,
     delta_inverse_gr2,
     omega,
-    vector_wedge,
 )
 from .graph_core import (
     TropicalCurve,
@@ -380,9 +380,10 @@ def zharkov_test(ctx: PipelineContext, v: WedgeVector) -> dict:
     delta - I kills every b_k and sends a_j to Q a_j, so w = (delta-I) v
     takes each a_m ^ b_p ^ b_r of v to Q a_m ^ b_p ^ b_r, and the relations
     are (delta-I)^2 (a_i ^ a_j ^ b_k) = 2 Q a_i ^ Q a_j ^ b_k, all on the
-    original Q.  w is built as one wedge per Y-pair (p, r), on
-    sum_m c_mpr Q a_m, and each relation extends one of the C(g, 2) forms
-    2 Q a_i ^ Q a_j by b_k.  As U Q Z^g = D Z^g, wedge^3 U maps the relations'
+    original Q.  w is one wedge step b_p ^ b_r ^ (sum_m c_mpr Q a_m) per
+    Y-pair (p, r).  Each of the C(g, 2) forms 2 Q a_i ^ Q a_j is read off
+    the 2x2 minors of columns i and j of Q, on the b side, and extended by
+    each b_k.  As U Q Z^g = D Z^g, wedge^3 U maps the relations'
     span onto that of the 2 d_p d_q b_p ^ b_q ^ b_r: one divisibility per
     coordinate of wedge^3(P) w = (delta'-I) wedge^3(P) v, where delta'-I
     sends a_m to d_m b_m.
@@ -391,24 +392,28 @@ def zharkov_test(ctx: PipelineContext, v: WedgeVector) -> dict:
         raise PreconditionError("obstruction test needs maximal rank")
     if not is_pure_gr2(ctx, v):
         raise PreconditionError("obstruction test expects a two-Y-factor class")
-    g, n = ctx.g, 2 * ctx.g
-    units = la.identity(n)
-    qa = [[0] * g + col for col in la.columns(ctx.q_matrix)]  # Q a_j on the b side
-    sums: dict = {}  # (p, r) -> sum_m c_mpr Q a_m
+    g, n, qm = ctx.g, 2 * ctx.g, ctx.q_matrix
+    qa = [[(g + s, x) for s, x in enumerate(col) if x] for col in la.columns(qm)]
+    sums: dict = {}  # (p, r) -> sum_m c_mpr Q a_m, on the b side
     for (m, p, r), c in v.coeffs.items():
-        col = sums.setdefault((p, r), [0] * n)
-        for i, x in enumerate(qa[m]):
-            col[i] += c * x
-    w = WedgeVector.zero(n, 3)
-    for (p, r), col in sums.items():
-        w = w + vector_wedge([col, units[p], units[r]], n)
+        col = sums.setdefault((p, r), {})
+        for i, x in qa[m]:
+            col[i] = col.get(i, 0) + c * x
+    w: dict = {}
+    for pair, col in sums.items():
+        for t, c in _wedge_step({pair: 1}, col.items()).items():
+            w[t] = w.get(t, 0) + c
+    w = WedgeVector._from_sorted(n, 3, {t: c for t, c in w.items() if c})
     gens = []
     for i, j in combinations(range(g), 2):
-        form = vector_wedge([qa[i], qa[j]], n).scale(2)
+        form = {
+            (g + s, g + t): 2 * minor
+            for s, t in combinations(range(g), 2)
+            if (minor := qm[s][i] * qm[t][j] - qm[t][i] * qm[s][j])
+        }
         for k in range(g, n):
-            gen = form.wedge_vector(units[k])
-            if not gen.is_zero():
-                gens.append(gen)
+            if gen := _wedge_step(form, [(k, 1)]):
+                gens.append(WedgeVector._from_sorted(n, 3, gen))
     d = {g + i: x for i, x in enumerate(ctx.q_diagonal)}  # by b position
     top = {(g + m, p, r): c * d[g + m] for (m, p, r), c in ctx.frame_class(v).items()}
     obstructed = any(

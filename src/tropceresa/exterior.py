@@ -5,9 +5,11 @@ Products of vectors are built one factor at a time (`_wedge_step`, the one
 sign rule): each new index is inserted into the sorted tuple by bisection,
 with the sign of the larger indices it passes, so no term is ever re-sorted.
 A product that many terms share up to its last factor is built once and
-extended: the (delta-I) images share the wedge of their first k-1 columns,
-and the graded preimage u (here) and the Zharkov w and relations
-(`ceresa.zharkov_test`) sum their last factor over each pair of Y indices.
+extended: the (delta-I) images share the wedge of their first k-1 columns.
+The graded preimage u (here) and the Zharkov w and relations
+(`ceresa.zharkov_test`) need no general product: their coordinates are
+2x2 minors of Q, Q^-1 and the class, summed over each pair of Y indices,
+keyed by sorted tuples or extended by one wedge step.
 For a unipotent delta with (delta-I)^2 = 0 and Y the saturation of its image,
 the descending filtration F_q = (wedge^q Y) ^ (wedge^{k-q} H) is stable under
 delta - I, and the associated finite groups (cokernels of graded maps, and
@@ -29,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import lcm
 
@@ -204,10 +206,7 @@ class WedgeVector:
         return [self.coeffs.get(t, 0) for t in basis]
 
     def to_json(self) -> dict:
-        return {
-            "(" + ",".join(str(i + 1) for i in t) + ")": str(c)
-            for t, c in sorted(self.coeffs.items())
-        }
+        return {_json_key(t): str(c) for t, c in sorted(self.coeffs.items())}
 
     @classmethod
     def from_json(cls, n: int, k: int, data) -> "WedgeVector":
@@ -217,6 +216,13 @@ class WedgeVector:
             frac = Fraction(str(val))
             coeffs[idx] = frac if frac.denominator != 1 else frac.numerator
         return cls(n, k, coeffs)
+
+
+@cache
+def _json_key(t: tuple) -> str:
+    """The JSON key "(i,j,k)" of a sorted index tuple, 1-based; one string
+    per tuple, of which a rank-n wedge^3 has at most C(n, 3)."""
+    return "(" + ",".join(str(i + 1) for i in t) + ")"
 
 
 def vector_wedge(vectors, n: int) -> WedgeVector:
@@ -546,11 +552,16 @@ def delta_inverse_gr2(q_matrix, v: WedgeVector) -> WedgeVector:
     requires Q nonsingular.  For a monomial b_p ^ b_r ^ a_m the preimage is
     (1/2) (Q^-1 b_p ^ b_r ^ a_m + b_p ^ Q^-1 b_r ^ a_m
            - Q^-1 b_p ^ Q^-1 b_r ^ Q a_m).
-    Each term is linear in its last factor, so v's coefficients are summed
-    per Y-pair (p, r) into x = sum_m c_mpr a_m, and the three wedges run once
-    per pair, on x and Q x.  The sum runs over the integers: Q^-1 = adj / den
-    and v = v' / vden with adj and v' integral, the three terms are scaled by
-    2 vden den^2, and each output coordinate becomes one Fraction at the end.
+    Each term is linear in a_m, so v's coefficients are summed per Y-pair
+    (p, r) into x = sum_m c_mpr a_m.  The sum runs over the integers:
+    Q^-1 = adj / den and v = v' / vden with adj and v' integral, alpha =
+    adj b_p and beta = adj b_r are a-side columns, x is scaled by vden, and
+    the whole is scaled by 2 vden den^2.  With (y ^ z)_ij = y_i z_j - y_j z_i
+    for i < j, the three terms are the 2x2 minors
+        -den (alpha ^ x)_ij a_i^a_j^b_r,  +den (beta ^ x)_ij a_i^a_j^b_p,
+        -(alpha ^ beta)_ij (Q x)_k a_i^a_j^b_k,
+    keyed by sorted tuples since every a index lies below every b index.
+    Each output coordinate becomes one Fraction at the end.
     """
     g = len(q_matrix)
     n = 2 * g
@@ -563,12 +574,9 @@ def delta_inverse_gr2(q_matrix, v: WedgeVector) -> WedgeVector:
             "Q is singular; use the membership test for deficient rank"
         ) from exc
     den = lcm(*(x.denominator for row in qinv for x in row))
-    adj = [[int(x * den) for x in row] for row in qinv]
+    adj = la.columns([[int(x * den) for x in row] for row in qinv])  # den * Q^-1 b_j
     vden = lcm(*(Fraction(c).denominator for c in v.coeffs.values()))
-    qinv_b = _sparse_columns(adj)  # den * Q^-1 b_j on the a side
-    # Q a_j on the b side
-    qa = [[(g + u, q) for u, q in col] for col in _sparse_columns(q_matrix)]
-    pairs: dict = {}  # (p, r) -> {m: vden c} for the a_m ^ b_p ^ b_r of v
+    pairs: dict = {}  # (p, r) -> vden * sum_m c_mpr a_m, dense on the a side
     for idx, c in v.coeffs.items():
         ys = [i - g for i in idx if i >= g]
         xs = [i for i in idx if i < g]
@@ -576,22 +584,26 @@ def delta_inverse_gr2(q_matrix, v: WedgeVector) -> WedgeVector:
             raise PreconditionError(
                 f"coordinate {idx} does not have exactly two Y factors"
             )
-        pairs.setdefault(tuple(ys), {})[xs[0]] = int(c * vden)
+        pairs.setdefault(tuple(ys), [0] * g)[xs[0]] = int(c * vden)
+    a_pairs = list(combinations(range(g), 2))
     acc: dict = {}
-    for (p, r), x_a in pairs.items():
-        # a_m ^ b_p ^ b_r == b_p ^ b_r ^ a_m (cyclic)
-        qx: dict = {}
-        for m, cn in x_a.items():
-            for i, q in qa[m]:
-                qx[i] = qx.get(i, 0) + cn * q
-        bp, br = [(g + p, 1)], [(g + r, 1)]
-        for factors, weight in (
-            ((qinv_b[p], br, x_a.items()), den),
-            ((bp, qinv_b[r], x_a.items()), den),
-            ((qinv_b[p], qinv_b[r], [(i, y) for i, y in qx.items() if y]), -1),
-        ):
-            for key, d in _wedge_terms(factors).items():
-                acc[key] = acc.get(key, 0) + weight * d
+    get = acc.get
+    for (p, r), x in pairs.items():
+        qx = [(g + k, y) for k, row in enumerate(q_matrix)
+              if (y := sum(q * c for q, c in zip(row, x)))]
+        alpha, beta = adj[p], adj[r]
+        for i, j in a_pairs:
+            ai, aj, bi, bj, xi, xj = alpha[i], alpha[j], beta[i], beta[j], x[i], x[j]
+            if m := ai * xj - aj * xi:
+                t = (i, j, g + r)
+                acc[t] = get(t, 0) - den * m
+            if m := bi * xj - bj * xi:
+                t = (i, j, g + p)
+                acc[t] = get(t, 0) + den * m
+            if m := ai * bj - aj * bi:
+                for k, y in qx:
+                    t = (i, j, k)
+                    acc[t] = get(t, 0) - m * y
     scale = 2 * vden * den * den
     out = WedgeVector._from_sorted(
         n, 3, {t: Fraction(x, scale) for t, x in acc.items() if x}

@@ -6,7 +6,7 @@ integer solutions and unimodular and rational inverses read off the Hermite
 form of tagged matrices; quotients of coordinate sublattices by their
 sections with a span; and the structure of finitely generated abelian
 quotients through one Smith diagonal, computed by alternating Hermite
-reduction and turned into invariant factors by a gcd/lcm sweep, with no
+reduction and turned into invariant factors over a coprime base, with no
 integer factorization.  One echelon basis serves each relation set: its
 rows pivoting in a coordinate suffix span the section there, and coset
 orders come from back-substitution along the others, so no intersection is
@@ -446,7 +446,7 @@ def snf_diagonal_orders(mat) -> tuple[int, list[int]]:
 
     The entries of the monomial matrix left by the alternating Hermite
     reduction need not divide one another; `invariant_factors_from_orders`
-    turns them into the invariant factors by gcd/lcm exchanges.
+    turns them into the invariant factors over a coprime base.
     """
     work = _alternating_hermite([list(r) for r in mat if any(r)])
     orders = sorted(abs(x) for row in work for x in row if x)
@@ -495,21 +495,58 @@ def vector_relations(vectors, n: int) -> list[Vector]:
 def invariant_factors_from_orders(orders) -> list[int]:
     """Rewrite a product of cyclic groups Z/n_1 x ... as invariant factors.
 
-    Z/a x Z/b = Z/gcd(a, b) x Z/lcm(a, b), so one sweep replacing each pair
-    (c_i, c_j), i < j, by (gcd, lcm) leaves c_i dividing every later entry;
-    no order is factored.  Output is the ascending divisibility chain with
-    unit factors dropped.
+    The distinct orders are split into a coprime base: pairwise coprime
+    b_1, b_2, ... of which every order is a product of powers (`_coprime_base`).
+    By the Chinese remainder theorem Z/n is the sum of the Z/b^e over the
+    powers b^e in n, and each prime divides one b only, so sorting the
+    exponents of each b, counted with the multiplicities of the orders,
+    gives the chain: its s-th largest factor is the product of the b^e with
+    e the s-th largest exponent of b.  No order is factored.  Output is the
+    ascending divisibility chain with unit factors dropped.
     """
-    orders = list(orders)
-    if any(c < 1 for c in orders):
-        raise ValueError("cyclic orders must be positive")
-    chain = [c for c in orders if c > 1]
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            a, b = chain[i], chain[j]
-            d = gcd(a, b)
-            chain[i], chain[j] = d, a // d * b
-    return [c for c in chain if c > 1]
+    counts: dict = {}
+    for c in orders:
+        if c < 1:
+            raise ValueError("cyclic orders must be positive")
+        counts[c] = counts.get(c, 0) + 1
+    counts.pop(1, None)
+    chain: list = []
+    for b in _coprime_base(counts):
+        exps = []
+        for c, k in counts.items():
+            e = 0
+            while c % b == 0:
+                c //= b
+                e += 1
+            if e:
+                exps += [e] * k
+        exps.sort(reverse=True)
+        chain += [1] * (len(exps) - len(chain))
+        for s, e in enumerate(exps):
+            chain[s] *= b**e
+    return chain[::-1]
+
+
+def _coprime_base(values) -> list[int]:
+    """Pairwise coprime integers > 1 of which every value is a product of
+    powers: a pair with a common factor d is replaced by d and its two
+    cofactors until none is left, which ends since each such step divides
+    the product of what is left by d."""
+    base: list = []
+    todo = list(values)
+    while todo:
+        x = todo.pop()
+        if x == 1:
+            continue
+        for i, b in enumerate(base):
+            d = gcd(x, b)
+            if d > 1:
+                del base[i]
+                todo += [d, b // d, x // d]
+                break
+        else:
+            base.append(x)
+    return base
 
 
 def group_order(free_rank: int, torsion) -> int | float:

@@ -985,22 +985,29 @@ def random_curve(rng: random.Random, max_edges=8, min_genus=2, weights=True):
             return curve
 
 
+POSDEF_DRAWS = 20_000  # 27x the most draws a test needs (743, at g = 7)
+
+
 def random_posdef(g: int, rng: random.Random, spread=5):
-    """Random symmetric positive definite integer matrix, entries in [-5, 5]."""
-    while True:
+    """Random symmetric positive definite integer matrix, entries in [-5, 5].
+
+    Matrices are drawn until one has positive leading minors.  The share
+    that do falls fast with g, so after POSDEF_DRAWS draws, which g = 8
+    seldom needs and g >= 9 usually exceeds, a ValueError names g;
+    `graph_gram` and `ladder_gram` give positive definite Q at any genus.
+    """
+    for _ in range(POSDEF_DRAWS):
         q = [[0] * g for _ in range(g)]
         for i in range(g):
             q[i][i] = rng.randint(1, spread)
             for j in range(i):
                 q[i][j] = q[j][i] = rng.randint(-2, 2)
-        mm = [row[:] for row in q]
-        ok = True
-        for t in range(1, g + 1):
-            if det_fraction([row[:t] for row in mm[:t]]) <= 0:
-                ok = False
-                break
-        if ok:
+        if all(det_fraction([row[:t] for row in q[:t]]) > 0 for t in range(1, g + 1)):
             return q
+    raise ValueError(
+        f"random_posdef: no positive definite draw at g = {g} in {POSDEF_DRAWS} "
+        "draws; use graph_gram or ladder_gram at this genus"
+    )
 
 
 def graph_gram(n_vertices: int, edges) -> Matrix:

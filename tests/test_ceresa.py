@@ -588,6 +588,63 @@ def test_pair_sum_products_match_per_monomial_oracles():
     assert stats["fractional"] >= 100 and stats["obstructed"] >= 20, stats
 
 
+def _shared_pair_class(g, rng, fractional):
+    """A pure gr_2 class with up to five Y-pairs, two to four monomials on
+    each, and integral or fractional coefficients."""
+    pairs = list(combinations(range(g, 2 * g), 2))
+    coeffs = {}
+    for p, r in rng.sample(pairs, 5):
+        for m in rng.sample(range(g), rng.randint(2, 4)):
+            coeffs[m, p, r] = (
+                Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 7))
+                if fractional else rng.randint(-9, 9) or 1
+            )
+    return WedgeVector(2 * g, 3, coeffs)
+
+
+def _assert_minor_forms_match_oracles(ctx, v):
+    res = zharkov_test(ctx, v)
+    w, gens = helpers.zharkov_w_and_generators(ctx, v)
+    assert res["w"] == w, v
+    assert res["relation_generators"] == gens
+    u = u_class(ctx, v)
+    assert u == helpers.delta_inverse_gr2_by_monomial(ctx.q_matrix, v), v
+    return u
+
+
+@pytest.mark.parametrize("g", [7, 8, 9, 10, 11, 12])
+def test_minor_forms_match_per_monomial_oracles_on_ladders(monkeypatch, g):
+    """u, and zharkov_test's w and relation generators, equal the
+    per-monomial wedge products on the Gram matrices of a prism and a
+    Moebius ladder of genus g at seeded lengths 1..30, for integral and
+    fractional classes; the rank cap is lifted for this test only."""
+    monkeypatch.setattr(exterior, "MAX_RANK", 2 * g)
+    rng = random.Random(270 + g)
+    for twisted in (False, True):
+        q = helpers.ladder_gram(g - 1, [rng.randint(1, 30) for _ in range(3 * g - 3)], twisted)
+        ctx = _q_context(q)
+        for fractional in (False, True):
+            u = _assert_minor_forms_match_oracles(ctx, _shared_pair_class(g, rng, fractional))
+            assert any(Fraction(c).denominator > 1 for c in u.coeffs.values())
+
+
+def test_minor_forms_match_per_monomial_oracles_on_the_g5_golden_q():
+    """The same on the genus-5 golden curve, whose Smith diagonal is
+    (1, 1, 1, 1, 304), so Q^-1 has denominator 304: its own class and
+    fractional classes, u's denominators taking the factor 19 of 304."""
+    curve, table = _g5_golden()
+    ctx = build_context(curve)
+    assert ctx.q_diagonal == [1, 1, 1, 1, 304]
+    classes = [v_class(ctx, table)]
+    rng = random.Random(305)
+    classes += [_shared_pair_class(5, rng, fractional=True) for _ in range(20)]
+    nineteens = 0
+    for v in classes:
+        u = _assert_minor_forms_match_oracles(ctx, v)
+        nineteens += any(Fraction(c).denominator % 19 == 0 for c in u.coeffs.values())
+    assert nineteens >= 15, nineteens
+
+
 def test_zharkov_test_builds_no_lattice(monkeypatch):
     cases = []
     for name in ("k4", "tl3"):

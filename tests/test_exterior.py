@@ -908,6 +908,15 @@ def test_to_json_writes_each_coefficient_as_its_fraction_string():
     ]
 
 
+def test_random_posdef_raises_after_its_draw_bound(monkeypatch):
+    """Positive definite draws grow too rare to wait for from g = 9 on, so
+    random_posdef raises a ValueError naming g once its draws run out."""
+    monkeypatch.setattr(helpers, "POSDEF_DRAWS", 50)
+    with pytest.raises(ValueError, match=r"at g = 9 in 50 draws"):
+        random_posdef(9, random.Random(1))
+    assert len(random_posdef(2, random.Random(1))) == 2
+
+
 def test_filtration_check_rejects_unstable_delta():
     """delta = [[I, I], [0, I]] sends b_j to b_j + a_j, so with Y the b-span
     the image of a_1 ^ b_1 ^ b_2 drops to level 1."""

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -519,7 +520,7 @@ def test_refactorization():
 
 
 def test_invariant_factors_match_factoring_oracle():
-    """The gcd/lcm sweep equals the prime-by-prime chain on seeded lists of
+    """The coprime-base chain equals the prime-by-prime chain on seeded lists of
     orders built from a few shared primes, so chains of equal, nested and
     coprime factors all occur."""
     rng = random.Random(41)
@@ -540,6 +541,51 @@ def test_invariant_factors_match_factoring_oracle():
     assert min(kinds.values()) >= 40, kinds
     with pytest.raises(ValueError, match="cyclic orders must be positive"):
         la.invariant_factors_from_orders([3, 0])
+
+
+def test_invariant_factors_over_repeated_orders_match_factoring_oracle():
+    """On 1200 seeded multisets of up to 300 orders drawn from a few
+    distinct values, with repeats, large shared primes and values that
+    share factors pairwise (6, 10, 15, ...), so the coprime base must
+    split them, the chain equals the prime-by-prime oracle."""
+    rng = random.Random(42)
+    primes = [2, 3, 5, 7, 11, 97, 101]
+    stats = {"repeats": 0, "split": 0, "long": 0}
+    for trial in range(1200):
+        values = [
+            math.prod(p ** rng.randint(1, 3) for p in rng.sample(primes, rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 5))
+        ] + [1]
+        orders = [rng.choice(values) for _ in range(rng.randint(0, 300))]
+        want = invariant_factors_from_orders(orders)
+        assert la.invariant_factors_from_orders(orders) == want, orders
+        distinct = set(orders) - {1}
+        stats["repeats"] += len(distinct) < len(orders)
+        stats["split"] += any(1 < math.gcd(a, b) < min(a, b) for a in distinct for b in distinct)
+        stats["long"] += len(want) >= 50
+    assert min(stats.values()) >= 300, stats
+
+
+def test_invariant_factors_of_the_genus_16_block_groups(monkeypatch):
+    """Every multiset of cyclic orders that the group table of Q = 2I at
+    genus 16 reduces (2480 of them for A, all 2 or 4) gives the oracle's
+    chain."""
+    seen = []
+    reduce = la.invariant_factors_from_orders
+
+    def recording(orders):
+        seen.append(list(orders))
+        return reduce(seen[-1])
+
+    monkeypatch.setattr(la, "invariant_factors_from_orders", recording)
+    g = 16
+    q = [[2 * (i == j) for j in range(g)] for i in range(g)]
+    ctx = ceresa.PipelineContext(None, 1, SimpleNamespace(g=g, h=g), q)
+    groups = ceresa.group_table(ctx)
+    assert len(groups["A"].torsion) == 2480
+    assert max(map(len, seen)) == 2480
+    for orders in seen:
+        assert reduce(orders) == invariant_factors_from_orders(orders)
 
 
 def test_unimodular_inverse():
