@@ -176,12 +176,15 @@ MUTATIONS = [
     ("zharkov-gcd-one-pair", "ceresa.py",
      "gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r])",
      "gcd(d[p] * d[q])"),
-    ("zharkov-v-not-framed", "ceresa.py",
-     "c * d[g + m] for (m, p, r), c in ctx.frame_class(v).items()",
-     "c * d[g + m] for (m, p, r), c in v.coeffs.items()"),
-    ("zharkov-frame-no-d", "ceresa.py",
-     "c * d[g + m] for (m, p, r)",
-     "c for (m, p, r)"),
+    ("zharkov-w-not-framed", "ceresa.py",
+     "for (p, q, r), c in apply_matrix(ctx.frame, w).coeffs.items()",
+     "for (p, q, r), c in w.coeffs.items()"),
+    ("zharkov-divisor-q-diagonal", "ceresa.py",
+     "d = {g + i: x for i, x in enumerate(ctx.q_diagonal)}",
+     "d = {g + i: qm[i][i] for i in range(g)}"),
+    ("zharkov-frame-transposed", "ceresa.py",
+     "apply_matrix(ctx.frame, w)",
+     "apply_matrix(la.columns(ctx.frame), w)"),
     ("apply-matrix-unsummed", "exterior.py",
      "acc[i] = acc.get(i, 0) + c * x",
      "acc[i] = c * x"),
@@ -206,9 +209,12 @@ MUTATIONS = [
     ("table-unknown-edge-dropped", "johnson.py",
      "if eid not in loops:",
      "if False:"),
-    ("basis-matches-no-tree", "johnson.py",
-     "and a.tree_edges == b.tree_edges",
-     "and True"),
+    ("basis-match-cycles-only", "ceresa.py",
+     "if ctx.basis != table.basis:",
+     "if ctx.basis.cycles != table.basis.cycles:"),
+    ("basis-root-path-sign", "symplectic.py",
+     "cyc[eid] = cyc.get(eid, 0) - sgn",
+     "cyc[eid] = cyc.get(eid, 0) + sgn"),
     ("basis-length-scale", "cli.py",
      'rep["length_scale"] = ctx.scale',
      'rep["length_scale"] = 1'),

@@ -45,7 +45,7 @@ from .graph_core import (
     scaled_to_integer,
     stabilize,
 )
-from .johnson import JohnsonTable, basis_matches
+from .johnson import JohnsonTable
 from .symplectic import (
     HomologyBasis,
     delta_from_Q,
@@ -75,10 +75,11 @@ class PipelineContext:
     P = diag(V^-1, U) (`symplectic.smith_frame`).  The engine runs on
     delta_from_Q(D), with H embedded by omega' = wedge^2(P) omega.  Groups
     and orders are invariant under P, and the relation sets of a diagonal D
-    are sparse, so the relation lattices live in this frame; classes enter
-    it only through `frame_class`.  u, w and the maximal-rank Bbar order
-    read the original Q through closed forms, so the original delta is
-    never built.
+    are sparse, so the relation lattices live in this frame.  A class v
+    enters it, through `frame_class`, only for the engine's reads: the
+    deficient-rank verdict, the ambient order and the Abar test.  u, w and
+    the maximal-rank Bbar order read the original Q through closed forms,
+    so the original delta is never built; the Zharkov test maps only w.
     """
 
     curve: TropicalCurve          # integer lengths
@@ -276,11 +277,11 @@ def zharkov_to_json(result: dict) -> dict:
 def v_class(ctx: PipelineContext, table: JohnsonTable) -> WedgeVector:
     """Length-weighted sum of the table entries.
 
-    The table was checked when it was built; its basis must match the
-    curve's (the same tree and chord ids and the same cycles), so its entries
-    name this curve's edges and vanish on its bridges.
+    The table was checked when it was built; its basis must equal the
+    curve's (the same tree, chords and cycles), so its entries name this
+    curve's edges and vanish on its bridges.
     """
-    if not basis_matches(ctx.basis, table.basis):
+    if ctx.basis != table.basis:
         raise SchemaError("table basis does not match the curve's basis")
     g = ctx.g
     total = WedgeVector.zero(2 * g, 3)
@@ -383,10 +384,10 @@ def zharkov_test(ctx: PipelineContext, v: WedgeVector) -> dict:
     original Q.  w is one wedge step b_p ^ b_r ^ (sum_m c_mpr Q a_m) per
     Y-pair (p, r).  Each of the C(g, 2) forms 2 Q a_i ^ Q a_j is read off
     the 2x2 minors of columns i and j of Q, on the b side, and extended by
-    each b_k.  As U Q Z^g = D Z^g, wedge^3 U maps the relations'
-    span onto that of the 2 d_p d_q b_p ^ b_q ^ b_r: one divisibility per
-    coordinate of wedge^3(P) w = (delta'-I) wedge^3(P) v, where delta'-I
-    sends a_m to d_m b_m.
+    each b_k.  w lies in wedge^3 Y, where P acts as wedge^3 U, and as
+    U Q Z^g = D Z^g, wedge^3 U maps the relations' span onto that of the
+    2 d_p d_q b_p ^ b_q ^ b_r: one divisibility per coordinate of
+    wedge^3(P) w.
     """
     if not ctx.maximal_rank:
         raise PreconditionError("obstruction test needs maximal rank")
@@ -415,10 +416,9 @@ def zharkov_test(ctx: PipelineContext, v: WedgeVector) -> dict:
             if gen := _wedge_step(form, [(k, 1)]):
                 gens.append(WedgeVector._from_sorted(n, 3, gen))
     d = {g + i: x for i, x in enumerate(ctx.q_diagonal)}  # by b position
-    top = {(g + m, p, r): c * d[g + m] for (m, p, r), c in ctx.frame_class(v).items()}
     obstructed = any(
         c % (2 * gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r]))
-        for (p, q, r), c in WedgeVector(n, 3, top).coeffs.items()
+        for (p, q, r), c in apply_matrix(ctx.frame, w).coeffs.items()
     )
     return {"obstructed": obstructed, "w": w, "relation_generators": gens}
 

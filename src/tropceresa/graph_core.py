@@ -228,8 +228,6 @@ def spanning_trees(curve: TropicalCurve) -> list[tuple[str, ...]]:
         ids = {e.id for e in combo}
         if _connected_with_edges(curve, ids):
             trees.append(tuple(sorted(ids)))
-    if need == 0:
-        return [()]
     return trees
 
 

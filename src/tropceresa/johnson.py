@@ -56,16 +56,6 @@ class JohnsonTable:
         )
 
 
-def basis_matches(a: HomologyBasis, b: HomologyBasis) -> bool:
-    return (
-        a.g == b.g
-        and a.h == b.h
-        and a.tree_edges == b.tree_edges
-        and a.nontree_edges == b.nontree_edges
-        and a.cycles == b.cycles
-    )
-
-
 def edge_twist_matrix(basis: HomologyBasis, edge_id: str, power: int = 1):
     """Action on H of the (power-th) twist along one edge's loop class."""
     g = basis.g

@@ -42,6 +42,10 @@ def homology_basis(curve: TropicalCurve, tree=None) -> HomologyBasis:
     """Deterministic symplectic basis; the tree defaults to the greedy
     lexicographic-by-id choice and any explicit spanning tree may be passed
     (|V| - 1 edge ids that connect the graph).
+
+    One walk of the tree from the first vertex records each vertex's signed
+    tree path from there; the cycle of a chord from tail to head is the
+    chord plus the tail's path minus the head's, whose common prefix cancels.
     """
     if genus(curve) < 2:
         raise PreconditionError("homology basis requires genus >= 2")
@@ -58,12 +62,27 @@ def homology_basis(curve: TropicalCurve, tree=None) -> HomologyBasis:
             and _connected_with_edges(curve, tree_ids)
         ):
             raise PreconditionError("supplied edge set is not a spanning tree")
+    adj: dict[str, list] = {}
+    for e in edges:
+        if e.id in tree_ids:
+            u, v = e.ends
+            adj.setdefault(u, []).append((v, e.id, 1))
+            adj.setdefault(v, []).append((u, e.id, -1))
+    first = curve.vertices[0].id
+    root = {first: {}}  # vertex -> signed tree path from the first vertex
+    stack = [first]
+    while stack:
+        cur = stack.pop()
+        for nxt, eid, sgn in adj.get(cur, ()):
+            if nxt not in root:
+                root[nxt] = root[cur] | {eid: sgn}
+                stack.append(nxt)
     nontree = [e for e in edges if e.id not in tree_ids]
     cycles = []
     for e in nontree:
-        cyc = {e.id: 1}
-        for eid, sgn in _tree_path(curve, tree_ids, e.ends[1], e.ends[0]):
-            cyc[eid] = cyc.get(eid, 0) + sgn
+        cyc = {e.id: 1, **root[e.ends[0]]}
+        for eid, sgn in root[e.ends[1]].items():
+            cyc[eid] = cyc.get(eid, 0) - sgn
         cycles.append({k: v for k, v in cyc.items() if v})
     loop_class = {}
     for e in edges:
@@ -95,36 +114,6 @@ def _greedy_tree(curve: TropicalCurve) -> set[str]:
             parent[ru] = rv
             tree.add(e.id)
     return tree
-
-
-def _tree_path(curve: TropicalCurve, tree_ids, start, goal):
-    """Signed edge walk from start to goal inside the tree."""
-    if start == goal:
-        return []
-    adj: dict[str, list] = {}
-    for e in curve.edges:
-        if e.id in tree_ids:
-            u, v = e.ends
-            adj.setdefault(u, []).append((v, e.id, 1))
-            adj.setdefault(v, []).append((u, e.id, -1))
-    prev = {start: None}
-    queue = [start]
-    while queue:
-        cur = queue.pop(0)
-        if cur == goal:
-            break
-        for nxt, eid, sgn in adj.get(cur, []):
-            if nxt not in prev:
-                prev[nxt] = (cur, eid, sgn)
-                queue.append(nxt)
-    walk = []
-    cur = goal
-    while prev[cur] is not None:
-        parent, eid, sgn = prev[cur]
-        walk.append((eid, sgn))
-        cur = parent
-    walk.reverse()
-    return walk
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +180,14 @@ def intersection(u, v, g: int):
     return sum(u[k] * v[g + k] - u[g + k] * v[k] for k in range(g))
 
 
-def twist_action(loop_class, power, g: int, sign: int = TWIST_SIGN) -> la.Matrix:
-    """Action on H of the power-th twist along a class; h -> h + s*c*i(l,h)*l."""
+def twist_action(loop_class, power, g: int) -> la.Matrix:
+    """Action on H of the power-th twist along a class;
+    h -> h + TWIST_SIGN*c*i(l,h)*l."""
     n = 2 * g
     mat = la.identity(n)
     for j in range(n):
         basis_vec = [int(t == j) for t in range(n)]
-        coef = sign * power * intersection(loop_class, basis_vec, g)
+        coef = TWIST_SIGN * power * intersection(loop_class, basis_vec, g)
         if coef:
             for i in range(n):
                 mat[i][j] += coef * loop_class[i]

@@ -22,7 +22,7 @@ from tropceresa.graph_core import (
     tropical_curve,
 )
 from tropceresa.intlinalg import Lattice, Matrix, Vector, identity
-from tropceresa.symplectic import TWIST_SIGN, intersection, twist_action
+from tropceresa.symplectic import intersection, twist_action
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -612,7 +612,7 @@ def y_units(g: int, h: int) -> list[list[int]]:
     return [[int(t == g + i) for t in range(2 * g)] for i in range(h)]
 
 
-def multitwist_action(twists, g: int, sign: int = TWIST_SIGN) -> Matrix:
+def multitwist_action(twists, g: int) -> Matrix:
     """Composite of commuting twists; requires pairwise isotropic classes."""
     classes = [list(l) for l, _ in twists]
     for i in range(len(classes)):
@@ -621,7 +621,7 @@ def multitwist_action(twists, g: int, sign: int = TWIST_SIGN) -> Matrix:
                 raise PreconditionError("multitwist support must be pairwise isotropic")
     mat = identity(2 * g)
     for l, c in twists:
-        mat = mat_mul(twist_action(l, c, g, sign), mat)
+        mat = mat_mul(twist_action(l, c, g), mat)
     return mat
 
 

@@ -1142,11 +1142,11 @@ def test_group_table_reuses_cached_images(monkeypatch):
     monkeypatch.setattr(ceresa, "apply_matrix", counted, raising=False)
     group_table(ctx)
     assert len(calls) == 0
-    # the Zharkov verdict moves v, never w, into the Smith frame once and
+    # the Zharkov verdict moves w, never v, into the Smith frame once and
     # applies no delta
     v = v_class(ctx, builtin_table("tl3"))
-    zharkov_test(ctx, v)
-    assert calls == [(ctx.frame, v)]
+    result = zharkov_test(ctx, v)
+    assert calls == [(ctx.frame, result["w"])]
 
 
 def _random_sixths_class(ctx, rng, kind):
@@ -1299,9 +1299,9 @@ def _g5_golden():
 
 @pytest.mark.parametrize("name", ["tl3", "g5"])
 def test_analyze_moves_the_class_into_the_frame_once(monkeypatch, name):
-    """A full maximal-rank report, verdict and Zharkov test included, maps
-    v into the Smith frame by one wedge^3(P), which the Zharkov test reads;
-    the verdict reads u and Q."""
+    """A full maximal-rank report, verdict and Zharkov test included, makes
+    one wedge^3(P) map into the Smith frame, on the Zharkov w, and none on
+    v: the verdict reads u and Q.  The group tables map omega' by wedge^2(P)."""
     curve, table = (
         _g5_golden() if name == "g5" else (builtin_curve(name), builtin_table(name))
     )
@@ -1309,13 +1309,14 @@ def test_analyze_moves_the_class_into_the_frame_once(monkeypatch, name):
     framed = []
 
     def counting(mat, w):
-        framed.append(w.coeffs == v.coeffs)
+        framed.append(w)
         return apply_matrix(mat, w)
 
     monkeypatch.setattr(ceresa, "apply_matrix", counting)
     report = analyze(curve, table)
     assert report.rank_status == "maximal" and report.zharkov is not None
-    assert framed.count(True) == 1
+    assert sorted(w.k for w in framed) == [2, 3]  # omega' and w
+    assert report.zharkov["w"] in framed and v not in framed
 
 
 def _pure_gr2_classes(ctx, rng, count):

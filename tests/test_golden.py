@@ -6,9 +6,11 @@ The expected outputs in tests/data/ were recorded from the command line:
     tropceresa sample --graph builtin:G --table builtin:G --count 20 --seed 4
     tropceresa groups --graph builtin:G [--format text]
     tropceresa zharkov --graph builtin:G --table builtin:G
+    tropceresa basis --graph builtin:G
     tropceresa order --graph builtin:G --table builtin:G [--format text]
     tropceresa ceresa --graph g5_k24.json --table g5_table.json [--format text]
     tropceresa groups --graph g5_k24.json [--format text]
+    tropceresa basis --graph g5_k24.json
 
 g5_k24.json is the genus-5 curve K_{2,4} plus a parallel edge at each hub,
 with lengths e8 = 2, e9 = 3 and all other edges 1; g5_table.json is a fixed
@@ -29,6 +31,7 @@ from tropceresa import cli
 DATA = Path(__file__).parent / "data"
 SCRIPT = Path(__file__).parents[1] / "scripts" / "fixture_reports.py"
 FIXTURES = ("k4", "tl3", "theta-w1", "3balloon")
+BUILTINS = FIXTURES + ("theta0",)
 
 
 def _fixture_reports(argv):
@@ -57,6 +60,11 @@ CASES = [
     (f"zharkov_{g}.json", cli.main,
      ["zharkov", "--graph", f"builtin:{g}", "--table", f"builtin:{g}"])
     for g in ("k4", "tl3")
+] + [
+    (f"basis_{g}.json", cli.main, ["basis", "--graph", f"builtin:{g}"])
+    for g in BUILTINS
+] + [
+    ("basis_g5.json", cli.main, ["basis", "--graph", str(DATA / "g5_k24.json")]),
 ] + [
     (f"order_{g}.{ext}", cli.main,
      ["order", "--graph", f"builtin:{g}", "--table", f"builtin:{g}", "--format", fmt])

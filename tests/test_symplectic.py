@@ -120,6 +120,30 @@ def test_supplied_tree_check_matches_brute_force():
     assert accepted >= 50 and rejected >= 50, (accepted, rejected)
 
 
+def test_cycles_are_the_fundamental_cycles_of_the_tree():
+    """Each cycle has zero boundary, +1 on its chord and support in the tree
+    plus that chord; these pin the fundamental cycle, whatever walk built it."""
+    rng = random.Random(23)
+    checked = 0
+    for _ in range(200):
+        curve = random_curve(rng)
+        ends = {e.id: e.ends for e in curve.edges}
+        trees = spanning_trees(curve)
+        for tree in (None, rng.choice(trees)):
+            b = homology_basis(curve, tree=tree)
+            assert tree is None or b.tree_edges == tree
+            for chord, cyc in zip(b.nontree_edges, b.cycle_dicts()):
+                boundary = dict.fromkeys((v.id for v in curve.vertices), 0)
+                for eid, c in cyc.items():
+                    boundary[ends[eid][0]] -= c
+                    boundary[ends[eid][1]] += c
+                assert not any(boundary.values())
+                assert cyc[chord] == 1
+                assert set(cyc) <= set(b.tree_edges) | {chord}
+                checked += 1
+    assert checked >= 400, checked
+
+
 def test_k4_reference_polarization():
     c = (3, 5, 7, 11, 13, 17)
     k = k4_curve(c)
