@@ -45,6 +45,21 @@ MUTATIONS = [
     ("monomial-image-minus-one", "exterior.py",
      "c = img.get(t, 0) - 1",
      "c = img.get(t, 0)"),
+    ("smith-inverse-no-cofactor", "intlinalg.py",
+     "su = [[den // x * y for y in row]",
+     "su = [[y for y in row]"),
+    ("smith-inverse-u-v-swapped", "intlinalg.py",
+     "zip(d, u)]\n    return den, [[sum(x * y for x, y in zip(row, col)) for col in zip(*su)] for row in v]",
+     "zip(d, v)]\n    return den, [[sum(x * y for x, y in zip(row, col)) for col in zip(*su)] for row in u]"),
+    ("smith-inverse-zero-d-accepted", "intlinalg.py",
+     "if not all(d):",
+     "if False:"),
+    ("symanzik-loops-dropped", "graph_core.py",
+     "prod((e.length for e in curve.edges), start",
+     "prod((e.length for e in curve.edges if e.ends[0] != e.ends[1]), start"),
+    ("symanzik-weight-not-inverted", "graph_core.py",
+     "w = int(c / e.length)",
+     "w = int(e.length)"),
     ("gr2-inverse-half", "exterior.py",
      "scale = 2 * vden * den * den",
      "scale = vden * den * den"),
@@ -120,9 +135,6 @@ MUTATIONS = [
     ("block-bab-sign", "ceresa.py",
      "((j, g + i, g + k), -1)",
      "((j, g + i, g + k), 1)"),
-    ("invariant-factors-from-frame", "ceresa.py",
-     "return invariant_factors([row[:h] for row in ctx.q_matrix[:h]])",
-     "return la.diagonal_invariant_factors(ctx.q_diagonal[:h])"),
     ("context-y-all-b", "ceresa.py",
      "range(self.g, self.g + self.basis.h)",
      "range(self.g, 2 * self.g)"),
@@ -130,8 +142,8 @@ MUTATIONS = [
      "return apply_matrix(self.frame, v).coeffs",
      "return v.coeffs"),
     ("frame-inverse", "symplectic.py",
-     "frame[i][:h] = v_inv[i]",
-     "frame[i][:h] = v[i]"),
+     "for row in la.int_inverse(v)]",
+     "for row in v]"),
     ("smith-transform-index", "intlinalg.py",
      "v = [[tags[1][j][i] for j in cols] for i in range(n)]",
      "v = [[tags[1][i][j] for j in cols] for i in range(n)]"),

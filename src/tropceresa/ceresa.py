@@ -5,15 +5,16 @@ the graded map when the cycle rank is maximal, and decides triviality with
 this precedence: a hyperelliptic quotient trumps everything; then a
 non-integral coordinate of u of the form a_i^a_j^b_k with k distinct from
 i and j certifies nontriviality; the exact orders in the finite quotients
-settle the rest.  At maximal rank the order in Bbar, which is also the
-ambient order there, is a closed form of u and Q (`ceresa_order`), with no
-lattice and no Smith frame.  The Zharkov verdict and the maximal-rank
-groups are read off the Smith frame of Q, where delta is [[I, 0], [D, I]]
-with D diagonal, through closed forms: the groups block by block, with no
-wedge^3 lattice.  The other orders and the deficient-rank groups are read
-by the graded-image engine in that frame.  `PipelineContext` holds the
-curve data and builds the frame, and the engine on it, only when one of
-these reads them; the invariant factors of Q are read off Q itself.
+settle the rest.  Q is Smith-reduced once per curve, D = U Q V, and u
+(through den Q^-1 = V diag(den / d_i) U), the printed invariant factors
+and the Smith frame P = diag(V^-1, U), where delta is [[I, 0], [D, I]],
+all read that reduction.  At maximal rank the order in Bbar, which is also
+the ambient order there, is a closed form of u and Q (`ceresa_order`),
+with no relation lattice and no Smith frame.  The Zharkov verdict and the
+maximal-rank groups are read off the frame through closed forms, the
+groups block by block.  The other orders and the deficient-rank groups are
+read by the graded-image engine in that frame.  `PipelineContext` builds
+the reduction, the frame and the engine on first read.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ from .symplectic import (
     HomologyBasis,
     delta_from_Q,
     homology_basis,
-    invariant_factors,
     polarization_Q,
     smith_frame,
+    smith_reduction,
 )
 
 VERDICTS = ("trivial", "nontrivial", "hyperelliptic-trivial", "indeterminate")
@@ -62,18 +63,19 @@ VERDICTS = ("trivial", "nontrivial", "hyperelliptic-trivial", "indeterminate")
 class PipelineContext:
     """The curve data that every class computation on one curve shares:
     the curve with integer lengths, its basis and its Gram matrix Q.  All
-    else is derived: the Y-filtration from g and h, and the frame and engine.
+    else is derived: the Y-filtration from g and h, and the rest from the
+    one Smith reduction D = U Q V (`symplectic.smith_reduction`).
 
-    The Smith frame of Q and the k = 3 graded-image engine in that frame are
-    built on first read.  At maximal rank the verdict reads u and Q alone,
-    so a verdict-only `analyze` (`order`, `sample`) builds neither; the
-    Zharkov verdict and the maximal-rank groups read the frame, so a full
-    maximal-rank report builds no engine; the ambient order, the
-    deficient-rank verdict and the deficient-rank groups read the engine.
+    The reduction, the Smith frame and the k = 3 graded-image engine in that
+    frame are built on first read.  At maximal rank the verdict reads u, Q
+    and the reduction, so a verdict-only `analyze` (`order`, `sample`)
+    builds no frame and no engine; the Zharkov verdict and the maximal-rank
+    groups read the frame, so a full maximal-rank report builds no engine;
+    the ambient order, the deficient-rank verdict and the deficient-rank
+    groups read the engine.
 
-    The frame is D = U Q_h V, padded with zeros on the weight slots, and
-    P = diag(V^-1, U) (`symplectic.smith_frame`).  The engine runs on
-    delta_from_Q(D), with H embedded by omega' = wedge^2(P) omega.  Groups
+    The frame is P = diag(V^-1, U) (`symplectic.smith_frame`).  The engine
+    runs on delta_from_Q(D), with H embedded by omega' = wedge^2(P) omega.  Groups
     and orders are invariant under P, and the relation sets of a diagonal D
     are sparse, so the relation lattices live in this frame.  A class v
     enters it, through `frame_class`, only for the engine's reads: the
@@ -105,19 +107,25 @@ class PipelineContext:
         return Filtration(2 * self.g, frozenset(range(self.g, self.g + self.basis.h)))
 
     @cached_property
-    def _smith(self) -> tuple:
-        """(D, P) of `symplectic.smith_frame`."""
-        return smith_frame(self.q_matrix, self.basis.h)
+    def smith(self) -> tuple:
+        """(d, U, V) with diag(d) = U Q V: the one Smith reduction of Q."""
+        return smith_reduction(self.q_matrix, self.basis.h)
 
     @property
     def q_diagonal(self) -> list:
         """D, zeros on the weight slots."""
-        return self._smith[0]
+        return self.smith[0]
 
     @property
+    def invariant_factors(self) -> list:
+        """Invariant factors of the cycle block Q_h, which reports and
+        `groups` print: those of its diagonal D, as U and V are unimodular."""
+        return la.diagonal_invariant_factors(self.q_diagonal[: self.basis.h])
+
+    @cached_property
     def frame(self) -> list:
-        """P, graded for the Y-filtration."""
-        return self._smith[1]
+        """P = diag(V^-1, U), graded for the Y-filtration."""
+        return smith_frame(*self.smith[1:])
 
     @cached_property
     def omega_frame(self) -> WedgeVector:
@@ -143,14 +151,6 @@ def build_context(curve: TropicalCurve, tree=None) -> PipelineContext:
     scaled, scale = scaled_to_integer(curve)
     basis = homology_basis(scaled, tree=tree)
     return PipelineContext(scaled, scale, basis, polarization_Q(scaled, basis))
-
-
-def q_invariant_factors(ctx) -> list:
-    """Invariant factors of the cycle block Q[:h, :h] of the Gram form, read
-    off Q itself, so that no Smith frame is built for them.  `ctx` is a
-    `PipelineContext` or a `CeresaReport`: both carry `basis` and `q_matrix`."""
-    h = ctx.basis.h
-    return invariant_factors([row[:h] for row in ctx.q_matrix[:h]])
 
 
 def group_table(ctx: PipelineContext) -> dict:
@@ -298,7 +298,7 @@ def is_pure_gr2(ctx: PipelineContext, v: WedgeVector) -> bool:
 
 def u_class(ctx: PipelineContext, v: WedgeVector) -> WedgeVector:
     """Rational preimage of v under the graded map; Q must be nonsingular."""
-    return delta_inverse_gr2(ctx.q_matrix, v)
+    return delta_inverse_gr2(ctx.q_matrix, ctx.smith, v)
 
 
 def nonintegral_qualifying_coordinates(ctx: PipelineContext, u: WedgeVector):
@@ -429,11 +429,8 @@ def zharkov_test(ctx: PipelineContext, v: WedgeVector) -> dict:
 
 @dataclass
 class CeresaReport:
-    curve: TropicalCurve
-    scale: int
-    basis: HomologyBasis
+    ctx: PipelineContext
     table: JohnsonTable
-    rank_status: str
     hyperelliptic: bool
     v: WedgeVector
     u: WedgeVector | None
@@ -445,22 +442,20 @@ class CeresaReport:
     least_multiple: int | float | None
     zharkov: dict | None
     groups: dict | None
-    q_matrix: list
     notes: list = field(default_factory=list)
 
     @property
     def invariant_factors(self) -> list:
-        """Invariant factors of Q's cycle block, reduced only when read: a
-        report prints them, while `order` and `sample` do not."""
-        return q_invariant_factors(self)
+        return self.ctx.invariant_factors
 
     def to_json(self) -> dict:
+        ctx = self.ctx
         out = {
-            "curve": curve_to_json(self.curve),
-            "length_scale": self.scale,
-            "convention": self.basis.convention,
+            "curve": curve_to_json(ctx.curve),
+            "length_scale": ctx.scale,
+            "convention": ctx.basis.convention,
             "table": {"name": self.table.name, "provenance": self.table.provenance},
-            "rank_status": self.rank_status,
+            "rank_status": ctx.rank_status,
             "hyperelliptic": self.hyperelliptic,
             "invariant_factors": list(self.invariant_factors),
             "v": self.v.to_json(),
@@ -478,15 +473,16 @@ class CeresaReport:
         return out
 
     def to_text(self) -> str:
-        g = self.basis.g
+        ctx = self.ctx
+        g = ctx.g
         lines = []
         lines.append(
-            f"curve: {len(self.curve.vertices)} vertices, "
-            f"{len(self.curve.edges)} edges, genus {genus(self.curve)} "
-            f"(cycle rank {self.basis.h})"
+            f"curve: {len(ctx.curve.vertices)} vertices, "
+            f"{len(ctx.curve.edges)} edges, genus {genus(ctx.curve)} "
+            f"(cycle rank {ctx.basis.h})"
         )
-        lines.append(f"rank: {self.rank_status}; hyperelliptic: {self.hyperelliptic}")
-        lines.append(f"convention: {self.basis.convention}")
+        lines.append(f"rank: {ctx.rank_status}; hyperelliptic: {self.hyperelliptic}")
+        lines.append(f"convention: {ctx.basis.convention}")
         lines.append(f"invariant factors of Q: {tuple(self.invariant_factors)}")
         lines.append(f"v = {render_wedge(self.v, g)}")
         if self.u is not None:
@@ -542,8 +538,8 @@ def nontriviality_verdict(
     user-supplied tables, downgrading a clean order-1 result to
     indeterminate (the table is not known to come from an involution).
     At maximal rank the ambient order is the Bbar order, read off u and Q
-    with no lattice (README, "Verdict"); only the deficient-rank branch maps
-    v into the Smith frame.
+    with no relation lattice (README, "Verdict"); only the deficient-rank
+    branch maps v into the Smith frame.
     """
     out = dict.fromkeys(("u", "order_bbar", "order_ambient", "in_abar", "least_multiple"))
     decisive = None  # a route that certifies nontriviality before the ambient order
@@ -605,16 +601,12 @@ def analyze(
     if with_zharkov and decision["u"] is not None:
         zh = zharkov_test(ctx, v)
     return CeresaReport(
-        curve=ctx.curve,
-        scale=ctx.scale,
-        basis=ctx.basis,
+        ctx=ctx,
         table=table,
-        rank_status=ctx.rank_status,
         hyperelliptic=hyper,
         v=v,
         zharkov=zh,
         groups=group_table(ctx) if with_groups else None,
-        q_matrix=ctx.q_matrix,
         notes=notes,
         **decision,
     )

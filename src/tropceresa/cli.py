@@ -24,7 +24,6 @@ from .ceresa import (
     group_lines,
     group_table,
     groups_to_json,
-    q_invariant_factors,
     v_class,
     zharkov_test,
     zharkov_to_json,
@@ -189,11 +188,10 @@ def cmd_basis(args) -> int:
 
 
 def cmd_groups(args) -> int:
-    curve = load_graph(args)
-    ctx = build_context(curve)
+    ctx = build_context(load_graph(args))
     groups = group_table(ctx)
     payload = {
-        "invariant_factors": q_invariant_factors(ctx),
+        "invariant_factors": ctx.invariant_factors,
         "rank_status": ctx.rank_status,
         "groups": groups_to_json(groups),
     }

@@ -545,16 +545,19 @@ def Bbar_group(delta, y_vectors) -> AbelianGroupDescriptor:
 # explicit rational inverse of the graded map gr_1 -> gr_2 (maximal rank)
 
 
-def delta_inverse_gr2(q_matrix, v: WedgeVector) -> WedgeVector:
+def delta_inverse_gr2(q_matrix, smith, v: WedgeVector) -> WedgeVector:
     """Rational preimage under gr_1 -> gr_2 of a two-Y-factor wedge vector.
 
     Works in the standard basis (a_1..a_g, b_1..b_g) with Y the full b-span;
-    requires Q nonsingular.  For a monomial b_p ^ b_r ^ a_m the preimage is
+    `smith` is a reduction (d, U, V) of Q, diag(d) = U Q V with U and V
+    unimodular (`symplectic.smith_reduction`), and Q must be nonsingular: no
+    d_i is zero.  For a monomial b_p ^ b_r ^ a_m the preimage is
     (1/2) (Q^-1 b_p ^ b_r ^ a_m + b_p ^ Q^-1 b_r ^ a_m
            - Q^-1 b_p ^ Q^-1 b_r ^ Q a_m).
     Each term is linear in a_m, so v's coefficients are summed per Y-pair
     (p, r) into x = sum_m c_mpr a_m.  The sum runs over the integers:
-    Q^-1 = adj / den and v = v' / vden with adj and v' integral, alpha =
+    Q^-1 = adj / den with den = lcm(d) and adj = V diag(den / d_i) U
+    (`intlinalg.smith_inverse`), v = v' / vden with v' integral, alpha =
     adj b_p and beta = adj b_r are a-side columns, x is scaled by vden, and
     the whole is scaled by 2 vden den^2.  With (y ^ z)_ij = y_i z_j - y_j z_i
     for i < j, the three terms are the 2x2 minors
@@ -568,13 +571,12 @@ def delta_inverse_gr2(q_matrix, v: WedgeVector) -> WedgeVector:
     if v.n != n or v.k != 3:
         raise PreconditionError("expected a degree-3 wedge vector on rank 2g")
     try:
-        qinv = la.frac_inverse(q_matrix)
+        den, adj = la.smith_inverse(*smith)
     except ValueError as exc:
         raise PreconditionError(
             "Q is singular; use the membership test for deficient rank"
         ) from exc
-    den = lcm(*(x.denominator for row in qinv for x in row))
-    adj = la.columns([[int(x * den) for x in row] for row in qinv])  # den * Q^-1 b_j
+    adj = la.columns(adj)  # den * Q^-1 b_j
     vden = lcm(*(Fraction(c).denominator for c in v.coeffs.values()))
     pairs: dict = {}  # (p, r) -> vden * sum_m c_mpr a_m, dense on the a side
     for idx, c in v.coeffs.items():

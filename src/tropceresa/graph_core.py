@@ -11,8 +11,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 
+from . import intlinalg as la
 from .errors import PreconditionError, SchemaError
 
 MAX_SEARCH_EDGES = 12  # exhaustive automorphism searches stay desk-sized
@@ -76,9 +77,6 @@ class TropicalCurve:
 
     def total_weight(self) -> int:
         return sum(v.weight for v in self.vertices)
-
-    def lengths_by_id(self) -> dict[str, Fraction]:
-        return {e.id: e.length for e in self.edges}
 
     def with_lengths(self, lengths: dict[str, Fraction]) -> "TropicalCurve":
         missing = {e.id for e in self.edges} - set(lengths)
@@ -232,17 +230,26 @@ def spanning_trees(curve: TropicalCurve) -> list[tuple[str, ...]]:
 
 
 def symanzik(curve: TropicalCurve) -> Fraction:
-    """Sum over spanning trees T of the product of lengths of edges not in T."""
-    lengths = curve.lengths_by_id()
-    total = Fraction(0)
-    for tree in spanning_trees(curve):
-        inside = set(tree)
-        term = Fraction(1)
-        for eid, l in lengths.items():
-            if eid not in inside:
-                term *= l
-        total += term
-    return total
+    """Sum over spanning trees T of the product of lengths of edges not in T.
+
+    That is prod_e l_e times det L, by Kirchhoff's matrix-tree theorem, for L
+    the Laplacian with edge weights 1/l_e less one vertex's row and column.
+    Loops lie in no tree: they stay in the product and out of L.  The
+    weights c/l_e, c the lcm of the numerators, are integral; the product of
+    the Smith diagonal of that Laplacian is c^(|V|-1) det L.
+    """
+    index = {v.id: i for i, v in enumerate(curve.vertices)}
+    c = lcm(*(e.length.numerator for e in curve.edges))
+    lap = [[0] * len(index) for _ in index]
+    for e in curve.edges:
+        i, j = (index[x] for x in e.ends)
+        if i != j:
+            w = int(c / e.length)
+            for s, t, x in ((i, i, w), (j, j, w), (i, j, -w), (j, i, -w)):
+                lap[s][t] += x
+    reduced = [row[1:] for row in lap[1:]]
+    det = prod(la.invariant_factor_diagonal(reduced))
+    return prod((e.length for e in curve.edges), start=Fraction(det, c ** len(reduced)))
 
 
 # ---------------------------------------------------------------------------

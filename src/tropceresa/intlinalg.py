@@ -2,17 +2,18 @@
 
 Everything here works over Z (arbitrary-precision ints) or Q (fractions):
 echelon-form (Hermite) lattices with coset orders and canonical bases; kernels,
-integer solutions and unimodular and rational inverses read off the Hermite
-form of tagged matrices; quotients of coordinate sublattices by their
-sections with a span; and the structure of finitely generated abelian
-quotients through one Smith diagonal, computed by alternating Hermite
-reduction and turned into invariant factors over a coprime base, with no
-integer factorization.  One echelon basis serves each relation set: its
+integer solutions and unimodular inverses read off the Hermite form of
+tagged matrices; quotients of coordinate sublattices by their sections with
+a span; and the structure of finitely generated abelian quotients through
+one Smith diagonal, computed by alternating Hermite reduction and turned
+into invariant factors over a coprime base, with no integer factorization.
+The same reduction, with its transforms, gives rational inverses in closed
+form (`smith_inverse`).  One echelon basis serves each relation set: its
 rows pivoting in a coordinate suffix span the section there, and coset
 orders come from back-substitution along the others, so no intersection is
 needed.  One back-substitution (`Lattice.back_substitute`) gives coset
-orders, integer solutions and rational inverses; membership is a coset
-order of 1.  There is no Gauss-Jordan elimination.  No floating point.
+orders and integer solutions; membership is a coset order of 1.  There is
+no Gauss-Jordan elimination.  No floating point.
 
 `Lattice`, the one lattice kernel, stores each echelon row sparsely as
 {column: nonzero int}.  The relation lattices of the pipeline have a few
@@ -120,23 +121,6 @@ def int_inverse(a: Matrix) -> Matrix:
         diag = invariant_factor_diagonal(a)
         raise ValueError("matrix is not unimodular: SNF diagonal %r" % (diag,))
     return [row[k:] for row in rows]
-
-
-def frac_inverse(a: Matrix) -> Matrix:
-    """Inverse of a nonsingular integer matrix, over Q.
-
-    Echelon on the tagged rows a_i ++ e_i: row k of a^-1 is the negated tail
-    of e_k ++ 0 back-substituted along the rows pivoting before n.
-    """
-    n = len(a)
-    lat = Lattice(2 * n, [list(row) + e for row, e in zip(a, identity(n))])
-    out = []
-    for i in range(n):
-        _, rest, _ = lat.back_substitute({i: 1}, n)
-        if any(j < n for j in rest):
-            raise ValueError("singular matrix")
-        out.append([Fraction(-rest.get(n + j, 0)) for j in range(n)])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +457,17 @@ def smith_diagonal(a: Matrix) -> tuple[list, Matrix, Matrix]:
     v = [[tags[1][j][i] for j in cols] for i in range(n)]
     diag = [work[i][j] for i, j in cells] + [0] * (min(m, n) - len(cells))
     return diag, u, v
+
+
+def smith_inverse(d, u: Matrix, v: Matrix) -> tuple[int, Matrix]:
+    """(den, den * a^-1) for a square a with diag(d) = U a V, U and V
+    unimodular: den = lcm(d), the exponent of coker a, and den * a^-1 =
+    V diag(den / d_i) U is integral.  A zero d_i (a singular a) raises."""
+    if not all(d):
+        raise ValueError("singular matrix")
+    den = lcm(*d)
+    su = [[den // x * y for y in row] for x, row in zip(d, u)]
+    return den, [[sum(x * y for x, y in zip(row, col)) for col in zip(*su)] for row in v]
 
 
 def lattice_eq(vecs_a, vecs_b, n: int) -> bool:

@@ -156,23 +156,28 @@ def delta_from_Q(q: la.Matrix) -> la.Matrix:
     return d
 
 
-def smith_frame(q: la.Matrix, h: int) -> tuple[list, la.Matrix]:
-    """The diagonal D = U Q_h V of the cycle block, padded with zeros on the
-    weight slots, and the frame change P = diag(V^-1, U) that takes the
-    monodromy of Q to that of D: P delta_from_Q(Q) P^-1 = delta_from_Q(D).
-
-    U and V (`intlinalg.smith_diagonal`) act on the first h slots, with the
-    identity on the weight slots, so P keeps the a-span and Y = span(b_1..b_h)
-    and is graded for the Y-filtration.  P is not symplectic.
-    """
+def smith_reduction(q: la.Matrix, h: int) -> tuple[list, la.Matrix, la.Matrix]:
+    """(d, U, V) with diag(d) = U Q V and U, V unimodular: the reduction
+    `intlinalg.smith_diagonal` of the cycle block Q_h, extended by zeros in
+    d and by the identity in U and V on the weight slots, where Q vanishes."""
     g = len(q)
     d, u, v = la.smith_diagonal([row[:h] for row in q[:h]])
-    v_inv = la.int_inverse(v)
-    frame = la.identity(2 * g)
-    for i in range(h):
-        frame[i][:h] = v_inv[i]
-        frame[g + i][g : g + h] = u[i]
-    return d + [0] * (g - h), frame
+    eye = la.identity(g)
+    u, v = ([row + [0] * (g - h) for row in m] + eye[h:] for m in (u, v))
+    return d + [0] * (g - h), u, v
+
+
+def smith_frame(u: la.Matrix, v: la.Matrix) -> la.Matrix:
+    """The frame change P = diag(V^-1, U) of a reduction (d, U, V) of Q
+    (`smith_reduction`), which takes the monodromy of Q to that of D = diag(d):
+    P delta_from_Q(Q) P^-1 = delta_from_Q(D).
+
+    U and V are the identity on the weight slots, so P keeps the a-span and
+    Y = span(b_1..b_h) and is graded for the Y-filtration.  P is not
+    symplectic.
+    """
+    g = len(u)
+    return [row + [0] * g for row in la.int_inverse(v)] + [[0] * g + row for row in u]
 
 
 def intersection(u, v, g: int):

@@ -10,6 +10,7 @@ from itertools import combinations
 from math import inf, lcm, prod
 
 from tropceresa import intlinalg as la
+from tropceresa.ceresa import PipelineContext
 from tropceresa.errors import FiltrationError, PreconditionError
 from tropceresa import exterior
 from tropceresa.exterior import Filtration, WedgeVector, embed_H_in_L, wedge_basis
@@ -295,8 +296,9 @@ def _xgcd(a: int, b: int):
 # The eliminations the package had before every echelon reading became a
 # back-substitution along `Lattice.back_substitute`: Gauss-Jordan inversion
 # over Q, and greedy reduction along the pivots (subtract a row only where
-# its pivot divides).  Kept as independent oracles for `frac_inverse`,
-# `Lattice.coords_of`, membership and `solve_int`.
+# its pivot divides).  Kept as independent oracles for the inverse that
+# `intlinalg.smith_inverse` reads off a Smith reduction, `Lattice.coords_of`,
+# membership and `solve_int`.
 
 
 def frac_inverse(a: Matrix) -> Matrix:
@@ -1346,7 +1348,7 @@ def delta_inverse_gr2_by_monomial(q_matrix, v: WedgeVector) -> WedgeVector:
     if v.n != n or v.k != 3:
         raise PreconditionError("expected a degree-3 wedge vector on rank 2g")
     try:
-        qinv = la.frac_inverse(q_matrix)
+        qinv = frac_inverse(q_matrix)
     except ValueError as exc:
         raise PreconditionError(
             "Q is singular; use the membership test for deficient rank"
@@ -1443,3 +1445,36 @@ def invariant_factors_from_orders(orders) -> list[int]:
                 f *= p ** exps_sorted[slot]
         factors.append(f)
     return sorted(f for f in factors if f > 1)
+
+
+# Counting the Smith reductions of Q: each `PipelineContext` reduces its
+# cycle block Q_h once, and u, the frame and the printed invariant factors
+# read that one reduction.
+
+
+def record_q_reductions(monkeypatch) -> tuple[list, list]:
+    """(reduced, contexts): from now on, every matrix that
+    `intlinalg.smith_diagonal` reduces and every `PipelineContext` built."""
+    reduced, contexts = [], []
+    smith_diagonal, init = la.smith_diagonal, PipelineContext.__init__
+
+    def counting(a):
+        reduced.append(a)
+        return smith_diagonal(a)
+
+    def recording(self, *args, **kwargs):
+        contexts.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(la, "smith_diagonal", counting)
+    monkeypatch.setattr(PipelineContext, "__init__", recording)
+    return reduced, contexts
+
+
+def assert_one_q_reduction_per_context(reduced, contexts) -> None:
+    """Each context reduced its Q_h once, and no other Q_h was reduced.  The
+    only other matrices reduced, the 3x3 blocks of the maximal-rank group
+    tables, have a zero diagonal entry, which no Gram block has."""
+    blocks = [[row[: c.basis.h] for row in c.q_matrix[: c.basis.h]] for c in contexts]
+    assert contexts and all("smith" in vars(c) for c in contexts)
+    assert sum(a in blocks for a in reduced) == len(contexts)

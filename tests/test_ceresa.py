@@ -3,7 +3,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, inf, prod
+from math import comb, gcd, inf, lcm, prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -523,7 +523,7 @@ def test_zharkov_relations_have_the_closed_form_smith_diagonal():
     factors of the coordinate lattice 2 gcd(d_p d_q, d_p d_r, d_q d_r),
     p < q < r, with d the invariant factors of Q from the textbook Smith
     form; random Q at g = 3..7.  The invariant factors a report prints, read
-    off Q_h, are those of the diagonal D."""
+    off the diagonal D, are those of Q_h itself."""
     rng = random.Random(17)
     contexts = []
     for g in (3, 4, 5, 6, 7):
@@ -541,7 +541,7 @@ def test_zharkov_relations_have_the_closed_form_smith_diagonal():
                     helpers.invariant_factors_from_orders(closed)
                 )
             contexts.append(ctx)
-    # the reported invariant factors, read off Q_h, are those of D; also at
+    # the reported invariant factors, read off D, are those of Q_h; also at
     # deficient rank (zero weight slots), with shared factors and at h = 0
     for g in (2, 4, 6):
         for h, m in ((g, 6), (g - 1, 1), (g // 2, 4), (0, 1)):
@@ -550,7 +550,8 @@ def test_zharkov_relations_have_the_closed_form_smith_diagonal():
             contexts.append(PipelineContext(None, 1, basis, q + [[0] * g] * (g - h)))
     for ctx in contexts:
         h = ctx.basis.h
-        assert ceresa.q_invariant_factors(ctx) == la.diagonal_invariant_factors(ctx.q_diagonal[:h])
+        q_h = [row[:h] for row in ctx.q_matrix[:h]]
+        assert ctx.invariant_factors == helpers.smith_normal_form(q_h).diag
 
 
 def test_pair_sum_products_match_per_monomial_oracles():
@@ -680,16 +681,17 @@ def test_zharkov_test_builds_the_frame_and_no_engine(monkeypatch):
         calls.clear()
         ctx = build_context(builtin_curve(name))
         v = v_class(ctx, builtin_table(name))
-        assert calls == [] and not {"_smith", "engine"} & set(vars(ctx))
+        assert calls == [] and not {"frame", "engine"} & set(vars(ctx))
         assert zharkov_test(ctx, v)["obstructed"] is True
-        assert len(calls) == 1 and "_smith" in vars(ctx) and "engine" not in vars(ctx)
+        assert len(calls) == 1 and "frame" in vars(ctx) and "engine" not in vars(ctx)
 
 
 @pytest.mark.parametrize("name", ["k4", "tl3", "g5"])
 def test_verdict_only_analyze_builds_no_smith_frame(monkeypatch, name):
     """A maximal-rank report without groups and the Zharkov test, as `order`
-    and `sample` ask for, reads u and Q alone: its context never builds the
-    Smith frame or the engine, and its invariant factors come off Q."""
+    and `sample` ask for, reads u, Q and the one Smith reduction of Q: its
+    context reduces Q_h once, for u and the invariant factors alike, and
+    never builds the Smith frame or the engine."""
     curve, table = (
         _g5_golden() if name == "g5" else (builtin_curve(name), builtin_table(name))
     )
@@ -706,10 +708,63 @@ def test_verdict_only_analyze_builds_no_smith_frame(monkeypatch, name):
 
     monkeypatch.setattr(ceresa, "smith_frame", counting)
     monkeypatch.setattr(ceresa, "build_context", recording)
+    reduced, _ = helpers.record_q_reductions(monkeypatch)
     report = analyze(curve, table, with_groups=False, with_zharkov=False)
-    assert report.rank_status == "maximal" and report.invariant_factors
+    assert report.ctx.rank_status == "maximal" and report.invariant_factors
     assert frames == [] and len(contexts) == 1
-    assert not {"_smith", "engine"} & set(vars(contexts[0]))
+    assert not {"frame", "engine"} & set(vars(contexts[0]))
+    helpers.assert_one_q_reduction_per_context(reduced, contexts)
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_GRAPHS, "g5"])
+def test_a_full_report_reduces_q_once(monkeypatch, name):
+    """A full report, verdict, groups, Zharkov test and both renderings
+    included, Smith-reduces the cycle block Q_h of its one context exactly
+    once: u, the frame, the group tables and the printed invariant factors
+    all read that reduction.  theta0 has no built-in table, so it gets the
+    zero table."""
+    if name == "g5":
+        curve, table = _g5_golden()
+    else:
+        curve = builtin_curve(name)
+        table = (
+            builtin_table(name, curve) if name in BUILTIN_TABLES
+            else JohnsonTable(basis=homology_basis(curve), entries={}, provenance="builtin")
+        )
+    reduced, contexts = helpers.record_q_reductions(monkeypatch)
+    report = analyze(curve, table)
+    assert report.to_json()["invariant_factors"] == report.invariant_factors
+    assert "invariant factors of Q" in report.to_text()
+    assert len(contexts) == 1 and report.ctx is contexts[0]
+    helpers.assert_one_q_reduction_per_context(reduced, contexts)
+
+
+def test_context_inverse_of_q_matches_gauss_jordan():
+    """den Q^-1 = V diag(den / d_i) U read off the context's one Smith
+    reduction, with den = lcm(d), equals den times the Gauss-Jordan inverse,
+    whose least common denominator is den: on 420 seeded Q at g = 1..6, one
+    in three scaled by 3 so that the d_i share factors, and on prism and
+    Moebius-ladder Gram matrices at g = 8..16 (seeded lengths 1..30)."""
+    rng = random.Random(290)
+    qs = [
+        [[(3 if t % 3 == 0 else 1) * x for x in row] for row in helpers.random_posdef(g, rng)]
+        for g in range(1, 7)
+        for t in range(70)
+    ]
+    for g in range(8, 17):
+        qs += [
+            helpers.ladder_gram(g - 1, [rng.randint(1, 30) for _ in range(3 * g - 3)], twisted)
+            for twisted in (False, True)
+        ]
+    shared = 0
+    for q in qs:
+        ctx = _q_context(q)
+        den, scaled = la.smith_inverse(*ctx.smith)
+        oracle = helpers.frac_inverse(q)
+        assert den == lcm(*(x.denominator for row in oracle for x in row)), q
+        assert scaled == [[x * den for x in row] for row in oracle], q
+        shared += sum(d > 1 for d in ctx.q_diagonal) > 1
+    assert len(qs) == 438 and shared >= 50, shared
 
 
 def test_analyze_builds_one_graded_image_engine(monkeypatch):
@@ -735,7 +790,7 @@ def test_analyze_builds_one_graded_image_engine(monkeypatch):
         curve = builtin_curve(name)
         report = analyze(curve, builtin_table(name, curve))
         assert report.groups is not None
-        assert (report.zharkov is not None) == (report.rank_status == "maximal")
+        assert (report.zharkov is not None) == (report.ctx.rank_status == "maximal")
         assert built == [PipelineContext] + engines
 
 
@@ -766,7 +821,7 @@ def test_scaling_invariance():
 def test_rational_lengths_scaled_and_invariant():
     curve = k4_curve((Fraction(1, 2),) * 6)
     rep = analyze(curve, builtin_table("k4", curve), with_groups=False, with_zharkov=False)
-    assert rep.scale == 2
+    assert rep.ctx.scale == 2
     assert rep.verdict == "nontrivial"
     assert rep.order_bbar == 16
 
@@ -1229,16 +1284,17 @@ def _count_lattices(monkeypatch):
 def test_ceresa_order_accepts_class_in_H_through_lattice(monkeypatch):
     """omega ^ a_1 has monomials of Y-degree 1, and they are omega ^ h_a with
     h_a = a_1 integral, so it lies in H and its order is 1.  The check reads
-    its coordinates; no relation lattice is built, only the tagged [Q | I]
-    rows that invert Q for u."""
+    its coordinates, and u reads Q^-1 off the Smith reduction of Q: past
+    that reduction no lattice is built."""
     ctx = build_context(builtin_curve("tl3"))
     g = ctx.g
     v = embed_H_in_L([int(t == 0) for t in range(2 * g)], g)
     assert any(ctx.filt.y_degree(t) < 2 for t in v.coeffs)
+    ctx.smith  # the one Smith reduction of Q, whose Hermite steps build lattices
     built = _count_lattices(monkeypatch)
     assert ceresa_order(ctx, v) == 1
-    assert built == [2 * g]
-    assert not {"_smith", "engine"} & set(vars(ctx))
+    assert built == []
+    assert "smith" in vars(ctx) and not {"frame", "engine"} & set(vars(ctx))
 
 
 def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
@@ -1258,9 +1314,7 @@ def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
     assert built.count(eng.start(3)) == 1  # the B(2) relation set
     assert set(eng._echelons) == {(None, len(eng.wedge)), (1, eng.start(3))}
     built.clear()
-    ceresa_order(ctx, v)
-    assert built == [2 * ctx.g]  # the [Q | I] rows that invert Q for u
-    built.clear()
+    ceresa_order(ctx, v)  # u reads Q^-1 off the Smith reduction
     ambient_order(ctx, v)
     in_Abar_test(ctx, v)
     assert built == []
@@ -1314,7 +1368,7 @@ def test_analyze_moves_the_class_into_the_frame_once(monkeypatch, name):
 
     monkeypatch.setattr(ceresa, "apply_matrix", counting)
     report = analyze(curve, table)
-    assert report.rank_status == "maximal" and report.zharkov is not None
+    assert report.ctx.rank_status == "maximal" and report.zharkov is not None
     assert sorted(w.k for w in framed) == [2, 3]  # omega' and w
     assert report.zharkov["w"] in framed and v not in framed
 
@@ -1481,7 +1535,7 @@ def test_maximal_rank_verdict_reads_no_abar_lattice(monkeypatch, name):
     out = nontriviality_verdict(ctx, v, hyperelliptic=False)
     monkeypatch.undo()
     if ctx.maximal_rank:
-        assert seen == [] and not {"_smith", "engine"} & set(vars(ctx))
+        assert seen == [] and not {"frame", "engine"} & set(vars(ctx))
         assert out["order_ambient"] == out["order_bbar"] == ambient_order(build_context(curve), v)
     else:
         assert seen == [v, omega(ctx.g)]
@@ -1495,10 +1549,11 @@ def test_ceresa_order_skips_lattice_inside_F2(monkeypatch):
     ctx = build_context(builtin_curve("tl3"))
     v = v_class(ctx, builtin_table("tl3"))
     assert v.coeffs and all(ctx.filt.y_degree(t) >= 2 for t in v.coeffs)
+    ctx.smith  # the one Smith reduction of Q, whose Hermite steps build lattices
     built = _count_lattices(monkeypatch)
     order = ceresa_order(ctx, v)
-    assert built == [2 * ctx.g]  # only the [Q | I] rows that invert Q for u
-    assert not {"_smith", "engine"} & set(vars(ctx))
+    assert built == []  # u reads Q^-1 off the Smith reduction
+    assert not {"frame", "engine"} & set(vars(ctx))
     eng = _original_engine(ctx)
     assert order == helpers.class_order(
         v.to_coords(eng.wedge), helpers.bbar_relations(eng), len(eng.wedge)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from tropceresa import catalog, ceresa, cli, graph_core, johnson, symplectic
+from tropceresa import intlinalg as la
 from tropceresa.catalog import (
     BUILTIN_GRAPHS,
     BUILTIN_TABLES,
@@ -20,6 +21,7 @@ from tropceresa.catalog import (
 from tropceresa.cli import WORKERS_ENV, main
 from tropceresa.graph_core import curve_to_json, tropical_curve
 
+import helpers
 from helpers import banana_curve, k4_curve, table_to_json
 
 
@@ -627,8 +629,9 @@ def test_sample_reads_graph_and_table_once(tmp_path, capsys, no_pool, monkeypatc
 
 @pytest.mark.parametrize("name, frames", [("tl3", 0), ("k4", 0), ("theta-w1", 1)])
 def test_sample_builds_a_smith_frame_only_at_deficient_rank(capsys, monkeypatch, name, frames):
-    """A maximal-rank draw reads u and Q alone and builds no Smith frame;
-    a deficient-rank draw (theta-w1) maps its class into the frame once."""
+    """Every draw Smith-reduces its Q_h once.  A maximal-rank draw reads u,
+    Q and that reduction, and builds no Smith frame and no engine; a
+    deficient-rank draw (theta-w1) maps its class into the frame once."""
     calls = []
     smith_frame = ceresa.smith_frame
 
@@ -637,12 +640,15 @@ def test_sample_builds_a_smith_frame_only_at_deficient_rank(capsys, monkeypatch,
         return smith_frame(*args)
 
     monkeypatch.setattr(ceresa, "smith_frame", counting)
+    reduced, contexts = helpers.record_q_reductions(monkeypatch)
     code, _, _ = run(
         capsys, "sample", "--graph", f"builtin:{name}", "--table", f"builtin:{name}",
         "--count", "6", "--seed", "3", "--workers", "1",
     )
     assert code == 0
-    assert len(calls) == 6 * frames
+    assert len(calls) == 6 * frames and len(contexts) == 6
+    helpers.assert_one_q_reduction_per_context(reduced, contexts)
+    assert all(("engine" in vars(ctx)) == bool(frames) for ctx in contexts)
 
 
 @pytest.mark.parametrize("argv, reductions", [
@@ -655,23 +661,29 @@ def test_sample_builds_a_smith_frame_only_at_deficient_rank(capsys, monkeypatch,
     (["ceresa", "--graph", "builtin:tl3", "--table", "builtin:tl3"], 1),
     (["ceresa", "--graph", "builtin:tl3", "--table", "builtin:tl3", "--format", "text"], 1),
     (["groups", "--graph", "builtin:theta-w1"], 1),
+    (["groups", "--graph", "builtin:k4"], 1),
 ])
 def test_q_is_reduced_only_where_its_invariant_factors_are_printed(
     capsys, monkeypatch, argv, reductions
 ):
-    """`sample` and `order` print no invariant factors and run no Smith
-    reduction of Q_h; a report and the group table run one."""
+    """Every context, one per `sample` draw, Smith-reduces its Q_h once.
+    `sample` and `order` print no invariant factors, so they never reduce
+    the diagonal D to its divisibility chain; a report and the group table
+    do that once."""
     calls = []
-    reduce = ceresa.invariant_factors
+    reduce = la.diagonal_invariant_factors
 
-    def counting(mat):
-        calls.append(mat)
-        return reduce(mat)
+    def counting(diag):
+        calls.append(diag)
+        return reduce(diag)
 
-    monkeypatch.setattr(ceresa, "invariant_factors", counting)
+    monkeypatch.setattr(la, "diagonal_invariant_factors", counting)
+    reduced, contexts = helpers.record_q_reductions(monkeypatch)
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == reductions
+    assert len(contexts) == (4 if argv[0] == "sample" else 1)
+    helpers.assert_one_q_reduction_per_context(reduced, contexts)
 
 
 @pytest.mark.parametrize("fmt, unused", [("json", "to_text"), ("text", "to_json")])

@@ -1,5 +1,8 @@
 import random
+import time
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ from tropceresa.graph_core import (
     hyperelliptic_involutions,
     is_hyperelliptic,
     is_stable,
+    load_curve,
     quotient_curve,
     scaled_to_integer,
     spanning_trees,
@@ -22,12 +26,13 @@ from tropceresa.graph_core import (
 )
 
 from tropceresa import graph_core
-from tropceresa.symplectic import homology_basis
+from tropceresa.symplectic import homology_basis, polarization_Q
 
 from helpers import (
     banana_curve,
     brute_hyperelliptic_involutions,
     brute_spanning_trees,
+    det_fraction,
     involutions,
     is_identity,
     k4_curve,
@@ -180,6 +185,47 @@ def test_symanzik_examples():
         [("e1", ("a", "b"), 3), ("e2", ("a", "c"), 7)],
     )
     assert symanzik(tree) == 1
+
+
+def _spanning_tree_sum(curve):
+    """The Symanzik polynomial by its definition: a sum over the spanning
+    trees of the product of the lengths outside each."""
+    return sum(
+        (prod((e.length for e in curve.edges if e.id not in tree), start=Fraction(1))
+         for tree in map(set, spanning_trees(curve))),
+        start=Fraction(0),
+    )
+
+
+def test_symanzik_matches_the_spanning_tree_sum():
+    """The matrix-tree determinant equals the sum over spanning trees on 300
+    random curves (loops, parallel edges and weights included), a third of
+    them with rational lengths."""
+    rng = random.Random(44)
+    seen = {"loops": 0, "rational": 0}
+    for trial in range(300):
+        curve = random_curve(rng, max_edges=9)
+        if trial % 3 == 0:
+            curve = curve.with_lengths(
+                {e.id: Fraction(rng.randint(1, 12), rng.randint(1, 6)) for e in curve.edges}
+            )
+            seen["rational"] += any(e.length.denominator > 1 for e in curve.edges)
+        seen["loops"] += any(e.ends[0] == e.ends[1] for e in curve.edges)
+        assert symanzik(curve) == _spanning_tree_sum(curve), curve
+    assert min(seen.values()) >= 80, seen
+
+
+def test_symanzik_of_the_genus_16_prism_is_its_cycle_determinant():
+    """On the genus-16 prism (45 edges, where enumerating the C(45, 29)
+    edge subsets never ends) symanzik returns within a second and equals
+    the determinant of the Gram matrix of its cycles."""
+    curve = load_curve(str(Path(__file__).parent / "data" / "prism16.json"))
+    assert genus(curve) == 16 and len(curve.edges) == 45
+    start = time.process_time()
+    value = symanzik(curve)
+    assert time.process_time() - start < 1
+    gram = polarization_Q(curve, homology_basis(curve))
+    assert value == det_fraction(gram)
 
 
 def test_scaled_to_integer():

@@ -600,7 +600,8 @@ def test_unimodular_inverse():
                 for t in range(n):
                     m[i][t] += q * m[j][t]
         assert mat_mul(m, la.int_inverse(m)) == la.identity(n)
-        assert mat_mul(m, la.frac_inverse(m)) == la.identity(n)
+        den, inv = la.smith_inverse(*la.smith_diagonal(m))
+        assert den == 1 and mat_mul(m, inv) == la.identity(n)
 
 
 def test_saturation_basis():
@@ -764,9 +765,10 @@ def test_tagged_hermite_on_smith_blowup_input():
 
 
 def test_back_substitution_reads_match_elimination_oracles():
-    """frac_inverse, solve_int, the coefficients of members and membership,
-    each one read of `Lattice.back_substitute`, against Gauss-Jordan and
-    greedy reduction."""
+    """solve_int, the coefficients of members and membership, each one read
+    of `Lattice.back_substitute`, against greedy reduction; and the inverse
+    read off a Smith reduction, den a^-1 = V diag(den / d_i) U, against
+    Gauss-Jordan, on square matrices that are not symmetric."""
     rng = random.Random(23)
     seen = {"invertible": 0, "singular": 0, "dependent": 0, "not_full": 0,
             "member": 0, "nonmember": 0, "solvable": 0, "unsolvable": 0}
@@ -780,10 +782,12 @@ def test_back_substitution_reads_match_elimination_oracles():
         except ValueError:
             seen["singular"] += 1
             with pytest.raises(ValueError, match="singular matrix"):
-                la.frac_inverse(square)
+                la.smith_inverse(*la.smith_diagonal(square))
         else:
             seen["invertible"] += 1
-            assert la.frac_inverse(square) == oracle
+            den, inv = la.smith_inverse(*la.smith_diagonal(square))
+            assert den == math.lcm(*(x.denominator for row in oracle for x in row))
+            assert inv == [[den * x for x in row] for row in oracle]
 
         dim, k = rng.randint(1, 5), rng.randint(0, 5)
         gens = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(k)]

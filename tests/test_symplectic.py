@@ -21,6 +21,7 @@ from tropceresa.symplectic import (
     invariant_factors,
     polarization_Q,
     smith_frame,
+    smith_reduction,
     twist_action,
 )
 from helpers import (
@@ -326,9 +327,11 @@ def test_invariant_factor_examples():
 
 
 def test_smith_frame_conjugates_delta_and_keeps_the_grading():
-    """P delta_from_Q(Q) P^-1 = delta_from_Q(D) for the diagonal D, and
-    P = diag(V^-1, U) maps the a-span and the b-span to themselves and fixes
-    the weight slots, so Y = span(b_1..b_h) and every Y-degree are kept."""
+    """The reduction of Q_h, padded on the weight slots, has U Q V = D
+    diagonal with U and V unimodular; P delta_from_Q(Q) P^-1 = delta_from_Q(D)
+    for its frame P = diag(V^-1, U), which maps the a-span and the b-span to
+    themselves and fixes the weight slots, so Y = span(b_1..b_h) and every
+    Y-degree are kept."""
     rng = random.Random(15)
     cases = [(random_posdef(g, rng), g) for g in range(1, 6)]
     for name in ("k4", "tl3", "theta-w1", "3balloon"):
@@ -338,9 +341,13 @@ def test_smith_frame_conjugates_delta_and_keeps_the_grading():
     assert {len(q) - h for q, h in cases} == {0, 2, 3}
     for q, h in cases:
         g = len(q)
-        d, p = smith_frame(q, h)
+        d, u, v = smith_reduction(q, h)
+        p = smith_frame(u, v)
         assert len(d) == g and all(x > 0 for x in d[:h]) and not any(d[h:])
         dq = [[x if i == j else 0 for j in range(g)] for i, x in enumerate(d)]
+        assert mat_mul(mat_mul(u, q), v) == dq
+        for m in (u, v):
+            la.int_inverse(m)  # raises unless m is unimodular
         assert mat_mul(mat_mul(p, delta_from_Q(q)), la.int_inverse(p)) == delta_from_Q(dq)
         for i in range(2 * g):
             for j in range(2 * g):
