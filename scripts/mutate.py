@@ -93,9 +93,27 @@ MUTATIONS = [
     ("coprime-base-cofactor-dropped", "intlinalg.py",
      "todo += [d, b // d, x // d]",
      "todo += [d, x // d]"),
-    ("orbit-count-genus", "graph_core.py",
-     "target = sum(v <= img for v, img in vmap.items()) - 1",
-     "target = sum(v < img for v, img in vmap.items()) - 1"),
+    ("minus-one-class-sign", "graph_core.py",
+     "f = index.get(((a, b), length, minus), index.get(((b, a), length, c)))",
+     "f = index.get(((a, b), length, c), index.get(((b, a), length, minus)))"),
+    ("minus-one-reversed-image-dropped", "graph_core.py",
+     "f = index.get(((a, b), length, minus), index.get(((b, a), length, c)))",
+     "f = index.get(((a, b), length, minus))"),
+    ("minus-one-loop-unreflected", "graph_core.py",
+     "yield Involution(vmap, emap, loops)",
+     "yield Involution(vmap, emap, frozenset())"),
+    ("minus-one-moved-loop-accepted", "graph_core.py",
+     "a, b = vmap[u], vmap[w]",
+     "a, b = (u, w) if u == w else (vmap[u], vmap[w])"),
+    ("minus-one-length-dropped", "graph_core.py",
+     "index = {(e.ends, e.length, loop_class[e.id])",
+     "index = {(e.ends, 0, loop_class[e.id])"),
+    ("profile-loop-flag-dropped", "graph_core.py",
+     "incidences[x].append((tag, e.ends[0] == e.ends[1]))",
+     "incidences[x].append((tag, False))"),
+    ("profile-length-dropped", "graph_core.py",
+     "tag = tags.setdefault(e.length, len(tags))",
+     "tag = 0"),
     ("bbar-truncation", "exterior.py",
      "return self._plus_h(self._echelon(1, self.start(3)))",
      "return self._plus_h(self._echelon(1, self.start(4)))"),

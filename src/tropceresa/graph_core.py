@@ -60,9 +60,6 @@ class TropicalCurve:
 
     # -- convenience views ---------------------------------------------------
 
-    def vertex(self, vid: str) -> Vertex:
-        return next(v for v in self.vertices if v.id == vid)
-
     def sorted_vertices(self) -> list[Vertex]:
         return sorted(self.vertices, key=lambda v: v.id)
 
@@ -300,23 +297,21 @@ def validate_involution(curve: TropicalCurve, inv: Involution) -> None:
 
 def _vertex_involutions(curve: TropicalCurve):
     """Vertex involutions that fix positive weights and pair only vertices
-    with equal incidence profiles, each as a fresh dict."""
+    with equal profiles (weight, sorted incidences), each as a fresh dict.
+    An incidence is (length tag, is loop); a loop gives two."""
     if len(curve.edges) > MAX_SEARCH_EDGES:
         raise PreconditionError(
             f"involution search capped at {MAX_SEARCH_EDGES} edges"
         )
-    vids = [v.id for v in curve.sorted_vertices()]
-
-    def profile(vid):
-        inc = []
-        for e in curve.edges:
-            count = (e.ends[0] == vid) + (e.ends[1] == vid)
-            for _ in range(count):
-                inc.append((e.length, e.ends[0] == e.ends[1]))
-        inc.sort()
-        return (curve.vertex(vid).weight, curve.valence(vid), tuple(inc))
-
-    profiles = {v: profile(v) for v in vids}
+    weight = {v.id: v.weight for v in curve.vertices}
+    incidences: dict = {v: [] for v in weight}
+    tags: dict = {}  # a small int per distinct length sorts faster than a Fraction
+    for e in curve.edges:
+        tag = tags.setdefault(e.length, len(tags))
+        for x in e.ends:
+            incidences[x].append((tag, e.ends[0] == e.ends[1]))
+    profiles = {v: (weight[v], sorted(inc)) for v, inc in incidences.items()}
+    vids = sorted(weight)
 
     def extend(i, vmap):
         if i == len(vids):
@@ -329,9 +324,7 @@ def _vertex_involutions(curve: TropicalCurve):
         candidates = [v] + [
             u
             for u in vids[i + 1 :]
-            if u not in vmap
-            and profiles[u] == profiles[v]
-            and curve.vertex(v).weight == 0
+            if u not in vmap and profiles[u] == profiles[v] and weight[v] == 0
         ]
         for u in candidates:
             vmap[v] = u
@@ -381,58 +374,39 @@ def quotient_curve(curve: TropicalCurve, inv: Involution) -> TropicalCurve:
 
 
 def _tree_quotient_candidates(curve: TropicalCurve):
-    """The involutions whose quotient has genus 0, found without building a
-    quotient: for each vertex involution, a walk over the non-loop edges in
-    id order, then the loops in id order.
+    """The involutions whose quotient is a tree: at most one per vertex
+    involution, whose edge map the vertex map forces by the -1 rule.
 
-    The quotient is connected, so it is a tree exactly when its genus is 0.
-    A fixed edge with swapped ends and a reflected loop each fold onto a
-    pendant edge plus its tip, which adds nothing to the genus.  Every
-    other edge orbit is solid: a swapped pair, a fixed non-loop edge with
-    fixed ends, or a fixed loop left unreflected.  Hence genus = solid -
-    vertex orbits + 1.  The walk fixes each unassigned edge (when the
-    vertex map keeps its ends, a loop both unreflected and reflected) or
-    swaps it with a later unassigned edge of equal length on the image
-    ends, and cuts a branch once solid exceeds vertex orbits - 1.  Walking
-    the loops last lets the path edges reach that bound first, so every
-    unreflected loop is then cut at once instead of branching over all
-    reflections.
+    H_1(G/iota; Q) is the iota-invariant part of H_1(G; Q) (the transfer,
+    once the edges iota reverses are subdivided), so the connected quotient
+    is a tree exactly when iota acts as -1 on H_1.  With c_e the loop class
+    of edge e and iota sending oriented e to eps * f (eps = -1 when it
+    reverses e), that holds exactly when c_f = -eps * c_e for every edge:
+    f is keyed (image ends, length, -c_e) or (image ends reversed, length,
+    c_e).  At most one edge has either key: two parallel edges with equal
+    oriented classes would give every cycle equal coefficients on both,
+    which the cycle through the pair refutes, and two bridges (c = 0) are
+    never parallel.  A loop's class is the unit vector of its own chord, so
+    a loop goes to itself, reflected, and has no image where its vertex
+    moves.  e is the edge keyed for the image of f, so the edge map is an
+    involution with no check.
     """
-    edges = sorted(curve.sorted_edges(), key=lambda e: e.ends[0] == e.ends[1])
+    from .symplectic import homology_basis  # symplectic imports this module
+
+    loop_class = homology_basis(curve).edge_loop_class
+    index = {(e.ends, e.length, loop_class[e.id]): e.id for e in curve.edges}
+    loops = frozenset(e.id for e in curve.edges if e.ends[0] == e.ends[1])
     for vmap in _vertex_involutions(curve):
-        target = sum(v <= img for v, img in vmap.items()) - 1
-        emap: dict = {}
-        flips: list = []
-
-        def walk(i, solid):
-            if solid > target:
-                return
-            while i < len(edges) and edges[i].id in emap:
-                i += 1
-            if i == len(edges):
-                if solid == target:
-                    yield Involution(dict(vmap), dict(emap), frozenset(flips))
-                return
-            e = edges[i]
-            u, w = e.ends
-            image = {vmap[u], vmap[w]}
-            if image == {u, w}:
-                emap[e.id] = e.id
-                if u == w:
-                    yield from walk(i + 1, solid + 1)
-                    flips.append(e.id)
-                    yield from walk(i + 1, solid)
-                    flips.pop()
-                else:
-                    yield from walk(i + 1, solid + (vmap[u] == u))
-                del emap[e.id]
-            for f in edges[i + 1 :]:
-                if f.id not in emap and f.length == e.length and set(f.ends) == image:
-                    emap[e.id], emap[f.id] = f.id, e.id
-                    yield from walk(i + 1, solid + 1)
-                    del emap[e.id], emap[f.id]
-
-        yield from walk(0, 0)
+        emap = {}
+        for ((u, w), length, c), eid in index.items():
+            a, b = vmap[u], vmap[w]
+            minus = tuple(-x for x in c)
+            f = index.get(((a, b), length, minus), index.get(((b, a), length, c)))
+            if f is None:
+                break
+            emap[eid] = f
+        else:
+            yield Involution(vmap, emap, loops)
 
 
 def _hyperelliptic_search(curve: TropicalCurve):
@@ -442,15 +416,16 @@ def _hyperelliptic_search(curve: TropicalCurve):
         raise PreconditionError("hyperellipticity test expects a stable curve")
     for inv in _tree_quotient_candidates(curve):
         if graph_genus(quotient_curve(curve, inv)) != 0:
-            raise RuntimeError(f"orbit count and quotient disagree on {inv}")
+            raise RuntimeError(f"the -1 rule and the quotient disagree on {inv}")
         yield inv
 
 
 def hyperelliptic_involutions(curve: TropicalCurve) -> list[Involution]:
     """Involutions fixing positive weights whose metric quotient is a tree.
 
-    A pruned search counts orbits instead of building every quotient; each
-    involution it returns is still checked by `quotient_curve`.
+    Each vertex involution forces at most one edge map, the one acting as
+    -1 on H_1 (see `_tree_quotient_candidates`); each involution returned
+    is still checked by `quotient_curve`.
     """
     return list(_hyperelliptic_search(curve))
 

@@ -533,6 +533,53 @@ def test_malformed_graph_json_is_schema_error(tmp_path, capsys, mutate):
     assert err.startswith("error: malformed graph JSON: ")
 
 
+def _duplicate_first(key):
+    def mutate(data):
+        data[key][1]["id"] = data[key][0]["id"]
+        return data
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        pytest.param(_duplicate_first("vertices"), "duplicate vertex ids", id="vertex-ids"),
+        pytest.param(_duplicate_first("edges"), "duplicate edge ids", id="edge-ids"),
+        pytest.param(_set_first("vertices", "weight", -1), "vertex a has negative weight",
+                     id="negative-weight"),
+    ],
+)
+def test_invalid_graph_exits_2(tmp_path, capsys, mutate, message):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(mutate(curve_to_json(k4_curve()))))
+    code, out, err = run(capsys, "genus", "--graph", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "ref, message",
+    [
+        ({"g": 4}, "table basis_ref does not match the curve basis"),
+        ({"nontree_edges": ["u3", "u2", "u1"]}, "table basis_ref lists different non-tree edges"),
+    ],
+)
+def test_table_basis_ref_mismatch_exits_2(tmp_path, capsys, ref, message):
+    table = table_to_json(builtin_table("k4"))
+    table["basis_ref"].update(ref)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run(capsys, "order", "--graph", "builtin:k4", "--table", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_table_file_with_invalid_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text("{not json")
+    code, out, err = run(capsys, "order", "--graph", "builtin:k4", "--table", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: invalid JSON in {path}: ")
+
+
 @pytest.fixture
 def no_pool(monkeypatch):
     """Fail the test if anything tries to start a process pool."""

@@ -38,12 +38,14 @@ from helpers import (
     k4_curve,
     k4_doubled,
     loop_chain_curve,
+    quotient_genus,
     random_curve,
     separating_edges,
 )
 
 
 def barbell():
+    """The dumbbell: two loops joined by a bridge."""
     return tropical_curve(
         [("p", 0), ("q", 0)],
         [("lp", ("p", "p"), 1), ("lq", ("q", "q"), 1), ("br", ("p", "q"), 1)],
@@ -339,7 +341,8 @@ def brute_involutions(curve):
     """Independent search over all vertex/edge permutation pairs."""
     from itertools import permutations
 
-    vids = [v.id for v in curve.sorted_vertices()]
+    weight = {v.id: v.weight for v in curve.vertices}
+    vids = sorted(weight)
     eids = [e.id for e in curve.sorted_edges()]
     edge = {e.id: e for e in curve.edges}
     out = []
@@ -347,9 +350,9 @@ def brute_involutions(curve):
         vmap = dict(zip(vids, vperm))
         if any(vmap[vmap[v]] != v for v in vids):
             continue
-        if any(curve.vertex(v).weight != curve.vertex(vmap[v]).weight for v in vids):
+        if any(weight[v] != weight[vmap[v]] for v in vids):
             continue
-        if any(curve.vertex(v).weight > 0 and vmap[v] != v for v in vids):
+        if any(weight[v] > 0 and vmap[v] != v for v in vids):
             continue
         for eperm in permutations(eids):
             emap = dict(zip(eids, eperm))
@@ -403,10 +406,10 @@ def test_hyperelliptic_matches_brute_quotient_check():
         if len(c.vertices) > 6 or len(c.edges) > 6:
             continue
         checked += 1
-        expected = any(
-            graph_genus(quotient_curve(c, i)) == 0 for i in involutions(c)
-        )
-        assert is_hyperelliptic(c) == expected
+        genera = [graph_genus(quotient_curve(c, i)) for i in involutions(c)]
+        # the exhaustive oracle's cell count agrees with the built quotient
+        assert genera == [quotient_genus(c, i) for i in involutions(c)]
+        assert is_hyperelliptic(c) == (0 in genera)
 
 
 def involution_key(inv):
@@ -418,9 +421,12 @@ def involution_key(inv):
 
 
 def test_hyperelliptic_involutions_match_exhaustive_oracle():
+    """The -1 rule finds exactly the tree-quotient involutions of the
+    exhaustive oracle on 1500 seeded stable curves and the named families,
+    and at most one per vertex map."""
     rng = random.Random(12)
     curves = []
-    while len(curves) < 220:
+    while len(curves) < 1500:
         c = stabilize(random_curve(rng, max_edges=9))
         if rng.random() < 0.6:  # few distinct lengths keep symmetries alive
             c = c.with_lengths({e.id: rng.choice((1, 1, 2)) for e in c.edges})
@@ -433,7 +439,7 @@ def test_hyperelliptic_involutions_match_exhaustive_oracle():
         ),
         "weights": sum(c.total_weight() > 0 for c in curves),
     }
-    assert min(covered.values()) >= 40, covered
+    assert min(covered.values()) >= 270, covered
     for mixed in (False, True):
         def lengths(n):
             return [1 + i % 3 if mixed else 1 for i in range(n)]
@@ -443,12 +449,89 @@ def test_hyperelliptic_involutions_match_exhaustive_oracle():
         curves += [k4_doubled(d, lengths(6 + d)) for d in range(4)]
     answers = []
     for c in curves:
-        got = sorted(map(involution_key, hyperelliptic_involutions(c)))
+        found = hyperelliptic_involutions(c)
+        got = sorted(map(involution_key, found))
         want = sorted(map(involution_key, brute_hyperelliptic_involutions(c)))
         assert got == want, curve_to_json(c)
         assert is_hyperelliptic(c) == bool(want)
+        assert len({tuple(sorted(i.vertex_map.items())) for i in found}) == len(found)
         answers.append(bool(want))
-    assert 40 <= sum(answers) <= len(answers) - 40
+    assert 270 <= sum(answers) <= len(answers) - 270, sum(answers)
+
+
+def double_bridge(ends=("u", "v"), lengths=(1, 1)):
+    """Two parallel edges between two weight-1 vertices; `ends` orients the
+    second edge."""
+    return tropical_curve(
+        [("u", 1), ("v", 1)],
+        [("e1", ("u", "v"), lengths[0]), ("e2", ends, lengths[1])],
+    )
+
+
+def two_loops():
+    return tropical_curve([("p", 0)], [("l1", ("p", "p"), 1), ("l2", ("p", "p"), 1)])
+
+
+def weighted_theta():
+    """A theta whose vertex u carries weight 1, so no vertex map swaps the
+    ends and the identity is no -1 map."""
+    return tropical_curve(
+        [("u", 1), ("v", 0)],
+        [(f"t{i}", ("u", "v"), 1) for i in range(3)],
+    )
+
+
+@pytest.mark.parametrize(
+    "curve, expected",
+    [
+        pytest.param(barbell(), [({"p": "p", "q": "q"}, {"lp": "lp", "lq": "lq", "br": "br"},
+                                   {"lp", "lq"})], id="dumbbell"),
+        pytest.param(double_bridge(), [({"u": "u", "v": "v"}, {"e1": "e2", "e2": "e1"}, set())],
+                     id="double-bridge"),
+        pytest.param(double_bridge(("v", "u")),
+                     [({"u": "u", "v": "v"}, {"e1": "e2", "e2": "e1"}, set())],
+                     id="double-bridge-reversed"),
+        pytest.param(double_bridge(lengths=(1, 2)), [], id="double-bridge-unequal"),
+        pytest.param(two_loops(), [({"p": "p"}, {"l1": "l1", "l2": "l2"}, {"l1", "l2"})],
+                     id="two-loops"),
+        pytest.param(weighted_theta(), [], id="weighted-theta"),
+    ],
+)
+def test_minus_one_rule_on_named_curves(curve, expected):
+    """Each named curve has exactly the expected tree-quotient involutions,
+    and the exhaustive oracle agrees."""
+    found = hyperelliptic_involutions(curve)
+    assert [(i.vertex_map, i.edge_map, i.flipped_loops) for i in found] == expected
+    assert sorted(map(involution_key, found)) == sorted(
+        map(involution_key, brute_hyperelliptic_involutions(curve))
+    )
+
+
+def test_a_vertex_map_moving_a_loop_is_rejected(monkeypatch):
+    """Swapping the dumbbell's ends moves both loops' vertices: the bridge
+    alone has an image there, so the vertex map yields no involution."""
+    swap = {"p": "q", "q": "p"}
+    monkeypatch.setattr(graph_core, "_vertex_involutions", lambda curve: iter([dict(swap)]))
+    assert list(graph_core._tree_quotient_candidates(barbell())) == []
+    assert hyperelliptic_involutions(barbell()) == []
+
+
+def test_vertex_profiles_tell_loops_from_parallel_edges():
+    """x (a loop and a bridge) and y (the bridge and two parallel edges)
+    both meet three unit-length edge ends, but only y's are non-loops, so
+    no vertex map pairs them; nor does one pair the dumbbell's ends once
+    their loops differ in length."""
+    curve = tropical_curve(
+        [("x", 0), ("y", 0), ("z", 0)],
+        [("lx", ("x", "x"), 1), ("br", ("x", "y"), 1), ("e1", ("y", "z"), 1),
+         ("e2", ("y", "z"), 1), ("lz", ("z", "z"), 1)],
+    )
+    assert list(graph_core._vertex_involutions(curve)) == [{"x": "x", "y": "y", "z": "z"}]
+    assert list(graph_core._vertex_involutions(barbell())) == [
+        {"p": "p", "q": "q"}, {"p": "q", "q": "p"}
+    ]
+    uneven = barbell().with_lengths({"lp": 1, "lq": 2, "br": 1})
+    assert list(graph_core._vertex_involutions(uneven)) == [{"p": "p", "q": "q"}]
 
 
 def theta_with_loops():
@@ -517,6 +600,63 @@ def test_validate_involution_rejects_unknown_flipped_loop():
     bad = graph_core.Involution(ident.vertex_map, ident.edge_map, frozenset({"zz"}))
     with pytest.raises(SchemaError, match="flipped_loops"):
         validate_involution(th, bad)
+
+
+def triangle():
+    return tropical_curve(
+        [("a", 0), ("b", 0), ("c", 0)],
+        [("e1", ("a", "b"), 1), ("e2", ("b", "c"), 1), ("e3", ("c", "a"), 1)],
+    )
+
+
+@pytest.mark.parametrize(
+    "curve, vertex_map, edge_map, message",
+    [
+        pytest.param(theta0(), {"u": "u"}, None, "vertex map is not a permutation",
+                     id="vertex-missing"),
+        pytest.param(theta0(), None, {"t1": "t1", "u2": "u2"}, "edge map is not a permutation",
+                     id="edge-missing"),
+        pytest.param(triangle(), {"a": "b", "b": "c", "c": "a"}, None,
+                     "vertex map is not an involution", id="vertex-three-cycle"),
+        pytest.param(weighted_theta(), {"u": "v", "v": "u"}, None,
+                     "vertex map does not preserve weights", id="weights"),
+        pytest.param(double_bridge(), {"u": "v", "v": "u"}, None,
+                     "positive-weight vertex moved", id="weighted-vertex-moved"),
+        pytest.param(theta0(), None, {"t1": "u2", "u2": "u3", "u3": "t1"},
+                     "edge map is not an involution", id="edge-three-cycle"),
+        pytest.param(barbell(), None, {"lp": "lq", "lq": "lp", "br": "br"},
+                     "edge map incompatible with incidence", id="loops-swapped"),
+        pytest.param(theta0((1, 2, 3)), None, {"t1": "u2", "u2": "t1", "u3": "u3"},
+                     "edge map does not preserve lengths", id="lengths"),
+    ],
+)
+def test_validate_involution_refusals(curve, vertex_map, edge_map, message):
+    """Each refusal of validate_involution, on the identity with one map
+    replaced; quotient_curve refuses the same maps."""
+    vm = vertex_map or {v.id: v.id for v in curve.vertices}
+    inv = graph_core.Involution(vm, edge_map or {e.id: e.id for e in curve.edges})
+    with pytest.raises(SchemaError, match=message):
+        validate_involution(curve, inv)
+    with pytest.raises(SchemaError, match=message):
+        quotient_curve(curve, inv)
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        ([("p", 0), ("p", 1)], [("l", ("p", "p"), 1)], "duplicate vertex ids"),
+        ([("p", 0)], [("l", ("p", "p"), 1), ("l", ("p", "p"), 2)], "duplicate edge ids"),
+        ([("p", -1)], [("l", ("p", "p"), 1)], "vertex p has negative weight"),
+    ],
+)
+def test_curve_refusals(vertices, edges, message):
+    with pytest.raises(SchemaError, match=message):
+        tropical_curve(vertices, edges)
+
+
+def test_with_lengths_refuses_missing_edges():
+    with pytest.raises(SchemaError, match=r"lengths missing for edges \['u3'\]"):
+        theta0().with_lengths({"t1": 1, "u2": 2})
 
 
 # -- json ---------------------------------------------------------------------

@@ -213,3 +213,28 @@ def test_edge_twist_matrices_compose_to_delta():
             edge_twist_matrix(basis, e.id, e.length.numerator), total
         )
     assert total == delta_from_Q(polarization_Q(curve, basis))
+
+
+# -- refusals -------------------------------------------------------------------
+
+
+def test_coboundary_shift_refuses_a_class_of_another_degree():
+    table = builtin_table("k4")
+    with pytest.raises(PreconditionError, match="degree 3"):
+        coboundary_shift(table, WedgeVector(6, 2, {(0, 3): 1}))
+
+
+@pytest.mark.parametrize(
+    "ref, message",
+    [
+        ({"g": 4}, "does not match the curve basis"),
+        ({"h": 2}, "does not match the curve basis"),
+        ({"nontree_edges": ["u3", "u2", "u1"]}, "lists different non-tree edges"),
+    ],
+)
+def test_table_basis_ref_must_match_the_curve(ref, message):
+    basis = homology_basis(builtin_curve("k4"))
+    data = table_to_json(builtin_table("k4"))
+    data["basis_ref"].update(ref)
+    with pytest.raises(SchemaError, match=message):
+        table_from_json(data, basis)

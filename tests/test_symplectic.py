@@ -385,3 +385,15 @@ def test_verdict_relevant_tie_break_is_documented():
     # non-tree edges are ordered by id; the first pair is u1
     b = homology_basis(k4_curve())
     assert b.nontree_edges[0] == "u1"
+
+
+def test_delta_from_q_refuses_a_non_symmetric_q():
+    with pytest.raises(PreconditionError, match="Q must be symmetric"):
+        delta_from_Q([[2, 1], [0, 2]])
+
+
+def test_basis_change_matrix_refuses_bases_of_different_curves():
+    with pytest.raises(PreconditionError, match="different curves"):
+        basis_change_matrix(
+            homology_basis(builtin_curve("k4")), homology_basis(builtin_curve("theta0"))
+        )
