@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
 """Mutation gate for the decision routes.
 
-Each mutation below changes one line of the package.  For every mutation the
+Each mutation below changes one line of the package and names the tier-1
+test file (under tests/) expected to kill it.  For every mutation the
 script copies the project (without .git) to a temporary directory, applies
-the mutation there, and runs the tier-1 suite against that copy with -x.  A
-mutant is killed when the suite fails.  The working tree is never modified.
+the mutation there, and runs the named file against that copy with -x; only
+if it passes does it run the whole tier-1 suite with -x.  A mutant is killed
+exactly when a tier-1 test fails: the named file only finds that failure
+sooner, so a stale name costs time, never a verdict.  A mutant killed by the
+whole suite alone is listed at the end.  The working tree is never
+modified.
 
 Usage: python3 scripts/mutate.py
 
@@ -25,232 +30,318 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "tropceresa"
 
-# (name, file under src/tropceresa, original text, mutated text)
+# (name, file under src/tropceresa, original text, mutated text, test file)
 MUTATIONS = [
     ("wedge-sign", "exterior.py",
      "(c * x if (size - pos) % 2 == 0 else -c * x)",
-     "(c * x if (size - pos) % 2 == 1 else -c * x)"),
+     "(c * x if (size - pos) % 2 == 1 else -c * x)",
+     "test_pipeline_fuzz.py"),
     ("wedge-key-parity", "exterior.py",
      "(-c if inversions % 2 else c)",
-     "(c if inversions % 2 else -c)"),
+     "(c if inversions % 2 else -c)",
+     "test_johnson.py"),
     ("back-substitute-lcm", "intlinalg.py",
-     "den = lcm(den, c.denominator)",
-     "den = max(den, c.denominator)"),
+     "den = lcm(den, scale * m // gcd(q, scale * m))",
+     "den = max(den, scale * m // gcd(q, scale * m))",
+     "test_intlinalg.py"),
+    ("back-substitute-den-unreduced", "intlinalg.py",
+     "den = lcm(den, scale * m // gcd(q, scale * m))",
+     "den = lcm(den, scale * m)",
+     "test_intlinalg.py"),
     ("back-substitute-no-rescale", "intlinalg.py",
      "rest[t] *= m",
-     "rest[t] *= 1"),
+     "rest[t] *= 1",
+     "test_golden.py"),
     ("pivot-sign", "intlinalg.py",
      "if rs[p] < 0:",
-     "if rs[p] < -1:"),
+     "if rs[p] < -1:",
+     "test_golden.py"),
     ("monomial-image-minus-one", "exterior.py",
      "c = img.get(t, 0) - 1",
-     "c = img.get(t, 0)"),
+     "c = img.get(t, 0)",
+     "test_pipeline_fuzz.py"),
     ("smith-inverse-no-cofactor", "intlinalg.py",
      "su = [[den // x * y for y in row]",
-     "su = [[y for y in row]"),
+     "su = [[y for y in row]",
+     "test_golden.py"),
     ("smith-inverse-u-v-swapped", "intlinalg.py",
      "zip(d, u)]\n    return den, [[sum(x * y for x, y in zip(row, col)) for col in zip(*su)] for row in v]",
-     "zip(d, v)]\n    return den, [[sum(x * y for x, y in zip(row, col)) for col in zip(*su)] for row in u]"),
+     "zip(d, v)]\n    return den, [[sum(x * y for x, y in zip(row, col)) for col in zip(*su)] for row in u]",
+     "test_golden.py"),
     ("smith-inverse-zero-d-accepted", "intlinalg.py",
      "if not all(d):",
-     "if False:"),
+     "if False:",
+     "test_intlinalg.py"),
     ("symanzik-loops-dropped", "graph_core.py",
      "prod((e.length for e in curve.edges), start",
-     "prod((e.length for e in curve.edges if e.ends[0] != e.ends[1]), start"),
+     "prod((e.length for e in curve.edges if e.ends[0] != e.ends[1]), start",
+     "test_symplectic.py"),
     ("symanzik-weight-not-inverted", "graph_core.py",
      "w = int(c / e.length)",
-     "w = int(e.length)"),
+     "w = int(e.length)",
+     "test_cli.py"),
     ("gr2-inverse-half", "exterior.py",
-     "scale = 2 * vden * den * den",
-     "scale = vden * den * den"),
+     "return nums, 2 * vden * den * den",
+     "return nums, vden * den * den",
+     "test_golden.py"),
     ("verdict-ambient-from-abar", "ceresa.py",
      'out["order_bbar"] = out["order_ambient"] = order',
-     'out["order_bbar"], out["order_ambient"] = order, ambient_order(ctx, v)'),
+     'out["order_bbar"], out["order_ambient"] = order, ambient_order(ctx, v)',
+     "test_cli.py"),
     ("bbar-difference-dropped", "ceresa.py",
      "for y in row[1:]]",
-     "for y in row[2:]]"),
-    ("bbar-qc-as-c", "ceresa.py",
-     "for y in x + qc))",
-     "for y in x + c))"),
+     "for y in row[2:]]",
+     "test_ceresa.py"),
+    ("bbar-c-in-gcd", "ceresa.py",
+     "qual, diffs, _ = split(nums)\n    order = scale // gcd(scale, *qual, *diffs)",
+     "qual, diffs, c = split(nums)\n    order = scale // gcd(scale, *qual, *diffs, *c)",
+     "test_ceresa.py"),
     ("bbar-qualifying-skipped", "ceresa.py",
-     "x = [c for t, c in w.items() if t[2] - g not in t[:2]]",
-     "x = []"),
+     "qual = [c for t, c in w.items() if t[2] - g not in t[:2]]",
+     "qual = []",
+     "test_ceresa.py"),
+    ("u-nonintegral-any-coordinate", "ceresa.py",
+     "any(n % scale for n in qual)",
+     "any(n % scale for n in nums.values())",
+     "test_ceresa.py"),
     ("bbar-h-integrality-dropped", "ceresa.py",
      "integral = chain(h_a, parts[2].values(), parts[3].values())",
-     "integral = chain(parts[2].values(), parts[3].values())"),
+     "integral = chain(parts[2].values(), parts[3].values())",
+     "test_ceresa.py"),
     ("verdict-branch-not-pure-gr2", "ceresa.py",
      "if ctx.maximal_rank and is_pure_gr2(ctx, v):",
-     "if ctx.maximal_rank:"),
+     "if ctx.maximal_rank:",
+     "test_cli.py"),
     ("certified-downgrade", "ceresa.py",
      '("trivial" if certified else "indeterminate")',
-     '"trivial"'),
+     '"trivial"',
+     "test_cli.py"),
     ("verdict-precedence", "ceresa.py",
      "if hyperelliptic:",
-     "if hyperelliptic and not decisive:"),
+     "if hyperelliptic and not decisive:",
+     "test_ceresa.py"),
     ("invariant-factor-exponent-order", "intlinalg.py",
      "exps.sort(reverse=True)",
-     "exps.sort()"),
+     "exps.sort()",
+     "test_pipeline_fuzz.py"),
     ("coprime-base-cofactor-dropped", "intlinalg.py",
      "todo += [d, b // d, x // d]",
-     "todo += [d, x // d]"),
+     "todo += [d, x // d]",
+     "test_golden.py"),
     ("minus-one-class-sign", "graph_core.py",
      "f = index.get(((a, b), length, minus), index.get(((b, a), length, c)))",
-     "f = index.get(((a, b), length, c), index.get(((b, a), length, minus)))"),
+     "f = index.get(((a, b), length, c), index.get(((b, a), length, minus)))",
+     "test_pipeline_fuzz.py"),
     ("minus-one-reversed-image-dropped", "graph_core.py",
      "f = index.get(((a, b), length, minus), index.get(((b, a), length, c)))",
-     "f = index.get(((a, b), length, minus))"),
+     "f = index.get(((a, b), length, minus))",
+     "test_graph_core.py"),
     ("minus-one-loop-unreflected", "graph_core.py",
      "yield Involution(vmap, emap, loops)",
-     "yield Involution(vmap, emap, frozenset())"),
+     "yield Involution(vmap, emap, frozenset())",
+     "test_pipeline_fuzz.py"),
     ("minus-one-moved-loop-accepted", "graph_core.py",
      "a, b = vmap[u], vmap[w]",
-     "a, b = (u, w) if u == w else (vmap[u], vmap[w])"),
+     "a, b = (u, w) if u == w else (vmap[u], vmap[w])",
+     "test_graph_core.py"),
     ("minus-one-length-dropped", "graph_core.py",
      "index = {(e.ends, e.length, loop_class[e.id])",
-     "index = {(e.ends, 0, loop_class[e.id])"),
+     "index = {(e.ends, 0, loop_class[e.id])",
+     "test_pipeline_fuzz.py"),
     ("profile-loop-flag-dropped", "graph_core.py",
      "incidences[x].append((tag, e.ends[0] == e.ends[1]))",
-     "incidences[x].append((tag, False))"),
+     "incidences[x].append((tag, False))",
+     "test_graph_core.py"),
     ("profile-length-dropped", "graph_core.py",
      "tag = tags.setdefault(e.length, len(tags))",
-     "tag = 0"),
+     "tag = 0",
+     "test_graph_core.py"),
     ("bbar-truncation", "exterior.py",
      "return self._plus_h(self._echelon(1, self.start(3)))",
-     "return self._plus_h(self._echelon(1, self.start(4)))"),
+     "return self._plus_h(self._echelon(1, self.start(4)))",
+     "test_pipeline_fuzz.py"),
     ("bbar-own-echelon", "exterior.py",
      "return self._plus_h(self._echelon(1, self.start(3)))",
-     "return self._plus_h(la.Lattice(self.start(3), (self.graded_coords(c, self.start(3)) for c in self._images(1))))"),
+     "return self._plus_h(la.Lattice(self.start(3), (self.graded_coords(c, self.start(3)) for c in self._images(1))))",
+     "test_ceresa.py"),
     ("sparse-zero-kept", "intlinalg.py",
      "del row[t]",
-     "row[t] = y"),
+     "row[t] = y",
+     "test_golden.py"),
     ("sparse-xgcd-row-support", "intlinalg.py",
      "for t in row.keys() | vec.keys():",
-     "for t in list(row):"),
+     "for t in list(row):",
+     "test_golden.py"),
     ("hermite-dirty-rows", "intlinalg.py",
      "dirty.add(r)",
-     "dirty.discard(r)"),
+     "dirty.discard(r)",
+     "test_symplectic.py"),
     ("hermite-clean-pivot-rows", "intlinalg.py",
      "above = [r for r in dirty if r < s]",
-     "above = []"),
+     "above = []",
+     "test_johnson.py"),
     ("h-extension-last-row", "exterior.py",
      "for c in self._h_terms:",
-     "for c in self._h_terms[:-1]:"),
+     "for c in self._h_terms[:-1]:",
+     "test_acceptance.py"),
     ("omega-not-transported", "ceresa.py",
      "return apply_matrix(self.frame, omega(self.g))",
-     "return omega(self.g)"),
+     "return omega(self.g)",
+     "test_ceresa.py"),
     ("block-invariant-no-two", "ceresa.py",
      "b_orders += [big, big, 2 * di * dj * dk // (big * big)]",
-     "b_orders += [big, big, di * dj * dk // (big * big)]"),
+     "b_orders += [big, big, di * dj * dk // (big * big)]",
+     "test_golden.py"),
     ("block-pair-skipped", "ceresa.py",
      "orders = [d[j] for _, j in pairs]",
-     "orders = [d[j] for _, j in pairs[1:]]"),
+     "orders = [d[j] for _, j in pairs[1:]]",
+     "test_golden.py"),
     ("block-quotient-g-minus-1", "ceresa.py",
      "for l in range(g):\n        row: dict = {}",
-     "for l in range(g - 1):\n        row: dict = {}"),
+     "for l in range(g - 1):\n        row: dict = {}",
+     "test_golden.py"),
     ("block-a-without-gcd", "ceresa.py",
      '"A": AbelianGroupDescriptor.from_cyclic_orders(b_orders + t_orders)',
-     '"A": AbelianGroupDescriptor.from_cyclic_orders(b_orders)'),
+     '"A": AbelianGroupDescriptor.from_cyclic_orders(b_orders)',
+     "test_ceresa.py"),
     ("block-bab-sign", "ceresa.py",
      "((j, g + i, g + k), -1)",
-     "((j, g + i, g + k), 1)"),
+     "((j, g + i, g + k), 1)",
+     "test_golden.py"),
     ("context-y-all-b", "ceresa.py",
      "range(self.g, self.g + self.basis.h)",
-     "range(self.g, 2 * self.g)"),
+     "range(self.g, 2 * self.g)",
+     "test_pipeline_fuzz.py"),
     ("class-not-in-frame", "ceresa.py",
      "return apply_matrix(self.frame, v).coeffs",
-     "return v.coeffs"),
+     "return v.coeffs",
+     "test_ceresa.py"),
     ("frame-inverse", "symplectic.py",
      "for row in la.int_inverse(v)]",
-     "for row in v]"),
+     "for row in v]",
+     "test_golden.py"),
     ("smith-transform-index", "intlinalg.py",
      "v = [[tags[1][j][i] for j in cols] for i in range(n)]",
-     "v = [[tags[1][i][j] for j in cols] for i in range(n)]"),
+     "v = [[tags[1][i][j] for j in cols] for i in range(n)]",
+     "test_golden.py"),
     ("zharkov-relations-doubled", "ceresa.py",
      "(g + s, g + t): 2 * minor",
-     "(g + s, g + t): minor"),
+     "(g + s, g + t): minor",
+     "test_golden.py"),
     ("zharkov-relation-minor-plus", "ceresa.py",
      "qm[s][i] * qm[t][j] - qm[t][i] * qm[s][j]",
-     "qm[s][i] * qm[t][j] + qm[t][i] * qm[s][j]"),
+     "qm[s][i] * qm[t][j] + qm[t][i] * qm[s][j]",
+     "test_golden.py"),
     ("zharkov-w-a-factor-mapped", "ceresa.py",
      "for i, x in qa[m]:",
-     "for i, x in [(m, 1)]:"),
+     "for i, x in [(m, 1)]:",
+     "test_pipeline_fuzz.py"),
     ("zharkov-pair-sum-last-only", "ceresa.py",
      "col[i] = col.get(i, 0) + c * x",
-     "col[i] = c * x"),
+     "col[i] = c * x",
+     "test_golden.py"),
     ("image-prefix-key-short", "exterior.py",
      "key = t[:-1]",
-     "key = t[:-2]"),
+     "key = t[:-2]",
+     "test_golden.py"),
     ("gr2-inverse-pair-sum-last-only", "exterior.py",
      "pairs.setdefault(tuple(ys), [0] * g)[xs[0]] = int(c * vden)",
-     "pairs[tuple(ys)] = [int(c * vden) if m == xs[0] else 0 for m in range(g)]"),
+     "pairs[tuple(ys)] = [int(c * vden) if m == xs[0] else 0 for m in range(g)]",
+     "test_golden.py"),
     ("gr2-inverse-qx-last-only", "exterior.py",
      "sum(q * c for q, c in zip(row, x))",
-     "sum(q * c for q, c in zip(row[-1:], x[-1:]))"),
+     "sum(q * c for q, c in zip(row[-1:], x[-1:]))",
+     "test_golden.py"),
     ("gr2-inverse-term1-sign", "exterior.py",
      "acc[t] = get(t, 0) - den * m",
-     "acc[t] = get(t, 0) + den * m"),
+     "acc[t] = get(t, 0) + den * m",
+     "test_golden.py"),
     ("gr2-inverse-pair-swapped", "exterior.py",
      "t = (i, j, g + r)\n                acc[t] = get(t, 0) - den * m\n"
      "            if m := bi * xj - bj * xi:\n                t = (i, j, g + p)",
      "t = (i, j, g + p)\n                acc[t] = get(t, 0) - den * m\n"
-     "            if m := bi * xj - bj * xi:\n                t = (i, j, g + r)"),
+     "            if m := bi * xj - bj * xi:\n                t = (i, j, g + r)",
+     "test_golden.py"),
     ("gr2-inverse-minor-plus", "exterior.py",
      "if m := ai * bj - aj * bi:",
-     "if m := ai * bj + aj * bi:"),
+     "if m := ai * bj + aj * bi:",
+     "test_golden.py"),
     ("json-key-prefix", "exterior.py",
      "{_json_key(t): str(c)",
-     "{_json_key(t[:-1]): str(c)"),
+     "{_json_key(t[:-1]): str(c)",
+     "test_golden.py"),
     ("zharkov-divisor-no-two", "ceresa.py",
      "c % (2 * gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r]))",
-     "c % gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r])"),
+     "c % gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r])",
+     "test_golden.py"),
     ("zharkov-gcd-one-pair", "ceresa.py",
      "gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r])",
-     "gcd(d[p] * d[q])"),
+     "gcd(d[p] * d[q])",
+     "test_ceresa.py"),
     ("zharkov-w-not-framed", "ceresa.py",
      "for (p, q, r), c in apply_matrix(ctx.frame, w).coeffs.items()",
-     "for (p, q, r), c in w.coeffs.items()"),
+     "for (p, q, r), c in w.coeffs.items()",
+     "test_ceresa.py"),
     ("zharkov-divisor-q-diagonal", "ceresa.py",
      "d = {g + i: x for i, x in enumerate(ctx.q_diagonal)}",
-     "d = {g + i: qm[i][i] for i in range(g)}"),
+     "d = {g + i: qm[i][i] for i in range(g)}",
+     "test_ceresa.py"),
     ("zharkov-frame-transposed", "ceresa.py",
      "apply_matrix(ctx.frame, w)",
-     "apply_matrix(la.columns(ctx.frame), w)"),
+     "apply_matrix(la.columns(ctx.frame), w)",
+     "test_ceresa.py"),
     ("apply-matrix-unsummed", "exterior.py",
      "acc[i] = acc.get(i, 0) + c * x",
-     "acc[i] = c * x"),
+     "acc[i] = c * x",
+     "test_exterior.py"),
     ("abar-order-ignores-q", "exterior.py",
      "stop = None if q is None else self.start(q)",
-     "stop = None"),
+     "stop = None",
+     "test_cli.py"),
     ("bbar-order-no-f3-check", "ceresa.py",
      "integral = chain(h_a, parts[2].values(), parts[3].values())",
-     "integral = chain(h_a, parts[2].values())"),
+     "integral = chain(h_a, parts[2].values())",
+     "test_ceresa.py"),
     ("section-split-non-unit", "intlinalg.py",
      "if p >= d and row[p] == 1}",
-     "if p >= d and row[p] <= 2}"),
+     "if p >= d and row[p] <= 2}",
+     "test_golden.py"),
     ("section-keep-unit-columns", "intlinalg.py",
      "keep = [j for j in range(d, self.n) if j not in units]",
-     "keep = list(range(d, self.n))"),
+     "keep = list(range(d, self.n))",
+     "test_pipeline_fuzz.py"),
     ("section-free-rank-n-d", "intlinalg.py",
      "return len(keep) - rank, invariant_factors_from_orders(orders)",
-     "return self.n - d - rank, invariant_factors_from_orders(orders)"),
+     "return self.n - d - rank, invariant_factors_from_orders(orders)",
+     "test_golden.py"),
     ("table-bridge-inverted", "johnson.py",
      "if not any(loop) and",
-     "if any(loop) and"),
+     "if any(loop) and",
+     "test_golden.py"),
     ("table-unknown-edge-dropped", "johnson.py",
      "if eid not in loops:",
-     "if False:"),
+     "if False:",
+     "test_johnson.py"),
     ("basis-match-cycles-only", "ceresa.py",
      "if ctx.basis != table.basis:",
-     "if ctx.basis.cycles != table.basis.cycles:"),
+     "if ctx.basis.cycles != table.basis.cycles:",
+     "test_johnson.py"),
     ("basis-root-path-sign", "symplectic.py",
      "cyc[eid] = cyc.get(eid, 0) - sgn",
-     "cyc[eid] = cyc.get(eid, 0) + sgn"),
+     "cyc[eid] = cyc.get(eid, 0) + sgn",
+     "test_symplectic.py"),
+    ("cli-int-digit-limit-kept", "cli.py",
+     "sys.set_int_max_str_digits(0)",
+     "sys.set_int_max_str_digits(4300)",
+     "test_cli.py"),
     ("basis-length-scale", "cli.py",
      'rep["length_scale"] = ctx.scale',
-     'rep["length_scale"] = 1'),
+     'rep["length_scale"] = 1',
+     "test_cli.py"),
     ("shift-drops-provenance", "johnson.py",
      "return replace(table, entries=entries)",
-     "return JohnsonTable(basis=table.basis, entries=entries)"),
+     "return JohnsonTable(basis=table.basis, entries=entries)",
+     "test_johnson.py"),
 ]
 
 TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
@@ -268,8 +359,9 @@ def mutated_copy(dest: Path, file: str, old: str, new: str) -> None:
     path.write_text(text.replace(old, new))
 
 
-def run_suite(tree: Path) -> tuple[bool, str]:
-    """(passed, last line of the pytest summary) for the suite in `tree`."""
+def run_suite(tree: Path, test: str | None = None) -> tuple[bool, str]:
+    """(passed, last line of the pytest summary) for the suite in `tree`, or
+    for its file tests/`test` alone."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     probe = subprocess.run(
         [sys.executable, "-c", "import tropceresa; print(tropceresa.__file__)"],
@@ -277,8 +369,9 @@ def run_suite(tree: Path) -> tuple[bool, str]:
     )
     if not Path(probe.stdout.strip()).is_relative_to(tree):
         raise RuntimeError(f"tropceresa imports from {probe.stdout.strip()}, not the copy")
+    files = [f"tests/{test}"] if test else []
     proc = subprocess.run(
-        [sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True
+        [sys.executable, *TIER1, *files], cwd=tree, env=env, capture_output=True, text=True
     )
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
     failed = [line for line in lines if line.startswith(("FAILED", "ERROR"))]
@@ -286,8 +379,9 @@ def run_suite(tree: Path) -> tuple[bool, str]:
 
 
 def main() -> int:
-    survivors = []
-    for name, file, old, new in MUTATIONS:
+    survivors, suite_only = [], []
+    start = time.perf_counter()
+    for name, file, old, new, test in MUTATIONS:
         t0 = time.perf_counter()
         with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
             tree = Path(tmp) / "tree"
@@ -296,12 +390,21 @@ def main() -> int:
             except LookupError as exc:
                 print(f"{name}: {exc}", file=sys.stderr)
                 return 2
-            passed, summary = run_suite(tree)
-        status = "SURVIVED" if passed else "killed"
-        print(f"{name:26} {status:8} {time.perf_counter() - t0:6.1f} s  {summary}",
+            passed, summary = run_suite(tree, test)
+            by = "named"
+            if passed:
+                passed, summary = run_suite(tree)
+                by = "suite"
+        status = "SURVIVED" if passed else f"killed ({by})"
+        print(f"{name:32} {status:15} {time.perf_counter() - t0:6.1f} s  {summary}",
               flush=True)
         if passed:
             survivors.append(name)
+        elif by == "suite":
+            suite_only.append(name)
+    print(f"{len(MUTATIONS)} mutants in {time.perf_counter() - start:.0f} s")
+    if suite_only:
+        print(f"killed by the whole suite alone: {', '.join(suite_only)}")
     if survivors:
         print(f"{len(survivors)} mutant(s) survived: {', '.join(survivors)}")
         return 1

@@ -9,7 +9,7 @@ settle the rest.  Q is Smith-reduced once per curve, D = U Q V, and u
 (through den Q^-1 = V diag(den / d_i) U), the printed invariant factors
 and the Smith frame P = diag(V^-1, U), where delta is [[I, 0], [D, I]],
 all read that reduction.  At maximal rank the order in Bbar, which is also
-the ambient order there, is a closed form of u and Q (`ceresa_order`),
+the ambient order there, is a closed form of u (`ceresa_order`),
 with no relation lattice and no Smith frame.  The Zharkov verdict and the
 maximal-rank groups are read off the frame through closed forms, the
 groups block by block.  The other orders and the deficient-rank groups are
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, permutations
-from math import gcd, inf, lcm
+from math import gcd, inf
 
 from . import intlinalg as la
 from .errors import PreconditionError, SchemaError
@@ -298,27 +298,19 @@ def is_pure_gr2(ctx: PipelineContext, v: WedgeVector) -> bool:
 
 def u_class(ctx: PipelineContext, v: WedgeVector) -> WedgeVector:
     """Rational preimage of v under the graded map; Q must be nonsingular."""
-    return delta_inverse_gr2(ctx.q_matrix, ctx.smith, v)
+    return _u_fractions(ctx, *delta_inverse_gr2(ctx.q_matrix, ctx.smith, v))
 
 
-def nonintegral_qualifying_coordinates(ctx: PipelineContext, u: WedgeVector):
-    """Coordinates a_i^a_j^b_k, all indices distinct, with non-integral
-    coefficient; these certify nontriviality outright.  u must come from
-    `u_class`, whose coordinates each have exactly one Y index, the last."""
-    g = ctx.g
-    out = []
-    for t, c in sorted(u.coeffs.items()):
-        i, j, k = t
-        if (k - g) in (i, j):
-            continue
-        if Fraction(c).denominator != 1:
-            out.append((t, c))
-    return out
+def _u_fractions(ctx: PipelineContext, nums: dict, scale: int) -> WedgeVector:
+    """u = N / scale as the Fraction wedge vector that reports print."""
+    u = {t: Fraction(x, scale) for t, x in nums.items()}
+    return WedgeVector._from_sorted(2 * ctx.g, 3, u)
 
 
 def _u_and_order(ctx: PipelineContext, v: WedgeVector):
-    """(u, order): u = gr^-1 of the gr_2 part r_2 of v, and the order of v
-    in Bbar, read off u and Q at maximal rank (README, "Verdict").
+    """((N, scale), order, nonintegral) at maximal rank: u = N / scale =
+    gr^-1 of the gr_2 part r_2 of v, the order of v in Bbar (README,
+    "Verdict"), and whether a qualifying numerator of u is not 0 mod scale.
 
     Each coordinate of a gr_1 class w is a_i^a_j^b_k.  Those with k apart
     from i and j qualify; the others are the coefficients s_il of
@@ -328,13 +320,15 @@ def _u_and_order(ctx: PipelineContext, v: WedgeVector):
     has no gr_0 part, its gr_1 part r_1 is omega ^ h_a with h_a integral
     (x = 0, c = h_a) and r_2, r_3 are integral; then omega ^ h_a lies in H
     and r_3 in F_3, and the order is that of r_2: the lcm of the
-    denominators of x and of Q c for u = x + omega ^ c_a.
+    denominators of x for u = x + omega ^ c_a, which is scale / gcd(scale,
+    their numerators), as lcm(scale / g_i) = scale / gcd(g_i) for g_i | scale.
+    Q c adds nothing: k r_2 - gr(k x) = omega ^ k Q c is integral with k x.
     """
     g = ctx.g
     parts = [{}, {}, {}, {}]  # v by Y-degree
     for t, c in v.coeffs.items():
         parts[ctx.filt.y_degree(t)][t] = c
-    u = u_class(ctx, WedgeVector(2 * g, 3, parts[2]))
+    nums, scale = delta_inverse_gr2(ctx.q_matrix, ctx.smith, WedgeVector(2 * g, 3, parts[2]))
 
     def split(w: dict):
         s = [
@@ -342,18 +336,18 @@ def _u_and_order(ctx: PipelineContext, v: WedgeVector):
              for i in range(g) if i != l]
             for l in range(g)
         ]
-        x = [c for t, c in w.items() if t[2] - g not in t[:2]]
-        return x + [y - row[0] for row in s for y in row[1:]], [row[0] for row in s]
+        qual = [c for t, c in w.items() if t[2] - g not in t[:2]]
+        return qual, [y - row[0] for row in s for y in row[1:]], [row[0] for row in s]
 
-    rest, h_a = split(parts[1])
+    qual, diffs, h_a = split(parts[1])
     integral = chain(h_a, parts[2].values(), parts[3].values())
-    if parts[0] or any(rest) or any(Fraction(c).denominator != 1 for c in integral):
+    if parts[0] or any(qual) or any(diffs) or any(c.denominator != 1 for c in integral):
         raise PreconditionError(
             "class does not lie in F2 + H; its graded order is undefined"
         )
-    x, c = split(u.coeffs)
-    qc = [sum(q * y for q, y in zip(row, c)) for row in ctx.q_matrix]
-    return u, lcm(*(Fraction(y).denominator for y in x + qc))
+    qual, diffs, _ = split(nums)
+    order = scale // gcd(scale, *qual, *diffs)
+    return (nums, scale), order, any(n % scale for n in qual)
 
 
 def ceresa_order(ctx: PipelineContext, v: WedgeVector):
@@ -513,15 +507,14 @@ def render_wedge(w: WedgeVector, g: int) -> str:
     parts = []
     for t, c in sorted(w.coeffs.items()):
         mono = "^".join(name(i) for i in t)
-        coef = Fraction(c)
-        if coef == 1:
+        if c == 1:
             parts.append(f"+ {mono}")
-        elif coef == -1:
+        elif c == -1:
             parts.append(f"- {mono}")
-        elif coef > 0:
-            parts.append(f"+ {coef}*{mono}")
+        elif c > 0:
+            parts.append(f"+ {c}*{mono}")
         else:
-            parts.append(f"- {-coef}*{mono}")
+            parts.append(f"- {-c}*{mono}")
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else text
 
@@ -537,17 +530,18 @@ def nontriviality_verdict(
     graded subgroup and the ambient order decide.  `certified` is False for
     user-supplied tables, downgrading a clean order-1 result to
     indeterminate (the table is not known to come from an involution).
-    At maximal rank the ambient order is the Bbar order, read off u and Q
-    with no relation lattice (README, "Verdict"); only the deficient-rank
+    At maximal rank the ambient order is the Bbar order, read off u with
+    no relation lattice (README, "Verdict"); only the deficient-rank
     branch maps v into the Smith frame.
     """
     out = dict.fromkeys(("u", "order_bbar", "order_ambient", "in_abar", "least_multiple"))
     decisive = None  # a route that certifies nontriviality before the ambient order
     if ctx.maximal_rank and is_pure_gr2(ctx, v):
-        out["u"], order = _u_and_order(ctx, v)
+        u, order, nonintegral = _u_and_order(ctx, v)
+        out["u"] = _u_fractions(ctx, *u)
         out["order_bbar"] = out["order_ambient"] = order
         out["in_abar"], out["least_multiple"] = True, 1
-        if nonintegral_qualifying_coordinates(ctx, out["u"]):
+        if nonintegral:
             decisive = "u-nonintegral"
         elif order > 1:
             decisive = "order-in-Bbar"

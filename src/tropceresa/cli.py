@@ -37,6 +37,8 @@ WORKERS_ENV = "TROPCERESA_WORKERS"
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # lengths and orders may pass 4300 digits
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

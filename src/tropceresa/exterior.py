@@ -545,8 +545,9 @@ def Bbar_group(delta, y_vectors) -> AbelianGroupDescriptor:
 # explicit rational inverse of the graded map gr_1 -> gr_2 (maximal rank)
 
 
-def delta_inverse_gr2(q_matrix, smith, v: WedgeVector) -> WedgeVector:
-    """Rational preimage under gr_1 -> gr_2 of a two-Y-factor wedge vector.
+def delta_inverse_gr2(q_matrix, smith, v: WedgeVector) -> tuple[dict, int]:
+    """Rational preimage u = N / s under gr_1 -> gr_2 of a two-Y-factor
+    wedge vector, as integer numerators N over one scale s.
 
     Works in the standard basis (a_1..a_g, b_1..b_g) with Y the full b-span;
     `smith` is a reduction (d, U, V) of Q, diag(d) = U Q V with U and V
@@ -564,11 +565,10 @@ def delta_inverse_gr2(q_matrix, smith, v: WedgeVector) -> WedgeVector:
         -den (alpha ^ x)_ij a_i^a_j^b_r,  +den (beta ^ x)_ij a_i^a_j^b_p,
         -(alpha ^ beta)_ij (Q x)_k a_i^a_j^b_k,
     keyed by sorted tuples since every a index lies below every b index.
-    Each output coordinate becomes one Fraction at the end.
+    N keeps the nonzero sums, unreduced, over the one scale s = 2 vden den^2.
     """
     g = len(q_matrix)
-    n = 2 * g
-    if v.n != n or v.k != 3:
+    if v.n != 2 * g or v.k != 3:
         raise PreconditionError("expected a degree-3 wedge vector on rank 2g")
     try:
         den, adj = la.smith_inverse(*smith)
@@ -577,7 +577,7 @@ def delta_inverse_gr2(q_matrix, smith, v: WedgeVector) -> WedgeVector:
             "Q is singular; use the membership test for deficient rank"
         ) from exc
     adj = la.columns(adj)  # den * Q^-1 b_j
-    vden = lcm(*(Fraction(c).denominator for c in v.coeffs.values()))
+    vden = lcm(*(c.denominator for c in v.coeffs.values()))
     pairs: dict = {}  # (p, r) -> vden * sum_m c_mpr a_m, dense on the a side
     for idx, c in v.coeffs.items():
         ys = [i - g for i in idx if i >= g]
@@ -606,11 +606,7 @@ def delta_inverse_gr2(q_matrix, smith, v: WedgeVector) -> WedgeVector:
                 for k, y in qx:
                     t = (i, j, k)
                     acc[t] = get(t, 0) - m * y
-    scale = 2 * vden * den * den
-    out = WedgeVector._from_sorted(
-        n, 3, {t: Fraction(x, scale) for t, x in acc.items() if x}
-    )
-    for idx in out.coeffs:
-        if sum(1 for i in idx if i >= g) != 1:
-            raise FiltrationError("preimage left gr_1")
-    return out
+    nums = {t: x for t, x in acc.items() if x}
+    if any(sum(i >= g for i in idx) != 1 for idx in nums):
+        raise FiltrationError("preimage left gr_1")
+    return nums, 2 * vden * den * den

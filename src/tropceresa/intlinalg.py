@@ -11,9 +11,9 @@ The same reduction, with its transforms, gives rational inverses in closed
 form (`smith_inverse`).  One echelon basis serves each relation set: its
 rows pivoting in a coordinate suffix span the section there, and coset
 orders come from back-substitution along the others, so no intersection is
-needed.  One back-substitution (`Lattice.back_substitute`) gives coset
-orders and integer solutions; membership is a coset order of 1.  There is
-no Gauss-Jordan elimination.  No floating point.
+needed.  One back-substitution (`Lattice.back_substitute`), in integers
+over one common denominator, gives coset orders and integer solutions;
+membership is a coset order of 1.  No Gauss-Jordan, no floating point.
 
 `Lattice`, the one lattice kernel, stores each echelon row sparsely as
 {column: nonzero int}.  The relation lattices of the pipeline have a few
@@ -103,7 +103,7 @@ def solve_int(a: Matrix, b: Vector):
     cols = columns(a)
     k = len(cols)
     lat = Lattice(m + k, [c + e for c, e in zip(cols, identity(k))])
-    _, rest, den = lat.back_substitute(list(b) + [0] * k, m)
+    rest, den = lat.back_substitute(list(b) + [0] * k, m)
     if den != 1 or any(j < m for j in rest):
         return None
     return [int(-rest.get(m + j, 0)) for j in range(k)]
@@ -256,34 +256,31 @@ class Lattice:
         return out
 
     def back_substitute(self, vec, d: int | None = None):
-        """Rational coefficients of vec along the rows pivoting before d
-        (d = n by default), the residual as {column: nonzero value}, and the
-        lcm of the coefficients' denominators.
+        """The residual of vec after the rows pivoting before d (d = n by
+        default), as {column: nonzero value}, and the lcm of the
+        denominators of the rational coefficients those rows take.
 
         At each pivot the coefficient is forced, since earlier rows have been
         subtracted and later rows vanish there.  vec lies in the rational
         span of these rows plus Q^{d..n-1} exactly when the residual has no
         column before d.  The residual is carried as integers over one
-        common denominator, which grows only where a pivot does not divide.
+        common denominator, which grows only where a pivot does not divide;
+        one gcd reduces each coefficient's denominator, with no Fraction.
         """
         d = self.n if d is None else d
         rest = self._entries(vec)
         scale = lcm(*(x.denominator for x in rest.values()))
         rest = {t: int(x * scale) for t, x in rest.items()}
-        coeffs = []
         den = 1
         for row, p in zip(self.rows, self.pivots):
             if p >= d:
                 break
             r = rest.get(p, 0)
-            c = 0
             if r:
-                a = row[p]
-                c = Fraction(r, scale * a)
-                den = lcm(den, c.denominator)
-                # rest - c * row == (rest * m - q * row) / (scale * m)
-                g = gcd(r, a)
-                m, q = a // g, r // g
+                # c = q / (scale * m): rest - c * row == (rest * m - q * row) / (scale * m)
+                g = gcd(r, row[p])
+                m, q = row[p] // g, r // g
+                den = lcm(den, scale * m // gcd(q, scale * m))
                 if m != 1:
                     scale *= m
                     for t in rest:
@@ -294,10 +291,9 @@ class Lattice:
                         rest[t] = y
                     else:
                         del rest[t]
-            coeffs.append(c)
         if scale != 1:
             rest = {t: Fraction(x, scale) for t, x in rest.items()}
-        return coeffs, rest, den
+        return rest, den
 
     @property
     def rank(self) -> int:
@@ -327,7 +323,7 @@ class Lattice:
         the residual's from d on.
         """
         d = self.n if d is None else d
-        _, rest, den = self.back_substitute(vec, d)
+        rest, den = self.back_substitute(vec, d)
         if any(t < d for t in rest):
             return inf
         return lcm(den, *(x.denominator for x in rest.values()))

@@ -568,6 +568,39 @@ def ceresa_order(ctx, v: WedgeVector):
     return class_order(coords, rels, len(ctx.wedge))
 
 
+def nonintegral_qualifying_coordinates(ctx, u: WedgeVector):
+    """Coordinates a_i^a_j^b_k, all indices distinct, with non-integral
+    coefficient; these certify nontriviality outright.  u must come from
+    `u_class`, whose coordinates each have exactly one Y index, the last."""
+    g = ctx.g
+    out = []
+    for t, c in sorted(u.coeffs.items()):
+        i, j, k = t
+        if (k - g) in (i, j):
+            continue
+        if Fraction(c).denominator != 1:
+            out.append((t, c))
+    return out
+
+
+def bbar_order_by_denominators(ctx, u: WedgeVector):
+    """The Bbar order of a class of pure Y-degree 2 at maximal rank, in
+    Fractions: the lcm of the denominators of u's qualifying coordinates,
+    of every s_il - c_l and of every (Q c)_j, with c_l = s_il for the
+    first i != l (README, "Verdict")."""
+    g = ctx.g
+    s = [
+        [(-1 if i < l else 1) * Fraction(u.coeffs.get((min(i, l), max(i, l), g + i), 0))
+         for i in range(g) if i != l]
+        for l in range(g)
+    ]
+    c = [row[0] for row in s]
+    x = [Fraction(y) for t, y in u.coeffs.items() if t[2] - g not in t[:2]]
+    x += [y - row[0] for row in s for y in row[1:]]
+    qc = [sum(q * y for q, y in zip(row, c)) for row in ctx.q_matrix]
+    return lcm(*(y.denominator for y in x + qc))
+
+
 def ambient_order(ctx, v: WedgeVector):
     return class_order(v.to_coords(ctx.wedge), abar_relations(ctx), len(ctx.wedge))
 

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, inf, lcm, prod
@@ -20,7 +21,7 @@ from tropceresa.ceresa import (
     ceresa_order,
     group_table,
     in_Abar_test,
-    nonintegral_qualifying_coordinates,
+    is_pure_gr2,
     nontriviality_verdict,
     u_class,
     v_class,
@@ -907,7 +908,7 @@ def test_report_invariant_nontrivial_implies_witness():
         if rep.verdict == "nontrivial":
             assert (
                 rep.order_bbar and rep.order_bbar > 1
-            ) or nonintegral_qualifying_coordinates(build_context(curve), rep.u)
+            ) or helpers.nonintegral_qualifying_coordinates(build_context(curve), rep.u)
 
 
 def test_qualifying_coordinates_have_a_y_index_unpaired_with_their_a_indices():
@@ -921,7 +922,7 @@ def test_qualifying_coordinates_have_a_y_index_unpaired_with_their_a_indices():
         (0, 1, 5): half,  # a1 a2 b3: qualifies
         (0, 2, 4): 3,     # a1 a3 b2: qualifies, but integral
     })
-    assert nonintegral_qualifying_coordinates(ctx, u) == [((0, 1, 5), half)]
+    assert helpers.nonintegral_qualifying_coordinates(ctx, u) == [((0, 1, 5), half)]
 
 @pytest.mark.parametrize("name", ["k4", "tl3", "theta-w1"])
 def test_context_generators_match_fresh_computation(name):
@@ -1266,6 +1267,101 @@ def test_verdict_routes_match_fresh_lattice_oracles():
             seen["theta-w1 F2 sixths"] += (
                 name == "theta-w1" and kind == "F2 sixths" and want != inf
             )
+    assert min(seen.values()) >= 5, seen
+
+
+def _fraction_verdict(ctx, v):
+    """(u, order, decided_by) of the maximal-rank verdict on a class of pure
+    Y-degree 2, in Fractions: u by the per-monomial oracle, the order as an
+    lcm of denominators, u-nonintegral by reading each qualifying coordinate;
+    None for a class that is not integral, so not in F2 + H."""
+    if any(Fraction(c).denominator != 1 for c in v.coeffs.values()):
+        return None
+    u = helpers.delta_inverse_gr2_by_monomial(ctx.q_matrix, v)
+    order = helpers.bbar_order_by_denominators(ctx, u)
+    if helpers.nonintegral_qualifying_coordinates(ctx, u):
+        return u, order, "u-nonintegral"
+    return u, order, "order-in-Bbar" if order > 1 else "order-ambient"
+
+
+def _assert_integer_verdict_matches(ctx, v, seen):
+    assert ctx.maximal_rank and is_pure_gr2(ctx, v)
+    want = _fraction_verdict(ctx, v)
+    if want is None:
+        with pytest.raises(PreconditionError, match="class does not lie in F2 [+] H"):
+            nontriviality_verdict(ctx, v, hyperelliptic=False)
+        seen["refused"] += 1
+        return
+    got = nontriviality_verdict(ctx, v, hyperelliptic=False)
+    assert (got["u"], got["order_bbar"], got["decided_by"]) == want, v
+    assert ceresa_order(ctx, v) == want[1]
+    seen[want[2]] += 1
+    seen["order > 2"] += want[1] > 2
+
+
+def _image_class(ctx, rng):
+    """v = gr_2((delta-I)u), made integral, for u = x + (y + omega ^ c_a) / k
+    with x integral in gr_1 and y integral on the coordinates a_i^b_i^a_l
+    alone: no qualifying coordinate of u is fractional, and its order is
+    read off the differences s_il - c_l and Q c."""
+    g = ctx.g
+    u = {(i, j, g + m): rng.randint(-3, 3) for i, j in combinations(range(g), 2)
+         for m in range(g) if rng.random() < 0.3}
+    k = rng.randint(2, 6)
+    gamma = [rng.randint(-5, 5) for _ in range(g)]
+    for i in range(g):
+        for l in range(g):
+            if l != i:
+                y = rng.randint(-5, 5) if rng.random() < 0.3 else 0
+                u[i, g + i, l] = Fraction(gamma[l] + y, k)
+    u = WedgeVector(2 * g, 3, u)
+    w = apply_matrix(delta_from_Q(ctx.q_matrix), u) - u
+    v = WedgeVector(2 * g, 3, {t: c for t, c in w.coeffs.items() if ctx.filt.y_degree(t) == 2})
+    return v.scale(lcm(*(Fraction(c).denominator for c in v.coeffs.values())))
+
+
+def test_integer_verdict_matches_fraction_oracles():
+    """u, the Bbar order and decided_by of the maximal-rank verdict, read
+    off integer numerators over one scale by one gcd and one remainder,
+    equal the Fraction oracles: on seeded k4 and tl3 draws; on fuzz tables
+    at g = 3..5 with fractional coefficients (vden > 1), refused, and their
+    integral multiples; and on prism and Moebius-ladder Gram matrices at
+    g = 6..8, some with lengths sharing a factor c so that c divides every
+    d_i, with integral, fractional and image classes."""
+    from test_pipeline_fuzz import random_table
+
+    rng = random.Random(3131)
+    seen = dict.fromkeys(
+        ("u-nonintegral", "order-in-Bbar", "order-ambient", "refused", "order > 2"), 0
+    )
+    for name, n_edges in (("k4", 6), ("tl3", 9)):
+        for _ in range(40):
+            lengths = [rng.randint(1, 20) for _ in range(n_edges)]
+            curve = with_sorted_lengths(builtin_curve(name), lengths)
+            ctx = build_context(curve)
+            _assert_integer_verdict_matches(ctx, v_class(ctx, builtin_table(name, curve)), seen)
+    fuzz = 0
+    while fuzz < 30:
+        curve = helpers.random_curve(rng, max_edges=9, min_genus=3, weights=False)
+        if genus(curve) > 5:
+            continue
+        fuzz += 1
+        ctx = build_context(curve)
+        table = random_table(curve, rng)
+        k = Fraction(1, rng.randint(2, 6))
+        table = replace(table, entries={e: w.scale(k) for e, w in table.entries.items()})
+        v = v_class(ctx, table)
+        _assert_integer_verdict_matches(ctx, v, seen)
+        vden = lcm(*(Fraction(c).denominator for c in v.coeffs.values()))
+        _assert_integer_verdict_matches(ctx, v.scale(vden), seen)
+    for g in (6, 7, 8):
+        for twisted, c in ((False, 1), (True, 2), (False, 3)):
+            lengths = [c * rng.randint(1, 30) for _ in range(3 * g - 3)]
+            ctx = _q_context(helpers.ladder_gram(g - 1, lengths, twisted))
+            for fractional in (False, True):
+                _assert_integer_verdict_matches(ctx, _shared_pair_class(g, rng, fractional), seen)
+            for _ in range(3):
+                _assert_integer_verdict_matches(ctx, _image_class(ctx, rng), seen)
     assert min(seen.values()) >= 5, seen
 
 

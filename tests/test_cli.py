@@ -3,6 +3,7 @@ import concurrent.futures
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,7 +20,7 @@ from tropceresa.catalog import (
     builtin_table,
 )
 from tropceresa.cli import WORKERS_ENV, main
-from tropceresa.graph_core import curve_to_json, tropical_curve
+from tropceresa.graph_core import curve_to_json, genus, tropical_curve
 
 import helpers
 from helpers import banana_curve, k4_curve, table_to_json
@@ -766,6 +767,7 @@ FUZZ_BASES = [
     ["order", "--graph", "builtin:theta-w1", "--table", "builtin:theta-w1"],
     ["zharkov", "--graph", "builtin:k4", "--table", "builtin:k4"],
     ["sample", "--graph", "builtin:k4", "--table", "builtin:k4", "--count", "2"],
+    ["symanzik", "--graph", "builtin:k4", "--lengths", ",".join(["9" * 1501] * 6)],
 ]
 FUZZ_JUNK = ["", "-3", "0", "1", "2", "7", "x", "1/0", "2.5", "-1/2", "nan", "--"]
 FUZZ_SOURCES = (
@@ -773,6 +775,7 @@ FUZZ_SOURCES = (
     + ["builtin:", "builtin:nope", "no/such/file.json"]
 )
 FUZZ_FLAGS = ["--count", "--length-min", "--length-max", "--seed", "--format"]
+FUZZ_LONG = ["9" * 1501, "1" + "0" * 5000]  # past the 4300-digit int limit once multiplied
 
 
 def _mutate(rng: random.Random, argv: list) -> list:
@@ -795,7 +798,7 @@ def _mutate(rng: random.Random, argv: list) -> list:
                 argv += ["--table", rng.choice([graph] + FUZZ_SOURCES)]
         elif op == 4:  # lengths: empty, wrong count or junk tokens
             n = rng.randint(0, 10)
-            pool = ["1", "2", "3", "1/2"] * 3 + FUZZ_JUNK
+            pool = ["1", "2", "3", "1/2"] * 3 + FUZZ_JUNK + FUZZ_LONG
             argv += ["--lengths", ",".join(rng.choice(pool) for _ in range(n))]
         elif op == 5:  # a sample option with a junk or negative number
             argv += [rng.choice(FUZZ_FLAGS), rng.choice(FUZZ_JUNK)]
@@ -824,6 +827,74 @@ def test_cli_exit_contract_fuzz(capsys, no_pool):
             assert "error:" in err, argv
         codes[code] = codes.get(code, 0) + 1
     assert codes.get(0) and codes.get(2), codes
+
+
+HUGE_LENGTHS = ",".join(str(10**1500 + 37 * i + 1) for i in range(6))
+
+
+def _longest_int(text: str) -> int:
+    return max(len(x) for x in re.findall(r"\d+", text))
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", [
+    ["groups", "--graph", "builtin:k4"],
+    ["ceresa", "--graph", "builtin:k4", "--table", "builtin:k4"],
+    ["symanzik", "--graph", "builtin:k4"],
+])
+def test_integers_past_the_str_digit_limit_print(capsys, command, fmt):
+    """Six 1501-digit lengths on K4 give group orders and a Symanzik value
+    of more than 4300 digits, past Python's default int-to-str limit; main
+    lifts that limit, so they print and the command exits 0."""
+    code, out, err = run(capsys, *command, "--lengths", HUGE_LENGTHS, "--format", fmt)
+    assert code == 0, err
+    assert _longest_int(out) > 4300
+    if fmt == "json":
+        json.loads(out)
+
+
+def _prism(n: int, lengths) -> graph_core.TropicalCurve:
+    """C_n x K_2 of genus n + 1: rungs r_i, and u_i u_i+1 and v_i v_i+1."""
+    ends = []
+    for i in range(n):
+        j = (i + 1) % n
+        ends += [(f"u{i}", f"v{i}"), (f"u{i}", f"u{j}"), (f"v{i}", f"v{j}")]
+    return tropical_curve(
+        [(f"{s}{i}", 0) for s in "uv" for i in range(n)],
+        [(f"e{k:02}", uv, x) for k, (uv, x) in enumerate(zip(ends, lengths, strict=True))],
+    )
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_groups_on_a_genus_8_prism_with_30_digit_lengths(capsys, tmp_path, fmt):
+    """A curve inside every cap whose group orders pass 4300 digits."""
+    rng = random.Random(8)
+    curve = _prism(7, [rng.randrange(10**29, 10**30) for _ in range(21)])
+    assert genus(curve) == 8
+    path = tmp_path / "prism8.json"
+    path.write_text(json.dumps(curve_to_json(curve)))
+    code, out, err = run(capsys, "groups", "--graph", str(path), "--format", fmt)
+    assert code == 0, err
+    assert _longest_int(out) > 4300
+    if fmt == "json":
+        assert json.loads(out)["rank_status"] == "maximal"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_sample_with_1501_digit_length_bounds(capsys, no_pool, fmt):
+    """Draws between 1501-digit bounds print their lengths and orders."""
+    lo, hi = 10**1500, 3 * 10**1500
+    code, out, err = run(
+        capsys, *SAMPLE, "--length-min", str(lo), "--length-max", str(hi),
+        "--workers", "1", "--format", fmt,
+    )
+    assert code == 0, err
+    if fmt == "json":
+        samples = json.loads(out)["samples"]
+        assert all(lo <= x <= hi for s in samples for x in s["lengths"])
+        assert _longest_int(out) > 4300
+    else:
+        assert out.endswith("(seed 0, 2 samples)\n")
 
 
 LARGE_LENGTHS = "4615174,3782609,3793146,5853735,6262196,4336809"

@@ -669,8 +669,10 @@ def test_block_structure_for_diagonal_chain():
 
 
 def _gr2_preimage(q, v):
-    """`delta_inverse_gr2` on the Smith reduction of Q itself."""
-    return delta_inverse_gr2(q, la.smith_diagonal(q), v)
+    """`delta_inverse_gr2` on the Smith reduction of Q itself, as the
+    Fraction wedge vector N / s."""
+    nums, scale = delta_inverse_gr2(q, la.smith_diagonal(q), v)
+    return WedgeVector(2 * len(q), 3, {t: Fraction(x, scale) for t, x in nums.items()})
 
 
 def test_delta_inverse_round_trip():
