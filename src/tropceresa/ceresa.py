@@ -10,11 +10,11 @@ settle the rest.  Q is Smith-reduced once per curve, D = U Q V, and u
 and the Smith frame P = diag(V^-1, U), where delta is [[I, 0], [D, I]],
 all read that reduction.  At maximal rank the order in Bbar, which is also
 the ambient order there, is a closed form of u (`ceresa_order`),
-with no relation lattice and no Smith frame.  The Zharkov verdict and the
-maximal-rank groups are read off the frame through closed forms, the
-groups block by block.  The other orders and the deficient-rank groups are
-read by the graded-image engine in that frame.  `PipelineContext` builds
-the reduction, the frame and the engine on first read.
+with no relation lattice and no Smith frame.  The Zharkov verdict is read
+off the frame through closed forms, and the groups off D block by block at
+every rank.  The other orders are read by the graded-image engine in that
+frame.  `PipelineContext` builds the reduction, the frame and the engine on
+first read.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class PipelineContext:
     and the reduction, so a verdict-only `analyze` (`order`, `sample`)
     builds no frame and no engine; the Zharkov verdict and the maximal-rank
     groups read the frame, so a full maximal-rank report builds no engine;
-    the ambient order, the deficient-rank verdict and the deficient-rank
-    groups read the engine.
+    the deficient-rank groups read D alone; the ambient order and the
+    deficient-rank verdict read the engine.
 
     The frame is P = diag(V^-1, U) (`symplectic.smith_frame`).  The engine
     runs on delta_from_Q(D), with H embedded by omega' = wedge^2(P) omega.  Groups
@@ -156,40 +156,41 @@ def build_context(curve: TropicalCurve, tree=None) -> PipelineContext:
 def group_table(ctx: PipelineContext) -> dict:
     """The finite obstruction groups A, B, Abar, Bbar of the curve, the groups
     of `exterior.A_group`, `B_group`, `Abar_group` and `Bbar_group` on the
-    original delta.  At maximal rank they are read off the Smith diagonal D
-    block by block (`_block_groups`); at deficient rank they are sections of
-    F_2 in the context's Smith-frame engine."""
-    if ctx.maximal_rank:
-        return _block_groups(ctx)
-    eng = ctx.engine
-    return {
-        "A": eng.A_group(2),
-        "B": eng.B_group(2),
-        "Abar": eng.Abar_group(),
-        "Bbar": eng.Bbar_group(),
-    }
-
-
-def _block_groups(ctx: PipelineContext) -> dict:
-    """A, B, Abar and Bbar at maximal rank, from D and omega' (README, "Groups").
+    original delta, read off the Smith diagonal D block by block (README,
+    "Groups"), with no wedge^3 lattice.
 
     In the Smith frame delta - I sends a_i to d_i b_i, so wedge^3 H and the
-    relations split into blocks by the multiset of indices mod g.  A block
-    {i, i, j} adds Z/d_j to A and to B through a_i ^ b_i ^ b_j.  A block
-    {i < j < k} adds coker M_S to B, on the F_2 coordinates bba, bab, abb
-    (positional), and coker M_S + Z/G to A, the Z/G on bbb.  Bbar is B
-    modulo the classes of omega' ^ b_l, l < g, which are read in the cyclic
-    coordinates x V mod e of U M_S V = diag(e); omega' has only a ^ b terms,
-    so these classes miss every bbb and Abar is Bbar + the Z/G.
+    relations split into blocks by the multiset of indices mod g.  Over the
+    cycle indices i, j, k < h, a block {i, i, j} adds Z/d_j to A and to B
+    through a_i ^ b_i ^ b_j.  A block {i < j < k} adds coker M_S to B, on
+    the F_2 coordinates bba, bab, abb (positional), and coker M_S + Z/G to
+    A, the Z/G on bbb.  Each of the 2(g - h) weight units w adds
+    Z/gcd(d_i, d_j) for i < j < h to A and to B, on b_i ^ b_j ^ w.
+
+    At maximal rank Bbar is B modulo the classes of omega' ^ b_l, l < g,
+    which are read in the cyclic coordinates x V mod e of U M_S V = diag(e);
+    omega' has only a ^ b terms, so these classes miss every bbb and Abar
+    is Bbar + the Z/G.  At deficient rank no class of H meets F_2 outside
+    the relations, so Abar = A and Bbar = B.
     """
-    g, d = ctx.g, ctx.q_diagonal
-    pairs = list(permutations(range(g), 2))  # the blocks {i, i, j}
+    g, h, d = ctx.g, ctx.basis.h, ctx.q_diagonal
+    pairs = list(permutations(range(h), 2))  # the blocks {i, i, j}
+    triples = list(combinations(range(h), 3))  # the blocks {i < j < k}
+    t_orders = [gcd(d[i], d[j], d[k]) for i, j, k in triples]
+    b_orders = [d[j] for _, j in pairs]
+    for (i, j, k), big in zip(triples, t_orders):
+        # M_S has entries of gcd G, 2x2 minors of gcd G^2 and determinant 2 di dj dk
+        b_orders += [big, big, 2 * d[i] * d[j] * d[k] // (big * big)]
+    b_orders += [gcd(d[i], d[j]) for i, j in combinations(range(h), 2)] * (2 * (g - h))
+    a = AbelianGroupDescriptor.from_cyclic_orders(b_orders + t_orders)
+    b = AbelianGroupDescriptor.from_cyclic_orders(b_orders)
+    if h < g:
+        return {"A": a, "B": b, "Abar": a, "Bbar": b}
     orders = [d[j] for _, j in pairs]  # the cyclic coordinates of B, by column
     # F_2 monomial -> [(column, coefficient)]
     slots = {tuple(sorted((i, g + i, g + j))): [(c, 1)] for c, (i, j) in enumerate(pairs)}
     smith = {}  # (d_i, d_j, d_k) -> (e, U, V) of M_S
-    b_orders, t_orders = orders[:], []
-    for i, j, k in combinations(range(g), 3):
+    for i, j, k in triples:
         key = di, dj, dk = d[i], d[j], d[k]
         if key not in smith:
             smith[key] = la.smith_diagonal([[dj, dk, 0], [di, 0, dk], [0, di, dj]])
@@ -200,10 +201,6 @@ def _block_groups(ctx: PipelineContext) -> dict:
         ):
             slots[t] = [(len(orders) + c, sign * x) for c, x in enumerate(row) if x]
         orders += e
-        # M_S has entries of gcd G, 2x2 minors of gcd G^2 and determinant 2 di dj dk
-        big = gcd(di, dj, dk)
-        b_orders += [big, big, 2 * di * dj * dk // (big * big)]
-        t_orders.append(big)
     units = la.identity(2 * g)
     classes = []
     for l in range(g):
@@ -214,8 +211,8 @@ def _block_groups(ctx: PipelineContext) -> dict:
         classes.append(row)
     bbar = _cyclic_quotient(orders, classes)
     return {
-        "A": AbelianGroupDescriptor.from_cyclic_orders(b_orders + t_orders),
-        "B": AbelianGroupDescriptor.from_cyclic_orders(b_orders),
+        "A": a,
+        "B": b,
         "Abar": AbelianGroupDescriptor.from_cyclic_orders(bbar + t_orders),
         "Bbar": AbelianGroupDescriptor.from_cyclic_orders(bbar),
     }

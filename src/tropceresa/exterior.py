@@ -21,9 +21,9 @@ Quotients modulo H are always realized by adjoining the embedded-H generators
 to relation lattices; no coset representatives are ever chosen.  The
 module-level groups take any unipotent delta; the pipeline runs the same
 engine on the diagonal form of its delta, with omega carried across, and
-builds it on first read (`ceresa.PipelineContext.engine`) for its orders
-and deficient-rank groups.  At maximal rank the pipeline reads the groups
-off that diagonal block by block (`ceresa.group_table`).
+builds it on first read (`ceresa.PipelineContext.engine`) for its orders.
+The pipeline reads the groups off that diagonal block by block at every
+rank (`ceresa.group_table`).
 """
 
 from __future__ import annotations
@@ -340,8 +340,8 @@ class GradedImages:
     of sparse classes (`abar_order`); the Bbar order is a closed form at
     maximal rank (`ceresa.ceresa_order`).  The A and B image echelons are cached,
     and Abar and Bbar extend copies of them by H, so one engine's four
-    groups take two echelonisations; the pipeline reads them at deficient
-    rank only (`ceresa.group_table`).
+    groups take two echelonisations.  The pipeline reads no group of the
+    engine (`ceresa.group_table` reads D); the module-level groups below do.
     """
 
     filt: Filtration

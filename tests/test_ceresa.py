@@ -772,7 +772,8 @@ def test_analyze_builds_one_graded_image_engine(monkeypatch):
     """A full report at maximal rank, groups and Zharkov test included,
     builds its context and no graded-image engine: the groups are read off
     the Smith diagonal block by block.  A deficient-rank report (theta-w1)
-    builds exactly one engine, which serves its verdict and its groups."""
+    builds exactly one engine, which serves its verdict; its groups are
+    read off the Smith diagonal too."""
     built = []
 
     def counting(cls):
@@ -965,10 +966,19 @@ def test_group_table_matches_exterior_groups(name):
 # -- the Smith frame against the original-frame engine ----------------------------
 
 
-def _q_context(q):
-    """The context of a Gram matrix alone, at maximal rank."""
-    basis = SimpleNamespace(g=len(q), h=len(q))
-    return PipelineContext(curve=None, scale=1, basis=basis, q_matrix=q)
+def _padded(q, g):
+    """The g x g Q of cycle block q (h x h) and g - h zero weight slots."""
+    h = len(q)
+    return [row + [0] * (g - h) for row in q] + [[0] * g for _ in range(g - h)]
+
+
+def _q_context(q, g=None):
+    """The context of a Gram matrix q alone: at maximal rank, or with q as
+    the cycle block Q_h of a genus-g curve whose last g - h slots are
+    weights."""
+    g = len(q) if g is None else g
+    basis = SimpleNamespace(g=g, h=len(q))
+    return PipelineContext(curve=None, scale=1, basis=basis, q_matrix=_padded(q, g))
 
 
 def _original_engine(ctx):
@@ -1099,15 +1109,16 @@ def test_group_table_closed_forms_at_genus_5_to_8(doubled):
     }
 
 
-# -- maximal-rank groups by blocks, against whole-wedge^3 lattices -----------------
+# -- groups by blocks, against whole-wedge^3 lattices ------------------------------
 
 
-def _module_groups(q):
-    """The module-level groups of delta_Q at maximal rank, in the original
-    frame: the oracle of the block route."""
-    g = len(q)
-    y = helpers.y_units(g, g)
-    delta = delta_from_Q(q)
+def _module_groups(q, g=None):
+    """The module-level groups of delta_Q in the original frame, for q the
+    cycle block Q_h padded with g - h weight slots as in `_q_context`: the
+    oracle of the block route."""
+    g = len(q) if g is None else g
+    y = helpers.y_units(g, len(q))
+    delta = delta_from_Q(_padded(q, g))
     return {
         "A": A_group(delta, y, 2),
         "B": B_group(delta, y, 2),
@@ -1130,11 +1141,17 @@ def _assert_gcd_split(groups, d):
 
 
 @pytest.mark.parametrize("g, count", [(2, 66), (3, 60), (4, 52), (5, 20), (6, 2)])
-def test_block_groups_match_original_frame_on_seeded_q(g, count):
-    """At maximal rank group_table reads the groups off D and omega' block by
-    block, and builds no engine; they equal the module-level groups of
-    delta_Q in the original frame on seeded positive definite Q.  Every
-    third Q is scaled by 3, so that the d_i share a factor."""
+def test_block_groups_match_original_frame_on_seeded_q(monkeypatch, g, count):
+    """group_table reads the groups off D (and omega' at maximal rank) block
+    by block, and builds no engine; they equal the module-level groups of
+    delta_Q in the original frame on seeded positive definite Q.  At
+    maximal rank every third Q is scaled by 3, so that the d_i share a
+    factor.  At each deficient rank h < g the Q_h of `_q_context` are
+    seeded apart, and every third is scaled by 6, so that pairs and triples
+    of d_1..d_h share factors; there group_table builds no engine, no frame
+    and no Lattice past the reduction of Q, and the coverage floors reach
+    h = 0 and 1, two or more weight slots, T != 0 at h >= 3 and a pair with
+    gcd(d_i, d_j) != d_i."""
     rng = random.Random(2600 + g)
     chains = set()
     for t in range(count):
@@ -1149,6 +1166,30 @@ def test_block_groups_match_original_frame_on_seeded_q(g, count):
         _assert_gcd_split(want, ctx.q_diagonal)
     if g in (3, 4):
         assert chains == {True, False}  # D need not be a divisibility chain
+    rng = random.Random(2700 + g)
+    built = _count_lattices(monkeypatch)
+    seen = set()
+    for t in range(max(4, count // 5)):
+        for h in range(g):
+            q = helpers.random_posdef(h, rng)
+            if t % 3 == 2:
+                q = [[6 * x for x in row] for row in q]
+            ctx = _q_context(q, g)
+            want = _module_groups(q, g)
+            assert ctx.smith  # the curve's one reduction of Q, shared with the verdict
+            built.clear()
+            assert group_table(ctx) == want, (q, g)
+            assert built == [] and not {"engine", "frame", "omega_frame"} & set(vars(ctx))
+            d = ctx.q_diagonal[:h]
+            _assert_gcd_split(want, d)
+            seen.update({"h0"} if h == 0 else {"h1"} if h == 1 else set())
+            seen.update({"wide"} if g - h >= 2 else set())
+            if any(gcd(d[i], d[j], d[k]) > 1 for i, j, k in combinations(range(h), 3)):
+                seen.add("T")
+            if any(gcd(d[i], d[j]) != d[i] for i, j in combinations(range(h), 2)):
+                seen.add("pair")
+    assert {"h0", "h1", "wide"} <= seen
+    assert ("T" in seen) == (g >= 4) and ("pair" in seen) == (g >= 3)
 
 
 @pytest.mark.parametrize("d", [[2, 3], [6, 10, 15], [1, 2, 1, 18], [4, 6, 9, 2, 3]])
@@ -1170,15 +1211,22 @@ def test_block_groups_match_whole_wedge_engine_on_ladders(monkeypatch, g):
     seeded lengths 1..30, group_table equals the four groups of the
     context's Smith-frame engine, the whole-wedge^3 route it replaces.  The
     original frame costs 6 to 10 s a case from g = 8 on, so the engine is
-    the oracle here; the rank cap is lifted for this test only."""
+    the oracle here; the rank cap is lifted for this test only.  Weighted
+    copies put the ladders of genus g - 1 and g - 2 on the cycle slots of a
+    genus-g curve, at deficient rank h = g - 1 and g - 2."""
     monkeypatch.setattr(exterior, "MAX_RANK", 2 * g)
     rng = random.Random(260 + g)
     grams = [
         helpers.ladder_gram(g - 1, [rng.randint(1, 30) for _ in range(3 * g - 3)], twisted)
         for twisted in (False, True)
     ]
-    for q in grams:
-        ctx = _q_context(q)
+    weighted = [
+        helpers.ladder_gram(h - 1, [rng.randint(1, 30) for _ in range(3 * h - 3)], twisted)
+        for h in (g - 1, g - 2)
+        for twisted in (False, True)
+    ]
+    for q in grams + weighted:
+        ctx = _q_context(q, g)
         got = group_table(ctx)
         assert "engine" not in vars(ctx)
         assert got == _engine_groups(ctx.engine)
@@ -1399,8 +1447,8 @@ def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
     copies of them by H); after them the verdict routes echelonise
     nothing, and the Abar and Bbar groups only rerun the Smith reduction of
     their sections (on at most n - start(2) coordinates), never a relation
-    set.  (At maximal rank `group_table` reads no engine; at deficient rank
-    it reads these four.)"""
+    set.  (`group_table` reads no engine at any rank; the module-level
+    groups read these four.)"""
     ctx = build_context(builtin_curve("tl3"))
     v = v_class(ctx, builtin_table("tl3"))
     built = _count_lattices(monkeypatch)

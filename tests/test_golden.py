@@ -11,10 +11,15 @@ The expected outputs in tests/data/ were recorded from the command line:
     tropceresa ceresa --graph g5_k24.json --table g5_table.json [--format text]
     tropceresa groups --graph g5_k24.json [--format text]
     tropceresa basis --graph g5_k24.json
+    tropceresa groups --graph k4_w1.json [--format text]
+    tropceresa groups --graph builtin:theta-w1 --lengths 2,8,8 [--format text]
 
 g5_k24.json is the genus-5 curve K_{2,4} plus a parallel edge at each hub,
 with lengths e8 = 2, e9 = 3 and all other edges 1; g5_table.json is a fixed
-user table of two-Y-factor entries.
+user table of two-Y-factor entries.  k4_w1.json is K4 with vertex a of
+weight 1 and lengths 2, 4, 6, 2, 4, 6: a deficient-rank curve (g = 4,
+h = 3) whose Q has invariant factors 2, 2, 240 (Smith diagonal D = [2, 6,
+80], no divisibility chain), and where A and B differ.
 
 A refactor that changes any of these bytes changes a published result.
 """
@@ -76,6 +81,13 @@ CASES = [
     for cmd, table in (
         ("ceresa", ["--table", str(DATA / "g5_table.json")]),
         ("groups", []),
+    )
+    for ext, fmt in (("json", "json"), ("txt", "text"))
+] + [
+    (f"groups_{name}.{ext}", cli.main, ["groups", "--graph", graph, "--format", fmt] + extra)
+    for name, graph, extra in (
+        ("k4_w1", str(DATA / "k4_w1.json"), []),
+        ("theta-w1_2_8_8", "builtin:theta-w1", ["--lengths", "2,8,8"]),
     )
     for ext, fmt in (("json", "json"), ("txt", "text"))
 ]
