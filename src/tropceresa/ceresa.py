@@ -12,9 +12,8 @@ all read that reduction.  At maximal rank the order in Bbar, which is also
 the ambient order there, is a closed form of u (`ceresa_order`),
 with no relation lattice and no Smith frame.  The Zharkov verdict is read
 off the frame through closed forms, and the groups off D block by block at
-every rank.  The other orders are read by the graded-image engine in that
-frame.  `PipelineContext` builds the reduction, the frame and the engine on
-first read.
+every rank, and the other orders by blocks in that frame (`forced_order`).
+`PipelineContext` builds the reduction and the frame on first read.
 """
 
 from __future__ import annotations
@@ -23,16 +22,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, permutations
-from math import gcd, inf
+from math import gcd, inf, lcm
 
 from . import intlinalg as la
 from .errors import PreconditionError, SchemaError
 from .exterior import (
     AbelianGroupDescriptor,
     Filtration,
-    GradedImages,
     WedgeVector,
     _wedge_step,
+    _wedge_terms,
     apply_matrix,
     check_wedge_caps,
     delta_inverse_gr2,
@@ -49,7 +48,6 @@ from .graph_core import (
 from .johnson import JohnsonTable
 from .symplectic import (
     HomologyBasis,
-    delta_from_Q,
     homology_basis,
     polarization_Q,
     smith_frame,
@@ -66,22 +64,12 @@ class PipelineContext:
     else is derived: the Y-filtration from g and h, and the rest from the
     one Smith reduction D = U Q V (`symplectic.smith_reduction`).
 
-    The reduction, the Smith frame and the k = 3 graded-image engine in that
-    frame are built on first read.  At maximal rank the verdict reads u, Q
-    and the reduction, so a verdict-only `analyze` (`order`, `sample`)
-    builds no frame and no engine; the Zharkov verdict and the maximal-rank
-    groups read the frame, so a full maximal-rank report builds no engine;
-    the deficient-rank groups read D alone; the ambient order and the
-    deficient-rank verdict read the engine.
-
-    The frame is P = diag(V^-1, U) (`symplectic.smith_frame`).  The engine
-    runs on delta_from_Q(D), with H embedded by omega' = wedge^2(P) omega.  Groups
-    and orders are invariant under P, and the relation sets of a diagonal D
-    are sparse, so the relation lattices live in this frame.  A class v
-    enters it, through `frame_class`, only for the engine's reads: the
-    deficient-rank verdict, the ambient order and the Abar test.  u, w and
-    the maximal-rank Bbar order read the original Q through closed forms,
-    so the original delta is never built; the Zharkov test maps only w.
+    The reduction and the Smith frame P = diag(V^-1, U), which takes delta
+    to delta_from_Q(D) and omega to omega' = wedge^2(P) omega, are built on
+    first read.  A maximal-rank verdict reads u, Q and the reduction, so a
+    verdict-only `analyze` (`order`, `sample`) builds no frame; the Zharkov
+    verdict, the maximal-rank groups and `forced_order` read the frame; the
+    deficient-rank groups read D alone.  No lattice of wedge^3 is built.
     """
 
     curve: TropicalCurve          # integer lengths
@@ -103,7 +91,7 @@ class PipelineContext:
 
     @cached_property
     def filt(self) -> Filtration:
-        """The Y-filtration, Y = b_1..b_h; the engine shares it."""
+        """The Y-filtration, Y = b_1..b_h."""
         return Filtration(2 * self.g, frozenset(range(self.g, self.g + self.basis.h)))
 
     @cached_property
@@ -131,19 +119,6 @@ class PipelineContext:
     def omega_frame(self) -> WedgeVector:
         """omega' = wedge^2(P) omega, the form that embeds H in the frame."""
         return apply_matrix(self.frame, omega(self.g))
-
-    @cached_property
-    def engine(self) -> GradedImages:
-        """The graded-image engine of delta_from_Q(D), with omega' as its form."""
-        g = self.g
-        d = [[x if i == j else 0 for j in range(g)] for i, x in enumerate(self.q_diagonal)]
-        return GradedImages(self.filt, delta_from_Q(d), 3, omega=self.omega_frame)
-
-    def frame_class(self, v: WedgeVector) -> dict:
-        """Terms of wedge^3(P) v, the class v moved into the Smith frame.
-        P is graded, so v keeps its Y-degrees and its integrality on each
-        graded piece."""
-        return apply_matrix(self.frame, v).coeffs
 
 
 def build_context(curve: TropicalCurve, tree=None) -> PipelineContext:
@@ -353,15 +328,87 @@ def ceresa_order(ctx: PipelineContext, v: WedgeVector):
     return _u_and_order(ctx, v)[1]
 
 
+def forced_order(ctx: PipelineContext, v: WedgeVector, q: int | None = None):
+    """Least k > 0 with k v in (delta-I)L + H, or in (delta-I)L + F_q L + H
+    when q is given; math.inf if there is none (README, "Orders").
+
+    In k v = (delta-I) z + f + omega ^ y, y = k y* is forced but for y_b at
+    h = g when q is None, where y'_l = (U y_b)_l matters mod d_l only.
+    s (v - omega ^ y*), s = (g-1) den(v), in the Smith frame, and
+    -s omega' ^ b_l for each such y'_l, tagged by k and y', meet s times the
+    block relations (`_block_relations`): the blocks they couple in one
+    lattice, each other block in its own.
+    """
+    g, h, d, y_slots = ctx.g, ctx.basis.h, ctx.q_diagonal, ctx.filt.y_positions
+    den = lcm(*(c.denominator for c in v.coeffs.values()))
+    num = {t: int(c * den) for t, c in v.coeffs.items()}
+    div = g - 1
+    y = [0] * (2 * g)  # Lambda(den v), then the b slots of C
+    for (p, r, t), c in num.items():
+        y[t] += c * (r == p + g)
+        y[r] -= c * (t == p + g)
+        y[p] += c * (t == r + g)
+    for i in range(h):
+        y[g + i] = -div * num.get((h, g + i, g + h), 0) if h < g else 0
+    scale = div * den
+    sv = WedgeVector._from_sorted(2 * g, 3, {t: div * c for t, c in num.items()})
+    terms = [apply_matrix(ctx.frame, sv - omega(g).wedge_vector(y)).coeffs]
+    if h == g and q is None:
+        units = la.identity(2 * g)
+        for l in (l for l in range(g) if d[l] != 1):
+            form = ctx.omega_frame.wedge_vector(units[g + l]).coeffs
+            terms.append({t: -scale * c for t, c in form.items()})
+    touched = [{tuple(sorted(i % g for i in t)) for t in part} for part in terms]
+    coupled = set().union(*touched[1:])
+    blocks: dict = {}  # by pattern, d-values and Y slots, as group_table's Smith forms
+    k = 1
+    for group in ([coupled] if coupled else []) + [[key] for key in touched[0] - coupled]:
+        pos, rows = {}, []
+        for key in group:
+            idx = sorted(set(key))
+            bkey = (tuple(map(idx.index, key)), tuple((d[i], g + i in y_slots) for i in idx))
+            if bkey not in blocks:
+                blocks[bkey] = _block_relations(*bkey, q)
+            monos, rels = blocks[bkey]
+            base = len(pos)
+            for c, t in enumerate(monos):
+                pos[tuple(idx[i % len(idx)] + g * (i >= len(idx)) for i in t)] = base + c
+            rows += [{base + c: scale * e for c, e in rel.items()} for rel in rels]
+        n = len(pos)
+        tags = [{pos[t]: c for t, c in part.items() if t in pos} for part in terms]
+        lat = la.Lattice(n + len(terms), rows + [tag | {n + j: 1} for j, tag in enumerate(tags)])
+        k = lcm(k, next((row[n] for row, p in zip(lat.rows, lat.pivots) if p == n), 0))
+    return lcm(scale // gcd(scale, *y), k) if k else inf
+
+
+def _block_relations(pattern: tuple, slots: tuple, q: int | None) -> tuple:
+    """The monomials of the block of wedge^3 in the Smith frame with index
+    multiset `pattern` over local slots (d_i, b_i in Y), a's then b's, and its
+    relations by monomial number: (delta'-I) images and unit rows on F_q."""
+    m = len(slots)
+    cols = [[(p, 1)] + ([(m + p, dp)] if dp else []) for p, (dp, _) in enumerate(slots)]
+    cols += [[(m + p, 1)] for p in range(m)]
+    monos = [t for t in combinations(range(2 * m), 3) if sorted(i % m for i in t) == [*pattern]]
+    number = {t: c for c, t in enumerate(monos)}
+    rels = []
+    for t in monos:
+        img = _wedge_terms(cols[i] for i in t)
+        img[t] -= 1
+        rels.append({number[s]: e for s, e in img.items() if e})
+        if q is not None and sum(i >= m and slots[i - m][1] for i in t) >= q:
+            rels.append({number[t]: 1})
+    return monos, rels
+
+
 def ambient_order(ctx: PipelineContext, v: WedgeVector):
     """Order of v in wedge^3 H / ((delta-I) wedge^3 H + H)."""
-    return ctx.engine.abar_order(ctx.frame_class(v))
+    return forced_order(ctx, v)
 
 
 def in_Abar_test(ctx: PipelineContext, j_total: WedgeVector) -> dict:
     """Membership of the total class in F2 L + (delta-I)L + H, with the
     least positive multiple that lands inside."""
-    least = ctx.engine.abar_order(ctx.frame_class(j_total), 2)
+    least = forced_order(ctx, j_total, 2)
     return {"in_Abar": least == 1, "least_multiple": least}
 
 
@@ -528,8 +575,8 @@ def nontriviality_verdict(
     user-supplied tables, downgrading a clean order-1 result to
     indeterminate (the table is not known to come from an involution).
     At maximal rank the ambient order is the Bbar order, read off u with
-    no relation lattice (README, "Verdict"); only the deficient-rank
-    branch maps v into the Smith frame.
+    no relation lattice (README, "Verdict"); the other branch reads both
+    orders by `forced_order`.
     """
     out = dict.fromkeys(("u", "order_bbar", "order_ambient", "in_abar", "least_multiple"))
     decisive = None  # a route that certifies nontriviality before the ambient order
@@ -543,13 +590,12 @@ def nontriviality_verdict(
         elif order > 1:
             decisive = "order-in-Bbar"
     else:
-        coeffs = ctx.frame_class(v)  # read by both orders below
-        least = ctx.engine.abar_order(coeffs, 2)
+        least = forced_order(ctx, v, 2)
         out["in_abar"], out["least_multiple"] = least == 1, least
         if least != 1:
             decisive = "not-in-Abar"
         else:
-            out["order_ambient"] = ctx.engine.abar_order(coeffs)
+            out["order_ambient"] = forced_order(ctx, v)
     if hyperelliptic:
         verdict, decided = "hyperelliptic-trivial", "hyperelliptic quotient"
     elif decisive:

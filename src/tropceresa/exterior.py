@@ -19,17 +19,15 @@ F_q is spanned by the monomials with at least q indices in Y.
 
 Quotients modulo H are always realized by adjoining the embedded-H generators
 to relation lattices; no coset representatives are ever chosen.  The
-module-level groups take any unipotent delta; the pipeline runs the same
-engine on the diagonal form of its delta, with omega carried across, and
-builds it on first read (`ceresa.PipelineContext.engine`) for its orders.
-The pipeline reads the groups off that diagonal block by block at every
-rank (`ceresa.group_table`).
+module-level groups take any unipotent delta.  The pipeline builds no
+such lattice: it reads the groups (`ceresa.group_table`) and the orders
+(`ceresa.forced_order`) off the diagonal form of its delta block by block.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
@@ -326,29 +324,26 @@ class GradedImages:
     `delta` is used as given, and `wedge`, the sorted-tuple basis of
     wedge^k, is derived from n = `filt.n` and k.  H embeds as `omega` ^ H,
     with `omega` the standard sum of a_i ^ b_i unless given: a change of
-    basis of H carries the form along with delta, as the pipeline's Smith-frame engine does
-    (`ceresa.PipelineContext.engine`, which also shares the context's
-    filtration).  Images and H are computed on first use and cached.
+    basis of H carries the form along with delta, as the Smith frame of a
+    pipeline context does (`ceresa.PipelineContext.omega_frame`).  Images
+    and H are computed on first use and cached.
 
     Lattices order coordinates by Y-degree, then by wedge index, so every
     F_q is the suffix from `start(q)`, a layout no other module reads.  One
     cached map from monomial to position gives the sparse coordinates
     {position: coeff} (`graded_coords`) in which images, H terms and
     classes enter the lattices, so none of them is ever densified; the
-    starts are cached with it.  One echelon per relation set gives its
-    groups (`Lattice.section`), and the Abar lattice also gives the orders
-    of sparse classes (`abar_order`); the Bbar order is a closed form at
-    maximal rank (`ceresa.ceresa_order`).  The A and B image echelons are cached,
-    and Abar and Bbar extend copies of them by H, so one engine's four
-    groups take two echelonisations.  The pipeline reads no group of the
-    engine (`ceresa.group_table` reads D); the module-level groups below do.
+    starts are cached with it.  Each relation set, H included, is
+    echelonised in one pass over its generators and gives its group as a
+    coordinate section (`Lattice.section`).  The module-level groups below
+    read this engine; the pipeline reads none (`ceresa.group_table` and
+    `ceresa.forced_order` read D).
     """
 
     filt: Filtration
     delta: list
     k: int
     omega: WedgeVector | None = None
-    _echelons: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, delta, y_vectors, k: int):
@@ -421,29 +416,17 @@ class GradedImages:
         """First filtration-order coordinate of F_q."""
         return self._starts[min(q, self.k + 1)]
 
-    def graded_coords(self, coeffs: dict, stop: int | None = None) -> dict:
+    def graded_coords(self, coeffs: dict, stop: int) -> dict:
         """Sparse filtration-order coordinates {position: coeff} of
-        {monomial: coeff}, those before `stop` only when it is given."""
+        {monomial: coeff}, those before `stop`."""
         pos = self._positions
-        if stop is None:
-            return {pos[t]: c for t, c in coeffs.items()}
         return {i: c for t, c in coeffs.items() if (i := pos[t]) < stop}
 
-    def _echelon(self, level: int | None, stop: int) -> la.Lattice:
-        """Echelon of the images at Y-degree `level` (all if None), in
-        filtration order truncated at `stop`; built once per key."""
-        lat = self._echelons.get((level, stop))
-        if lat is None:
-            rows = (self.graded_coords(c, stop) for c in self._images(level))
-            lat = self._echelons[level, stop] = la.Lattice(stop, rows)
-        return lat
-
-    def _plus_h(self, lat: la.Lattice) -> la.Lattice:
-        """A copy of `lat` extended by the embedded H."""
-        out = lat.copy()
-        for c in self._h_terms:
-            out.add(self.graded_coords(c, out.n))
-        return out
+    def _relations(self, level, stop: int, with_h: bool = False) -> la.Lattice:
+        """One-pass echelon of the images at Y-degree `level` (all if None),
+        and of H when `with_h`, in filtration order cut at `stop`."""
+        gens = self._images(level) + (list(self._h_terms) if with_h else [])
+        return la.Lattice(stop, (self.graded_coords(c, stop) for c in gens))
 
     def _images(self, level=None) -> list:
         """Sparse nonzero images of the monomials at Y-degree `level` (all if None)."""
@@ -455,21 +438,20 @@ class GradedImages:
 
     @cached_property
     def abar_lattice(self) -> la.Lattice:
-        """(delta-I) L + H, in filtration order: the A echelon plus H."""
-        return self._plus_h(self._echelon(None, len(self.wedge)))
+        """(delta-I) L + H, in filtration order."""
+        return self._relations(None, len(self.wedge), with_h=True)
 
     @cached_property
     def bbar_lattice(self) -> la.Lattice:
-        """(delta-I) F_1 L + H, in filtration order, truncated below F_3:
-        the B(2) echelon plus H."""
-        return self._plus_h(self._echelon(1, self.start(3)))
+        """(delta-I) F_1 L + H, in filtration order, truncated below F_3."""
+        return self._relations(1, self.start(3), with_h=True)
 
     def A_group(self, q: int) -> AbelianGroupDescriptor:
-        lat = self._echelon(None, len(self.wedge))
+        lat = self._relations(None, len(self.wedge))
         return AbelianGroupDescriptor(*lat.section(self.start(q)))
 
     def B_group(self, q: int) -> AbelianGroupDescriptor:
-        lat = self._echelon(q - 1, self.start(q + 1))
+        lat = self._relations(q - 1, self.start(q + 1))
         return AbelianGroupDescriptor(*lat.section(self.start(q)))
 
     def Abar_group(self) -> AbelianGroupDescriptor:
@@ -477,12 +459,6 @@ class GradedImages:
 
     def Bbar_group(self) -> AbelianGroupDescriptor:
         return AbelianGroupDescriptor(*self.bbar_lattice.section(self.start(2)))
-
-    def abar_order(self, coeffs: dict, q: int | None = None):
-        """Order of the class {monomial: coeff} modulo (delta-I) L + H, and
-        modulo F_q too when q is given."""
-        stop = None if q is None else self.start(q)
-        return self.abar_lattice.coset_order(self.graded_coords(coeffs), stop)
 
 
 def graded_map(delta, y_vectors, q: int, k: int):
@@ -564,8 +540,9 @@ def delta_inverse_gr2(q_matrix, smith, v: WedgeVector) -> tuple[dict, int]:
     for i < j, the three terms are the 2x2 minors
         -den (alpha ^ x)_ij a_i^a_j^b_r,  +den (beta ^ x)_ij a_i^a_j^b_p,
         -(alpha ^ beta)_ij (Q x)_k a_i^a_j^b_k,
-    keyed by sorted tuples since every a index lies below every b index.
-    N keeps the nonzero sums, unreduced, over the one scale s = 2 vden den^2.
+    keyed by sorted tuples since every a index lies below every b index;
+    each key has one Y index, so u lies in gr_1.  N keeps the nonzero
+    sums, unreduced, over the one scale s = 2 vden den^2.
     """
     g = len(q_matrix)
     if v.n != 2 * g or v.k != 3:
@@ -606,7 +583,4 @@ def delta_inverse_gr2(q_matrix, smith, v: WedgeVector) -> tuple[dict, int]:
                 for k, y in qx:
                     t = (i, j, k)
                     acc[t] = get(t, 0) - m * y
-    nums = {t: x for t, x in acc.items() if x}
-    if any(sum(i >= g for i in idx) != 1 for idx in nums):
-        raise FiltrationError("preimage left gr_1")
-    return nums, 2 * vden * den * den
+    return {t: x for t, x in acc.items() if x}, 2 * vden * den * den

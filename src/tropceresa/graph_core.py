@@ -154,47 +154,29 @@ def stabilize(curve: TropicalCurve) -> TropicalCurve:
         raise PreconditionError("stable model requires genus >= 2")
     verts = {v.id: v.weight for v in curve.vertices}
     edges = {e.id: (e.ends, e.length) for e in curve.edges}
-
-    def val(vid):
-        return sum((u == vid) + (w == vid) for (u, w), _ in edges.values())
-
-    changed = True
-    while changed:
-        changed = False
-        # leaves first
-        for vid in sorted(verts):
-            if verts[vid] == 0 and val(vid) == 1:
-                eid = next(
-                    i for i, ((u, w), _) in edges.items() if vid in (u, w)
-                )
-                del edges[eid]
-                del verts[vid]
-                changed = True
-                break
-        if changed:
+    while True:
+        incident = {vid: [] for vid in verts}  # a loop is listed twice
+        for eid, ((u, w), _) in edges.items():
+            incident[u].append(eid)
+            incident[w].append(eid)
+        zero = [vid for vid in sorted(verts) if verts[vid] == 0]
+        leaf = next((vid for vid in zero if len(incident[vid]) == 1), None)
+        if leaf is not None:
+            del edges[incident[leaf][0]]
+            del verts[leaf]
             continue
-        for vid in sorted(verts):
-            if verts[vid] != 0 or val(vid) != 2:
-                continue
-            incident = sorted(
-                i for i, ((u, w), _) in edges.items() if vid in (u, w)
-            )
-            if len(incident) != 2:
-                continue  # a loop vertex; genus >= 2 rules out the bare circle
-            ia, ib = incident
-            (ua, wa), la = edges[ia]
-            (ub, wb), lb = edges[ib]
-            far_a = wa if ua == vid else ua
-            far_b = wb if ub == vid else ub
-            merged = f"{ia}+{ib}"
-            del edges[ia]
-            del edges[ib]
-            while merged in edges:
-                merged += "'"
-            edges[merged] = ((far_a, far_b), la + lb)
-            del verts[vid]
-            changed = True
+        # a loop vertex has one edge twice; genus >= 2 rules out the bare circle
+        vid = next((v for v in zero if len(set(incident[v])) == len(incident[v]) == 2), None)
+        if vid is None:
             break
+        ia, ib = sorted(incident[vid])
+        (ua, wa), la = edges.pop(ia)
+        (ub, wb), lb = edges.pop(ib)
+        merged = f"{ia}+{ib}"
+        while merged in edges:
+            merged += "'"
+        edges[merged] = ((wa if ua == vid else ua, wb if ub == vid else ub), la + lb)
+        del verts[vid]
     return TropicalCurve(
         tuple(Vertex(i, w) for i, w in sorted(verts.items())),
         tuple(Edge(i, ends, l) for i, (ends, l) in sorted(edges.items())),

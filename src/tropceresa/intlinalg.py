@@ -1,27 +1,26 @@
 """Exact integer and rational linear algebra.
 
 Everything here works over Z (arbitrary-precision ints) or Q (fractions):
-echelon-form (Hermite) lattices with coset orders and canonical bases; kernels,
-integer solutions and unimodular inverses read off the Hermite form of
-tagged matrices; quotients of coordinate sublattices by their sections with
-a span; and the structure of finitely generated abelian quotients through
+echelon-form (Hermite) lattices with canonical bases; kernels, integer
+solutions and unimodular inverses read off the Hermite form of tagged
+matrices; quotients of coordinate sublattices by their sections with a
+span; and the structure of finitely generated abelian quotients through
 one Smith diagonal, computed by alternating Hermite reduction and turned
 into invariant factors over a coprime base, with no integer factorization.
 The same reduction, with its transforms, gives rational inverses in closed
 form (`smith_inverse`).  One echelon basis serves each relation set: its
-rows pivoting in a coordinate suffix span the section there, and coset
-orders come from back-substitution along the others, so no intersection is
-needed.  One back-substitution (`Lattice.back_substitute`), in integers
-over one common denominator, gives coset orders and integer solutions;
-membership is a coset order of 1.  No Gauss-Jordan, no floating point.
+rows pivoting in a coordinate suffix span the section there, so no
+intersection is needed.  One back-substitution (`Lattice.back_substitute`),
+in integers over one common denominator, gives integer solutions.  No
+Gauss-Jordan, no floating point.
 
 `Lattice`, the one lattice kernel, stores each echelon row sparsely as
-{column: nonzero int}.  The relation lattices of the pipeline have a few
-nonzeros a row among C(2g, 3) columns, so every insertion, Hermite
-re-reduction and back-substitution runs over the supports of the rows it
-combines.  Vectors enter as dense sequences or as such maps, and residuals
-come back as maps; `basis()` and `canonical()` are the dense views that
-the Smith reduction and the tagged solvers read.
+{column: nonzero int}.  The relation lattices of the module-level groups
+have a few nonzeros a row among C(2g, 3) columns, so every insertion,
+Hermite re-reduction and back-substitution runs over the supports of the
+rows it combines.  Vectors enter as dense sequences or as such maps, and
+residuals come back as maps; `basis()` and `canonical()` are the dense
+views that the Smith reduction and the tagged solvers read.
 """
 
 from __future__ import annotations
@@ -248,13 +247,6 @@ class Lattice:
                             del row[t]
                     dirty.add(r)
 
-    def copy(self) -> "Lattice":
-        """An independent lattice with the same rows and pivots; nothing is
-        re-echelonised."""
-        out = object.__new__(type(self))
-        out.n, out.rows, out.pivots = self.n, [dict(r) for r in self.rows], self.pivots[:]
-        return out
-
     def back_substitute(self, vec, d: int | None = None):
         """The residual of vec after the rows pivoting before d (d = n by
         default), as {column: nonzero value}, and the lcm of the
@@ -313,20 +305,6 @@ class Lattice:
         """Hermite-reduced basis as dense tuples, unique for the lattice
         (maintained by add)."""
         return tuple(tuple(row) for row in self.basis())
-
-    def coset_order(self, vec, d: int | None = None):
-        """Least k >= 1 with k*vec in the lattice + Z^{d..n-1} (d = n by
-        default); math.inf if none exists.
-
-        A residual before d means vec is outside the rational span;
-        otherwise the order is the lcm of the coefficient denominators and of
-        the residual's from d on.
-        """
-        d = self.n if d is None else d
-        rest, den = self.back_substitute(vec, d)
-        if any(t < d for t in rest):
-            return inf
-        return lcm(den, *(x.denominator for x in rest.values()))
 
     def section(self, d: int) -> tuple[int, list[int]]:
         """Structure of Z^{d..n-1} / (lattice & Z^{d..n-1}).

@@ -21,7 +21,7 @@ from tropceresa.graph_core import (
     tropical_curve,
 )
 from tropceresa.intlinalg import Lattice, Matrix, Vector, identity
-from tropceresa.symplectic import intersection, twist_action
+from tropceresa.symplectic import delta_from_Q, intersection, twist_action
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -190,13 +190,6 @@ class DenseLattice:
                 if q:
                     row[p:] = [x - q * y for x, y in zip(row[p:], tail)]
                     dirty.add(r)
-
-    def copy(self) -> "DenseLattice":
-        """An independent lattice with the same rows and pivots; nothing is
-        re-echelonised."""
-        out = object.__new__(type(self))
-        out.n, out.rows, out.pivots = self.n, self.basis(), self.pivots[:]
-        return out
 
     def back_substitute(self, vec: Vector, d: int | None = None):
         """Rational coefficients of vec along the rows pivoting before d
@@ -474,11 +467,26 @@ def full_tail_section(lat: Lattice, d: int) -> tuple[int, list[int]]:
     return lat.n - d - rank, la.invariant_factors_from_orders(orders)
 
 
-# The coset order as it was before the echelon readings became `Lattice`
-# methods: a fresh lattice per call, back-substitution along every pivot.
-# Kept as the oracle for `Lattice.coset_order`, and with it the verdict
-# routes as they were, each over its own freshly echelonised relation set
-# in `wedge` (lexicographic) order.
+# Coset orders in a lattice, as the verdict read them before its orders
+# left the relation lattices of wedge^3 (`ceresa.forced_order`): by
+# back-substitution along a `Lattice`, and, as it was before that, over a
+# fresh lattice per call, along every pivot.  Kept as the oracles for the
+# verdict routes, each over its own echelonised relation set.
+
+
+def coset_order(lat: Lattice, vec, d: int | None = None):
+    """Least k >= 1 with k*vec in the lattice + Z^{d..n-1} (d = n by
+    default); math.inf if none exists.
+
+    A residual before d means vec is outside the rational span; otherwise
+    the order is the lcm of the coefficient denominators and of the
+    residual's from d on.
+    """
+    d = lat.n if d is None else d
+    rest, den = lat.back_substitute(vec, d)
+    if any(t < d for t in rest):
+        return inf
+    return lcm(den, *(x.denominator for x in rest.values()))
 
 
 def class_order(vec: Vector, den_vecs, n: int):
@@ -539,6 +547,23 @@ def abar_relations(eng) -> list:
 def bbar_relations(eng) -> list:
     """(delta-I) F_1 L + F_3 L + H."""
     return image_generators(eng, 1) + f_units(eng, 3) + h_generators(eng)
+
+
+def abar_order(eng, coeffs: dict, q: int | None = None):
+    """Order of the class {monomial: coeff} modulo the engine's
+    (delta-I) L + H, and modulo F_q too when q is given."""
+    stop = None if q is None else eng.start(q)
+    return coset_order(eng.abar_lattice, eng.graded_coords(coeffs, len(eng.wedge)), stop)
+
+
+def smith_frame_engine(ctx):
+    """The graded-image engine of a context's Smith frame: delta_from_Q(D),
+    with omega' = wedge^2(P) omega as its form.  Its whole-wedge^3 lattices
+    are the route that the block readings of `ceresa.group_table` and
+    `ceresa.forced_order` replace."""
+    d = ctx.q_diagonal
+    diag = [[x if i == j else 0 for j in range(len(d))] for i, x in enumerate(d)]
+    return exterior.GradedImages(ctx.filt, delta_from_Q(diag), 3, omega=ctx.omega_frame)
 
 
 def _engine_lattice(eng, name: str, vectors):

@@ -19,6 +19,7 @@ from tropceresa.ceresa import (
     analyze,
     build_context,
     ceresa_order,
+    forced_order,
     group_table,
     in_Abar_test,
     is_pure_gr2,
@@ -196,15 +197,14 @@ def test_u_rejected_for_singular_Q():
 
 @pytest.mark.parametrize("name", BUILTIN_GRAPHS)
 def test_context_derives_filtration_and_wedge_basis(name):
-    """Y is b_1..b_h, read off g and h (h < g on theta-w1 and 3balloon), and
-    the engine shares that filtration and the wedge^3 basis of rank 2g."""
+    """Y is b_1..b_h, read off g and h (h < g on theta-w1 and 3balloon); the
+    context holds no graded-image engine and no route into one."""
     ctx = build_context(builtin_curve(name))
     g, h = ctx.g, ctx.basis.h
     assert (h < g) == (name in ("theta-w1", "3balloon"))
     assert ctx.filt.y_positions == frozenset(range(g, g + h))
     assert ctx.filt == exterior.Filtration.from_Y(helpers.y_units(g, h), 2 * g)
-    assert ctx.engine.filt is ctx.filt
-    assert ctx.engine.wedge == exterior.wedge_basis(2 * g, 3)
+    assert not {"engine", "frame_class"} & set(dir(ctx))
 
 
 # -- orders and membership ---------------------------------------------------------
@@ -290,7 +290,7 @@ def test_order_agrees_with_u_side_route():
                 ]
                 if any(proj):
                     gens.append(proj)
-            u_route = la.Lattice(len(basis3), gens).coset_order(target)
+            u_route = helpers.coset_order(la.Lattice(len(basis3), gens), target)
             assert u_route == ceresa_order(ctx, v), (c, u_route)
 
 
@@ -506,8 +506,7 @@ def test_zharkov_closed_forms_match_generic_images():
                 gens = [x.to_coords(top) for x in res["relation_generators"]]
                 member = helpers.in_span(res["w"].to_coords(top), gens, len(top))
                 assert res["obstructed"] is not member
-                framed = ctx.frame_class(v)
-                assert framed == helpers.apply_matrix(ctx.frame, v).coeffs
+                framed = helpers.apply_matrix(ctx.frame, v).coeffs
                 closed = WedgeVector(n, 3, {
                     (g + m, p, r): c * ctx.q_diagonal[m] for (m, p, r), c in framed.items()
                 })
@@ -667,9 +666,19 @@ def test_zharkov_test_builds_no_lattice(monkeypatch):
     assert built == []
 
 
+def _forbid_engines(monkeypatch):
+    """Make the build of any graded-image engine fail the test."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a graded-image engine was built")
+
+    monkeypatch.setattr(GradedImages, "__init__", refuse)
+
+
 def test_zharkov_test_builds_the_frame_and_no_engine(monkeypatch):
     """The Zharkov verdict reads the Smith frame, built once on first read,
-    and never the graded-image engine."""
+    and never a graded-image engine."""
+    _forbid_engines(monkeypatch)
     calls = []
     smith_frame = ceresa.smith_frame
 
@@ -682,9 +691,9 @@ def test_zharkov_test_builds_the_frame_and_no_engine(monkeypatch):
         calls.clear()
         ctx = build_context(builtin_curve(name))
         v = v_class(ctx, builtin_table(name))
-        assert calls == [] and not {"frame", "engine"} & set(vars(ctx))
+        assert calls == [] and "frame" not in vars(ctx)
         assert zharkov_test(ctx, v)["obstructed"] is True
-        assert len(calls) == 1 and "frame" in vars(ctx) and "engine" not in vars(ctx)
+        assert len(calls) == 1 and "frame" in vars(ctx)
 
 
 @pytest.mark.parametrize("name", ["k4", "tl3", "g5"])
@@ -692,7 +701,7 @@ def test_verdict_only_analyze_builds_no_smith_frame(monkeypatch, name):
     """A maximal-rank report without groups and the Zharkov test, as `order`
     and `sample` ask for, reads u, Q and the one Smith reduction of Q: its
     context reduces Q_h once, for u and the invariant factors alike, and
-    never builds the Smith frame or the engine."""
+    never builds the Smith frame or a graded-image engine."""
     curve, table = (
         _g5_golden() if name == "g5" else (builtin_curve(name), builtin_table(name))
     )
@@ -709,11 +718,12 @@ def test_verdict_only_analyze_builds_no_smith_frame(monkeypatch, name):
 
     monkeypatch.setattr(ceresa, "smith_frame", counting)
     monkeypatch.setattr(ceresa, "build_context", recording)
+    _forbid_engines(monkeypatch)
     reduced, _ = helpers.record_q_reductions(monkeypatch)
     report = analyze(curve, table, with_groups=False, with_zharkov=False)
     assert report.ctx.rank_status == "maximal" and report.invariant_factors
     assert frames == [] and len(contexts) == 1
-    assert not {"frame", "engine"} & set(vars(contexts[0]))
+    assert "frame" not in vars(contexts[0])
     helpers.assert_one_q_reduction_per_context(reduced, contexts)
 
 
@@ -768,12 +778,14 @@ def test_context_inverse_of_q_matches_gauss_jordan():
     assert len(qs) == 438 and shared >= 50, shared
 
 
-def test_analyze_builds_one_graded_image_engine(monkeypatch):
-    """A full report at maximal rank, groups and Zharkov test included,
-    builds its context and no graded-image engine: the groups are read off
-    the Smith diagonal block by block.  A deficient-rank report (theta-w1)
-    builds exactly one engine, which serves its verdict; its groups are
-    read off the Smith diagonal too."""
+def test_analyze_and_sample_build_no_graded_image_engine(capsys, monkeypatch):
+    """A full report and `sample` draws at every rank, maximal (k4, tl3, the
+    genus-5 golden) and deficient (theta-w1, 3balloon), verdict, orders,
+    groups and Zharkov test included, build their contexts and no
+    graded-image engine: the orders and the groups are read off D block by
+    block."""
+    from tropceresa.cli import main
+
     built = []
 
     def counting(cls):
@@ -787,13 +799,25 @@ def test_analyze_builds_one_graded_image_engine(monkeypatch):
 
     for cls in (GradedImages, PipelineContext):  # each has its own __init__
         monkeypatch.setattr(cls, "__init__", counting(cls))
-    for name, engines in (("k4", []), ("tl3", []), ("theta-w1", [GradedImages])):
+    cases = [(name, builtin_curve(name), builtin_table(name)) for name in BUILTIN_TABLES]
+    cases.append(("g5", *_g5_golden()))
+    ranks = set()
+    for name, curve, table in cases:
         built.clear()
-        curve = builtin_curve(name)
-        report = analyze(curve, builtin_table(name, curve))
+        report = analyze(curve, table)
+        ranks.add(report.ctx.rank_status)
         assert report.groups is not None
         assert (report.zharkov is not None) == (report.ctx.rank_status == "maximal")
-        assert built == [PipelineContext] + engines
+        assert built == [PipelineContext]
+    assert ranks == {"maximal", "deficient"}
+    for name in BUILTIN_TABLES:
+        built.clear()
+        assert main([
+            "sample", "--graph", f"builtin:{name}", "--table", f"builtin:{name}",
+            "--count", "4", "--seed", "5", "--workers", "1",
+        ]) == 0
+        assert built == [PipelineContext] * 4
+    capsys.readouterr()
 
 
 # -- invariances ---------------------------------------------------------------------
@@ -927,12 +951,12 @@ def test_qualifying_coordinates_have_a_y_index_unpaired_with_their_a_indices():
 
 @pytest.mark.parametrize("name", ["k4", "tl3", "theta-w1"])
 def test_context_generators_match_fresh_computation(name):
-    """The context's cached (delta-I) images of the Smith frame and its
+    """The cached (delta-I) images of a context's Smith-frame engine and its
     embedded H, omega' ^ H with omega' = wedge^2(P) omega, equal a fresh
     computation by the sorting oracles."""
     curve = builtin_curve(name)
     ctx = build_context(curve)
-    eng = ctx.engine
+    eng = helpers.smith_frame_engine(ctx)
     for level in (None, 1):
         monos = eng.wedge if level is None else ctx.filt.monomials(3, level, exact=True)
         fresh = [
@@ -1000,16 +1024,16 @@ def _original_orders(eng, v, maximal_rank):
     """Order in Bbar (None off F2 + H, and at deficient rank, where
     `ceresa_order` is undefined), ambient order and least multiple in Abar,
     read off the original-frame lattices."""
-    coords = eng.graded_coords(v.coeffs)
+    coords = eng.graded_coords(v.coeffs, len(eng.wedge))
     head = eng.graded_coords(v.coeffs, eng.start(3))
     f3 = (c for i, c in coords.items() if i not in head)
     inside = maximal_rank and all(Fraction(c).denominator == 1 for c in f3) and (
-        eng.bbar_lattice.coset_order(head, eng.start(2)) == 1
+        helpers.coset_order(eng.bbar_lattice, head, eng.start(2)) == 1
     )
     return (
-        eng.bbar_lattice.coset_order(head) if inside else None,
-        eng.abar_lattice.coset_order(coords),
-        eng.abar_lattice.coset_order(coords, eng.start(2)),
+        helpers.coset_order(eng.bbar_lattice, head) if inside else None,
+        helpers.coset_order(eng.abar_lattice, coords),
+        helpers.coset_order(eng.abar_lattice, coords, eng.start(2)),
     )
 
 
@@ -1076,9 +1100,10 @@ def test_untransported_omega_changes_the_h_quotients():
     and B, which do not see H, agree."""
     ctx = _q_context(helpers.random_posdef(5, random.Random(7)))
     eng = _original_engine(ctx)
-    plain = GradedImages.build(ctx.engine.delta, helpers.y_units(5, 5), 3)
+    framed = helpers.smith_frame_engine(ctx)
+    plain = GradedImages.build(framed.delta, helpers.y_units(5, 5), 3)
     want = _engine_groups(eng)
-    assert _engine_groups(ctx.engine) == want
+    assert _engine_groups(framed) == want
     got = _engine_groups(plain)
     assert (got["A"], got["B"]) == (want["A"], want["B"])
     assert got["Abar"] != want["Abar"] and got["Bbar"] != want["Bbar"]
@@ -1161,7 +1186,6 @@ def test_block_groups_match_original_frame_on_seeded_q(monkeypatch, g, count):
         ctx = _q_context(q)
         want = _module_groups(q)
         assert group_table(ctx) == want, q
-        assert "engine" not in vars(ctx)
         chains.add(_is_chain(ctx.q_diagonal))
         _assert_gcd_split(want, ctx.q_diagonal)
     if g in (3, 4):
@@ -1179,7 +1203,7 @@ def test_block_groups_match_original_frame_on_seeded_q(monkeypatch, g, count):
             assert ctx.smith  # the curve's one reduction of Q, shared with the verdict
             built.clear()
             assert group_table(ctx) == want, (q, g)
-            assert built == [] and not {"engine", "frame", "omega_frame"} & set(vars(ctx))
+            assert built == [] and not {"frame", "omega_frame"} & set(vars(ctx))
             d = ctx.q_diagonal[:h]
             _assert_gcd_split(want, d)
             seen.update({"h0"} if h == 0 else {"h1"} if h == 1 else set())
@@ -1213,7 +1237,10 @@ def test_block_groups_match_whole_wedge_engine_on_ladders(monkeypatch, g):
     original frame costs 6 to 10 s a case from g = 8 on, so the engine is
     the oracle here; the rank cap is lifted for this test only.  Weighted
     copies put the ladders of genus g - 1 and g - 2 on the cycle slots of a
-    genus-g curve, at deficient rank h = g - 1 and g - 2."""
+    genus-g curve, at deficient rank h = g - 1 and g - 2.  forced_order,
+    with q None and 2, equals the coset orders in the same engine's Abar
+    lattice on sparse classes with coefficients in (1/6)Z, moved into the
+    frame by P for the engine."""
     monkeypatch.setattr(exterior, "MAX_RANK", 2 * g)
     rng = random.Random(260 + g)
     grams = [
@@ -1225,16 +1252,51 @@ def test_block_groups_match_whole_wedge_engine_on_ladders(monkeypatch, g):
         for h in (g - 1, g - 2)
         for twisted in (False, True)
     ]
+    kinds = set()
     for q in grams + weighted:
         ctx = _q_context(q, g)
-        got = group_table(ctx)
-        assert "engine" not in vars(ctx)
-        assert got == _engine_groups(ctx.engine)
+        eng = helpers.smith_frame_engine(ctx)
+        assert group_table(ctx) == _engine_groups(eng)
+        for trial in range(4):
+            v = _sparse_sixths_class(ctx, rng, trial)
+            framed = apply_matrix(ctx.frame, v)
+            for order_q in (2, None):
+                want = helpers.abar_order(eng, framed.coeffs, order_q)
+                assert forced_order(ctx, v, order_q) == want, (q, v, order_q)
+                kinds.add((len(q) < g, order_q, _order_kind(want)))
+    assert {(True, 2, ">1"), (True, None, ">1"), (False, None, ">1")} <= kinds, kinds
+
+
+def _sparse_sixths_class(ctx, rng, trial):
+    """A sparse class in (1/6)Z of the original frame, built from the
+    generators that decide the orders: F_2 monomials, H and (delta-I)
+    images of monomials (`_random_sixths_class` densifies them, which costs
+    too much from g = 8 on)."""
+    n = 2 * ctx.g
+    delta = delta_from_Q(ctx.q_matrix)
+    units = la.identity(n)
+    monos = list(combinations(range(n), 3))
+    f2 = [t for t in monos if ctx.filt.y_degree(t) >= 2]
+    h = [omega(ctx.g).wedge_vector(units[j]) for j in rng.sample(range(n), 2)]
+    images = [
+        apply_matrix(delta, WedgeVector.monomial(n, t)) - WedgeVector.monomial(n, t)
+        for t in rng.sample(monos, 3)
+    ]
+    pick = [
+        [(WedgeVector.monomial(n, t), 1) for t in rng.sample(f2, 3)] + [(x, 1) for x in h],
+        [(x, 6) for x in images + h],
+        [(WedgeVector.monomial(n, t), 6) for t in rng.sample(f2, 3)] + [(x, 1) for x in h],
+        [(WedgeVector.monomial(n, t), 6) for t in rng.sample(monos, 2)],
+    ][trial % 4]
+    v = WedgeVector.zero(n, 3)
+    for x, den in pick:
+        v = v + x.scale(Fraction(rng.randint(1, 6), den))
+    return v
 
 
 def test_group_table_reuses_cached_images(monkeypatch):
     ctx = build_context(builtin_curve("tl3"))
-    assert ctx.engine.monomial_images
+    assert ctx.omega_frame.coeffs  # omega' is mapped on first read
     calls = []
     apply_matrix = exterior.apply_matrix
 
@@ -1275,11 +1337,11 @@ def _random_sixths_class(ctx, rng, kind):
 
 def test_verdict_routes_match_fresh_lattice_oracles():
     """ceresa_order, a closed form of u and Q at maximal rank, and
-    ambient_order and in_Abar_test, read off the context's cached
-    Smith-frame lattices in filtration order, and the engine's own
-    abar_order on the original-frame engine, against the same questions put
-    to freshly echelonised original-frame relation sets in wedge order.  At
-    deficient rank ceresa_order raises, as u_class does."""
+    ambient_order and in_Abar_test, read block by block (`forced_order`),
+    and the coset orders in the Abar lattice of the original-frame engine
+    (`helpers.abar_order`), against the same questions put to freshly
+    echelonised original-frame relation sets in wedge order.  At deficient
+    rank ceresa_order raises, as u_class does."""
     rng = random.Random(31)
     seen = dict.fromkeys(
         ("rejected", "bbar 1", "bbar >1", "bbar deficient", "ambient inf", "ambient >1",
@@ -1306,16 +1368,51 @@ def test_verdict_routes_match_fresh_lattice_oracles():
                     assert ceresa_order(ctx, v) == want
                     seen["bbar 1" if want == 1 else "bbar >1"] += 1
             want = helpers.ambient_order(eng, v)
-            assert ambient_order(ctx, v) == eng.abar_order(v.coeffs) == want
+            assert ambient_order(ctx, v) == helpers.abar_order(eng, v.coeffs) == want
             seen["ambient inf" if want == inf else "ambient >1"] += want > 1
             want = helpers.abar_least_multiple(eng, v)
             assert in_Abar_test(ctx, v) == {"in_Abar": want == 1, "least_multiple": want}
-            assert eng.abar_order(v.coeffs, 2) == want
+            assert helpers.abar_order(eng, v.coeffs, 2) == want
             seen["in Abar" if want == 1 else "Abar inf" if want == inf else "Abar >1"] += 1
             seen["theta-w1 F2 sixths"] += (
                 name == "theta-w1" and kind == "F2 sixths" and want != inf
             )
     assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_forced_order_matches_original_frame_on_seeded_q(g):
+    """forced_order, with q None and 2, equals the coset order in the Abar
+    lattice of the original-frame engine (`helpers.abar_order`) on seeded
+    Q_h at every rank h = 0..g, every third scaled by 6 so that the d_i
+    share factors, and on classes with coefficients in (1/6)Z of the four
+    kinds of `_random_sixths_class`.  At h = g and q = 2 it reads no
+    omega', since omega ^ Y lies in F_2.  1152 classes in all.  Coverage
+    floors: orders 1, > 1 and, from g = 3, inf, for each q, at h = 0, at
+    g - h >= 2 (from g = 3) and at h = g."""
+    rng = random.Random(3300 + g)
+    seen = set()
+    for t in range(4):
+        for h in range(g + 1):
+            q = helpers.random_posdef(h, rng)
+            if t % 3 == 2:
+                q = [[6 * x for x in row] for row in q]
+            ctx = _q_context(q, g)
+            eng = _original_engine(ctx)
+            place = "h0" if h == 0 else "full" if h == g else "wide" if g - h >= 2 else "h=g-1"
+            for trial in range(16):
+                kind = ("F2+H", "relations", "F2 sixths", "random")[trial % 4]
+                v = _random_sixths_class(eng, rng, kind)
+                for order_q in (2, None):
+                    want = helpers.abar_order(eng, v.coeffs, order_q)
+                    assert forced_order(ctx, v, order_q) == want, (q, v, order_q)
+                    if trial == 0 and order_q == 2:
+                        assert "omega_frame" not in vars(ctx)
+                    seen.add((place, order_q, _order_kind(want)))
+    places = ["h0", "full"] + (["wide"] if g >= 3 else [])
+    kinds = ("1", ">1", "inf") if g >= 3 else ("1", ">1")  # omega ^ H spans wedge^3 at g = 2
+    want = {(place, order_q, kind) for place in places for order_q in (2, None) for kind in kinds}
+    assert want <= seen, want - seen
 
 
 def _fraction_verdict(ctx, v):
@@ -1438,52 +1535,57 @@ def test_ceresa_order_accepts_class_in_H_through_lattice(monkeypatch):
     built = _count_lattices(monkeypatch)
     assert ceresa_order(ctx, v) == 1
     assert built == []
-    assert "smith" in vars(ctx) and not {"frame", "engine"} & set(vars(ctx))
+    assert "smith" in vars(ctx) and "frame" not in vars(ctx)
 
 
 def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
     """The four groups of the Smith-frame engine echelonise its full-length
-    A relation set and its B(2) relation set once each (Abar and Bbar extend
-    copies of them by H); after them the verdict routes echelonise
-    nothing, and the Abar and Bbar groups only rerun the Smith reduction of
-    their sections (on at most n - start(2) coordinates), never a relation
-    set.  (`group_table` reads no engine at any rank; the module-level
-    groups read these four.)"""
+    A relation set and its B(2) relation set, and each of them again
+    extended by H for Abar and Bbar, once each and in one pass.  The
+    verdict routes echelonise no relation set of wedge^3: past the Smith
+    reduction of Q and the frame, ceresa_order builds no lattice;
+    in_Abar_test, where y_b is set to 0, one lattice a touched block, on its
+    at most 8 monomials and the tag k; and the ambient order at maximal
+    rank, where a free y_b couples the blocks, one lattice on the touched
+    blocks and the tags (k, y_b), with no row of H.  (`group_table` reads
+    no engine at any rank; the module-level groups read these four.)"""
     ctx = build_context(builtin_curve("tl3"))
     v = v_class(ctx, builtin_table("tl3"))
+    eng = helpers.smith_frame_engine(ctx)
+    ctx.smith, ctx.frame, ctx.omega_frame  # their Hermite steps build lattices
     built = _count_lattices(monkeypatch)
-    eng = ctx.engine
-    groups = _engine_groups(eng)
-    assert built.count(len(eng.wedge)) == 1  # the A relation set
-    assert built.count(eng.start(3)) == 1  # the B(2) relation set
-    assert set(eng._echelons) == {(None, len(eng.wedge)), (1, eng.start(3))}
+    _engine_groups(eng)
+    assert built.count(len(eng.wedge)) == 2  # the A and Abar relation sets
+    assert built.count(eng.start(3)) == 2  # the B(2) and Bbar relation sets
     built.clear()
     ceresa_order(ctx, v)  # u reads Q^-1 off the Smith reduction
-    ambient_order(ctx, v)
-    in_Abar_test(ctx, v)
     assert built == []
-    assert (eng.Abar_group(), eng.Bbar_group()) == (groups["Abar"], groups["Bbar"])
-    assert built and max(built) <= len(eng.wedge) - eng.start(2)
+    in_Abar_test(ctx, v)
+    assert built and max(built) <= 8 + 1
+    built.clear()
+    ambient_order(ctx, v)
+    assert len(built) == 1 and built[0] <= len(eng.wedge) + 1 + ctx.g
 
 
 @pytest.mark.parametrize("name, multiple", [("tl3", 1), ("theta-w1", 3)])
-def test_verdict_moves_the_class_into_the_frame_once(monkeypatch, name, multiple):
+def test_verdict_maps_into_the_frame_once_per_order(monkeypatch, name, multiple):
     """On the maximal-rank route the verdict reads the Bbar order, which is
     also the ambient order, off u and Q and maps nothing into the frame.
-    Off it, Abar membership and the ambient order share one frame_class:
-    three times the theta-w1 class lies in Abar, so both are read."""
+    Off it, Abar membership and the ambient order each map the class less
+    its forced omega part into the frame once (`forced_order`): three times
+    the theta-w1 class lies in Abar, so both are read."""
     ctx = build_context(builtin_curve(name))
     v = v_class(ctx, builtin_table(name)).scale(multiple)
     calls = []
-    frame_class = PipelineContext.frame_class
 
-    def counting(self, w):
-        calls.append(w)
-        return frame_class(self, w)
+    def counting(mat, w):
+        calls.append((mat, w))
+        return apply_matrix(mat, w)
 
-    monkeypatch.setattr(PipelineContext, "frame_class", counting)
+    monkeypatch.setattr(ceresa, "apply_matrix", counting)
     out = nontriviality_verdict(ctx, v, hyperelliptic=False)
-    assert calls == ([] if ctx.maximal_rank else [v])
+    assert len(calls) == (0 if ctx.maximal_rank else 2)
+    assert all(mat is ctx.frame and w.k == 3 for mat, w in calls)
     assert out["in_abar"] and out["order_ambient"] is not None
     assert (out["order_bbar"] is not None) == ctx.maximal_rank
 
@@ -1658,11 +1760,11 @@ def test_bbar_closed_form_matches_lattice_oracle():
 @pytest.mark.parametrize("name", ["k4", "tl3", "g5", "theta-w1"])
 def test_maximal_rank_verdict_reads_no_abar_lattice(monkeypatch, name):
     """At maximal rank the verdict builds no relation lattice and maps
-    nothing into the Smith frame: no frame, no engine, and apply_matrix
-    never sees v.  Its ambient order is the Bbar order, equal to the Abar
-    order on a fresh context.  At deficient rank (theta-w1) the verdict maps
-    v into the frame, builds the engine, which transports omega, and
-    membership reads the A echelon; ceresa_order raises."""
+    nothing into the Smith frame: no frame, and apply_matrix never sees v.
+    Its ambient order is the Bbar order, equal to the Abar order on a fresh
+    context.  At deficient rank (theta-w1) the verdict maps v less its
+    forced omega part into the frame, once for membership, and neither
+    transports omega nor builds an engine; ceresa_order raises."""
     curve, table = (
         _g5_golden() if name == "g5" else (builtin_curve(name), builtin_table(name))
     )
@@ -1676,15 +1778,15 @@ def test_maximal_rank_verdict_reads_no_abar_lattice(monkeypatch, name):
 
     for module in (ceresa, exterior):
         monkeypatch.setattr(module, "apply_matrix", counting)
+    _forbid_engines(monkeypatch)
     out = nontriviality_verdict(ctx, v, hyperelliptic=False)
     monkeypatch.undo()
     if ctx.maximal_rank:
-        assert seen == [] and not {"frame", "engine"} & set(vars(ctx))
+        assert seen == [] and "frame" not in vars(ctx)
         assert out["order_ambient"] == out["order_bbar"] == ambient_order(build_context(curve), v)
     else:
-        assert seen == [v, omega(ctx.g)]
-        eng = ctx.engine
-        assert (None, len(eng.wedge)) in eng._echelons and "abar_lattice" in vars(eng)
+        assert len(seen) == 1 and seen[0].k == 3 and out["least_multiple"] == 3
+        assert "frame" in vars(ctx) and "omega_frame" not in vars(ctx)
         with pytest.raises(PreconditionError, match="Q is singular"):
             ceresa_order(ctx, v)
 
@@ -1697,7 +1799,7 @@ def test_ceresa_order_skips_lattice_inside_F2(monkeypatch):
     built = _count_lattices(monkeypatch)
     order = ceresa_order(ctx, v)
     assert built == []  # u reads Q^-1 off the Smith reduction
-    assert not {"frame", "engine"} & set(vars(ctx))
+    assert "frame" not in vars(ctx)
     eng = _original_engine(ctx)
     assert order == helpers.class_order(
         v.to_coords(eng.wedge), helpers.bbar_relations(eng), len(eng.wedge)

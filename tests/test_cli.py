@@ -678,8 +678,8 @@ def test_sample_reads_graph_and_table_once(tmp_path, capsys, no_pool, monkeypatc
 @pytest.mark.parametrize("name, frames", [("tl3", 0), ("k4", 0), ("theta-w1", 1)])
 def test_sample_builds_a_smith_frame_only_at_deficient_rank(capsys, monkeypatch, name, frames):
     """Every draw Smith-reduces its Q_h once.  A maximal-rank draw reads u,
-    Q and that reduction, and builds no Smith frame and no engine; a
-    deficient-rank draw (theta-w1) maps its class into the frame once."""
+    Q and that reduction, and builds no Smith frame; a deficient-rank draw
+    (theta-w1) builds it once, for both of its orders (`forced_order`)."""
     calls = []
     smith_frame = ceresa.smith_frame
 
@@ -696,7 +696,7 @@ def test_sample_builds_a_smith_frame_only_at_deficient_rank(capsys, monkeypatch,
     assert code == 0
     assert len(calls) == 6 * frames and len(contexts) == 6
     helpers.assert_one_q_reduction_per_context(reduced, contexts)
-    assert all(("engine" in vars(ctx)) == bool(frames) for ctx in contexts)
+    assert all(("frame" in vars(ctx)) == bool(frames) for ctx in contexts)
 
 
 @pytest.mark.parametrize("argv, reductions", [

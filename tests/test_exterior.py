@@ -323,7 +323,7 @@ def test_filtration_stability_fuzz():
         for t in eng.filt.monomials(k, q, exact=True):
             w = carried(t)
             img = helpers.apply_matrix(delta, w) - w
-            assert above.coset_order(img.to_coords(basis)) == 1
+            assert helpers.coset_order(above, img.to_coords(basis)) == 1
             assert helpers.apply_matrix(s, img).coeffs == eng.monomial_images[t]
 
 
@@ -448,17 +448,17 @@ def test_coker_structure_examples():
 def test_class_order_examples():
     rel = [[1, 0, 0], [0, 4, 0], [0, 0, 4]]
     lat = la.Lattice(3, [list(c) for c in zip(*rel)])
-    assert lat.coset_order([0, 1, 1]) == 4
-    assert lat.coset_order([1, 0, 0]) == 1
-    assert la.Lattice(2).coset_order([1, 0]) == inf
+    assert helpers.coset_order(lat, [0, 1, 1]) == 4
+    assert helpers.coset_order(lat, [1, 0, 0]) == 1
+    assert helpers.coset_order(la.Lattice(2), [1, 0]) == inf
 
 
 def test_membership():
     v = WedgeVector(4, 2, {(0, 1): 2})
     basis = [WedgeVector(4, 2, {(0, 1): 1}).to_coords()]
     lattice = la.Lattice(len(basis[0]), basis)
-    assert lattice.coset_order(v.to_coords()) == 1
-    assert lattice.coset_order(WedgeVector(4, 2, {(2, 3): 1}).to_coords()) != 1
+    assert helpers.coset_order(lattice, v.to_coords()) == 1
+    assert helpers.coset_order(lattice, WedgeVector(4, 2, {(2, 3): 1}).to_coords()) != 1
 
 
 def test_infinite_group_reported():
@@ -865,7 +865,9 @@ def test_delta_inverse_gr2_pair_sums_match_per_monomial_oracle():
     """The preimage built with one set of wedges per Y-pair (p, r) equals
     the per-monomial integer computation and the Fraction oracle, for
     nonsingular Q at g = 2..6 and classes with several monomials on each
-    pair, integral and rational."""
+    pair, integral and rational.  Every numerator it keeps sits on a
+    monomial with exactly one Y index, so u lies in gr_1 with no check in
+    the package."""
     rng = random.Random(35)
     stats = {"classes": 0, "shared pairs": 0, "fractional": 0}
     for g in range(2, 7):
@@ -888,6 +890,8 @@ def test_delta_inverse_gr2_pair_sums_match_per_monomial_oracle():
                     )
             v = WedgeVector(n, 3, coeffs)
             stats["fractional"] += any(Fraction(c).denominator > 1 for c in v.coeffs.values())
+            nums, _ = delta_inverse_gr2(q, la.smith_diagonal(q), v)
+            assert all(sum(i >= g for i in t) == 1 for t in nums), (q, v)
             u = _gr2_preimage(q, v)
             assert u == helpers.delta_inverse_gr2_by_monomial(q, v), (q, v)
             if g <= 4:

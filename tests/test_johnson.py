@@ -22,6 +22,7 @@ from tropceresa.symplectic import (
     intersection,
 )
 
+import helpers
 from helpers import (
     BoundingPairDatum,
     johnson_bpm,
@@ -184,7 +185,7 @@ def test_coboundary_shift_embedded_h_is_invisible_mod_h():
     lat = la.Lattice(len(h_gens[0]), h_gens)
     for eid in {e.id for e in curve.edges}:
         diff = shifted.entry(eid) - table.entry(eid)
-        assert lat.coset_order(diff.to_coords()) == 1
+        assert helpers.coset_order(lat, diff.to_coords()) == 1
 
 
 def test_shift_and_transform_keep_name_and_provenance():
