@@ -129,32 +129,36 @@ MUTATIONS = [
      "todo += [d, x // d]",
      "test_golden.py"),
     ("minus-one-class-sign", "graph_core.py",
-     "f = index.get(((a, b), length, minus), index.get(((b, a), length, c)))",
-     "f = index.get(((a, b), length, c), index.get(((b, a), length, minus)))",
+     "index.get((vm[x], minus), (None, None))",
+     "index.get((vm[x], c), (None, None))",
      "test_pipeline_fuzz.py"),
     ("minus-one-reversed-image-dropped", "graph_core.py",
-     "f = index.get(((a, b), length, minus), index.get(((b, a), length, c)))",
-     "f = index.get(((a, b), length, minus))",
+     "for c, _, e, far in out[x] if any(c)}",
+     "for c, _, e, far in out[x] if any(c) and x == e.ends[0]}",
      "test_graph_core.py"),
     ("minus-one-loop-unreflected", "graph_core.py",
-     "yield Involution(vmap, emap, loops)",
-     "yield Involution(vmap, emap, frozenset())",
+     "yield Involution(*maps, loops)",
+     "yield Involution(*maps, frozenset())",
      "test_pipeline_fuzz.py"),
-    ("minus-one-moved-loop-accepted", "graph_core.py",
-     "a, b = vmap[u], vmap[w]",
-     "a, b = (u, w) if u == w else (vmap[u], vmap[w])",
-     "test_graph_core.py"),
     ("minus-one-length-dropped", "graph_core.py",
-     "index = {(e.ends, e.length, loop_class[e.id])",
-     "index = {(e.ends, 0, loop_class[e.id])",
+     "if f is None or f.length != e.length or vm.get(far, to) != to:",
+     "if f is None or vm.get(far, to) != to:",
      "test_pipeline_fuzz.py"),
-    ("profile-loop-flag-dropped", "graph_core.py",
-     "incidences[x].append((tag, e.ends[0] == e.ends[1]))",
-     "incidences[x].append((tag, False))",
+    ("minus-one-conflict-accepted", "graph_core.py",
+     "if f is None or f.length != e.length or vm.get(far, to) != to:",
+     "if f is None or f.length != e.length:",
      "test_graph_core.py"),
-    ("profile-length-dropped", "graph_core.py",
-     "tag = tags.setdefault(e.length, len(tags))",
-     "tag = 0",
+    ("minus-one-bridge-image-free", "graph_core.py",
+     "f, to = e, far",
+     "f, to = e, vm.get(far, far)",
+     "test_graph_core.py"),
+    ("minus-one-weight-check-dropped", "graph_core.py",
+     "if maps and all(x == y or not weight[x] for x, y in maps[0].items()):",
+     "if maps:",
+     "test_graph_core.py"),
+    ("minus-one-start-fixed", "graph_core.py",
+     "for image in [start] if start in fixed else sorted(weight.keys() - fixed):",
+     "for image in [start]:",
      "test_graph_core.py"),
     ("bbar-truncation", "exterior.py",
      "return self._relations(1, self.start(3), with_h=True)",

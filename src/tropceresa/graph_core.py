@@ -16,9 +16,6 @@ from math import lcm, prod
 from . import intlinalg as la
 from .errors import PreconditionError, SchemaError
 
-MAX_SEARCH_EDGES = 12  # exhaustive automorphism searches stay desk-sized
-
-
 @dataclass(frozen=True)
 class Vertex:
     id: str
@@ -277,48 +274,6 @@ def validate_involution(curve: TropicalCurve, inv: Involution) -> None:
             raise SchemaError("flipped_loops must be fixed loop edges")
 
 
-def _vertex_involutions(curve: TropicalCurve):
-    """Vertex involutions that fix positive weights and pair only vertices
-    with equal profiles (weight, sorted incidences), each as a fresh dict.
-    An incidence is (length tag, is loop); a loop gives two."""
-    if len(curve.edges) > MAX_SEARCH_EDGES:
-        raise PreconditionError(
-            f"involution search capped at {MAX_SEARCH_EDGES} edges"
-        )
-    weight = {v.id: v.weight for v in curve.vertices}
-    incidences: dict = {v: [] for v in weight}
-    tags: dict = {}  # a small int per distinct length sorts faster than a Fraction
-    for e in curve.edges:
-        tag = tags.setdefault(e.length, len(tags))
-        for x in e.ends:
-            incidences[x].append((tag, e.ends[0] == e.ends[1]))
-    profiles = {v: (weight[v], sorted(inc)) for v, inc in incidences.items()}
-    vids = sorted(weight)
-
-    def extend(i, vmap):
-        if i == len(vids):
-            yield dict(vmap)
-            return
-        v = vids[i]
-        if v in vmap:
-            yield from extend(i + 1, vmap)
-            return
-        candidates = [v] + [
-            u
-            for u in vids[i + 1 :]
-            if u not in vmap and profiles[u] == profiles[v] and weight[v] == 0
-        ]
-        for u in candidates:
-            vmap[v] = u
-            vmap[u] = v
-            yield from extend(i + 1, vmap)
-            del vmap[v]
-            if u != v:
-                del vmap[u]
-
-    yield from extend(0, {})
-
-
 def quotient_curve(curve: TropicalCurve, inv: Involution) -> TropicalCurve:
     """Metric quotient by an involution.
 
@@ -356,39 +311,61 @@ def quotient_curve(curve: TropicalCurve, inv: Involution) -> TropicalCurve:
 
 
 def _tree_quotient_candidates(curve: TropicalCurve):
-    """The involutions whose quotient is a tree: at most one per vertex
-    involution, whose edge map the vertex map forces by the -1 rule.
+    """The involutions of a stable curve whose quotient is a tree: at most
+    one per image of the first vertex, which forces the whole map.
 
     H_1(G/iota; Q) is the iota-invariant part of H_1(G; Q) (the transfer,
     once the edges iota reverses are subdivided), so the connected quotient
-    is a tree exactly when iota acts as -1 on H_1.  With c_e the loop class
-    of edge e and iota sending oriented e to eps * f (eps = -1 when it
-    reverses e), that holds exactly when c_f = -eps * c_e for every edge:
-    f is keyed (image ends, length, -c_e) or (image ends reversed, length,
-    c_e).  At most one edge has either key: two parallel edges with equal
-    oriented classes would give every cycle equal coefficients on both,
-    which the cycle through the pair refutes, and two bridges (c = 0) are
-    never parallel.  A loop's class is the unit vector of its own chord, so
-    a loop goes to itself, reflected, and has no image where its vertex
-    moves.  e is the edge keyed for the image of f, so the edge map is an
-    involution with no check.
+    is a tree exactly when iota acts as -1 on H_1: the edge leaving x with
+    loop class c goes to the edge leaving iota(x) with class -c.  README,
+    "Hyperellipticity", proves what makes that a walk:
+    - at most one edge leaves x with a given class c != 0, and a loop's
+      class is the unit vector of its own chord, so a loop is fixed and
+      reflected;
+    - a bridge (c = 0) is fixed with its ends;
+    - where x and y are paired, each edge at x and its image pair their far
+      ends, so from the pair start <-> image the vertex map is an
+      involution, and so is the edge map, keyed alike from both ends.
     """
     from .symplectic import homology_basis  # symplectic imports this module
 
     loop_class = homology_basis(curve).edge_loop_class
-    index = {(e.ends, e.length, loop_class[e.id]): e.id for e in curve.edges}
+    weight = {v.id: v.weight for v in curve.vertices}
+    fixed = {x for x, w in weight.items() if w}  # fixed by every candidate, as are bridge ends
+    out = {x: [] for x in weight}  # x -> (class of e oriented out of x, its negative, e, far end)
+    for e in curve.edges:
+        (u, w), c = e.ends, loop_class[e.id]
+        minus = tuple(-t for t in c)
+        out[u].append((c, minus, e, w))
+        out[w].append((minus, c, e, u))
+        if not any(c):
+            fixed.update(e.ends)
+    index = {(x, c): (e, far) for x in out for c, _, e, far in out[x] if any(c)}
     loops = frozenset(e.id for e in curve.edges if e.ends[0] == e.ends[1])
-    for vmap in _vertex_involutions(curve):
-        emap = {}
-        for ((u, w), length, c), eid in index.items():
-            a, b = vmap[u], vmap[w]
-            minus = tuple(-x for x in c)
-            f = index.get(((a, b), length, minus), index.get(((b, a), length, c)))
-            if f is None:
-                break
-            emap[eid] = f
-        else:
-            yield Involution(vmap, emap, loops)
+    start = min(weight)
+
+    def forced(image):
+        """The vertex and edge maps that start <-> image forces, or None."""
+        vm, em = {start: image, image: start}, {}
+        queue = list(vm)
+        for x in queue:
+            for c, minus, e, far in out[x]:
+                if any(c):
+                    f, to = index.get((vm[x], minus), (None, None))
+                else:
+                    f, to = e, far
+                if f is None or f.length != e.length or vm.get(far, to) != to:
+                    return None
+                if far not in vm:
+                    vm[far] = to
+                    queue.append(far)
+                em[e.id] = f.id
+        return vm, em
+
+    for image in [start] if start in fixed else sorted(weight.keys() - fixed):
+        maps = forced(image)
+        if maps and all(x == y or not weight[x] for x, y in maps[0].items()):
+            yield Involution(*maps, loops)
 
 
 def _hyperelliptic_search(curve: TropicalCurve):
@@ -405,9 +382,9 @@ def _hyperelliptic_search(curve: TropicalCurve):
 def hyperelliptic_involutions(curve: TropicalCurve) -> list[Involution]:
     """Involutions fixing positive weights whose metric quotient is a tree.
 
-    Each vertex involution forces at most one edge map, the one acting as
-    -1 on H_1 (see `_tree_quotient_candidates`); each involution returned
-    is still checked by `quotient_curve`.
+    The image of one vertex forces the whole map by the -1 rule (see
+    `_tree_quotient_candidates`); each involution returned is still checked
+    by `quotient_curve`.
     """
     return list(_hyperelliptic_search(curve))
 

@@ -1597,6 +1597,31 @@ def _g5_golden():
     return curve, table_from_json(table, homology_basis(curve))
 
 
+def test_genus_6_petersen_golden_matches_the_engine_oracles():
+    """The genus-6 trivalent golden (the Petersen graph, 15 edges, with the
+    seeded lengths and fuzz table of tests/data/petersen*.json): its three
+    orders equal the coset orders of the original-frame engine, and its
+    groups the engine's groups.  One seeded draw made the recording: 15
+    lengths in 1..5, then `random_table`."""
+    from test_pipeline_fuzz import random_table
+
+    data = Path(__file__).parent / "data"
+    curve = load_curve(str(data / "petersen.json"))
+    table = table_from_json(
+        json.loads((data / "petersen_table.json").read_text()), homology_basis(curve)
+    )
+    rng = random.Random(6)
+    assert [e.length for e in curve.sorted_edges()] == [rng.randint(1, 5) for _ in range(15)]
+    assert table.entries == random_table(curve, rng).entries
+    report = analyze(curve, table)
+    ctx = report.ctx
+    eng = _original_engine(ctx)
+    want = _original_orders(eng, report.v, True)
+    assert (report.order_bbar, report.order_ambient, report.least_multiple) == want
+    assert want == (1528464, 1528464, 1) and not report.hyperelliptic
+    assert report.groups == _engine_groups(eng)
+
+
 @pytest.mark.parametrize("name", ["tl3", "g5"])
 def test_analyze_moves_the_class_into_the_frame_once(monkeypatch, name):
     """A full maximal-rank report, verdict and Zharkov test included, makes

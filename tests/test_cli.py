@@ -67,13 +67,13 @@ def test_hyperelliptic(capsys):
 
 def test_hyperelliptic_searches_once_per_call(monkeypatch, capsys):
     calls = []
-    vertex_involutions = graph_core._vertex_involutions
+    tree_quotient_candidates = graph_core._tree_quotient_candidates
 
     def counting(curve):
         calls.append(curve)
-        return vertex_involutions(curve)
+        return tree_quotient_candidates(curve)
 
-    monkeypatch.setattr(graph_core, "_vertex_involutions", counting)
+    monkeypatch.setattr(graph_core, "_tree_quotient_candidates", counting)
     for fmt in ("json", "text"):
         calls.clear()
         code, _, _ = run(capsys, "hyperelliptic", "--graph", "builtin:theta0", "--format", fmt)
@@ -127,12 +127,13 @@ def test_hyperelliptic_banana10(tmp_path, capsys):
     assert json.loads(out) == {"hyperelliptic": True, "involutions": 1}
 
 
-def test_hyperelliptic_edge_cap(tmp_path, capsys):
+def test_hyperelliptic_banana13(tmp_path, capsys):
+    """Past 12 edges the search still decides: no edge cap exits 3."""
     path = tmp_path / "banana13.json"
     path.write_text(json.dumps(curve_to_json(banana_curve(13))))
     code, out, err = run(capsys, "hyperelliptic", "--graph", str(path))
-    assert code == 3 and out == ""
-    assert "involution search capped at 12 edges" in err
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"hyperelliptic": True, "involutions": 1}
 
 
 def test_groups_rank_cap_fires_before_homology(tmp_path, capsys, monkeypatch):

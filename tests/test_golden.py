@@ -13,13 +13,18 @@ The expected outputs in tests/data/ were recorded from the command line:
     tropceresa basis --graph g5_k24.json
     tropceresa groups --graph k4_w1.json [--format text]
     tropceresa groups --graph builtin:theta-w1 --lengths 2,8,8 [--format text]
+    tropceresa ceresa --graph petersen.json --table petersen_table.json [--format text]
 
 g5_k24.json is the genus-5 curve K_{2,4} plus a parallel edge at each hub,
 with lengths e8 = 2, e9 = 3 and all other edges 1; g5_table.json is a fixed
 user table of two-Y-factor entries.  k4_w1.json is K4 with vertex a of
 weight 1 and lengths 2, 4, 6, 2, 4, 6: a deficient-rank curve (g = 4,
 h = 3) whose Q has invariant factors 2, 2, 240 (Smith diagonal D = [2, 6,
-80], no divisibility chain), and where A and B differ.
+80], no divisibility chain), and where A and B differ.  petersen.json is
+the Petersen graph (genus 6, trivalent, 15 edges) with seeded lengths in
+1..5, and petersen_table.json a seeded fuzz user table
+(`test_pipeline_fuzz.random_table`); tests/test_ceresa.py checks its orders
+and groups against the original-frame engine.
 
 A refactor that changes any of these bytes changes a published result.
 """
@@ -82,6 +87,11 @@ CASES = [
         ("ceresa", ["--table", str(DATA / "g5_table.json")]),
         ("groups", []),
     )
+    for ext, fmt in (("json", "json"), ("txt", "text"))
+] + [
+    (f"ceresa_petersen.{ext}", cli.main,
+     ["ceresa", "--graph", str(DATA / "petersen.json"),
+      "--table", str(DATA / "petersen_table.json"), "--format", fmt])
     for ext, fmt in (("json", "json"), ("txt", "text"))
 ] + [
     (f"groups_{name}.{ext}", cli.main, ["groups", "--graph", graph, "--format", fmt] + extra)

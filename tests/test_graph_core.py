@@ -315,12 +315,38 @@ def test_balloon_barbell_banana_chain_hyperelliptic():
 
 
 def test_banana_family_has_only_the_vertex_swap():
-    # n = 11 and 12 lie past the reach of the exhaustive oracle
-    for n in range(3, 13):
+    # from n = 11 on, bananas lie past the reach of the exhaustive oracle
+    for n in range(3, 46):
         (inv,) = hyperelliptic_involutions(banana_curve(n))
         assert inv.vertex_map == {"u": "v", "v": "u"}
         assert all(e == img for e, img in inv.edge_map.items())
         assert not inv.flipped_loops
+
+
+def unit_prism(n):
+    """C_n x K_2 with unit lengths: genus n + 1 and 3n edges."""
+    edges = []
+    for i in range(n):
+        j = (i + 1) % n
+        edges += [(f"r{i:02}", (f"u{i:02}", f"v{i:02}"), 1),
+                  (f"u{i:02}", (f"u{i:02}", f"u{j:02}"), 1),
+                  (f"v{i:02}", (f"v{i:02}", f"v{j:02}"), 1)]
+    return tropical_curve([(f"{s}{i:02}", 0) for s in "uv" for i in range(n)], edges)
+
+
+def test_large_families_decide_past_twelve_edges():
+    """Unit prisms C_n x K_2 (n = 5..15, up to 45 edges) are 3-edge-connected
+    and no banana, so none is hyperelliptic; loop chains up to 45 edges have
+    exactly the reflection that fixes every vertex.  No edge cap refuses
+    them: the search is one walk per candidate image of the first vertex."""
+    for n in range(5, 16):
+        assert hyperelliptic_involutions(unit_prism(n)) == []
+    for n in range(2, 24):
+        chain = loop_chain_curve(n)
+        (inv,) = hyperelliptic_involutions(chain)
+        assert all(x == y for x, y in inv.vertex_map.items())
+        assert inv.flipped_loops == {f"l{i}" for i in range(n)}
+    assert len(chain.edges) == 45
 
 
 def test_unstable_input_rejected():
@@ -420,18 +446,26 @@ def involution_key(inv):
     )
 
 
+def seeded_stable_curves(rng, count, fewest, most):
+    """`count` stable curves of `fewest` to `most` edges; most share few
+    distinct lengths, which keeps symmetries alive."""
+    curves = []
+    while len(curves) < count:
+        c = stabilize(random_curve(rng, max_edges=most))
+        if rng.random() < 0.6:
+            c = c.with_lengths({e.id: rng.choice((1, 1, 2)) for e in c.edges})
+        if fewest <= len(c.edges) <= most:
+            curves.append(c)
+    return curves
+
+
 def test_hyperelliptic_involutions_match_exhaustive_oracle():
     """The -1 rule finds exactly the tree-quotient involutions of the
-    exhaustive oracle on 1500 seeded stable curves and the named families,
-    and at most one per vertex map."""
-    rng = random.Random(12)
-    curves = []
-    while len(curves) < 1500:
-        c = stabilize(random_curve(rng, max_edges=9))
-        if rng.random() < 0.6:  # few distinct lengths keep symmetries alive
-            c = c.with_lengths({e.id: rng.choice((1, 1, 2)) for e in c.edges})
-        if len(c.edges) <= 9:
-            curves.append(c)
+    exhaustive oracle, at most one per image of the first vertex, on 1500
+    seeded stable curves of at most 9 edges, 40 of 10 to 12 edges (the
+    oracle's cost grows fast with the edges: these take about 3 s), and
+    the named families."""
+    curves = seeded_stable_curves(random.Random(12), 1500, 0, 9)
     covered = {
         "loops": sum(any(e.ends[0] == e.ends[1] for e in c.edges) for c in curves),
         "parallel": sum(
@@ -448,13 +482,15 @@ def test_hyperelliptic_involutions_match_exhaustive_oracle():
         curves += [loop_chain_curve(n, lengths(2 * n - 1)) for n in range(2, 6)]
         curves += [k4_doubled(d, lengths(6 + d)) for d in range(4)]
     answers = []
+    curves += seeded_stable_curves(random.Random(34), 40, 10, 12)
     for c in curves:
         found = hyperelliptic_involutions(c)
         got = sorted(map(involution_key, found))
         want = sorted(map(involution_key, brute_hyperelliptic_involutions(c)))
         assert got == want, curve_to_json(c)
         assert is_hyperelliptic(c) == bool(want)
-        assert len({tuple(sorted(i.vertex_map.items())) for i in found}) == len(found)
+        first = min(v.id for v in c.vertices)
+        assert len({i.vertex_map[first] for i in found}) == len(found)
         answers.append(bool(want))
     assert 270 <= sum(answers) <= len(answers) - 270, sum(answers)
 
@@ -507,31 +543,98 @@ def test_minus_one_rule_on_named_curves(curve, expected):
     )
 
 
-def test_a_vertex_map_moving_a_loop_is_rejected(monkeypatch):
-    """Swapping the dumbbell's ends moves both loops' vertices: the bridge
-    alone has an image there, so the vertex map yields no involution."""
-    swap = {"p": "q", "q": "p"}
-    monkeypatch.setattr(graph_core, "_vertex_involutions", lambda curve: iter([dict(swap)]))
-    assert list(graph_core._tree_quotient_candidates(barbell())) == []
-    assert hyperelliptic_involutions(barbell()) == []
+def candidates(curve):
+    return [(i.vertex_map, i.edge_map, i.flipped_loops)
+            for i in graph_core._tree_quotient_candidates(curve)]
 
 
-def test_vertex_profiles_tell_loops_from_parallel_edges():
+def doubled_dumbbell():
+    """The dumbbell with its bridge doubled: no bridge pins p, so the walk
+    also tries p -> q, an automorphism that moves both loops."""
+    return tropical_curve(
+        [("p", 0), ("q", 0)],
+        [("lp", ("p", "p"), 1), ("lq", ("q", "q"), 1), ("e1", ("p", "q"), 1),
+         ("e2", ("p", "q"), 1)],
+    )
+
+
+def test_a_vertex_map_moving_a_loop_is_rejected():
+    """Swapping p and q is an automorphism of both dumbbells, but a loop's
+    class is its own chord's unit vector, so no edge at q has the class of
+    the loop at p: no candidate moves p.  On the doubled dumbbell the walk
+    from p -> q ends there; on the dumbbell the bridge fixes p."""
+    for curve in (barbell(), doubled_dumbbell()):
+        assert any(i.vertex_map["p"] == "q" for i in involutions(curve))
+        assert [vm for vm, _, _ in candidates(curve)] == [{"p": "p", "q": "q"}]
+    ((_, emap, flips),) = candidates(doubled_dumbbell())
+    assert emap == {"lp": "lp", "lq": "lq", "e1": "e2", "e2": "e1"}
+    assert flips == {"lp", "lq"}
+
+
+def bridged_digon():
+    """A digon a-b with a bridge from each end to a vertex with a loop.
+    Swapping a and b reverses both digon edges, as the -1 rule asks there,
+    but would move the bridges' ends."""
+    return tropical_curve(
+        [("a", 0), ("b", 0), ("pa", 0), ("pb", 0)],
+        [("e1", ("a", "b"), 1), ("e2", ("a", "b"), 1), ("ba", ("a", "pa"), 1),
+         ("bb", ("b", "pb"), 1), ("la", ("pa", "pa"), 1), ("lb", ("pb", "pb"), 1)],
+    )
+
+
+@pytest.mark.parametrize("curve", [barbell(), bridged_digon()], ids=["dumbbell", "bridged-digon"])
+def test_bridges_are_fixed_with_their_ends(curve):
+    """The bridge rule: the one involution found fixes every bridge with
+    both of its ends, and the exhaustive oracle agrees."""
+    bridges = separating_edges(curve)
+    ((vmap, emap, _),) = candidates(curve)
+    assert all(emap[b] == b for b in bridges)
+    assert all(vmap[x] == x for e in curve.edges if e.id in bridges for x in e.ends)
+    assert sorted(map(involution_key, hyperelliptic_involutions(curve))) == sorted(
+        map(involution_key, brute_hyperelliptic_involutions(curve))
+    )
+
+
+def bridged_theta():
+    """A theta whose arc a-x1-x2-b carries a bridge at x1 and at x2, each to
+    a vertex with a loop.  Swapping a and b reverses every arc of the
+    theta, as the -1 rule asks there, and so swaps x1 and x2."""
+    return tropical_curve(
+        [("a", 0), ("b", 0), ("x1", 0), ("x2", 0), ("y1", 0), ("y2", 0)],
+        [("a1", ("a", "x1"), 1), ("a2", ("x1", "x2"), 1), ("a3", ("x2", "b"), 1),
+         ("c1", ("a", "b"), 1), ("c2", ("a", "b"), 1), ("k1", ("x1", "y1"), 1),
+         ("k2", ("x2", "y2"), 1), ("l1", ("y1", "y1"), 1), ("l2", ("y2", "y2"), 1)],
+    )
+
+
+def test_a_walk_that_moves_a_bridge_end_is_refused():
+    """a ends no bridge, so the walk also tries a -> b, the image under an
+    automorphism that swaps x1 and x2.  Every other edge there obeys the -1
+    rule, but read from y1 the bridge k1 pins x1, a conflicting end, so the
+    walk yields nothing; nor does any other, as the oracle agrees."""
+    curve = bridged_theta()
+    assert any(i.vertex_map["a"] == "b" for i in involutions(curve))
+    assert candidates(curve) == []
+    assert brute_hyperelliptic_involutions(curve) == []
+
+
+def test_propagation_tells_loops_from_parallel_edges():
     """x (a loop and a bridge) and y (the bridge and two parallel edges)
-    both meet three unit-length edge ends, but only y's are non-loops, so
-    no vertex map pairs them; nor does one pair the dumbbell's ends once
-    their loops differ in length."""
+    both meet three unit-length edge ends, but a loop's class is met at no
+    other vertex, so x is fixed; nor does a walk pair the ends of the
+    doubled dumbbell once its loops differ in length."""
     curve = tropical_curve(
         [("x", 0), ("y", 0), ("z", 0)],
         [("lx", ("x", "x"), 1), ("br", ("x", "y"), 1), ("e1", ("y", "z"), 1),
          ("e2", ("y", "z"), 1), ("lz", ("z", "z"), 1)],
     )
-    assert list(graph_core._vertex_involutions(curve)) == [{"x": "x", "y": "y", "z": "z"}]
-    assert list(graph_core._vertex_involutions(barbell())) == [
-        {"p": "p", "q": "q"}, {"p": "q", "q": "p"}
-    ]
-    uneven = barbell().with_lengths({"lp": 1, "lq": 2, "br": 1})
-    assert list(graph_core._vertex_involutions(uneven)) == [{"p": "p", "q": "q"}]
+    assert candidates(curve) == [(
+        {"x": "x", "y": "y", "z": "z"},
+        {"lx": "lx", "br": "br", "e1": "e2", "e2": "e1", "lz": "lz"},
+        {"lx", "lz"},
+    )]
+    uneven = doubled_dumbbell().with_lengths({"lp": 1, "lq": 2, "e1": 1, "e2": 1})
+    assert [vm for vm, _, _ in candidates(uneven)] == [{"p": "p", "q": "q"}]
 
 
 def theta_with_loops():
@@ -550,28 +653,32 @@ def theta_with_loops():
 
 
 def test_is_hyperelliptic_stops_at_first_certified_involution(monkeypatch):
-    pulled, certified = [], []
-    vertex_involutions = graph_core._vertex_involutions
+    """is_hyperelliptic pulls one candidate and certifies it, and leaves the
+    walk from u -> v untried; hyperelliptic_involutions runs the search to
+    its end."""
+    pulled, certified, finished = [], [], []
+    tree_quotient_candidates = graph_core._tree_quotient_candidates
     quotient = graph_core.quotient_curve
 
-    def counting_vertex_involutions(curve):
-        for vmap in vertex_involutions(curve):
-            pulled.append(vmap)
-            yield vmap
+    def counting_candidates(curve):
+        for inv in tree_quotient_candidates(curve):
+            pulled.append(inv)
+            yield inv
+        finished.append(curve)
 
     def counting_quotient(curve, inv):
         certified.append(inv)
         return quotient(curve, inv)
 
-    monkeypatch.setattr(graph_core, "_vertex_involutions", counting_vertex_involutions)
+    monkeypatch.setattr(graph_core, "_tree_quotient_candidates", counting_candidates)
     monkeypatch.setattr(graph_core, "quotient_curve", counting_quotient)
     curve = theta_with_loops()
     assert is_hyperelliptic(curve)
-    assert len(pulled) == 1 and len(certified) == 1
+    assert len(pulled) == 1 and len(certified) == 1 and not finished
     pulled.clear()
     certified.clear()
     (inv,) = hyperelliptic_involutions(curve)
-    assert len(pulled) == 2 and certified == [inv]
+    assert pulled == certified == [inv] and finished == [curve]
     assert inv.flipped_loops == {"lu", "lv"}
 
 
