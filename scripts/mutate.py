@@ -35,7 +35,7 @@ MUTATIONS = [
     ("wedge-sign", "exterior.py",
      "(c * x if (size - pos) % 2 == 0 else -c * x)",
      "(c * x if (size - pos) % 2 == 1 else -c * x)",
-     "test_pipeline_fuzz.py"),
+     "test_acceptance.py"),
     ("wedge-key-parity", "exterior.py",
      "(-c if inversions % 2 else c)",
      "(c if inversions % 2 else -c)",
@@ -143,7 +143,7 @@ MUTATIONS = [
     ("minus-one-length-dropped", "graph_core.py",
      "if f is None or f.length != e.length or vm.get(far, to) != to:",
      "if f is None or vm.get(far, to) != to:",
-     "test_pipeline_fuzz.py"),
+     "test_graph_core.py"),
     ("minus-one-conflict-accepted", "graph_core.py",
      "if f is None or f.length != e.length or vm.get(far, to) != to:",
      "if f is None or f.length != e.length:",
@@ -314,6 +314,26 @@ MUTATIONS = [
      "if q is not None and sum(",
      "if False and sum(",
      "test_ceresa.py"),
+    ("block-shape-factor-dropped", "ceresa.py",
+     "sign * prod(d[p] for p in ps)",
+     "sign * prod(d[p] for p in ps[1:])",
+     "test_plan.py"),
+    ("block-shape-sign-dropped", "ceresa.py",
+     "sign = (-1) ** sum(a > b for a, b in combinations(img, 2))",
+     "sign = 1",
+     "test_plan.py"),
+    ("plan-length-filter-skipped", "ceresa.py",
+     "return any(all(stable[s] == stable[t] for s, t in pairs) for pairs in self.swaps)",
+     "return any(True for pairs in self.swaps)",
+     "test_plan.py"),
+    ("plan-filter-unstabilized-lengths", "ceresa.py",
+     "stable = [sum(lengths[k] for k in ks) for ks in self.stable_edges]",
+     "stable = [lengths[ks[0]] for ks in self.stable_edges]",
+     "test_plan.py"),
+    ("plan-basis-match-cycles-only", "ceresa.py",
+     "if homology_basis(curve) != basis:",
+     "if homology_basis(curve).cycles != basis.cycles:",
+     "test_plan.py"),
     ("forced-divisor-g", "ceresa.py",
      "div = g - 1",
      "div = g",

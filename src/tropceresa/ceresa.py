@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, combinations, permutations
-from math import gcd, inf, lcm
+from math import gcd, inf, lcm, prod
 
 from . import intlinalg as la
 from .errors import PreconditionError, SchemaError
@@ -31,7 +31,6 @@ from .exterior import (
     Filtration,
     WedgeVector,
     _wedge_step,
-    _wedge_terms,
     apply_matrix,
     check_wedge_caps,
     delta_inverse_gr2,
@@ -41,9 +40,9 @@ from .graph_core import (
     TropicalCurve,
     curve_to_json,
     genus,
-    is_hyperelliptic,
+    hyperelliptic_involutions,
     scaled_to_integer,
-    stabilize,
+    stable_model,
 )
 from .johnson import JohnsonTable
 from .symplectic import (
@@ -60,7 +59,8 @@ VERDICTS = ("trivial", "nontrivial", "hyperelliptic-trivial", "indeterminate")
 @dataclass
 class PipelineContext:
     """The curve data that every class computation on one curve shares:
-    the curve with integer lengths, its basis and its Gram matrix Q.  All
+    the curve with integer lengths, its basis and its Gram matrix Q.  Only
+    reports read the curve, so a `sample` draw leaves it None.  All
     else is derived: the Y-filtration from g and h, and the rest from the
     one Smith reduction D = U Q V (`symplectic.smith_reduction`).
 
@@ -72,7 +72,7 @@ class PipelineContext:
     deficient-rank groups read D alone.  No lattice of wedge^3 is built.
     """
 
-    curve: TropicalCurve          # integer lengths
+    curve: TropicalCurve | None   # integer lengths
     scale: int
     basis: HomologyBasis
     q_matrix: list                # original frame
@@ -126,6 +126,79 @@ def build_context(curve: TropicalCurve, tree=None) -> PipelineContext:
     scaled, scale = scaled_to_integer(curve)
     basis = homology_basis(scaled, tree=tree)
     return PipelineContext(scaled, scale, basis, polarization_Q(scaled, basis))
+
+
+@dataclass
+class VerdictPlan:
+    """The part of the verdict that depends on the graph and the table
+    alone, built once per (graph, table) by `verdict_plan`; `decide` reads
+    one tuple of integer lengths, in id-sorted edge order, against it.
+
+    Q = sum_e l_e c_e c_e^T over the loop classes c_e and v = sum_e l_e J_e
+    over the table entries, so both are sums of per-edge terms.  The stable
+    model merges the same edges at any lengths, and the -1 rule forces the
+    same maps: lengths only end a walk (README, "Hyperellipticity").  So a
+    draw is hyperelliptic exactly when one of the tree-quotient involutions
+    of the stable graph, found with the lengths ignored, swaps only stable
+    edges of equal length.
+    """
+
+    table: JohnsonTable
+    ids: list           # the edge ids, sorted
+    q_terms: dict       # (i, j) -> [(edge number, c_ei c_ej)] for i <= j < h
+    stable_edges: list  # per stable edge, the numbers of the edges it merges
+    swaps: list         # per involution, the stable edge pairs it swaps
+
+    def context(self, lengths, curve=None, scale=1) -> PipelineContext:
+        basis = self.table.basis
+        q = [[0] * basis.g for _ in range(basis.g)]
+        for (i, j), terms in self.q_terms.items():
+            q[i][j] = q[j][i] = sum(lengths[k] * x for k, x in terms)
+        return PipelineContext(curve, scale, basis, q)
+
+    def hyperelliptic(self, lengths) -> bool:
+        stable = [sum(lengths[k] for k in ks) for ks in self.stable_edges]
+        return any(all(stable[s] == stable[t] for s, t in pairs) for pairs in self.swaps)
+
+    def decide(self, lengths, curve=None, scale=1) -> tuple:
+        """(context, v, hyperelliptic, `nontriviality_verdict`) at these
+        lengths; `curve` is the curve that a report prints."""
+        ctx = self.context(lengths, curve, scale)
+        v = _entry_sum(self.table, self.ids, lengths)
+        hyper = self.hyperelliptic(lengths)
+        certified = self.table.provenance == "builtin"
+        return ctx, v, hyper, nontriviality_verdict(ctx, v, hyper, certified)
+
+
+def verdict_plan(curve: TropicalCurve, table: JohnsonTable) -> VerdictPlan:
+    """The verdict plan of a curve's graph and a table on its basis.  The
+    tree-quotient involutions are those of the stable graph at unit
+    lengths, each certified once by its quotient."""
+    check_wedge_caps(2 * genus(curve))  # before the quadratic Q and delta
+    basis = table.basis
+    if homology_basis(curve) != basis:
+        raise SchemaError("table basis does not match the curve's basis")
+    ids = [e.id for e in curve.sorted_edges()]
+    q_terms: dict = {}
+    for k, e in enumerate(ids):
+        c = [(i, x) for i, x in enumerate(basis.edge_loop_class[e]) if x]
+        for a, (i, x) in enumerate(c):
+            for j, y in c[a:]:
+                q_terms.setdefault((i, j), []).append((k, x * y))
+    stable, parts = stable_model(curve)  # its edges are sorted by id
+    number = {e: k for k, e in enumerate(ids)}
+    slot = {e.id: s for s, e in enumerate(stable.edges)}
+    unit = stable.with_lengths(dict.fromkeys(slot, 1))
+    return VerdictPlan(
+        table,
+        ids,
+        q_terms,
+        [[number[x] for x in parts[e.id]] for e in stable.edges],
+        [
+            [(slot[a], slot[b]) for a, b in inv.edge_map.items() if a < b]
+            for inv in hyperelliptic_involutions(unit)
+        ],
+    )
 
 
 def group_table(ctx: PipelineContext) -> dict:
@@ -255,13 +328,21 @@ def v_class(ctx: PipelineContext, table: JohnsonTable) -> WedgeVector:
     """
     if ctx.basis != table.basis:
         raise SchemaError("table basis does not match the curve's basis")
-    g = ctx.g
-    total = WedgeVector.zero(2 * g, 3)
-    for e in ctx.curve.sorted_edges():
-        entry = table.entry(e.id)
-        if not entry.is_zero():
-            total = total + entry.scale(e.length.numerator)
-    return total
+    edges = ctx.curve.sorted_edges()
+    return _entry_sum(table, [e.id for e in edges], [e.length.numerator for e in edges])
+
+
+def _entry_sum(table: JohnsonTable, ids, lengths) -> WedgeVector:
+    """sum_e l_e J_e over the edges `ids` with integer lengths `lengths`."""
+    total: dict = {}
+    for e, l in zip(ids, lengths):
+        if e in table.entries:
+            for t, c in table.entries[e].coeffs.items():
+                if x := total.get(t, 0) + l * c:
+                    total[t] = x
+                else:
+                    del total[t]
+    return WedgeVector._from_sorted(2 * table.basis.g, 3, total)
 
 
 def is_pure_gr2(ctx: PipelineContext, v: WedgeVector) -> bool:
@@ -384,20 +465,41 @@ def forced_order(ctx: PipelineContext, v: WedgeVector, q: int | None = None):
 def _block_relations(pattern: tuple, slots: tuple, q: int | None) -> tuple:
     """The monomials of the block of wedge^3 in the Smith frame with index
     multiset `pattern` over local slots (d_i, b_i in Y), a's then b's, and its
-    relations by monomial number: (delta'-I) images and unit rows on F_q."""
-    m = len(slots)
-    cols = [[(p, 1)] + ([(m + p, dp)] if dp else []) for p, (dp, _) in enumerate(slots)]
-    cols += [[(m + p, 1)] for p in range(m)]
+    relations by monomial number: (delta'-I) images and unit rows on F_q,
+    each coefficient +-prod d_p instantiated from its `_block_shape`."""
+    d = [dp for dp, _ in slots]
+    monos, shape = _block_shape(
+        pattern, tuple(dp == 0 for dp in d), tuple(y for _, y in slots), q
+    )
+    return monos, [{c: sign * prod(d[p] for p in ps) for c, sign, ps in row} for row in shape]
+
+
+@cache
+def _block_shape(pattern: tuple, zero: tuple, in_y: tuple, q: int | None) -> tuple:
+    """The signed shape of `_block_relations`, which depends on the d_p only
+    through which are 0: (monomials, rows of (monomial number, sign, the
+    slots p whose d_p multiply)).  delta' - I sends a_p to d_p b_p and b_p to
+    0, so the image of a monomial t is the sum over nonempty sets S of its a
+    slots with d_p != 0 of t with a_p replaced by b_p for p in S, with
+    coefficient +-prod_{p in S} d_p, the sign that of sorting; distinct S give
+    distinct monomials.  The cache holds one entry per reachable key."""
+    m = len(zero)
     monos = [t for t in combinations(range(2 * m), 3) if sorted(i % m for i in t) == [*pattern]]
     number = {t: c for c, t in enumerate(monos)}
     rels = []
     for t in monos:
-        img = _wedge_terms(cols[i] for i in t)
-        img[t] -= 1
-        rels.append({number[s]: e for s, e in img.items() if e})
-        if q is not None and sum(i >= m and slots[i - m][1] for i in t) >= q:
-            rels.append({number[t]: 1})
-    return monos, rels
+        free = [i for i in t if i < m and not zero[i]]
+        row = []
+        for size in range(1, len(free) + 1):
+            for ps in combinations(free, size):
+                img = [m + i if i in ps else i for i in t]
+                if len(set(img)) == 3:
+                    sign = (-1) ** sum(a > b for a, b in combinations(img, 2))
+                    row.append((number[tuple(sorted(img))], sign, ps))
+        rels.append(tuple(row))
+        if q is not None and sum(i >= m and in_y[i - m] for i in t) >= q:
+            rels.append(((number[t], 1, ()),))
+    return tuple(monos), tuple(rels)  # shared by every caller, so immutable
 
 
 def ambient_order(ctx: PipelineContext, v: WedgeVector):
@@ -471,7 +573,7 @@ class CeresaReport:
     table: JohnsonTable
     hyperelliptic: bool
     v: WedgeVector
-    u: WedgeVector | None
+    u_num: tuple | None  # (N, scale) with u = N / scale, at maximal rank
     verdict: str
     decided_by: str
     order_bbar: int | float | None
@@ -481,6 +583,11 @@ class CeresaReport:
     zharkov: dict | None
     groups: dict | None
     notes: list = field(default_factory=list)
+
+    @cached_property
+    def u(self) -> WedgeVector | None:
+        """u as Fractions, built only when read."""
+        return None if self.u_num is None else _u_fractions(self.ctx, *self.u_num)
 
     @property
     def invariant_factors(self) -> list:
@@ -578,11 +685,10 @@ def nontriviality_verdict(
     no relation lattice (README, "Verdict"); the other branch reads both
     orders by `forced_order`.
     """
-    out = dict.fromkeys(("u", "order_bbar", "order_ambient", "in_abar", "least_multiple"))
+    out = dict.fromkeys(("u_num", "order_bbar", "order_ambient", "in_abar", "least_multiple"))
     decisive = None  # a route that certifies nontriviality before the ambient order
     if ctx.maximal_rank and is_pure_gr2(ctx, v):
-        u, order, nonintegral = _u_and_order(ctx, v)
-        out["u"] = _u_fractions(ctx, *u)
+        out["u_num"], order, nonintegral = _u_and_order(ctx, v)
         out["order_bbar"] = out["order_ambient"] = order
         out["in_abar"], out["least_multiple"] = True, 1
         if nonintegral:
@@ -616,26 +722,26 @@ def analyze(
     with_groups: bool = True,
     with_zharkov: bool = True,
 ) -> CeresaReport:
-    """Full pipeline: assemble v, decide the verdict, report everything."""
-    ctx = build_context(curve)
-    v = v_class(ctx, table)
+    """Full pipeline: assemble v, decide the verdict, report everything.
+    The verdict is the one `sample` draws read: the curve's `verdict_plan`
+    at its integer lengths."""
+    plan = verdict_plan(curve, table)
+    scaled, scale = scaled_to_integer(curve)
+    lengths = [e.length.numerator for e in scaled.sorted_edges()]
     notes = []
     if table.provenance != "builtin":
         notes.append(
             "user table: accepted without topological validation; the verdict "
             "is relative to the supplied values"
         )
-    hyper = is_hyperelliptic(stabilize(ctx.curve))
-    decision = nontriviality_verdict(
-        ctx, v, hyper, certified=table.provenance == "builtin"
-    )
+    ctx, v, hyper, decision = plan.decide(lengths, scaled, scale)
     if decision["verdict"] == "indeterminate":
         notes.append(
             "order 1 relative to a user table does not certify an actual "
             "involution; reporting indeterminate"
         )
     zh = None
-    if with_zharkov and decision["u"] is not None:
+    if with_zharkov and decision["u_num"] is not None:
         zh = zharkov_test(ctx, v)
     return CeresaReport(
         ctx=ctx,

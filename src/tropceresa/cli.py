@@ -14,7 +14,6 @@ import os
 import random
 import sys
 from fractions import Fraction
-from itertools import repeat
 
 from . import catalog, graph_core, johnson
 from .ceresa import (
@@ -25,6 +24,7 @@ from .ceresa import (
     group_table,
     groups_to_json,
     v_class,
+    verdict_plan,
     zharkov_test,
     zharkov_to_json,
 )
@@ -242,15 +242,30 @@ def cmd_zharkov(args) -> int:
     return emit(args, zharkov_to_json(result), f"obstructed: {result['obstructed']}")
 
 
-def _sample_one(curve, table, lengths):
-    sample = graph_core.with_sorted_lengths(curve, lengths)
-    rep = analyze(sample, table, with_groups=False, with_zharkov=False)
-    order = rep.order_bbar if rep.order_bbar is not None else rep.least_multiple
+def _sample_one(plan, lengths):
+    """One draw: the verdict of the plan's graph and table at these integer
+    lengths, in id-sorted edge order, and the order that `sample` prints."""
+    decision = plan.decide(lengths)[3]
+    order = decision["order_bbar"]
+    if order is None:
+        order = decision["least_multiple"]
     return {
         "lengths": list(lengths),
-        "verdict": rep.verdict,
+        "verdict": decision["verdict"],
         "order": enc_order(order),
     }
+
+
+_worker_plan = None  # a pool worker's verdict plan, set once by `_init_worker`
+
+
+def _init_worker(plan) -> None:
+    global _worker_plan
+    _worker_plan = plan
+
+
+def _sample_in_worker(lengths):
+    return _sample_one(_worker_plan, lengths)
 
 
 def _sample_workers(args) -> int:
@@ -282,7 +297,7 @@ def _sample_workers(args) -> int:
 def cmd_sample(args) -> int:
     workers = _sample_workers(args)
     curve = load_graph(args)
-    table = load_table(args, curve)
+    plan = verdict_plan(curve, load_table(args, curve))
     rng = random.Random(args.seed)
     draws = [
         tuple(rng.randint(args.length_min, args.length_max) for _ in curve.edges)
@@ -291,10 +306,12 @@ def cmd_sample(args) -> int:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sample_one, repeat(curve), repeat(table), draws))
+        # the plan goes to each worker once; the draws go in a few chunks each
+        chunk = -(-len(draws) // (4 * workers))
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(plan,)) as pool:
+            results = list(pool.map(_sample_in_worker, draws, chunksize=chunk))
     else:
-        results = [_sample_one(curve, table, lengths) for lengths in draws]
+        results = [_sample_one(plan, lengths) for lengths in draws]
     counts: dict = {}
     for r in results:
         counts[r["verdict"]] = counts.get(r["verdict"], 0) + 1

@@ -147,13 +147,21 @@ def stabilize(curve: TropicalCurve) -> TropicalCurve:
     (their edges merge, lengths adding) until every vertex v satisfies
     2*w(v) - 2 + val(v) > 0.  Defined for genus >= 2 only.
     """
+    return stable_model(curve)[0]
+
+
+def stable_model(curve: TropicalCurve) -> tuple[TropicalCurve, dict]:
+    """The stable model (`stabilize`) and, per stable edge id, the ids of
+    the edges of `curve` whose lengths add up to its length.  Which edges
+    are deleted and which merge depends on the weights and valences alone,
+    not on the lengths."""
     if genus(curve) < 2:
         raise PreconditionError("stable model requires genus >= 2")
     verts = {v.id: v.weight for v in curve.vertices}
-    edges = {e.id: (e.ends, e.length) for e in curve.edges}
+    edges = {e.id: (e.ends, e.length, (e.id,)) for e in curve.edges}
     while True:
         incident = {vid: [] for vid in verts}  # a loop is listed twice
-        for eid, ((u, w), _) in edges.items():
+        for eid, ((u, w), _, _) in edges.items():
             incident[u].append(eid)
             incident[w].append(eid)
         zero = [vid for vid in sorted(verts) if verts[vid] == 0]
@@ -167,17 +175,18 @@ def stabilize(curve: TropicalCurve) -> TropicalCurve:
         if vid is None:
             break
         ia, ib = sorted(incident[vid])
-        (ua, wa), la = edges.pop(ia)
-        (ub, wb), lb = edges.pop(ib)
+        (ua, wa), la, pa = edges.pop(ia)
+        (ub, wb), lb, pb = edges.pop(ib)
         merged = f"{ia}+{ib}"
         while merged in edges:
             merged += "'"
-        edges[merged] = ((wa if ua == vid else ua, wb if ub == vid else ub), la + lb)
+        edges[merged] = ((wa if ua == vid else ua, wb if ub == vid else ub), la + lb, pa + pb)
         del verts[vid]
-    return TropicalCurve(
+    stable = TropicalCurve(
         tuple(Vertex(i, w) for i, w in sorted(verts.items())),
-        tuple(Edge(i, ends, l) for i, (ends, l) in sorted(edges.items())),
+        tuple(Edge(i, ends, l) for i, (ends, l, _) in sorted(edges.items())),
     )
+    return stable, {i: parts for i, (_, _, parts) in edges.items()}
 
 
 def scaled_to_integer(curve: TropicalCurve) -> tuple[TropicalCurve, int]:

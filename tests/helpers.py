@@ -10,7 +10,7 @@ from itertools import combinations
 from math import inf, lcm, prod
 
 from tropceresa import intlinalg as la
-from tropceresa.ceresa import PipelineContext
+from tropceresa.ceresa import PipelineContext, build_context, nontriviality_verdict
 from tropceresa.errors import FiltrationError, PreconditionError
 from tropceresa import exterior
 from tropceresa.exterior import Filtration, WedgeVector, embed_H_in_L, wedge_basis
@@ -18,6 +18,8 @@ from tropceresa.graph_core import (
     Involution,
     TropicalCurve,
     genus,
+    is_hyperelliptic,
+    stabilize,
     tropical_curve,
 )
 from tropceresa.intlinalg import Lattice, Matrix, Vector, identity
@@ -1550,3 +1552,50 @@ def assert_one_q_reduction_per_context(reduced, contexts) -> None:
     blocks = [[row[: c.basis.h] for row in c.q_matrix[: c.basis.h]] for c in contexts]
     assert contexts and all("smith" in vars(c) for c in contexts)
     assert sum(a in blocks for a in reduced) == len(contexts)
+
+
+# ---------------------------------------------------------------------------
+# the verdict, curve by curve
+
+
+def verdict_by_curve(curve: TropicalCurve, table) -> tuple:
+    """(context, v, hyperelliptic, verdict) of one curve, composed the way
+    the pipeline did before `ceresa.verdict_plan`: the context and v of the
+    curve itself (v by `v_by_entries`), and the length-aware involution
+    search on its stable model.  The oracle of the plan."""
+    ctx = build_context(curve)
+    v = v_by_entries(ctx, table)
+    hyper = is_hyperelliptic(stabilize(ctx.curve))
+    certified = table.provenance == "builtin"
+    return ctx, v, hyper, nontriviality_verdict(ctx, v, hyper, certified)
+
+
+def v_by_entries(ctx, table) -> WedgeVector:
+    """The class v = sum_e l_e J_e as a sum of scaled `WedgeVector`s, edge
+    by edge in id order: the oracle of `ceresa.v_class`, whose terms it
+    leaves in the same order."""
+    total = WedgeVector.zero(2 * ctx.g, 3)
+    for e in ctx.curve.sorted_edges():
+        total = total + table.entry(e.id).scale(e.length.numerator)
+    return total
+
+
+def block_relations(pattern: tuple, slots: tuple, q: int | None) -> tuple:
+    """`ceresa._block_relations` built directly: the (delta'-I) image of
+    each monomial of the block, the wedge (`vector_wedge`) of the images
+    a_p + d_p b_p and b_p of its factors less the monomial, and the unit
+    rows on F_q."""
+    m = len(slots)
+    units = identity(2 * m)
+    cols = [[x + dp * y for x, y in zip(units[p], units[m + p])] for p, (dp, _) in enumerate(slots)]
+    cols += units[m:]
+    monos = [t for t in combinations(range(2 * m), 3) if sorted(i % m for i in t) == [*pattern]]
+    number = {t: c for c, t in enumerate(monos)}
+    rels = []
+    for t in monos:
+        img = dict(vector_wedge([cols[i] for i in t], 2 * m).coeffs)
+        img[t] -= 1
+        rels.append({number[s]: e for s, e in img.items() if e})
+        if q is not None and sum(i >= m and slots[i - m][1] for i in t) >= q:
+            rels.append({number[t]: 1})
+    return monos, rels

@@ -700,6 +700,33 @@ def test_sample_builds_a_smith_frame_only_at_deficient_rank(capsys, monkeypatch,
     assert all(("frame" in vars(ctx)) == bool(frames) for ctx in contexts)
 
 
+def test_sample_does_its_graph_only_work_once_per_run(capsys, monkeypatch):
+    """The homology basis and the stable model depend on the graph alone:
+    `sample` builds them as often for 50 draws as for 5, once for the table,
+    once for the plan's check of it and once on the stable graph."""
+    calls = {"homology_basis": 0, "stabilize": 0, "stable_model": 0}
+    for name in calls:
+        original = getattr(symplectic if name == "homology_basis" else graph_core, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("tropceresa") and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counting)
+    seen = []
+    for count in (5, 50):
+        calls.update(dict.fromkeys(calls, 0))
+        code, out, _ = run(
+            capsys, "sample", "--graph", "builtin:tl3", "--table", "builtin:tl3",
+            "--count", str(count), "--workers", "1",
+        )
+        assert code == 0 and len(json.loads(out)["samples"]) == count
+        seen.append(dict(calls))
+    assert seen[0] == seen[1] == {"homology_basis": 3, "stabilize": 0, "stable_model": 1}
+
+
 @pytest.mark.parametrize("argv, reductions", [
     (["sample", "--graph", "builtin:tl3", "--table", "builtin:tl3",
       "--count", "4", "--workers", "1"], 0),

@@ -4,6 +4,7 @@ The expected outputs in tests/data/ were recorded from the command line:
 
     python scripts/fixture_reports.py [--json]
     tropceresa sample --graph builtin:G --table builtin:G --count 20 --seed 4
+    tropceresa sample --graph builtin:G --table builtin:G --count 300 --seed 4
     tropceresa groups --graph builtin:G [--format text]
     tropceresa zharkov --graph builtin:G --table builtin:G
     tropceresa basis --graph builtin:G
@@ -26,12 +27,17 @@ the Petersen graph (genus 6, trivalent, 15 edges) with seeded lengths in
 (`test_pipeline_fuzz.random_table`); tests/test_ceresa.py checks its orders
 and groups against the original-frame engine.
 
+The 300-draw samples of all four built-in tables were recorded before
+`sample` read its draws off a verdict plan, and are compared at --workers
+1 and 2.
+
 A refactor that changes any of these bytes changes a published result.
 """
 
 import contextlib
 import importlib.util
 import io
+import os
 from pathlib import Path
 
 import pytest
@@ -110,3 +116,18 @@ def test_output_matches_recording(name, run, argv, monkeypatch):
     with contextlib.redirect_stdout(out):
         assert run(argv) == 0
     assert out.getvalue() == (DATA / name).read_text()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_sample_300_matches_recording(name, workers, monkeypatch):
+    if workers > (os.cpu_count() or 1):
+        pytest.skip("needs two cores")
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([
+            "sample", "--graph", f"builtin:{name}", "--table", f"builtin:{name}",
+            "--count", "300", "--seed", "4", "--workers", str(workers),
+        ]) == 0
+    assert out.getvalue() == (DATA / f"sample_{name}_seed4_300.json").read_text()
