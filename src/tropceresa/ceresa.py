@@ -30,6 +30,7 @@ from .exterior import (
     AbelianGroupDescriptor,
     Filtration,
     WedgeVector,
+    _json_key,
     _wedge_step,
     apply_matrix,
     check_wedge_caps,
@@ -308,11 +309,11 @@ def group_lines(groups: dict) -> list:
 
 
 def zharkov_to_json(result: dict) -> dict:
-    return {
-        "obstructed": result["obstructed"],
-        "w": result["w"].to_json(),
-        "relation_generators": [x.to_json() for x in result["relation_generators"]],
-    }
+    """w, the verdict and its witness, keyed and printed as w's terms are."""
+    wit = result["witness"]
+    if wit is not None:
+        wit = {k: str(x) for k, x in wit.items()} | {"monomial": _json_key(wit["monomial"])}
+    return {"obstructed": result["obstructed"], "w": result["w"].to_json(), "witness": wit}
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +440,14 @@ def forced_order(ctx: PipelineContext, v: WedgeVector, q: int | None = None):
         for l in (l for l in range(g) if d[l] != 1):
             form = ctx.omega_frame.wedge_vector(units[g + l]).coeffs
             terms.append({t: -scale * c for t, c in form.items()})
-    touched = [{tuple(sorted(i % g for i in t)) for t in part} for part in terms]
-    coupled = set().union(*touched[1:])
+    buckets = [{} for _ in terms]  # per part: block key -> {monomial: coefficient}
+    for part, bucket in zip(terms, buckets):
+        for t, c in part.items():
+            bucket.setdefault(tuple(sorted(i % g for i in t)), {})[t] = c
+    coupled = set().union(*buckets[1:])
     blocks: dict = {}  # by pattern, d-values and Y slots, as group_table's Smith forms
     k = 1
-    for group in ([coupled] if coupled else []) + [[key] for key in touched[0] - coupled]:
+    for group in ([coupled] if coupled else []) + [[key] for key in buckets[0].keys() - coupled]:
         pos, rows = {}, []
         for key in group:
             idx = sorted(set(key))
@@ -456,7 +460,7 @@ def forced_order(ctx: PipelineContext, v: WedgeVector, q: int | None = None):
                 pos[tuple(idx[i % len(idx)] + g * (i >= len(idx)) for i in t)] = base + c
             rows += [{base + c: scale * e for c, e in rel.items()} for rel in rels]
         n = len(pos)
-        tags = [{pos[t]: c for t, c in part.items() if t in pos} for part in terms]
+        tags = [{pos[t]: c for key in group for t, c in b.get(key, {}).items()} for b in buckets]
         lat = la.Lattice(n + len(terms), rows + [tag | {n + j: 1} for j, tag in enumerate(tags)])
         k = lcm(k, next((row[n] for row, p in zip(lat.rows, lat.pivots) if p == n), 0))
     return lcm(scale // gcd(scale, *y), k) if k else inf
@@ -515,26 +519,26 @@ def in_Abar_test(ctx: PipelineContext, j_total: WedgeVector) -> dict:
 
 
 def zharkov_test(ctx: PipelineContext, v: WedgeVector) -> dict:
-    """Push v one graded level further and test it against twice the
-    2x2-minor relations; an obstruction here certifies nontriviality.
+    """Push v one graded level further and test it against the relations
+    (delta-I)^2 (a_i ^ a_j ^ b_k) = 2 Q a_i ^ Q a_j ^ b_k; an obstruction
+    here certifies nontriviality.  Returns w, whether it is obstructed, and
+    the witness: the least coordinate (p, q, r) of wedge^3(P) w that its
+    divisor 2 gcd(d_p d_q, d_p d_r, d_q d_r) does not divide, with its value
+    and divisor, or None.
 
     delta - I kills every b_k and sends a_j to Q a_j, so w = (delta-I) v
-    takes each a_m ^ b_p ^ b_r of v to Q a_m ^ b_p ^ b_r, and the relations
-    are (delta-I)^2 (a_i ^ a_j ^ b_k) = 2 Q a_i ^ Q a_j ^ b_k, all on the
-    original Q.  w is one wedge step b_p ^ b_r ^ (sum_m c_mpr Q a_m) per
-    Y-pair (p, r).  Each of the C(g, 2) forms 2 Q a_i ^ Q a_j is read off
-    the 2x2 minors of columns i and j of Q, on the b side, and extended by
-    each b_k.  w lies in wedge^3 Y, where P acts as wedge^3 U, and as
-    U Q Z^g = D Z^g, wedge^3 U maps the relations' span onto that of the
-    2 d_p d_q b_p ^ b_q ^ b_r: one divisibility per coordinate of
-    wedge^3(P) w.
+    takes each a_m ^ b_p ^ b_r of v to Q a_m ^ b_p ^ b_r: one wedge step
+    b_p ^ b_r ^ (sum_m c_mpr Q a_m) per Y-pair (p, r).  w lies in wedge^3 Y,
+    where P acts as wedge^3 U, and as U Q Z^g = D Z^g, wedge^3 U maps the
+    relations' span onto that of the 2 d_p d_q b_p ^ b_q ^ b_r: one
+    divisibility per coordinate of wedge^3(P) w, and no relation is built.
     """
     if not ctx.maximal_rank:
         raise PreconditionError("obstruction test needs maximal rank")
     if not is_pure_gr2(ctx, v):
         raise PreconditionError("obstruction test expects a two-Y-factor class")
-    g, n, qm = ctx.g, 2 * ctx.g, ctx.q_matrix
-    qa = [[(g + s, x) for s, x in enumerate(col) if x] for col in la.columns(qm)]
+    g = ctx.g
+    qa = [[(g + s, x) for s, x in enumerate(col) if x] for col in la.columns(ctx.q_matrix)]
     sums: dict = {}  # (p, r) -> sum_m c_mpr Q a_m, on the b side
     for (m, p, r), c in v.coeffs.items():
         col = sums.setdefault((p, r), {})
@@ -544,23 +548,15 @@ def zharkov_test(ctx: PipelineContext, v: WedgeVector) -> dict:
     for pair, col in sums.items():
         for t, c in _wedge_step({pair: 1}, col.items()).items():
             w[t] = w.get(t, 0) + c
-    w = WedgeVector._from_sorted(n, 3, {t: c for t, c in w.items() if c})
-    gens = []
-    for i, j in combinations(range(g), 2):
-        form = {
-            (g + s, g + t): 2 * minor
-            for s, t in combinations(range(g), 2)
-            if (minor := qm[s][i] * qm[t][j] - qm[t][i] * qm[s][j])
-        }
-        for k in range(g, n):
-            if gen := _wedge_step(form, [(k, 1)]):
-                gens.append(WedgeVector._from_sorted(n, 3, gen))
+    w = WedgeVector._from_sorted(2 * g, 3, {t: c for t, c in w.items() if c})
     d = {g + i: x for i, x in enumerate(ctx.q_diagonal)}  # by b position
-    obstructed = any(
-        c % (2 * gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r]))
-        for (p, q, r), c in apply_matrix(ctx.frame, w).coeffs.items()
-    )
-    return {"obstructed": obstructed, "w": w, "relation_generators": gens}
+    witness = None
+    for (p, q, r), c in sorted(apply_matrix(ctx.frame, w).coeffs.items()):
+        divisor = 2 * gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r])
+        if c % divisor:
+            witness = {"monomial": (p, q, r), "value": c, "divisor": divisor}
+            break
+    return {"obstructed": witness is not None, "w": w, "witness": witness}
 
 
 # ---------------------------------------------------------------------------

@@ -1205,16 +1205,12 @@ def _pairings(items, fixable, pairable):
                 yield {x: y, y: x, **sub}
 
 
-def involutions(curve: TropicalCurve) -> list[Involution]:
-    """Every involutive automorphism (identity included), exhaustively and
-    with no pruning: every vertex involution fixing positive weights, every
-    length- and incidence-preserving edge involution over it, and every
-    subset of its fixed loops reflected.  Shares no code with the package's
-    hyperelliptic search.
-    """
+def _unflipped_involutions(curve: TropicalCurve):
+    """(vertex map, edge map, fixed loops) of every involutive automorphism
+    with no loop reflected: every vertex involution fixing positive weights
+    and every length- and incidence-preserving edge involution over it."""
     weight = {v.id: v.weight for v in curve.vertices}
     edges = curve.sorted_edges()
-    results = []
     for vmap in _pairings(
         sorted(weight), lambda v: True, lambda v, u: weight[v] == weight[u] == 0
     ):
@@ -1227,10 +1223,21 @@ def involutions(curve: TropicalCurve) -> list[Involution]:
             emap = {e.id: f.id for e, f in pairing.items()}
             # a fixed loop has a fixed base vertex, so it may be reflected
             loops = [e.id for e, f in pairing.items() if e == f and e.ends[0] == e.ends[1]]
-            for r in range(len(loops) + 1):
-                for flips in combinations(loops, r):
-                    results.append(Involution(vmap, emap, frozenset(flips)))
-    return results
+            yield vmap, emap, loops
+
+
+def involutions(curve: TropicalCurve) -> list[Involution]:
+    """Every involutive automorphism (identity included), exhaustively and
+    with no pruning: each of `_unflipped_involutions` with every subset of
+    its fixed loops reflected.  Shares no code with the package's
+    hyperelliptic search.
+    """
+    return [
+        Involution(vmap, emap, frozenset(flips))
+        for vmap, emap, loops in _unflipped_involutions(curve)
+        for r in range(len(loops) + 1)
+        for flips in combinations(loops, r)
+    ]
 
 
 def is_identity(inv: Involution) -> bool:
@@ -1258,8 +1265,18 @@ def quotient_genus(curve: TropicalCurve, inv: Involution) -> int:
 
 
 def brute_hyperelliptic_involutions(curve: TropicalCurve):
-    """Exhaustive oracle: every involution whose quotient graph is a tree."""
-    return [i for i in involutions(curve) if quotient_genus(curve, i) == 0]
+    """Exhaustive oracle: every involution whose quotient graph is a tree.
+    Reflecting a fixed loop folds it, which lowers the quotient genus by
+    exactly 1, so of each unflipped involution only the flip sets as large
+    as its quotient genus are tried."""
+    out = []
+    for vmap, emap, loops in _unflipped_involutions(curve):
+        size = quotient_genus(curve, Involution(vmap, emap, frozenset()))
+        for flips in combinations(loops, size):
+            inv = Involution(vmap, emap, frozenset(flips))
+            if quotient_genus(curve, inv) == 0:
+                out.append(inv)
+    return out
 
 
 # The wedge kernels as they were before the sparse bisect product: every

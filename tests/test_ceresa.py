@@ -400,8 +400,8 @@ def test_zharkov_all_one():
     assert res["w"].coeffs == {(3, 4, 5): -2}  # -2 c2 c5 at unit lengths
     gens = zharkov_reference_generators((1,) * 6)
     assert gcd(*gens) == 8
-    # same subgroup of Z as the implementation's generator list
-    impl = [x.coeffs.get((3, 4, 5), 0) for x in res["relation_generators"]]
+    # same subgroup of Z as the oracle's generator list
+    impl = [x.coeffs.get((3, 4, 5), 0) for x in helpers.zharkov_w_and_generators(ctx, v)[1]]
     assert gcd(*impl) == gcd(*gens)
 
 
@@ -413,7 +413,7 @@ def test_zharkov_matches_reference_generators_randomly():
         ctx = build_context(curve)
         v = v_class(ctx, builtin_table("k4", curve))
         res = zharkov_test(ctx, v)
-        impl = [x.coeffs.get((3, 4, 5), 0) for x in res["relation_generators"]]
+        impl = [x.coeffs.get((3, 4, 5), 0) for x in helpers.zharkov_w_and_generators(ctx, v)[1]]
         ref = zharkov_reference_generators(c)
         assert gcd(*impl) == gcd(*ref)
         w = res["w"].coeffs.get((3, 4, 5), 0)
@@ -462,16 +462,13 @@ def test_zharkov_rejects_deficient_rank():
         zharkov_test(ctx, v_class(ctx, builtin_table("theta-w1", curve)))
 
 
-def test_zharkov_closed_forms_match_generic_images():
-    """w and the relations equal (delta - I) applied once and twice by the
-    generic induced action of delta_from_Q(Q), in the order of the gr_1
-    monomials, and `obstructed` agrees with the echelon membership oracle
-    `helpers.in_span` on the C(g, 3) coordinates of wedge^3 Y, where both
-    live; random Q at g = 2..6.  Both outcomes occur with some d_p > 1.
-    The frame closed form the verdict reads, sum c' d_m b_m ^ b_p ^ b_r over
-    the terms c' a_m ^ b_p ^ b_r of wedge^3(P) v, equals wedge^3(P) w."""
+def _generic_zharkov_cases():
+    """(g, ctx, kind, v, squares, top) on random Q at g = 2..6: a random
+    class of pure Y-degree 2 and the gr_2 part of an integral image, so one
+    whose w is a relation; `squares` holds the nonzero (delta - I)^2 images
+    of the gr_1 monomials by the generic induced action of delta_from_Q(Q),
+    in their order, and `top` the monomials of wedge^3 Y."""
     rng = random.Random(15)
-    outcomes = set()
     for g in (2, 3, 4, 5, 6):
         n = 2 * g
         for _ in range(8):
@@ -484,7 +481,7 @@ def test_zharkov_closed_forms_match_generic_images():
                 return helpers.apply_matrix(delta, x) - x
 
             gr1 = [WedgeVector.monomial(n, t) for t in ctx.filt.monomials(3, 1, exact=True)]
-            squares = [step(step(x)) for x in gr1]
+            squares = [y for x in gr1 if not (y := step(step(x))).is_zero()]
             gr2 = ctx.filt.monomials(3, 2, exact=True)
             for kind in ("random", "relation"):
                 if kind == "random":  # integral, halves and thirds
@@ -499,23 +496,87 @@ def test_zharkov_closed_forms_match_generic_images():
                         x = x + mono.scale(rng.randint(-3, 3))
                     image = step(x).coeffs
                     v = WedgeVector(n, 3, {t: c for t, c in image.items() if t in gr2})
-                res = zharkov_test(ctx, v)
-                assert res["w"] == step(v)
-                assert res["relation_generators"] == [x for x in squares if not x.is_zero()]
-                assert set(res["w"].coeffs) <= set(top)
-                gens = [x.to_coords(top) for x in res["relation_generators"]]
-                member = helpers.in_span(res["w"].to_coords(top), gens, len(top))
-                assert res["obstructed"] is not member
-                framed = helpers.apply_matrix(ctx.frame, v).coeffs
-                closed = WedgeVector(n, 3, {
-                    (g + m, p, r): c * ctx.q_diagonal[m] for (m, p, r), c in framed.items()
-                })
-                assert closed == helpers.apply_matrix(ctx.frame, res["w"])
-                outcomes.add((g > 2, kind, res["obstructed"], max(ctx.q_diagonal) > 1))
+                yield g, ctx, kind, v, squares, top
+
+
+def test_zharkov_closed_forms_match_generic_images():
+    """w equals (delta - I) v by the generic induced action of
+    delta_from_Q(Q), and `obstructed` agrees with the echelon membership
+    oracle `helpers.in_span` of w in the span of the (delta - I)^2 images
+    of the gr_1 monomials, on the C(g, 3) coordinates of wedge^3 Y, where
+    both live; random Q at g = 2..6.  Both outcomes occur with some d_p > 1.
+    The oracle relations `helpers.zharkov_w_and_generators` lists are those
+    generic images.  The frame closed form the verdict reads, sum c' d_m
+    b_m ^ b_p ^ b_r over the terms c' a_m ^ b_p ^ b_r of wedge^3(P) v,
+    equals wedge^3(P) w."""
+    outcomes = set()
+    for g, ctx, kind, v, squares, top in _generic_zharkov_cases():
+        n = 2 * g
+        res = zharkov_test(ctx, v)
+        delta = delta_from_Q(ctx.q_matrix)
+        assert res["w"] == helpers.apply_matrix(delta, v) - v
+        assert helpers.zharkov_w_and_generators(ctx, v)[1] == squares
+        assert set(res["w"].coeffs) <= set(top)
+        gens = [x.to_coords(top) for x in squares]
+        member = helpers.in_span(res["w"].to_coords(top), gens, len(top))
+        assert res["obstructed"] is not member
+        framed = helpers.apply_matrix(ctx.frame, v).coeffs
+        closed = WedgeVector(n, 3, {
+            (g + m, p, r): c * ctx.q_diagonal[m] for (m, p, r), c in framed.items()
+        })
+        assert closed == helpers.apply_matrix(ctx.frame, res["w"])
+        outcomes.add((g > 2, kind, res["obstructed"], max(ctx.q_diagonal) > 1))
     assert {(True, "random", True), (True, "random", False), (True, "relation", False)} <= {
         o[:3] for o in outcomes
     }
     assert {(True, "random", True, True), (True, "random", False, True)} <= outcomes
+
+
+def test_zharkov_witness_is_the_least_failing_frame_coordinate():
+    """The witness is the least monomial (p, q, r), in sorted order, of
+    wedge^3(P) w whose coefficient 2 gcd(d_p d_q, d_p d_r, d_q d_r) does not
+    divide (README, the Zharkov paragraph), with that coefficient and
+    divisor, and None exactly when `helpers.in_span` puts w in the span of
+    the relations; on the cases of test_zharkov_closed_forms_match_generic_images.
+    Some cases fail at several coordinates, and some pass at the least
+    coordinate of wedge^3(P) w and fail at a later one."""
+    seen = {"several": 0, "least passes": 0, "obstructed": 0, "clean": 0}
+    for g, ctx, kind, v, squares, top in _generic_zharkov_cases():
+        res = zharkov_test(ctx, v)
+        d = ctx.q_diagonal
+        framed = helpers.apply_matrix(ctx.frame, res["w"]).coeffs
+        divisor = {t: 2 * gcd(*(d[i - g] * d[j - g] for i, j in combinations(t, 2))) for t in framed}
+        failing = sorted(t for t, c in framed.items() if c % divisor[t])
+        gens = [x.to_coords(top) for x in squares]
+        member = helpers.in_span(res["w"].to_coords(top), gens, len(top))
+        assert (res["witness"] is None) is member is (not failing)
+        assert res["obstructed"] is (res["witness"] is not None)
+        if failing:
+            t = failing[0]
+            assert res["witness"] == {"monomial": t, "value": framed[t], "divisor": divisor[t]}
+            seen["obstructed"] += 1
+            seen["several"] += len(failing) > 1
+            seen["least passes"] += t != min(framed)
+        else:
+            seen["clean"] += bool(framed)
+    assert min(seen.values()) >= 3, seen
+
+
+def test_obstruction_forces_bbar_order_not_u_nonintegral():
+    """An obstruction forces a Bbar order above 1 (README, "Verdict"), but
+    not a non-integral qualifying coordinate of u: here u = (1/2) a1^a2^b2
+    has none, the order is 2, and w = -4 b1^b2^b3 lies outside the span of
+    the generic (delta - I)^2 images, whose gcd on b1^b2^b3 is 8."""
+    ctx = _q_context([[2, 0, 0], [0, 4, 2], [0, 2, 4]])
+    v = WedgeVector(6, 3, {(0, 4, 5): -1, (1, 3, 4): -1})
+    assert u_class(ctx, v) == WedgeVector(6, 3, {(0, 1, 4): Fraction(1, 2)})
+    res = zharkov_test(ctx, v)
+    assert res["w"] == WedgeVector(6, 3, {(3, 4, 5): -4})
+    _assert_oracle_relations_are_generic_images(ctx)
+    gens = [x.coeffs.get((3, 4, 5), 0) for x in helpers.zharkov_w_and_generators(ctx, v)[1]]
+    assert gcd(*gens) == 8 and res["obstructed"]
+    decision = nontriviality_verdict(ctx, v, False)
+    assert (decision["decided_by"], decision["order_bbar"]) == ("order-in-Bbar", 2)
 
 
 def test_zharkov_relations_have_the_closed_form_smith_diagonal():
@@ -532,7 +593,7 @@ def test_zharkov_relations_have_the_closed_form_smith_diagonal():
             ctx = _q_context(q)
             top = ctx.filt.monomials(3, 3)
             v = WedgeVector.monomial(2 * g, ctx.filt.monomials(3, 2, exact=True)[0])
-            gens = [x.to_coords(top) for x in zharkov_test(ctx, v)["relation_generators"]]
+            gens = [x.to_coords(top) for x in helpers.zharkov_w_and_generators(ctx, v)[1]]
             rank, orders = la.snf_diagonal_orders(gens)
             assert rank == comb(g, 3)
             for d in (helpers.smith_normal_form(q).diag, ctx.q_diagonal):
@@ -555,11 +616,11 @@ def test_zharkov_relations_have_the_closed_form_smith_diagonal():
 
 
 def test_pair_sum_products_match_per_monomial_oracles():
-    """zharkov_test's w (one wedge per Y-pair) and relation generators (the
-    C(g, 2) two-forms extended by each b_k), and u (one set of wedges per
-    Y-pair), equal the per-monomial products: the same generators in the
-    same order, on 200 pure gr_2 classes at g = 2..6 with several monomials
-    on most pairs, integral and rational."""
+    """zharkov_test's w (one wedge per Y-pair) and u (one set of wedges per
+    Y-pair) equal the per-monomial products, on 200 pure gr_2 classes at
+    g = 2..6 with several monomials on most pairs, integral and rational;
+    the oracle's relation generators are the generic (delta - I)^2 images,
+    checked once per Q."""
     rng = random.Random(36)
     stats = {"classes": 0, "shared pairs": 0, "fractional": 0, "obstructed": 0}
     for g in range(2, 7):
@@ -568,6 +629,7 @@ def test_pair_sum_products_match_per_monomial_oracles():
         for trial in range(40):
             if trial % 8 == 0:
                 ctx = _q_context(helpers.random_posdef(g, rng))
+                _assert_oracle_relations_are_generic_images(ctx)
             coeffs = {}
             for p, r in rng.sample(pairs, rng.randint(1, min(4, len(pairs)))):
                 ms = rng.sample(range(g), rng.randint(min(2, g), g))
@@ -578,9 +640,7 @@ def test_pair_sum_products_match_per_monomial_oracles():
                     )
             v = WedgeVector(n, 3, coeffs)
             res = zharkov_test(ctx, v)
-            w, gens = helpers.zharkov_w_and_generators(ctx, v)
-            assert res["w"] == w, v
-            assert res["relation_generators"] == gens
+            assert res["w"] == helpers.zharkov_w_and_generators(ctx, v)[0], v
             assert u_class(ctx, v) == helpers.delta_inverse_gr2_by_monomial(ctx.q_matrix, v)
             stats["classes"] += 1
             stats["fractional"] += any(Fraction(c).denominator > 1 for c in v.coeffs.values())
@@ -603,11 +663,23 @@ def _shared_pair_class(g, rng, fractional):
     return WedgeVector(2 * g, 3, coeffs)
 
 
+def _assert_oracle_relations_are_generic_images(ctx):
+    """The relations of `helpers.zharkov_w_and_generators` are the nonzero
+    (delta - I)^2 images of the gr_1 monomials by the generic induced action
+    of delta_from_Q(Q), in their order."""
+    n = 2 * ctx.g
+    delta = delta_from_Q(ctx.q_matrix)
+
+    def step(x):
+        return exterior.apply_matrix(delta, x) - x
+
+    squares = (step(step(WedgeVector.monomial(n, t))) for t in ctx.filt.monomials(3, 1, exact=True))
+    gens = helpers.zharkov_w_and_generators(ctx, WedgeVector.zero(n, 3))[1]
+    assert gens == [x for x in squares if not x.is_zero()]
+
+
 def _assert_minor_forms_match_oracles(ctx, v):
-    res = zharkov_test(ctx, v)
-    w, gens = helpers.zharkov_w_and_generators(ctx, v)
-    assert res["w"] == w, v
-    assert res["relation_generators"] == gens
+    assert zharkov_test(ctx, v)["w"] == helpers.zharkov_w_and_generators(ctx, v)[0], v
     u = u_class(ctx, v)
     assert u == helpers.delta_inverse_gr2_by_monomial(ctx.q_matrix, v), v
     return u
@@ -615,15 +687,17 @@ def _assert_minor_forms_match_oracles(ctx, v):
 
 @pytest.mark.parametrize("g", [7, 8, 9, 10, 11, 12])
 def test_minor_forms_match_per_monomial_oracles_on_ladders(monkeypatch, g):
-    """u, and zharkov_test's w and relation generators, equal the
-    per-monomial wedge products on the Gram matrices of a prism and a
-    Moebius ladder of genus g at seeded lengths 1..30, for integral and
-    fractional classes; the rank cap is lifted for this test only."""
+    """u and zharkov_test's w equal the per-monomial wedge products, and the
+    oracle's relation generators the generic (delta - I)^2 images, on the
+    Gram matrices of a prism and a Moebius ladder of genus g at seeded
+    lengths 1..30, for integral and fractional classes; the rank cap is
+    lifted for this test only."""
     monkeypatch.setattr(exterior, "MAX_RANK", 2 * g)
     rng = random.Random(270 + g)
     for twisted in (False, True):
         q = helpers.ladder_gram(g - 1, [rng.randint(1, 30) for _ in range(3 * g - 3)], twisted)
         ctx = _q_context(q)
+        _assert_oracle_relations_are_generic_images(ctx)
         for fractional in (False, True):
             u = _assert_minor_forms_match_oracles(ctx, _shared_pair_class(g, rng, fractional))
             assert any(Fraction(c).denominator > 1 for c in u.coeffs.values())
@@ -636,6 +710,7 @@ def test_minor_forms_match_per_monomial_oracles_on_the_g5_golden_q():
     curve, table = _g5_golden()
     ctx = build_context(curve)
     assert ctx.q_diagonal == [1, 1, 1, 1, 304]
+    _assert_oracle_relations_are_generic_images(ctx)
     classes = [v_class(ctx, table)]
     rng = random.Random(305)
     classes += [_shared_pair_class(5, rng, fractional=True) for _ in range(20)]

@@ -463,8 +463,7 @@ def test_hyperelliptic_involutions_match_exhaustive_oracle():
     """The -1 rule finds exactly the tree-quotient involutions of the
     exhaustive oracle, at most one per image of the first vertex, on 1500
     seeded stable curves of at most 9 edges, 40 of 10 to 12 edges (the
-    oracle's cost grows fast with the edges: these take about 3 s), and
-    the named families."""
+    oracle's cost grows fast with the edges), and the named families."""
     curves = seeded_stable_curves(random.Random(12), 1500, 0, 9)
     covered = {
         "loops": sum(any(e.ends[0] == e.ends[1] for e in c.edges) for c in curves),

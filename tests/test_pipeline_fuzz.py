@@ -4,8 +4,11 @@ The verdicts cannot be checked against an oracle here; the point is that
 every path runs to completion with consistent exact invariants.
 """
 
+import json
 import random
+from collections import Counter
 from math import inf
+from pathlib import Path
 
 from tropceresa.ceresa import analyze, build_context, v_class
 from tropceresa.exterior import WedgeVector
@@ -103,3 +106,47 @@ def test_zero_tables_never_nontrivial():
         assert rep.verdict in ("trivial", "hyperelliptic-trivial")
         ctx = build_context(curve)
         assert v_class(ctx, table).is_zero()
+
+
+def _recorded_reports():
+    """The recorded `ceresa` reports: genus 5, Petersen and the four
+    fixtures."""
+    data = Path(__file__).parent / "data"
+    reports = [json.loads((data / name).read_text()) for name in ("ceresa_g5.json", "ceresa_petersen.json")]
+    # one JSON document per fixture, each closed by a "}" in column 0
+    fixtures = json.loads("[" + (data / "fixture_reports.json").read_text().replace("}\n{", "},{") + "]")
+    return reports + [rep for doc in fixtures for rep in doc.values()]
+
+
+def test_obstructed_reports_are_nontrivial_or_hyperelliptic():
+    """A Zharkov obstruction forces a Bbar order above 1 (README, "Verdict"),
+    so an obstructed report is nontrivial or hyperelliptic-trivial, and its
+    witness is printed exactly when it is obstructed: on the recorded
+    reports and on 400 seeded random curves of genus <= 8 with fuzz tables,
+    whose Gram matrices are those of the curves."""
+    recorded = [r for r in _recorded_reports() if r["zharkov"] is not None]
+    assert len(recorded) == 4
+    for rep in recorded:
+        assert rep["zharkov"]["obstructed"] is (rep["zharkov"]["witness"] is not None)
+        if rep["zharkov"]["obstructed"]:
+            assert rep["verdict"] in ("nontrivial", "hyperelliptic-trivial")
+            assert rep["order_in_Bbar"] > 1
+    rng = random.Random(36)
+    routes = Counter()
+    for _ in range(400):
+        curve = random_curve(rng, max_edges=10)
+        table = random_table(curve, rng)
+        if table.basis.g > 8:
+            continue
+        rep = analyze(curve, table, with_groups=False)
+        if rep.zharkov is None:
+            continue
+        assert rep.zharkov["obstructed"] is (rep.zharkov["witness"] is not None)
+        if rep.zharkov["obstructed"]:
+            assert rep.verdict in ("nontrivial", "hyperelliptic-trivial")
+            assert rep.order_bbar > 1
+            routes[rep.decided_by] += 1
+        else:
+            routes["unobstructed"] += 1
+    assert routes["u-nonintegral"] >= 30 and routes["hyperelliptic quotient"] >= 10, routes
+    assert routes["unobstructed"] >= 30, routes
