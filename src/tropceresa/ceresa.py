@@ -5,12 +5,13 @@ the graded map when the cycle rank is maximal, and decides triviality with
 this precedence: a hyperelliptic quotient trumps everything; then a
 non-integral coordinate of u of the form a_i^a_j^b_k with k distinct from
 i and j certifies nontriviality; the exact orders in the finite quotients
-settle the rest.  Q is Smith-reduced once per curve, D = U Q V, and u
-(through den Q^-1 = V diag(den / d_i) U), the printed invariant factors
-and the Smith frame P = diag(V^-1, U), where delta is [[I, 0], [D, I]],
-all read that reduction.  At maximal rank the order in Bbar, which is also
-the ambient order there, is a closed form of u (`ceresa_order`),
-with no relation lattice and no Smith frame.  The Zharkov verdict is read
+settle the rest.  u reads the fraction-free inverse of Q
+(`intlinalg.scaled_inverse`).  Q is Smith-reduced, once per curve and
+only where D, the frame or the invariant factors are read: D = U Q V, and
+the Smith frame P = diag(V^-1, U), where delta is [[I, 0], [D, I]].  At
+maximal rank the order in Bbar, which is also the ambient order there, is
+a closed form of u (`ceresa_order`), with no Smith reduction, no relation
+lattice and no Smith frame.  The Zharkov verdict is read
 off the frame through closed forms, and the groups off D block by block at
 every rank, and the other orders by blocks in that frame (`forced_order`).
 `PipelineContext` builds the reduction and the frame on first read.
@@ -62,15 +63,16 @@ class PipelineContext:
     """The curve data that every class computation on one curve shares:
     the curve with integer lengths, its basis and its Gram matrix Q.  Only
     reports read the curve, so a `sample` draw leaves it None.  All
-    else is derived: the Y-filtration from g and h, and the rest from the
-    one Smith reduction D = U Q V (`symplectic.smith_reduction`).
+    else is derived: the Y-filtration from g and h, and the rest from Q
+    and its one Smith reduction D = U Q V (`symplectic.smith_reduction`).
 
     The reduction and the Smith frame P = diag(V^-1, U), which takes delta
     to delta_from_Q(D) and omega to omega' = wedge^2(P) omega, are built on
-    first read.  A maximal-rank verdict reads u, Q and the reduction, so a
-    verdict-only `analyze` (`order`, `sample`) builds no frame; the Zharkov
-    verdict, the maximal-rank groups and `forced_order` read the frame; the
-    deficient-rank groups read D alone.  No lattice of wedge^3 is built.
+    first read.  A maximal-rank verdict reads u, which reads the
+    fraction-free inverse of Q, so a verdict-only `analyze` (`order`,
+    `sample`) builds neither; the printed invariant factors and the
+    deficient-rank groups read D, and the Zharkov verdict, the maximal-rank
+    groups and `forced_order` the frame.  No lattice of wedge^3 is built.
     """
 
     curve: TropicalCurve | None   # integer lengths
@@ -352,7 +354,7 @@ def is_pure_gr2(ctx: PipelineContext, v: WedgeVector) -> bool:
 
 def u_class(ctx: PipelineContext, v: WedgeVector) -> WedgeVector:
     """Rational preimage of v under the graded map; Q must be nonsingular."""
-    return _u_fractions(ctx, *delta_inverse_gr2(ctx.q_matrix, ctx.smith, v))
+    return _u_fractions(ctx, *delta_inverse_gr2(ctx.q_matrix, v))
 
 
 def _u_fractions(ctx: PipelineContext, nums: dict, scale: int) -> WedgeVector:
@@ -382,7 +384,7 @@ def _u_and_order(ctx: PipelineContext, v: WedgeVector):
     parts = [{}, {}, {}, {}]  # v by Y-degree
     for t, c in v.coeffs.items():
         parts[ctx.filt.y_degree(t)][t] = c
-    nums, scale = delta_inverse_gr2(ctx.q_matrix, ctx.smith, WedgeVector(2 * g, 3, parts[2]))
+    nums, scale = delta_inverse_gr2(ctx.q_matrix, WedgeVector._from_sorted(2 * g, 3, parts[2]))
 
     def split(w: dict):
         s = [

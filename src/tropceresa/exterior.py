@@ -259,7 +259,7 @@ def apply_matrix(mat, w: WedgeVector) -> WedgeVector:
 
 def omega(g: int) -> WedgeVector:
     """Sum of a_i ^ b_i; independent of the symplectic basis choice."""
-    return WedgeVector(2 * g, 2, {(i, g + i): 1 for i in range(g)})
+    return WedgeVector._from_sorted(2 * g, 2, {(i, g + i): 1 for i in range(g)})
 
 
 def embed_H_in_L(hvec, g: int) -> WedgeVector:
@@ -521,23 +521,22 @@ def Bbar_group(delta, y_vectors) -> AbelianGroupDescriptor:
 # explicit rational inverse of the graded map gr_1 -> gr_2 (maximal rank)
 
 
-def delta_inverse_gr2(q_matrix, smith, v: WedgeVector) -> tuple[dict, int]:
+def delta_inverse_gr2(q_matrix, v: WedgeVector) -> tuple[dict, int]:
     """Rational preimage u = N / s under gr_1 -> gr_2 of a two-Y-factor
     wedge vector, as integer numerators N over one scale s.
 
-    Works in the standard basis (a_1..a_g, b_1..b_g) with Y the full b-span;
-    `smith` is a reduction (d, U, V) of Q, diag(d) = U Q V with U and V
-    unimodular (`symplectic.smith_reduction`), and Q must be nonsingular: no
-    d_i is zero.  For a monomial b_p ^ b_r ^ a_m the preimage is
+    Works in the standard basis (a_1..a_g, b_1..b_g) with Y the full b-span,
+    and Q must be nonsingular.  For a monomial b_p ^ b_r ^ a_m the preimage is
     (1/2) (Q^-1 b_p ^ b_r ^ a_m + b_p ^ Q^-1 b_r ^ a_m
            - Q^-1 b_p ^ Q^-1 b_r ^ Q a_m).
     Each term is linear in a_m, so v's coefficients are summed per Y-pair
     (p, r) into x = sum_m c_mpr a_m.  The sum runs over the integers:
-    Q^-1 = adj / den with den = lcm(d) and adj = V diag(den / d_i) U
-    (`intlinalg.smith_inverse`), v = v' / vden with v' integral, alpha =
-    adj b_p and beta = adj b_r are a-side columns, x is scaled by vden, and
-    the whole is scaled by 2 vden den^2.  With (y ^ z)_ij = y_i z_j - y_j z_i
-    for i < j, the three terms are the 2x2 minors
+    Q^-1 = adj / den with den the least common denominator of Q^-1, so adj
+    is integral (`intlinalg.scaled_inverse`), v = v' / vden with v'
+    integral, alpha = adj b_p and beta = adj b_r are a-side columns, x is
+    scaled by vden, and the whole is scaled by 2 vden den^2.  With
+    (y ^ z)_ij = y_i z_j - y_j z_i for i < j, the three terms are the 2x2
+    minors
         -den (alpha ^ x)_ij a_i^a_j^b_r,  +den (beta ^ x)_ij a_i^a_j^b_p,
         -(alpha ^ beta)_ij (Q x)_k a_i^a_j^b_k,
     keyed by sorted tuples since every a index lies below every b index;
@@ -548,7 +547,7 @@ def delta_inverse_gr2(q_matrix, smith, v: WedgeVector) -> tuple[dict, int]:
     if v.n != 2 * g or v.k != 3:
         raise PreconditionError("expected a degree-3 wedge vector on rank 2g")
     try:
-        den, adj = la.smith_inverse(*smith)
+        den, adj = la.scaled_inverse(q_matrix)
     except ValueError as exc:
         raise PreconditionError(
             "Q is singular; use the membership test for deficient rank"

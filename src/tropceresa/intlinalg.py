@@ -7,12 +7,12 @@ matrices; quotients of coordinate sublattices by their sections with a
 span; and the structure of finitely generated abelian quotients through
 one Smith diagonal, computed by alternating Hermite reduction and turned
 into invariant factors over a coprime base, with no integer factorization.
-The same reduction, with its transforms, gives rational inverses in closed
-form (`smith_inverse`).  One echelon basis serves each relation set: its
-rows pivoting in a coordinate suffix span the section there, so no
-intersection is needed.  One back-substitution (`Lattice.back_substitute`),
-in integers over one common denominator, gives integer solutions.  No
-Gauss-Jordan, no floating point.
+Rational inverses come from fraction-free Gauss-Jordan elimination, as one
+integer matrix over the least common denominator (`scaled_inverse`).  One
+echelon basis serves each relation set: its rows pivoting in a coordinate
+suffix span the section there, so no intersection is needed.  One
+back-substitution (`Lattice.back_substitute`), in integers over one common
+denominator, gives integer solutions.  No floating point.
 
 `Lattice`, the one lattice kernel, stores each echelon row sparsely as
 {column: nonzero int}.  The relation lattices of the module-level groups
@@ -433,15 +433,36 @@ def smith_diagonal(a: Matrix) -> tuple[list, Matrix, Matrix]:
     return diag, u, v
 
 
-def smith_inverse(d, u: Matrix, v: Matrix) -> tuple[int, Matrix]:
-    """(den, den * a^-1) for a square a with diag(d) = U a V, U and V
-    unimodular: den = lcm(d), the exponent of coker a, and den * a^-1 =
-    V diag(den / d_i) U is integral.  A zero d_i (a singular a) raises."""
-    if not all(d):
-        raise ValueError("singular matrix")
-    den = lcm(*d)
-    su = [[den // x * y for y in row] for x, row in zip(d, u)]
-    return den, [[sum(x * y for x, y in zip(row, col)) for col in zip(*su)] for row in v]
+def scaled_inverse(a: Matrix) -> tuple[int, Matrix]:
+    """(den, den * a^-1) for a square integer matrix a, where den, the least
+    common denominator of a^-1, is |det a| / gcd(det a, adj a).
+
+    Fraction-free Gauss-Jordan (Bareiss) on [a | I]: step k swaps in a row
+    with a nonzero entry in column k, then replaces every other row r by
+    (p_k r - r[k] row_k) / p_(k-1), p_k the k-th pivot and p_(-1) = 1.  The
+    division is exact: afterwards rows 0..k hold (k+1)-minors of [a | I] and
+    the others (k+2)-minors (Sylvester's identity).  This leaves
+    [p I | p a^-1] with p = p_(n-1) = +-det a.  A singular a raises."""
+    n = len(a)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        swap = next((i for i in range(k, n) if rows[i][k]), None)
+        if swap is None:
+            raise ValueError("singular matrix")
+        rows[k], rows[swap] = rows[swap], rows[k]
+        top = rows[k]
+        pivot = top[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+    adj = [row[n:] for row in rows]  # p a^-1
+    common = gcd(prev, *(x for row in adj for x in row))
+    if prev < 0:
+        common = -common
+    return prev // common, [[x // common for x in row] for row in adj]
 
 
 def lattice_eq(vecs_a, vecs_b, n: int) -> bool:

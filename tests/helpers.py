@@ -290,7 +290,7 @@ def _xgcd(a: int, b: int):
 # back-substitution along `Lattice.back_substitute`: Gauss-Jordan inversion
 # over Q, and greedy reduction along the pivots (subtract a row only where
 # its pivot divides).  Kept as independent oracles for the inverse that
-# `intlinalg.smith_inverse` reads off a Smith reduction, `Lattice.coords_of`,
+# `intlinalg.scaled_inverse` computes fraction-free, `Lattice.coords_of`,
 # membership and `solve_int`.
 
 
@@ -1538,9 +1538,9 @@ def invariant_factors_from_orders(orders) -> list[int]:
     return sorted(f for f in factors if f > 1)
 
 
-# Counting the Smith reductions of Q: each `PipelineContext` reduces its
-# cycle block Q_h once, and u, the frame and the printed invariant factors
-# read that one reduction.
+# Counting the Smith reductions of Q: a `PipelineContext` reduces its cycle
+# block Q_h at most once, where D, the frame or the printed invariant
+# factors are read; u reads the fraction-free inverse of Q instead.
 
 
 def record_q_reductions(monkeypatch) -> tuple[list, list]:
@@ -1562,13 +1562,14 @@ def record_q_reductions(monkeypatch) -> tuple[list, list]:
     return reduced, contexts
 
 
-def assert_one_q_reduction_per_context(reduced, contexts) -> None:
-    """Each context reduced its Q_h once, and no other Q_h was reduced.  The
-    only other matrices reduced, the 3x3 blocks of the maximal-rank group
-    tables, have a zero diagonal entry, which no Gram block has."""
+def assert_q_reductions_per_context(reduced, contexts, each: int) -> None:
+    """Each context reduced its Q_h `each` times, 0 or 1, and no other Q_h
+    was reduced.  The only other matrices reduced, the 3x3 blocks of the
+    maximal-rank group tables, have a zero diagonal entry, which no Gram
+    block has."""
     blocks = [[row[: c.basis.h] for row in c.q_matrix[: c.basis.h]] for c in contexts]
-    assert contexts and all("smith" in vars(c) for c in contexts)
-    assert sum(a in blocks for a in reduced) == len(contexts)
+    assert contexts and all(("smith" in vars(c)) == bool(each) for c in contexts)
+    assert sum(a in blocks for a in reduced) == each * len(contexts)
 
 
 # ---------------------------------------------------------------------------

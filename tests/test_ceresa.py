@@ -774,9 +774,10 @@ def test_zharkov_test_builds_the_frame_and_no_engine(monkeypatch):
 @pytest.mark.parametrize("name", ["k4", "tl3", "g5"])
 def test_verdict_only_analyze_builds_no_smith_frame(monkeypatch, name):
     """A maximal-rank report without groups and the Zharkov test, as `order`
-    and `sample` ask for, reads u, Q and the one Smith reduction of Q: its
-    context reduces Q_h once, for u and the invariant factors alike, and
-    never builds the Smith frame or a graded-image engine."""
+    and `sample` ask for, reads u and Q, and u reads the fraction-free
+    inverse of Q: its context reduces Q_h once, for the invariant factors
+    the report prints, and never builds the Smith frame or a graded-image
+    engine."""
     curve, table = (
         _g5_golden() if name == "g5" else (builtin_curve(name), builtin_table(name))
     )
@@ -794,7 +795,7 @@ def test_verdict_only_analyze_builds_no_smith_frame(monkeypatch, name):
     assert report.ctx.rank_status == "maximal" and report.invariant_factors
     assert frames == [] and contexts == [report.ctx]
     assert "frame" not in vars(contexts[0])
-    helpers.assert_one_q_reduction_per_context(reduced, contexts)
+    helpers.assert_q_reductions_per_context(reduced, contexts, 1)
 
 
 @pytest.mark.parametrize("name", [*BUILTIN_GRAPHS, "g5"])
@@ -817,15 +818,16 @@ def test_a_full_report_reduces_q_once(monkeypatch, name):
     assert report.to_json()["invariant_factors"] == report.invariant_factors
     assert "invariant factors of Q" in report.to_text()
     assert len(contexts) == 1 and report.ctx is contexts[0]
-    helpers.assert_one_q_reduction_per_context(reduced, contexts)
+    helpers.assert_q_reductions_per_context(reduced, contexts, 1)
 
 
 def test_context_inverse_of_q_matches_gauss_jordan():
-    """den Q^-1 = V diag(den / d_i) U read off the context's one Smith
-    reduction, with den = lcm(d), equals den times the Gauss-Jordan inverse,
-    whose least common denominator is den: on 420 seeded Q at g = 1..6, one
-    in three scaled by 3 so that the d_i share factors, and on prism and
-    Moebius-ladder Gram matrices at g = 8..16 (seeded lengths 1..30)."""
+    """The fraction-free inverse (den, den Q^-1) of the context's Q equals
+    den times the Gauss-Jordan inverse over Q, whose least common
+    denominator is den: on 420 seeded Q at g = 1..6, one in three scaled by
+    3 so that the Smith diagonal entries d_i share factors and den =
+    lcm(d) < det Q, and on prism and Moebius-ladder Gram matrices at
+    g = 8..16 (seeded lengths 1..30)."""
     rng = random.Random(290)
     qs = [
         [[(3 if t % 3 == 0 else 1) * x for x in row] for row in helpers.random_posdef(g, rng)]
@@ -840,7 +842,7 @@ def test_context_inverse_of_q_matches_gauss_jordan():
     shared = 0
     for q in qs:
         ctx = _q_context(q)
-        den, scaled = la.smith_inverse(*ctx.smith)
+        den, scaled = la.scaled_inverse(ctx.q_matrix)
         oracle = helpers.frac_inverse(q)
         assert den == lcm(*(x.denominator for row in oracle for x in row)), q
         assert scaled == [[x * den for x in row] for row in oracle], q
@@ -1596,17 +1598,16 @@ def _count_lattices(monkeypatch):
 def test_ceresa_order_accepts_class_in_H_through_lattice(monkeypatch):
     """omega ^ a_1 has monomials of Y-degree 1, and they are omega ^ h_a with
     h_a = a_1 integral, so it lies in H and its order is 1.  The check reads
-    its coordinates, and u reads Q^-1 off the Smith reduction of Q: past
-    that reduction no lattice is built."""
+    its coordinates, and u reads the fraction-free inverse of Q: no Smith
+    reduction of Q is made and no lattice is built."""
     ctx = build_context(builtin_curve("tl3"))
     g = ctx.g
     v = embed_H_in_L([int(t == 0) for t in range(2 * g)], g)
     assert any(ctx.filt.y_degree(t) < 2 for t in v.coeffs)
-    ctx.smith  # the one Smith reduction of Q, whose Hermite steps build lattices
     built = _count_lattices(monkeypatch)
     assert ceresa_order(ctx, v) == 1
     assert built == []
-    assert "smith" in vars(ctx) and "frame" not in vars(ctx)
+    assert "smith" not in vars(ctx) and "frame" not in vars(ctx)
 
 
 def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
@@ -1629,7 +1630,7 @@ def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
     assert built.count(len(eng.wedge)) == 2  # the A and Abar relation sets
     assert built.count(eng.start(3)) == 2  # the B(2) and Bbar relation sets
     built.clear()
-    ceresa_order(ctx, v)  # u reads Q^-1 off the Smith reduction
+    ceresa_order(ctx, v)  # u reads the fraction-free inverse of Q
     assert built == []
     in_Abar_test(ctx, v)
     assert built and max(built) <= 8 + 1
@@ -1891,11 +1892,10 @@ def test_ceresa_order_skips_lattice_inside_F2(monkeypatch):
     ctx = build_context(builtin_curve("tl3"))
     v = v_class(ctx, builtin_table("tl3"))
     assert v.coeffs and all(ctx.filt.y_degree(t) >= 2 for t in v.coeffs)
-    ctx.smith  # the one Smith reduction of Q, whose Hermite steps build lattices
     built = _count_lattices(monkeypatch)
     order = ceresa_order(ctx, v)
-    assert built == []  # u reads Q^-1 off the Smith reduction
-    assert "frame" not in vars(ctx)
+    assert built == []  # u reads the fraction-free inverse of Q
+    assert "smith" not in vars(ctx) and "frame" not in vars(ctx)
     eng = _original_engine(ctx)
     assert order == helpers.class_order(
         v.to_coords(eng.wedge), helpers.bbar_relations(eng), len(eng.wedge)

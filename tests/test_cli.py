@@ -678,9 +678,10 @@ def test_sample_reads_graph_and_table_once(tmp_path, capsys, no_pool, monkeypatc
 
 @pytest.mark.parametrize("name, frames", [("tl3", 0), ("k4", 0), ("theta-w1", 1)])
 def test_sample_builds_a_smith_frame_only_at_deficient_rank(capsys, monkeypatch, name, frames):
-    """Every draw Smith-reduces its Q_h once.  A maximal-rank draw reads u,
-    Q and that reduction, and builds no Smith frame; a deficient-rank draw
-    (theta-w1) builds it once, for both of its orders (`forced_order`)."""
+    """A maximal-rank draw reads u and Q, and u the fraction-free inverse of
+    Q, so it neither Smith-reduces Q nor builds the Smith frame; a
+    deficient-rank draw (theta-w1) reduces its Q_h once and builds the frame
+    once, for both of its orders (`forced_order`)."""
     calls = []
     smith_frame = ceresa.smith_frame
 
@@ -696,7 +697,7 @@ def test_sample_builds_a_smith_frame_only_at_deficient_rank(capsys, monkeypatch,
     )
     assert code == 0
     assert len(calls) == 6 * frames and len(contexts) == 6
-    helpers.assert_one_q_reduction_per_context(reduced, contexts)
+    helpers.assert_q_reductions_per_context(reduced, contexts, frames)
     assert all(("frame" in vars(ctx)) == bool(frames) for ctx in contexts)
 
 
@@ -742,10 +743,12 @@ def test_sample_does_its_graph_only_work_once_per_run(capsys, monkeypatch):
 def test_q_is_reduced_only_where_its_invariant_factors_are_printed(
     capsys, monkeypatch, argv, reductions
 ):
-    """Every context, one per `sample` draw, Smith-reduces its Q_h once.
-    `sample` and `order` print no invariant factors, so they never reduce
+    """`sample` and `order` print no invariant factors, so they never reduce
     the diagonal D to its divisibility chain; a report and the group table
-    do that once."""
+    do that once.  A context, one per `sample` draw, Smith-reduces its Q_h
+    once where it prints the invariant factors or decides at deficient rank
+    (`forced_order` reads the frame), and not at all for a maximal-rank
+    verdict (tl3), whose u reads the fraction-free inverse of Q."""
     calls = []
     reduce = la.diagonal_invariant_factors
 
@@ -759,7 +762,8 @@ def test_q_is_reduced_only_where_its_invariant_factors_are_printed(
     assert code == 0
     assert len(calls) == reductions
     assert len(contexts) == (4 if argv[0] == "sample" else 1)
-    helpers.assert_one_q_reduction_per_context(reduced, contexts)
+    each = 0 if argv[0] in ("sample", "order") and contexts[0].maximal_rank else 1
+    helpers.assert_q_reductions_per_context(reduced, contexts, each)
 
 
 @pytest.mark.parametrize("fmt, unused", [("json", "to_text"), ("text", "to_json")])

@@ -669,9 +669,8 @@ def test_block_structure_for_diagonal_chain():
 
 
 def _gr2_preimage(q, v):
-    """`delta_inverse_gr2` on the Smith reduction of Q itself, as the
-    Fraction wedge vector N / s."""
-    nums, scale = delta_inverse_gr2(q, la.smith_diagonal(q), v)
+    """`delta_inverse_gr2` on Q, as the Fraction wedge vector N / s."""
+    nums, scale = delta_inverse_gr2(q, v)
     return WedgeVector(2 * len(q), 3, {t: Fraction(x, scale) for t, x in nums.items()})
 
 
@@ -890,7 +889,7 @@ def test_delta_inverse_gr2_pair_sums_match_per_monomial_oracle():
                     )
             v = WedgeVector(n, 3, coeffs)
             stats["fractional"] += any(Fraction(c).denominator > 1 for c in v.coeffs.values())
-            nums, _ = delta_inverse_gr2(q, la.smith_diagonal(q), v)
+            nums, _ = delta_inverse_gr2(q, v)
             assert all(sum(i >= g for i in t) == 1 for t in nums), (q, v)
             u = _gr2_preimage(q, v)
             assert u == helpers.delta_inverse_gr2_by_monomial(q, v), (q, v)

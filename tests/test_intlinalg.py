@@ -600,7 +600,7 @@ def test_unimodular_inverse():
                 for t in range(n):
                     m[i][t] += q * m[j][t]
         assert mat_mul(m, la.int_inverse(m)) == la.identity(n)
-        den, inv = la.smith_inverse(*la.smith_diagonal(m))
+        den, inv = la.scaled_inverse(m)
         assert den == 1 and mat_mul(m, inv) == la.identity(n)
 
 
@@ -766,9 +766,9 @@ def test_tagged_hermite_on_smith_blowup_input():
 
 def test_back_substitution_reads_match_elimination_oracles():
     """solve_int and membership, each one read of
-    `Lattice.back_substitute`, against greedy reduction; and the inverse
-    read off a Smith reduction, den a^-1 = V diag(den / d_i) U, against
-    Gauss-Jordan, on square matrices that are not symmetric."""
+    `Lattice.back_substitute`, against greedy reduction; and the
+    fraction-free inverse den a^-1 against Gauss-Jordan over Q, on square
+    matrices that are not symmetric."""
     rng = random.Random(23)
     seen = {"invertible": 0, "singular": 0, "dependent": 0, "not_full": 0,
             "member": 0, "nonmember": 0, "solvable": 0, "unsolvable": 0}
@@ -782,10 +782,10 @@ def test_back_substitution_reads_match_elimination_oracles():
         except ValueError:
             seen["singular"] += 1
             with pytest.raises(ValueError, match="singular matrix"):
-                la.smith_inverse(*la.smith_diagonal(square))
+                la.scaled_inverse(square)
         else:
             seen["invertible"] += 1
-            den, inv = la.smith_inverse(*la.smith_diagonal(square))
+            den, inv = la.scaled_inverse(square)
             assert den == math.lcm(*(x.denominator for row in oracle for x in row))
             assert inv == [[den * x for x in row] for row in oracle]
 
@@ -817,3 +817,37 @@ def test_back_substitution_reads_match_elimination_oracles():
                 if x is not None:
                     assert mat_vec(cols, x) == vec
     assert all(count >= 50 for count in seen.values()), seen
+
+
+def test_scaled_inverse_matches_gauss_jordan_through_swaps_and_signs():
+    """`scaled_inverse` against Gauss-Jordan over Q on 400 seeded n x n
+    matrices, n = 1..7: den is the lcm of the oracle's denominators and the
+    matrix is den times the oracle.  Every other matrix has a zero leading
+    entry, so the elimination swaps rows; every third is scaled by 2 or 3,
+    so the gcd with the adjugate leaves den < |det|; every seventh has a
+    dependent row and must be refused."""
+    rng = random.Random(37)
+    seen = {"swap": 0, "negative det": 0, "den < |det|": 0, "singular": 0}
+    for trial in range(400):
+        n = rng.randint(1, 7)
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if trial % 2:
+            a[0][0] = 0
+        if trial % 3 == 0:
+            a = [[rng.choice((2, 3)) * x for x in row] for row in a]
+        if trial % 7 == 0 and n > 1:
+            a[-1] = [x - y for x, y in zip(a[0], a[1])]
+        det = helpers.det_fraction(a)
+        if det == 0:
+            seen["singular"] += 1
+            with pytest.raises(ValueError, match="singular matrix"):
+                la.scaled_inverse(a)
+            continue
+        oracle = helpers.frac_inverse(a)
+        den, inv = la.scaled_inverse(a)
+        assert den == math.lcm(*(x.denominator for row in oracle for x in row)), a
+        assert inv == [[den * x for x in row] for row in oracle], a
+        seen["swap"] += a[0][0] == 0
+        seen["negative det"] += det < 0
+        seen["den < |det|"] += den < abs(det)
+    assert all(count >= 40 for count in seen.values()), seen
