@@ -227,14 +227,14 @@ MUTATIONS = [
     ("context-y-all-b", "ceresa.py",
      "range(self.g, self.g + self.basis.h)",
      "range(self.g, 2 * self.g)",
-     "test_acceptance.py"),
-    ("class-not-in-frame", "ceresa.py",
-     "terms = [apply_matrix(ctx.frame, sv - omega(g).wedge_vector(y)).coeffs]",
-     "terms = [(sv - omega(g).wedge_vector(y)).coeffs]",
      "test_ceresa.py"),
-    ("frame-inverse", "symplectic.py",
-     "for row in la.int_inverse(v)]",
-     "for row in v]",
+    ("class-not-in-frame", "ceresa.py",
+     "_by_block(apply_matrix(ctx.frame, sv - omega(g).wedge_vector(y)), g)",
+     "_by_block(sv - omega(g).wedge_vector(y), g)",
+     "test_ceresa.py"),
+    ("frame-inverse-undivided", "symplectic.py",
+     "[sum(a * b for a, b in zip(row, col)) // x for col in cols]",
+     "[sum(a * b for a, b in zip(row, col)) for col in cols]",
      "test_golden.py"),
     ("smith-transform-index", "intlinalg.py",
      "v = [[tags[1][j][i] for j in cols] for i in range(n)]",
@@ -314,14 +314,30 @@ MUTATIONS = [
      "acc[i] = acc.get(i, 0) + c * x",
      "acc[i] = c * x",
      "test_exterior.py"),
-    ("forced-bucket-one-key-per-group", "ceresa.py",
-     "for key in group for t, c in b.get(key, {}).items()",
-     "for key in list(group)[:1] for t, c in b.get(key, {}).items()",
+    ("coupled-tags-one-key", "ceresa.py",
+     "for key in keys for t, c in part.get(key, {}).items()",
+     "for key in list(keys)[:1] for t, c in part.get(key, {}).items()",
      "test_ceresa.py"),
-    ("forced-fq-rows-dropped", "ceresa.py",
-     "if q is not None and sum(",
-     "if False and sum(",
-     "test_ceresa.py"),
+    ("forced-fq-congruence-dropped", "ceresa.py",
+     "for t in units:  # k w_c = 0 mod s on F_q",
+     "for t in ():  # k w_c = 0 mod s on F_q",
+     "test_orders.py"),
+    ("forced-rank-one-parallel-skipped", "ceresa.py",
+     "if any(x * dy != y * dx for (x, dx), (y, dy) in combinations(zip(xs, ds), 2)):",
+     "if False:",
+     "test_orders.py"),
+    ("forced-rank-one-g3-two-d", "ceresa.py",
+     "e = s * gcd(*ds)",
+     "e = s * gcd(*ds[:2])",
+     "test_orders.py"),
+    ("forced-triple-g3-two-d", "ceresa.py",
+     "big = gcd(*d)",
+     "big = gcd(d[0], d[1])",
+     "test_orders.py"),
+    ("forced-triple-v-column-swapped", "ceresa.py",
+     "x = sum(wa * row[col] for wa, row in zip(w, vm))",
+     "x = sum(wa * row[2 - col] for wa, row in zip(w, vm))",
+     "test_orders.py"),
     ("block-shape-factor-dropped", "ceresa.py",
      "sign * prod(d[p] for p in ps)",
      "sign * prod(d[p] for p in ps[1:])",
@@ -363,8 +379,8 @@ MUTATIONS = [
      "if d[l] == 0)",
      "test_ceresa.py"),
     ("forced-den-dropped", "ceresa.py",
-     "return lcm(scale // gcd(scale, *y), k) if k else inf",
-     "return k or inf",
+     "k = scale // gcd(scale, *y)",
+     "k = 1",
      "test_ceresa.py"),
     ("bbar-order-no-f3-check", "ceresa.py",
      "integral = chain(h_a, parts[2].values(), parts[3].values())",

@@ -13,15 +13,17 @@ maximal rank the order in Bbar, which is also the ambient order there, is
 a closed form of u (`ceresa_order`), with no Smith reduction, no relation
 lattice and no Smith frame.  The Zharkov verdict is read
 off the frame through closed forms, and the groups off D block by block at
-every rank, and the other orders by blocks in that frame (`forced_order`).
-`PipelineContext` builds the reduction and the frame on first read.
+every rank.  The other orders are read block by block in that frame, in
+closed form but for the blocks that a free H part couples at maximal rank,
+which share one lattice (`forced_order`).  `PipelineContext` builds the
+reduction and the frame on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import chain, combinations, permutations
 from math import gcd, inf, lcm, prod
 
@@ -68,11 +70,13 @@ class PipelineContext:
 
     The reduction and the Smith frame P = diag(V^-1, U), which takes delta
     to delta_from_Q(D) and omega to omega' = wedge^2(P) omega, are built on
-    first read.  A maximal-rank verdict reads u, which reads the
+    first read; V^-1 = D^-1 U Q on the cycle slots, with no elimination
+    (`smith_frame`).  A maximal-rank verdict reads u, which reads the
     fraction-free inverse of Q, so a verdict-only `analyze` (`order`,
     `sample`) builds neither; the printed invariant factors and the
     deficient-rank groups read D, and the Zharkov verdict, the maximal-rank
-    groups and `forced_order` the frame.  No lattice of wedge^3 is built.
+    groups and `framed_class` the frame: a class goes into it once for
+    both orders of `forced_order`.  No lattice of wedge^3 is built.
     """
 
     curve: TropicalCurve | None   # integer lengths
@@ -116,7 +120,7 @@ class PipelineContext:
     @cached_property
     def frame(self) -> list:
         """P = diag(V^-1, U), graded for the Y-filtration."""
-        return smith_frame(*self.smith[1:])
+        return smith_frame(self.q_matrix, *self.smith[:2])
 
     @cached_property
     def omega_frame(self) -> WedgeVector:
@@ -240,12 +244,8 @@ def group_table(ctx: PipelineContext) -> dict:
     orders = [d[j] for _, j in pairs]  # the cyclic coordinates of B, by column
     # F_2 monomial -> [(column, coefficient)]
     slots = {tuple(sorted((i, g + i, g + j))): [(c, 1)] for c, (i, j) in enumerate(pairs)}
-    smith = {}  # (d_i, d_j, d_k) -> (e, U, V) of M_S
     for i, j, k in triples:
-        key = di, dj, dk = d[i], d[j], d[k]
-        if key not in smith:
-            smith[key] = la.smith_diagonal([[dj, dk, 0], [di, 0, dk], [0, di, dj]])
-        e, _, v = smith[key]
+        e, v = _triple_smith(d[i], d[j], d[k])
         # bba = +(k, b_i, b_j), bab = -(j, b_i, b_k), abb = +(i, b_j, b_k)
         for (t, sign), row in zip(
             (((k, g + i, g + j), 1), ((j, g + i, g + k), -1), ((i, g + j, g + k), 1)), v
@@ -412,18 +412,12 @@ def ceresa_order(ctx: PipelineContext, v: WedgeVector):
     return _u_and_order(ctx, v)[1]
 
 
-def forced_order(ctx: PipelineContext, v: WedgeVector, q: int | None = None):
-    """Least k > 0 with k v in (delta-I)L + H, or in (delta-I)L + F_q L + H
-    when q is given; math.inf if there is none (README, "Orders").
-
-    In k v = (delta-I) z + f + omega ^ y, y = k y* is forced but for y_b at
-    h = g when q is None, where y'_l = (U y_b)_l matters mod d_l only.
-    s (v - omega ^ y*), s = (g-1) den(v), in the Smith frame, and
-    -s omega' ^ b_l for each such y'_l, tagged by k and y', meet s times the
-    block relations (`_block_relations`): the blocks they couple in one
-    lattice, each other block in its own.
-    """
-    g, h, d, y_slots = ctx.g, ctx.basis.h, ctx.q_diagonal, ctx.filt.y_positions
+def framed_class(ctx: PipelineContext, v: WedgeVector) -> tuple:
+    """(s, y, blocks) for the orders of v (README, "Orders"): the scale
+    s = (g-1) den(v), y = s y* with y* the forced H part, and
+    s (v - omega ^ y*) in the Smith frame, by block key: its monomials'
+    sorted indices mod g.  Both orders of a class read this one image."""
+    g, h = ctx.g, ctx.basis.h
     den = lcm(*(c.denominator for c in v.coeffs.values()))
     num = {t: int(c * den) for t, c in v.coeffs.items()}
     div = g - 1
@@ -434,67 +428,218 @@ def forced_order(ctx: PipelineContext, v: WedgeVector, q: int | None = None):
         y[p] += c * (t == r + g)
     for i in range(h):
         y[g + i] = -div * num.get((h, g + i, g + h), 0) if h < g else 0
-    scale = div * den
     sv = WedgeVector._from_sorted(2 * g, 3, {t: div * c for t, c in num.items()})
-    terms = [apply_matrix(ctx.frame, sv - omega(g).wedge_vector(y)).coeffs]
+    return div * den, y, _by_block(apply_matrix(ctx.frame, sv - omega(g).wedge_vector(y)), g)
+
+
+def _by_block(w: WedgeVector, g: int) -> dict:
+    """w's terms by block key: {key: {monomial: coefficient}}."""
+    blocks: dict = {}
+    for t, c in w.coeffs.items():
+        blocks.setdefault(tuple(sorted(i % g for i in t)), {})[t] = c
+    return blocks
+
+
+def forced_order(ctx: PipelineContext, v: WedgeVector, q: int | None = None, framed=None):
+    """Least k > 0 with k v in (delta-I)L + H, or in (delta-I)L + F_q L + H
+    when q is given; math.inf if there is none (README, "Orders").
+    `framed` is v's `framed_class`, built here when not given.
+
+    In k v = (delta-I) z + f + omega ^ y, y = k y* is forced but for y_b at
+    h = g when q is None, where y'_l = (U y_b)_l matters mod d_l only.  Each
+    block that no free y'_l touches gives its least k in closed form from
+    its pattern, its cycle slots, q and the d-values (`_block_reading`), with
+    no lattice.  The blocks that -s omega' ^ b_l of a free y'_l touch share
+    one lattice (`_coupled_order`).  The order is the lcm of den(y*) and
+    these least k.
+    """
+    if q not in (None, 2):
+        raise ValueError("forced_order reads q = 2 or q = None")
+    g, h, d = ctx.g, ctx.basis.h, ctx.q_diagonal
+    scale, y, blocks = framed or framed_class(ctx, v)
+    k = scale // gcd(scale, *y)
+    forms = []
     if h == g and q is None:
         units = la.identity(2 * g)
         for l in (l for l in range(g) if d[l] != 1):
-            form = ctx.omega_frame.wedge_vector(units[g + l]).coeffs
-            terms.append({t: -scale * c for t, c in form.items()})
-    buckets = [{} for _ in terms]  # per part: block key -> {monomial: coefficient}
-    for part, bucket in zip(terms, buckets):
-        for t, c in part.items():
-            bucket.setdefault(tuple(sorted(i % g for i in t)), {})[t] = c
-    coupled = set().union(*buckets[1:])
-    blocks: dict = {}  # by pattern, d-values and Y slots, as group_table's Smith forms
-    k = 1
-    for group in ([coupled] if coupled else []) + [[key] for key in buckets[0].keys() - coupled]:
-        pos, rows = {}, []
-        for key in group:
+            form = ctx.omega_frame.wedge_vector(units[g + l]).scale(-scale)
+            forms.append(_by_block(form, g))
+    coupled = set().union(*forms)
+    if coupled:
+        k = lcm(k, _coupled_order(ctx, scale, [blocks, *forms], coupled))
+    for key, tag in blocks.items():
+        if k and key not in coupled:
             idx = sorted(set(key))
-            bkey = (tuple(map(idx.index, key)), tuple((d[i], g + i in y_slots) for i in idx))
-            if bkey not in blocks:
-                blocks[bkey] = _block_relations(*bkey, q)
-            monos, rels = blocks[bkey]
-            base = len(pos)
-            for c, t in enumerate(monos):
-                pos[tuple(idx[i % len(idx)] + g * (i >= len(idx)) for i in t)] = base + c
-            rows += [{base + c: scale * e for c, e in rel.items()} for rel in rels]
-        n = len(pos)
-        tags = [{pos[t]: c for key in group for t, c in b.get(key, {}).items()} for b in buckets]
-        lat = la.Lattice(n + len(terms), rows + [tag | {n + j: 1} for j, tag in enumerate(tags)])
-        k = lcm(k, next((row[n] for row, p in zip(lat.rows, lat.pivots) if p == n), 0))
-    return lcm(scale // gcd(scale, *y), k) if k else inf
+            m = len(idx)
+            local = {x: p for p, x in enumerate(idx)} | {g + x: m + p for p, x in enumerate(idx)}
+            k = lcm(k, _block_order(
+                _block_reading(tuple(map(idx.index, key)), tuple(i < h for i in idx), q),
+                {tuple(local[i] for i in t): c for t, c in tag.items()},
+                [d[i] for i in idx],
+                scale,
+            ))
+    return k or inf
 
 
-def _block_relations(pattern: tuple, slots: tuple, q: int | None) -> tuple:
+@cache
+def _block_reading(pattern: tuple, cycle: tuple, q: int | None) -> tuple:
+    """How an uncoupled block of wedge^3 in the Smith frame is read, by its
+    index pattern over local slots, which of them are cycle slots (d_p != 0,
+    b_p in Y) and q (README, "Orders"); local monomials as in `_block_shape`.
+
+    (zeros, units, diagonal, rank_one, triple): the coordinates with no
+    relation, which must vanish; the F_q coordinates, each read mod s; the
+    (monomial, slots) read mod s gcd(d_p, p in slots); the rank-one rows,
+    each [(monomial, sign, slot)] with coefficients sign d_slot; and for
+    three cycle slots at q = None, the signed singles, pairs (bba, bab, abb)
+    and bbb that meet M_S, or None.  Weight slots and a doubled index keep
+    their factor, so each block is copies of one active part on its cycle
+    slots; positional signs are those of sorting."""
+    m = len(cycle)
+    zeros, units, diagonal, rank_one, triple = [], [], [], [], None
+
+    def mono(bs):  # the monomial with b's at the slots bs, and its sign
+        seq = [p + m * (p in bs) for p in range(m)]
+        return tuple(sorted(seq)), (-1) ** sum(x > y for x, y in combinations(seq, 2))
+
+    if m == 2:  # a_r ^ b_r ^ x_p: a_r ^ b_r is fixed
+        r = pattern[1]
+        p = 1 - r
+        zeros.append(tuple(sorted((r, m + r, p))))
+        t = tuple(sorted((r, m + r, m + p)))
+        if not cycle[p]:
+            zeros.append(t)
+        elif q == 2 and cycle[r]:
+            units.append(t)
+        else:
+            diagonal.append((t, (p,)))
+        return zeros, units, diagonal, rank_one, triple
+    act = tuple(p for p in range(m) if cycle[p])
+    weight = [p for p in range(m) if not cycle[p]]
+    for bw in chain.from_iterable(combinations(weight, n) for n in range(len(weight) + 1)):
+        zeros.append(mono(bw)[0])
+        singles = [(*mono(bw + (p,)), p) for p in act]
+        if len(act) == 1:
+            diagonal.append((singles[0][0], act))
+        elif len(act) == 3 and q is None:
+            pairs = [mono(ps) for ps in ((0, 1), (0, 2), (1, 2))]
+            triple = [t[:2] for t in singles], pairs, mono(act)
+        elif act:
+            rank_one.append(singles)
+            for n in range(2, len(act) + 1):
+                for ps in combinations(act, n):
+                    t = mono(bw + ps)[0]
+                    if q == 2:
+                        units.append(t)
+                    else:
+                        diagonal.append((t, ps))
+    return zeros, units, diagonal, rank_one, triple
+
+
+def _block_order(reading: tuple, tag: dict, d: list, s: int) -> int:
+    """Least k > 0 with k t in s R_S for a block's tag t {local monomial:
+    coefficient}, its d-values d and the scale s, or 0 if there is none:
+    the lcm of s e / gcd(s e, coordinate) over its `_block_reading`."""
+    zeros, units, diagonal, rank_one, triple = reading
+    if any(t in tag for t in zeros):
+        return 0
+    k = 1
+    for t in units:  # k w_c = 0 mod s on F_q
+        k = lcm(k, s // gcd(s, tag.get(t, 0)))
+    for t, ps in diagonal:
+        e = s * gcd(*(d[p] for p in ps))
+        k = lcm(k, e // gcd(e, tag.get(t, 0)))
+    for row in rank_one:
+        xs = [sign * tag.get(t, 0) for t, sign, _ in row]
+        ds = [d[p] for *_, p in row]
+        if any(x * dy != y * dx for (x, dx), (y, dy) in combinations(zip(xs, ds), 2)):
+            return 0
+        e = s * gcd(*ds)
+        k = lcm(k, e // gcd(e, *xs))
+    if triple:
+        k = lcm(k, _triple_order(triple, tag, d, s))
+    return k
+
+
+def _triple_order(triple: tuple, tag: dict, d: list, s: int) -> int:
+    """Least k > 0 of a block {i < j < k} of three cycle slots at q = None,
+    or 0 (README, "Orders").  Its singles t_1 must be c p, p = d / G; then
+    K0 = s G / gcd(s G, c) and k = K0 n, where n is the order of
+    w = K0 T - s c' rho, c' = c / gcd(s G, c), modulo s (M_S + G bbb): T the
+    pairs and bbb, rho the pair and bbb part of the image of aaa."""
+    singles, pairs, (bbb, sign) = triple
+    t1 = [sgn * tag.get(t, 0) for t, sgn in singles]
+    if any(x * dy != y * dx for (x, dx), (y, dy) in combinations(zip(t1, d), 2)):
+        return 0
+    big = gcd(*d)
+    sg = s * big
+    c = t1[0] * big // d[0]
+    k0 = sg // gcd(sg, c)
+    c1 = c // gcd(sg, c)
+    rho = [d[0] * d[1], d[0] * d[2], d[1] * d[2]]
+    w = [k0 * sgn * tag.get(t, 0) - s * c1 * r for (t, sgn), r in zip(pairs, rho)]
+    k = sg // gcd(sg, k0 * sign * tag.get(bbb, 0) - s * c1 * prod(d))
+    e, vm = _triple_smith(*d)
+    for col, ec in enumerate(e):
+        x = sum(wa * row[col] for wa, row in zip(w, vm))
+        k = lcm(k, s * ec // gcd(s * ec, x))
+    return k0 * k
+
+
+@lru_cache(maxsize=1024)
+def _triple_smith(di: int, dj: int, dk: int) -> tuple:
+    """(e, V) of the Smith form U M_S V = diag(e) of a block {i < j < k}
+    (`intlinalg.smith_diagonal`), M_S = [[dj, dk, 0], [di, 0, dk],
+    [0, di, dj]] in the coordinates (bba, bab, abb): coker M_S is
+    Z/e_1 + Z/e_2 + Z/e_3 through x -> x V mod e.  Read by `group_table`
+    and `forced_order`."""
+    e, _, v = la.smith_diagonal([[dj, dk, 0], [di, 0, dk], [0, di, dj]])
+    return tuple(e), tuple(map(tuple, v))
+
+
+def _coupled_order(ctx: PipelineContext, scale: int, parts: list, keys: set) -> int:
+    """Least k > 0 of the blocks `keys` that the free y'_l couple at h = g,
+    q = None, or 0: the class part and each -s omega' ^ b_l, tagged by k and
+    y'_l, echelonised with s times the blocks' relations (`intlinalg.Lattice`,
+    the tags last).  The row that pivots at k holds the least k."""
+    g, d = ctx.g, ctx.q_diagonal
+    pos, rows = {}, []
+    for key in keys:
+        idx = sorted(set(key))
+        monos, rels = _block_relations(tuple(map(idx.index, key)), [d[i] for i in idx])
+        base = len(pos)
+        for c, t in enumerate(monos):
+            pos[tuple(idx[i % len(idx)] + g * (i >= len(idx)) for i in t)] = base + c
+        rows += [{base + c: scale * e for c, e in rel.items()} for rel in rels]
+    n = len(pos)
+    tags = [{pos[t]: c for key in keys for t, c in part.get(key, {}).items()} for part in parts]
+    lat = la.Lattice(n + len(parts), rows + [tag | {n + j: 1} for j, tag in enumerate(tags)])
+    return next((row[n] for row, p in zip(lat.rows, lat.pivots) if p == n), 0)
+
+
+def _block_relations(pattern: tuple, d: list) -> tuple:
     """The monomials of the block of wedge^3 in the Smith frame with index
-    multiset `pattern` over local slots (d_i, b_i in Y), a's then b's, and its
-    relations by monomial number: (delta'-I) images and unit rows on F_q,
-    each coefficient +-prod d_p instantiated from its `_block_shape`."""
-    d = [dp for dp, _ in slots]
-    monos, shape = _block_shape(
-        pattern, tuple(dp == 0 for dp in d), tuple(y for _, y in slots), q
-    )
+    multiset `pattern` over local slots with nonzero d-values d, a's then
+    b's, and its (delta'-I) images by monomial number, each coefficient
+    +-prod d_p instantiated from its `_block_shape`."""
+    monos, shape = _block_shape(pattern)
     return monos, [{c: sign * prod(d[p] for p in ps) for c, sign, ps in row} for row in shape]
 
 
 @cache
-def _block_shape(pattern: tuple, zero: tuple, in_y: tuple, q: int | None) -> tuple:
-    """The signed shape of `_block_relations`, which depends on the d_p only
-    through which are 0: (monomials, rows of (monomial number, sign, the
-    slots p whose d_p multiply)).  delta' - I sends a_p to d_p b_p and b_p to
-    0, so the image of a monomial t is the sum over nonempty sets S of its a
-    slots with d_p != 0 of t with a_p replaced by b_p for p in S, with
-    coefficient +-prod_{p in S} d_p, the sign that of sorting; distinct S give
-    distinct monomials.  The cache holds one entry per reachable key."""
-    m = len(zero)
+def _block_shape(pattern: tuple) -> tuple:
+    """The signed shape of `_block_relations`: (monomials, rows of
+    (monomial number, sign, the slots p whose d_p multiply)).  delta' - I
+    sends a_p to d_p b_p and b_p to 0, so the image of a monomial t is the
+    sum over nonempty sets S of its a slots of t with a_p replaced by b_p
+    for p in S, with coefficient +-prod_{p in S} d_p, the sign that of
+    sorting; distinct S give distinct monomials."""
+    m = len(set(pattern))
     monos = [t for t in combinations(range(2 * m), 3) if sorted(i % m for i in t) == [*pattern]]
     number = {t: c for c, t in enumerate(monos)}
     rels = []
     for t in monos:
-        free = [i for i in t if i < m and not zero[i]]
+        free = [i for i in t if i < m]
         row = []
         for size in range(1, len(free) + 1):
             for ps in combinations(free, size):
@@ -503,8 +648,6 @@ def _block_shape(pattern: tuple, zero: tuple, in_y: tuple, q: int | None) -> tup
                     sign = (-1) ** sum(a > b for a, b in combinations(img, 2))
                     row.append((number[tuple(sorted(img))], sign, ps))
         rels.append(tuple(row))
-        if q is not None and sum(i >= m and in_y[i - m] for i in t) >= q:
-            rels.append(((number[t], 1, ()),))
     return tuple(monos), tuple(rels)  # shared by every caller, so immutable
 
 
@@ -694,12 +837,13 @@ def nontriviality_verdict(
         elif order > 1:
             decisive = "order-in-Bbar"
     else:
-        least = forced_order(ctx, v, 2)
+        framed = framed_class(ctx, v)
+        least = forced_order(ctx, v, 2, framed)
         out["in_abar"], out["least_multiple"] = least == 1, least
         if least != 1:
             decisive = "not-in-Abar"
         else:
-            out["order_ambient"] = forced_order(ctx, v)
+            out["order_ambient"] = forced_order(ctx, v, None, framed)
     if hyperelliptic:
         verdict, decided = "hyperelliptic-trivial", "hyperelliptic quotient"
     elif decisive:

@@ -167,17 +167,25 @@ def smith_reduction(q: la.Matrix, h: int) -> tuple[list, la.Matrix, la.Matrix]:
     return d + [0] * (g - h), u, v
 
 
-def smith_frame(u: la.Matrix, v: la.Matrix) -> la.Matrix:
+def smith_frame(q: la.Matrix, d: list, u: la.Matrix) -> la.Matrix:
     """The frame change P = diag(V^-1, U) of a reduction (d, U, V) of Q
     (`smith_reduction`), which takes the monodromy of Q to that of D = diag(d):
     P delta_from_Q(Q) P^-1 = delta_from_Q(D).
 
-    U and V are the identity on the weight slots, so P keeps the a-span and
+    V^-1 is read in closed form, with no elimination: U Q_h V = D with Q_h
+    nonsingular gives V^-1 = D^-1 U Q on the cycle slots, row i of U Q
+    divided exactly by d_i, and V is the identity on the weight slots, where
+    d_i = 0.  U and V are the identity there, so P keeps the a-span and
     Y = span(b_1..b_h) and is graded for the Y-filtration.  P is not
     symplectic.
     """
-    g = len(u)
-    return [row + [0] * g for row in la.int_inverse(v)] + [[0] * g + row for row in u]
+    g = len(q)
+    cols = la.columns(q)
+    v_inv = [
+        [sum(a * b for a, b in zip(row, col)) // x for col in cols] if x else unit
+        for row, x, unit in zip(u, d, la.identity(g))
+    ]
+    return [row + [0] * g for row in v_inv] + [[0] * g + row for row in u]
 
 
 def intersection(u, v, g: int):

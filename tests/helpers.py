@@ -1617,3 +1617,17 @@ def block_relations(pattern: tuple, slots: tuple, q: int | None) -> tuple:
         if q is not None and sum(i >= m and slots[i - m][1] for i in t) >= q:
             rels.append({number[t]: 1})
     return monos, rels
+
+
+def lattice_block_order(pattern: tuple, slots: tuple, q: int | None, tag: dict, scale: int) -> int:
+    """Least k > 0 with k tag in `scale` times the relations of one block
+    (`block_relations`), or 0 if there is none, read off one `Lattice` on
+    the block's monomials and a tag column for k: the per-block reading
+    that `ceresa.forced_order` made before its closed forms.  `tag` maps
+    local monomials to integers."""
+    monos, rels = block_relations(pattern, slots, q)
+    pos = {t: c for c, t in enumerate(monos)}
+    rows = [{c: scale * e for c, e in rel.items()} for rel in rels]
+    n = len(pos)
+    lat = Lattice(n + 1, rows + [{pos[t]: c for t, c in tag.items()} | {n: 1}])
+    return next((row[n] for row, p in zip(lat.rows, lat.pivots) if p == n), 0)

@@ -15,6 +15,8 @@ The expected outputs in tests/data/ were recorded from the command line:
     tropceresa groups --graph k4_w1.json [--format text]
     tropceresa groups --graph builtin:theta-w1 --lengths 2,8,8 [--format text]
     tropceresa ceresa --graph petersen.json --table petersen_table.json [--format text]
+    tropceresa order --graph k4_w1.json --table k4_w1_table[_fifth].json
+    tropceresa ceresa --graph k4_w1.json --table k4_w1_table[_fifth].json
 
 g5_k24.json is the genus-5 curve K_{2,4} plus a parallel edge at each hub,
 with lengths e8 = 2, e9 = 3 and all other edges 1; g5_table.json is a fixed
@@ -25,7 +27,13 @@ h = 3) whose Q has invariant factors 2, 2, 240 (Smith diagonal D = [2, 6,
 the Petersen graph (genus 6, trivalent, 15 edges) with seeded lengths in
 1..5, and petersen_table.json a seeded fuzz user table
 (`test_pipeline_fuzz.random_table`); tests/test_ceresa.py checks its orders
-and groups against the original-frame engine.
+and groups against the original-frame engine.  k4_w1_table.json is the
+seeded fuzz table `random_table(k4_w1, random.Random(197))` as a user
+table, whose class lies in Abar (ambient order 240), and
+k4_w1_table_fifth.json the same table with every entry divided by 5
+(least multiple 5).  They are the deficient-rank goldens whose blocks can
+have three cycle indices (g = 4, h = 3), so the first reads the M_S blocks
+of the ambient order.
 
 The 300-draw samples of all four built-in tables were recorded before
 `sample` read its draws off a verdict plan, and are compared at --workers
@@ -99,6 +107,11 @@ CASES = [
      ["ceresa", "--graph", str(DATA / "petersen.json"),
       "--table", str(DATA / "petersen_table.json"), "--format", fmt])
     for ext, fmt in (("json", "json"), ("txt", "text"))
+] + [
+    (f"{cmd}_k4_w1{suffix}.json", cli.main,
+     [cmd, "--graph", str(DATA / "k4_w1.json"), "--table", str(DATA / f"k4_w1_table{suffix}.json")])
+    for cmd in ("order", "ceresa")
+    for suffix in ("", "_fifth")
 ] + [
     (f"groups_{name}.{ext}", cli.main, ["groups", "--graph", graph, "--format", fmt] + extra)
     for name, graph, extra in (

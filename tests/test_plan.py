@@ -91,18 +91,15 @@ def test_plan_rejects_a_table_of_another_basis():
 
 
 def test_block_shapes_instantiate_to_the_direct_relations():
-    """Every pattern, d_p in 0..5, Y flags and q in {None, 2}: the cached
-    shapes give the relations `helpers.block_relations` builds, and the
-    cache holds one shape per (pattern, zero d_p, Y flags, q), 192 in all,
-    whatever the d-values."""
+    """Every pattern and d_p in 1..5, the coupled blocks' case (h = g,
+    q = None): the cached shapes give the relations `helpers.block_relations`
+    builds, and the cache holds one shape per pattern, whatever the
+    d-values."""
     ceresa._block_shape.cache_clear()
     for pattern in ((0, 0, 1), (0, 1, 1), (0, 1, 2)):
         m = len(set(pattern))
-        for ds, ys, q in product(
-            product(range(6), repeat=m), product((False, True), repeat=m), (None, 2)
-        ):
-            slots = tuple(zip(ds, ys))
-            monos, rels = ceresa._block_relations(pattern, slots, q)
-            want = helpers.block_relations(pattern, slots, q)
-            assert (list(monos), rels) == want, (pattern, slots, q)
-    assert ceresa._block_shape.cache_info().currsize == 2 * 4 * 4 * 2 + 8 * 8 * 2
+        for ds in product(range(1, 6), repeat=m):
+            monos, rels = ceresa._block_relations(pattern, ds)
+            want = helpers.block_relations(pattern, tuple((x, True) for x in ds), None)
+            assert (list(monos), rels) == want, (pattern, ds)
+    assert ceresa._block_shape.cache_info().currsize == 3

@@ -342,7 +342,7 @@ def test_smith_frame_conjugates_delta_and_keeps_the_grading():
     for q, h in cases:
         g = len(q)
         d, u, v = smith_reduction(q, h)
-        p = smith_frame(u, v)
+        p = smith_frame(q, d, u)
         assert len(d) == g and all(x > 0 for x in d[:h]) and not any(d[h:])
         dq = [[x if i == j else 0 for j in range(g)] for i, x in enumerate(d)]
         assert mat_mul(mat_mul(u, q), v) == dq
