@@ -34,8 +34,9 @@ from .exterior import (
     Filtration,
     WedgeVector,
     _json_key,
+    _sparse,
     _wedge_step,
-    apply_matrix,
+    apply_columns,
     check_wedge_caps,
     delta_inverse_gr2,
     omega,
@@ -70,13 +71,14 @@ class PipelineContext:
 
     The reduction and the Smith frame P = diag(V^-1, U), which takes delta
     to delta_from_Q(D) and omega to omega' = wedge^2(P) omega, are built on
-    first read; V^-1 = D^-1 U Q on the cycle slots, with no elimination
-    (`smith_frame`).  A maximal-rank verdict reads u, which reads the
-    fraction-free inverse of Q, so a verdict-only `analyze` (`order`,
-    `sample`) builds neither; the printed invariant factors and the
-    deficient-rank groups read D, and the Zharkov verdict, the maximal-rank
-    groups and `framed_class` the frame: a class goes into it once for
-    both orders of `forced_order`.  No lattice of wedge^3 is built.
+    first read; P is held as sparse columns, V^-1 = D^-1 U Q on the cycle
+    slots, with no elimination and no dense P (`smith_frame`).  A
+    maximal-rank verdict reads u, which reads the fraction-free inverse of
+    Q, so a verdict-only `analyze` (`order`, `sample`) builds neither; the
+    printed invariant factors and the deficient-rank groups read D, and the
+    Zharkov verdict, the maximal-rank groups and `framed_class` the frame:
+    a class goes into it once for both orders of `forced_order`.  No
+    lattice of wedge^3 is built.
     """
 
     curve: TropicalCurve | None   # integer lengths
@@ -119,13 +121,13 @@ class PipelineContext:
 
     @cached_property
     def frame(self) -> list:
-        """P = diag(V^-1, U), graded for the Y-filtration."""
+        """P = diag(V^-1, U), graded for the Y-filtration, as sparse columns."""
         return smith_frame(self.q_matrix, *self.smith[:2])
 
     @cached_property
     def omega_frame(self) -> WedgeVector:
         """omega' = wedge^2(P) omega, the form that embeds H in the frame."""
-        return apply_matrix(self.frame, omega(self.g))
+        return apply_columns(self.frame, omega(self.g))
 
 
 def build_context(curve: TropicalCurve, tree=None) -> PipelineContext:
@@ -252,11 +254,10 @@ def group_table(ctx: PipelineContext) -> dict:
         ):
             slots[t] = [(len(orders) + c, sign * x) for c, x in enumerate(row) if x]
         orders += e
-    units = la.identity(2 * g)
     classes = []
     for l in range(g):
         row: dict = {}
-        for t, c in ctx.omega_frame.wedge_vector(units[g + l]).coeffs.items():
+        for t, c in _wedge_step(ctx.omega_frame.coeffs, [(g + l, 1)]).items():
             for col, x in slots[t]:
                 row[col] = row.get(col, 0) + c * x
         classes.append(row)
@@ -352,6 +353,15 @@ def is_pure_gr2(ctx: PipelineContext, v: WedgeVector) -> bool:
     return all(ctx.filt.y_degree(t) == 2 for t in v.coeffs)
 
 
+def _by_y_degree(ctx: PipelineContext, v: WedgeVector) -> list:
+    """v's terms by Y-degree: [{monomial: coefficient}] for degrees 0..3."""
+    parts = [{}, {}, {}, {}]
+    degree = ctx.filt.y_degree
+    for t, c in v.coeffs.items():
+        parts[degree(t)][t] = c
+    return parts
+
+
 def u_class(ctx: PipelineContext, v: WedgeVector) -> WedgeVector:
     """Rational preimage of v under the graded map; Q must be nonsingular."""
     return _u_fractions(ctx, *delta_inverse_gr2(ctx.q_matrix, v))
@@ -363,10 +373,11 @@ def _u_fractions(ctx: PipelineContext, nums: dict, scale: int) -> WedgeVector:
     return WedgeVector._from_sorted(2 * ctx.g, 3, u)
 
 
-def _u_and_order(ctx: PipelineContext, v: WedgeVector):
-    """((N, scale), order, nonintegral) at maximal rank: u = N / scale =
-    gr^-1 of the gr_2 part r_2 of v, the order of v in Bbar (README,
-    "Verdict"), and whether a qualifying numerator of u is not 0 mod scale.
+def _u_and_order(ctx: PipelineContext, parts: list):
+    """((N, scale), order, nonintegral) at maximal rank for the class v with
+    Y-degree parts `parts` (`_by_y_degree`): u = N / scale = gr^-1 of the
+    gr_2 part r_2 of v, the order of v in Bbar (README, "Verdict"), and
+    whether a qualifying numerator of u is not 0 mod scale.
 
     Each coordinate of a gr_1 class w is a_i^a_j^b_k.  Those with k apart
     from i and j qualify; the others are the coefficients s_il of
@@ -381,9 +392,6 @@ def _u_and_order(ctx: PipelineContext, v: WedgeVector):
     Q c adds nothing: k r_2 - gr(k x) = omega ^ k Q c is integral with k x.
     """
     g = ctx.g
-    parts = [{}, {}, {}, {}]  # v by Y-degree
-    for t, c in v.coeffs.items():
-        parts[ctx.filt.y_degree(t)][t] = c
     nums, scale = delta_inverse_gr2(ctx.q_matrix, WedgeVector._from_sorted(2 * g, 3, parts[2]))
 
     def split(w: dict):
@@ -395,7 +403,7 @@ def _u_and_order(ctx: PipelineContext, v: WedgeVector):
         qual = [c for t, c in w.items() if t[2] - g not in t[:2]]
         return qual, [y - row[0] for row in s for y in row[1:]], [row[0] for row in s]
 
-    qual, diffs, h_a = split(parts[1])
+    qual, diffs, h_a = split(parts[1]) if parts[1] else ((), (), ())
     integral = chain(h_a, parts[2].values(), parts[3].values())
     if parts[0] or any(qual) or any(diffs) or any(c.denominator != 1 for c in integral):
         raise PreconditionError(
@@ -409,14 +417,17 @@ def _u_and_order(ctx: PipelineContext, v: WedgeVector):
 def ceresa_order(ctx: PipelineContext, v: WedgeVector):
     """Order of v in the graded quotient (F2 L + H)/((delta-I)F1 L + F3 L + H),
     for any class at maximal rank; deficient rank raises PreconditionError."""
-    return _u_and_order(ctx, v)[1]
+    return _u_and_order(ctx, _by_y_degree(ctx, v))[1]
 
 
 def framed_class(ctx: PipelineContext, v: WedgeVector) -> tuple:
     """(s, y, blocks) for the orders of v (README, "Orders"): the scale
     s = (g-1) den(v), y = s y* with y* the forced H part, and
     s (v - omega ^ y*) in the Smith frame, by block key: its monomials'
-    sorted indices mod g.  Both orders of a class read this one image."""
+    sorted indices mod g.  s v - omega ^ y is one dict, the terms of
+    -omega ^ y merged in by one wedge step with zeros dropped, and goes
+    into the frame by its sparse columns.  Both orders of a class read
+    this one image."""
     g, h = ctx.g, ctx.basis.h
     den = lcm(*(c.denominator for c in v.coeffs.values()))
     num = {t: int(c * den) for t, c in v.coeffs.items()}
@@ -428,14 +439,20 @@ def framed_class(ctx: PipelineContext, v: WedgeVector) -> tuple:
         y[p] += c * (t == r + g)
     for i in range(h):
         y[g + i] = -div * num.get((h, g + i, g + h), 0) if h < g else 0
-    sv = WedgeVector._from_sorted(2 * g, 3, {t: div * c for t, c in num.items()})
-    return div * den, y, _by_block(apply_matrix(ctx.frame, sv - omega(g).wedge_vector(y)), g)
+    terms = {t: div * c for t, c in num.items()}  # s v, less omega ^ y below
+    for t, c in _wedge_step({(i, g + i): -1 for i in range(g)}, _sparse(y)).items():
+        if x := terms.get(t, 0) + c:
+            terms[t] = x
+        else:
+            del terms[t]
+    sx = WedgeVector._from_sorted(2 * g, 3, terms)
+    return div * den, y, _by_block(apply_columns(ctx.frame, sx).coeffs, g)
 
 
-def _by_block(w: WedgeVector, g: int) -> dict:
-    """w's terms by block key: {key: {monomial: coefficient}}."""
+def _by_block(terms: dict, g: int) -> dict:
+    """Terms {monomial: coefficient} by block key: {key: {monomial: coefficient}}."""
     blocks: dict = {}
-    for t, c in w.coeffs.items():
+    for t, c in terms.items():
         blocks.setdefault(tuple(sorted(i % g for i in t)), {})[t] = c
     return blocks
 
@@ -460,25 +477,33 @@ def forced_order(ctx: PipelineContext, v: WedgeVector, q: int | None = None, fra
     k = scale // gcd(scale, *y)
     forms = []
     if h == g and q is None:
-        units = la.identity(2 * g)
         for l in (l for l in range(g) if d[l] != 1):
-            form = ctx.omega_frame.wedge_vector(units[g + l]).scale(-scale)
-            forms.append(_by_block(form, g))
+            forms.append(_by_block(_wedge_step(ctx.omega_frame.coeffs, [(g + l, -scale)]), g))
     coupled = set().union(*forms)
     if coupled:
         k = lcm(k, _coupled_order(ctx, scale, [blocks, *forms], coupled))
     for key, tag in blocks.items():
         if k and key not in coupled:
-            idx = sorted(set(key))
-            m = len(idx)
-            local = {x: p for p, x in enumerate(idx)} | {g + x: m + p for p, x in enumerate(idx)}
+            idx, local, reading = _block_plan(key, g, h, q)
             k = lcm(k, _block_order(
-                _block_reading(tuple(map(idx.index, key)), tuple(i < h for i in idx), q),
+                reading,
                 {tuple(local[i] for i in t): c for t, c in tag.items()},
                 [d[i] for i in idx],
                 scale,
             ))
     return k or inf
+
+
+@lru_cache(maxsize=4096)
+def _block_plan(key: tuple, g: int, h: int, q: int | None) -> tuple:
+    """(slots, local, reading) of an uncoupled block key on a context of
+    genus g and cycle rank h: its sorted distinct slots, the map from the
+    indices of its monomials to local ones (a's, then b's) and its
+    `_block_reading` at q, resolved once per key; shared, so read only."""
+    idx = tuple(sorted(set(key)))
+    m = len(idx)
+    local = {x: p for p, x in enumerate(idx)} | {g + x: m + p for p, x in enumerate(idx)}
+    return idx, local, _block_reading(tuple(map(idx.index, key)), tuple(i < h for i in idx), q)
 
 
 @cache
@@ -696,7 +721,7 @@ def zharkov_test(ctx: PipelineContext, v: WedgeVector) -> dict:
     w = WedgeVector._from_sorted(2 * g, 3, {t: c for t, c in w.items() if c})
     d = {g + i: x for i, x in enumerate(ctx.q_diagonal)}  # by b position
     witness = None
-    for (p, q, r), c in sorted(apply_matrix(ctx.frame, w).coeffs.items()):
+    for (p, q, r), c in sorted(apply_columns(ctx.frame, w).coeffs.items()):
         divisor = 2 * gcd(d[p] * d[q], d[p] * d[r], d[q] * d[r])
         if c % divisor:
             witness = {"monomial": (p, q, r), "value": c, "divisor": divisor}
@@ -828,8 +853,9 @@ def nontriviality_verdict(
     """
     out = dict.fromkeys(("u_num", "order_bbar", "order_ambient", "in_abar", "least_multiple"))
     decisive = None  # a route that certifies nontriviality before the ambient order
-    if ctx.maximal_rank and is_pure_gr2(ctx, v):
-        out["u_num"], order, nonintegral = _u_and_order(ctx, v)
+    parts = _by_y_degree(ctx, v) if ctx.maximal_rank else None
+    if parts and not (parts[0] or parts[1] or parts[3]):  # v is pure gr_2
+        out["u_num"], order, nonintegral = _u_and_order(ctx, parts)
         out["order_bbar"] = out["order_ambient"] = order
         out["in_abar"], out["least_multiple"] = True, 1
         if nonintegral:

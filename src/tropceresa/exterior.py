@@ -108,9 +108,15 @@ def _wedge_step(terms: dict, vec) -> dict:
 
 
 def _wedge_terms(sparse_vectors) -> dict:
-    """Terms of the wedge of sparse vectors, in the given order."""
-    terms = {(): 1}
-    for vec in sparse_vectors:
+    """Terms of the wedge of sparse vectors, in the given order: the first
+    vector's nonzero entries, then one `_wedge_step` per further vector;
+    {(): 1} for none.  A sparse vector names each index at most once."""
+    vectors = iter(sparse_vectors)
+    first = next(vectors, None)
+    if first is None:
+        return {(): 1}
+    terms = {(i,): x for i, x in first if x}
+    for vec in vectors:
         terms = _wedge_step(terms, vec)
     return terms
 
@@ -238,9 +244,16 @@ def _sparse_columns(mat) -> list:
 
 
 def apply_matrix(mat, w: WedgeVector) -> WedgeVector:
-    """Image of w under the action induced on wedge^k by mat.  Terms that
-    share their first k-1 indices are wedged onto one sum of last columns."""
-    cols = _sparse_columns(mat)
+    """Image of w under the action induced on wedge^k by mat
+    (`apply_columns` on its sparse columns)."""
+    return apply_columns(_sparse_columns(mat), w)
+
+
+def apply_columns(cols: list, w: WedgeVector) -> WedgeVector:
+    """Image of w under the action induced on wedge^k by the matrix with
+    sparse columns `cols` [[(row, entry), ...], ...], such as the Smith
+    frame (`symplectic.smith_frame`).  Terms that share their first k-1
+    indices are wedged onto one sum of last columns."""
     lasts: dict = {}
     for t, c in w.coeffs.items():
         acc = lasts.setdefault(t[:-1], {})
@@ -540,7 +553,8 @@ def delta_inverse_gr2(q_matrix, v: WedgeVector) -> tuple[dict, int]:
         -den (alpha ^ x)_ij a_i^a_j^b_r,  +den (beta ^ x)_ij a_i^a_j^b_p,
         -(alpha ^ beta)_ij (Q x)_k a_i^a_j^b_k,
     keyed by sorted tuples since every a index lies below every b index;
-    each key has one Y index, so u lies in gr_1.  N keeps the nonzero
+    each key has one Y index, so u lies in gr_1.  Q is symmetric, so
+    Q x = sum_m x_m Q[m] is summed over x's nonzero entries.  N keeps the nonzero
     sums, unreduced, over the one scale s = 2 vden den^2.
     """
     g = len(q_matrix)
@@ -555,20 +569,21 @@ def delta_inverse_gr2(q_matrix, v: WedgeVector) -> tuple[dict, int]:
     adj = la.columns(adj)  # den * Q^-1 b_j
     vden = lcm(*(c.denominator for c in v.coeffs.values()))
     pairs: dict = {}  # (p, r) -> vden * sum_m c_mpr a_m, dense on the a side
-    for idx, c in v.coeffs.items():
-        ys = [i - g for i in idx if i >= g]
-        xs = [i for i in idx if i < g]
-        if len(ys) != 2 or len(xs) != 1:
+    for (m, p, r), c in v.coeffs.items():
+        if not m < g <= p:  # a sorted key with two Y factors
             raise PreconditionError(
-                f"coordinate {idx} does not have exactly two Y factors"
+                f"coordinate {(m, p, r)} does not have exactly two Y factors"
             )
-        pairs.setdefault(tuple(ys), [0] * g)[xs[0]] = int(c * vden)
+        pairs.setdefault((p - g, r - g), [0] * g)[m] = int(c * vden)
     a_pairs = list(combinations(range(g), 2))
     acc: dict = {}
     get = acc.get
     for (p, r), x in pairs.items():
-        qx = [(g + k, y) for k, row in enumerate(q_matrix)
-              if (y := sum(q * c for q, c in zip(row, x)))]
+        qx = [0] * g  # Q x = sum_m x_m Q[m], as Q is symmetric
+        for m, c in enumerate(x):
+            if c:
+                qx = [y + c * q for y, q in zip(qx, q_matrix[m])]
+        qx = [(g + k, y) for k, y in enumerate(qx) if y]
         alpha, beta = adj[p], adj[r]
         for i, j in a_pairs:
             ai, aj, bi, bj, xi, xj = alpha[i], alpha[j], beta[i], beta[j], x[i], x[j]

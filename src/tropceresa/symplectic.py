@@ -167,25 +167,27 @@ def smith_reduction(q: la.Matrix, h: int) -> tuple[list, la.Matrix, la.Matrix]:
     return d + [0] * (g - h), u, v
 
 
-def smith_frame(q: la.Matrix, d: list, u: la.Matrix) -> la.Matrix:
+def smith_frame(q: la.Matrix, d: list, u: la.Matrix) -> list:
     """The frame change P = diag(V^-1, U) of a reduction (d, U, V) of Q
     (`smith_reduction`), which takes the monodromy of Q to that of D = diag(d):
-    P delta_from_Q(Q) P^-1 = delta_from_Q(D).
+    P delta_from_Q(Q) P^-1 = delta_from_Q(D).  P is built as its sparse
+    columns [[(row, entry), ...], ...], which `exterior.apply_columns` reads.
 
-    V^-1 is read in closed form, with no elimination: U Q_h V = D with Q_h
-    nonsingular gives V^-1 = D^-1 U Q on the cycle slots, row i of U Q
-    divided exactly by d_i, and V is the identity on the weight slots, where
-    d_i = 0.  U and V are the identity there, so P keeps the a-span and
-    Y = span(b_1..b_h) and is graded for the Y-filtration.  P is not
-    symplectic.
+    V^-1 = D^-1 U Q on the cycle slots, with no elimination, as U Q_h V = D
+    with Q_h nonsingular: entry i of a-column j is U[i] . Q[j] (Q is
+    symmetric) divided exactly by d_i.  On the weight slots d_i = 0, Q
+    vanishes and U and V are the identity, so those a-columns are units;
+    the b-columns are U's.  P keeps the a-span and Y = span(b_1..b_h) and
+    is graded for the Y-filtration.  P is not symplectic.
     """
     g = len(q)
-    cols = la.columns(q)
-    v_inv = [
-        [sum(a * b for a, b in zip(row, col)) // x for col in cols] if x else unit
-        for row, x, unit in zip(u, d, la.identity(g))
+    cycle = [i for i, x in enumerate(d) if x]
+    cols = [
+        [(i, x // d[i]) for i in cycle if (x := sum(a * b for a, b in zip(u[i], row)))]
+        if d[j] else [(j, 1)]
+        for j, row in enumerate(q)
     ]
-    return [row + [0] * g for row in v_inv] + [[0] * g + row for row in u]
+    return cols + [[(g + i, row[j]) for i, row in enumerate(u) if row[j]] for j in range(g)]
 
 
 def intersection(u, v, g: int):

@@ -568,6 +568,35 @@ def smith_frame_engine(ctx):
     return exterior.GradedImages(ctx.filt, delta_from_Q(diag), 3, omega=ctx.omega_frame)
 
 
+def padded(q: Matrix, g: int) -> Matrix:
+    """The g x g Q of cycle block q (h x h) and g - h zero weight slots."""
+    h = len(q)
+    return [row + [0] * (g - h) for row in q] + [[0] * g for _ in range(g - h)]
+
+
+def dense_smith_frame(q: Matrix, d: list, u: Matrix) -> Matrix:
+    """The dense 2g x 2g frame P = diag(V^-1, U) of a reduction (d, U, V)
+    of Q, rows of V^-1 = D^-1 U Q on the cycle slots and unit rows on the
+    weight slots: the oracle of `symplectic.smith_frame`'s sparse columns."""
+    g = len(q)
+    cols = la.columns(q)
+    v_inv = [
+        [sum(a * b for a, b in zip(row, col)) // x for col in cols] if x else unit
+        for row, x, unit in zip(u, d, identity(g))
+    ]
+    return [row + [0] * g for row in v_inv] + [[0] * g + row for row in u]
+
+
+def dense_columns(cols: list) -> Matrix:
+    """The square matrix with the sparse columns `cols` [[(row, entry)]],
+    such as a context's Smith frame, for the dense oracles."""
+    out = la.zero_matrix(len(cols), len(cols))
+    for j, col in enumerate(cols):
+        for i, x in col:
+            out[i][j] = x
+    return out
+
+
 def _engine_lattice(eng, name: str, vectors):
     """Lattice(len(eng.wedge), vectors()), echelonised on the first call for
     this engine and name and kept on the engine: the many classes an oracle

@@ -36,6 +36,7 @@ from tropceresa.exterior import (
     Bbar_group,
     GradedImages,
     WedgeVector,
+    apply_columns,
     apply_matrix,
     embed_H_in_L,
     omega,
@@ -48,7 +49,7 @@ from tropceresa.graph_core import (
     with_sorted_lengths,
 )
 from tropceresa.johnson import JohnsonTable, coboundary_shift, table_from_json, transform_table
-from tropceresa.symplectic import basis_change_matrix, delta_from_Q, homology_basis
+from tropceresa.symplectic import basis_change_matrix, delta_from_Q, homology_basis, intersection
 
 import helpers
 from helpers import banana_curve, k4_curve, k4_doubled, loop_chain_curve, tl3_curve
@@ -520,11 +521,12 @@ def test_zharkov_closed_forms_match_generic_images():
         gens = [x.to_coords(top) for x in squares]
         member = helpers.in_span(res["w"].to_coords(top), gens, len(top))
         assert res["obstructed"] is not member
-        framed = helpers.apply_matrix(ctx.frame, v).coeffs
+        frame = helpers.dense_columns(ctx.frame)
+        framed = helpers.apply_matrix(frame, v).coeffs
         closed = WedgeVector(n, 3, {
             (g + m, p, r): c * ctx.q_diagonal[m] for (m, p, r), c in framed.items()
         })
-        assert closed == helpers.apply_matrix(ctx.frame, res["w"])
+        assert closed == helpers.apply_matrix(frame, res["w"])
         outcomes.add((g > 2, kind, res["obstructed"], max(ctx.q_diagonal) > 1))
     assert {(True, "random", True), (True, "random", False), (True, "relation", False)} <= {
         o[:3] for o in outcomes
@@ -544,7 +546,7 @@ def test_zharkov_witness_is_the_least_failing_frame_coordinate():
     for g, ctx, kind, v, squares, top in _generic_zharkov_cases():
         res = zharkov_test(ctx, v)
         d = ctx.q_diagonal
-        framed = helpers.apply_matrix(ctx.frame, res["w"]).coeffs
+        framed = helpers.apply_matrix(helpers.dense_columns(ctx.frame), res["w"]).coeffs
         divisor = {t: 2 * gcd(*(d[i - g] * d[j - g] for i, j in combinations(t, 2))) for t in framed}
         failing = sorted(t for t, c in framed.items() if c % divisor[t])
         gens = [x.to_coords(top) for x in squares]
@@ -1037,7 +1039,7 @@ def test_context_generators_match_fresh_computation(name):
             if not w.is_zero()
         ]
         assert helpers.image_generators(eng, level) == fresh
-    omega_p = helpers.apply_matrix(ctx.frame, omega(ctx.g))
+    omega_p = helpers.apply_matrix(helpers.dense_columns(ctx.frame), omega(ctx.g))
     assert helpers.h_generators(eng) == [
         helpers.wedge_vector(omega_p, unit).to_coords(eng.wedge)
         for unit in la.identity(2 * ctx.g)
@@ -1062,19 +1064,13 @@ def test_group_table_matches_exterior_groups(name):
 # -- the Smith frame against the original-frame engine ----------------------------
 
 
-def _padded(q, g):
-    """The g x g Q of cycle block q (h x h) and g - h zero weight slots."""
-    h = len(q)
-    return [row + [0] * (g - h) for row in q] + [[0] * g for _ in range(g - h)]
-
-
 def _q_context(q, g=None):
     """The context of a Gram matrix q alone: at maximal rank, or with q as
     the cycle block Q_h of a genus-g curve whose last g - h slots are
     weights."""
     g = len(q) if g is None else g
     basis = SimpleNamespace(g=g, h=len(q))
-    return PipelineContext(curve=None, scale=1, basis=basis, q_matrix=_padded(q, g))
+    return PipelineContext(curve=None, scale=1, basis=basis, q_matrix=helpers.padded(q, g))
 
 
 def _original_engine(ctx):
@@ -1215,7 +1211,7 @@ def _module_groups(q, g=None):
     oracle of the block route."""
     g = len(q) if g is None else g
     y = helpers.y_units(g, len(q))
-    delta = delta_from_Q(_padded(q, g))
+    delta = delta_from_Q(helpers.padded(q, g))
     return {
         "A": A_group(delta, y, 2),
         "B": B_group(delta, y, 2),
@@ -1331,7 +1327,7 @@ def test_block_groups_match_whole_wedge_engine_on_ladders(monkeypatch, g):
         assert group_table(ctx) == _engine_groups(eng)
         for trial in range(4):
             v = _sparse_sixths_class(ctx, rng, trial)
-            framed = apply_matrix(ctx.frame, v)
+            framed = apply_matrix(helpers.dense_columns(ctx.frame), v)
             for order_q in (2, None):
                 want = helpers.abar_order(eng, framed.coeffs, order_q)
                 assert forced_order(ctx, v, order_q) == want, (q, v, order_q)
@@ -1370,14 +1366,13 @@ def test_group_table_reuses_cached_images(monkeypatch):
     ctx = build_context(builtin_curve("tl3"))
     assert ctx.omega_frame.coeffs  # omega' is mapped on first read
     calls = []
-    apply_matrix = exterior.apply_matrix
 
     def counted(*args):
         calls.append(args)
-        return apply_matrix(*args)
+        return apply_columns(*args)
 
-    monkeypatch.setattr(exterior, "apply_matrix", counted)
-    monkeypatch.setattr(ceresa, "apply_matrix", counted, raising=False)
+    monkeypatch.setattr(exterior, "apply_columns", counted)
+    monkeypatch.setattr(ceresa, "apply_columns", counted)
     group_table(ctx)
     assert len(calls) == 0
     # the Zharkov verdict moves w, never v, into the Smith frame once and
@@ -1485,6 +1480,63 @@ def test_forced_order_matches_original_frame_on_seeded_q(g):
     kinds = ("1", ">1", "inf") if g >= 3 else ("1", ">1")  # omega ^ H spans wedge^3 at g = 2
     want = {(place, order_q, kind) for place in places for order_q in (2, None) for kind in kinds}
     assert want <= seen, want - seen
+
+
+def _framed_reference(ctx, v) -> tuple:
+    """(s, y, s v - omega ^ y in the frame) of README "Orders" at deficient
+    rank, by the oracles: y on the forced slots is the contraction
+    Lambda(den(v) v) read off the intersection form, on the cycle b slots s
+    times the coefficient of b_i ^ a_{h+1} ^ b_{h+1}; omega ^ y is wedged by
+    the sorting oracle and moved by the dense closed-form P."""
+    g, h, n = ctx.g, ctx.basis.h, 2 * ctx.g
+    den = lcm(*(Fraction(c).denominator for c in v.coeffs.values()))
+    s = (g - 1) * den
+    units = la.identity(n)
+    y = [0] * n
+    for (p, q, r), c in v.coeffs.items():
+        for x, z, w, sign in ((p, q, r, 1), (p, r, q, -1), (q, r, p, 1)):
+            y[w] += int(sign * intersection(units[x], units[z], g) * c * den)
+    for i in range(h):
+        (key, sign), = WedgeVector(n, 3, {(g + i, h, g + h): 1}).coeffs.items()
+        y[g + i] = int(s * sign * v.coeffs.get(key, 0))
+    sx = v.scale(s) - helpers.wedge_vector(omega(g), y)
+    frame = helpers.dense_smith_frame(ctx.q_matrix, *ctx.smith[:2])
+    return s, y, helpers.apply_matrix(frame, sx)
+
+
+def test_framed_class_matches_the_dense_frame_reference():
+    """`framed_class` gives s, y and s v - omega ^ y in the Smith frame, by
+    block key, as `_framed_reference` does with the dense P: on theta-w1
+    (its class and 3 times it), on k4_w1 with both of its tables, and on
+    classes in (1/6)Z of seeded deficient Q at g = 3..5, h = 0..g-1."""
+    data = Path(__file__).parent / "data"
+    cases = []
+    ctx = build_context(builtin_curve("theta-w1"))
+    v = v_class(ctx, builtin_table("theta-w1"))
+    cases += [(ctx, v), (ctx, v.scale(3))]
+    curve = load_curve(str(data / "k4_w1.json"))
+    ctx = build_context(curve)
+    for name in ("k4_w1_table", "k4_w1_table_fifth"):
+        table = json.loads((data / f"{name}.json").read_text())
+        cases.append((ctx, v_class(ctx, table_from_json(table, ctx.basis))))
+    rng = random.Random(3901)
+    for g in (3, 4, 5):
+        for h in range(g):
+            ctx = _q_context(helpers.random_posdef(h, rng), g)
+            eng = _original_engine(ctx)
+            for kind in ("F2+H", "relations", "F2 sixths", "random"):
+                cases.append((ctx, _random_sixths_class(eng, rng, kind)))
+    nonzero = 0
+    for ctx, v in cases:
+        assert not ctx.maximal_rank
+        s, y, blocks = ceresa.framed_class(ctx, v)
+        want_s, want_y, want = _framed_reference(ctx, v)
+        assert (s, y) == (want_s, want_y)
+        assert {t: c for tag in blocks.values() for t, c in tag.items()} == want.coeffs
+        for key, tag in blocks.items():
+            assert all(key == tuple(sorted(i % ctx.g for i in t)) for t in tag)
+        nonzero += any(y[ctx.g + i] for i in range(ctx.basis.h))
+    assert len(cases) == 4 + 4 * (3 + 4 + 5) and nonzero >= 5
 
 
 def _fraction_verdict(ctx, v):
@@ -1651,9 +1703,9 @@ def test_verdict_maps_into_the_frame_once_per_order(monkeypatch, name, multiple)
 
     def counting(mat, w):
         calls.append((mat, w))
-        return apply_matrix(mat, w)
+        return apply_columns(mat, w)
 
-    monkeypatch.setattr(ceresa, "apply_matrix", counting)
+    monkeypatch.setattr(ceresa, "apply_columns", counting)
     out = nontriviality_verdict(ctx, v, hyperelliptic=False)
     assert len(calls) == (0 if ctx.maximal_rank else 1)
     assert all(mat is ctx.frame and w.k == 3 for mat, w in calls)
@@ -1706,9 +1758,9 @@ def test_analyze_moves_the_class_into_the_frame_once(monkeypatch, name):
 
     def counting(mat, w):
         framed.append(w)
-        return apply_matrix(mat, w)
+        return apply_columns(mat, w)
 
-    monkeypatch.setattr(ceresa, "apply_matrix", counting)
+    monkeypatch.setattr(ceresa, "apply_columns", counting)
     report = analyze(curve, table)
     assert report.ctx.rank_status == "maximal" and report.zharkov is not None
     assert sorted(w.k for w in framed) == [2, 3]  # omega' and w
@@ -1870,10 +1922,10 @@ def test_maximal_rank_verdict_reads_no_abar_lattice(monkeypatch, name):
 
     def counting(mat, w):
         seen.append(w)
-        return apply_matrix(mat, w)
+        return apply_columns(mat, w)
 
     for module in (ceresa, exterior):
-        monkeypatch.setattr(module, "apply_matrix", counting)
+        monkeypatch.setattr(module, "apply_columns", counting)
     _forbid_engines(monkeypatch)
     out = nontriviality_verdict(ctx, v, hyperelliptic=False)
     monkeypatch.undo()

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tropceresa import catalog, ceresa, cli, graph_core, johnson, symplectic
+from tropceresa import catalog, ceresa, cli, exterior, graph_core, johnson, symplectic
 from tropceresa import intlinalg as la
 from tropceresa.catalog import (
     BUILTIN_GRAPHS,
@@ -699,6 +699,27 @@ def test_sample_builds_a_smith_frame_only_at_deficient_rank(capsys, monkeypatch,
     assert len(calls) == 6 * frames and len(contexts) == 6
     helpers.assert_q_reductions_per_context(reduced, contexts, frames)
     assert all(("frame" in vars(ctx)) == bool(frames) for ctx in contexts)
+
+
+def test_deficient_rank_sample_draws_transpose_no_matrix(capsys, monkeypatch):
+    """A theta-w1 draw maps its class into the Smith frame, which
+    `smith_frame` builds as sparse columns: no draw reads the columns of a
+    dense matrix (`exterior._sparse_columns`)."""
+    calls = []
+    sparse_columns = exterior._sparse_columns
+
+    def counting(mat):
+        calls.append(mat)
+        return sparse_columns(mat)
+
+    monkeypatch.setattr(exterior, "_sparse_columns", counting)
+    contexts = helpers.record_q_reductions(monkeypatch)[1]
+    code, _, _ = run(
+        capsys, "sample", "--graph", "builtin:theta-w1", "--table", "builtin:theta-w1",
+        "--count", "6", "--seed", "3", "--workers", "1",
+    )
+    assert code == 0 and calls == []
+    assert len(contexts) == 6 and all("frame" in vars(ctx) for ctx in contexts)
 
 
 def test_sample_does_its_graph_only_work_once_per_run(capsys, monkeypatch):

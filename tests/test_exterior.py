@@ -18,6 +18,7 @@ from tropceresa.exterior import (
     Filtration,
     GradedImages,
     WedgeVector,
+    apply_columns,
     apply_matrix,
     delta_inverse_gr2,
     embed_H_in_L,
@@ -133,6 +134,21 @@ def test_wedge_keys_match_wedge_of_unit_vectors():
         for t, s in _wedge_terms([(i, 1)] for i in idx).items():
             total[t] = total.get(t, 0) + s * coeffs[idx]
     assert WedgeVector(6, 3, coeffs).coeffs == {t: c for t, c in total.items() if c}
+
+
+def test_wedge_terms_start_from_the_first_vector():
+    """The wedge of no vectors is {(): 1}.  The first vector's entries are
+    the first terms, so an entry that accumulated to zero there gives no
+    term, alone or under later factors; `apply_columns` feeds such sums
+    (the summed last columns at k = 1)."""
+    assert _wedge_terms([]) == _wedge_terms(iter(())) == {(): 1}
+    assert _wedge_terms([[(0, 0), (2, 3)]]) == {(2,): 3}
+    assert _wedge_terms([[(0, 0), (2, 3)], [(0, 1), (1, 2)]]) == {(0, 2): -3, (1, 2): -6}
+    assert _wedge_terms([[(0, 0)], [(1, 1)]]) == {}
+    cols = [[(0, 1)], [(0, -1)], [(1, 1)]]
+    assert apply_columns(cols, WedgeVector(3, 1, {(0,): 1, (1,): 1})).coeffs == {}
+    want = WedgeVector(3, 1, {(0,): 2, (1,): 1})
+    assert apply_columns(cols, WedgeVector(3, 1, {(0,): 2, (2,): 1})) == want
 
 
 def test_wedge_keys_and_products_match_sort_with_sign():

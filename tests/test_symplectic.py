@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +12,8 @@ from tropceresa.graph_core import (
     symanzik,
     tropical_curve,
 )
-from tropceresa import graph_core, symplectic
-from tropceresa.catalog import builtin_curve
+from tropceresa import exterior, graph_core, symplectic
+from tropceresa.catalog import BUILTIN_GRAPHS, builtin_curve
 from tropceresa.symplectic import (
     basis_change_matrix,
     basis_report,
@@ -26,6 +27,8 @@ from tropceresa.symplectic import (
 )
 from helpers import (
     brute_spanning_trees,
+    dense_columns,
+    dense_smith_frame,
     det_fraction,
     image_saturation,
     is_zero_matrix,
@@ -33,6 +36,7 @@ from helpers import (
     loop_chain_curve,
     mat_mul,
     multitwist_action,
+    padded,
     random_curve,
     random_posdef,
     tl3_curve,
@@ -342,7 +346,7 @@ def test_smith_frame_conjugates_delta_and_keeps_the_grading():
     for q, h in cases:
         g = len(q)
         d, u, v = smith_reduction(q, h)
-        p = smith_frame(q, d, u)
+        p = dense_columns(smith_frame(q, d, u))
         assert len(d) == g and all(x > 0 for x in d[:h]) and not any(d[h:])
         dq = [[x if i == j else 0 for j in range(g)] for i, x in enumerate(d)]
         assert mat_mul(mat_mul(u, q), v) == dq
@@ -353,6 +357,31 @@ def test_smith_frame_conjugates_delta_and_keeps_the_grading():
             for j in range(2 * g):
                 if (i < g) != (j < g) or h <= i % g or h <= j % g:
                     assert p[i][j] == int(i == j)
+
+
+def test_smith_frame_columns_match_the_dense_frame():
+    """`smith_frame` returns the sparse columns of the dense closed-form
+    frame P = diag(V^-1, U) (`helpers.dense_smith_frame`), on seeded Q at
+    g = 2..6 and every cycle rank h <= g, and on every fixture curve."""
+    rng = random.Random(39)
+    cases = [(padded(random_posdef(h, rng), g), h) for g in range(2, 7) for h in range(g + 1)]
+    data = Path(__file__).parent / "data"
+    curves = [builtin_curve(name) for name in BUILTIN_GRAPHS]
+    curves += [
+        graph_core.load_curve(str(data / f"{name}.json"))
+        for name in ("k4_w1", "g5_k24", "petersen", "cube", "prism16")
+    ]
+    for curve in curves:
+        curve = scaled_to_integer(curve)[0]
+        basis = homology_basis(curve)
+        cases.append((polarization_Q(curve, basis), basis.h))
+    divided = 0
+    for q, h in cases:
+        d, u, _ = smith_reduction(q, h)
+        want = dense_smith_frame(q, d, u)
+        assert smith_frame(q, d, u) == exterior._sparse_columns(want), (q, h)
+        divided += any(x > 1 for x in d)
+    assert divided and set(range(7)) <= {h for _, h in cases}
 
 
 # -- basis change -----------------------------------------------------------------
