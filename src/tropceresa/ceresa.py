@@ -1,22 +1,25 @@
 """End-to-end obstruction pipeline for a curve plus a twist table.
 
-Assembles the degree-3 class v from the table and the edge lengths, inverts
-the graded map when the cycle rank is maximal, and decides triviality with
-this precedence: a hyperelliptic quotient trumps everything; then a
-non-integral coordinate of u of the form a_i^a_j^b_k with k distinct from
-i and j certifies nontriviality; the exact orders in the finite quotients
-settle the rest.  u reads the fraction-free inverse of Q
-(`intlinalg.scaled_inverse`).  Q is Smith-reduced, once per curve and
+The graph alone fixes the basis, Q's per-edge terms, the stable model and
+its involutions: one table-free `GraphPlan` per curve, off which every
+context is read.  A table meets the plan at one basis check, where the
+degree-3 class v is summed from its entries and the edge lengths.  The
+pipeline inverts the graded map when the cycle rank is maximal, and
+decides triviality with this precedence: a hyperelliptic quotient trumps
+everything; then a non-integral coordinate of u of the form a_i^a_j^b_k
+with k distinct from i and j certifies nontriviality; the exact orders in
+the finite quotients settle the rest.  u reads the fraction-free inverse
+of Q (`intlinalg.scaled_inverse`).  Q is Smith-reduced, once per curve and
 only where D, the frame or the invariant factors are read: D = U Q V, and
 the Smith frame P = diag(V^-1, U), where delta is [[I, 0], [D, I]].  At
 maximal rank the order in Bbar, which is also the ambient order there, is
 a closed form of u (`ceresa_order`), with no Smith reduction, no relation
-lattice and no Smith frame.  The Zharkov verdict is read
-off the frame through closed forms, and the groups off D block by block at
-every rank.  The other orders are read block by block in that frame, in
-closed form but for the blocks that a free H part couples at maximal rank,
-which share one lattice (`forced_order`).  `PipelineContext` builds the
-reduction and the frame on first read.
+lattice and no Smith frame.  The Zharkov verdict is read off the frame
+through closed forms, and the groups off D block by block at every rank.
+The other orders are read block by block in that frame, in closed form but
+for the blocks that a free H part couples at maximal rank, which share one
+lattice (`forced_order`).  `PipelineContext` builds the reduction and the
+frame on first read.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .johnson import JohnsonTable
 from .symplectic import (
     HomologyBasis,
     homology_basis,
-    polarization_Q,
     smith_frame,
     smith_reduction,
 )
@@ -64,10 +66,11 @@ VERDICTS = ("trivial", "nontrivial", "hyperelliptic-trivial", "indeterminate")
 @dataclass
 class PipelineContext:
     """The curve data that every class computation on one curve shares:
-    the curve with integer lengths, its basis and its Gram matrix Q.  Only
-    reports read the curve, so a `sample` draw leaves it None.  All
-    else is derived: the Y-filtration from g and h, and the rest from Q
-    and its one Smith reduction D = U Q V (`symplectic.smith_reduction`).
+    the curve with integer lengths, its basis and its Gram matrix Q, read
+    off the curve's `GraphPlan` at those lengths.  Only reports read the
+    curve, so a `sample` draw leaves it None.  All else is derived: the
+    Y-filtration from g and h, and the rest from Q and its one Smith
+    reduction D = U Q V (`symplectic.smith_reduction`).
 
     The reduction and the Smith frame P = diag(V^-1, U), which takes delta
     to delta_from_Q(D) and omega to omega' = wedge^2(P) omega, are built on
@@ -131,17 +134,23 @@ class PipelineContext:
 
 
 def build_context(curve: TropicalCurve, tree=None) -> PipelineContext:
-    check_wedge_caps(2 * genus(curve))  # before the quadratic Q and delta
+    """The context of a curve at its lengths scaled to integers, on the
+    basis of `tree` (the greedy tree when None), read off its graph plan."""
+    return graph_plan(curve, tree=tree).context(*integer_lengths(curve))
+
+
+def integer_lengths(curve: TropicalCurve) -> tuple:
+    """(lengths, scaled, scale): the curve scaled to integer lengths
+    (`scaled_to_integer`) and those lengths in id-sorted edge order."""
     scaled, scale = scaled_to_integer(curve)
-    basis = homology_basis(scaled, tree=tree)
-    return PipelineContext(scaled, scale, basis, polarization_Q(scaled, basis))
+    return [e.length.numerator for e in scaled.sorted_edges()], scaled, scale
 
 
 @dataclass
-class VerdictPlan:
-    """The part of the verdict that depends on the graph and the table
-    alone, built once per (graph, table) by `verdict_plan`; `decide` reads
-    one tuple of integer lengths, in id-sorted edge order, against it.
+class GraphPlan:
+    """What every context and verdict on one graph shares, built once per
+    curve by `graph_plan`; it holds no table.  `context` and `v`, where a
+    table meets it, read one tuple of integer lengths in id-sorted edge order.
 
     Q = sum_e l_e c_e c_e^T over the loop classes c_e and v = sum_e l_e J_e
     over the table entries, so both are sums of per-edge terms.  The stable
@@ -152,41 +161,54 @@ class VerdictPlan:
     edges of equal length.
     """
 
-    table: JohnsonTable
+    curve: TropicalCurve  # the graph; its lengths are not read
+    basis: HomologyBasis
     ids: list           # the edge ids, sorted
     q_terms: dict       # (i, j) -> [(edge number, c_ei c_ej)] for i <= j < h
-    stable_edges: list  # per stable edge, the numbers of the edges it merges
-    swaps: list         # per involution, the stable edge pairs it swaps
 
     def context(self, lengths, curve=None, scale=1) -> PipelineContext:
-        basis = self.table.basis
-        q = [[0] * basis.g for _ in range(basis.g)]
+        """The context at these lengths; `curve` is the curve a report prints."""
+        q = [[0] * self.basis.g for _ in range(self.basis.g)]
         for (i, j), terms in self.q_terms.items():
             q[i][j] = q[j][i] = sum(lengths[k] * x for k, x in terms)
-        return PipelineContext(curve, scale, basis, q)
+        return PipelineContext(curve, scale, self.basis, q)
+
+    def v(self, table: JohnsonTable, lengths) -> WedgeVector:
+        return _entry_sum(table, self.basis, self.ids, lengths)
+
+    @cached_property
+    def stable(self) -> tuple:
+        """(merged, swaps): per stable edge, the numbers of the edges it
+        merges, and per tree-quotient involution of the stable graph at unit
+        lengths, the stable edge pairs it swaps; each involution certified
+        once by its quotient.  Built on first read, so only verdicts search."""
+        stable, parts = stable_model(self.curve)  # its edges are sorted by id
+        number = {e: k for k, e in enumerate(self.ids)}
+        slot = {e.id: s for s, e in enumerate(stable.edges)}
+        unit = stable.with_lengths(dict.fromkeys(slot, 1))
+        return [[number[x] for x in parts[e.id]] for e in stable.edges], [
+            [(slot[a], slot[b]) for a, b in inv.edge_map.items() if a < b]
+            for inv in hyperelliptic_involutions(unit)
+        ]
 
     def hyperelliptic(self, lengths) -> bool:
-        stable = [sum(lengths[k] for k in ks) for ks in self.stable_edges]
-        return any(all(stable[s] == stable[t] for s, t in pairs) for pairs in self.swaps)
+        merged, swaps = self.stable
+        stable = [sum(lengths[k] for k in ks) for ks in merged]
+        return any(all(stable[s] == stable[t] for s, t in pairs) for pairs in swaps)
 
-    def decide(self, lengths, curve=None, scale=1) -> tuple:
+    def decide(self, table: JohnsonTable, lengths, curve=None, scale=1) -> tuple:
         """(context, v, hyperelliptic, `nontriviality_verdict`) at these
         lengths; `curve` is the curve that a report prints."""
+        v = self.v(table, lengths)
         ctx = self.context(lengths, curve, scale)
-        v = _entry_sum(self.table, self.ids, lengths)
         hyper = self.hyperelliptic(lengths)
-        certified = self.table.provenance == "builtin"
-        return ctx, v, hyper, nontriviality_verdict(ctx, v, hyper, certified)
+        return ctx, v, hyper, nontriviality_verdict(ctx, v, hyper, table.provenance == "builtin")
 
 
-def verdict_plan(curve: TropicalCurve, table: JohnsonTable) -> VerdictPlan:
-    """The verdict plan of a curve's graph and a table on its basis.  The
-    tree-quotient involutions are those of the stable graph at unit
-    lengths, each certified once by its quotient."""
-    check_wedge_caps(2 * genus(curve))  # before the quadratic Q and delta
-    basis = table.basis
-    if homology_basis(curve) != basis:
-        raise SchemaError("table basis does not match the curve's basis")
+def graph_plan(curve: TropicalCurve, basis: HomologyBasis | None = None, tree=None) -> GraphPlan:
+    """The graph plan of a curve on `basis`, by default `tree`'s (`homology_basis`)."""
+    check_wedge_caps(2 * genus(curve))  # before the basis, the quadratic Q and delta
+    basis = basis or homology_basis(curve, tree=tree)
     ids = [e.id for e in curve.sorted_edges()]
     q_terms: dict = {}
     for k, e in enumerate(ids):
@@ -194,20 +216,7 @@ def verdict_plan(curve: TropicalCurve, table: JohnsonTable) -> VerdictPlan:
         for a, (i, x) in enumerate(c):
             for j, y in c[a:]:
                 q_terms.setdefault((i, j), []).append((k, x * y))
-    stable, parts = stable_model(curve)  # its edges are sorted by id
-    number = {e: k for k, e in enumerate(ids)}
-    slot = {e.id: s for s, e in enumerate(stable.edges)}
-    unit = stable.with_lengths(dict.fromkeys(slot, 1))
-    return VerdictPlan(
-        table,
-        ids,
-        q_terms,
-        [[number[x] for x in parts[e.id]] for e in stable.edges],
-        [
-            [(slot[a], slot[b]) for a, b in inv.edge_map.items() if a < b]
-            for inv in hyperelliptic_involutions(unit)
-        ],
-    )
+    return GraphPlan(curve, basis, ids, q_terms)
 
 
 def group_table(ctx: PipelineContext) -> dict:
@@ -324,20 +333,20 @@ def zharkov_to_json(result: dict) -> dict:
 
 
 def v_class(ctx: PipelineContext, table: JohnsonTable) -> WedgeVector:
-    """Length-weighted sum of the table entries.
+    """Length-weighted sum of the table entries at the context's curve."""
+    edges = ctx.curve.sorted_edges()
+    return _entry_sum(table, ctx.basis, [e.id for e in edges], [e.length.numerator for e in edges])
+
+
+def _entry_sum(table: JohnsonTable, basis: HomologyBasis, ids, lengths) -> WedgeVector:
+    """sum_e l_e J_e over the edges `ids` with integer lengths `lengths`.
 
     The table was checked when it was built; its basis must equal the
-    curve's (the same tree, chords and cycles), so its entries name this
-    curve's edges and vanish on its bridges.
+    curve's `basis` (the same tree, chords and cycles), so its entries name
+    this curve's edges and vanish on its bridges.
     """
-    if ctx.basis != table.basis:
+    if table.basis != basis:
         raise SchemaError("table basis does not match the curve's basis")
-    edges = ctx.curve.sorted_edges()
-    return _entry_sum(table, [e.id for e in edges], [e.length.numerator for e in edges])
-
-
-def _entry_sum(table: JohnsonTable, ids, lengths) -> WedgeVector:
-    """sum_e l_e J_e over the edges `ids` with integer lengths `lengths`."""
     total: dict = {}
     for e, l in zip(ids, lengths):
         if e in table.entries:
@@ -346,7 +355,7 @@ def _entry_sum(table: JohnsonTable, ids, lengths) -> WedgeVector:
                     total[t] = x
                 else:
                     del total[t]
-    return WedgeVector._from_sorted(2 * table.basis.g, 3, total)
+    return WedgeVector._from_sorted(2 * basis.g, 3, total)
 
 
 def is_pure_gr2(ctx: PipelineContext, v: WedgeVector) -> bool:
@@ -761,7 +770,7 @@ class CeresaReport:
 
     def to_json(self) -> dict:
         ctx = self.ctx
-        out = {
+        return {
             "curve": curve_to_json(ctx.curve),
             "length_scale": ctx.scale,
             "convention": ctx.basis.convention,
@@ -781,29 +790,25 @@ class CeresaReport:
             "groups": None if self.groups is None else groups_to_json(self.groups),
             "notes": list(self.notes),
         }
-        return out
 
     def to_text(self) -> str:
         ctx = self.ctx
         g = ctx.g
-        lines = []
-        lines.append(
+        lines = [
             f"curve: {len(ctx.curve.vertices)} vertices, "
             f"{len(ctx.curve.edges)} edges, genus {genus(ctx.curve)} "
-            f"(cycle rank {ctx.basis.h})"
-        )
-        lines.append(f"rank: {ctx.rank_status}; hyperelliptic: {self.hyperelliptic}")
-        lines.append(f"convention: {ctx.basis.convention}")
-        lines.append(f"invariant factors of Q: {tuple(self.invariant_factors)}")
-        lines.append(f"v = {render_wedge(self.v, g)}")
+            f"(cycle rank {ctx.basis.h})",
+            f"rank: {ctx.rank_status}; hyperelliptic: {self.hyperelliptic}",
+            f"convention: {ctx.basis.convention}",
+            f"invariant factors of Q: {tuple(self.invariant_factors)}",
+            f"v = {render_wedge(self.v, g)}",
+        ]
         if self.u is not None:
             lines.append(f"u = {render_wedge(self.u, g)}")
         if self.order_bbar is not None:
             lines.append(f"order of v in Bbar: {self.order_bbar}")
         if self.in_abar is not None:
-            lines.append(
-                f"in Abar: {self.in_abar} (least multiple {self.least_multiple})"
-            )
+            lines.append(f"in Abar: {self.in_abar} (least multiple {self.least_multiple})")
         if self.order_ambient is not None:
             lines.append(f"order modulo (delta-1)L + H: {self.order_ambient}")
         if self.zharkov is not None:
@@ -811,27 +816,18 @@ class CeresaReport:
         if self.groups is not None:
             lines.extend(group_lines(self.groups))
         lines.append(f"verdict: {self.verdict} (decided by {self.decided_by})")
-        for note in self.notes:
-            lines.append(f"note: {note}")
+        lines += [f"note: {note}" for note in self.notes]
         return "\n".join(lines)
 
 
 def render_wedge(w: WedgeVector, g: int) -> str:
     if w.is_zero():
         return "0"
-    def name(i):
-        return f"a{i+1}" if i < g else f"b{i-g+1}"
     parts = []
     for t, c in sorted(w.coeffs.items()):
-        mono = "^".join(name(i) for i in t)
-        if c == 1:
-            parts.append(f"+ {mono}")
-        elif c == -1:
-            parts.append(f"- {mono}")
-        elif c > 0:
-            parts.append(f"+ {c}*{mono}")
-        else:
-            parts.append(f"- {-c}*{mono}")
+        mono = "^".join(f"a{i + 1}" if i < g else f"b{i - g + 1}" for i in t)
+        sign = "+" if c > 0 else "-"
+        parts.append(f"{sign} {mono}" if abs(c) == 1 else f"{sign} {abs(c)}*{mono}")
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else text
 
@@ -889,20 +885,19 @@ def analyze(
     table: JohnsonTable,
     with_groups: bool = True,
     with_zharkov: bool = True,
+    plan: GraphPlan | None = None,
 ) -> CeresaReport:
     """Full pipeline: assemble v, decide the verdict, report everything.
-    The verdict is the one `sample` draws read: the curve's `verdict_plan`
-    at its integer lengths."""
-    plan = verdict_plan(curve, table)
-    scaled, scale = scaled_to_integer(curve)
-    lengths = [e.length.numerator for e in scaled.sorted_edges()]
+    The verdict is the one `sample` draws read: the curve's graph plan
+    (`graph_plan`, built here when not given) at its integer lengths."""
+    plan = plan or graph_plan(curve)
     notes = []
     if table.provenance != "builtin":
         notes.append(
             "user table: accepted without topological validation; the verdict "
             "is relative to the supplied values"
         )
-    ctx, v, hyper, decision = plan.decide(lengths, scaled, scale)
+    ctx, v, hyper, decision = plan.decide(table, *integer_lengths(curve))
     if decision["verdict"] == "indeterminate":
         notes.append(
             "order 1 relative to a user table does not certify an actual "

@@ -20,18 +20,18 @@ from .ceresa import (
     analyze,
     build_context,
     enc_order,
+    graph_plan,
     group_lines,
     group_table,
     groups_to_json,
-    v_class,
-    verdict_plan,
+    integer_lengths,
     zharkov_test,
     zharkov_to_json,
 )
 from .errors import PreconditionError, SchemaError
 from .exterior import check_wedge_caps
 from .graph_core import genus, graph_genus, stabilize, symanzik
-from .symplectic import basis_report, homology_basis
+from .symplectic import basis_report
 
 WORKERS_ENV = "TROPCERESA_WORKERS"
 
@@ -125,12 +125,17 @@ def _parse_length(token: str) -> Fraction:
         raise SchemaError(f"--lengths: bad value {token!r}") from None
 
 
-def load_table(args, curve) -> johnson.JohnsonTable:
+def load_table(args, curve) -> tuple:
+    """(plan, table): the curve's graph plan and the table on its basis.  A
+    built-in table checks its genus and shape before any basis is built,
+    and the plan takes its basis; a user table reads the plan's."""
     check_wedge_caps(2 * genus(curve))  # before the basis pads loops to length g
     source = args.table
     if source.startswith("builtin:"):
-        return catalog.builtin_table(source.removeprefix("builtin:"), curve)
-    return johnson.load_table(source, homology_basis(curve))
+        table = catalog.builtin_table(source.removeprefix("builtin:"), curve)
+        return graph_plan(curve, table.basis), table
+    plan = graph_plan(curve)
+    return plan, johnson.load_table(source, plan.basis)
 
 
 def emit(args, payload, text=None) -> int:
@@ -203,15 +208,15 @@ def cmd_groups(args) -> int:
 
 def cmd_ceresa(args) -> int:
     curve = load_graph(args)
-    table = load_table(args, curve)
-    report = analyze(curve, table)
+    plan, table = load_table(args, curve)
+    report = analyze(curve, table, plan=plan)
     return emit(args, report.to_json, report.to_text)
 
 
 def cmd_order(args) -> int:
     curve = load_graph(args)
-    table = load_table(args, curve)
-    report = analyze(curve, table, with_groups=False, with_zharkov=False)
+    plan, table = load_table(args, curve)
+    report = analyze(curve, table, with_groups=False, with_zharkov=False, plan=plan)
     if report.order_bbar is not None:
         payload = {
             "order_in_Bbar": enc_order(report.order_bbar),
@@ -225,8 +230,7 @@ def cmd_order(args) -> int:
             "verdict": report.verdict,
         }
         text = (
-            f"not in Abar; least multiple {report.least_multiple} "
-            f"({report.verdict})"
+            f"not in Abar; least multiple {report.least_multiple} ({report.verdict})"
             if not report.in_abar
             else f"in Abar; ambient order {report.order_ambient} ({report.verdict})"
         )
@@ -235,17 +239,16 @@ def cmd_order(args) -> int:
 
 def cmd_zharkov(args) -> int:
     curve = load_graph(args)
-    table = load_table(args, curve)
-    ctx = build_context(curve)
-    v = v_class(ctx, table)
-    result = zharkov_test(ctx, v)
+    plan, table = load_table(args, curve)
+    lengths = integer_lengths(curve)[0]
+    result = zharkov_test(plan.context(lengths), plan.v(table, lengths))
     return emit(args, zharkov_to_json(result), f"obstructed: {result['obstructed']}")
 
 
-def _sample_one(plan, lengths):
-    """One draw: the verdict of the plan's graph and table at these integer
-    lengths, in id-sorted edge order, and the order that `sample` prints."""
-    decision = plan.decide(lengths)[3]
+def _sample_one(plan, table, lengths):
+    """One draw: the verdict of the plan's graph and the table at these
+    integer lengths, in id-sorted edge order, and the order `sample` prints."""
+    decision = plan.decide(table, lengths)[3]
     order = decision["order_bbar"]
     if order is None:
         order = decision["least_multiple"]
@@ -256,16 +259,16 @@ def _sample_one(plan, lengths):
     }
 
 
-_worker_plan = None  # a pool worker's verdict plan, set once by `_init_worker`
+_worker = None  # a pool worker's (plan, table), set once by `_init_worker`
 
 
-def _init_worker(plan) -> None:
-    global _worker_plan
-    _worker_plan = plan
+def _init_worker(plan, table) -> None:
+    global _worker
+    _worker = plan, table
 
 
 def _sample_in_worker(lengths):
-    return _sample_one(_worker_plan, lengths)
+    return _sample_one(*_worker, lengths)
 
 
 def _sample_workers(args) -> int:
@@ -285,9 +288,7 @@ def _sample_workers(args) -> int:
         try:
             workers = int(raw)
         except ValueError:
-            raise SchemaError(
-                f"${WORKERS_ENV} must be an integer, got {raw!r}"
-            ) from None
+            raise SchemaError(f"${WORKERS_ENV} must be an integer, got {raw!r}") from None
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise SchemaError(f"workers must lie in 1..{cpus}, got {workers}")
@@ -297,7 +298,7 @@ def _sample_workers(args) -> int:
 def cmd_sample(args) -> int:
     workers = _sample_workers(args)
     curve = load_graph(args)
-    plan = verdict_plan(curve, load_table(args, curve))
+    plan, table = load_table(args, curve)
     rng = random.Random(args.seed)
     draws = [
         tuple(rng.randint(args.length_min, args.length_max) for _ in curve.edges)
@@ -306,12 +307,16 @@ def cmd_sample(args) -> int:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # the plan goes to each worker once; the draws go in a few chunks each
+        # the plan, its involutions searched here, and the table go to each
+        # worker once; the draws go in a few chunks each
+        plan.stable
         chunk = -(-len(draws) // (4 * workers))
-        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(plan,)) as pool:
+        with ProcessPoolExecutor(
+            workers, initializer=_init_worker, initargs=(plan, table)
+        ) as pool:
             results = list(pool.map(_sample_in_worker, draws, chunksize=chunk))
     else:
-        results = [_sample_one(plan, lengths) for lengths in draws]
+        results = [_sample_one(plan, table, lengths) for lengths in draws]
     counts: dict = {}
     for r in results:
         counts[r["verdict"]] = counts.get(r["verdict"], 0) + 1

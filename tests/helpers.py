@@ -10,7 +10,7 @@ from itertools import combinations
 from math import inf, lcm, prod
 
 from tropceresa import intlinalg as la
-from tropceresa.ceresa import PipelineContext, build_context, nontriviality_verdict
+from tropceresa.ceresa import PipelineContext, nontriviality_verdict
 from tropceresa.errors import FiltrationError, PreconditionError
 from tropceresa import exterior
 from tropceresa.exterior import Filtration, WedgeVector, embed_H_in_L, wedge_basis
@@ -19,11 +19,18 @@ from tropceresa.graph_core import (
     TropicalCurve,
     genus,
     is_hyperelliptic,
+    scaled_to_integer,
     stabilize,
     tropical_curve,
 )
 from tropceresa.intlinalg import Lattice, Matrix, Vector, identity
-from tropceresa.symplectic import delta_from_Q, intersection, twist_action
+from tropceresa.symplectic import (
+    delta_from_Q,
+    homology_basis,
+    intersection,
+    polarization_Q,
+    twist_action,
+)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -1607,10 +1614,13 @@ def assert_q_reductions_per_context(reduced, contexts, each: int) -> None:
 
 def verdict_by_curve(curve: TropicalCurve, table) -> tuple:
     """(context, v, hyperelliptic, verdict) of one curve, composed the way
-    the pipeline did before `ceresa.verdict_plan`: the context and v of the
-    curve itself (v by `v_by_entries`), and the length-aware involution
-    search on its stable model.  The oracle of the plan."""
-    ctx = build_context(curve)
+    the pipeline did before `ceresa.graph_plan`: the context of the curve
+    itself, its basis by `homology_basis` and Q by `polarization_Q`, v by
+    `v_by_entries`, and the length-aware involution search on its stable
+    model.  The oracle of the plan."""
+    scaled, scale = scaled_to_integer(curve)
+    basis = homology_basis(scaled)
+    ctx = PipelineContext(scaled, scale, basis, polarization_Q(scaled, basis))
     v = v_by_entries(ctx, table)
     hyper = is_hyperelliptic(stabilize(ctx.curve))
     certified = table.provenance == "builtin"

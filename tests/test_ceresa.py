@@ -961,6 +961,7 @@ def test_tree_rechoice_invariance():
     base = (ceresa_order(base_ctx, vb), ambient_order(base_ctx, vb))
     for tree in rng.sample(spanning_trees(curve), 5):
         ctx2 = build_context(curve, tree=tree)
+        assert ctx2.basis.tree_edges == tuple(sorted(tree))
         s = basis_change_matrix(base_ctx.basis, ctx2.basis)
         tab2 = transform_table(base_tab, ctx2.basis, s)
         v2 = v_class(ctx2, tab2)
@@ -973,6 +974,7 @@ def test_tree_rechoice_theta_membership():
     base_tab = builtin_table("theta-w1", curve)
     for tree in (("t1",), ("u2",), ("u3",)):
         ctx2 = build_context(curve, tree=tree)
+        assert ctx2.basis.tree_edges == tuple(sorted(tree))
         s = basis_change_matrix(base_ctx.basis, ctx2.basis)
         tab2 = transform_table(base_tab, ctx2.basis, s)
         res = in_Abar_test(ctx2, v_class(ctx2, tab2))

@@ -143,7 +143,7 @@ def test_groups_rank_cap_fires_before_homology(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("homology basis built past the rank cap")
 
-    for module in (cli, ceresa):
+    for module in (symplectic, ceresa):
         monkeypatch.setattr(module, "homology_basis", unreachable)
     heavy = tropical_curve(
         [("u", 4000), ("v", 0)], [(f"e{i}", ("u", "v"), 1) for i in range(3)]
@@ -164,7 +164,7 @@ def test_table_commands_rank_cap_fires_before_homology(tmp_path, capsys, monkeyp
     def unreachable(*args, **kwargs):
         raise AssertionError("homology basis built past the rank cap")
 
-    for module in (cli, catalog, ceresa):
+    for module in (symplectic, catalog, ceresa):
         monkeypatch.setattr(module, "homology_basis", unreachable)
     heavy = tropical_curve(
         [("u", 10**4), ("v", 0)], [(f"e{i}", ("u", "v"), 1) for i in range(3)]
@@ -722,10 +722,9 @@ def test_deficient_rank_sample_draws_transpose_no_matrix(capsys, monkeypatch):
     assert len(contexts) == 6 and all("frame" in vars(ctx) for ctx in contexts)
 
 
-def test_sample_does_its_graph_only_work_once_per_run(capsys, monkeypatch):
-    """The homology basis and the stable model depend on the graph alone:
-    `sample` builds them as often for 50 draws as for 5, once for the table,
-    once for the plan's check of it and once on the stable graph."""
+def _count_graph_work(monkeypatch) -> dict:
+    """From now on, the calls to `homology_basis`, `stabilize` and
+    `stable_model`, wherever a tropceresa module binds them."""
     calls = {"homology_basis": 0, "stabilize": 0, "stable_model": 0}
     for name in calls:
         original = getattr(symplectic if name == "homology_basis" else graph_core, name)
@@ -737,6 +736,14 @@ def test_sample_does_its_graph_only_work_once_per_run(capsys, monkeypatch):
         for module in list(sys.modules.values()):
             if module.__name__.startswith("tropceresa") and vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_sample_does_its_graph_only_work_once_per_run(capsys, monkeypatch):
+    """The homology basis and the stable model depend on the graph alone:
+    `sample` builds them as often for 50 draws as for 5, once for the table,
+    whose basis the graph plan takes, and once on the stable graph."""
+    calls = _count_graph_work(monkeypatch)
     seen = []
     for count in (5, 50):
         calls.update(dict.fromkeys(calls, 0))
@@ -746,7 +753,45 @@ def test_sample_does_its_graph_only_work_once_per_run(capsys, monkeypatch):
         )
         assert code == 0 and len(json.loads(out)["samples"]) == count
         seen.append(dict(calls))
-    assert seen[0] == seen[1] == {"homology_basis": 3, "stabilize": 0, "stable_model": 1}
+    assert seen[0] == seen[1] == {"homology_basis": 2, "stabilize": 0, "stable_model": 1}
+
+
+@pytest.mark.parametrize("argv, bases, stable", [
+    (["ceresa", "--graph", "builtin:tl3", "--table", "builtin:tl3"], 2, 1),
+    (["order", "--graph", "builtin:theta-w1", "--table", "builtin:theta-w1"], 2, 1),
+    (["zharkov", "--graph", "builtin:tl3", "--table", "builtin:tl3"], 1, 0),
+    (["ceresa", "--graph", str(DATA / "k4_w1.json"),
+      "--table", str(DATA / "k4_w1_table.json")], 2, 1),
+    (["order", "--graph", str(DATA / "g5_k24.json"),
+      "--table", str(DATA / "g5_table.json")], 2, 1),
+    (["zharkov", "--graph", str(DATA / "g5_k24.json"),
+      "--table", str(DATA / "g5_table.json")], 1, 0),
+    (["basis", "--graph", "builtin:k4"], 1, 0),
+    (["groups", "--graph", "builtin:theta-w1"], 1, 0),
+    (["hyperelliptic", "--graph", "builtin:tl3"], 1, 1),
+])
+def test_each_command_builds_one_basis_per_graph(capsys, monkeypatch, argv, bases, stable):
+    """A table command builds one graph plan, on the built-in table's basis
+    or with the basis a user table is read on; only a verdict searches the
+    stable graph for involutions, which builds its basis."""
+    calls = _count_graph_work(monkeypatch)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert calls["homology_basis"] == bases
+    assert calls["stable_model"] == stable
+
+
+@pytest.mark.parametrize("command", ["ceresa", "order", "zharkov", "sample"])
+def test_genus_one_table_errors_keep_their_precedence(tmp_path, capsys, command):
+    """A built-in table checks the genus before any basis is built (exit 2);
+    a user table is read on the curve's basis, which genus 1 lacks (exit 3)."""
+    path = tmp_path / "banana2.json"
+    path.write_text(json.dumps(curve_to_json(banana_curve(2))))
+    code, out, err = run(capsys, command, "--graph", str(path), "--table", "builtin:k4")
+    assert (code, out) == (2, "") and "needs a genus-3 curve" in err
+    user = str(DATA / "g5_table.json")
+    code, out, err = run(capsys, command, "--graph", str(path), "--table", user)
+    assert (code, out) == (3, "") and err == "error: homology basis requires genus >= 2\n"
 
 
 @pytest.mark.parametrize("argv, reductions", [

@@ -1,11 +1,12 @@
-"""The verdict plan against the per-curve verdict it replaces.
+"""The graph plan against the per-curve verdict it replaces.
 
-`ceresa.verdict_plan` does the graph-only work once per (graph, table):
-the edge terms of Q and v, the stabilization map, and the tree-quotient
-involutions of the stable graph at unit lengths.  At every draw of lengths
-it must give what `helpers.verdict_by_curve` gives on the curve with those
-lengths: the same Q, the same v (coefficients and their order), the same
-hyperellipticity and the same verdict, u included.
+`ceresa.graph_plan` does the graph-only work once per curve, with no
+table: the basis, the edge terms of Q, the stabilization map, and the
+tree-quotient involutions of the stable graph at unit lengths.  A table
+meets it at each draw.  At every draw of lengths it must give what
+`helpers.verdict_by_curve` gives on the curve with those lengths: the same
+Q, the same v (coefficients and their order), the same hyperellipticity
+and the same verdict, u included.
 """
 
 import random
@@ -34,10 +35,10 @@ def _outcome(run):
 
 
 def _assert_plan_matches(plan, curve, table, lengths):
-    """The plan's outcome at `lengths`, checked against the oracle's."""
+    """The plan's outcome with `table` at `lengths`, checked against the oracle's."""
     sample = with_sorted_lengths(curve, lengths)
     want = _outcome(lambda: helpers.verdict_by_curve(sample, table))
-    assert _outcome(lambda: plan.decide(lengths)) == want, lengths
+    assert _outcome(lambda: plan.decide(table, lengths)) == want, lengths
     return want
 
 
@@ -45,7 +46,7 @@ def _assert_plan_matches(plan, curve, table, lengths):
 def test_plan_matches_the_per_curve_verdict_on_builtin_draws(name):
     curve = builtin_curve(name)
     table = builtin_table(name, curve)
-    plan = ceresa.verdict_plan(curve, table)
+    plan = ceresa.graph_plan(curve, table.basis)
     rng = random.Random(f"plan/{name}")
     for _ in range(300):
         _assert_plan_matches(plan, curve, table, [rng.randint(1, 20) for _ in curve.edges])
@@ -61,13 +62,13 @@ def test_plan_matches_the_per_curve_verdict_on_random_curves():
     for _ in range(80):
         curve = helpers.random_curve(rng, max_edges=7)
         table = random_table(curve, rng)
-        plan = ceresa.verdict_plan(curve, table)
+        plan = ceresa.graph_plan(curve)
         seen["stable" if is_stable(curve) else "unstable"] += 1
         for _ in range(8):
             out = _assert_plan_matches(
                 plan, curve, table, [rng.randint(1, 2) for _ in curve.edges]
             )
-            if any(plan.swaps) and not isinstance(out, str):
+            if any(plan.stable[1]) and not isinstance(out, str):
                 seen["kept" if out[3] else "filtered"] += 1
     assert all(seen[k] >= 20 for k in ("stable", "unstable", "kept", "filtered")), seen
 
@@ -85,7 +86,7 @@ def test_plan_rejects_a_table_of_another_basis():
         JohnsonTable(basis=homology_basis(renamed), entries={}, provenance="builtin"),
     ):
         with pytest.raises(SchemaError, match="table basis does not match"):
-            ceresa.verdict_plan(curve, table)
+            ceresa.graph_plan(curve).decide(table, [1] * len(curve.edges))
         with pytest.raises(SchemaError, match="table basis does not match"):
             ceresa.analyze(curve, table)
 
