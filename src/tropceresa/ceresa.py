@@ -16,10 +16,11 @@ maximal rank the order in Bbar, which is also the ambient order there, is
 a closed form of u (`ceresa_order`), with no Smith reduction, no relation
 lattice and no Smith frame.  The Zharkov verdict is read off the frame
 through closed forms, and the groups off D block by block at every rank.
-The other orders are read block by block in that frame, in closed form but
-for the blocks that a free H part couples at maximal rank, which share one
-lattice (`forced_order`).  `PipelineContext` builds the reduction and the
-frame on first read.
+The other orders are read block by block in that frame, each block as
+congruences; the blocks that a free H part couples at maximal rank are
+read together, as the order of the class in a finite group
+(`forced_order`).  `PipelineContext` builds the reduction and the frame on
+first read.
 """
 
 from __future__ import annotations
@@ -472,12 +473,13 @@ def forced_order(ctx: PipelineContext, v: WedgeVector, q: int | None = None, fra
     `framed` is v's `framed_class`, built here when not given.
 
     In k v = (delta-I) z + f + omega ^ y, y = k y* is forced but for y_b at
-    h = g when q is None, where y'_l = (U y_b)_l matters mod d_l only.  Each
-    block that no free y'_l touches gives its least k in closed form from
-    its pattern, its cycle slots, q and the d-values (`_block_reading`), with
-    no lattice.  The blocks that -s omega' ^ b_l of a free y'_l touch share
-    one lattice (`_coupled_order`).  The order is the lcm of den(y*) and
-    these least k.
+    h = g when q is None, where y'_l = (U y_b)_l matters mod d_l only.  Every
+    block is read as congruences from its pattern, its cycle slots, q and
+    the d-values (`_block_plan`, `_block_congruences`), with no lattice of
+    wedge^3.  A block that no free y'_l touches gives its least k as their
+    lcm; the blocks that -s omega' ^ b_l of a free y'_l touch are read
+    together (`_coupled_order`).  The order is the lcm of den(y*) and these
+    least k.
     """
     if q not in (None, 2):
         raise ValueError("forced_order reads q = 2 or q = None")
@@ -490,25 +492,28 @@ def forced_order(ctx: PipelineContext, v: WedgeVector, q: int | None = None, fra
             forms.append(_by_block(_wedge_step(ctx.omega_frame.coeffs, [(g + l, -scale)]), g))
     coupled = set().union(*forms)
     if coupled:
-        k = lcm(k, _coupled_order(ctx, scale, [blocks, *forms], coupled))
+        k = lcm(k, _coupled_order(d, scale, [blocks, *forms], coupled))
     for key, tag in blocks.items():
         if k and key not in coupled:
-            idx, local, reading = _block_plan(key, g, h, q)
-            k = lcm(k, _block_order(
-                reading,
-                {tuple(local[i] for i in t): c for t, c in tag.items()},
-                [d[i] for i in idx],
-                scale,
-            ))
+            k = lcm(k, _block_order(*_block_tag(key, tag, d, h, q), scale))
     return k or inf
+
+
+def _block_tag(key: tuple, tag: dict, d: list, h: int, q: int | None) -> tuple:
+    """(reading, local tag, local d-values) of a block's tag {monomial:
+    coefficient} at `key`, on a context with Smith diagonal d and cycle
+    rank h, as `_block_order` and `_block_congruences` read them."""
+    g = len(d)
+    idx, local, reading = _block_plan(key, g, h, q)
+    return reading, {tuple(local[i] for i in t): c for t, c in tag.items()}, [d[i] for i in idx]
 
 
 @lru_cache(maxsize=4096)
 def _block_plan(key: tuple, g: int, h: int, q: int | None) -> tuple:
-    """(slots, local, reading) of an uncoupled block key on a context of
-    genus g and cycle rank h: its sorted distinct slots, the map from the
-    indices of its monomials to local ones (a's, then b's) and its
-    `_block_reading` at q, resolved once per key; shared, so read only."""
+    """(slots, local, reading) of a block key on a context of genus g and
+    cycle rank h: its sorted distinct slots, the map from the indices of its
+    monomials to local ones (a's, then b's) and its `_block_reading` at q,
+    resolved once per key; shared, so read only."""
     idx = tuple(sorted(set(key)))
     m = len(idx)
     local = {x: p for p, x in enumerate(idx)} | {g + x: m + p for p, x in enumerate(idx)}
@@ -517,18 +522,20 @@ def _block_plan(key: tuple, g: int, h: int, q: int | None) -> tuple:
 
 @cache
 def _block_reading(pattern: tuple, cycle: tuple, q: int | None) -> tuple:
-    """How an uncoupled block of wedge^3 in the Smith frame is read, by its
-    index pattern over local slots, which of them are cycle slots (d_p != 0,
-    b_p in Y) and q (README, "Orders"); local monomials as in `_block_shape`.
+    """How a block of wedge^3 in the Smith frame is read, by its index
+    pattern over local slots, which of them are cycle slots (d_p != 0,
+    b_p in Y) and q (README, "Orders").  A local monomial is a sorted
+    triple over the block's m slots, a_p = p and b_p = m + p.
 
     (zeros, units, diagonal, rank_one, triple): the coordinates with no
     relation, which must vanish; the F_q coordinates, each read mod s; the
     (monomial, slots) read mod s gcd(d_p, p in slots); the rank-one rows,
     each [(monomial, sign, slot)] with coefficients sign d_slot; and for
     three cycle slots at q = None, the signed singles, pairs (bba, bab, abb)
-    and bbb that meet M_S, or None.  Weight slots and a doubled index keep
-    their factor, so each block is copies of one active part on its cycle
-    slots; positional signs are those of sorting."""
+    and bbb that meet M_S, or None; such a block has no other coordinates
+    but its zero aaa.  Weight slots and a doubled index keep their factor,
+    so each block is copies of one active part on its cycle slots;
+    positional signs are those of sorting."""
     m = len(cycle)
     zeros, units, diagonal, rank_one, triple = [], [], [], [], None
 
@@ -573,38 +580,48 @@ def _block_reading(pattern: tuple, cycle: tuple, q: int | None) -> tuple:
 def _block_order(reading: tuple, tag: dict, d: list, s: int) -> int:
     """Least k > 0 with k t in s R_S for a block's tag t {local monomial:
     coefficient}, its d-values d and the scale s, or 0 if there is none:
-    the lcm of s e / gcd(s e, coordinate) over its `_block_reading`."""
+    K0 times the lcm of E / gcd(E, x) over its `_block_congruences`."""
+    read = _block_congruences(reading, tag, d, s)
+    if read is None:
+        return 0
+    k0, congruences = read
+    return k0 * lcm(*(e // gcd(e, x) for e, x in congruences))
+
+
+def _block_congruences(reading: tuple, tag: dict, d: list, s: int) -> tuple | None:
+    """(K0, [(E, x)]) of a block's tag t, read by its `_block_reading`: k t
+    lies in s R_S exactly when k = K0 n with n x = 0 mod E for every pair,
+    each E > 0 (README, "Orders"); None when only k = 0 does.  Each x is
+    linear in t but on the three-cycle-slot blocks, whose K0 and c' term
+    come from t's singles."""
     zeros, units, diagonal, rank_one, triple = reading
     if any(t in tag for t in zeros):
-        return 0
-    k = 1
-    for t in units:  # k w_c = 0 mod s on F_q
-        k = lcm(k, s // gcd(s, tag.get(t, 0)))
-    for t, ps in diagonal:
-        e = s * gcd(*(d[p] for p in ps))
-        k = lcm(k, e // gcd(e, tag.get(t, 0)))
+        return None
+    if triple:
+        return _triple_congruences(triple, tag, d, s)
+    out = [(s, tag.get(t, 0)) for t in units]  # k w_c = 0 mod s on F_q
+    out += [(s * gcd(*(d[p] for p in ps)), tag.get(t, 0)) for t, ps in diagonal]
     for row in rank_one:
         xs = [sign * tag.get(t, 0) for t, sign, _ in row]
         ds = [d[p] for *_, p in row]
         if any(x * dy != y * dx for (x, dx), (y, dy) in combinations(zip(xs, ds), 2)):
-            return 0
+            return None
         e = s * gcd(*ds)
-        k = lcm(k, e // gcd(e, *xs))
-    if triple:
-        k = lcm(k, _triple_order(triple, tag, d, s))
-    return k
+        out += [(e, x) for x in xs]
+    return 1, out
 
 
-def _triple_order(triple: tuple, tag: dict, d: list, s: int) -> int:
-    """Least k > 0 of a block {i < j < k} of three cycle slots at q = None,
-    or 0 (README, "Orders").  Its singles t_1 must be c p, p = d / G; then
-    K0 = s G / gcd(s G, c) and k = K0 n, where n is the order of
-    w = K0 T - s c' rho, c' = c / gcd(s G, c), modulo s (M_S + G bbb): T the
-    pairs and bbb, rho the pair and bbb part of the image of aaa."""
+def _triple_congruences(triple: tuple, tag: dict, d: list, s: int) -> tuple | None:
+    """`_block_congruences` of a block {i < j < k} of three cycle slots at
+    q = None (README, "Orders").  Its singles t_1 must be c p, p = d / G,
+    else None; then K0 = s G / gcd(s G, c), and n w = 0 modulo
+    s (M_S + G bbb) for w = K0 T - s c' rho, c' = c / gcd(s G, c), T the
+    pairs and bbb, rho the pair and bbb part of the image of aaa: the
+    coordinates (w V_S)_c mod s e_c and w_bbb mod s G."""
     singles, pairs, (bbb, sign) = triple
     t1 = [sgn * tag.get(t, 0) for t, sgn in singles]
     if any(x * dy != y * dx for (x, dx), (y, dy) in combinations(zip(t1, d), 2)):
-        return 0
+        return None
     big = gcd(*d)
     sg = s * big
     c = t1[0] * big // d[0]
@@ -612,12 +629,9 @@ def _triple_order(triple: tuple, tag: dict, d: list, s: int) -> int:
     c1 = c // gcd(sg, c)
     rho = [d[0] * d[1], d[0] * d[2], d[1] * d[2]]
     w = [k0 * sgn * tag.get(t, 0) - s * c1 * r for (t, sgn), r in zip(pairs, rho)]
-    k = sg // gcd(sg, k0 * sign * tag.get(bbb, 0) - s * c1 * prod(d))
     e, vm = _triple_smith(*d)
-    for col, ec in enumerate(e):
-        x = sum(wa * row[col] for wa, row in zip(w, vm))
-        k = lcm(k, s * ec // gcd(s * ec, x))
-    return k0 * k
+    out = [(s * ec, sum(wa * row[col] for wa, row in zip(w, vm))) for col, ec in enumerate(e)]
+    return k0, out + [(sg, k0 * sign * tag.get(bbb, 0) - s * c1 * prod(d))]
 
 
 @lru_cache(maxsize=1024)
@@ -631,58 +645,35 @@ def _triple_smith(di: int, dj: int, dk: int) -> tuple:
     return tuple(e), tuple(map(tuple, v))
 
 
-def _coupled_order(ctx: PipelineContext, scale: int, parts: list, keys: set) -> int:
+def _coupled_order(d: list, scale: int, parts: list, keys: set) -> int:
     """Least k > 0 of the blocks `keys` that the free y'_l couple at h = g,
-    q = None, or 0: the class part and each -s omega' ^ b_l, tagged by k and
-    y'_l, echelonised with s times the blocks' relations (`intlinalg.Lattice`,
-    the tags last).  The row that pivots at k holds the least k."""
-    g, d = ctx.g, ctx.q_diagonal
-    pos, rows = {}, []
-    for key in keys:
-        idx = sorted(set(key))
-        monos, rels = _block_relations(tuple(map(idx.index, key)), [d[i] for i in idx])
-        base = len(pos)
-        for c, t in enumerate(monos):
-            pos[tuple(idx[i % len(idx)] + g * (i >= len(idx)) for i in t)] = base + c
-        rows += [{base + c: scale * e for c, e in rel.items()} for rel in rels]
-    n = len(pos)
-    tags = [{pos[t]: c for key in keys for t, c in part.get(key, {}).items()} for part in parts]
-    lat = la.Lattice(n + len(parts), rows + [tag | {n + j: 1} for j, tag in enumerate(tags)])
-    return next((row[n] for row, p in zip(lat.rows, lat.pivots) if p == n), 0)
+    q = None, or 0, for the Smith diagonal d (README, "Orders"): parts[0]
+    is the class part and parts[1:] the -s omega' ^ b_l, by block key.
 
+    Each block reads the class part and each y'_l column as congruences
+    (`_block_congruences`).  A y'_l column has two b's, so it meets only
+    diagonal and pair coordinates and reads as linear, with K0 = 1.  So k
+    is a multiple of K = lcm(K0), and k = K n is admissible when n x lies
+    in the span of the y'_l columns in + Z/E, x the class column scaled by
+    K / K0 on each block: n is the order of x in G = (+ Z/E) / <y'>,
+    |G| / |G / <x>| (`_cyclic_quotient`)."""
+    def read(part: dict, key: tuple):
+        return _block_congruences(*_block_tag(key, part.get(key, {}), d, len(d), None), scale)
 
-def _block_relations(pattern: tuple, d: list) -> tuple:
-    """The monomials of the block of wedge^3 in the Smith frame with index
-    multiset `pattern` over local slots with nonzero d-values d, a's then
-    b's, and its (delta'-I) images by monomial number, each coefficient
-    +-prod d_p instantiated from its `_block_shape`."""
-    monos, shape = _block_shape(pattern)
-    return monos, [{c: sign * prod(d[p] for p in ps) for c, sign, ps in row} for row in shape]
-
-
-@cache
-def _block_shape(pattern: tuple) -> tuple:
-    """The signed shape of `_block_relations`: (monomials, rows of
-    (monomial number, sign, the slots p whose d_p multiply)).  delta' - I
-    sends a_p to d_p b_p and b_p to 0, so the image of a monomial t is the
-    sum over nonempty sets S of its a slots of t with a_p replaced by b_p
-    for p in S, with coefficient +-prod_{p in S} d_p, the sign that of
-    sorting; distinct S give distinct monomials."""
-    m = len(set(pattern))
-    monos = [t for t in combinations(range(2 * m), 3) if sorted(i % m for i in t) == [*pattern]]
-    number = {t: c for c, t in enumerate(monos)}
-    rels = []
-    for t in monos:
-        free = [i for i in t if i < m]
-        row = []
-        for size in range(1, len(free) + 1):
-            for ps in combinations(free, size):
-                img = [m + i if i in ps else i for i in t]
-                if len(set(img)) == 3:
-                    sign = (-1) ** sum(a > b for a, b in combinations(img, 2))
-                    row.append((number[tuple(sorted(img))], sign, ps))
-        rels.append(tuple(row))
-    return tuple(monos), tuple(rels)  # shared by every caller, so immutable
+    head = {key: read(parts[0], key) for key in keys}
+    if None in head.values():
+        return 0
+    big = lcm(*(k0 for k0, _ in head.values()))
+    orders, rows = [], [{} for _ in parts]
+    for key, (k0, congruences) in head.items():
+        cols = [read(part, key)[1] if key in part else None for part in parts[1:]]
+        for c, (e, x) in enumerate(congruences):
+            xs = [big // k0 * x] + [col[c][1] if col else 0 for col in cols]  # x scaled by K / K0
+            if any(y % e for y in xs):  # else Z/E splits off G and G / <x> alike
+                for row, y in zip(rows, xs):
+                    row[len(orders)] = y
+                orders.append(e)
+    return big * prod(_cyclic_quotient(orders, rows[1:])) // prod(_cyclic_quotient(orders, rows))
 
 
 def ambient_order(ctx: PipelineContext, v: WedgeVector):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -1598,6 +1599,23 @@ def record_q_reductions(monkeypatch) -> tuple[list, list]:
     return reduced, contexts
 
 
+def count_ceresa_lattices(monkeypatch) -> list:
+    """From now on, (function, columns) of every `Lattice` that code in
+    `tropceresa.ceresa` builds itself; intlinalg's inner Hermite steps are
+    not counted."""
+    built = []
+
+    class Counted(la.Lattice):
+        def __init__(self, n, vectors=()):
+            caller = sys._getframe(1)
+            if caller.f_globals["__name__"] == "tropceresa.ceresa":
+                built.append((caller.f_code.co_name, n))
+            super().__init__(n, vectors)
+
+    monkeypatch.setattr(la, "Lattice", Counted)
+    return built
+
+
 def assert_q_reductions_per_context(reduced, contexts, each: int) -> None:
     """Each context reduced its Q_h `each` times, 0 or 1, and no other Q_h
     was reduced.  The only other matrices reduced, the 3x3 blocks of the
@@ -1638,10 +1656,11 @@ def v_by_entries(ctx, table) -> WedgeVector:
 
 
 def block_relations(pattern: tuple, slots: tuple, q: int | None) -> tuple:
-    """`ceresa._block_relations` built directly: the (delta'-I) image of
-    each monomial of the block, the wedge (`vector_wedge`) of the images
-    a_p + d_p b_p and b_p of its factors less the monomial, and the unit
-    rows on F_q."""
+    """The relations of one block of wedge^3 in the Smith frame, with index
+    multiset `pattern` over local slots (d_p, cycle slot): its monomials,
+    a's then b's, and by monomial number the (delta'-I) image of each, the
+    wedge (`vector_wedge`) of the images a_p + d_p b_p and b_p of its
+    factors less the monomial, and the unit rows on F_q."""
     m = len(slots)
     units = identity(2 * m)
     cols = [[x + dp * y for x, y in zip(units[p], units[m + p])] for p, (dp, _) in enumerate(slots)]
@@ -1669,4 +1688,27 @@ def lattice_block_order(pattern: tuple, slots: tuple, q: int | None, tag: dict, 
     rows = [{c: scale * e for c, e in rel.items()} for rel in rels]
     n = len(pos)
     lat = Lattice(n + 1, rows + [{pos[t]: c for t, c in tag.items()} | {n: 1}])
+    return next((row[n] for row, p in zip(lat.rows, lat.pivots) if p == n), 0)
+
+
+def coupled_lattice_order(d: list, scale: int, parts: list, keys: set) -> int:
+    """Least k > 0 of the blocks `keys` that the free y'_l couple at h = g,
+    q = None, or 0, for the Smith diagonal d: the class part parts[0] and
+    each y'_l column parts[1:], tagged by k and y'_l, echelonised with
+    `scale` times the blocks' relations (`block_relations`) in one `Lattice`
+    over their monomials, the tags last.  The row that pivots at k holds the
+    least k.  The reading `ceresa._coupled_order` made before its
+    congruences."""
+    g = len(d)
+    pos, rows = {}, []
+    for key in keys:
+        idx = sorted(set(key))
+        monos, rels = block_relations(tuple(map(idx.index, key)), tuple((d[i], True) for i in idx), None)
+        base = len(pos)
+        for c, t in enumerate(monos):
+            pos[tuple(idx[i % len(idx)] + g * (i >= len(idx)) for i in t)] = base + c
+        rows += [{base + c: scale * e for c, e in rel.items()} for rel in rels]
+    n = len(pos)
+    tags = [{pos[t]: c for key in keys for t, c in part.get(key, {}).items()} for part in parts]
+    lat = Lattice(n + len(parts), rows + [tag | {n + j: 1} for j, tag in enumerate(tags)])
     return next((row[n] for row, p in zip(lat.rows, lat.pivots) if p == n), 0)

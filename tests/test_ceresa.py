@@ -1672,9 +1672,11 @@ def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
     reduction of Q and the frame, ceresa_order builds no lattice;
     in_Abar_test, where y_b is set to 0, none either, as it reads each
     block in closed form; and the ambient order at maximal rank, where a
-    free y_b couples the blocks, one lattice on the coupled blocks and the
-    tags (k, y_b), with no row of H.  (`group_table` reads
-    no engine at any rank; the module-level groups read these four.)"""
+    free y_b couples the blocks, reads them as congruences: no lattice over
+    wedge^3 monomials, only `_cyclic_quotient`'s over the class and y'_l
+    columns, of at most 7 columns here (measured: 14 of them, against
+    C(8, 3) = 56 monomials).  (`group_table` reads no engine at any rank;
+    the module-level groups read these four.)"""
     ctx = build_context(builtin_curve("tl3"))
     v = v_class(ctx, builtin_table("tl3"))
     eng = helpers.smith_frame_engine(ctx)
@@ -1688,8 +1690,10 @@ def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
     assert built == []
     in_Abar_test(ctx, v)
     assert built == []
+    from_ceresa = helpers.count_ceresa_lattices(monkeypatch)
     ambient_order(ctx, v)
-    assert len(built) == 1 and built[0] <= len(eng.wedge) + 1 + ctx.g
+    assert from_ceresa and {name for name, _ in from_ceresa} == {"_cyclic_quotient"}
+    assert max(n for _, n in from_ceresa) <= 7 < len(eng.wedge)
 
 
 @pytest.mark.parametrize("name, multiple", [("tl3", 1), ("theta-w1", 3)])

@@ -17,10 +17,15 @@ The expected outputs in tests/data/ were recorded from the command line:
     tropceresa ceresa --graph petersen.json --table petersen_table.json [--format text]
     tropceresa order --graph k4_w1.json --table k4_w1_table[_fifth].json
     tropceresa ceresa --graph k4_w1.json --table k4_w1_table[_fifth].json
+    tropceresa order|ceresa --graph g5_k24.json --table g5_mixed_table.json
 
 g5_k24.json is the genus-5 curve K_{2,4} plus a parallel edge at each hub,
 with lengths e8 = 2, e9 = 3 and all other edges 1; g5_table.json is a fixed
-user table of two-Y-factor entries.  k4_w1.json is K4 with vertex a of
+user table of two-Y-factor entries, and g5_mixed_table.json the same table
+plus the F_3 entry (6,7,8) = 1 on e0: its class is not pure gr_2, so its
+ambient order (608) reads the blocks that a free y'_l couples at maximal
+rank (`ceresa._coupled_order`), which no other recording reaches; both
+were recorded before that route read congruences.  k4_w1.json is K4 with vertex a of
 weight 1 and lengths 2, 4, 6, 2, 4, 6: a deficient-rank curve (g = 4,
 h = 3) whose Q has invariant factors 2, 2, 240 (Smith diagonal D = [2, 6,
 80], no divisibility chain), and where A and B differ.  petersen.json is
@@ -112,6 +117,10 @@ CASES = [
      [cmd, "--graph", str(DATA / "k4_w1.json"), "--table", str(DATA / f"k4_w1_table{suffix}.json")])
     for cmd in ("order", "ceresa")
     for suffix in ("", "_fifth")
+] + [
+    (f"{cmd}_g5_mixed.json", cli.main,
+     [cmd, "--graph", str(DATA / "g5_k24.json"), "--table", str(DATA / "g5_mixed_table.json")])
+    for cmd in ("order", "ceresa")
 ] + [
     (f"groups_{name}.{ext}", cli.main, ["groups", "--graph", graph, "--format", fmt] + extra)
     for name, graph, extra in (

@@ -1,22 +1,24 @@
-"""The closed-form block readings of `ceresa.forced_order` against the
-per-block `Lattice` reading they replace.
+"""The block congruences of `ceresa.forced_order` against the `Lattice`
+readings they replace.
 
-Off the coupled case (h = g, q = None, blocks touched by a free y'_l), the
-least k of a block of wedge^3 in the Smith frame depends on its index
+The least k of a block of wedge^3 in the Smith frame depends on its index
 pattern, which of its distinct indices are cycle slots, q and the d-values
-(README, "Orders").  Every such key is read here, with seeded integral tags,
-against `helpers.lattice_block_order`.
+(README, "Orders").  Every key is read here, with seeded integral tags,
+against `helpers.lattice_block_order`; the blocks that a free y'_l couples
+(h = g, q = None) are read together, with seeded y'_l columns, against
+`helpers.coupled_lattice_order`.
 """
 
 import random
-import sys
-from itertools import product
+from itertools import combinations, product
 from math import gcd
+from pathlib import Path
 
 from tropceresa import ceresa, cli
 from tropceresa import intlinalg as la
 from tropceresa.catalog import builtin_curve, builtin_table
-from tropceresa.exterior import embed_H_in_L
+from tropceresa.exterior import _wedge_step, embed_H_in_L
+from tropceresa.graph_core import load_curve
 
 import helpers
 
@@ -75,6 +77,91 @@ def test_block_readings_match_the_lattice_reading():
     assert keys == 2 * (4 + 4 + 8)
 
 
+def _coupled_case(rng, trial) -> tuple:
+    """(d, s, parts, keys): a seeded coupled case at h = g, q = None.  The
+    keys mix blocks {i, i, j} and {i < j < k}; parts[1:] are 1..g y'_l
+    columns on their two-b monomials, and parts[0] the class part: s times a
+    combination of the relations less a combination of the columns (order
+    1), that unscaled and plus noise on one monomial that has a relation
+    (order > 1 mostly), or that with noise on a monomial in no relation
+    (no order)."""
+    g = rng.choice((3, 4))
+    d = [rng.randint(1, 6) for _ in range(g)]
+    s = rng.choice((1, 2, 6))
+    pairs = sorted({tuple(sorted((i, i, j))) for i in range(g) for j in range(g) if i != j})
+    triples = list(combinations(range(g), 3))
+    keys = rng.sample(pairs, rng.randint(1, 3))
+    keys += rng.sample(triples, rng.randint(1, min(2, len(triples))))
+    blocks = {}
+    for key in keys:
+        idx = sorted(set(key))
+        m = len(idx)
+        monos, rels = helpers.block_relations(
+            tuple(map(idx.index, key)), tuple((d[i], True) for i in idx), None)
+        glob = [tuple(idx[i % m] + g * (i >= m) for i in t) for t in monos]
+        blocks[key] = glob, [{glob[c]: x for c, x in rel.items()} for rel in rels]
+    cols = []
+    for _ in range(rng.randint(1, g)):
+        col = {}
+        for key, (monos, _) in blocks.items():
+            for t in monos:
+                if sum(i >= g for i in t) == 2 and rng.random() < 0.7:
+                    col.setdefault(key, {})[t] = (rng.randint(-4, 4) or 1) * rng.choice((1, s))
+        cols.append(col)
+    kind = trial % 3
+    ys = [rng.randint(-2, 2) for _ in cols]
+    part = {}
+    for key, (monos, rels) in blocks.items():
+        tag = {}
+        for rel in rels:
+            a = rng.randint(-2, 2) * (s if kind == 0 else 1)
+            for t, x in rel.items():
+                tag[t] = tag.get(t, 0) + a * x
+        for a, col in zip(ys, cols):
+            for t, x in col.get(key, {}).items():
+                tag[t] = tag.get(t, 0) - a * x
+        part[key] = tag
+    if kind:
+        key = rng.choice(keys)
+        monos, rels = blocks[key]
+        related = set().union(*rels)
+        t = rng.choice([t for t in monos if (t in related) == (kind == 1)])
+        part[key][t] = part[key].get(t, 0) + rng.choice((-1, 1))
+    part = {key: {t: c for t, c in tag.items() if c} for key, tag in part.items()}
+    return d, s, [part, *cols], set(keys)
+
+
+def test_coupled_congruences_match_the_coupled_lattice():
+    """The coupled blocks read as congruences (`ceresa._coupled_order`)
+    give the least k of the one lattice over their monomials
+    (`helpers.coupled_lattice_order`) on seeded cases: d in 1..6, s in
+    {1, 2, 6}, keys mixing {i, i, j} and {i < j < k}, 1..g y'_l columns.
+    At least 40 cases each have order 1, order > 1 and no order."""
+    rng = random.Random(41)
+    seen = {1: 0, 2: 0, "inf": 0}
+    for trial in range(300):
+        d, s, parts, keys = _coupled_case(rng, trial)
+        want = helpers.coupled_lattice_order(d, s, parts, keys)
+        assert ceresa._coupled_order(d, s, parts, keys) == want, (d, s, parts, keys)
+        seen[min(want, 2) if want else "inf"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+def test_y_columns_have_two_bs():
+    """omega' ^ b_l in the Smith frame has two b's in every term, so Y-degree
+    2 at h = g, on the five built-in graphs and k4_w1: a y'_l column meets
+    no zero, single or bbb coordinate of a block, only diagonal and pair
+    ones, which `_coupled_order` rests on."""
+    curves = [builtin_curve(name) for name in ("k4", "tl3", "theta-w1", "3balloon", "theta0")]
+    for curve in curves + [load_curve(str(Path(__file__).parent / "data" / "k4_w1.json"))]:
+        ctx = ceresa.build_context(curve)
+        g = ctx.g
+        for l in range(g):
+            for t in _wedge_step(ctx.omega_frame.coeffs, [(g + l, 1)]):
+                assert sum(i >= g for i in t) == 2, (curve, l, t)
+                assert ctx.filt.y_degree(t) == 2 or not ctx.maximal_rank, (curve, l, t)
+
+
 def test_triple_smith_is_the_smith_form_of_m_s():
     """The shared M_S helper of `group_table` and `forced_order` gives
     `intlinalg.smith_diagonal`'s e, and its V carries the rows of M_S onto
@@ -88,25 +175,15 @@ def test_triple_smith_is_the_smith_form_of_m_s():
         assert la.lattice_eq(mv, [[x if i == j else 0 for j in range(3)] for i, x in enumerate(e)], 3)
 
 
-def _count_ceresa_lattices(monkeypatch):
-    """The sizes of the `Lattice`s that code in `ceresa` builds itself."""
-    built = []
-
-    class Counted(la.Lattice):
-        def __init__(self, n, vectors=()):
-            if sys._getframe(1).f_globals["__name__"] == ceresa.__name__:
-                built.append(n)
-            super().__init__(n, vectors)
-
-    monkeypatch.setattr(la, "Lattice", Counted)
-    return built
-
-
 def test_deficient_rank_sample_draws_build_no_lattice_in_ceresa(capsys, monkeypatch):
     """A theta-w1 `sample` draw reads both of its orders in closed form: no
     `Lattice` is built from `ceresa`.  The maximal-rank ambient order of a
-    class that is not pure still builds its one coupled lattice there."""
-    built = _count_ceresa_lattices(monkeypatch)
+    class that is not pure reads its coupled blocks as congruences: it
+    builds no lattice over wedge^3 monomials, only `_cyclic_quotient`'s over
+    the class and y'_l columns.  Measured on tl3 (d = 1, 2, 1, 18, two
+    free y'_l): 14 such lattices of at most 7 columns, against the
+    C(8, 3) = 56 monomials of wedge^3."""
+    built = helpers.count_ceresa_lattices(monkeypatch)
     code = cli.main([
         "sample", "--graph", "builtin:theta-w1", "--table", "builtin:theta-w1",
         "--count", "20", "--seed", "4", "--workers", "1",
@@ -116,4 +193,5 @@ def test_deficient_rank_sample_draws_build_no_lattice_in_ceresa(capsys, monkeypa
     ctx = ceresa.build_context(builtin_curve("tl3"))
     v = ceresa.v_class(ctx, builtin_table("tl3"))
     ceresa.ambient_order(ctx, v + embed_H_in_L([1] + [0] * (2 * ctx.g - 1), ctx.g))
-    assert len(built) == 1
+    assert built and {name for name, _ in built} == {"_cyclic_quotient"}
+    assert max(n for _, n in built) <= 7

@@ -11,7 +11,6 @@ and the same verdict, u included.
 
 import random
 from collections import Counter
-from itertools import product
 
 import pytest
 
@@ -89,18 +88,3 @@ def test_plan_rejects_a_table_of_another_basis():
             ceresa.graph_plan(curve).decide(table, [1] * len(curve.edges))
         with pytest.raises(SchemaError, match="table basis does not match"):
             ceresa.analyze(curve, table)
-
-
-def test_block_shapes_instantiate_to_the_direct_relations():
-    """Every pattern and d_p in 1..5, the coupled blocks' case (h = g,
-    q = None): the cached shapes give the relations `helpers.block_relations`
-    builds, and the cache holds one shape per pattern, whatever the
-    d-values."""
-    ceresa._block_shape.cache_clear()
-    for pattern in ((0, 0, 1), (0, 1, 1), (0, 1, 2)):
-        m = len(set(pattern))
-        for ds in product(range(1, 6), repeat=m):
-            monos, rels = ceresa._block_relations(pattern, ds)
-            want = helpers.block_relations(pattern, tuple((x, True) for x in ds), None)
-            assert (list(monos), rels) == want, (pattern, ds)
-    assert ceresa._block_shape.cache_info().currsize == 3
