@@ -16,11 +16,10 @@ maximal rank the order in Bbar, which is also the ambient order there, is
 a closed form of u (`ceresa_order`), with no Smith reduction, no relation
 lattice and no Smith frame.  The Zharkov verdict is read off the frame
 through closed forms, and the groups off D block by block at every rank.
-The other orders are read block by block in that frame, each block as
-congruences; the blocks that a free H part couples at maximal rank are
-read together, as the order of the class in a finite group
-(`forced_order`).  `PipelineContext` builds the reduction and the frame on
-first read.
+The other orders are read in that frame, every block as congruences, by
+one routine: the order of the class in one finite group, whose blocks only
+the free H part at maximal rank couples (`forced_order`).
+`PipelineContext` builds the reduction and the frame on first read.
 """
 
 from __future__ import annotations
@@ -281,7 +280,7 @@ def group_table(ctx: PipelineContext) -> dict:
 
 
 def _cyclic_quotient(orders, rows) -> list:
-    """Cyclic orders of the finite group (+ Z/e_c) / <rows>, for positive
+    """Cyclic orders of `group_table`'s Bbar, (+ Z/e_c) / <rows>, for positive
     orders e_c and sparse rows {column: value} over their columns c.
 
     The columns of one order e are column-echelonised first: e I commutes
@@ -473,50 +472,50 @@ def forced_order(ctx: PipelineContext, v: WedgeVector, q: int | None = None, fra
     `framed` is v's `framed_class`, built here when not given.
 
     In k v = (delta-I) z + f + omega ^ y, y = k y* is forced but for y_b at
-    h = g when q is None, where y'_l = (U y_b)_l matters mod d_l only.  Every
-    block is read as congruences from its pattern, its cycle slots, q and
-    the d-values (`_block_plan`, `_block_congruences`), with no lattice of
-    wedge^3.  A block that no free y'_l touches gives its least k as their
-    lcm; the blocks that -s omega' ^ b_l of a free y'_l touch are read
-    together (`_coupled_order`).  The order is the lcm of den(y*) and these
-    least k.
+    h = g when q is None, where y'_l = (U y_b)_l matters mod d_l only: its
+    column is -s omega' ^ b_l.  Every block and its part of these columns
+    is read as congruences from its pattern, its cycle slots, q and the
+    d-values, with no lattice of wedge^3 (`_block_plan`, `_blocks_order`).
+    The order is the lcm of den(y*) and the blocks' least k.
     """
     if q not in (None, 2):
         raise ValueError("forced_order reads q = 2 or q = None")
     g, h, d = ctx.g, ctx.basis.h, ctx.q_diagonal
     scale, y, blocks = framed or framed_class(ctx, v)
     k = scale // gcd(scale, *y)
-    forms = []
+    columns: dict = {}  # block key -> {l: the block's part of the y'_l column}
     if h == g and q is None:
+        form = ctx.omega_frame.coeffs
         for l in (l for l in range(g) if d[l] != 1):
-            forms.append(_by_block(_wedge_step(ctx.omega_frame.coeffs, [(g + l, -scale)]), g))
-    coupled = set().union(*forms)
-    if coupled:
-        k = lcm(k, _coupled_order(d, scale, [blocks, *forms], coupled))
-    for key, tag in blocks.items():
-        if k and key not in coupled:
-            k = lcm(k, _block_order(*_block_tag(key, tag, d, h, q), scale))
-    return k or inf
+            for key, part in _by_block(_wedge_step(form, [(g + l, -scale)]), g).items():
+                columns.setdefault(key, {})[l] = part
+    if columns:
+        blocks = dict.fromkeys(columns, {}) | blocks
+    tags = (_block_tag(key, tag, columns.get(key, {}), d, h, q) for key, tag in blocks.items())
+    return lcm(k, _blocks_order(tags, scale)) or inf
 
 
-def _block_tag(key: tuple, tag: dict, d: list, h: int, q: int | None) -> tuple:
-    """(reading, local tag, local d-values) of a block's tag {monomial:
-    coefficient} at `key`, on a context with Smith diagonal d and cycle
-    rank h, as `_block_order` and `_block_congruences` read them."""
-    g = len(d)
-    idx, local, reading = _block_plan(key, g, h, q)
-    return reading, {tuple(local[i] for i in t): c for t, c in tag.items()}, [d[i] for i in idx]
+def _block_tag(key: tuple, tag: dict, columns: dict, d: list, h: int, q: int | None) -> tuple:
+    """(reading, tag, d-values, columns) of the block at `key` on a context
+    with Smith diagonal d and cycle rank h, the tag {monomial: coefficient}
+    and y'_l columns {l: tag} in local indices, as `_blocks_order` reads it."""
+    idx, local, reading = _block_plan(key, len(d), h, q)
+    if columns:
+        columns = {l: {local[t]: c for t, c in col.items()} for l, col in columns.items()}
+    return reading, {local[t]: c for t, c in tag.items()}, [d[i] for i in idx], columns
 
 
 @lru_cache(maxsize=4096)
 def _block_plan(key: tuple, g: int, h: int, q: int | None) -> tuple:
     """(slots, local, reading) of a block key on a context of genus g and
-    cycle rank h: its sorted distinct slots, the map from the indices of its
-    monomials to local ones (a's, then b's) and its `_block_reading` at q,
+    cycle rank h: its sorted distinct slots, the map from its monomials to
+    local ones (indices a's, then b's) and its `_block_reading` at q,
     resolved once per key; shared, so read only."""
     idx = tuple(sorted(set(key)))
     m = len(idx)
-    local = {x: p for p, x in enumerate(idx)} | {g + x: m + p for p, x in enumerate(idx)}
+    index = {x: p for p, x in enumerate(idx)} | {g + x: m + p for p, x in enumerate(idx)}
+    local = {t: tuple(map(index.get, t)) for t in combinations(index, 3)
+             if tuple(sorted(i % g for i in t)) == key}
     return idx, local, _block_reading(tuple(map(idx.index, key)), tuple(i < h for i in idx), q)
 
 
@@ -577,17 +576,6 @@ def _block_reading(pattern: tuple, cycle: tuple, q: int | None) -> tuple:
     return zeros, units, diagonal, rank_one, triple
 
 
-def _block_order(reading: tuple, tag: dict, d: list, s: int) -> int:
-    """Least k > 0 with k t in s R_S for a block's tag t {local monomial:
-    coefficient}, its d-values d and the scale s, or 0 if there is none:
-    K0 times the lcm of E / gcd(E, x) over its `_block_congruences`."""
-    read = _block_congruences(reading, tag, d, s)
-    if read is None:
-        return 0
-    k0, congruences = read
-    return k0 * lcm(*(e // gcd(e, x) for e, x in congruences))
-
-
 def _block_congruences(reading: tuple, tag: dict, d: list, s: int) -> tuple | None:
     """(K0, [(E, x)]) of a block's tag t, read by its `_block_reading`: k t
     lies in s R_S exactly when k = K0 n with n x = 0 mod E for every pair,
@@ -645,35 +633,44 @@ def _triple_smith(di: int, dj: int, dk: int) -> tuple:
     return tuple(e), tuple(map(tuple, v))
 
 
-def _coupled_order(d: list, scale: int, parts: list, keys: set) -> int:
-    """Least k > 0 of the blocks `keys` that the free y'_l couple at h = g,
-    q = None, or 0, for the Smith diagonal d (README, "Orders"): parts[0]
-    is the class part and parts[1:] the -s omega' ^ b_l, by block key.
+def _blocks_order(blocks, s: int) -> int:
+    """Least k > 0 with k t in s R + <y'> over all blocks, or 0 if there is
+    none, for blocks (reading, tag t, d-values, y'_l columns) as `_block_tag`
+    gives them and the scale s (README, "Orders", "Result").
 
-    Each block reads the class part and each y'_l column as congruences
-    (`_block_congruences`).  A y'_l column has two b's, so it meets only
-    diagonal and pair coordinates and reads as linear, with K0 = 1.  So k
-    is a multiple of K = lcm(K0), and k = K n is admissible when n x lies
-    in the span of the y'_l columns in + Z/E, x the class column scaled by
-    K / K0 on each block: n is the order of x in G = (+ Z/E) / <y'>,
-    |G| / |G / <x>| (`_cyclic_quotient`)."""
-    def read(part: dict, key: tuple):
-        return _block_congruences(*_block_tag(key, part.get(key, {}), d, len(d), None), scale)
-
-    head = {key: read(parts[0], key) for key in keys}
-    if None in head.values():
-        return 0
-    big = lcm(*(k0 for k0, _ in head.values()))
-    orders, rows = [], [{} for _ in parts]
-    for key, (k0, congruences) in head.items():
-        cols = [read(part, key)[1] if key in part else None for part in parts[1:]]
-        for c, (e, x) in enumerate(congruences):
-            xs = [big // k0 * x] + [col[c][1] if col else 0 for col in cols]  # x scaled by K / K0
-            if any(y % e for y in xs):  # else Z/E splits off G and G / <x> alike
-                for row, y in zip(rows, xs):
-                    row[len(orders)] = y
-                orders.append(e)
-    return big * prod(_cyclic_quotient(orders, rows[1:])) // prod(_cyclic_quotient(orders, rows))
+    Every tag and y'_l column reads as congruences (`_block_congruences`), a
+    column as linear with K0 = 1.  So k = K n for K = lcm(K0), n the order
+    of x, the class column scaled by K / K0, in G = (+ Z/E) / <y'>.  A
+    coordinate that no column touches mod E splits off G; read unscaled, it
+    gives K0 E / gcd(E, x), whose lcm with K is the same.  The rest span one
+    full-rank `Lattice` with the E e_c and the y' columns: their n is the
+    den of x's back-substitution.
+    """
+    k, big, core, ys = 1, 1, [], {}  # core: (E, x, K0); ys: l -> {core coordinate: y'_l}
+    for reading, tag, d, columns in blocks:
+        read = _block_congruences(reading, tag, d, s)
+        if read is None:
+            return 0
+        k0, split = read
+        if columns:
+            big = lcm(big, k0)
+            cols = [(l, _block_congruences(reading, col, d, s)[1])
+                    for l, col in columns.items()]
+            rest = []
+            for c, (e, x) in enumerate(split):
+                if hit := [(l, y) for l, col in cols if (y := col[c][1] % e)]:
+                    for l, y in hit:
+                        ys.setdefault(l, {})[len(core)] = y
+                    core.append((e, x, k0))
+                else:  # Z/E splits off G
+                    rest.append((e, x))
+            split = rest
+        k = lcm(k, k0 * lcm(*(e // gcd(e, x) for e, x in split)))
+    if core:
+        rows = [{c: e} for c, (e, _, _) in enumerate(core)] + list(ys.values())
+        scaled = {c: big // k0 * x for c, (_, x, k0) in enumerate(core)}  # x by K / K0
+        k = lcm(k, big * la.Lattice(len(core), rows).back_substitute(scaled)[1])
+    return k
 
 
 def ambient_order(ctx: PipelineContext, v: WedgeVector):

@@ -1697,8 +1697,8 @@ def coupled_lattice_order(d: list, scale: int, parts: list, keys: set) -> int:
     each y'_l column parts[1:], tagged by k and y'_l, echelonised with
     `scale` times the blocks' relations (`block_relations`) in one `Lattice`
     over their monomials, the tags last.  The row that pivots at k holds the
-    least k.  The reading `ceresa._coupled_order` made before its
-    congruences."""
+    least k.  The reading of the coupled blocks before they were read as
+    congruences (`ceresa._blocks_order`)."""
     g = len(d)
     pos, rows = {}, []
     for key in keys:

@@ -1673,9 +1673,9 @@ def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
     in_Abar_test, where y_b is set to 0, none either, as it reads each
     block in closed form; and the ambient order at maximal rank, where a
     free y_b couples the blocks, reads them as congruences: no lattice over
-    wedge^3 monomials, only `_cyclic_quotient`'s over the class and y'_l
-    columns, of at most 7 columns here (measured: 14 of them, against
-    C(8, 3) = 56 monomials).  (`group_table` reads no engine at any rank;
+    wedge^3 monomials, only `_blocks_order`'s one lattice over the 8
+    coordinates that a y'_l column touches here, against C(8, 3) = 56
+    monomials.  (`group_table` reads no engine at any rank;
     the module-level groups read these four.)"""
     ctx = build_context(builtin_curve("tl3"))
     v = v_class(ctx, builtin_table("tl3"))
@@ -1692,8 +1692,8 @@ def test_verdict_and_groups_reuse_one_lattice_per_relation_set(monkeypatch):
     assert built == []
     from_ceresa = helpers.count_ceresa_lattices(monkeypatch)
     ambient_order(ctx, v)
-    assert from_ceresa and {name for name, _ in from_ceresa} == {"_cyclic_quotient"}
-    assert max(n for _, n in from_ceresa) <= 7 < len(eng.wedge)
+    assert from_ceresa == [("_blocks_order", 8)]
+    assert from_ceresa[0][1] < len(eng.wedge)
 
 
 @pytest.mark.parametrize("name, multiple", [("tl3", 1), ("theta-w1", 3)])

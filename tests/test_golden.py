@@ -18,14 +18,18 @@ The expected outputs in tests/data/ were recorded from the command line:
     tropceresa order --graph k4_w1.json --table k4_w1_table[_fifth].json
     tropceresa ceresa --graph k4_w1.json --table k4_w1_table[_fifth].json
     tropceresa order|ceresa --graph g5_k24.json --table g5_mixed_table.json
+    tropceresa sample --graph g5_k24.json --table g5_mixed_table.json --count 200 --seed 4
 
 g5_k24.json is the genus-5 curve K_{2,4} plus a parallel edge at each hub,
 with lengths e8 = 2, e9 = 3 and all other edges 1; g5_table.json is a fixed
 user table of two-Y-factor entries, and g5_mixed_table.json the same table
 plus the F_3 entry (6,7,8) = 1 on e0: its class is not pure gr_2, so its
 ambient order (608) reads the blocks that a free y'_l couples at maximal
-rank (`ceresa._coupled_order`), which no other recording reaches; both
-were recorded before that route read congruences.  k4_w1.json is K4 with vertex a of
+rank (`ceresa._blocks_order` with y'_l columns), which no other recording
+reaches; both were recorded before that route read congruences.  Its
+200-draw sample reaches that route on every draw, at many lengths; it was
+recorded before the coupled blocks were read by the one routine of every
+block, and is compared at --workers 1 and 2.  k4_w1.json is K4 with vertex a of
 weight 1 and lengths 2, 4, 6, 2, 4, 6: a deficient-rank curve (g = 4,
 h = 3) whose Q has invariant factors 2, 2, 240 (Smith diagonal D = [2, 6,
 80], no divisibility chain), and where A and B differ.  petersen.json is
@@ -153,3 +157,17 @@ def test_sample_300_matches_recording(name, workers, monkeypatch):
             "--count", "300", "--seed", "4", "--workers", str(workers),
         ]) == 0
     assert out.getvalue() == (DATA / f"sample_{name}_seed4_300.json").read_text()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sample_g5_mixed_matches_recording(workers, monkeypatch):
+    if workers > (os.cpu_count() or 1):
+        pytest.skip("needs two cores")
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([
+            "sample", "--graph", str(DATA / "g5_k24.json"), "--table", str(DATA / "g5_mixed_table.json"),
+            "--count", "200", "--seed", "4", "--workers", str(workers),
+        ]) == 0
+    assert out.getvalue() == (DATA / "sample_g5_mixed_seed4_200.json").read_text()

@@ -3,10 +3,11 @@ readings they replace.
 
 The least k of a block of wedge^3 in the Smith frame depends on its index
 pattern, which of its distinct indices are cycle slots, q and the d-values
-(README, "Orders").  Every key is read here, with seeded integral tags,
-against `helpers.lattice_block_order`; the blocks that a free y'_l couples
-(h = g, q = None) are read together, with seeded y'_l columns, against
-`helpers.coupled_lattice_order`.
+(README, "Orders").  Every key is read here by `ceresa._blocks_order`, with
+seeded integral tags and no y'_l column, against
+`helpers.lattice_block_order`; the blocks that a free y'_l couples (h = g,
+q = None) are read together by the same routine, with seeded y'_l columns,
+against `helpers.coupled_lattice_order`.
 """
 
 import random
@@ -70,7 +71,8 @@ def test_block_readings_match_the_lattice_reading():
                 related |= any(rels)
                 tag = _tag(rng, rels, monos, trial)
                 want = helpers.lattice_block_order(pattern, slots, q, tag, s)
-                assert ceresa._block_order(reading, tag, d, s) == want, (pattern, slots, q, s, tag)
+                got = ceresa._blocks_order([(reading, tag, d, {})], s)
+                assert got == want, (pattern, slots, q, s, tag)
                 seen.add(min(want, 2) if want else "inf")
             assert seen == {1, "inf"} | ({2} if related else set()), (pattern, cycle, q)
             keys += 1
@@ -131,19 +133,46 @@ def _coupled_case(rng, trial) -> tuple:
     return d, s, [part, *cols], set(keys)
 
 
+def _coupled_blocks(d, s, parts, keys) -> list:
+    """A coupled case's blocks as `ceresa._blocks_order` reads them: each
+    key through `ceresa._block_tag`, with the y'_l columns that touch it."""
+    return [
+        ceresa._block_tag(key, parts[0].get(key, {}),
+                          {l: col[key] for l, col in enumerate(parts[1:]) if key in col},
+                          d, len(d), None)
+        for key in keys
+    ]
+
+
+def _splits_off(blocks, s) -> bool:
+    """Whether a block with a y'_l column has a class coordinate, not 0 mod
+    E, that no column touches mod E: a summand Z/E that splits off G."""
+    for reading, tag, d, columns in blocks:
+        read = ceresa._block_congruences(reading, tag, d, s)
+        if read and columns:
+            cols = [ceresa._block_congruences(reading, col, d, s)[1] for col in columns.values()]
+            if any(x % e and not any(col[c][1] % e for col in cols)
+                   for c, (e, x) in enumerate(read[1])):
+                return True
+    return False
+
+
 def test_coupled_congruences_match_the_coupled_lattice():
-    """The coupled blocks read as congruences (`ceresa._coupled_order`)
+    """The coupled blocks read as congruences (`ceresa._blocks_order`)
     give the least k of the one lattice over their monomials
     (`helpers.coupled_lattice_order`) on seeded cases: d in 1..6, s in
     {1, 2, 6}, keys mixing {i, i, j} and {i < j < k}, 1..g y'_l columns.
-    At least 40 cases each have order 1, order > 1 and no order."""
+    At least 40 cases each have order 1, order > 1 and no order, and at
+    least 40 a class coordinate in a summand that splits off G."""
     rng = random.Random(41)
-    seen = {1: 0, 2: 0, "inf": 0}
+    seen = {1: 0, 2: 0, "inf": 0, "split": 0}
     for trial in range(300):
         d, s, parts, keys = _coupled_case(rng, trial)
         want = helpers.coupled_lattice_order(d, s, parts, keys)
-        assert ceresa._coupled_order(d, s, parts, keys) == want, (d, s, parts, keys)
+        blocks = _coupled_blocks(d, s, parts, keys)
+        assert ceresa._blocks_order(blocks, s) == want, (d, s, parts, keys)
         seen[min(want, 2) if want else "inf"] += 1
+        seen["split"] += _splits_off(blocks, s)
     assert min(seen.values()) >= 40, seen
 
 
@@ -151,7 +180,7 @@ def test_y_columns_have_two_bs():
     """omega' ^ b_l in the Smith frame has two b's in every term, so Y-degree
     2 at h = g, on the five built-in graphs and k4_w1: a y'_l column meets
     no zero, single or bbb coordinate of a block, only diagonal and pair
-    ones, which `_coupled_order` rests on."""
+    ones, which `_blocks_order` rests on."""
     curves = [builtin_curve(name) for name in ("k4", "tl3", "theta-w1", "3balloon", "theta0")]
     for curve in curves + [load_curve(str(Path(__file__).parent / "data" / "k4_w1.json"))]:
         ctx = ceresa.build_context(curve)
@@ -179,10 +208,10 @@ def test_deficient_rank_sample_draws_build_no_lattice_in_ceresa(capsys, monkeypa
     """A theta-w1 `sample` draw reads both of its orders in closed form: no
     `Lattice` is built from `ceresa`.  The maximal-rank ambient order of a
     class that is not pure reads its coupled blocks as congruences: it
-    builds no lattice over wedge^3 monomials, only `_cyclic_quotient`'s over
-    the class and y'_l columns.  Measured on tl3 (d = 1, 2, 1, 18, two
-    free y'_l): 14 such lattices of at most 7 columns, against the
-    C(8, 3) = 56 monomials of wedge^3."""
+    builds no lattice over wedge^3 monomials, only `_blocks_order`'s one
+    lattice over the coordinates that a y'_l column touches.  Measured on
+    tl3 (d = 1, 2, 1, 18, two free y'_l): one lattice of 8 columns, against
+    the C(8, 3) = 56 monomials of wedge^3."""
     built = helpers.count_ceresa_lattices(monkeypatch)
     code = cli.main([
         "sample", "--graph", "builtin:theta-w1", "--table", "builtin:theta-w1",
@@ -193,5 +222,4 @@ def test_deficient_rank_sample_draws_build_no_lattice_in_ceresa(capsys, monkeypa
     ctx = ceresa.build_context(builtin_curve("tl3"))
     v = ceresa.v_class(ctx, builtin_table("tl3"))
     ceresa.ambient_order(ctx, v + embed_H_in_L([1] + [0] * (2 * ctx.g - 1), ctx.g))
-    assert built and {name for name, _ in built} == {"_cyclic_quotient"}
-    assert max(n for _, n in built) <= 7
+    assert built == [("_blocks_order", 8)]
